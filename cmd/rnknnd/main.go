@@ -67,75 +67,47 @@ func main() {
 	if *snapshot != "" && *shardDir != "" {
 		usageExit("-snapshot and -shards are mutually exclusive")
 	}
+	var methods []rnknn.Method
+	for _, name := range strings.Split(*methodsFlag, ",") {
+		m, err := rnknn.ParseMethod(strings.TrimSpace(name))
+		if err != nil {
+			usageExit("-methods: %v", err)
+		}
+		if m == rnknn.MethodAuto {
+			usageExit("-methods: list concrete methods to build; requests pick auto per query")
+		}
+		methods = append(methods, m)
+	}
+	opts := []rnknn.Option{rnknn.WithMethods(methods...)}
 	cfg := serve.Config{
 		MaxInFlight:  *maxInflight,
 		CacheEntries: *cacheSize,
 		CacheShards:  *cacheShards,
 	}
 
-	var handler http.Handler
-	var stats func()
+	// Whatever is opened — a shard set, a snapshot, or a ladder network
+	// built here — is then populated, reported and served the same way.
+	var (
+		one *rnknn.DB
+		sdb *rnknn.ShardedDB
+		err error
+	)
 	start := time.Now()
 	switch {
 	case *shardDir != "":
-		// Sharded serving: one mapped DB per partition cell, objects placed
-		// on their owning shards, per-shard caches behind a fan-out front.
-		sdb, err := rnknn.OpenSharded(*shardDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "open shards:", err)
-			os.Exit(1)
+		// One mapped DB per partition cell, objects placed on their owning
+		// shards. The manifest names the methods unless -methods was given.
+		explicit := false
+		flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "methods" })
+		if !explicit {
+			opts = nil
 		}
-		defer sdb.Close()
-		g := sdb.Graph()
-		if err := sdb.RegisterObjects(rnknn.DefaultCategory, gen.Uniform(g, *density, *seed)); err != nil {
-			fmt.Fprintln(os.Stderr, "objects:", err)
-			os.Exit(1)
-		}
-		numObjects, _ := sdb.NumObjects(rnknn.DefaultCategory)
-		fmt.Printf("rnknnd: network %s |V|=%d |E|=%d (%s weights), %d objects across %d shards, opened in %s\n",
-			g.Name, g.NumVertices(), g.NumEdges()/2, g.Kind, numObjects, sdb.NumShards(), time.Since(start).Round(time.Millisecond))
-		fs := serve.NewSharded(sdb, cfg)
-		handler = fs.Handler()
-		stats = func() {
-			var req, shed, hits uint64
-			for i := 0; i < sdb.NumShards(); i++ {
-				st := fs.Shard(i).Stats()
-				req += st.Requests
-				shed += st.Shed
-				hits += st.CacheHits
-			}
-			fmt.Printf("rnknnd: served %d shard queries (%d shed, %d cache hits)\n", req, shed, hits)
-		}
+		sdb, err = rnknn.OpenSharded(*shardDir, opts...)
 	case *snapshot != "":
-		// Zero-copy single-DB serving: graph and indexes come from the
-		// snapshot's mapping; warm start costs page faults, not a decode.
-		db, err := rnknn.OpenSnapshotFile(*snapshot)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "open snapshot:", err)
-			os.Exit(1)
-		}
-		defer db.Close()
-		g := db.Graph()
-		if err := db.RegisterObjects(rnknn.DefaultCategory, gen.Uniform(g, *density, *seed)); err != nil {
-			fmt.Fprintln(os.Stderr, "objects:", err)
-			os.Exit(1)
-		}
-		handler, stats = singleServer(db, g, cfg, start)
+		// Zero-copy: graph and indexes come from the snapshot's mapping;
+		// warm start costs page faults, not a decode.
+		one, err = rnknn.OpenSnapshotFile(*snapshot, opts...)
 	default:
-		var methods []rnknn.Method
-		for _, name := range strings.Split(*methodsFlag, ",") {
-			m, err := rnknn.ParseMethod(strings.TrimSpace(name))
-			if err != nil {
-				usageExit("-methods: %v", err)
-			}
-			if m == rnknn.MethodAuto {
-				usageExit("-methods: list concrete methods to build; requests pick auto per query")
-			}
-			methods = append(methods, m)
-		}
-		if len(methods) == 0 {
-			usageExit("-methods is empty")
-		}
 		spec, ok := gen.LadderSpec(*network)
 		if !ok {
 			usageExit("unknown network %q", *network)
@@ -144,25 +116,38 @@ func main() {
 		if *timeW {
 			g = g.View(graph.TravelTime)
 		}
-		opts := []rnknn.Option{
-			rnknn.WithMethods(methods...),
-			rnknn.WithObjects(rnknn.DefaultCategory, gen.Uniform(g, *density, *seed)),
-		}
 		if *indexCache != "" {
 			opts = append(opts, rnknn.WithIndexCache(*indexCache))
 			if *mmapFlag {
 				opts = append(opts, rnknn.WithMmap())
 			}
 		}
-		db, err := rnknn.Open(g, opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "open:", err)
-			os.Exit(1)
-		}
-		defer db.Close()
-		handler, stats = singleServer(db, g, cfg, start)
+		one, err = rnknn.Open(g, opts...)
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "open:", err)
+		os.Exit(1)
+	}
+	var (
+		db      database
+		srv     *serve.Server
+		serving string
+	)
+	if sdb != nil {
+		db, srv, serving = sdb, serve.NewSharded(sdb, cfg), fmt.Sprintf("across %d shards", sdb.NumShards())
+	} else {
+		db, srv, serving = one, serve.New(one, cfg), fmt.Sprintf("methods %v", one.Methods())
+	}
+	defer db.Close()
+	g := db.Graph()
+	if err := db.RegisterObjects(rnknn.DefaultCategory, gen.Uniform(g, *density, *seed)); err != nil {
+		fmt.Fprintln(os.Stderr, "objects:", err)
+		os.Exit(1)
+	}
+	numObjects, _ := db.NumObjects(rnknn.DefaultCategory)
+	fmt.Printf("rnknnd: network %s |V|=%d |E|=%d (%s weights), %d objects, %s, opened in %s\n",
+		g.Name, g.NumVertices(), g.NumEdges()/2, g.Kind, numObjects, serving, time.Since(start).Round(time.Millisecond))
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -185,21 +170,18 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	stats()
+	stats := srv.Stats()
+	fmt.Printf("rnknnd: served %d requests (%d shed, %d cache hits, %d coalesced)\n",
+		stats.Requests, stats.Shed, stats.CacheHits, stats.Coalesced)
 }
 
-// singleServer reports the open and wraps db in the single-DB serving
-// stack, returning its handler and the exit-time stats printer.
-func singleServer(db *rnknn.DB, g *rnknn.Graph, cfg serve.Config, start time.Time) (http.Handler, func()) {
-	numObjects, _ := db.NumObjects(rnknn.DefaultCategory)
-	fmt.Printf("rnknnd: network %s |V|=%d |E|=%d (%s weights), %d objects, methods %v, opened in %s\n",
-		g.Name, g.NumVertices(), g.NumEdges()/2, g.Kind, numObjects, db.Methods(), time.Since(start).Round(time.Millisecond))
-	srv := serve.New(db, cfg)
-	return srv.Handler(), func() {
-		stats := srv.Stats()
-		fmt.Printf("rnknnd: served %d requests (%d shed, %d cache hits, %d coalesced)\n",
-			stats.Requests, stats.Shed, stats.CacheHits, stats.Coalesced)
-	}
+// database is what rnknnd needs of whatever it opened; *rnknn.DB and
+// *rnknn.ShardedDB both provide it.
+type database interface {
+	Graph() *rnknn.Graph
+	RegisterObjects(name string, vertices []int32) error
+	NumObjects(name string) (int, error)
+	Close() error
 }
 
 func usageExit(format string, args ...any) {

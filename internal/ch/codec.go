@@ -1,9 +1,8 @@
 // Binary snapshot codec for the contraction hierarchy: the rank permutation
 // and the upward CSR (original + shortcut edges) — everything the witness
-// searches of Build exist to produce. Layout v2 writes the four arrays
+// searches of Build exist to produce. The four arrays are written
 // 64-byte-aligned (snapio raw-array layout) so a mapped snapshot aliases
-// them with zero copy; v1 payloads (element-streamed) are still read. See
-// docs/SNAPSHOT_FORMAT.md.
+// them with zero copy. See docs/SNAPSHOT_FORMAT.md.
 package ch
 
 import (
@@ -36,17 +35,11 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // opens trust the snapshot; dimensions are still checked).
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	x := &Index{g: g}
-	switch v := sr.U16(); {
-	case sr.Err() != nil:
-	case v == 1:
-		x.Shortcuts = int(sr.U32())
-		x.rank, x.upOff, x.upTo, x.upW = sr.I32s(), sr.I32s(), sr.I32s(), sr.I32s()
-	case v == codecVersion:
-		x.Shortcuts = int(sr.U32())
-		x.rank, x.upOff, x.upTo, x.upW = sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s()
-	default:
-		sr.Failf("ch codec version %d (want 1 or %d)", v, codecVersion)
+	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
+		sr.Failf("ch codec version %d (want %d)", v, codecVersion)
 	}
+	x.Shortcuts = int(sr.U32())
+	x.rank, x.upOff, x.upTo, x.upW = sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s()
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

@@ -223,3 +223,55 @@ func TestSnapshotTNRWithoutCHRejected(t *testing.T) {
 		t.Fatalf("want ErrBadSnapshot for TNR without CH, got %v", err)
 	}
 }
+
+// TestSnapshotV1SectionRejected stamps each index section in turn with the
+// retired layout version 1 (re-framed, so the checksum is valid and the
+// codec itself must refuse) and asserts the typed error under both the
+// decoding and the aliasing load.
+func TestSnapshotV1SectionRejected(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "snapV1", Rows: 8, Cols: 8, Seed: 8})
+	e := core.New(g)
+	for _, kind := range []core.MethodKind{core.Gtree, core.ROAD, core.IERPHL, core.IERTNR, core.DisBrw} {
+		e.EnsureIndex(kind)
+	}
+	var buf bytes.Buffer
+	if err := e.SaveIndexes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fp := snapshot.Fingerprint(g)
+	payloads, err := snapshot.Read(bytes.NewReader(buf.Bytes()), fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := 0
+	for _, victim := range payloads {
+		if victim.Name == core.SecGraph {
+			continue // the graph section's own layout version is 1
+		}
+		stamped++
+		secs := make([]snapshot.Section, len(payloads))
+		for i, p := range payloads {
+			data := p.Data
+			if p.Name == victim.Name {
+				data = append([]byte{1, 0}, data[2:]...)
+			}
+			secs[i] = snapshot.Section{Name: p.Name, Mappable: p.Mappable, Encode: func(w io.Writer) error {
+				_, err := w.Write(data)
+				return err
+			}}
+		}
+		var v1 bytes.Buffer
+		if err := snapshot.Write(&v1, fp, secs); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.New(g).LoadIndexes(bytes.NewReader(v1.Bytes())); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s stamped v1, decoded: want ErrBadSnapshot, got %v", victim.Name, err)
+		}
+		if err := core.New(g).LoadIndexesData(v1.Bytes(), true); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s stamped v1, aliased: want ErrBadSnapshot, got %v", victim.Name, err)
+		}
+	}
+	if stamped != 6 {
+		t.Fatalf("stamped %d index sections, want 6 (Gtree, ROAD, PHL, CH, TNR, SILC)", stamped)
+	}
+}

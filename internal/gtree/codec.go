@@ -1,11 +1,9 @@
-// Binary snapshot codec for the G-tree. Layout v2 persists the partition
+// Binary snapshot codec for the G-tree. The layout persists the partition
 // tree, the per-node distance matrices, and every derived query-time array
 // (positions, leaf CSRs, border lists, internal-node layout) as raw
 // 64-byte-aligned arrays: ragged per-node data is concatenated behind an
 // offset table, so a mapped snapshot aliases the whole index with zero copy
-// and zero recomputation — open cost is pages touched, not graph size. v1
-// payloads (partition + element-streamed matrices only) are still read, by
-// rerunning the deterministic derivation passes Build uses. See
+// and zero recomputation — open cost is pages touched, not graph size. See
 // docs/SNAPSHOT_FORMAT.md.
 package gtree
 
@@ -101,47 +99,25 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return sw.Result()
 }
 
-// Read deserializes an index written by WriteTo. v2 payloads install every
-// derived array as views of the payload (zero recomputation; aliased views
-// of the mapping when sr aliases); v1 payloads rerun the derivation passes.
+// Read deserializes an index written by WriteTo, installing every derived
+// array as views of the payload (zero recomputation; aliased views of the
+// mapping when sr aliases).
 // The matrices are validated against the dimensions the layout implies —
 // pure arithmetic on the side tables, no matrix pages touched — so a
 // snapshot for a different graph (or a corrupt one) fails instead of
 // producing wrong distances.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
-	version := sr.U16()
-	if sr.Err() == nil && version != 1 && version != codecVersion {
-		sr.Failf("gtree codec version %d (want 1 or %d)", version, codecVersion)
+	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
+		sr.Failf("gtree codec version %d (want %d)", v, codecVersion)
 	}
 	tau := int(sr.U32())
-	pt := partition.Decode(sr, g.NumVertices(), version != 1)
+	pt := partition.Decode(sr, g.NumVertices())
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}
 	x := &Index{G: g, PT: pt, Tau: tau}
 	x.nodes = make([]node, len(pt.Nodes))
 	n := len(x.nodes)
-
-	if version == 1 {
-		x.computePositions()
-		x.extractLeafCSRs()
-		x.computeBorders()
-		x.layoutInternalNodes()
-		if count := int(sr.U32()); sr.Err() == nil && count != n {
-			sr.Failf("gtree snapshot has %d nodes, partition has %d", count, n)
-		}
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		for ni := range x.nodes {
-			x.nodes[ni].stride = int32(sr.U32())
-			x.nodes[ni].mat = sr.I32s()
-			if sr.Err() != nil {
-				return nil, sr.Err()
-			}
-		}
-		return x, x.validateDims(sr)
-	}
 
 	x.posInLeaf = sr.AlignedI32s()
 	if sr.Err() == nil && len(x.posInLeaf) != g.NumVertices() {

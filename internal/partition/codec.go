@@ -1,10 +1,8 @@
 // Binary codec for the partition tree, embedded inside the G-tree and ROAD
 // snapshot sections (both indexes are hierarchies over a Tree, and the tree
 // itself is the one build product the cheap derived fields cannot be
-// recomputed from). Encode always emits the raw layout (per-node arrays
-// 64-byte-aligned so a mapped snapshot aliases them); Decode reads either
-// layout, selected by the embedding section's codec version via raw. See
-// docs/SNAPSHOT_FORMAT.md.
+// recomputed from). The per-node arrays are 64-byte-aligned so a mapped
+// snapshot aliases them. See docs/SNAPSHOT_FORMAT.md.
 package partition
 
 import (
@@ -38,16 +36,10 @@ const maxTreeNodes = 1 << 26
 
 // Decode reads a tree written by Encode for a graph of numVertices vertices,
 // validating structural invariants (indexes in range, per-vertex maps the
-// right length). raw selects the 64-byte-aligned array layout (v2 G-tree and
-// ROAD sections) versus the legacy element-streamed one; with an aliasing
-// source the arrays are views of the mapping and the per-element range scans
-// are skipped. On any inconsistency Decode records an error on r and returns
-// nil.
-func Decode(r *snapio.Source, numVertices int, raw bool) *Tree {
-	i32s := r.I32s
-	if raw {
-		i32s = r.AlignedI32s
-	}
+// right length). With an aliasing source the arrays are views of the mapping
+// and the per-element range scans are skipped. On any inconsistency Decode
+// records an error on r and returns nil.
+func Decode(r *snapio.Source, numVertices int) *Tree {
 	t := &Tree{Fanout: int(r.U32())}
 	count := int(r.U32())
 	if r.Err() != nil {
@@ -64,8 +56,8 @@ func Decode(r *snapio.Source, numVertices int, raw bool) *Tree {
 		n.Level = int32(r.U32())
 		n.LeafLo = int32(r.U32())
 		n.LeafHi = int32(r.U32())
-		n.Children = i32s()
-		n.Vertices = i32s()
+		n.Children = r.AlignedI32s()
+		n.Vertices = r.AlignedI32s()
 		if r.Err() != nil {
 			return nil
 		}
@@ -92,8 +84,8 @@ func Decode(r *snapio.Source, numVertices int, raw bool) *Tree {
 			}
 		}
 	}
-	t.LeafOf = i32s()
-	t.LeafSeq = i32s()
+	t.LeafOf = r.AlignedI32s()
+	t.LeafSeq = r.AlignedI32s()
 	if r.Err() != nil {
 		return nil
 	}

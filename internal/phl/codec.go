@@ -1,7 +1,6 @@
 // Binary snapshot codec for the hub labeling: the CSR label arrays are the
-// entire index. Layout v2 writes the three arrays 64-byte-aligned
-// (snapio raw-array layout) so a mapped snapshot aliases them with zero
-// copy; v1 payloads (element-streamed) are still read. See
+// entire index. The three arrays are written 64-byte-aligned (snapio
+// raw-array layout) so a mapped snapshot aliases them with zero copy. See
 // docs/SNAPSHOT_FORMAT.md.
 package phl
 
@@ -31,15 +30,10 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // mapped opens trust the snapshot; dimensions are still checked).
 func Read(sr *snapio.Source, numVertices int) (*Index, error) {
 	x := &Index{}
-	switch v := sr.U16(); {
-	case sr.Err() != nil:
-	case v == 1:
-		x.off, x.hubs, x.dist = sr.I32s(), sr.I32s(), sr.I32s()
-	case v == codecVersion:
-		x.off, x.hubs, x.dist = sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s()
-	default:
-		sr.Failf("phl codec version %d (want 1 or %d)", v, codecVersion)
+	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
+		sr.Failf("phl codec version %d (want %d)", v, codecVersion)
 	}
+	x.off, x.hubs, x.dist = sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s()
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

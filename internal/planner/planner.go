@@ -196,8 +196,9 @@ func (p *Planner) observed(kind core.MethodKind, f Features) int64 {
 	return p.ewma[kind][kBucket(f.K)][dBucket(f.Density())].Load()
 }
 
-// Choice is one planning decision: the selected method and a short
-// human-readable rationale (surfaced by pkg/rnknn's Explain).
+// Choice is one planning decision: the selected method and the numbers it
+// was made from. Reason renders them for pkg/rnknn's Explain; Choose itself
+// formats nothing, so planning a query does not allocate.
 type Choice struct {
 	Kind core.MethodKind
 	// Cost is the estimated or observed latency the choice was based on.
@@ -205,8 +206,23 @@ type Choice struct {
 	// Observed reports whether Cost came from the regime's latency EWMA
 	// (true) or the static cost model (false).
 	Observed bool
-	// Reason is a one-line rationale for logs and Explain output.
-	Reason string
+
+	f     Features
+	model *Model
+}
+
+// source names where a cost came from.
+func source(m *Model, observed bool) string {
+	if observed {
+		return "observed EWMA"
+	}
+	return m.source()
+}
+
+// Reason is a one-line rationale for logs and Explain output.
+func (c Choice) Reason() string {
+	return fmt.Sprintf("auto: %s estimated at %v by %s (k=%d, density=%.2g, |V|=%d)",
+		c.Kind, c.Cost.Round(time.Microsecond), source(c.model, c.Observed), c.f.K, c.f.Density(), c.f.NumVertices)
 }
 
 // Choose picks the cheapest enabled method for the query's regime:
@@ -228,16 +244,12 @@ func (p *Planner) Choose(enabled []core.MethodKind, f Features) Choice {
 			best = c
 		}
 	}
-	src := m.source()
-	if best.Observed {
-		src = "observed EWMA"
-	}
-	best.Reason = fmt.Sprintf("auto: %s estimated at %v by %s (k=%d, density=%.2g, |V|=%d)",
-		best.Kind, best.Cost.Round(time.Microsecond), src, f.K, f.Density(), f.NumVertices)
+	best.f, best.model = f, m
 	return best
 }
 
-// BatchChoice is one batch-group execution decision (see ChooseBatch).
+// BatchChoice is one batch-group execution decision (see ChooseBatch). The
+// zero value is a fan-out of a group too small to share.
 type BatchChoice struct {
 	// Shared reports whether the group should run as one shared expansion
 	// (true) or fan out as independent queries (false).
@@ -246,8 +258,27 @@ type BatchChoice struct {
 	SingleCost time.Duration
 	// GroupCost is the estimated total for the chosen execution.
 	GroupCost time.Duration
-	// Reason is a one-line rationale for Batch.Explain.
-	Reason string
+
+	kind     core.MethodKind
+	size     int
+	observed bool
+	model    *Model
+}
+
+// Reason is a one-line rationale for Batch.Explain.
+func (bc BatchChoice) Reason() string {
+	if bc.size < 2 {
+		return "fan-out: group too small to share"
+	}
+	crossover := time.Duration(bc.model.SharedMinSingleNanos).Round(time.Microsecond)
+	src := source(bc.model, bc.observed)
+	if !bc.Shared {
+		return fmt.Sprintf("fan-out: %s single-query estimate %v below %v sharing crossover by %s",
+			bc.kind, bc.SingleCost.Round(time.Microsecond), crossover, src)
+	}
+	return fmt.Sprintf("shared expansion: %d×%s at %v/query ≥ %v sharing crossover by %s, group estimate %v vs %v fanned out",
+		bc.size, bc.kind, bc.SingleCost.Round(time.Microsecond), crossover, src,
+		bc.GroupCost.Round(time.Microsecond), (bc.SingleCost * time.Duration(bc.size)).Round(time.Microsecond))
 }
 
 // ChooseBatch decides how a batch group of size clustered queries of one
@@ -264,30 +295,15 @@ type BatchChoice struct {
 func (p *Planner) ChooseBatch(kind core.MethodKind, f Features, size int) BatchChoice {
 	m := p.model.Load()
 	single := float64(m.Cost(kind, f))
-	src := m.source()
-	if obs := p.observed(kind, f); obs > 0 {
+	obs := p.observed(kind, f)
+	if obs > 0 {
 		single = float64(obs)
-		src = "observed EWMA"
 	}
-	bc := BatchChoice{SingleCost: time.Duration(single)}
-	fanout := single * float64(size)
-	if size < 2 {
-		bc.GroupCost = time.Duration(fanout)
-		bc.Reason = "fan-out: group too small to share"
-		return bc
+	bc := BatchChoice{SingleCost: time.Duration(single), kind: kind, size: size, observed: obs > 0, model: m}
+	bc.GroupCost = time.Duration(single * float64(size))
+	if size >= 2 && single >= m.SharedMinSingleNanos {
+		bc.Shared = true
+		bc.GroupCost = time.Duration(m.SharedCost(single, size))
 	}
-	if single < m.SharedMinSingleNanos {
-		bc.GroupCost = time.Duration(fanout)
-		bc.Reason = fmt.Sprintf("fan-out: %s single-query estimate %v below %v sharing crossover by %s",
-			kind, bc.SingleCost.Round(time.Microsecond),
-			time.Duration(m.SharedMinSingleNanos).Round(time.Microsecond), src)
-		return bc
-	}
-	bc.Shared = true
-	bc.GroupCost = time.Duration(m.SharedCost(single, size))
-	bc.Reason = fmt.Sprintf("shared expansion: %d×%s at %v/query ≥ %v sharing crossover by %s, group estimate %v vs %v fanned out",
-		size, kind, bc.SingleCost.Round(time.Microsecond),
-		time.Duration(m.SharedMinSingleNanos).Round(time.Microsecond), src,
-		bc.GroupCost.Round(time.Microsecond), time.Duration(fanout).Round(time.Microsecond))
 	return bc
 }

@@ -40,12 +40,12 @@ func TestStaticRegimeTable(t *testing.T) {
 	for _, c := range cases {
 		got := p.Choose(c.enabled, c.f)
 		if got.Kind != c.want {
-			t.Errorf("%s: chose %v (%s), want %v", c.name, got.Kind, got.Reason, c.want)
+			t.Errorf("%s: chose %v (%s), want %v", c.name, got.Kind, got.Reason(), c.want)
 		}
 		if got.Observed {
 			t.Errorf("%s: fresh planner reported an observed cost", c.name)
 		}
-		if got.Reason == "" {
+		if got.Reason() == "" {
 			t.Errorf("%s: empty reason", c.name)
 		}
 	}
@@ -74,7 +74,7 @@ func TestObservedLatencyOverridesModel(t *testing.T) {
 	// A different (k, density) bucket is untouched: static model again.
 	sparse := Features{K: 512, NumObjects: 5, NumVertices: 50000}
 	if got := p.Choose(enabled, sparse); got.Observed {
-		t.Fatalf("sparse regime should be unobserved, got %s", got.Reason)
+		t.Fatalf("sparse regime should be unobserved, got %s", got.Reason())
 	}
 }
 
@@ -217,7 +217,7 @@ func TestSetModelResetsNeighborDecades(t *testing.T) {
 	}
 	for _, f := range []Features{mid, up, down} {
 		if c := p.Choose(enabled, f); c.Observed {
-			t.Fatalf("post-reload crossing kept stale EWMA at density %.2g: %s", f.Density(), c.Reason)
+			t.Fatalf("post-reload crossing kept stale EWMA at density %.2g: %s", f.Density(), c.Reason())
 		}
 	}
 
@@ -244,15 +244,15 @@ func TestChooseBatch(t *testing.T) {
 	dense := Features{K: 10, NumObjects: 11000, NumVertices: nv} // 0.1: fast INE
 
 	if bc := p.ChooseBatch(core.INE, sparse, 64); !bc.Shared {
-		t.Fatalf("sparse 64-group must share, got %s", bc.Reason)
-	} else if bc.GroupCost <= 0 || bc.SingleCost <= 0 || bc.Reason == "" {
+		t.Fatalf("sparse 64-group must share, got %s", bc.Reason())
+	} else if bc.GroupCost <= 0 || bc.SingleCost <= 0 || bc.Reason() == "" {
 		t.Fatalf("incomplete shared choice: %+v", bc)
 	}
 	if bc := p.ChooseBatch(core.INE, dense, 64); bc.Shared {
-		t.Fatalf("dense 64-group must fan out, got %s", bc.Reason)
+		t.Fatalf("dense 64-group must fan out, got %s", bc.Reason())
 	}
 	if bc := p.ChooseBatch(core.INE, sparse, 1); bc.Shared {
-		t.Fatalf("singleton group must fan out, got %s", bc.Reason)
+		t.Fatalf("singleton group must fan out, got %s", bc.Reason())
 	}
 
 	// An observed EWMA overrides the model's single-query estimate: train
@@ -261,6 +261,6 @@ func TestChooseBatch(t *testing.T) {
 		p.Observe(core.INE, dense, 5*time.Millisecond)
 	}
 	if bc := p.ChooseBatch(core.INE, dense, 64); !bc.Shared {
-		t.Fatalf("observed-slow dense group must share, got %s", bc.Reason)
+		t.Fatalf("observed-slow dense group must share, got %s", bc.Reason())
 	}
 }

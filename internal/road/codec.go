@@ -1,10 +1,9 @@
 // Binary snapshot codec for ROAD. Persists the partition tree and the
 // global shortcut array (the Dijkstra-heavy build products); border lists,
 // matrix offsets, and the Route Overlay are recomputed on load by the same
-// deterministic linear passes Build runs. Layout v2 uses the snapio raw
+// deterministic linear passes Build runs. The layout uses the snapio raw
 // 64-byte-aligned arrays so a mapped snapshot aliases the tree and the
-// shortcut array with zero copy; v1 payloads (element-streamed) are still
-// read. See docs/SNAPSHOT_FORMAT.md.
+// shortcut array with zero copy. See docs/SNAPSHOT_FORMAT.md.
 package road
 
 import (
@@ -32,18 +31,12 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // offsets, and the Route Overlay over g and validating the shortcut array
 // length against them.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
-	version := sr.U16()
-	if sr.Err() == nil && version != 1 && version != codecVersion {
-		sr.Failf("road codec version %d (want 1 or %d)", version, codecVersion)
+	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
+		sr.Failf("road codec version %d (want %d)", v, codecVersion)
 	}
 	levels := int(sr.U32())
-	pt := partition.Decode(sr, g.NumVertices(), version != 1)
-	var shorts []int32
-	if version == 1 {
-		shorts = sr.I32s()
-	} else {
-		shorts = sr.AlignedI32s()
-	}
+	pt := partition.Decode(sr, g.NumVertices())
+	shorts := sr.AlignedI32s()
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

@@ -133,7 +133,7 @@ func TestBatchCoalescesWithSingles(t *testing.T) {
 		})
 	}()
 	<-entered // the batch has registered its follower and is parked before Run
-	waitFor(t, func() bool { return s.co.coalesced.Load() == 1 })
+	waitFor(t, func() bool { return s.stacks[0].co.coalesced.Load() == 1 })
 	close(release)
 	wg.Wait()
 
@@ -163,7 +163,8 @@ func TestBatchCoalescesWithSingles(t *testing.T) {
 // counted in the server stats, and still exact.
 func TestBatchSharedOnServer(t *testing.T) {
 	db := newTestDB(t)
-	s := New(db, Config{BatchShared: rnknn.SharedOn})
+	s := New(db, Config{})
+	s.batchMode = rnknn.SharedOn
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

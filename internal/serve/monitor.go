@@ -41,10 +41,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
+	category := categoryParam(r)
 	interval, err := intParam(r, "interval_ms", 0)
 	if err != nil {
 		writeError(w, err)
@@ -72,7 +69,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	// with their proper HTTP status instead of a 200 stream.
 	streaming := false
 	summary := MonitorSummaryJSON{K: k, Category: category}
-	for u, err := range s.db.Monitor(r.Context(), route, k, rnknn.WithMethod(method), rnknn.WithCategory(category)) {
+	for u, err := range s.stacks[0].db.Monitor(r.Context(), route, k, rnknn.WithMethod(method), rnknn.WithCategory(category)) {
 		if err != nil {
 			if !streaming {
 				writeError(w, err)
@@ -145,7 +142,7 @@ func (s *Server) monitorRoute(r *http.Request) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := s.db.Graph()
+	g := s.objs.Graph()
 	if q < 0 || q >= g.NumVertices() {
 		return nil, fmt.Errorf("parameter \"q\": vertex %d out of range (network has %d vertices)", q, g.NumVertices())
 	}

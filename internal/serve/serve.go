@@ -1,7 +1,8 @@
 // Package serve is the network serving layer over rnknn.DB: the HTTP/JSON
 // front end cmd/rnknnd mounts, turning the in-process query library into a
 // service that survives heavy traffic by shedding load in three layers,
-// cheapest first:
+// cheapest first — one such stack per database, so one for a DB and one per
+// shard for a shard set, behind the same Server and the same handlers:
 //
 //	request ──► admission ──► result cache ──► coalescer ──► session pools
 //	             (429 when     (hit: no          (follower:    (db.KNNPinned)
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -61,37 +63,69 @@ type Config struct {
 	// CacheShards is the shard count (rounded up to a power of two).
 	// <= 0 means the default 16.
 	CacheShards int
-	// MaxBatch bounds the queries accepted in one /batch request. <= 0
-	// means the default 4096.
-	MaxBatch int
-	// BatchShared sets the shared-expansion mode /batch executes with. The
-	// zero value is rnknn.SharedAuto (the planner's fitted cost model
-	// decides per group); SharedOff benchmarks the pooled fan-out baseline.
-	BatchShared rnknn.SharedMode
 }
 
 const (
 	defaultMaxInFlight  = 256
 	defaultCacheEntries = 4096
-	defaultMaxBatch     = 4096
+	// maxBatch bounds the queries accepted in one /batch request.
+	maxBatch = 4096
 )
 
-// Server serves one rnknn.DB over HTTP. Create with New, mount Handler.
-type Server struct {
-	db        *rnknn.DB
-	adm       *admission
-	cache     *resultCache
-	co        *coalescer
-	maxBatch  int
-	batchMode rnknn.SharedMode
-	requests  atomic.Uint64
+// errSaturated reports a full admission semaphore; writeError maps it to 429.
+var errSaturated = errors.New("server saturated: max in-flight queries reached")
+
+// stack is the serving state in front of one rnknn.DB: its admission
+// semaphore, its epoch-keyed result cache, its coalescer and its counters.
+// A Server over one DB has one stack; over a shard set, one per shard, each
+// keyed on that shard's exact epochs.
+type stack struct {
+	db       *rnknn.DB
+	adm      *admission
+	cache    *resultCache
+	co       *coalescer
+	requests atomic.Uint64
 	// Batch-path counters: requests, member queries, members answered from
 	// the cache, and members answered by a shared-expansion group.
 	batches        atomic.Uint64
 	batchQueries   atomic.Uint64
 	batchCacheHits atomic.Uint64
 	batchShared    atomic.Uint64
-	mux            *http.ServeMux
+}
+
+// store is what the mutation and /stats handlers need of the database
+// behind the stacks; *rnknn.DB and *rnknn.ShardedDB both provide it (the
+// shard set routes each mutated vertex to its owning cell).
+type store interface {
+	Graph() *rnknn.Graph
+	InsertObjects(name string, vertices []int32) error
+	RemoveObjects(name string, vertices []int32) error
+	Epoch(name string) (uint64, error)
+	NumObjects(name string) (int, error)
+}
+
+// Server serves one rnknn.DB, or one rnknn.ShardedDB, over HTTP. Create
+// with New or NewSharded, mount Handler.
+//
+// Over a shard set every shard gets its own stack, and /knn and /range
+// answer from rnknn.ShardedDB's bound-pruned fan with the per-shard cached
+// query path plugged in: a shard consulted twice for the same (vertex, k,
+// epoch) answers the second time from its cache, and object churn on one
+// shard invalidates only that shard's entries. Admission is per shard too:
+// a request holds a slot on each shard while it queries it, so a hot shard
+// sheds load (429) without idling the others. /monitor and /batch answer
+// 501 there — both are per-session/per-plan machinery a later change can
+// lift over the fan.
+type Server struct {
+	stacks []*stack
+	objs   store
+	// sdb is the shard set the stacks belong to; nil over a single DB.
+	sdb *rnknn.ShardedDB
+	mux *http.ServeMux
+	// batchMode is the shared-expansion mode /batch executes with: always
+	// rnknn.SharedAuto (the planner's fitted cost model decides per group),
+	// except where a test forces a mode.
+	batchMode rnknn.SharedMode
 	// gate, when non-nil, runs on the cache-miss path immediately before
 	// the underlying query — a test hook that lets the coalescing and
 	// admission tests hold queries in flight deterministically.
@@ -100,33 +134,52 @@ type Server struct {
 
 // New builds a Server over db with the given sizing.
 func New(db *rnknn.DB, cfg Config) *Server {
+	return newServer(db, nil, []*rnknn.DB{db}, cfg)
+}
+
+// NewSharded builds a Server over the shard set sdb. cfg sizes each
+// shard's stack individually (MaxInFlight and CacheEntries are per shard).
+func NewSharded(sdb *rnknn.ShardedDB, cfg Config) *Server {
+	dbs := make([]*rnknn.DB, sdb.NumShards())
+	for i := range dbs {
+		dbs[i] = sdb.Shard(i)
+	}
+	return newServer(sdb, sdb, dbs, cfg)
+}
+
+func newServer(objs store, sdb *rnknn.ShardedDB, dbs []*rnknn.DB, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = defaultMaxInFlight
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = defaultCacheEntries
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
+	s := &Server{objs: objs, sdb: sdb, mux: http.NewServeMux()}
+	for _, db := range dbs {
+		s.stacks = append(s.stacks, &stack{
+			db:    db,
+			adm:   newAdmission(cfg.MaxInFlight),
+			cache: newResultCache(cfg.CacheEntries, cfg.CacheShards),
+			co:    newCoalescer(),
+		})
 	}
-	s := &Server{
-		db:        db,
-		adm:       newAdmission(cfg.MaxInFlight),
-		cache:     newResultCache(cfg.CacheEntries, cfg.CacheShards),
-		co:        newCoalescer(),
-		maxBatch:  cfg.MaxBatch,
-		batchMode: cfg.BatchShared,
+	// Over one DB a query request holds the stack's slot from parse to
+	// response; over a shard set each fanned shard query takes its own
+	// shard's slot (see answer), and the session- and plan-scoped endpoints
+	// are not served.
+	front, monitor, batch := s.admitted, s.admitted(s.handleMonitor), s.admitted(s.handleBatch)
+	if sdb != nil {
+		front = func(h http.HandlerFunc) http.HandlerFunc { return h }
+		monitor, batch = handleUnsupported, handleUnsupported
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /knn", s.admitted(s.handleKNN))
-	mux.HandleFunc("GET /range", s.admitted(s.handleRange))
-	mux.HandleFunc("GET /monitor", s.admitted(s.handleMonitor))
-	mux.HandleFunc("POST /batch", s.admitted(s.handleBatch))
-	mux.HandleFunc("POST /objects/insert", s.handleObjects(s.db.InsertObjects))
-	mux.HandleFunc("POST /objects/remove", s.handleObjects(s.db.RemoveObjects))
-	s.mux = mux
+	s.mux.HandleFunc("GET /healthz", handleHealthz)
+	s.mux.HandleFunc("GET /stats", s.handleStats)
+	s.mux.HandleFunc("GET /knn", front(s.handleKNN))
+	s.mux.HandleFunc("GET /range", front(s.handleRange))
+	s.mux.HandleFunc("GET /monitor", monitor)
+	s.mux.HandleFunc("POST /batch", batch)
+	s.mux.HandleFunc("POST /objects/insert", s.handleObjects(objs.InsertObjects))
+	s.mux.HandleFunc("POST /objects/remove", s.handleObjects(objs.RemoveObjects))
 	return s
 }
 
@@ -134,51 +187,152 @@ func New(db *rnknn.DB, cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats snapshots the serving layer's counters (the GET /stats "server"
-// section).
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		InFlight:       s.adm.inFlight(),
-		MaxInFlight:    s.adm.max(),
-		Requests:       s.requests.Load(),
-		Shed:           s.adm.shed.Load(),
-		CacheHits:      s.cache.hits.Load(),
-		CacheMisses:    s.cache.misses.Load(),
-		CacheEvictions: s.cache.evictions.Load(),
-		CacheEntries:   s.cache.len(),
-		Coalesced:      s.co.coalesced.Load(),
-		Batches:        s.batches.Load(),
-		BatchQueries:   s.batchQueries.Load(),
-		BatchCacheHits: s.batchCacheHits.Load(),
-		BatchShared:    s.batchShared.Load(),
+// section), summed over the shard stacks when there are several.
+func (s *Server) Stats() ServerStats { return sumStats(s.stacks) }
+
+func sumStats(stacks []*stack) ServerStats {
+	var t ServerStats
+	for _, st := range stacks {
+		t.InFlight += st.adm.inFlight()
+		t.MaxInFlight += st.adm.max()
+		t.Requests += st.requests.Load()
+		t.Shed += st.adm.shed.Load()
+		t.CacheHits += st.cache.hits.Load()
+		t.CacheMisses += st.cache.misses.Load()
+		t.CacheEvictions += st.cache.evictions.Load()
+		t.CacheEntries += st.cache.len()
+		t.Coalesced += st.co.coalesced.Load()
+		t.Batches += st.batches.Load()
+		t.BatchQueries += st.batchQueries.Load()
+		t.BatchCacheHits += st.batchCacheHits.Load()
+		t.BatchShared += st.batchShared.Load()
 	}
+	return t
 }
 
-// admitted wraps a query handler in the admission semaphore: acquire or
-// answer 429 now, never queue.
+// admitted wraps a single-stack query handler in the admission semaphore:
+// acquire or answer 429 now, never queue.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
+	st := s.stacks[0]
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.adm.tryAcquire() {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "server saturated: max in-flight queries reached"})
+		if !st.adm.tryAcquire() {
+			writeError(w, errSaturated)
 			return
 		}
-		defer s.adm.release()
-		s.requests.Add(1)
+		defer st.adm.release()
+		st.requests.Add(1)
 		h(w, r)
 	}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	g := s.db.Graph()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Server: s.Stats(),
-		Graph:  GraphJSON{NumVertices: g.NumVertices(), NumEdges: g.NumEdges() / 2, Weights: g.Kind.String()},
-		DB:     s.db.Stats(),
+func handleUnsupported(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusNotImplemented, ErrorResponse{
+		Error: "not supported on a sharded front; connect to a single-DB server",
 	})
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	g := s.objs.Graph()
+	graph := GraphJSON{NumVertices: g.NumVertices(), NumEdges: g.NumEdges() / 2, Weights: g.Kind.String()}
+	if s.sdb == nil {
+		writeJSON(w, http.StatusOK, StatsResponse{Server: s.Stats(), Graph: graph, DB: s.stacks[0].db.Stats()})
+		return
+	}
+	out := ShardedStatsResponse{Graph: graph, NumShards: len(s.stacks)}
+	for i, st := range s.stacks {
+		n, _ := st.db.NumObjects(rnknn.DefaultCategory)
+		out.Shards = append(out.Shards, ShardStatsJSON{Server: sumStats(s.stacks[i : i+1]), NumObjects: n})
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// cachedQuery is one /knn or /range request as the cache and coalescer see
+// it. kNN keys carry radius -1 and range keys k 0, which keeps the two key
+// spaces disjoint in the shared cache.
+type cachedQuery struct {
+	isRange  bool
+	vertex   int32
+	k        int
+	radius   int64
+	method   rnknn.Method
+	category string
+}
+
+func (cq cachedQuery) key(epoch uint64) cacheKey {
+	return cacheKey{vertex: cq.vertex, k: int32(cq.k), radius: cq.radius, epoch: epoch, category: cq.category}
+}
+
+// query answers cq through the stack's cache and coalescer (the caller
+// holds an admission slot): the lookup key pins the epoch the reader
+// observed, so a hit is an answer computed from exactly that object set; a
+// miss runs single-flight. It returns the epoch stamped on the answer and
+// whether it was served without running a search here (a cache hit or a
+// coalesced follower).
+func (st *stack) query(ctx context.Context, cq cachedQuery, gate func()) ([]rnknn.Result, uint64, bool, error) {
+	epoch, err := st.db.Epoch(cq.category)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	key := cq.key(epoch)
+	if res, ok := st.cache.get(key); ok {
+		return res, epoch, true, nil
+	}
+	return st.co.do(ctx, key, func() (res []rnknn.Result, pinned uint64, err error) {
+		if gate != nil {
+			gate()
+		}
+		if cq.isRange {
+			res, pinned, err = st.db.RangePinned(ctx, cq.vertex, rnknn.Dist(cq.radius), rnknn.WithCategory(cq.category))
+		} else {
+			res, pinned, err = st.db.KNNPinned(ctx, cq.vertex, cq.k, rnknn.WithMethod(cq.method), rnknn.WithCategory(cq.category))
+		}
+		if err == nil {
+			// Store under the epoch the search pinned — possibly newer than
+			// the lookup epoch when churn raced this request; never older.
+			st.cache.put(cq.key(pinned), res)
+		}
+		return res, pinned, err
+	})
+}
+
+// answer serves cq from the one stack, or from the shard set's fan with
+// every consulted shard answering from its own stack: that shard's
+// admission slot (or shed), then its cache and coalescer. A fanned answer
+// counts as cached only when no consulted shard ran a search, and its
+// epoch is the composite identifying the cross-shard object-set version
+// (informational — see rnknn.ShardedDB.Epoch).
+func (s *Server) answer(ctx context.Context, cq cachedQuery) ([]rnknn.Result, uint64, bool, error) {
+	if s.sdb == nil {
+		return s.stacks[0].query(ctx, cq, s.gate)
+	}
+	searched := make([]bool, len(s.stacks))
+	ask := func(shard int) ([]rnknn.Result, error) {
+		st := s.stacks[shard]
+		if !st.adm.tryAcquire() {
+			return nil, errSaturated
+		}
+		defer st.adm.release()
+		st.requests.Add(1)
+		res, _, hit, err := st.query(ctx, cq, s.gate)
+		searched[shard] = !hit // one writer per shard slot; read after the fan joins
+		return res, err
+	}
+	var res []rnknn.Result
+	var err error
+	if cq.isRange {
+		res, err = s.sdb.FanRange(ctx, cq.vertex, rnknn.Dist(cq.radius), ask)
+	} else {
+		res, err = s.sdb.FanKNN(ctx, cq.vertex, cq.k, ask)
+	}
+	if err != nil {
+		return nil, 0, false, err
+	}
+	epoch, _ := s.sdb.Epoch(cq.category)
+	return res, epoch, !slices.Contains(searched, true), nil
 }
 
 // handleKNN is the cached read path: epoch-keyed lookup, then single-flight
@@ -201,68 +355,28 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
-	res, pinned, cached, err := s.knnQuery(r.Context(), int32(qv), k, method, category)
+	cq := cachedQuery{vertex: int32(qv), k: k, radius: -1, method: method, category: categoryParam(r)}
+	res, epoch, cached, err := s.answer(r.Context(), cq)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key := cacheKey{vertex: int32(qv), k: int32(k), radius: -1, epoch: pinned, category: category}
-	s.writeKNN(w, key, methodName, res, cached, start)
-}
-
-// knnQuery answers one kNN through the cache and coalescer (the caller
-// holds an admission slot; the sharded front calls it per shard): the
-// lookup key pins the epoch the reader observed, so a hit is an answer
-// computed from exactly that object set; a miss runs single-flight. It
-// returns the epoch stamped on the answer and whether it was served
-// without running a search here (a cache hit or a coalesced follower).
-func (s *Server) knnQuery(ctx context.Context, qv int32, k int, method rnknn.Method, category string) ([]rnknn.Result, uint64, bool, error) {
-	epoch, err := s.db.Epoch(category)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	key := cacheKey{vertex: qv, k: int32(k), radius: -1, epoch: epoch, category: category}
-	if res, ok := s.cache.get(key); ok {
-		return res, epoch, true, nil
-	}
-	return s.co.do(ctx, key, func() ([]rnknn.Result, uint64, error) {
-		if s.gate != nil {
-			s.gate()
-		}
-		res, pinned, err := s.db.KNNPinned(ctx, qv, k,
-			rnknn.WithMethod(method), rnknn.WithCategory(category))
-		if err == nil {
-			// Store under the epoch the search pinned — possibly newer than
-			// the lookup epoch when churn raced this request; never older.
-			s.cache.put(cacheKey{vertex: qv, k: int32(k), radius: -1, epoch: pinned, category: category}, res)
-		}
-		return res, pinned, err
-	})
-}
-
-func (s *Server) writeKNN(w http.ResponseWriter, key cacheKey, method string, res []rnknn.Result, cached bool, start time.Time) {
 	writeJSON(w, http.StatusOK, KNNResponse{
-		Query:         key.vertex,
-		K:             int(key.k),
-		Method:        method,
-		Category:      key.category,
-		Epoch:         key.epoch,
+		Query:         cq.vertex,
+		K:             cq.k,
+		Method:        methodName,
+		Category:      cq.category,
+		Epoch:         epoch,
 		Cached:        cached,
 		LatencyMicros: time.Since(start).Microseconds(),
 		Results:       Results(res),
 	})
 }
 
-// handleRange is the cached range path, the same three layers as /knn:
-// epoch-keyed lookup, then single-flight execution on miss. Range entries
-// share the kNN cache (k=0, radius>=0 keeps the key spaces disjoint), so
-// repeated radii — loadgen's fixed-radius mix, map tiles at zoom levels —
-// hit without a session, and object churn retires range answers by the same
-// epoch mechanism.
+// handleRange is the cached range path, the same three layers as /knn.
+// Range entries share the kNN cache, so repeated radii — loadgen's
+// fixed-radius mix, map tiles at zoom levels — hit without a session, and
+// object churn retires range answers by the same epoch mechanism.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	qv, err := intParam(r, "q", -1)
@@ -275,49 +389,17 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	category := r.URL.Query().Get("category")
-	if category == "" {
-		category = rnknn.DefaultCategory
-	}
-	res, pinned, cached, err := s.rangeQuery(r.Context(), int32(qv), int64(radius), category)
+	cq := cachedQuery{isRange: true, vertex: int32(qv), radius: int64(radius), category: categoryParam(r)}
+	res, epoch, cached, err := s.answer(r.Context(), cq)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	key := cacheKey{vertex: int32(qv), radius: int64(radius), epoch: pinned, category: category}
-	s.writeRange(w, key, res, cached, start)
-}
-
-// rangeQuery is knnQuery's range twin: epoch-keyed lookup, single-flight
-// execution on miss, answer stamped with the pinned epoch.
-func (s *Server) rangeQuery(ctx context.Context, qv int32, radius int64, category string) ([]rnknn.Result, uint64, bool, error) {
-	epoch, err := s.db.Epoch(category)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	key := cacheKey{vertex: qv, radius: radius, epoch: epoch, category: category}
-	if res, ok := s.cache.get(key); ok {
-		return res, epoch, true, nil
-	}
-	return s.co.do(ctx, key, func() ([]rnknn.Result, uint64, error) {
-		if s.gate != nil {
-			s.gate()
-		}
-		res, pinned, err := s.db.RangePinned(ctx, qv, rnknn.Dist(radius), rnknn.WithCategory(category))
-		if err == nil {
-			// Store under the epoch the search pinned, as /knn does.
-			s.cache.put(cacheKey{vertex: qv, radius: radius, epoch: pinned, category: category}, res)
-		}
-		return res, pinned, err
-	})
-}
-
-func (s *Server) writeRange(w http.ResponseWriter, key cacheKey, res []rnknn.Result, cached bool, start time.Time) {
 	writeJSON(w, http.StatusOK, RangeResponse{
-		Query:         key.vertex,
-		Radius:        key.radius,
-		Category:      key.category,
-		Epoch:         key.epoch,
+		Query:         cq.vertex,
+		Radius:        cq.radius,
+		Category:      cq.category,
+		Epoch:         epoch,
 		Cached:        cached,
 		LatencyMicros: time.Since(start).Microseconds(),
 		Results:       Results(res),
@@ -340,6 +422,7 @@ func (s *Server) writeRange(w http.ResponseWriter, key cacheKey, res []rnknn.Res
 //     search pinned.
 //  4. Followers collect their leaders' answers.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	st := s.stacks[0]
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad batch body: " + err.Error()})
@@ -349,8 +432,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "batch has no queries"})
 		return
 	}
-	if len(req.Queries) > s.maxBatch {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("batch of %d queries exceeds limit %d", len(req.Queries), s.maxBatch)})
+	if len(req.Queries) > maxBatch {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("batch of %d queries exceeds limit %d", len(req.Queries), maxBatch)})
 		return
 	}
 	n := len(req.Queries)
@@ -373,8 +456,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.batches.Add(1)
-	s.batchQueries.Add(uint64(n))
+	st.batches.Add(1)
+	st.batchQueries.Add(uint64(n))
 
 	// Phase 1: epoch-keyed cache lookups per member. An epoch lookup that
 	// fails (unknown category) leaves the member unkeyed; the inner batch
@@ -392,7 +475,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		epoch, ok := epochs[category]
 		if !ok {
 			var err error
-			if epoch, err = s.db.Epoch(category); err != nil {
+			if epoch, err = st.db.Epoch(category); err != nil {
 				miss = append(miss, i)
 				continue
 			}
@@ -404,8 +487,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			keys[i] = cacheKey{vertex: q.Query, k: int32(q.K), radius: -1, epoch: epoch, category: category}
 		}
 		keyed[i] = true
-		if res, ok := s.cache.get(keys[i]); ok {
-			s.batchCacheHits.Add(1)
+		if res, ok := st.cache.get(keys[i]); ok {
+			st.batchCacheHits.Add(1)
 			out[i] = BatchResultJSON{Query: q.Query, Method: methodNames[i], Epoch: epoch, Cached: true, Results: Results(res)}
 			continue
 		}
@@ -433,7 +516,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			l.members = append(l.members, i)
 			continue
 		}
-		call, leader := s.co.claim(keys[i])
+		call, leader := st.co.claim(keys[i])
 		if leader {
 			leaders[keys[i]] = &lead{call: call, members: []int{i}}
 			run = append(run, i)
@@ -445,7 +528,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Phase 3: one db.Batch over the leaders — same-leaf clusters among them
 	// share expansions — then publish under the epoch each answer pinned.
 	if len(run) > 0 {
-		b := s.db.Batch().SharedExpansion(s.batchMode)
+		b := st.db.Batch().SharedExpansion(s.batchMode)
 		for _, i := range run {
 			q := req.Queries[i]
 			var opts []rnknn.QueryOption
@@ -470,7 +553,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for j, i := range run {
 			br := results[j]
 			if br.Shared {
-				s.batchShared.Add(1)
+				st.batchShared.Add(1)
 			}
 			if !keyed[i] {
 				out[i] = batchResultJSON(br, false)
@@ -480,9 +563,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if br.Err == nil {
 				k := keys[i]
 				k.epoch = br.Epoch // possibly newer than the lookup epoch; never older
-				s.cache.put(k, br.Results)
+				st.cache.put(k, br.Results)
 			}
-			s.co.publish(keys[i], l.call, br.Results, br.Epoch, br.Err)
+			st.co.publish(keys[i], l.call, br.Results, br.Epoch, br.Err)
 			for mj, mi := range l.members {
 				out[mi] = batchResultJSON(br, mj > 0)
 			}
@@ -524,9 +607,10 @@ func batchResultJSON(br rnknn.BatchResult, cached bool) BatchResultJSON {
 	return out
 }
 
-// handleObjects wraps one mutation (InsertObjects or RemoveObjects). The
-// mutation path deliberately skips admission and the cache — see the
-// package comment.
+// handleObjects wraps one mutation (InsertObjects or RemoveObjects; over a
+// shard set the ShardedDB splits the vertices by owning cell). The mutation
+// path deliberately skips admission and the cache — see the package comment:
+// the epochs advance, retiring exactly the affected stacks' cache entries.
 func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req ObjectsRequest
@@ -541,14 +625,22 @@ func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerF
 			writeError(w, err)
 			return
 		}
-		epoch, err := s.db.Epoch(req.Category)
+		epoch, err := s.objs.Epoch(req.Category)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		n, _ := s.db.NumObjects(req.Category)
+		n, _ := s.objs.NumObjects(req.Category)
 		writeJSON(w, http.StatusOK, ObjectsResponse{Category: req.Category, Epoch: epoch, NumObjects: n})
 	}
+}
+
+// categoryParam reads the optional category parameter.
+func categoryParam(r *http.Request) string {
+	if c := r.URL.Query().Get("category"); c != "" {
+		return c
+	}
+	return rnknn.DefaultCategory
 }
 
 // intParam parses an integer query parameter; def < 0 makes it required.
@@ -587,9 +679,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError maps library errors onto HTTP statuses: unknown categories are
-// 404, context expiry is 503 (the query was cut short, not invalid), and
-// everything else — the typed validation errors — is 400.
+// writeError maps errors onto HTTP statuses: unknown categories are 404,
+// context expiry is 503 (the query was cut short, not invalid), a full
+// admission semaphore — the request's own, or that of any shard it fanned
+// to — is 429 with a Retry-After, and everything else — the typed
+// validation errors — is 400.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
@@ -597,6 +691,9 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, errSaturated):
+		status = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }

@@ -230,11 +230,13 @@ func TestRangeAndBatchEndpoints(t *testing.T) {
 		}
 	}
 
-	// Oversized batch refused.
-	s2 := New(db, Config{MaxBatch: 2})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	resp, err = http.Post(ts2.URL+"/batch", "application/json", bytes.NewReader(body))
+	// Oversized batch refused: one member over the limit.
+	over := BatchRequest{Queries: make([]BatchQuery, maxBatch+1)}
+	for i := range over.Queries {
+		over.Queries[i] = BatchQuery{Query: 1, K: 1}
+	}
+	body, _ = json.Marshal(over)
+	resp, err = http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +308,7 @@ func TestCoalescing(t *testing.T) {
 	}
 	// The leader is parked on the gate; wait until the other n-1 requests
 	// are all registered as followers, so nothing can slip past coalescing.
-	waitFor(t, func() bool { return s.co.coalesced.Load() == n-1 })
+	waitFor(t, func() bool { return s.stacks[0].co.coalesced.Load() == n-1 })
 	close(release)
 	wg.Wait()
 
@@ -361,7 +363,7 @@ func TestAdmissionSheds(t *testing.T) {
 			}
 		}(q)
 	}
-	waitFor(t, func() bool { return s.adm.inFlight() == 2 })
+	waitFor(t, func() bool { return s.stacks[0].adm.inFlight() == 2 })
 
 	// Every further request — including for already-cached-nothing and even
 	// /range and /batch — is shed fast.

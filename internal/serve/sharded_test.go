@@ -187,10 +187,10 @@ func TestShardedFrontSaturation(t *testing.T) {
 	defer ts.Close()
 	// Hold the only slot on every shard, then query.
 	for i := 0; i < sdb.NumShards(); i++ {
-		if !fs.Shard(i).adm.tryAcquire() {
+		if !fs.stacks[i].adm.tryAcquire() {
 			t.Fatal("slot unavailable")
 		}
-		defer fs.Shard(i).adm.release()
+		defer fs.stacks[i].adm.release()
 	}
 	if code := getJSON(t, ts.URL+"/knn?q=5&k=3", nil); code != http.StatusTooManyRequests {
 		t.Fatalf("saturated status %d", code)

@@ -3,11 +3,10 @@
 // source's Morton list (block starts, first moves, and the conservative
 // lambda bounds as raw IEEE-754 bits, so reloaded intervals are bit-identical
 // to the built ones); the degree-2 chain marks are recomputed from the
-// graph. Layout v2 writes the permutation and CSR 64-byte-aligned and the
+// graph. The permutation and CSR are written 64-byte-aligned and the
 // blocks as one aligned array-of-structs — exactly the in-memory []block
 // layout on little-endian hosts — so a mapped snapshot aliases the entire
-// Morton-list heap with zero copy; v1 payloads (parallel flat arrays) are
-// still read. See docs/SNAPSHOT_FORMAT.md.
+// Morton-list heap with zero copy. See docs/SNAPSHOT_FORMAT.md.
 package silc
 
 import (
@@ -87,59 +86,33 @@ func writeBlocks(sw *snapio.Writer, blocks []block) {
 // Morton-list monotonicity) are skipped — they would fault in every page;
 // mapped opens trust the snapshot. Dimension checks always run.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
-	version := sr.U16()
-	if sr.Err() == nil && version != 1 && version != codecVersion {
-		sr.Failf("silc codec version %d (want 1 or %d)", version, codecVersion)
+	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
+		sr.Failf("silc codec version %d (want %d)", v, codecVersion)
 	}
 	chainOpt := sr.Bool()
-	var rank, byRank, off []int32
-	var blocks []block
-	if version == 1 {
-		rank = sr.I32s()
-		byRank = sr.I32s()
-		off = sr.I32s()
-		starts := sr.I32s()
-		firsts := sr.I32s()
-		lamLo := sr.F32s()
-		lamHi := sr.F32s()
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		if len(firsts) != len(starts) || len(lamLo) != len(starts) || len(lamHi) != len(starts) {
-			sr.Failf("silc block arrays disagree on length")
-			return nil, sr.Err()
-		}
-		blocks = make([]block, len(starts))
-		for i := range blocks {
-			blocks[i] = block{start: starts[i], first: firsts[i], lamLo: lamLo[i], lamHi: lamHi[i]}
-		}
-	} else {
-		rank = sr.AlignedI32s()
-		byRank = sr.AlignedI32s()
-		off = sr.AlignedI32s()
-		n, raw, aliased := sr.AlignedRaw(blockSize, 4)
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		switch {
-		case n == 0:
-		case aliased:
-			blocks = unsafe.Slice((*block)(unsafe.Pointer(&raw[0])), n)
-		default:
-			blocks = make([]block, n)
-			for i := range blocks {
-				b := raw[i*blockSize:]
-				blocks[i] = block{
-					start: int32(binary.LittleEndian.Uint32(b[0:])),
-					first: int32(binary.LittleEndian.Uint32(b[4:])),
-					lamLo: math.Float32frombits(binary.LittleEndian.Uint32(b[8:])),
-					lamHi: math.Float32frombits(binary.LittleEndian.Uint32(b[12:])),
-				}
-			}
-		}
-	}
+	rank := sr.AlignedI32s()
+	byRank := sr.AlignedI32s()
+	off := sr.AlignedI32s()
+	nb, raw, aliased := sr.AlignedRaw(blockSize, 4)
 	if sr.Err() != nil {
 		return nil, sr.Err()
+	}
+	var blocks []block
+	switch {
+	case nb == 0:
+	case aliased:
+		blocks = unsafe.Slice((*block)(unsafe.Pointer(&raw[0])), nb)
+	default:
+		blocks = make([]block, nb)
+		for i := range blocks {
+			b := raw[i*blockSize:]
+			blocks[i] = block{
+				start: int32(binary.LittleEndian.Uint32(b[0:])),
+				first: int32(binary.LittleEndian.Uint32(b[4:])),
+				lamLo: math.Float32frombits(binary.LittleEndian.Uint32(b[8:])),
+				lamHi: math.Float32frombits(binary.LittleEndian.Uint32(b[12:])),
+			}
+		}
 	}
 	n := g.NumVertices()
 	total := len(blocks)

@@ -1,19 +1,19 @@
 // Package snapio provides the little-endian binary primitives shared by the
 // index snapshot codecs (internal/snapshot and the per-index WriteTo/Read
-// pairs): an error-sticky Writer that counts bytes, and a Reader that bounds
-// every slice allocation by the bytes actually remaining in its source, so a
-// corrupt length prefix fails cleanly instead of attempting a huge
+// pairs): an error-sticky Writer that counts bytes, and a Source (source.go)
+// that bounds every slice by the bytes actually remaining in its payload, so
+// a corrupt length prefix fails cleanly instead of attempting a huge
 // allocation.
 //
-// All multi-byte values are little endian. Slices are encoded as a uint32
-// element count followed by the raw elements; strings as a uint32 byte count
-// followed by the bytes; bools as one byte (0 or 1).
+// All multi-byte values are little endian. Arrays are encoded as a uint32
+// element count, zero padding to the next 64-byte boundary, then the raw
+// elements; strings as a uint32 byte count followed by the bytes; bools as
+// one byte (0 or 1).
 package snapio
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"unsafe"
@@ -118,33 +118,6 @@ func (w *Writer) String(s string) {
 	w.flushIfFull()
 }
 
-// I32s writes a length-prefixed []int32.
-func (w *Writer) I32s(vs []int32) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
-		w.flushIfFull()
-	}
-}
-
-// I64s writes a length-prefixed []int64.
-func (w *Writer) I64s(vs []int64) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
-		w.flushIfFull()
-	}
-}
-
-// F32s writes a length-prefixed []float32 (IEEE-754 bits).
-func (w *Writer) F32s(vs []float32) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, math.Float32bits(v))
-		w.flushIfFull()
-	}
-}
-
 // Offset returns the number of bytes written so far, including buffered
 // bytes not yet flushed. Codecs use it to compute alignment padding
 // relative to the start of their payload.
@@ -242,178 +215,4 @@ func (w *Writer) RawF64s(vs []float64) {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 		w.flushIfFull()
 	}
-}
-
-// lenReader is implemented by in-memory readers (bytes.Reader) that know how
-// many bytes remain; Reader uses it to bound allocations.
-type lenReader interface{ Len() int }
-
-// Reader deserializes primitives written by Writer. The first error sticks
-// and subsequent reads return zero values; check Err at the end.
-type Reader struct {
-	r   io.Reader
-	lr  lenReader // nil when the source length is unknown
-	err error
-	scr []byte // scratch for multi-byte reads
-}
-
-// NewReader returns a Reader over r. When r knows its remaining length
-// (bytes.Reader, strings.Reader), slice length prefixes are validated
-// against it before allocating.
-func NewReader(r io.Reader) *Reader {
-	rd := &Reader{r: r, scr: make([]byte, 8)}
-	if lr, ok := r.(lenReader); ok {
-		rd.lr = lr
-	}
-	return rd
-}
-
-// Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Failf records a corruption error (used by codecs for semantic checks).
-func (r *Reader) Failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *Reader) read(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := r.scr[:n]
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return nil
-	}
-	return b
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.read(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U16 reads a uint16.
-func (r *Reader) U16() uint16 {
-	b := r.read(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 reads a uint32.
-func (r *Reader) U32() uint32 {
-	b := r.read(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a uint64.
-func (r *Reader) U64() uint64 {
-	b := r.read(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// count reads a slice length prefix and validates that elemSize*count bytes
-// can still follow.
-func (r *Reader) count(elemSize int) int {
-	n := int(r.U32())
-	if r.err != nil {
-		return 0
-	}
-	if r.lr != nil && n*elemSize > r.lr.Len() {
-		r.Failf("length prefix %d exceeds remaining %d bytes", n, r.lr.Len())
-		return 0
-	}
-	return n
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.count(1)
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return ""
-	}
-	return string(b)
-}
-
-// bulk reads n*elemSize raw bytes into a fresh buffer.
-func (r *Reader) bulk(n, elemSize int) []byte {
-	b := make([]byte, n*elemSize)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return nil
-	}
-	return b
-}
-
-// I32s reads a length-prefixed []int32.
-func (r *Reader) I32s() []int32 {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	b := r.bulk(n, 4)
-	if b == nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// I64s reads a length-prefixed []int64.
-func (r *Reader) I64s() []int64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	b := r.bulk(n, 8)
-	if b == nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-// F32s reads a length-prefixed []float32.
-func (r *Reader) F32s() []float32 {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	b := r.bulk(n, 4)
-	if b == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
 }

@@ -1,12 +1,11 @@
-// Source: a byte-slice decoder for snapshot payloads. It mirrors Reader's
-// streaming primitives but additionally understands the aligned raw-array
-// layout of the format-v2 mappable sections (Writer.RawI32s and friends):
-// a uint32 count, zero padding to the next 64-byte boundary, then raw
-// little-endian element bytes. In alias mode the Aligned* reads return
+// Source: a byte-slice decoder for snapshot payloads. It reads Writer's
+// scalar primitives and the aligned raw-array layout of the mappable
+// sections (Writer.RawI32s and friends): a uint32 count, zero padding to
+// the next 64-byte boundary, then raw little-endian element bytes. In alias mode the Aligned* reads return
 // slices whose backing array IS the source bytes — zero copy, so decoding
 // a section mapped from disk touches only the header pages — and in copy
 // mode (big-endian hosts, misaligned data, or callers that want private
-// memory) they fall back to the same copy-decode the streaming reads use.
+// memory) they decode element by element into fresh slices.
 //
 // Aliased slices are views of a read-only mapping when the source came
 // from internal/mapped: writing to them faults. Treat every decoded index
@@ -127,57 +126,6 @@ func (s *Source) String() string {
 		return ""
 	}
 	return string(s.take(n))
-}
-
-// I32s reads a length-prefixed []int32 written by Writer.I32s.
-func (s *Source) I32s() []int32 {
-	n := s.count(4)
-	if s.err != nil || n == 0 {
-		return nil
-	}
-	b := s.take(n * 4)
-	if b == nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// I64s reads a length-prefixed []int64 written by Writer.I64s.
-func (s *Source) I64s() []int64 {
-	n := s.count(8)
-	if s.err != nil || n == 0 {
-		return nil
-	}
-	b := s.take(n * 8)
-	if b == nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-// F32s reads a length-prefixed []float32 written by Writer.F32s.
-func (s *Source) F32s() []float32 {
-	n := s.count(4)
-	if s.err != nil || n == 0 {
-		return nil
-	}
-	b := s.take(n * 4)
-	if b == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
 }
 
 // align64 skips padding up to the next 64-byte boundary of the stream.

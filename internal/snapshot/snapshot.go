@@ -14,8 +14,8 @@
 // emits its arrays with Writer.Align64 padding has those arrays 64-byte
 // aligned in the file — which is what lets Parse hand out payload views of
 // an mmap'ed snapshot that internal codecs alias as typed slices with zero
-// copy (sections flagged Mappable). Format v1 (no alignment, no
-// dependency declarations) is still read transparently.
+// copy (sections flagged Mappable). Version 1 snapshots (no alignment, no
+// dependency declarations) are rejected.
 //
 // The container knows nothing about index internals: callers (core.Engine)
 // map section names to codecs. Unknown section names are preserved for the
@@ -44,13 +44,9 @@ import (
 // Magic starts every snapshot file.
 const Magic = "RNKS"
 
-// Version is the container format version this package writes. Read and
-// Parse also accept VersionV1 snapshots (written by older binaries).
+// Version is the container format version this package writes, and the only
+// one Read and Parse accept.
 const Version = 2
-
-// VersionV1 is the original container format: no payload alignment, no
-// dependency declarations, no mappable flag.
-const VersionV1 = 1
 
 // maxSections bounds the section table so a corrupt count cannot drive a
 // huge allocation.
@@ -248,7 +244,7 @@ func Write(w io.Writer, fingerprint uint64, sections []Section) error {
 }
 
 // tableEntry is one parsed section-table row; offsets are absolute file
-// offsets (synthesized for v1 snapshots, whose payloads are contiguous).
+// offsets.
 type tableEntry struct {
 	name     string
 	deps     []string
@@ -259,7 +255,7 @@ type tableEntry struct {
 }
 
 // countingReader tracks how many bytes have been consumed, giving
-// readHeader the header length for synthesizing v1 offsets.
+// readHeader the header length.
 type countingReader struct {
 	r io.Reader
 	n uint64
@@ -271,10 +267,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readHeader parses the fixed header and section table from r (both format
-// versions) and returns the fingerprint, the entries with absolute payload
-// offsets, and the header length in bytes. Dependencies are validated
-// here: each must name a section earlier in the table.
+// readHeader parses the fixed header and section table from r and returns
+// the fingerprint, the entries with absolute payload offsets, and the
+// header length in bytes. Dependencies are validated here: each must name a
+// section earlier in the table.
 func readHeader(rr io.Reader) (fp uint64, entries []tableEntry, headerLen uint64, err error) {
 	r := &countingReader{r: rr}
 	var hdr [4 + 4 + 8 + 4]byte
@@ -285,9 +281,8 @@ func readHeader(rr io.Reader) (fp uint64, entries []tableEntry, headerLen uint64
 		return 0, nil, 0, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, hdr[:4])
 	}
 	le := binary.LittleEndian
-	version := le.Uint32(hdr[4:8])
-	if version != VersionV1 && version != Version {
-		return 0, nil, 0, fmt.Errorf("%w: unsupported format version %d (want %d or %d)", ErrBadSnapshot, version, VersionV1, Version)
+	if version := le.Uint32(hdr[4:8]); version != Version {
+		return 0, nil, 0, fmt.Errorf("%w: unsupported format version %d (want %d)", ErrBadSnapshot, version, Version)
 	}
 	fp = le.Uint64(hdr[8:16])
 	count := int(le.Uint32(hdr[16:20]))
@@ -327,33 +322,30 @@ func readHeader(rr io.Reader) (fp uint64, entries []tableEntry, headerLen uint64
 		if _, dup := position[e.name]; dup {
 			return 0, nil, 0, fmt.Errorf("%w: duplicate section %q", ErrBadSnapshot, e.name)
 		}
-		if version >= Version {
-			b, err := readN(1)
+		b, err := readN(1)
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		ndeps := int(b[0])
+		for d := 0; d < ndeps; d++ {
+			dep, err := readName()
 			if err != nil {
 				return 0, nil, 0, err
 			}
-			ndeps := int(b[0])
-			for d := 0; d < ndeps; d++ {
-				dep, err := readName()
-				if err != nil {
-					return 0, nil, 0, err
-				}
-				if _, ok := position[dep]; !ok {
-					return 0, nil, 0, fmt.Errorf("%w: section %q depends on %q, which does not appear earlier in the table", ErrBadSnapshot, e.name, dep)
-				}
-				e.deps = append(e.deps, dep)
+			if _, ok := position[dep]; !ok {
+				return 0, nil, 0, fmt.Errorf("%w: section %q depends on %q, which does not appear earlier in the table", ErrBadSnapshot, e.name, dep)
 			}
-			if b, err = readN(4); err != nil {
-				return 0, nil, 0, err
-			}
-			e.mappable = le.Uint32(b)&FlagMappable != 0
-			if b, err = readN(8); err != nil {
-				return 0, nil, 0, err
-			}
-			e.off = le.Uint64(b)
+			e.deps = append(e.deps, dep)
 		}
-		b, err := readN(8)
-		if err != nil {
+		if b, err = readN(4); err != nil {
+			return 0, nil, 0, err
+		}
+		e.mappable = le.Uint32(b)&FlagMappable != 0
+		if b, err = readN(8); err != nil {
+			return 0, nil, 0, err
+		}
+		e.off = le.Uint64(b)
+		if b, err = readN(8); err != nil {
 			return 0, nil, 0, err
 		}
 		e.size = le.Uint64(b)
@@ -368,23 +360,13 @@ func readHeader(rr io.Reader) (fp uint64, entries []tableEntry, headerLen uint64
 	}
 	headerLen = r.n
 
-	if version == VersionV1 {
-		// v1 payloads are contiguous, in table order, immediately after the
-		// header; synthesize the absolute offsets v2 records explicitly.
-		pos := headerLen
-		for i := range entries {
-			entries[i].off = pos
-			pos += entries[i].size
+	pos := headerLen
+	for i := range entries {
+		e := &entries[i]
+		if e.off < pos || e.off > 1<<40 {
+			return 0, nil, 0, fmt.Errorf("%w: section %q offset %d overlaps preceding data", ErrBadSnapshot, e.name, e.off)
 		}
-	} else {
-		pos := headerLen
-		for i := range entries {
-			e := &entries[i]
-			if e.off < pos || e.off > 1<<40 {
-				return 0, nil, 0, fmt.Errorf("%w: section %q offset %d overlaps preceding data", ErrBadSnapshot, e.name, e.off)
-			}
-			pos = e.off + e.size
-		}
+		pos = e.off + e.size
 	}
 	return fp, entries, headerLen, nil
 }
@@ -448,7 +430,7 @@ func Read(r io.Reader, fingerprint uint64) ([]Payload, error) {
 	pos := headerLen
 	for i, e := range entries {
 		if e.off > pos {
-			// Alignment padding between sections (v2).
+			// Alignment padding between sections.
 			if _, err := io.CopyN(io.Discard, r, int64(e.off-pos)); err != nil {
 				return nil, fmt.Errorf("%w: truncated padding before section %s: %v", ErrBadSnapshot, e.name, err)
 			}

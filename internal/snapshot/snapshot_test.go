@@ -62,15 +62,22 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	bad := append([]byte(nil), data...)
-	copy(bad, "NOPE")
-	if _, err := snapshot.Read(bytes.NewReader(bad), 1); !errors.Is(err, snapshot.ErrBadSnapshot) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	bad = append([]byte(nil), data...)
-	bad[4] = 99 // version
-	if _, err := snapshot.Read(bytes.NewReader(bad), 1); !errors.Is(err, snapshot.ErrBadSnapshot) {
-		t.Fatalf("bad version: %v", err)
+	for _, row := range []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"bad magic", func(b []byte) { copy(b, "NOPE") }},
+		{"unknown version", func(b []byte) { b[4] = 99 }},
+		{"retired version 1", func(b []byte) { b[4] = 1 }},
+	} {
+		bad := append([]byte(nil), data...)
+		row.mutate(bad)
+		if _, err := snapshot.Read(bytes.NewReader(bad), 1); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s: Read: %v", row.name, err)
+		}
+		if _, _, err := snapshot.Parse(bad, true); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s: Parse: %v", row.name, err)
+		}
 	}
 }
 

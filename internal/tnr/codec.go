@@ -2,9 +2,9 @@
 // lists, and local cones. The transit marker array is derived from the
 // serialized id map; the contraction hierarchy is not duplicated — the
 // caller supplies the (already loaded or built) ch.Index, mirroring how
-// Build shares it. Layout v2 writes every array 64-byte-aligned (snapio
-// raw-array layout) so a mapped snapshot aliases them with zero copy; v1
-// payloads (element-streamed) are still read. See docs/SNAPSHOT_FORMAT.md.
+// Build shares it. Every array is written 64-byte-aligned (snapio raw-array
+// layout) so a mapped snapshot aliases them with zero copy. See
+// docs/SNAPSHOT_FORMAT.md.
 package tnr
 
 import (
@@ -41,31 +41,18 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // part of the serialized layout.
 func Read(sr *snapio.Source, hierarchy *ch.Index) (*Index, error) {
 	x := &Index{hierarchy: hierarchy}
-	switch v := sr.U16(); {
-	case sr.Err() != nil:
-	case v == 1:
-		x.numT = int(sr.U32())
-		x.transitID = sr.I32s()
-		x.table = sr.I64s()
-		x.accOff = sr.I32s()
-		x.accID = sr.I32s()
-		x.accD = sr.I64s()
-		x.coneOff = sr.I32s()
-		x.coneV = sr.I32s()
-		x.coneD = sr.I64s()
-	case v == codecVersion:
-		x.numT = int(sr.U32())
-		x.transitID = sr.AlignedI32s()
-		x.table = sr.AlignedI64s()
-		x.accOff = sr.AlignedI32s()
-		x.accID = sr.AlignedI32s()
-		x.accD = sr.AlignedI64s()
-		x.coneOff = sr.AlignedI32s()
-		x.coneV = sr.AlignedI32s()
-		x.coneD = sr.AlignedI64s()
-	default:
-		sr.Failf("tnr codec version %d (want 1 or %d)", v, codecVersion)
+	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
+		sr.Failf("tnr codec version %d (want %d)", v, codecVersion)
 	}
+	x.numT = int(sr.U32())
+	x.transitID = sr.AlignedI32s()
+	x.table = sr.AlignedI64s()
+	x.accOff = sr.AlignedI32s()
+	x.accID = sr.AlignedI32s()
+	x.accD = sr.AlignedI64s()
+	x.coneOff = sr.AlignedI32s()
+	x.coneV = sr.AlignedI32s()
+	x.coneD = sr.AlignedI64s()
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

@@ -9,9 +9,10 @@ import (
 
 // TestDBKNNAppendZeroAllocs pins the public-API half of the Issue 5
 // contract: on a warm DB, KNNAppend into a caller-reused buffer performs
-// zero heap allocations per query for every enabled method — the pooled
-// session owns all transient search state, the interrupt closure is bound
-// once at session manufacture, and result storage is caller-owned. The
+// zero heap allocations per query for every enabled method and for
+// MethodAuto (the planner formats its rationale only for Explain) — the
+// pooled session owns all transient search state, the interrupt closure is
+// bound once at session manufacture, and result storage is caller-owned. The
 // buffered KNN form allocates exactly its caller-visible result slice and
 // nothing else, which the companion BenchmarkDBKNNAllocs tracks in the
 // perf trajectory.
@@ -32,7 +33,7 @@ func TestDBKNNAppendZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	const k = 8
 
-	for _, m := range db.Methods() {
+	for _, m := range append(db.Methods(), MethodAuto) {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			opt := WithMethod(m)

@@ -147,57 +147,3 @@ func TestParseMethodAuto(t *testing.T) {
 		t.Fatalf("case-insensitive parse: %v, %v", m, err)
 	}
 }
-
-// TestValidationBoundaries is the table-driven boundary check across all
-// four public query entry points: k and radius limits, unknown and
-// disabled methods, never a silent fallback.
-func TestValidationBoundaries(t *testing.T) {
-	db := testDB(t)
-	ctx := context.Background()
-	seqErr := func(ctx context.Context, q int32, k int, opts ...QueryOption) error {
-		var last error
-		for _, err := range db.KNNSeq(ctx, q, k, opts...) {
-			last = err
-		}
-		return last
-	}
-	batchErr := func(op func(b *Batch) *Batch) error {
-		res, err := op(db.Batch()).Run(ctx)
-		if err != nil {
-			return err
-		}
-		return res[0].Err
-	}
-	cases := []struct {
-		name string
-		err  error
-		want error
-	}{
-		{"KNN k=0", errOf(db.KNN(ctx, 0, 0)), ErrBadK},
-		{"KNN k<0", errOf(db.KNN(ctx, 0, -3)), ErrBadK},
-		{"KNN unknown method", errOf(db.KNN(ctx, 0, 3, WithMethod(Method(99)))), ErrUnknownMethod},
-		{"KNN negative method", errOf(db.KNN(ctx, 0, 3, WithMethod(Method(-7)))), ErrUnknownMethod},
-		{"KNN disabled method", errOf(db.KNN(ctx, 0, 3, WithMethod(DisBrwOH))), ErrMethodNotEnabled},
-		{"Range radius<0", errOf(db.Range(ctx, 0, -1)), ErrBadRadius},
-		{"Range unknown method", errOf(db.Range(ctx, 0, 10, WithMethod(Method(99)))), ErrUnknownMethod},
-		{"Range non-INE method", errOf(db.Range(ctx, 0, 10, WithMethod(IERPHL))), ErrRangeMethod},
-		{"KNNSeq k=0", seqErr(ctx, 0, 0), ErrBadK},
-		{"KNNSeq disabled", seqErr(ctx, 0, 3, WithMethod(DisBrw)), ErrMethodNotEnabled},
-		{"Batch KNN k=0", batchErr(func(b *Batch) *Batch { return b.AddKNN(0, 0) }), ErrBadK},
-		{"Batch unknown method", batchErr(func(b *Batch) *Batch { return b.AddKNN(0, 3, WithMethod(Method(99))) }), ErrUnknownMethod},
-		{"Batch radius<0", batchErr(func(b *Batch) *Batch { return b.AddRange(0, -2) }), ErrBadRadius},
-		{"BruteForceKNN k=0", errOf(db.BruteForceKNN(0, 0)), ErrBadK},
-		{"BruteForceKNN unknown method", errOf(db.BruteForceKNN(0, 3, WithMethod(Method(99)))), ErrUnknownMethod},
-		{"BruteForceRange radius<0", errOf(db.BruteForceRange(0, -1)), ErrBadRadius},
-		{"BruteForceRange non-INE method", errOf(db.BruteForceRange(0, 5, WithMethod(Gtree))), ErrRangeMethod},
-	}
-	for _, c := range cases {
-		if !errors.Is(c.err, c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, c.err, c.want)
-		}
-	}
-	// Range accepts MethodAuto (resolves to the one native range method).
-	if _, err := db.Range(ctx, 0, 100, WithMethod(MethodAuto)); err != nil {
-		t.Errorf("Range with MethodAuto: %v", err)
-	}
-}

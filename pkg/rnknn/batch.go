@@ -11,6 +11,7 @@ import (
 	"rnknn/internal/core"
 	"rnknn/internal/dijkstra"
 	"rnknn/internal/knn"
+	"rnknn/internal/planner"
 )
 
 // Batch collects kNN and range queries and executes them together. Run
@@ -41,15 +42,7 @@ type Batch struct {
 	db      *DB
 	workers int
 	shared  SharedMode
-	ops     []batchOp
-}
-
-type batchOp struct {
-	isRange bool
-	q       int32
-	k       int
-	radius  Dist
-	qo      queryOpts
+	ops     []query
 }
 
 // SharedMode controls the shared-expansion grouping decision.
@@ -114,14 +107,14 @@ func (b *Batch) SharedExpansion(m SharedMode) *Batch {
 // AddKNN appends a kNN query with the same options KNN accepts, returning
 // b for chaining.
 func (b *Batch) AddKNN(q int32, k int, opts ...QueryOption) *Batch {
-	b.ops = append(b.ops, batchOp{q: q, k: k, qo: b.db.applyOpts(opts)})
+	b.ops = append(b.ops, b.db.knnQuery(q, k, opts))
 	return b
 }
 
 // AddRange appends a range query with the same options Range accepts,
 // returning b for chaining.
 func (b *Batch) AddRange(q int32, radius Dist, opts ...QueryOption) *Batch {
-	b.ops = append(b.ops, batchOp{isRange: true, q: q, radius: radius, qo: b.db.applyOpts(opts)})
+	b.ops = append(b.ops, b.db.rangeQuery(q, radius, opts))
 	return b
 }
 
@@ -163,12 +156,16 @@ type BatchPlan struct {
 // query. The planner adapts to observed latency, so consecutive Explains
 // may differ.
 func (b *Batch) Explain() BatchPlan {
-	units, singles := b.db.planBatch(context.Background(), b.ops, b.shared)
+	_, units, singles := b.db.planBatch(context.Background(), b.ops, b.shared)
 	p := BatchPlan{FanoutQueries: len(singles)}
 	for _, u := range units {
+		reason := u.choice.Reason()
+		if b.shared == SharedOn && len(u.ops) >= 2 {
+			reason = fmt.Sprintf("shared expansion: forced by SharedOn (%d members)", len(u.ops))
+		}
 		p.Groups = append(p.Groups, BatchGroup{
 			Method: u.m, Category: u.cat, Leaf: u.leaf,
-			Size: len(u.ops), Shared: u.sharedRun, Reason: u.reason,
+			Size: len(u.ops), Shared: u.sharedRun, Reason: reason,
 		})
 		if u.sharedRun {
 			p.SharedQueries += len(u.ops)
@@ -177,6 +174,14 @@ func (b *Batch) Explain() BatchPlan {
 		}
 	}
 	return p
+}
+
+// opPlan is one batch query as prepare left it: the pinned binding and the
+// concrete method, or the error the query will report.
+type opPlan struct {
+	b   *core.Binding
+	m   Method
+	err error
 }
 
 // planUnit is one same-leaf cluster with its execution decision and the
@@ -189,7 +194,9 @@ type planUnit struct {
 	bind      *core.Binding
 	maxK      int
 	sharedRun bool
-	reason    string
+	// choice is the planner's share-vs-fanout decision (its zero value, a
+	// too-small group's fan-out, when the planner was not asked).
+	choice planner.BatchChoice
 }
 
 // groupKey identifies one shareable cluster.
@@ -199,38 +206,26 @@ type groupKey struct {
 	leaf int32
 }
 
-// planBatch is the grouping planner: it buckets group-eligible kNN queries
-// by (category, resolved method, partition leaf), caps each bucket at the
-// shared frontier's width, and decides shared-vs-fanout per group. Queries
-// that are not group-eligible — range queries, methods without a shared
-// path, validation failures (left for runBatchOp to report) — come back in
-// singles. Group units pin the category epoch their members will answer
-// from.
-func (db *DB) planBatch(ctx context.Context, ops []batchOp, mode SharedMode) ([]planUnit, []int) {
+// planBatch prepares every query once — the plan a worker later runs is the
+// one made here, epoch pin included — and is the grouping planner: it
+// buckets group-eligible kNN queries by (category, resolved method,
+// partition leaf), caps each bucket at the shared frontier's width, and
+// decides shared-vs-fanout per group. Queries that are not group-eligible —
+// range queries, methods without a shared path, validation failures — come
+// back in singles.
+func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]opPlan, []planUnit, []int) {
+	plans := make([]opPlan, len(ops))
 	var units []planUnit
 	var singles []int
 	byKey := map[groupKey]int{} // key -> index of its open unit
 	for i := range ops {
-		op := &ops[i]
-		if op.isRange || op.k <= 0 || mode == SharedOff {
+		op, p := &ops[i], &plans[i]
+		p.b, p.m, p.err = db.prepare(ctx, op)
+		if p.err != nil || op.isRange || mode == SharedOff || (p.m != INE && p.m != Gtree) {
 			singles = append(singles, i)
 			continue
 		}
-		if db.checkKNNMethod(op.qo.method) != nil {
-			singles = append(singles, i)
-			continue
-		}
-		bind, err := db.checkQuery(ctx, op.q, op.qo)
-		if err != nil {
-			singles = append(singles, i)
-			continue
-		}
-		m := db.resolveMethod(op.qo.method, op.k, bind)
-		if m != INE && m != Gtree {
-			singles = append(singles, i)
-			continue
-		}
-		key := groupKey{cat: op.qo.category, m: m, leaf: db.batchPartition().LeafOf[op.q]}
+		key := groupKey{cat: op.opt.category, m: p.m, leaf: db.batchPartition().LeafOf[op.v]}
 		ui, open := byKey[key]
 		// Buckets split at the shared frontier's width: a wider group would
 		// overflow the multi-source improvement masks.
@@ -240,33 +235,28 @@ func (db *DB) planBatch(ctx context.Context, ops []batchOp, mode SharedMode) ([]
 		if !open {
 			ui = len(units)
 			byKey[key] = ui
-			units = append(units, planUnit{m: m, cat: key.cat, leaf: key.leaf, bind: bind})
+			units = append(units, planUnit{m: p.m, cat: key.cat, leaf: key.leaf, bind: p.b})
 		}
 		u := &units[ui]
 		u.ops = append(u.ops, i)
-		if op.k > u.maxK {
-			u.maxK = op.k
-		}
+		u.maxK = max(u.maxK, op.k)
 	}
 	// Decide each unit; members of non-shared units fan out individually.
 	for ui := range units {
 		u := &units[ui]
 		switch {
 		case len(u.ops) < 2:
-			u.reason = "fan-out: group too small to share"
 		case mode == SharedOn:
 			u.sharedRun = true
-			u.reason = fmt.Sprintf("shared expansion: forced by SharedOn (%d members)", len(u.ops))
 		default:
-			bc := db.plan.ChooseBatch(u.m.kind(), db.features(u.maxK, u.bind), len(u.ops))
-			u.sharedRun = bc.Shared
-			u.reason = bc.Reason
+			u.choice = db.plan.ChooseBatch(u.m.kind(), db.features(u.maxK, u.bind), len(u.ops))
+			u.sharedRun = u.choice.Shared
 		}
 		if !u.sharedRun {
 			singles = append(singles, u.ops...)
 		}
 	}
-	return units, singles
+	return plans, units, singles
 }
 
 // Run executes every added query and returns one BatchResult per query, in
@@ -280,7 +270,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchResult, error) {
 	if len(b.ops) == 0 {
 		return out, ctx.Err()
 	}
-	units, singles := b.db.planBatch(ctx, b.ops, b.shared)
+	plans, units, singles := b.db.planBatch(ctx, b.ops, b.shared)
 	shared := units[:0:0]
 	for _, u := range units {
 		if u.sharedRun {
@@ -308,7 +298,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.db.batchWorker(ctx, b.ops, out, shared, singles, &next)
+			b.db.batchWorker(ctx, b.ops, plans, out, shared, singles, &next)
 		}()
 	}
 	wg.Wait()
@@ -321,7 +311,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchResult, error) {
 // drained — the batch amortization this API exists for. After cancellation
 // the worker keeps draining, marking each remaining query with ctx's error,
 // so every result slot is filled.
-func (db *DB) batchWorker(ctx context.Context, ops []batchOp, out []BatchResult, shared []planUnit, singles []int, next *atomic.Int64) {
+func (db *DB) batchWorker(ctx context.Context, ops []query, plans []opPlan, out []BatchResult, shared []planUnit, singles []int, next *atomic.Int64) {
 	var sess [numMethods]*pooledSession
 	defer func() {
 		for m, ps := range sess {
@@ -339,7 +329,7 @@ func (db *DB) batchWorker(ctx context.Context, ops []batchOp, out []BatchResult,
 			db.runBatchGroup(ctx, ops, &shared[i], out, &sess)
 		} else {
 			j := singles[i-len(shared)]
-			out[j] = db.runBatchOp(ctx, &ops[j], &sess)
+			out[j] = db.runBatchOp(ctx, &ops[j], &plans[j], &sess)
 		}
 	}
 }
@@ -351,123 +341,79 @@ func (db *DB) batchWorker(ctx context.Context, ops []batchOp, out []BatchResult,
 // NOT the planner's latency EWMA — an amortized group latency is not a
 // single-query latency and would corrupt the regime cells the grouping
 // decision itself reads.
-func (db *DB) runBatchGroup(ctx context.Context, ops []batchOp, u *planUnit, out []BatchResult, sess *[numMethods]*pooledSession) {
+func (db *DB) runBatchGroup(ctx context.Context, ops []query, u *planUnit, out []BatchResult, sess *[numMethods]*pooledSession) {
 	fail := func(err error) {
 		for _, i := range u.ops {
-			out[i] = BatchResult{Query: ops[i].q, Err: err}
+			out[i] = BatchResult{Query: ops[i].v, Err: err}
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		fail(err)
 		return
 	}
-	ps := sess[u.m]
-	if ps == nil {
-		var err error
-		if ps, err = db.pools[u.m].get(u.bind); err != nil {
-			fail(err)
-			return
-		}
-		sess[u.m] = ps
-	} else {
-		ps.sess.Rebind(u.bind)
-	}
-	bm, ok := ps.sess.(knn.BatchMethod)
-	if !ok {
-		// Unreachable for the methods planBatch groups; answer individually
-		// rather than fail if a future method slips through.
-		for _, i := range u.ops {
-			out[i] = db.runBatchOp(ctx, &ops[i], sess)
-		}
+	ps, err := db.workerSession(sess, u.m, u.bind)
+	if err != nil {
+		fail(err)
 		return
 	}
 	qs := make([]knn.GroupQuery, len(u.ops))
 	dst := make([][]knn.Result, len(u.ops))
 	for j, i := range u.ops {
-		qs[j] = knn.GroupQuery{Q: ops[i].q, K: ops[i].k}
+		qs[j] = knn.GroupQuery{Q: ops[i].v, K: ops[i].k}
 	}
 	ps.arm(ctx)
 	start := time.Now()
-	bm.KNNGroupAppend(qs, dst)
+	ps.sess.(knn.BatchMethod).KNNGroupAppend(qs, dst)
 	elapsed := time.Since(start)
 	ps.disarm()
 	if err := ctx.Err(); err != nil {
 		// The expansion may have been cut short; drop the partial answers,
-		// as KNN does.
+		// as run does.
 		fail(err)
 		return
 	}
 	per := elapsed / time.Duration(len(u.ops))
 	for j, i := range u.ops {
-		out[i] = BatchResult{Query: ops[i].q, Method: u.m, Results: dst[j], Latency: per, Shared: true, Epoch: u.bind.Epoch}
+		out[i] = BatchResult{Query: ops[i].v, Method: u.m, Results: dst[j], Latency: per, Shared: true, Epoch: u.bind.Epoch}
 		db.stats.recordKNN(u.m, per)
 	}
 }
 
-// runBatchOp validates and executes one batch query against the worker's
-// cached sessions. The search runs into the session's worker-local scratch
-// buffer (reused across the worker's whole share of the batch); the only
-// per-query allocation is the exact-size result copy the caller keeps.
-func (db *DB) runBatchOp(ctx context.Context, op *batchOp, sess *[numMethods]*pooledSession) BatchResult {
-	res := BatchResult{Query: op.q}
-	fail := func(err error) BatchResult { res.Err = err; return res }
-	if op.isRange {
-		if op.radius < 0 {
-			return fail(fmt.Errorf("%w: radius=%d", ErrBadRadius, op.radius))
-		}
-		if err := db.checkRangeMethod(op.qo); err != nil {
-			return fail(err)
-		}
-	} else {
-		if op.k <= 0 {
-			return fail(fmt.Errorf("%w: k=%d", ErrBadK, op.k))
-		}
-		if err := db.checkKNNMethod(op.qo.method); err != nil {
-			return fail(err)
-		}
-	}
-	b, err := db.checkQuery(ctx, op.q, op.qo)
-	if err != nil {
-		return fail(err)
-	}
-	m := INE
-	if !op.isRange {
-		m = db.resolveMethod(op.qo.method, op.k, b)
-	}
-	res.Method = m
-	ps := sess[m]
-	if ps == nil {
-		if ps, err = db.pools[m].get(b); err != nil {
-			return fail(err)
-		}
-		sess[m] = ps
-	} else {
-		// Rebinding an already-held session to this query's category
-		// snapshot is a few pointer swaps — the cheap path Batch exists
-		// to hit.
+// workerSession returns the worker's cached session of method m rebound to
+// b, checking one out of the pool on the worker's first use of m.
+// Rebinding an already-held session to another category snapshot is a few
+// pointer swaps — the cheap path Batch exists to hit.
+func (db *DB) workerSession(sess *[numMethods]*pooledSession, m Method, b *core.Binding) (*pooledSession, error) {
+	if ps := sess[m]; ps != nil {
 		ps.sess.Rebind(b)
+		return ps, nil
 	}
-	ps.arm(ctx)
-	start := time.Now()
-	if op.isRange {
-		ps.buf = ps.sess.(knn.RangeMethod).RangeAppend(op.q, op.radius, ps.buf[:0])
-	} else {
-		ps.buf = ps.sess.KNNAppend(op.q, op.k, ps.buf[:0])
+	ps, err := db.pools[m].get(b)
+	sess[m] = ps
+	return ps, err
+}
+
+// runBatchOp executes one prepared batch query on the worker's cached
+// sessions. The search runs into the session's worker-local scratch buffer
+// (reused across the worker's whole share of the batch); the only per-query
+// allocation is the exact-size result copy the caller keeps.
+func (db *DB) runBatchOp(ctx context.Context, op *query, p *opPlan, sess *[numMethods]*pooledSession) BatchResult {
+	res := BatchResult{Query: op.v, Method: p.m, Err: p.err}
+	if res.Err == nil {
+		// A batch cancelled since planning reports ctx's error on every
+		// query still queued instead of starting its search.
+		res.Err = ctx.Err()
 	}
-	res.Latency = time.Since(start)
-	ps.disarm()
-	if err := ctx.Err(); err != nil {
-		// The scan may have been cut short; drop the partial answer, as
-		// KNN and Range do.
-		return fail(err)
+	if res.Err != nil {
+		return res
 	}
-	res.Results = make([]Result, len(ps.buf))
-	copy(res.Results, ps.buf)
-	res.Epoch = b.Epoch
-	if op.isRange {
-		db.stats.recordRange(res.Latency)
-	} else {
-		db.recordKNN(m, op.k, b, res.Latency)
+	ps, err := db.workerSession(sess, p.m, p.b)
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	if res.Results, res.Latency, res.Err = db.runOwned(ctx, ps, op, p.b, p.m); res.Err == nil {
+		res.Epoch = p.b.Epoch
 	}
 	return res
 }

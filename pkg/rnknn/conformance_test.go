@@ -1,0 +1,508 @@
+package rnknn
+
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+
+	"rnknn/internal/core"
+	"rnknn/internal/gen"
+)
+
+// One table for every query entry point. Each adapter below is a thin shell
+// over prepare/run, so each must show the same behaviour on the same rows:
+// the same typed error in the same precedence, brute force's answer at the
+// pinned epoch, one Stats entry and one planner observation per completed
+// query and none for a cancelled one, and a balanced session pool whatever
+// cut the query short.
+
+const confCat = "poi"
+
+// confEnv is one fresh database per adapter (so its counters and planner
+// cells start at zero), plus the same network and objects over two shards
+// for the ShardedDB adapters.
+type confEnv struct {
+	t   *testing.T
+	db  *DB
+	sdb *ShardedDB
+}
+
+func newConfEnv(t *testing.T, sharded bool) *confEnv {
+	t.Helper()
+	g := gen.Network(gen.NetworkSpec{Name: "conf", Rows: 12, Cols: 14, Seed: 21})
+	objs := gen.Uniform(g, 0.06, 5)
+	db, err := Open(g, WithMethods(INE, Gtree), WithObjects(confCat, objs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &confEnv{t: t, db: db}
+	if sharded {
+		dir := t.TempDir()
+		if err := db.SaveShardSet(dir, 2); err != nil {
+			t.Fatal(err)
+		}
+		if e.sdb, err = OpenSharded(dir); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.sdb.Close() })
+		if err := e.sdb.RegisterObjects(confCat, objs); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.sdb.RemoveObjects(confCat, objs[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One set-changing mutation, so the pinned epoch is not the zero value.
+	if err := db.RemoveObjects(confCat, objs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// dbs lists the databases whose pools and counters the adapter touches.
+func (e *confEnv) dbs() []*DB {
+	if e.sdb != nil {
+		return e.sdb.shards
+	}
+	return []*DB{e.db}
+}
+
+// poolsBalanced reports whether every session checked out was returned.
+func (e *confEnv) poolsBalanced() bool {
+	for _, db := range e.dbs() {
+		for _, p := range db.pools {
+			if p != nil && p.gets.Load() != p.puts.Load() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// confAnswer is what an adapter got back: the results, and the epoch where
+// the entry point reports one.
+type confAnswer struct {
+	res      []Result
+	epoch    uint64
+	hasEpoch bool
+}
+
+type confAdapter struct {
+	name    string
+	isRange bool
+	sharded bool
+	// noCtx: the entry point takes no context (the brute-force references).
+	noCtx bool
+	// records is how many Stats entries one completed call lands; observes
+	// whether it also trains the planner (range queries and shared-group
+	// members do not); planK what k the planner sees for a request of k.
+	records  int
+	observes bool
+	planK    func(k int) int
+	// ask runs one query to completion; arg is k, or the radius.
+	ask func(e *confEnv, ctx context.Context, q int32, arg int, opts ...QueryOption) (confAnswer, error)
+	// first, on the streaming entry points, consumes one element and breaks.
+	first func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption)
+}
+
+func results(res []Result, err error) (confAnswer, error) {
+	if err != nil && res != nil {
+		err = errors.Join(err, errors.New("results returned beside an error"))
+	}
+	return confAnswer{res: res}, err
+}
+
+func pinned(res []Result, epoch uint64, err error) (confAnswer, error) {
+	a, err := results(res, err)
+	a.epoch, a.hasEpoch = epoch, true
+	return a, err
+}
+
+// appended checks the Append contract on the way through: the caller's
+// prefix survives, and on error nothing was appended to it.
+func appended(dst []Result, err error) (confAnswer, error) {
+	if len(dst) == 0 || dst[0].Vertex != -7 {
+		return confAnswer{}, errors.Join(err, errors.New("append clobbered the caller's prefix"))
+	}
+	if err != nil && len(dst) != 1 {
+		return confAnswer{}, errors.Join(err, errors.New("append extended dst beside an error"))
+	}
+	if err != nil {
+		return confAnswer{}, err
+	}
+	return confAnswer{res: dst[1:]}, nil
+}
+
+func collect(seq func(func(Result, error) bool)) (confAnswer, error) {
+	var res []Result
+	for r, err := range seq {
+		if err != nil {
+			return confAnswer{}, err
+		}
+		res = append(res, r)
+	}
+	return confAnswer{res: res}, nil
+}
+
+func member(e *confEnv, b *Batch, ctx context.Context, wantShared bool) (confAnswer, error) {
+	// Run's own error only says ctx ended before Run returned; the member's
+	// outcome is the member's.
+	out, _ := b.Run(ctx)
+	if out[0].Err == nil && out[0].Shared != wantShared {
+		e.t.Errorf("batch member Shared = %v, want %v", out[0].Shared, wantShared)
+	}
+	return pinned(out[0].Results, out[0].Epoch, out[0].Err)
+}
+
+func sameK(k int) int { return k }
+
+var confAdapters = []confAdapter{
+	{name: "KNN", records: 1, observes: true, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return results(e.db.KNN(ctx, q, k, opts...))
+		}},
+	{name: "KNNAppend", records: 1, observes: true, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return appended(e.db.KNNAppend(ctx, q, k, append(make([]Result, 0, 16), Result{Vertex: -7}), opts...))
+		}},
+	{name: "KNNPinned", records: 1, observes: true, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return pinned(e.db.KNNPinned(ctx, q, k, opts...))
+		}},
+	{name: "KNNSeq", records: 1, observes: true, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return collect(e.db.KNNSeq(ctx, q, k, opts...))
+		},
+		first: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) {
+			for range e.db.KNNSeq(ctx, q, k, opts...) {
+				break
+			}
+		}},
+	{name: "Batch single", records: 1, observes: true, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return member(e, e.db.Batch().SharedExpansion(SharedOff).AddKNN(q, k, opts...), ctx, false)
+		}},
+	{name: "Batch shared member", records: 2, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return member(e, e.db.Batch().SharedExpansion(SharedOn).AddKNN(q, k, opts...).AddKNN(q, k, opts...), ctx, true)
+		}},
+	{name: "Monitor first step", records: 1, observes: true, planK: func(k int) int { return k + 1 },
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			for u, err := range e.db.Monitor(ctx, []int32{q}, k, opts...) {
+				if err != nil {
+					return confAnswer{}, err
+				}
+				a := confAnswer{epoch: u.Epoch, hasEpoch: true}
+				for _, ev := range u.Events {
+					if ev.Kind != MonitorEnter {
+						e.t.Errorf("first monitor step carries a %v event", ev.Kind)
+					}
+					a.res = append(a.res, Result{Vertex: ev.Object, Dist: ev.Dist})
+				}
+				return a, nil
+			}
+			return confAnswer{}, errors.New("monitor yielded nothing")
+		},
+		first: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) {
+			for range e.db.Monitor(ctx, []int32{q, q}, k, opts...) {
+				break
+			}
+		}},
+	{name: "BruteForceKNN", noCtx: true, planK: sameK,
+		ask: func(e *confEnv, _ context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return results(e.db.BruteForceKNN(q, k, opts...))
+		}},
+	{name: "ShardedDB.KNN", sharded: true, records: 1, observes: true, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return results(e.sdb.KNN(ctx, q, k, opts...))
+		}},
+	{name: "ShardedDB.KNNSeq", sharded: true, records: 1, observes: true, planK: sameK,
+		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
+			return collect(e.sdb.KNNSeq(ctx, q, k, opts...))
+		},
+		first: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) {
+			for range e.sdb.KNNSeq(ctx, q, k, opts...) {
+				break
+			}
+		}},
+
+	{name: "Range", isRange: true, records: 1,
+		ask: func(e *confEnv, ctx context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
+			return results(e.db.Range(ctx, q, Dist(radius), opts...))
+		}},
+	{name: "RangeAppend", isRange: true, records: 1,
+		ask: func(e *confEnv, ctx context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
+			return appended(e.db.RangeAppend(ctx, q, Dist(radius), append(make([]Result, 0, 16), Result{Vertex: -7}), opts...))
+		}},
+	{name: "RangePinned", isRange: true, records: 1,
+		ask: func(e *confEnv, ctx context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
+			return pinned(e.db.RangePinned(ctx, q, Dist(radius), opts...))
+		}},
+	{name: "Batch range", isRange: true, records: 1,
+		ask: func(e *confEnv, ctx context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
+			return member(e, e.db.Batch().AddRange(q, Dist(radius), opts...), ctx, false)
+		}},
+	{name: "BruteForceRange", isRange: true, noCtx: true,
+		ask: func(e *confEnv, _ context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
+			return results(e.db.BruteForceRange(q, Dist(radius), opts...))
+		}},
+	{name: "ShardedDB.Range", isRange: true, sharded: true, records: 1,
+		ask: func(e *confEnv, ctx context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
+			return results(e.sdb.Range(ctx, q, Dist(radius), opts...))
+		}},
+}
+
+// confFault is one way a request can be wrong. Faults are listed in the
+// precedence every entry point reports them; a row applies one fault
+// together with one fault of every later level and expects the first.
+type confFault struct {
+	name               string
+	level              int
+	apply              func(in *confInput, isRange bool)
+	wantKNN, wantRange error
+	representsItsLevel bool
+	skipWithoutContext bool
+	appliesOnlyToKNN   bool
+}
+
+type confInput struct {
+	cancelled bool
+	q         int32
+	arg       int
+	opts      []QueryOption
+}
+
+func confFaults(numVertices int) []confFault {
+	return []confFault{
+		{name: "zero k / negative radius", level: 0, representsItsLevel: true, wantKNN: ErrBadK, wantRange: ErrBadRadius,
+			apply: func(in *confInput, isRange bool) {
+				in.arg = 0
+				if isRange {
+					in.arg = -1
+				}
+			}},
+		{name: "negative k", level: 0, appliesOnlyToKNN: true, wantKNN: ErrBadK,
+			apply: func(in *confInput, _ bool) { in.arg = -3 }},
+		{name: "unknown method", level: 1, representsItsLevel: true, wantKNN: ErrUnknownMethod, wantRange: ErrUnknownMethod,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(Method(99))) }},
+		{name: "negative method", level: 1, wantKNN: ErrUnknownMethod, wantRange: ErrUnknownMethod,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(Method(-7))) }},
+		{name: "method the DB cannot run it on", level: 1, wantKNN: ErrMethodNotEnabled, wantRange: ErrRangeMethod,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(ROAD)) }},
+		{name: "cancelled ctx", level: 2, representsItsLevel: true, skipWithoutContext: true, wantKNN: context.Canceled, wantRange: context.Canceled,
+			apply: func(in *confInput, _ bool) { in.cancelled = true }},
+		{name: "negative vertex", level: 3, representsItsLevel: true, wantKNN: ErrBadVertex, wantRange: ErrBadVertex,
+			apply: func(in *confInput, _ bool) { in.q = -1 }},
+		{name: "vertex past the end", level: 3, wantKNN: ErrBadVertex, wantRange: ErrBadVertex,
+			apply: func(in *confInput, _ bool) { in.q = int32(numVertices) }},
+		{name: "unknown category", level: 4, representsItsLevel: true, wantKNN: ErrUnknownCategory, wantRange: ErrUnknownCategory,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithCategory("nope")) }},
+	}
+}
+
+// cancelAt is a context that reports itself cancelled from its (n+1)-th Err
+// call on: sweeping n cancels a query at every point where it looks.
+type cancelAt struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCancelAt(n int) *cancelAt {
+	c := &cancelAt{Context: context.Background()}
+	c.left.Store(int64(n))
+	return c
+}
+
+func (c *cancelAt) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestEntryPointConformance(t *testing.T) {
+	const (
+		k      = 4
+		radius = 3000
+		q      = int32(57)
+	)
+	for _, a := range confAdapters {
+		arg := k
+		if a.isRange {
+			arg = radius
+		}
+		reference := func(e *confEnv, q int32) []Result {
+			var want []Result
+			var err error
+			if a.isRange {
+				want, err = e.db.BruteForceRange(q, radius, WithCategory(confCat))
+			} else {
+				want, err = e.db.BruteForceKNN(q, k, WithCategory(confCat))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return want
+		}
+		liveEpoch := func(e *confEnv) uint64 {
+			epoch, err := e.db.Epoch(confCat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return epoch
+		}
+
+		t.Run(a.name+"/errors", func(t *testing.T) {
+			e := newConfEnv(t, a.sharded)
+			faults := confFaults(e.db.Graph().NumVertices())
+			for _, f := range faults {
+				if a.isRange && f.appliesOnlyToKNN || a.noCtx && f.skipWithoutContext {
+					continue
+				}
+				in := confInput{q: q, arg: arg, opts: []QueryOption{WithCategory(confCat)}}
+				f.apply(&in, a.isRange)
+				for _, later := range faults {
+					if later.level > f.level && later.representsItsLevel {
+						later.apply(&in, a.isRange)
+					}
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				if in.cancelled {
+					cancel()
+				}
+				ans, err := a.ask(e, ctx, in.q, in.arg, in.opts...)
+				cancel()
+				want := f.wantKNN
+				if a.isRange {
+					want = f.wantRange
+				}
+				if !errors.Is(err, want) || ans.res != nil {
+					t.Errorf("%s (and every later fault): got %v with %d results, want %v and none", f.name, err, len(ans.res), want)
+				}
+			}
+			for _, db := range e.dbs() {
+				for name, ms := range db.Stats().Methods {
+					if ms.KNNQueries+ms.RangeQueries != 0 {
+						t.Errorf("rejected queries were recorded under %s: %+v", name, ms)
+					}
+				}
+			}
+			if !e.poolsBalanced() {
+				t.Error("a rejected query kept a session")
+			}
+		})
+
+		t.Run(a.name+"/answers", func(t *testing.T) {
+			e := newConfEnv(t, a.sharded)
+			methods := []Method{MethodAuto, INE, Gtree}
+			if a.isRange {
+				methods = []Method{MethodAuto, INE}
+			}
+			n := int32(e.db.Graph().NumVertices())
+			for v := int32(0); v < n; v += n/9 + 1 {
+				want := reference(e, v)
+				for i := -1; i < len(methods); i++ {
+					opts := []QueryOption{WithCategory(confCat)}
+					if i >= 0 {
+						opts = append(opts, WithMethod(methods[i]))
+					}
+					ans, err := a.ask(e, context.Background(), v, arg, opts...)
+					if err != nil {
+						t.Fatalf("q=%d opts %d: %v", v, i, err)
+					}
+					if !SameResults(ans.res, want) {
+						t.Errorf("q=%d opts %d: got %s, brute force %s", v, i, FormatResults(ans.res), FormatResults(want))
+					}
+					if ans.hasEpoch && ans.epoch != liveEpoch(e) {
+						t.Errorf("q=%d opts %d: answer stamped epoch %d, live epoch %d", v, i, ans.epoch, liveEpoch(e))
+					}
+				}
+			}
+			if !e.poolsBalanced() {
+				t.Error("a completed query kept a session")
+			}
+		})
+
+		// The first completed query on a fresh database: its one Stats entry
+		// and one planner observation can be read exactly — and must have
+		// timed the same interval.
+		t.Run(a.name+"/records", func(t *testing.T) {
+			if a.noCtx {
+				t.Skip("the brute-force references record nothing")
+			}
+			e := newConfEnv(t, a.sharded)
+			if _, err := a.ask(e, context.Background(), q, arg, WithCategory(confCat), WithMethod(INE)); err != nil {
+				t.Fatal(err)
+			}
+			for i, db := range e.dbs() {
+				ms := db.Stats().Methods[INE.String()]
+				got := ms.KNNQueries + ms.RangeQueries
+				if a.sharded && got == 0 {
+					continue // pruned by its bound, or its stream was not drained
+				}
+				if got != uint64(a.records) {
+					t.Errorf("shard %d: %d queries recorded, want %d", i, got, a.records)
+				}
+				if a.isRange {
+					continue
+				}
+				b, err := db.snapshot(confCat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := db.plan.Choose([]core.MethodKind{core.INE}, db.features(a.planK(k), b))
+				switch {
+				case c.Observed != a.observes:
+					t.Errorf("shard %d: planner observed = %v, want %v", i, c.Observed, a.observes)
+				case c.Observed && c.Cost != ms.TotalLatency:
+					t.Errorf("shard %d: planner saw %v, Stats %v: not one observation of the same interval", i, c.Cost, ms.TotalLatency)
+				}
+			}
+		})
+
+		// Cancel the query at every point where it consults ctx, until it
+		// gets through: each cancelled attempt must surface ctx's error with
+		// no results, record nothing and return its session.
+		t.Run(a.name+"/cancel", func(t *testing.T) {
+			if a.noCtx {
+				t.Skip("takes no context")
+			}
+			e := newConfEnv(t, a.sharded)
+			for n := 0; ; n++ {
+				if n > 500 {
+					t.Fatal("query never got through")
+				}
+				ans, err := a.ask(e, newCancelAt(n), q, arg, WithCategory(confCat), WithMethod(INE))
+				if !e.poolsBalanced() {
+					t.Fatalf("cancel at check %d: session not returned", n)
+				}
+				if err == nil {
+					if !SameResults(ans.res, reference(e, q)) {
+						t.Errorf("uncancelled answer %s differs from brute force", FormatResults(ans.res))
+					}
+					break
+				}
+				if !errors.Is(err, context.Canceled) || ans.res != nil {
+					t.Fatalf("cancel at check %d: got %v with %d results", n, err, len(ans.res))
+				}
+				// Over shards, one that finished before the cancel landed
+				// has rightly recorded its own query.
+				ms := e.db.Stats().Methods[INE.String()]
+				if !a.sharded && ms.KNNQueries+ms.RangeQueries != 0 {
+					t.Fatalf("cancel at check %d: recorded %+v", n, ms)
+				}
+			}
+		})
+
+		if a.first != nil {
+			t.Run(a.name+"/early-break", func(t *testing.T) {
+				e := newConfEnv(t, a.sharded)
+				a.first(e, context.Background(), q, k, WithCategory(confCat))
+				if !e.poolsBalanced() {
+					t.Error("early break kept a session")
+				}
+			})
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"sync/atomic"
-	"time"
 
 	"rnknn/internal/monitor"
 )
@@ -150,46 +149,37 @@ func (db *DB) MonitorStats() MonitorStats { return db.mon.snapshot() }
 func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOption) iter.Seq2[MonitorUpdate, error] {
 	r := append([]int32(nil), route...)
 	return func(yield func(MonitorUpdate, error) bool) {
-		qo := db.applyOpts(opts)
-		if k <= 0 {
-			yield(MonitorUpdate{}, fmt.Errorf("%w: k=%d", ErrBadK, k))
-			return
-		}
 		if len(r) == 0 {
 			yield(MonitorUpdate{}, fmt.Errorf("%w: empty route", ErrBadRoute))
 			return
 		}
-		if err := db.checkKNNMethod(qo.method); err != nil {
-			yield(MonitorUpdate{}, err)
-			return
-		}
-		for i, v := range r {
-			if v < 0 || int(v) >= db.g.NumVertices() {
-				yield(MonitorUpdate{}, fmt.Errorf("%w: route[%d]=%d (network has %d vertices)", ErrBadVertex, i, v, db.g.NumVertices()))
+		// Every route vertex is checked as a query for k neighbors — the
+		// precedence every entry point shares — and then the first is
+		// prepared for k+1: the refresh expansion's k-th neighbor is the
+		// answer's edge and its (k+1)-th prices the safe gap.
+		qr := db.knnQuery(r[0], k, opts)
+		for _, v := range r {
+			qr.v = v
+			if err := db.check(ctx, &qr); err != nil {
+				yield(MonitorUpdate{}, err)
 				return
 			}
 		}
-		b, err := db.checkQuery(ctx, r[0], qo)
+		qr.v, qr.k = r[0], k+1
+		b, m, err := db.prepare(ctx, &qr)
 		if err != nil {
 			yield(MonitorUpdate{}, err)
 			return
 		}
-		// The refresh expansion asks for k+1 neighbors: the k-th is the
-		// answer's edge and the (k+1)-th prices the safe gap.
-		m := db.resolveMethod(qo.method, k+1, b)
 		ps, err := db.pools[m].get(b)
 		if err != nil {
 			yield(MonitorUpdate{}, err)
 			return
 		}
-		ps.arm(ctx)
 		// One deferred release covers the monitor's whole lifetime: route
 		// completion, early consumer break, cancellation, and panics in the
 		// consumer's loop body unwinding through this frame.
-		defer func() {
-			ps.disarm()
-			db.pools[m].put(ps)
-		}()
+		defer db.pools[m].put(ps)
 		db.mon.started.Add(1)
 
 		tr := monitor.New(db.g, k)
@@ -204,7 +194,7 @@ func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOp
 			}
 			// Re-snapshot the category each step so live churn is observed:
 			// a new epoch forces a refresh on this epoch's object set.
-			b, err = db.snapshot(qo.category)
+			b, err = db.snapshot(qr.opt.category)
 			if err != nil {
 				yield(MonitorUpdate{}, err)
 				return
@@ -215,14 +205,11 @@ func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOp
 				// Rebind is legal here: the monitor is between queries on
 				// its one single-goroutine session.
 				ps.sess.Rebind(b)
-				start := time.Now()
-				ps.buf = ps.sess.KNNAppend(v, k+1, ps.buf[:0])
-				elapsed := time.Since(start)
-				if err := ctx.Err(); err != nil {
+				qr.v = v
+				if ps.buf, _, err = db.run(ctx, ps, &qr, b, m, ps.buf[:0]); err != nil {
 					yield(MonitorUpdate{}, err)
 					return
 				}
-				db.recordKNN(m, k+1, b, elapsed)
 				tr.Pin(ps.buf, b.Epoch)
 				events = monitor.Diff(emitted, tr.Results(), nil)
 				emitted = append(emitted[:0], tr.Results()...)

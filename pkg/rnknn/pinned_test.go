@@ -55,15 +55,4 @@ func TestKNNPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Validation errors mirror KNN.
-	if _, _, err := db.KNNPinned(ctx, q, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, _, err := db.KNNPinned(ctx, -1, 5); err == nil {
-		t.Fatal("bad vertex accepted")
-	}
-	if _, _, err := db.KNNPinned(ctx, q, 5, WithCategory("nope")); err == nil {
-		t.Fatal("unknown category accepted")
-	}
 }

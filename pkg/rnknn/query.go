@@ -96,13 +96,6 @@ func (p *sessionPool) put(ps *pooledSession) {
 	p.pool.Put(ps)
 }
 
-// queryOpts collects per-query options.
-type queryOpts struct {
-	method    Method
-	methodSet bool
-	category  string
-}
-
 // QueryOption configures one KNN or Range call. It is a plain value (not a
 // closure): building and applying options never touches the heap, which
 // keeps the KNNAppend/RangeAppend hot paths allocation-free.
@@ -125,12 +118,30 @@ func WithCategory(name string) QueryOption {
 	return QueryOption{category: name, categorySet: true}
 }
 
-func (db *DB) applyOpts(opts []QueryOption) queryOpts {
-	qo := queryOpts{method: db.methods[0], category: DefaultCategory}
+// query is one request as every entry point hands it to prepare: the query
+// vertex, the neighbor count (kNN) or radius (range), and the call's options
+// merged over the DB defaults.
+type query struct {
+	v       int32
+	k       int
+	radius  Dist
+	isRange bool
+	opt     QueryOption
+}
+
+func (db *DB) knnQuery(q int32, k int, opts []QueryOption) query {
+	return query{v: q, k: k, opt: db.mergeOpts(opts)}
+}
+
+func (db *DB) rangeQuery(q int32, radius Dist, opts []QueryOption) query {
+	return query{v: q, radius: radius, isRange: true, opt: db.mergeOpts(opts)}
+}
+
+func (db *DB) mergeOpts(opts []QueryOption) QueryOption {
+	qo := QueryOption{method: db.methods[0], category: DefaultCategory}
 	for _, o := range opts {
 		if o.methodSet {
-			qo.method = o.method
-			qo.methodSet = true
+			qo.method, qo.methodSet = o.method, true
 		}
 		if o.categorySet {
 			qo.category = o.category
@@ -139,30 +150,34 @@ func (db *DB) applyOpts(opts []QueryOption) queryOpts {
 	return qo
 }
 
-// checkQuery validates the shared query inputs and resolves the category.
-func (db *DB) checkQuery(ctx context.Context, q int32, qo queryOpts) (*core.Binding, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if q < 0 || int(q) >= db.g.NumVertices() {
-		return nil, fmt.Errorf("%w: query vertex %d (network has %d vertices)", ErrBadVertex, q, db.g.NumVertices())
-	}
-	return db.snapshot(qo.category)
-}
-
-// checkKNNMethod validates a requested kNN method at the public API
-// boundary: MethodAuto is deferred to the planner, anything else must be a
-// known method (ErrUnknownMethod) the DB was opened with
-// (ErrMethodNotEnabled) — never a silent fallback.
-func (db *DB) checkKNNMethod(m Method) error {
-	if m == MethodAuto {
-		return nil
-	}
-	if !m.valid() {
+// check is the typed validation of a query, in the one precedence every
+// entry point reports: k or radius, then the method, then ctx, then the
+// query vertex (the category follows, in prepare). A kNN method must be
+// MethodAuto or a known method (ErrUnknownMethod) the DB was opened with
+// (ErrMethodNotEnabled) — never a silent fallback. Range queries run only
+// on INE, the one method with a native range form: MethodAuto and INE are
+// accepted, a known other method is ErrRangeMethod.
+func (db *DB) check(ctx context.Context, qr *query) error {
+	m := qr.opt.method
+	switch {
+	case qr.isRange && qr.radius < 0:
+		return fmt.Errorf("%w: radius=%d", ErrBadRadius, qr.radius)
+	case !qr.isRange && qr.k <= 0:
+		return fmt.Errorf("%w: k=%d", ErrBadK, qr.k)
+	case m == MethodAuto || qr.isRange && (!qr.opt.methodSet || m == INE):
+		// The planner (kNN) or INE (range) decides; no method to validate.
+	case !m.valid():
 		return fmt.Errorf("%w: %d", ErrUnknownMethod, int(m))
-	}
-	if !db.enabled[m] {
+	case qr.isRange:
+		return fmt.Errorf("%w: got %s", ErrRangeMethod, m)
+	case !db.enabled[m]:
 		return fmt.Errorf("%w: %s (enabled: %v)", ErrMethodNotEnabled, m, db.methods)
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if qr.v < 0 || int(qr.v) >= db.g.NumVertices() {
+		return fmt.Errorf("%w: query vertex %d (network has %d vertices)", ErrBadVertex, qr.v, db.g.NumVertices())
 	}
 	return nil
 }
@@ -172,14 +187,107 @@ func (db *DB) features(k int, b *core.Binding) planner.Features {
 	return planner.Features{K: k, NumObjects: b.Objs.Len(), NumVertices: db.g.NumVertices()}
 }
 
-// resolveMethod turns a validated request into the concrete method that
-// will run: MethodAuto asks the planner to pick among the enabled methods
-// for this (k, density, network) regime.
-func (db *DB) resolveMethod(m Method, k int, b *core.Binding) Method {
-	if m != MethodAuto {
-		return m
+// auto asks the planner to pick among the enabled methods for this (k,
+// density, network) regime.
+func (db *DB) auto(k int, b *core.Binding) planner.Choice {
+	return db.plan.Choose(db.bindKinds, db.features(k, b))
+}
+
+// prepare is the first half of every query: validate (check), pin the
+// category's live epoch, and resolve the concrete method that will run —
+// INE for a range query, the planner's pick for MethodAuto. Nothing else in
+// the package validates a query, pins a binding for one, or resolves
+// MethodAuto.
+func (db *DB) prepare(ctx context.Context, qr *query) (*core.Binding, Method, error) {
+	if err := db.check(ctx, qr); err != nil {
+		return nil, 0, err
 	}
-	return Method(db.plan.Choose(db.bindKinds, db.features(k, b)).Kind)
+	b, err := db.snapshot(qr.opt.category)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch {
+	case qr.isRange:
+		return b, INE, nil
+	case qr.opt.method != MethodAuto:
+		return b, qr.opt.method, nil
+	}
+	return b, Method(db.auto(qr.k, b).Kind), nil
+}
+
+// run is the second half: one search of a prepared query on a session of
+// method m already bound to b, appending to dst. It arms the session with
+// ctx, times exactly the search call, disarms, and either drops the partial
+// answer of a cancelled scan (dst comes back unextended with ctx's error) or
+// records the completed query.
+func (db *DB) run(ctx context.Context, ps *pooledSession, qr *query, b *core.Binding, m Method, dst []Result) ([]Result, time.Duration, error) {
+	mark := len(dst)
+	ps.arm(ctx)
+	start := time.Now()
+	if qr.isRange {
+		dst = ps.sess.(knn.RangeMethod).RangeAppend(qr.v, qr.radius, dst)
+	} else {
+		dst = ps.sess.KNNAppend(qr.v, qr.k, dst)
+	}
+	elapsed := time.Since(start)
+	ps.disarm()
+	if err := ctx.Err(); err != nil {
+		return dst[:mark], elapsed, err
+	}
+	if qr.isRange {
+		db.stats.recordRange(elapsed)
+	} else {
+		db.recordKNN(m, qr.k, b, elapsed)
+	}
+	return dst, elapsed, nil
+}
+
+// recordKNN lands a completed kNN query in the per-method counters and
+// feeds the planner's latency EWMA for the query's regime — every query
+// trains MethodAuto, not just the auto-planned ones.
+func (db *DB) recordKNN(m Method, k int, b *core.Binding, elapsed time.Duration) {
+	db.stats.recordKNN(m, elapsed)
+	db.plan.Observe(m.kind(), db.features(k, b), elapsed)
+}
+
+// runOwned is run for callers that keep the answer: the search runs
+// allocation-free into the session's scratch buffer, and the one allocation
+// is the exact-size copy handed back.
+func (db *DB) runOwned(ctx context.Context, ps *pooledSession, qr *query, b *core.Binding, m Method) ([]Result, time.Duration, error) {
+	buf, elapsed, err := db.run(ctx, ps, qr, b, m, ps.buf[:0])
+	ps.buf = buf
+	if err != nil {
+		return nil, elapsed, err
+	}
+	res := make([]Result, len(buf))
+	copy(res, buf)
+	return res, elapsed, nil
+}
+
+// exec composes prepare and run for the one-shot entry points: check a
+// session of the resolved method out of its pool, run, return it. Results
+// are appended to dst, or returned as a fresh exact-size slice when dst is
+// nil; the epoch is that of the binding the search ran on. On error dst
+// comes back unextended and the epoch is zero.
+func (db *DB) exec(ctx context.Context, qr query, dst []Result) ([]Result, uint64, error) {
+	b, m, err := db.prepare(ctx, &qr)
+	if err != nil {
+		return dst, 0, err
+	}
+	ps, err := db.pools[m].get(b)
+	if err != nil {
+		return dst, 0, err
+	}
+	if dst == nil {
+		dst, _, err = db.runOwned(ctx, ps, &qr, b, m)
+	} else {
+		dst, _, err = db.run(ctx, ps, &qr, b, m, dst)
+	}
+	db.pools[m].put(ps)
+	if err != nil {
+		return dst, 0, err
+	}
+	return dst, b.Epoch, nil
 }
 
 // Plan describes how a query would execute: the concrete method KNN would
@@ -196,22 +304,16 @@ type Plan struct {
 // and cost rationale; for a fixed method it validates the request. The
 // planner adapts to observed latency, so consecutive Explains may differ.
 func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
-	qo := db.applyOpts(opts)
-	if k <= 0 {
-		return Plan{}, fmt.Errorf("%w: k=%d", ErrBadK, k)
-	}
-	if err := db.checkKNNMethod(qo.method); err != nil {
-		return Plan{}, err
-	}
-	b, err := db.checkQuery(context.Background(), q, qo)
+	qr := db.knnQuery(q, k, opts)
+	b, m, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return Plan{}, err
 	}
-	if qo.method != MethodAuto {
-		return Plan{Method: qo.method, Reason: "requested with WithMethod"}, nil
+	if qr.opt.method != MethodAuto {
+		return Plan{Method: m, Reason: "requested with WithMethod"}, nil
 	}
-	c := db.plan.Choose(db.bindKinds, db.features(k, b))
-	return Plan{Method: Method(c.Kind), Reason: c.Reason}, nil
+	c := db.auto(k, b)
+	return Plan{Method: Method(c.Kind), Reason: c.Reason()}, nil
 }
 
 // KNN returns the k nearest objects of the query's category to vertex q by
@@ -221,39 +323,8 @@ func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 // of the interruptible scans (INE and the IER family), so long graph-wide
 // scans return promptly with ctx's error.
 func (db *DB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, error) {
-	qo := db.applyOpts(opts)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: k=%d", ErrBadK, k)
-	}
-	if err := db.checkKNNMethod(qo.method); err != nil {
-		return nil, err
-	}
-	b, err := db.checkQuery(ctx, q, qo)
-	if err != nil {
-		return nil, err
-	}
-	m := db.resolveMethod(qo.method, k, b)
-	ps, err := db.pools[m].get(b)
-	if err != nil {
-		return nil, err
-	}
-	ps.arm(ctx)
-	start := time.Now()
-	// The query runs allocation-free into the session's scratch buffer;
-	// the one allocation is the exact-size copy handed to the caller.
-	ps.buf = ps.sess.KNNAppend(q, k, ps.buf[:0])
-	elapsed := time.Since(start)
-	ps.disarm()
-	res := make([]Result, len(ps.buf))
-	copy(res, ps.buf)
-	db.pools[m].put(ps)
-	if err := ctx.Err(); err != nil {
-		// The scan may have been cut short; the partial answer is not
-		// returned.
-		return nil, err
-	}
-	db.recordKNN(m, k, b, elapsed)
-	return res, nil
+	res, _, err := db.exec(ctx, db.knnQuery(q, k, opts), nil)
+	return res, err
 }
 
 // KNNAppend answers the same query as KNN but appends the results to dst
@@ -265,43 +336,22 @@ func (db *DB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]R
 // cancellation, and Stats/planner recording; on error, dst is returned
 // unextended.
 func (db *DB) KNNAppend(ctx context.Context, q int32, k int, dst []Result, opts ...QueryOption) ([]Result, error) {
-	qo := db.applyOpts(opts)
-	if k <= 0 {
-		return dst, fmt.Errorf("%w: k=%d", ErrBadK, k)
-	}
-	if err := db.checkKNNMethod(qo.method); err != nil {
-		return dst, err
-	}
-	b, err := db.checkQuery(ctx, q, qo)
-	if err != nil {
-		return dst, err
-	}
-	m := db.resolveMethod(qo.method, k, b)
-	ps, err := db.pools[m].get(b)
-	if err != nil {
-		return dst, err
-	}
-	ps.arm(ctx)
-	start := time.Now()
-	mark := len(dst)
-	dst = ps.sess.KNNAppend(q, k, dst)
-	elapsed := time.Since(start)
-	ps.disarm()
-	db.pools[m].put(ps)
-	if err := ctx.Err(); err != nil {
-		// Drop the partial answer, as KNN does.
-		return dst[:mark], err
-	}
-	db.recordKNN(m, k, b, elapsed)
-	return dst, nil
+	dst, _, err := db.exec(ctx, db.knnQuery(q, k, opts), dst)
+	return dst, err
 }
 
-// recordKNN lands a completed kNN query in the per-method counters and
-// feeds the planner's latency EWMA for the query's regime — every query
-// trains MethodAuto, not just the auto-planned ones.
-func (db *DB) recordKNN(m Method, k int, b *core.Binding, elapsed time.Duration) {
-	db.stats.recordKNN(m, elapsed)
-	db.plan.Observe(m.kind(), db.features(k, b), elapsed)
+// KNNPinned answers the same query as KNN and additionally reports the
+// epoch of the category snapshot the search pinned — read from the very
+// binding the query ran on, not re-read around the call. That atomicity is
+// what an exact result cache keyed on (vertex, k, category, epoch) needs: a
+// result stamped with epoch E was computed from exactly epoch E's object
+// set, so storing it under E can never serve an answer from one epoch to a
+// reader observing another, no matter how much churn raced the query. The
+// serving layer (internal/serve) is the intended caller; everything else
+// about validation, method resolution, cancellation, and Stats/planner
+// recording is identical to KNN.
+func (db *DB) KNNPinned(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, uint64, error) {
+	return db.exec(ctx, db.knnQuery(q, k, opts), nil)
 }
 
 // Range returns every object of the query's category within network
@@ -312,83 +362,28 @@ func (db *DB) recordKNN(m Method, k int, b *core.Binding, elapsed time.Duration)
 // MethodAuto resolves to INE. Safe for unbounded concurrent callers, with
 // the same context semantics as KNN.
 func (db *DB) Range(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
-	qo := db.applyOpts(opts)
-	if radius < 0 {
-		return nil, fmt.Errorf("%w: radius=%d", ErrBadRadius, radius)
-	}
-	if err := db.checkRangeMethod(qo); err != nil {
-		return nil, err
-	}
-	b, err := db.checkQuery(ctx, q, qo)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := db.pools[INE].get(b)
-	if err != nil {
-		return nil, err
-	}
-	rm := ps.sess.(knn.RangeMethod)
-	ps.arm(ctx)
-	start := time.Now()
-	ps.buf = rm.RangeAppend(q, radius, ps.buf[:0])
-	elapsed := time.Since(start)
-	ps.disarm()
-	res := make([]Result, len(ps.buf))
-	copy(res, ps.buf)
-	db.pools[INE].put(ps)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	db.stats.recordRange(elapsed)
-	return res, nil
+	res, _, err := db.exec(ctx, db.rangeQuery(q, radius, opts), nil)
+	return res, err
 }
 
 // RangeAppend answers the same query as Range but appends the results to
 // dst and returns the extended slice — the zero-allocation form, mirroring
 // KNNAppend. On error, dst is returned unextended.
 func (db *DB) RangeAppend(ctx context.Context, q int32, radius Dist, dst []Result, opts ...QueryOption) ([]Result, error) {
-	qo := db.applyOpts(opts)
-	if radius < 0 {
-		return dst, fmt.Errorf("%w: radius=%d", ErrBadRadius, radius)
-	}
-	if err := db.checkRangeMethod(qo); err != nil {
-		return dst, err
-	}
-	b, err := db.checkQuery(ctx, q, qo)
-	if err != nil {
-		return dst, err
-	}
-	ps, err := db.pools[INE].get(b)
-	if err != nil {
-		return dst, err
-	}
-	rm := ps.sess.(knn.RangeMethod)
-	ps.arm(ctx)
-	start := time.Now()
-	mark := len(dst)
-	dst = rm.RangeAppend(q, radius, dst)
-	elapsed := time.Since(start)
-	ps.disarm()
-	db.pools[INE].put(ps)
-	if err := ctx.Err(); err != nil {
-		return dst[:mark], err
-	}
-	db.stats.recordRange(elapsed)
-	return dst, nil
+	dst, _, err := db.exec(ctx, db.rangeQuery(q, radius, opts), dst)
+	return dst, err
 }
 
-// checkRangeMethod validates the method option of a range-style query:
-// range queries run only on INE (the one method with a native range form).
-// MethodAuto is accepted and resolves to INE; an unknown method value is
-// ErrUnknownMethod, a known non-INE method is ErrRangeMethod.
-func (db *DB) checkRangeMethod(qo queryOpts) error {
-	if !qo.methodSet || qo.method == INE || qo.method == MethodAuto {
-		return nil
-	}
-	if !qo.method.valid() {
-		return fmt.Errorf("%w: %d", ErrUnknownMethod, int(qo.method))
-	}
-	return fmt.Errorf("%w: got %s", ErrRangeMethod, qo.method)
+// RangePinned answers the same query as Range and additionally reports the
+// epoch of the category snapshot the search pinned — the range analogue of
+// KNNPinned, and the call the serving layer's range cache needs: stamping
+// the answer with the epoch of the very binding it ran on (not re-read
+// around the call) closes the load-epoch/run-query race, so an entry keyed
+// on (vertex, radius, category, epoch) can never serve one epoch's answer
+// to a reader observing another. Validation, INE-only method rules,
+// cancellation, and Stats recording are identical to Range.
+func (db *DB) RangePinned(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, uint64, error) {
+	return db.exec(ctx, db.rangeQuery(q, radius, opts), nil)
 }
 
 // BruteForceKNN answers the query by a plain Dijkstra expansion over the
@@ -397,14 +392,8 @@ func (db *DB) checkRangeMethod(qo queryOpts) error {
 // disabled methods are typed errors, not silently ignored) but the
 // expansion always runs the reference scan; not recorded in Stats.
 func (db *DB) BruteForceKNN(q int32, k int, opts ...QueryOption) ([]Result, error) {
-	qo := db.applyOpts(opts)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: k=%d", ErrBadK, k)
-	}
-	if err := db.checkKNNMethod(qo.method); err != nil {
-		return nil, err
-	}
-	b, err := db.checkQuery(context.Background(), q, qo)
+	qr := db.knnQuery(q, k, opts)
+	b, _, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return nil, err
 	}
@@ -414,14 +403,8 @@ func (db *DB) BruteForceKNN(q int32, k int, opts ...QueryOption) ([]Result, erro
 // BruteForceRange is the range-query correctness reference, mirroring
 // BruteForceKNN.
 func (db *DB) BruteForceRange(q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
-	qo := db.applyOpts(opts)
-	if radius < 0 {
-		return nil, fmt.Errorf("%w: radius=%d", ErrBadRadius, radius)
-	}
-	if err := db.checkRangeMethod(qo); err != nil {
-		return nil, err
-	}
-	b, err := db.checkQuery(context.Background(), q, qo)
+	qr := db.rangeQuery(q, radius, opts)
+	b, _, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return nil, err
 	}

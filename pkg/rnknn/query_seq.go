@@ -2,7 +2,6 @@ package rnknn
 
 import (
 	"context"
-	"fmt"
 	"iter"
 	"time"
 
@@ -35,21 +34,12 @@ import (
 // consumed streams are recorded in Stats and planner EWMAs.
 func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
-		qo := db.applyOpts(opts)
-		if k <= 0 {
-			yield(Result{}, fmt.Errorf("%w: k=%d", ErrBadK, k))
-			return
-		}
-		if err := db.checkKNNMethod(qo.method); err != nil {
-			yield(Result{}, err)
-			return
-		}
-		b, err := db.checkQuery(ctx, q, qo)
+		qr := db.knnQuery(q, k, opts)
+		b, m, err := db.prepare(ctx, &qr)
 		if err != nil {
 			yield(Result{}, err)
 			return
 		}
-		m := db.resolveMethod(qo.method, k, b)
 		ps, err := db.pools[m].get(b)
 		if err != nil {
 			yield(Result{}, err)

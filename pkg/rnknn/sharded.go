@@ -382,21 +382,13 @@ func (s *ShardedDB) Epoch(name string) (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// checkShardQuery validates the query vertex against the shared graph.
-func (s *ShardedDB) checkShardQuery(q int32) error {
-	if q < 0 || int(q) >= s.g.NumVertices() {
-		return fmt.Errorf("%w: query vertex %d (network has %d vertices)", ErrBadVertex, q, s.g.NumVertices())
-	}
-	return nil
-}
-
 // KNN answers a k-nearest-neighbors query over the union of all shards'
 // objects, exactly: the owning shard answers first, its k-th distance
 // becomes the pruning threshold, and only shards whose geometric lower
 // bound does not exceed it are queried (in parallel) before the k-way
 // merge. Results are sorted by (distance, vertex).
 func (s *ShardedDB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, error) {
-	return s.FanKNN(ctx, q, k, func(shard int) ([]Result, error) {
+	return s.fan(ctx, s.shards[0].knnQuery(q, k, opts), func(shard int) ([]Result, error) {
 		return s.shards[shard].KNN(ctx, q, k, opts...)
 	})
 }
@@ -408,66 +400,14 @@ func (s *ShardedDB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption
 // passes the threshold prune; each call must return that shard's exact
 // top-k (or fewer if it has fewer objects) sorted by distance.
 func (s *ShardedDB) FanKNN(ctx context.Context, q int32, k int, query func(shard int) ([]Result, error)) ([]Result, error) {
-	if err := s.checkShardQuery(q); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadK, k)
-	}
-	owner := s.OwnerShard(q)
-	first, err := query(owner)
-	if err != nil {
-		return nil, err
-	}
-	// threshold: no shard whose every object is farther than this can
-	// change the answer. With fewer than k local results every shard must
-	// be consulted.
-	threshold := graph.Inf
-	if len(first) >= k {
-		threshold = first[k-1].Dist
-	}
-	type res struct {
-		rs  []Result
-		err error
-	}
-	results := make([]res, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		if i == owner || s.ShardBound(i, q) > threshold {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rs, err := query(i)
-			results[i] = res{rs, err}
-		}(i)
-	}
-	wg.Wait()
-	merged := append([]Result(nil), first...)
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		merged = append(merged, results[i].rs...)
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Dist != merged[b].Dist {
-			return merged[a].Dist < merged[b].Dist
-		}
-		return merged[a].Vertex < merged[b].Vertex
-	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, nil
+	return s.fan(ctx, s.shards[0].knnQuery(q, k, nil), query)
 }
 
 // Range returns every object within radius of q across all shards,
 // querying only shards whose lower bound does not exceed the radius.
 // Results are sorted by (distance, vertex).
 func (s *ShardedDB) Range(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
-	return s.FanRange(ctx, q, radius, func(shard int) ([]Result, error) {
+	return s.fan(ctx, s.shards[0].rangeQuery(q, radius, opts), func(shard int) ([]Result, error) {
 		return s.shards[shard].Range(ctx, q, radius, opts...)
 	})
 }
@@ -475,11 +415,33 @@ func (s *ShardedDB) Range(ctx context.Context, q int32, radius Dist, opts ...Que
 // FanRange is Range's routing skeleton with the per-shard query pluggable
 // (see FanKNN).
 func (s *ShardedDB) FanRange(ctx context.Context, q int32, radius Dist, query func(shard int) ([]Result, error)) ([]Result, error) {
-	if err := s.checkShardQuery(q); err != nil {
+	return s.fan(ctx, s.shards[0].rangeQuery(q, radius, nil), query)
+}
+
+// fan is the one bound-pruned fan-and-merge behind KNN and Range. The
+// query is checked once up front (every shard holds the same graph and
+// methods, so shard 0 speaks for all; the category is the shards' to
+// report). The pruning threshold — no shard whose every object is farther
+// can change the answer — is the radius for a range query; for kNN it is
+// the owning shard's k-th distance, so the owner is asked first, and with
+// fewer than k local results every shard must be consulted.
+func (s *ShardedDB) fan(ctx context.Context, qr query, ask func(shard int) ([]Result, error)) ([]Result, error) {
+	if err := s.shards[0].check(ctx, &qr); err != nil {
 		return nil, err
 	}
-	if radius < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadRadius, radius)
+	var merged []Result
+	owner, threshold := -1, qr.radius
+	if !qr.isRange {
+		owner = s.OwnerShard(qr.v)
+		first, err := ask(owner)
+		if err != nil {
+			return nil, err
+		}
+		threshold = graph.Inf
+		if len(first) >= qr.k {
+			threshold = first[qr.k-1].Dist
+		}
+		merged = append(merged, first...)
 	}
 	type res struct {
 		rs  []Result
@@ -488,18 +450,17 @@ func (s *ShardedDB) FanRange(ctx context.Context, q int32, radius Dist, query fu
 	results := make([]res, len(s.shards))
 	var wg sync.WaitGroup
 	for i := range s.shards {
-		if s.ShardBound(i, q) > radius {
+		if i == owner || s.ShardBound(i, qr.v) > threshold {
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rs, err := query(i)
+			rs, err := ask(i)
 			results[i] = res{rs, err}
 		}(i)
 	}
 	wg.Wait()
-	var merged []Result
 	for i := range results {
 		if results[i].err != nil {
 			return nil, results[i].err
@@ -512,6 +473,9 @@ func (s *ShardedDB) FanRange(ctx context.Context, q int32, radius Dist, query fu
 		}
 		return merged[a].Vertex < merged[b].Vertex
 	})
+	if !qr.isRange && len(merged) > qr.k {
+		merged = merged[:qr.k]
+	}
 	return merged, nil
 }
 
@@ -551,12 +515,9 @@ func (ss *shardStream) Next() (kmerge.Item, bool, error) {
 // early abandons the remaining per-shard searches.
 func (s *ShardedDB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
-		if err := s.checkShardQuery(q); err != nil {
+		qr := s.shards[0].knnQuery(q, k, opts)
+		if err := s.shards[0].check(ctx, &qr); err != nil {
 			yield(Result{}, err)
-			return
-		}
-		if k <= 0 {
-			yield(Result{}, fmt.Errorf("%w: %d", ErrBadK, k))
 			return
 		}
 		streams := make([]*shardStream, len(s.shards))

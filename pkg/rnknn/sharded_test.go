@@ -249,24 +249,11 @@ func TestShardedEmptyShardCategories(t *testing.T) {
 	requireSame(t, "corner after churn", got, want)
 }
 
-// TestShardedValidation pins the router's error surface.
+// TestShardedValidation pins the router's mutation error surface (its query
+// entry points are rows of TestEntryPointConformance).
 func TestShardedValidation(t *testing.T) {
-	ctx := context.Background()
 	g := gen.Network(gen.NetworkSpec{Name: "shV", Rows: 6, Cols: 6, Seed: 1})
 	_, sdb := shardedPair(t, g, gen.Uniform(g, 0.1, 4), 2)
-
-	if _, err := sdb.KNN(ctx, -1, 3); err == nil {
-		t.Fatal("negative query vertex accepted")
-	}
-	if _, err := sdb.KNN(ctx, 0, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := sdb.Range(ctx, 0, -1); err == nil {
-		t.Fatal("negative radius accepted")
-	}
-	if _, err := sdb.KNN(ctx, 0, 3, rnknn.WithCategory("nope")); err == nil {
-		t.Fatal("unknown category accepted")
-	}
 	if err := sdb.RegisterObjects("bad", []int32{int32(g.NumVertices())}); err == nil {
 		t.Fatal("out-of-range object accepted")
 	}
