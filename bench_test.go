@@ -76,7 +76,7 @@ func BenchmarkTable5Ranking(b *testing.B)         { benchExperiment(b, "table5")
 // --- Section 6.2 micro-ablations ---
 
 // BenchmarkPQueueDuplicates measures the paper's recommended duplicate-
-// tolerant binary heap under a Dijkstra-like push/pop mix.
+// tolerant heap under a Dijkstra-like push/pop mix.
 func BenchmarkPQueueDuplicates(b *testing.B) {
 	q := pqueue.NewQueue(1024)
 	b.ResetTimer()

@@ -2,7 +2,13 @@
 // by the paper for expansion-based searches (Section 6.2, choice 2): one bit
 // per road-network vertex, allocated per query, occupying 32x less space
 // than an int array and far less than a hash set.
+//
+// In this repository it holds object membership and Rnet/node occupancy,
+// and the settled set of the Figure 7 ablation rungs; the production scans
+// derive "settled" from their label array instead (see scratch.Dists).
 package bitset
+
+import "math/bits"
 
 // Set is a fixed-capacity bit set over [0, n).
 type Set struct {
@@ -48,19 +54,10 @@ func (s *Set) Reset() {
 func (s *Set) Count() int {
 	c := 0
 	for _, w := range s.words {
-		c += popcount(w)
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
 
 // Capacity returns the number of bits the set can hold.
 func (s *Set) Capacity() int { return len(s.words) * 64 }
-
-func popcount(x uint64) int {
-	// Hacker's Delight bit-twiddling population count; avoids math/bits only
-	// for no reason, so use the simple loop-free version.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
-}

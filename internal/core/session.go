@@ -181,7 +181,8 @@ func (s *ierSession) Rebind(b *Binding) { s.IER.Rebind(b.Objs, b.rt) }
 
 // gtreeSession and roadSession cannot embed their methods (the embedded
 // type name KNN would shadow the KNN method), so they delegate explicitly
-// (including the incremental-scan hook KNNStream).
+// (including the incremental-scan hook KNNStream and, for ROAD, the
+// SetInterrupt hook).
 type gtreeSession struct{ m *gtree.KNN }
 
 func (s gtreeSession) Name() string                    { return s.m.Name() }
@@ -204,7 +205,8 @@ func (s roadSession) KNN(q int32, k int) []knn.Result { return s.m.KNN(q, k) }
 func (s roadSession) KNNAppend(q int32, k int, dst []knn.Result) []knn.Result {
 	return s.m.KNNAppend(q, k, dst)
 }
-func (s roadSession) Rebind(b *Binding) { s.m.SetObjects(b.ad) }
+func (s roadSession) Rebind(b *Binding)              { s.m.SetObjects(b.ad) }
+func (s roadSession) SetInterrupt(check func() bool) { s.m.SetInterrupt(check) }
 func (s roadSession) KNNStream(q int32, k int, yield func(knn.Result) bool) {
 	s.m.KNNStream(q, k, yield)
 }
@@ -221,6 +223,7 @@ var (
 	_ knn.RangeMethod   = ineSession{}
 	_ knn.Interruptible = ineSession{}
 	_ knn.Interruptible = (*ierSession)(nil)
+	_ knn.Interruptible = roadSession{}
 	// The incremental-result hook behind pkg/rnknn's KNNSeq: INE and IER
 	// stream through the promoted KNNStream of their embedded methods,
 	// G-tree and ROAD through explicit delegates; the SILC sessions have no

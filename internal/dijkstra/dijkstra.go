@@ -2,37 +2,32 @@
 // baseline distance oracle (IER-Dijk, Figure 4) and as the construction
 // workhorse for the SILC, G-tree and ROAD indexes.
 //
-// A Solver owns reusable per-search state (distance array with version
-// stamping, settled bit set, duplicate-tolerant binary heap) so repeated
-// searches over the same graph allocate nothing.
+// A Solver owns reusable per-search state (a stamped label array and a
+// duplicate-tolerant 4-ary heap) so repeated searches over the same graph
+// allocate nothing. It keeps no settled set: a popped entry is current
+// exactly when its key equals the vertex's label (see scratch.Dists).
 package dijkstra
 
 import (
-	"rnknn/internal/bitset"
 	"rnknn/internal/graph"
 	"rnknn/internal/pqueue"
+	"rnknn/internal/scratch"
 )
 
 // Solver runs Dijkstra searches over a fixed graph with reusable state.
 // It is not safe for concurrent use; create one Solver per goroutine.
 type Solver struct {
-	g       *graph.Graph
-	dist    []graph.Dist
-	stamp   []uint32
-	cur     uint32
-	settled *bitset.Set
-	q       *pqueue.Queue
+	g    *graph.Graph
+	dist *scratch.Dists
+	q    *pqueue.Queue
 }
 
 // NewSolver returns a Solver for g (using g's active weight kind).
 func NewSolver(g *graph.Graph) *Solver {
-	n := g.NumVertices()
 	return &Solver{
-		g:       g,
-		dist:    make([]graph.Dist, n),
-		stamp:   make([]uint32, n),
-		settled: bitset.New(n),
-		q:       pqueue.NewQueue(1024),
+		g:    g,
+		dist: scratch.NewDists(g.NumVertices()),
+		q:    pqueue.NewQueue(1024),
 	}
 }
 
@@ -40,29 +35,31 @@ func NewSolver(g *graph.Graph) *Solver {
 func (s *Solver) Graph() *graph.Graph { return s.g }
 
 func (s *Solver) begin(src int32) {
-	s.cur++
-	if s.cur == 0 { // stamp wrapped; reset everything once
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.cur = 1
-	}
-	s.settled.Reset()
+	s.dist.Reset()
 	s.q.Reset()
-	s.setDist(src, 0)
+	s.dist.Set(src, 0)
 	s.q.Push(src, 0)
 }
 
-func (s *Solver) setDist(v int32, d graph.Dist) {
-	s.dist[v] = d
-	s.stamp[v] = s.cur
+// settle pops the next vertex in nondecreasing distance order, skipping
+// stale duplicates; ok is false once the reachable graph is exhausted.
+func (s *Solver) settle() (v int32, d graph.Dist, ok bool) {
+	for !s.q.Empty() {
+		it := s.q.Pop()
+		if d = graph.Dist(it.Key); d == s.dist.Get(it.ID) {
+			return it.ID, d, true
+		}
+	}
+	return 0, 0, false
 }
 
-func (s *Solver) distOf(v int32) graph.Dist {
-	if s.stamp[v] != s.cur {
-		return graph.Inf
+func (s *Solver) relax(v int32, dv graph.Dist) {
+	ts, ws := s.g.Neighbors(v)
+	for i, t := range ts {
+		if nd := dv + graph.Dist(ws[i]); s.dist.Lower(t, nd) {
+			s.q.Push(t, int64(nd))
+		}
 	}
-	return s.dist[v]
 }
 
 // Distance returns d(src, dst), terminating as soon as dst is settled.
@@ -71,32 +68,15 @@ func (s *Solver) Distance(src, dst int32) graph.Dist {
 		return 0
 	}
 	s.begin(src)
-	for !s.q.Empty() {
-		it := s.q.Pop()
-		v := it.ID
-		if s.settled.Get(v) {
-			continue
+	for {
+		v, d, ok := s.settle()
+		if !ok {
+			return graph.Inf
 		}
-		s.settled.Set(v)
 		if v == dst {
-			return graph.Dist(it.Key)
+			return d
 		}
-		s.relax(v, graph.Dist(it.Key))
-	}
-	return graph.Inf
-}
-
-func (s *Solver) relax(v int32, dv graph.Dist) {
-	ts, ws := s.g.Neighbors(v)
-	for i, t := range ts {
-		if s.settled.Get(t) {
-			continue
-		}
-		nd := dv + graph.Dist(ws[i])
-		if nd < s.distOf(t) {
-			s.setDist(t, nd)
-			s.q.Push(t, int64(nd))
-		}
+		s.relax(v, d)
 	}
 }
 
@@ -121,20 +101,18 @@ func (s *Solver) DistancesTo(src int32, targets []int32) []graph.Dist {
 		return out
 	}
 	s.begin(src)
-	for !s.q.Empty() && remaining > 0 {
-		it := s.q.Pop()
-		v := it.ID
-		if s.settled.Get(v) {
-			continue
+	for remaining > 0 {
+		v, d, ok := s.settle()
+		if !ok {
+			break
 		}
-		s.settled.Set(v)
 		if idxs, ok := want[v]; ok {
 			for _, i := range idxs {
-				out[i] = graph.Dist(it.Key)
+				out[i] = d
 			}
 			remaining -= len(idxs)
 		}
-		s.relax(v, graph.Dist(it.Key))
+		s.relax(v, d)
 	}
 	return out
 }
@@ -146,15 +124,9 @@ func (s *Solver) All(src int32, out []graph.Dist) {
 		out[i] = graph.Inf
 	}
 	s.begin(src)
-	for !s.q.Empty() {
-		it := s.q.Pop()
-		v := it.ID
-		if s.settled.Get(v) {
-			continue
-		}
-		s.settled.Set(v)
-		out[v] = graph.Dist(it.Key)
-		s.relax(v, graph.Dist(it.Key))
+	for v, d, ok := s.settle(); ok; v, d, ok = s.settle() {
+		out[v] = d
+		s.relax(v, d)
 	}
 }
 
@@ -171,23 +143,11 @@ func (s *Solver) AllWithFirstMove(src int32, out []graph.Dist, firstMove []int32
 	firstMove[src] = src
 	// fm tracks the tentative first move for queued vertices.
 	fm := firstMove
-	for !s.q.Empty() {
-		it := s.q.Pop()
-		v := it.ID
-		if s.settled.Get(v) {
-			continue
-		}
-		s.settled.Set(v)
-		dv := graph.Dist(it.Key)
+	for v, dv, ok := s.settle(); ok; v, dv, ok = s.settle() {
 		out[v] = dv
 		ts, ws := s.g.Neighbors(v)
 		for i, t := range ts {
-			if s.settled.Get(t) {
-				continue
-			}
-			nd := dv + graph.Dist(ws[i])
-			if nd < s.distOf(t) {
-				s.setDist(t, nd)
+			if nd := dv + graph.Dist(ws[i]); s.dist.Lower(t, nd) {
 				s.q.Push(t, int64(nd))
 				if v == src {
 					fm[t] = t
@@ -204,8 +164,9 @@ func (s *Solver) AllWithFirstMove(src int32, out []graph.Dist, firstMove []int32
 // how IER-Dijk amortizes repeated network-distance computations from the
 // same query vertex. The zero value is unusable; call NewResumable.
 type Resumable struct {
-	s    *Solver
-	done bool
+	s       *Solver
+	last    graph.Dist // distance of the latest settled vertex
+	settled int
 }
 
 // NewResumable starts a resumable expansion from src.
@@ -216,40 +177,32 @@ func NewResumable(g *graph.Graph, src int32) *Resumable {
 }
 
 // Reset restarts the expansion from a new source, reusing the solver's
-// stamped arrays and heap backing — repeated resumable searches from one
+// label array and heap backing — repeated resumable searches from one
 // session allocate nothing.
 func (r *Resumable) Reset(src int32) {
-	r.done = false
+	r.last, r.settled = 0, 0
 	r.s.begin(src)
 }
 
 // Next returns the next settled vertex and its distance, or ok=false when
 // the graph is exhausted.
 func (r *Resumable) Next() (v int32, d graph.Dist, ok bool) {
-	if r.done {
-		return 0, 0, false
+	if v, d, ok = r.s.settle(); ok {
+		r.last = d
+		r.settled++
+		r.s.relax(v, d)
 	}
-	s := r.s
-	for !s.q.Empty() {
-		it := s.q.Pop()
-		u := it.ID
-		if s.settled.Get(u) {
-			continue
-		}
-		s.settled.Set(u)
-		s.relax(u, graph.Dist(it.Key))
-		return u, graph.Dist(it.Key), true
-	}
-	r.done = true
-	return 0, 0, false
+	return v, d, ok
 }
 
-// DistanceTo returns the settled distance to v if already settled, else
-// advances the expansion until v is settled or the graph is exhausted.
+// DistanceTo returns d(src, v), advancing the expansion only as far as it
+// must. A label no larger than the latest settled distance is already
+// final — every vertex that could still lower it has been settled and
+// relaxed — whether or not v itself has been popped yet (an equal-distance
+// tie may still sit in the queue).
 func (r *Resumable) DistanceTo(v int32) graph.Dist {
-	s := r.s
-	if s.settled.Get(v) {
-		return s.dist[v] // settled implies stamped in this search
+	if d := r.s.dist.Get(v); d <= r.last {
+		return d
 	}
 	for {
 		u, d, ok := r.Next()
@@ -263,4 +216,4 @@ func (r *Resumable) DistanceTo(v int32) graph.Dist {
 }
 
 // SettledCount returns how many vertices have been settled so far.
-func (r *Resumable) SettledCount() int { return r.s.settled.Count() }
+func (r *Resumable) SettledCount() int { return r.settled }

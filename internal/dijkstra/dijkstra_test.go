@@ -176,3 +176,84 @@ func TestResumableDistanceTo(t *testing.T) {
 		}
 	}
 }
+
+// unitGrid is a side x side lattice with every edge weight 1: from a corner
+// there are up to side vertices at each distance, so almost every settle is
+// an equal-distance tie.
+func unitGrid(side int) *graph.Graph {
+	xs, ys := make([]float64, side*side), make([]float64, side*side)
+	for i := range xs {
+		xs[i], ys[i] = float64(i%side), float64(i/side)
+	}
+	b := graph.NewBuilder(side*side, xs, ys)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v := int32(r*side + c)
+			if c+1 < side {
+				b.AddEdge(v, v+1, 1, 1)
+			}
+			if r+1 < side {
+				b.AddEdge(v, v+int32(side), 1, 1)
+			}
+		}
+	}
+	return b.Build("unit")
+}
+
+// TestResumableAgreesWithAll checks the two things Resumable derives
+// instead of storing — "is v's distance final" (a label no larger than the
+// latest settled distance) and the settled count — against Solver.All, on a
+// generated network, its travel-time view and a unit-weight grid full of
+// equal-distance ties.
+func TestResumableAgreesWithAll(t *testing.T) {
+	base := testGraph(t)
+	graphs := map[string]*graph.Graph{
+		"distance":    base,
+		"travel-time": base.View(graph.TravelTime),
+		"unit-grid":   unitGrid(9),
+	}
+	for name, g := range graphs {
+		n := g.NumVertices()
+		want := make([]graph.Dist, n)
+		rng := rand.New(rand.NewSource(3))
+		var r *dijkstra.Resumable
+		for _, src := range []int32{0, int32(n / 2), int32(n - 1)} {
+			dijkstra.NewSolver(g).All(src, want)
+			if r == nil {
+				r = dijkstra.NewResumable(g, src)
+			} else {
+				r.Reset(src)
+			}
+			if r.SettledCount() != 0 {
+				t.Fatalf("%s src=%d: %d settled before the first Next", name, src, r.SettledCount())
+			}
+			// Random probes: every answer exact, and the expansion never
+			// runs past the probed distance — each settled vertex lies
+			// within the largest distance asked for so far.
+			var reach graph.Dist
+			for i := 0; i < 3*n; i++ {
+				v := int32(rng.Intn(n))
+				if got := r.DistanceTo(v); got != want[v] {
+					t.Fatalf("%s src=%d: DistanceTo(%d) = %d, All says %d", name, src, v, got, want[v])
+				}
+				reach = max(reach, want[v])
+				within := 0
+				for _, d := range want {
+					if d <= reach {
+						within++
+					}
+				}
+				if r.SettledCount() > within {
+					t.Fatalf("%s src=%d: %d settled, only %d vertices within %d", name, src, r.SettledCount(), within, reach)
+				}
+			}
+			// Drain: Next yields each remaining vertex once, and the count
+			// ends at |V| exactly (a tie answered early is not counted twice).
+			for _, _, ok := r.Next(); ok; _, _, ok = r.Next() {
+			}
+			if r.SettledCount() != n {
+				t.Fatalf("%s src=%d: SettledCount = %d after exhaustion, want %d", name, src, r.SettledCount(), n)
+			}
+		}
+	}
+}

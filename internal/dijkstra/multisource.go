@@ -83,7 +83,9 @@ type MultiSource struct {
 	Relabeled int
 }
 
-// interruptStride matches INE's cancellation-poll cadence.
+// interruptStride matches knn.InterruptStride, the cancellation-poll
+// cadence of INE and ROAD (knn imports this package, so the constant cannot
+// be shared).
 const interruptStride = 256
 
 // MaxWidth is the largest group one Expand accepts: the improved-component

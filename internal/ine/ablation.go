@@ -9,17 +9,23 @@ import (
 
 // Variant selects one rung of the Figure 7 implementation ladder. Each rung
 // keeps the previous rung's choices and improves one more.
+//
+// The rungs keep their own bit-array settled container (it is one of the
+// things the ladder measures) although the production INE no longer stores
+// one, and every duplicate-tolerant rung rides the same pqueue.Queue as
+// production. A faster Queue therefore speeds all of them up together: what
+// Figure 7 reproduces is the ratio between rungs, not their absolute times.
 type Variant int
 
 const (
 	// FirstCut: per-vertex adjacency objects, decrease-key indexed heap.
 	FirstCut Variant = iota
-	// PQueue: binary heap without decrease-key (duplicates allowed).
+	// PQueue: heap without decrease-key (duplicates allowed).
 	PQueue
 	// Settled: the rung that historically introduced the bit-array settled
-	// container. All rungs now share the main INE path's bit-array (the
-	// Section 6.2 recommendation), so this rung is timing-equivalent to
-	// PQueue; it is kept so Figure 7's ladder labels still resolve.
+	// container. All rungs now share one bit-array (the Section 6.2
+	// recommendation), so this rung is timing-equivalent to PQueue; it is
+	// kept so Figure 7's ladder labels still resolve.
 	Settled
 	// CSRGraph: single packed edge array (this equals the production INE).
 	CSRGraph

@@ -1,31 +1,31 @@
 // Package ine implements Incremental Network Expansion (Section 3.1), the
 // Dijkstra-derived baseline kNN method, in the optimised main-memory form
-// the paper arrives at in Section 6.2: CSR graph, binary heap without
-// decrease-key, bit-array settled container.
+// the paper arrives at in Section 6.2: CSR graph and a heap without
+// decrease-key (pqueue.Queue, 4-ary). The paper's choice 2, a bit-array
+// settled container, is subsumed: the stamped label array (scratch.Dists)
+// already tells a stale heap entry from a current one, so the production
+// path stores no settled set at all.
 //
 // The deliberately degraded variants of ablation.go reproduce the Figure 7
 // implementation ladder (1st Cut -> PQueue -> Settled -> Graph).
 package ine
 
 import (
-	"rnknn/internal/bitset"
 	"rnknn/internal/graph"
 	"rnknn/internal/knn"
 	"rnknn/internal/pqueue"
+	"rnknn/internal/scratch"
 )
 
 // INE answers kNN queries by incremental network expansion from the query
 // vertex. Not safe for concurrent use.
 type INE struct {
-	g       *graph.Graph
-	objs    *knn.ObjectSet
-	dist    []graph.Dist
-	stamp   []uint32
-	cur     uint32
-	settled *bitset.Set
-	q       *pqueue.Queue
+	g    *graph.Graph
+	objs *knn.ObjectSet
+	dist *scratch.Dists
+	q    *pqueue.Queue
 
-	// interrupt, when non-nil, is polled every interruptStride settled
+	// interrupt, when non-nil, is polled every knn.InterruptStride settled
 	// vertices; a true return aborts the scan early.
 	interrupt func() bool
 
@@ -44,21 +44,13 @@ type INE struct {
 	VisitedVertices int
 }
 
-// interruptStride is how many settled vertices pass between interrupt
-// polls: frequent enough to bound cancellation latency on graph-wide scans,
-// rare enough to stay off the per-vertex hot path.
-const interruptStride = 256
-
 // New returns an INE method over g and the object set.
 func New(g *graph.Graph, objs *knn.ObjectSet) *INE {
-	n := g.NumVertices()
 	x := &INE{
-		g:       g,
-		objs:    objs,
-		dist:    make([]graph.Dist, n),
-		stamp:   make([]uint32, n),
-		settled: bitset.New(n),
-		q:       pqueue.NewQueue(1024),
+		g:    g,
+		objs: objs,
+		dist: scratch.NewDists(g.NumVertices()),
+		q:    pqueue.NewQueue(1024),
 	}
 	x.collect = func(r knn.Result) bool {
 		x.out = append(x.out, r)
@@ -98,36 +90,18 @@ func (x *INE) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 // yielded long before the k-th is found, and a false return from yield
 // abandons the rest of the expansion.
 func (x *INE) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
-	x.cur++
-	if x.cur == 0 {
-		for i := range x.stamp {
-			x.stamp[i] = 0
-		}
-		x.cur = 1
-	}
-	// The per-query bit-array reset is the pre-allocation overhead the
-	// paper discusses (Section 6.2, choice 2): proportionally expensive for
-	// small search spaces, a large win for big ones.
-	x.settled.Reset()
-	x.q.Reset()
-	x.VisitedVertices = 0
-
+	x.begin(qv)
 	found := 0
-	x.dist[qv] = 0
-	x.stamp[qv] = x.cur
-	x.q.Push(qv, 0)
 	for !x.q.Empty() && found < k {
 		it := x.q.Pop()
-		v := it.ID
-		if x.settled.Get(v) {
-			continue
+		v, d := it.ID, graph.Dist(it.Key)
+		if d != x.dist.Get(v) {
+			continue // stale duplicate: v was settled through a shorter entry
 		}
-		x.settled.Set(v)
 		x.VisitedVertices++
-		if x.interrupt != nil && x.VisitedVertices%interruptStride == 0 && x.interrupt() {
+		if x.interrupt != nil && x.VisitedVertices%knn.InterruptStride == 0 && x.interrupt() {
 			break
 		}
-		d := graph.Dist(it.Key)
 		if x.objs.Contains(v) {
 			found++
 			if !yield(knn.Result{Vertex: v, Dist: d}) {
@@ -139,17 +113,21 @@ func (x *INE) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 		}
 		ts, ws := x.g.Neighbors(v)
 		for i, t := range ts {
-			if x.settled.Get(t) {
-				continue
-			}
-			nd := d + graph.Dist(ws[i])
-			if x.stamp[t] != x.cur || nd < x.dist[t] {
-				x.dist[t] = nd
-				x.stamp[t] = x.cur
+			if nd := d + graph.Dist(ws[i]); x.dist.Lower(t, nd) {
 				x.q.Push(t, int64(nd))
 			}
 		}
 	}
+}
+
+// begin resets the per-query state (O(1): a generation bump and two length
+// resets) and seeds the expansion at qv.
+func (x *INE) begin(qv int32) {
+	x.dist.Reset()
+	x.q.Reset()
+	x.VisitedVertices = 0
+	x.dist.Set(qv, 0)
+	x.q.Push(qv, 0)
 }
 
 // Range returns every object within network distance radius of qv, in
@@ -161,53 +139,31 @@ func (x *INE) Range(qv int32, radius graph.Dist) []knn.Result {
 
 // RangeAppend implements knn.RangeMethod's caller-owned-buffer form.
 func (x *INE) RangeAppend(qv int32, radius graph.Dist, dst []knn.Result) []knn.Result {
-	x.cur++
-	if x.cur == 0 {
-		for i := range x.stamp {
-			x.stamp[i] = 0
-		}
-		x.cur = 1
-	}
-	x.settled.Reset()
-	x.q.Reset()
-	x.VisitedVertices = 0
-
-	out := dst
-	x.dist[qv] = 0
-	x.stamp[qv] = x.cur
-	x.q.Push(qv, 0)
+	x.begin(qv)
 	for !x.q.Empty() {
 		it := x.q.Pop()
-		v := it.ID
-		if x.settled.Get(v) {
+		v, d := it.ID, graph.Dist(it.Key)
+		if d != x.dist.Get(v) {
 			continue
 		}
-		d := graph.Dist(it.Key)
 		if d > radius {
 			break
 		}
-		x.settled.Set(v)
 		x.VisitedVertices++
-		if x.interrupt != nil && x.VisitedVertices%interruptStride == 0 && x.interrupt() {
+		if x.interrupt != nil && x.VisitedVertices%knn.InterruptStride == 0 && x.interrupt() {
 			break
 		}
 		if x.objs.Contains(v) {
-			out = append(out, knn.Result{Vertex: v, Dist: d})
+			dst = append(dst, knn.Result{Vertex: v, Dist: d})
 		}
 		ts, ws := x.g.Neighbors(v)
 		for i, t := range ts {
-			if x.settled.Get(t) {
-				continue
-			}
-			nd := d + graph.Dist(ws[i])
-			if nd <= radius && (x.stamp[t] != x.cur || nd < x.dist[t]) {
-				x.dist[t] = nd
-				x.stamp[t] = x.cur
+			if nd := d + graph.Dist(ws[i]); nd <= radius && x.dist.Lower(t, nd) {
 				x.q.Push(t, int64(nd))
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 var (

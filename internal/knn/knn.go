@@ -59,6 +59,12 @@ type Interruptible interface {
 	SetInterrupt(check func() bool)
 }
 
+// InterruptStride is how many settled vertices the expansion methods (INE,
+// ROAD) let pass between interrupt polls: frequent enough to bound
+// cancellation latency on graph-wide scans, rare enough to stay off the
+// per-vertex hot path.
+const InterruptStride = 256
+
 // Streamer is implemented by methods that can report each confirmed
 // neighbor as it is finalized, instead of buffering all k results.
 // Neighbors are yielded in nondecreasing distance order; a false return

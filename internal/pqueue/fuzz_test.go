@@ -1,0 +1,126 @@
+package pqueue
+
+import (
+	"bytes"
+	"sort"
+	"testing"
+
+	"rnknn/internal/graph"
+)
+
+// Opcodes of FuzzQueueMatchesSort's byte stream: the low three bits of an
+// op byte pick the operation, and pushes of a variable key read it from the
+// next byte.
+const (
+	opPushSmall = iota // key = next byte
+	opPushWide         // key = next byte << 40: far apart, still in domain
+	opPushNeg          // key = -(next byte) - 1 (CH priorities are signed)
+	opPushZero
+	opPushInf // key = graph.Inf, the largest distance any caller pushes
+	opPop
+	opPopAll
+	opReset
+)
+
+// fill returns the ops that push keys (one byte each, so 0..255) and then
+// drain the queue.
+func fill(keys ...byte) []byte {
+	var ops []byte
+	for _, k := range keys {
+		ops = append(ops, opPushSmall, k)
+	}
+	return append(ops, opPopAll)
+}
+
+// FuzzQueueMatchesSort drives Queue and a sorted-slice model with the same
+// push/pop/reset stream: every Pop must return the model's minimum key and
+// an (ID, Key) pair that was pushed and not yet popped, and Len, Empty and
+// MinKey must agree throughout. Ties may pop in any order.
+func FuzzQueueMatchesSort(f *testing.F) {
+	// Every heap size whose last group of children is empty, partial or
+	// full: 0-9, then 4k-1, 4k, 4k+1 around the next two level boundaries
+	// (21 = 1+4+16, 85 = 21+64).
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 19, 20, 21, 22, 83, 84, 85, 86} {
+		asc, desc := make([]byte, n), make([]byte, n)
+		for i := range asc {
+			asc[i], desc[i] = byte(i), byte(n-i)
+		}
+		f.Add(fill(asc...))
+		f.Add(fill(desc...))
+		f.Add(fill(make([]byte, n)...)) // all keys equal
+	}
+	f.Add([]byte{opPushZero, opPushInf, opPushNeg, 0, opPushNeg, 255, opPushWide, 255, opPushInf, opPushZero, opPopAll})
+	f.Add([]byte{opPushSmall, 3, opPushSmall, 1, opPop, opReset, opPop, opPushNeg, 7, opPushSmall, 1, opPopAll})
+	f.Add(bytes.Repeat([]byte{opPushSmall, 9, opPushWide, 2, opPop, opPushNeg, 4}, 40))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q Queue
+		var model []Item // sorted by Key
+		nextID := int32(0)
+		push := func(key int64) {
+			q.Push(nextID, key)
+			i := sort.Search(len(model), func(i int) bool { return model[i].Key > key })
+			model = append(model, Item{})
+			copy(model[i+1:], model[i:])
+			model[i] = Item{nextID, key}
+			nextID++
+		}
+		pop := func() {
+			if len(model) == 0 {
+				return // Pop on an empty queue panics by contract
+			}
+			got := q.Pop()
+			if got.Key != model[0].Key {
+				t.Fatalf("Pop = %+v, model minimum key %d", got, model[0].Key)
+			}
+			for i := 0; ; i++ {
+				if i == len(model) || model[i].Key != got.Key {
+					t.Fatalf("Pop = %+v: no such live entry", got)
+				}
+				if model[i].ID == got.ID {
+					model = append(model[:i], model[i+1:]...)
+					break
+				}
+			}
+		}
+		arg := func() int64 {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int64(b)
+		}
+		for len(ops) > 0 {
+			op := ops[0] & 7
+			ops = ops[1:]
+			switch op {
+			case opPushSmall:
+				push(arg())
+			case opPushWide:
+				push(arg() << 40)
+			case opPushNeg:
+				push(-arg() - 1)
+			case opPushZero:
+				push(0)
+			case opPushInf:
+				push(int64(graph.Inf))
+			case opPop:
+				pop()
+			case opPopAll:
+				for len(model) > 0 {
+					pop()
+				}
+			case opReset:
+				q.Reset()
+				model = model[:0]
+			}
+			if q.Len() != len(model) || q.Empty() != (len(model) == 0) {
+				t.Fatalf("Len = %d, Empty = %v; model holds %d", q.Len(), q.Empty(), len(model))
+			}
+			if len(model) > 0 && q.MinKey() != model[0].Key {
+				t.Fatalf("MinKey = %d, model minimum %d", q.MinKey(), model[0].Key)
+			}
+		}
+	})
+}

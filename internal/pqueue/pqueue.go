@@ -1,12 +1,23 @@
-// Package pqueue provides the binary-heap priority queues used by every
-// method in this repository.
+// Package pqueue provides the heap priority queues used by every method in
+// this repository.
 //
 // The primary queue (Queue) follows the paper's main-memory guidance
 // (Section 6.2, choice 1): it does not support decrease-key. Stale duplicate
-// entries are allowed and filtered by the caller against its settled
-// container, which on degree-bounded road networks is cheaper than
-// maintaining a position index for key updates. An IndexedQueue with
-// decrease-key is provided for the ablation benchmark.
+// entries are allowed and filtered by the caller (a popped entry is stale
+// when its key no longer equals the vertex's label), which on degree-bounded
+// road networks is cheaper than maintaining a position index for key
+// updates. It is a 4-ary heap whose Pop picks the smallest child by
+// arithmetic on the sign bit of a key difference instead of a data-dependent
+// branch, which is where a binary heap's Pop spends its time (one
+// mispredicted branch per level).
+//
+// Key domain: any two keys live in one Queue must differ by less than 2^63,
+// so that a-b is negative exactly when a < b. Every caller satisfies it:
+// distances lie in [0, graph.Inf] (Inf is MaxInt64/4) and CH's signed node
+// priorities are small.
+//
+// MaxQueue (Distance Browsing's candidate list) and IndexedQueue (the
+// decrease-key rung of the Figure 7 ablation) are plain binary heaps.
 package pqueue
 
 // Item is a heap entry: an identifier ordered by Key.
@@ -15,8 +26,9 @@ type Item struct {
 	Key int64
 }
 
-// Queue is a binary min-heap of Items without decrease-key. The zero value
-// is an empty queue ready to use.
+// Queue is a 4-ary min-heap of Items without decrease-key: the children of
+// slot i are slots 4i+1..4i+4. The zero value is an empty queue ready to
+// use.
 type Queue struct {
 	a []Item
 }
@@ -32,19 +44,57 @@ func (q *Queue) Reset() { q.a = q.a[:0] }
 
 // Push inserts id with the given key.
 func (q *Queue) Push(id int32, key int64) {
-	q.a = append(q.a, Item{id, key})
-	q.up(len(q.a) - 1)
+	q.a = append(q.a, Item{})
+	q.up(len(q.a)-1, Item{id, key})
 }
 
+// less is 1 when a < b and 0 otherwise, without a branch (see the key
+// domain in the package comment).
+func less(a, b int64) int { return int(uint64(a-b) >> 63) }
+
 // Pop removes and returns the minimum-key item. It panics on an empty queue.
+//
+// The hole left at the root walks down to a leaf, taking the smallest child
+// at every level without comparing against the displaced tail item, which
+// is then sifted up from that leaf. In a Dijkstra-style scan the tail is a
+// recent, large key that belongs near the bottom, so the sift-up is short
+// and the walk down needs no unpredictable branch.
 func (q *Queue) Pop() Item {
-	top := q.a[0]
-	last := len(q.a) - 1
-	q.a[0] = q.a[last]
-	q.a = q.a[:last]
-	if last > 0 {
-		q.down(0)
+	a := q.a
+	top := a[0]
+	n := len(a) - 1
+	tail := a[n]
+	a = a[:n]
+	q.a = a
+	if n == 0 {
+		return top
 	}
+	i := 0
+	for {
+		l := 4*i + 1
+		if l+4 > n {
+			// The last, partial group: 0-3 children, all of them leaves.
+			if l < n {
+				c := l
+				for j := l + 1; j < n; j++ {
+					c += (j - c) * less(a[j].Key, a[c].Key)
+				}
+				a[i] = a[c]
+				i = c
+			}
+			break
+		}
+		// A full group: the smaller of each pair, then the smaller of the
+		// two winners. The &3 masks change no value; they let the compiler
+		// drop the bounds checks on g.
+		g := a[l : l+4 : l+4]
+		c01 := less(g[1].Key, g[0].Key)
+		c23 := 2 + less(g[3].Key, g[2].Key)
+		c := (c01 + (c23-c01)*less(g[c23&3].Key, g[c01].Key)) & 3
+		a[i] = g[c]
+		i = l + c
+	}
+	q.up(i, tail)
 	return top
 }
 
@@ -59,38 +109,18 @@ func (q *Queue) MinKey() int64 {
 // Empty reports whether the queue has no entries.
 func (q *Queue) Empty() bool { return len(q.a) == 0 }
 
-func (q *Queue) up(i int) {
-	item := q.a[i]
+// up places item into the hole at slot i, moving larger ancestors down.
+func (q *Queue) up(i int, item Item) {
+	a := q.a
 	for i > 0 {
-		parent := (i - 1) / 2
-		if q.a[parent].Key <= item.Key {
+		parent := (i - 1) >> 2
+		if a[parent].Key <= item.Key {
 			break
 		}
-		q.a[i] = q.a[parent]
+		a[i] = a[parent]
 		i = parent
 	}
-	q.a[i] = item
-}
-
-func (q *Queue) down(i int) {
-	item := q.a[i]
-	n := len(q.a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && q.a[r].Key < q.a[l].Key {
-			c = r
-		}
-		if q.a[c].Key >= item.Key {
-			break
-		}
-		q.a[i] = q.a[c]
-		i = c
-	}
-	q.a[i] = item
+	a[i] = item
 }
 
 // MaxQueue is a binary max-heap of Items, used for the candidate list L in

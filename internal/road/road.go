@@ -463,35 +463,35 @@ func (ad *AssociationDirectory) Remove(x *Index, v int32) bool {
 // directory. Not safe for concurrent use. All transient search state lives
 // on the method value, so a warm query performs no heap allocations.
 type KNN struct {
-	idx     *Index
-	ad      *AssociationDirectory
-	settled *bitset.Set
-	q       *pqueue.Queue
-	dist    []graph.Dist
-	stamp   []uint32
-	cur     uint32
+	idx  *Index
+	ad   *AssociationDirectory
+	q    *pqueue.Queue
+	dist *scratch.Dists
 	// qAnc[level] is the ancestor Rnet of the query leaf at that level,
 	// used to reject bypassing any Rnet containing the query in O(1).
 	qAnc []int32
 
+	// interrupt, when non-nil, is polled every knn.InterruptStride settled
+	// vertices; a true return aborts the scan early.
+	interrupt func() bool
+
 	out     []knn.Result
 	collect func(knn.Result) bool
 
-	// VerticesBypassed counts, for the last query, the total size of the
-	// Rnets bypassed via shortcuts (Figure 9b).
-	VerticesBypassed int
+	// VisitedVertices counts vertices settled by the last query and
+	// VerticesBypassed the total size of the Rnets it bypassed via shortcuts
+	// (Figure 9b).
+	VisitedVertices, VerticesBypassed int
 }
 
 // NewKNN returns the ROAD kNN method.
 func NewKNN(idx *Index, ad *AssociationDirectory) *KNN {
 	x := &KNN{
-		idx:     idx,
-		ad:      ad,
-		settled: bitset.New(idx.G.NumVertices()),
-		q:       pqueue.NewQueue(1024),
-		dist:    make([]graph.Dist, idx.G.NumVertices()),
-		stamp:   make([]uint32, idx.G.NumVertices()),
-		qAnc:    make([]int32, idx.Levels+1),
+		idx:  idx,
+		ad:   ad,
+		q:    pqueue.NewQueue(1024),
+		dist: scratch.NewDists(idx.G.NumVertices()),
+		qAnc: make([]int32, idx.Levels+1),
 	}
 	x.collect = func(r knn.Result) bool {
 		x.out = append(x.out, r)
@@ -505,6 +505,9 @@ func (x *KNN) Name() string { return "ROAD" }
 
 // SetObjects swaps the association directory.
 func (x *KNN) SetObjects(ad *AssociationDirectory) { x.ad = ad }
+
+// SetInterrupt implements knn.Interruptible.
+func (x *KNN) SetInterrupt(check func() bool) { x.interrupt = check }
 
 // KNN implements knn.Method.
 func (x *KNN) KNN(qv int32, k int) []knn.Result {
@@ -525,19 +528,10 @@ func (x *KNN) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 // yielded) at settle time; a false return from yield abandons the rest of
 // the expansion.
 func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
-	idx := x.idx
-	pt := idx.PT
-	x.settled.Reset()
+	pt := x.idx.PT
+	x.dist.Reset()
 	x.q.Reset()
-	x.VerticesBypassed = 0
-	x.cur++
-	if x.cur == 0 {
-		for i := range x.stamp {
-			x.stamp[i] = 0
-		}
-		x.cur = 1
-	}
-	found := 0
+	x.VisitedVertices, x.VerticesBypassed = 0, 0
 
 	leafQ := pt.LeafOf[qv]
 	for i := range x.qAnc {
@@ -546,17 +540,18 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	for n := leafQ; n != -1; n = pt.Nodes[n].Parent {
 		x.qAnc[pt.Nodes[n].Level] = n
 	}
-	x.dist[qv] = 0
-	x.stamp[qv] = x.cur
-	x.q.Push(qv, 0)
+	found := 0
+	x.push(qv, 0)
 	for !x.q.Empty() && found < k {
 		it := x.q.Pop()
-		v := it.ID
-		if x.settled.Get(v) {
-			continue
+		v, d := it.ID, graph.Dist(it.Key)
+		if d != x.dist.Get(v) {
+			continue // stale duplicate: v was settled through a shorter entry
 		}
-		x.settled.Set(v)
-		d := graph.Dist(it.Key)
+		x.VisitedVertices++
+		if x.interrupt != nil && x.VisitedVertices%knn.InterruptStride == 0 && x.interrupt() {
+			break
+		}
 		if x.ad.IsObject(v) {
 			found++
 			if !yield(knn.Result{Vertex: v, Dist: d}) {
@@ -571,8 +566,9 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 }
 
 var (
-	_ knn.Method   = (*KNN)(nil)
-	_ knn.Streamer = (*KNN)(nil)
+	_ knn.Method        = (*KNN)(nil)
+	_ knn.Streamer      = (*KNN)(nil)
+	_ knn.Interruptible = (*KNN)(nil)
 )
 
 // relaxShortcuts walks v's Route Overlay entries from the highest level
@@ -608,16 +604,12 @@ func (x *KNN) bypass(r, bi, v int32, d graph.Dist) {
 	nb := int32(len(bs))
 	base := idx.matOff[r] + bi*nb
 	for bj := int32(0); bj < nb; bj++ {
-		t := bs[bj]
-		// A.3 improvement: skip already-settled borders.
-		if t == v || x.settled.Get(t) {
-			continue
+		// The Appendix A.3 improvement (never re-insert a settled border)
+		// needs no test of its own: push refuses any label it cannot lower,
+		// and that covers v itself (shortcut 0) and every settled border.
+		if w := idx.shorts[base+bj]; w < inf32 {
+			x.push(bs[bj], d+graph.Dist(w))
 		}
-		w := idx.shorts[base+bj]
-		if w >= inf32 {
-			continue
-		}
-		x.push(t, d+graph.Dist(w))
 	}
 	x.relaxEdges(v, d, r)
 	x.VerticesBypassed += len(idx.PT.Nodes[r].Vertices)
@@ -630,9 +622,6 @@ func (x *KNN) relaxEdges(v int32, d graph.Dist, skipInside int32) {
 	pt := x.idx.PT
 	ts, ws := g.Neighbors(v)
 	for i, t := range ts {
-		if x.settled.Get(t) {
-			continue
-		}
 		if skipInside >= 0 && pt.Contains(skipInside, t) {
 			continue
 		}
@@ -640,15 +629,13 @@ func (x *KNN) relaxEdges(v int32, d graph.Dist, skipInside int32) {
 	}
 }
 
-// push enqueues t at distance nd unless a better tentative distance is
-// already known (the same duplicate suppression INE uses).
+// push enqueues t at distance nd unless its label is already as small (the
+// same duplicate suppression INE uses; see scratch.Dists for why it also
+// keeps settled vertices out).
 func (x *KNN) push(t int32, nd graph.Dist) {
-	if x.stamp[t] == x.cur && x.dist[t] <= nd {
-		return
+	if x.dist.Lower(t, nd) {
+		x.q.Push(t, int64(nd))
 	}
-	x.dist[t] = nd
-	x.stamp[t] = x.cur
-	x.q.Push(t, int64(nd))
 }
 
 // BordersOf returns the border vertices of Rnet ni (tests and statistics).

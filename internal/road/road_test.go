@@ -152,3 +152,34 @@ func TestDefaultLevelsScaleWithSize(t *testing.T) {
 		t.Fatal("SizeBytes must be positive")
 	}
 }
+
+// TestKNNInterrupt pins ROAD's share of "a deadline is a deadline": the
+// installed check is polled every knn.InterruptStride settled vertices, a
+// true return stops the scan there with a prefix of the full answer, and a
+// nil check restores the uninterrupted scan.
+func TestKNNInterrupt(t *testing.T) {
+	g := testGraph(t, 64, 40, 40)
+	idx := road.Build(g, road.Options{})
+	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.05, 9))
+	x := road.NewKNN(idx, idx.NewAssociationDirectory(objs))
+	k := objs.Len() + 1 // more than exist: the scan must exhaust the graph
+	full := x.KNN(0, k)
+	if len(full) != objs.Len() || x.VisitedVertices < 3*knn.InterruptStride {
+		t.Fatalf("fixture too small: %d results, %d settled", len(full), x.VisitedVertices)
+	}
+
+	polls := 0
+	x.SetInterrupt(func() bool { polls++; return polls == 2 })
+	part := x.KNN(0, k)
+	if polls != 2 || x.VisitedVertices != 2*knn.InterruptStride {
+		t.Fatalf("interrupted after %d polls and %d settled vertices, want 2 and %d", polls, x.VisitedVertices, 2*knn.InterruptStride)
+	}
+	if len(part) >= len(full) || !knn.SameResults(part, full[:len(part)]) {
+		t.Fatalf("interrupted answer (%d results) is not a proper prefix of the full one (%d)", len(part), len(full))
+	}
+
+	x.SetInterrupt(nil)
+	if again := x.KNN(0, k); !knn.SameResults(again, full) {
+		t.Fatal("scan after clearing the interrupt differs from the first")
+	}
+}

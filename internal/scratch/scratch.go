@@ -2,11 +2,11 @@
 // behind the zero-allocation query hot paths (the Section 6.2 lesson —
 // pre-allocate working storage once, reset it in O(1) — applied uniformly).
 //
-// Every container pairs its payload array with a generation-stamp array:
-// an entry is live only when its stamp equals the container's current
-// generation, so Reset is a single counter increment instead of a clear.
-// When the 32-bit generation wraps, the stamp array is cleared once — an
-// O(n) event every 2^32-1 resets, amortized to nothing.
+// Every container pairs its payload with a generation stamp: an entry is
+// live only when its stamp equals the container's current generation, so
+// Reset is a single counter increment instead of a clear. When the 32-bit
+// generation wraps, the stamps are cleared once — an O(n) event every
+// 2^32-1 resets, amortized to nothing.
 //
 // Containers are not safe for concurrent use; each query session owns its
 // own set.
@@ -14,30 +14,42 @@ package scratch
 
 import "rnknn/internal/graph"
 
-// Dists is a stamped distance array — the reusable form of the
-// dist/stamp pairs the Dijkstra-style scans (INE, ROAD, the solvers)
-// embed inline: reset per query by generation counter rather than by
-// refilling with +Inf.
+// Dists is the stamped label array of the Dijkstra-style scans (INE and its
+// range form, ROAD, the dijkstra solvers): one interleaved {distance,
+// generation} record per vertex, so a relaxation touches one cache line
+// where separate dist and stamp arrays touched two. A slot with no entry
+// this generation reads as graph.Inf.
+//
+// The scans keep no settled container beside it. They push a vertex only
+// when Lower succeeds, so the keys pushed for one vertex strictly decrease
+// and a popped entry (v, key) is current exactly when key == Get(v), stale
+// otherwise; and because edge weights are positive, a relaxation out of a
+// vertex at distance d can never lower the label of a vertex settled at
+// distance <= d, so Lower already refuses settled targets.
 type Dists struct {
-	dist  []graph.Dist
-	stamp []uint32
-	cur   uint32
+	a   []label
+	cur uint32
 }
 
-// NewDists returns a stamped distance array over n slots.
+type label struct {
+	dist  graph.Dist
+	stamp uint32
+}
+
+// NewDists returns a stamped label array over n slots.
 func NewDists(n int) *Dists {
-	return &Dists{dist: make([]graph.Dist, n), stamp: make([]uint32, n), cur: 1}
+	return &Dists{a: make([]label, n), cur: 1}
 }
 
 // Len returns the number of slots.
-func (d *Dists) Len() int { return len(d.dist) }
+func (d *Dists) Len() int { return len(d.a) }
 
 // Reset invalidates every entry in O(1).
 func (d *Dists) Reset() {
 	d.cur++
 	if d.cur == 0 { // wrapped: clear once, then restart at generation 1
-		for i := range d.stamp {
-			d.stamp[i] = 0
+		for i := range d.a {
+			d.a[i].stamp = 0
 		}
 		d.cur = 1
 	}
@@ -46,16 +58,27 @@ func (d *Dists) Reset() {
 // Get returns the distance of v, or graph.Inf when v has no entry this
 // generation.
 func (d *Dists) Get(v int32) graph.Dist {
-	if d.stamp[v] != d.cur {
+	l := &d.a[v]
+	if l.stamp != d.cur {
 		return graph.Inf
 	}
-	return d.dist[v]
+	return l.dist
 }
 
 // Set records the distance of v for the current generation.
 func (d *Dists) Set(v int32, dist graph.Dist) {
-	d.dist[v] = dist
-	d.stamp[v] = d.cur
+	d.a[v] = label{dist, d.cur}
+}
+
+// Lower records dist for v if it is smaller than v's current entry (or v
+// has none) and reports whether it did: the relaxation step.
+func (d *Dists) Lower(v int32, dist graph.Dist) bool {
+	l := &d.a[v]
+	if l.stamp == d.cur && l.dist <= dist {
+		return false
+	}
+	*l = label{dist, d.cur}
+	return true
 }
 
 // Set is a stamped membership set over [0, n): the "evicted"/"seen"

@@ -79,16 +79,6 @@ func TestGenerationWrap(t *testing.T) {
 		t.Fatal("stale pre-wrap stamps survived the wrap")
 	}
 
-	d := NewDists(4)
-	d.Reset()
-	d.Set(0, 5)
-	d.cur = ^uint32(0)
-	d.stamp[3] = 1
-	d.Reset()
-	if d.Get(0) != graph.Inf || d.Get(3) != graph.Inf {
-		t.Fatal("stale distances survived the wrap")
-	}
-
 	m := NewMap32(4)
 	m.Put(0, 1)
 	m.cur = ^uint32(0)
@@ -118,5 +108,33 @@ func TestResetIsAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state reset allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestDistsGenerationWrap drives the label array's generation counter
+// through the uint32 wrap: labels written in the last generations before it
+// — including one whose stamp equals the first generation after it — must
+// all read as absent afterwards, and Lower must treat them as absent.
+func TestDistsGenerationWrap(t *testing.T) {
+	d := NewDists(4)
+	d.Set(3, 9) // stamped with generation 1, the first one after the wrap
+	d.cur = ^uint32(0) - 1
+	for gen := 0; gen < 4; gen++ { // generations 2^32-2, 2^32-1, 1, 2
+		for v := int32(0); v < 4; v++ {
+			if got := d.Get(v); got != graph.Inf {
+				t.Fatalf("generation %d: slot %d reads %d before any Set", d.cur, v, got)
+			}
+		}
+		if !d.Lower(0, 7) || d.Lower(0, 7) || d.Lower(0, 8) || !d.Lower(0, 6) {
+			t.Fatalf("generation %d: Lower did not behave as a strict minimum", d.cur)
+		}
+		d.Set(1, 5)
+		if d.Get(0) != 6 || d.Get(1) != 5 {
+			t.Fatalf("generation %d: Get = %d, %d; want 6, 5", d.cur, d.Get(0), d.Get(1))
+		}
+		d.Reset()
+	}
+	if d.cur != 3 {
+		t.Fatalf("generation after the wrap = %d, want 3 (zero is skipped)", d.cur)
 	}
 }

@@ -32,7 +32,7 @@ func newConfEnv(t *testing.T, sharded bool) *confEnv {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "conf", Rows: 12, Cols: 14, Seed: 21})
 	objs := gen.Uniform(g, 0.06, 5)
-	db, err := Open(g, WithMethods(INE, Gtree), WithObjects(confCat, objs))
+	db, err := Open(g, WithMethods(INE, Gtree, ROAD), WithObjects(confCat, objs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,9 @@ func member(e *confEnv, b *Batch, ctx context.Context, wantShared bool) (confAns
 	// Run's own error only says ctx ended before Run returned; the member's
 	// outcome is the member's.
 	out, _ := b.Run(ctx)
-	if out[0].Err == nil && out[0].Shared != wantShared {
+	// ROAD has no shared expansion: its members run one by one even when
+	// sharing is forced on.
+	if out[0].Err == nil && out[0].Shared != (wantShared && out[0].Method != ROAD) {
 		e.t.Errorf("batch member Shared = %v, want %v", out[0].Shared, wantShared)
 	}
 	return pinned(out[0].Results, out[0].Epoch, out[0].Err)
@@ -289,7 +291,7 @@ func confFaults(numVertices int) []confFault {
 		{name: "negative method", level: 1, wantKNN: ErrUnknownMethod, wantRange: ErrUnknownMethod,
 			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(Method(-7))) }},
 		{name: "method the DB cannot run it on", level: 1, wantKNN: ErrMethodNotEnabled, wantRange: ErrRangeMethod,
-			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(ROAD)) }},
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(IERPHL)) }},
 		{name: "cancelled ctx", level: 2, representsItsLevel: true, skipWithoutContext: true, wantKNN: context.Canceled, wantRange: context.Canceled,
 			apply: func(in *confInput, _ bool) { in.cancelled = true }},
 		{name: "negative vertex", level: 3, representsItsLevel: true, wantKNN: ErrBadVertex, wantRange: ErrBadVertex,
@@ -395,7 +397,7 @@ func TestEntryPointConformance(t *testing.T) {
 
 		t.Run(a.name+"/answers", func(t *testing.T) {
 			e := newConfEnv(t, a.sharded)
-			methods := []Method{MethodAuto, INE, Gtree}
+			methods := []Method{MethodAuto, INE, Gtree, ROAD}
 			if a.isRange {
 				methods = []Method{MethodAuto, INE}
 			}
@@ -463,37 +465,43 @@ func TestEntryPointConformance(t *testing.T) {
 
 		// Cancel the query at every point where it consults ctx, until it
 		// gets through: each cancelled attempt must surface ctx's error with
-		// no results, record nothing and return its session.
-		t.Run(a.name+"/cancel", func(t *testing.T) {
-			if a.noCtx {
-				t.Skip("takes no context")
+		// no results, record nothing and return its session. Once per method
+		// whose search polls ctx (range queries run only INE).
+		for _, m := range []Method{INE, ROAD} {
+			if a.isRange && m != INE {
+				continue
 			}
-			e := newConfEnv(t, a.sharded)
-			for n := 0; ; n++ {
-				if n > 500 {
-					t.Fatal("query never got through")
+			t.Run(a.name+"/cancel/"+m.String(), func(t *testing.T) {
+				if a.noCtx {
+					t.Skip("takes no context")
 				}
-				ans, err := a.ask(e, newCancelAt(n), q, arg, WithCategory(confCat), WithMethod(INE))
-				if !e.poolsBalanced() {
-					t.Fatalf("cancel at check %d: session not returned", n)
-				}
-				if err == nil {
-					if !SameResults(ans.res, reference(e, q)) {
-						t.Errorf("uncancelled answer %s differs from brute force", FormatResults(ans.res))
+				e := newConfEnv(t, a.sharded)
+				for n := 0; ; n++ {
+					if n > 500 {
+						t.Fatal("query never got through")
 					}
-					break
+					ans, err := a.ask(e, newCancelAt(n), q, arg, WithCategory(confCat), WithMethod(m))
+					if !e.poolsBalanced() {
+						t.Fatalf("cancel at check %d: session not returned", n)
+					}
+					if err == nil {
+						if !SameResults(ans.res, reference(e, q)) {
+							t.Errorf("uncancelled answer %s differs from brute force", FormatResults(ans.res))
+						}
+						break
+					}
+					if !errors.Is(err, context.Canceled) || ans.res != nil {
+						t.Fatalf("cancel at check %d: got %v with %d results", n, err, len(ans.res))
+					}
+					// Over shards, one that finished before the cancel landed
+					// has rightly recorded its own query.
+					ms := e.db.Stats().Methods[m.String()]
+					if !a.sharded && ms.KNNQueries+ms.RangeQueries != 0 {
+						t.Fatalf("cancel at check %d: recorded %+v", n, ms)
+					}
 				}
-				if !errors.Is(err, context.Canceled) || ans.res != nil {
-					t.Fatalf("cancel at check %d: got %v with %d results", n, err, len(ans.res))
-				}
-				// Over shards, one that finished before the cancel landed
-				// has rightly recorded its own query.
-				ms := e.db.Stats().Methods[INE.String()]
-				if !a.sharded && ms.KNNQueries+ms.RangeQueries != 0 {
-					t.Fatalf("cancel at check %d: recorded %+v", n, ms)
-				}
-			}
-		})
+			})
+		}
 
 		if a.first != nil {
 			t.Run(a.name+"/early-break", func(t *testing.T) {
