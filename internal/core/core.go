@@ -293,7 +293,9 @@ func (e *Engine) BuiltIndexes() map[string]IndexInfo {
 
 // NewMethod builds a kNN method of the given kind over the object set,
 // constructing the required road-network index (once) and the method's
-// decoupled object index.
+// decoupled object index. The method owns its search scratch — for IER-PHL
+// that includes the pinned-source oracle state, as in NewSession — so it is
+// a single-goroutine object.
 func (e *Engine) NewMethod(kind MethodKind, objs *knn.ObjectSet) (knn.Method, error) {
 	switch kind {
 	case INE:
@@ -305,7 +307,7 @@ func (e *Engine) NewMethod(kind MethodKind, objs *knn.ObjectSet) (knn.Method, er
 	case IERTNR:
 		return ier.New("IER-TNR", e.G, objs, &ier.OracleFactory{Oracle: e.TNRIndex()}), nil
 	case IERPHL:
-		return ier.New("IER-PHL", e.G, objs, &ier.OracleFactory{Oracle: e.PHLIndex()}), nil
+		return e.newIERPHL(objs, ier.NewObjectTree(e.G, objs)), nil
 	case IERGt:
 		return ier.New("IER-Gt", e.G, objs, &gtree.Factory{Idx: e.GtreeIndex()}), nil
 	case Gtree:

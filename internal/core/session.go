@@ -134,10 +134,10 @@ type Session interface {
 }
 
 // NewSession manufactures a fresh query session of the given kind bound to
-// b. Sessions carry their own search state (and, for IER-CH and IER-TNR,
-// their own per-session oracle state), so sessions of any mix of kinds may
-// run concurrently as long as each individual session stays on one
-// goroutine.
+// b. Sessions carry their own search state (and, for IER-CH, IER-TNR and
+// IER-PHL, their own per-session oracle state), so sessions of any mix of
+// kinds may run concurrently as long as each individual session stays on
+// one goroutine.
 func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 	switch kind {
 	case INE:
@@ -151,7 +151,7 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 	case IERTNR:
 		return &ierSession{ier.NewWithTree("IER-TNR", e.G, b.Objs, b.rt, &ier.OracleFactory{Oracle: e.TNRIndex().NewQuerier()})}, nil
 	case IERPHL:
-		return &ierSession{ier.NewWithTree("IER-PHL", e.G, b.Objs, b.rt, &ier.OracleFactory{Oracle: e.PHLIndex()})}, nil
+		return &ierSession{e.newIERPHL(b.Objs, b.rt)}, nil
 	case IERGt:
 		return &ierSession{ier.NewWithTree("IER-Gt", e.G, b.Objs, b.rt, &gtree.Factory{Idx: e.GtreeIndex()})}, nil
 	case Gtree:
@@ -165,6 +165,13 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown method kind %v", kind)
 	}
+}
+
+// newIERPHL is the one IER-PHL construction (NewMethod and NewSession both
+// use it): each instance owns a phl.Source, the labeling's pinned-source
+// scratch (4-8 B/vertex); the labeling itself is shared.
+func (e *Engine) newIERPHL(objs *knn.ObjectSet, rt *rtree.Tree) *ier.IER {
+	return ier.NewWithTree("IER-PHL", e.G, objs, rt, e.PHLIndex().NewSource())
 }
 
 // The session wrappers embed the concrete methods (promoting KNN, Name,

@@ -33,8 +33,9 @@ func (f *DijkstraFactory) NewSource(s int32) knn.SourceOracle {
 	return f.r
 }
 
-// OracleFactory adapts any point-to-point DistanceOracle (CH, TNR, PHL) to
-// the per-source interface IER consumes. The bound-source wrapper is cached
+// OracleFactory adapts a point-to-point DistanceOracle with no per-source
+// state to exploit (CH, TNR) to the per-source interface IER consumes; PHL
+// pins its source instead (phl.Source). The bound-source wrapper is cached
 // on the factory, so handing out a source is allocation-free; like
 // DijkstraFactory, a factory serves one session at a time.
 type OracleFactory struct {

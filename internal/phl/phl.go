@@ -3,9 +3,12 @@
 // Substitutions). Labels are built by pruned landmark labeling (Akiba et
 // al.): pruned Dijkstras from vertices in importance order — here the
 // contraction-hierarchy rank, which yields small labels on road networks.
-// A query is a linear merge of two sorted hub lists, the same microsecond
-// lookup profile as PHL; like PHL, labels are smaller on travel-time graphs
-// whose hierarchies prune more aggressively (Section 7.2, Appendix B.2).
+// A point-to-point query (Index.Distance) is a linear merge of two sorted
+// hub lists; IER, which asks for many distances from one query vertex, pins
+// that vertex's label once and scans each candidate's (Source) — the build's
+// prune test works the same way. Like PHL, labels are smaller on
+// travel-time graphs whose hierarchies prune more aggressively (Section
+// 7.2, Appendix B.2).
 package phl
 
 import (
@@ -19,8 +22,8 @@ import (
 type Index struct {
 	// Per-vertex labels in CSR form, sorted by hub id: the label of v is
 	// hubs[off[v]:off[v+1]] with distances dist[off[v]:off[v+1]]. Hub ids
-	// are importance ranks (0 = most important) so merge order correlates
-	// with pruning order.
+	// are importance ranks (0 = most important) in [0, |V|), so a label is
+	// in pruning order and a hub can subscript a |V|-sized array (Source).
 	off  []int32
 	hubs []int32
 	dist []int32
@@ -50,35 +53,18 @@ func Build(g *graph.Graph, hierarchy *ch.Index) *Index {
 	labHubs := make([][]int32, n)
 	labDist := make([][]int32, n)
 
-	// query returns the current labeled distance between u and v; labels
-	// are sorted by hub id, so a merge join suffices.
-	query := func(u, v int32) graph.Dist {
-		hu, du := labHubs[u], labDist[u]
-		hv, dv := labHubs[v], labDist[v]
-		best := graph.Inf
-		i, j := 0, 0
-		for i < len(hu) && j < len(hv) {
-			switch {
-			case hu[i] == hv[j]:
-				if d := graph.Dist(du[i]) + graph.Dist(dv[j]); d < best {
-					best = d
-				}
-				i++
-				j++
-			case hu[i] < hv[j]:
-				i++
-			default:
-				j++
-			}
-		}
-		return best
-	}
+	// The prune test is the query's one-sided scan. Every more important
+	// root has already run, so the root's label is final but for its own
+	// entry (which no other label holds yet): it is pinned once per root
+	// and each popped vertex costs one pass over its own label.
+	tmp := newPin(n)
 
 	dists := make([]graph.Dist, n)
 	stamp := make([]uint32, n)
 	var cur uint32
 	q := pqueue.NewQueue(1024)
 	for rank, root := range order {
+		tmp.scatter(labHubs[root], labDist[root])
 		cur++
 		q.Reset()
 		dists[root] = 0
@@ -93,7 +79,7 @@ func Build(g *graph.Graph, hierarchy *ch.Index) *Index {
 			}
 			// Prune: if existing labels already certify a distance <= d,
 			// the root does not need to cover v (nor anything beyond it).
-			if query(root, v) <= d {
+			if tmp.scan(labHubs[v], labDist[v]) <= uint64(d) {
 				continue
 			}
 			labHubs[v] = append(labHubs[v], int32(rank))
@@ -108,6 +94,7 @@ func Build(g *graph.Graph, hierarchy *ch.Index) *Index {
 				}
 			}
 		}
+		tmp.clear(labHubs[root])
 	}
 
 	// Pack into CSR.
@@ -150,6 +137,12 @@ func (x *Index) Distance(s, t int32) graph.Dist {
 		}
 	}
 	return best
+}
+
+// label returns v's hub list and the matching distances.
+func (x *Index) label(v int32) (hubs, dist []int32) {
+	lo, hi := x.off[v], x.off[v+1]
+	return x.hubs[lo:hi], x.dist[lo:hi]
 }
 
 // AvgLabelSize returns the mean number of label entries per vertex (the

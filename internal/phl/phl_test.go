@@ -1,6 +1,8 @@
 package phl_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
 	"rnknn/internal/phl"
+	"rnknn/internal/snapio"
 )
 
 func testGraph(t testing.TB, seed int64, rows, cols int) *graph.Graph {
@@ -90,5 +93,125 @@ func TestSelfDistance(t *testing.T) {
 	x := phl.Build(g, nil)
 	if d := x.Distance(9, 9); d != 0 {
 		t.Fatalf("self distance %d", d)
+	}
+}
+
+// twoIslands is two copies of a generated network side by side with no
+// edge between them: every cross-island distance is graph.Inf.
+func twoIslands(t testing.TB) *graph.Graph {
+	t.Helper()
+	g := testGraph(t, 97, 9, 9)
+	n := int32(g.NumVertices())
+	x, y := make([]float64, 2*n), make([]float64, 2*n)
+	for v := int32(0); v < n; v++ {
+		x[v], y[v] = g.X[v], g.Y[v]
+		x[n+v], y[n+v] = g.X[v]+1e6, g.Y[v]
+	}
+	b := graph.NewBuilder(int(2*n), x, y)
+	for v := int32(0); v < n; v++ {
+		for e := g.Offsets[v]; e < g.Offsets[v+1]; e++ {
+			u := g.Targets[e]
+			b.AddEdge(v, u, g.DistW[e], g.TimeW[e])
+			b.AddEdge(n+v, n+u, g.DistW[e], g.TimeW[e])
+		}
+	}
+	return b.Build("islands")
+}
+
+// TestSourceMatchesDistanceAndDijkstra is the pinned scan's differential:
+// over a distance graph, a travel-time view and a disconnected graph, 2,000
+// consecutive NewSource calls on ONE Source (a stale scatter is the
+// dirty-scratch bug class) with 20 targets each agree with the label merge
+// and with Dijkstra, graph.Inf and s == t included.
+func TestSourceMatchesDistanceAndDijkstra(t *testing.T) {
+	islands := twoIslands(t)
+	graphs := []*graph.Graph{
+		testGraph(t, 98, 15, 17),
+		testGraph(t, 99, 13, 13).View(graph.TravelTime),
+		islands,
+	}
+	for _, g := range graphs {
+		x := phl.Build(g, nil)
+		n := g.NumVertices()
+		solver := dijkstra.NewSolver(g)
+		src := x.NewSource()
+		rng := rand.New(rand.NewSource(int64(n)))
+		sawInf := false
+		for pinned := 0; pinned < 2000; pinned++ {
+			s := int32(rng.Intn(n))
+			o := src.NewSource(s)
+			if d := o.DistanceTo(s); d != 0 {
+				t.Fatalf("%s: d(%d,%d) = %d", g.Name, s, s, d)
+			}
+			for i := 0; i < 20; i++ {
+				tv := int32(rng.Intn(n))
+				got := o.DistanceTo(tv)
+				if want := x.Distance(s, tv); got != want {
+					t.Fatalf("%s: pin %d: scan d(%d,%d) = %d, merge says %d", g.Name, pinned, s, tv, got, want)
+				}
+				// Dijkstra is the slow side: check it on a sample.
+				if pinned%10 == 0 {
+					if want := solver.Distance(s, tv); got != want {
+						t.Fatalf("%s: d(%d,%d) = %d, Dijkstra says %d", g.Name, s, tv, got, want)
+					}
+				}
+				sawInf = sawInf || got == graph.Inf
+			}
+		}
+		if g == islands && !sawInf {
+			t.Fatal("disconnected graph never answered graph.Inf")
+		}
+	}
+}
+
+func TestSourceZeroAllocs(t *testing.T) {
+	g := testGraph(t, 100, 12, 12)
+	x := phl.Build(g, nil)
+	src := x.NewSource()
+	n := int32(g.NumVertices())
+	s := int32(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		o := src.NewSource(s)
+		benchSink += o.DistanceTo((s*7 + 3) % n)
+		s = (s + 1) % n
+	})
+	if allocs != 0 {
+		t.Fatalf("NewSource+DistanceTo allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestReadRejectsOutOfRangeLabels: the decode path validates what the
+// pinned scan later subscripts by — a hub outside [0, |V|) or a negative
+// label distance is a bad snapshot, not an index.
+func TestReadRejectsOutOfRangeLabels(t *testing.T) {
+	g := testGraph(t, 103, 8, 8)
+	x := phl.Build(g, nil)
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	if _, err := phl.Read(snapio.NewSource(buf.Bytes(), false), n); err != nil {
+		t.Fatalf("pristine section: %v", err)
+	}
+	// Locate the raw hubs and dist arrays inside the encoded section.
+	arrays := func(data []byte) (hubs, dist []byte) {
+		sr := snapio.NewSource(data, false)
+		sr.U16()
+		sr.AlignedRaw(4, 4) // off
+		_, hubs, _ = sr.AlignedRaw(4, 4)
+		_, dist, _ = sr.AlignedRaw(4, 4)
+		return hubs, dist
+	}
+	for name, tamper := range map[string]func(hubs, dist []byte){
+		"hub == |V|":    func(hubs, _ []byte) { binary.LittleEndian.PutUint32(hubs[8:], uint32(n)) },
+		"negative hub":  func(hubs, _ []byte) { binary.LittleEndian.PutUint32(hubs[8:], 0xFFFFFFFF) },
+		"negative dist": func(_, dist []byte) { binary.LittleEndian.PutUint32(dist[8:], 0x80000000) },
+	} {
+		data := bytes.Clone(buf.Bytes())
+		tamper(arrays(data))
+		if _, err := phl.Read(snapio.NewSource(data, false), n); err == nil {
+			t.Errorf("%s: Read accepted the section", name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package rnknn_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"rnknn/internal/gen"
+	"rnknn/internal/snapio"
 	"rnknn/internal/snapshot"
 	"rnknn/pkg/rnknn"
 )
@@ -152,5 +154,82 @@ func TestOpenSnapshotFileRejectsGarbage(t *testing.T) {
 	}
 	if _, err := rnknn.OpenSnapshotFile(filepath.Join(t.TempDir(), "absent.rnks")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestOpenSnapshotFileHostilePHLLabels: a mapped open skips the per-element
+// label validation the decode path does, and IER-PHL's pinned scan
+// subscripts an array by hub VALUE. A snapshot whose PHL hubs and dist
+// arrays were overwritten may answer wrongly or error; it must not panic.
+func TestOpenSnapshotFileHostilePHLLabels(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 10, Cols: 12, Seed: 8})
+	objs := gen.Uniform(g, 0.1, 3)
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.IERPHL), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+	built, err := rnknn.Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.rnks")
+	if err := built.SaveIndexesFile(clean); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fill := range map[string]struct {
+		hub, dist byte
+		keepDist  bool
+	}{
+		"hubs -1, dist -1":          {hub: 0xFF, dist: 0xFF},
+		"hubs huge, dist very low":  {hub: 0x7F, dist: 0x80},
+		"hubs very low, dist huge":  {hub: 0x80, dist: 0x7F},
+		"hubs all zero, dist huge":  {hub: 0x00, dist: 0x7F},
+		"hubs -1, dist all zero":    {hub: 0xFF, dist: 0x00},
+		"hubs huge, dist untouched": {hub: 0x7F, keepDist: true},
+	} {
+		data := bytes.Clone(orig)
+		_, payloads, err := snapshot.Parse(data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tampered := false
+		for _, p := range payloads {
+			if p.Name != "PHL" {
+				continue
+			}
+			sr := snapio.NewSource(p.Data, false)
+			sr.U16()            // codec version
+			sr.AlignedRaw(4, 4) // off: left intact
+			_, hubs, _ := sr.AlignedRaw(4, 4)
+			_, dist, _ := sr.AlignedRaw(4, 4)
+			for i := range hubs {
+				hubs[i] = fill.hub
+			}
+			if !fill.keepDist {
+				for i := range dist {
+					dist[i] = fill.dist
+				}
+			}
+			tampered = len(hubs) > 0 && len(dist) > 0
+		}
+		if !tampered || bytes.Equal(data, orig) {
+			t.Fatal("did not find the PHL label arrays in the snapshot")
+		}
+		path := filepath.Join(dir, "hostile.rnks")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := rnknn.OpenSnapshotFile(path, opts...)
+		if err != nil {
+			continue // refusing the file is an acceptable outcome
+		}
+		for q := int32(0); q < int32(g.NumVertices()); q += 7 {
+			_, _ = db.KNN(context.Background(), q, 5, rnknn.WithMethod(rnknn.IERPHL))
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
 	}
 }
