@@ -112,14 +112,7 @@ func main() {
 				os.Exit(1)
 			}
 			defer sdb.Close()
-			for i := 0; i < sdb.NumShards(); i++ {
-				for name, ix := range sdb.Shard(i).Stats().Indexes {
-					if !ix.Loaded {
-						fmt.Fprintf(os.Stderr, "verify: shard %d index %s was rebuilt, not loaded\n", i, name)
-						os.Exit(1)
-					}
-				}
-			}
+			requireLoaded(sdb.Stats())
 			fmt.Printf("verify: opened %d shards (zero-copy) in %s\n", sdb.NumShards(), time.Since(start).Round(time.Millisecond))
 		}
 		return
@@ -150,13 +143,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "verify:", err)
 			os.Exit(1)
 		}
-		for name, ix := range db2.Stats().Indexes {
-			if !ix.Loaded {
-				fmt.Fprintf(os.Stderr, "verify: index %s was rebuilt, not loaded\n", name)
-				os.Exit(1)
-			}
-		}
+		requireLoaded(db2.Stats())
 		fmt.Printf("verify: reloaded every index in %s\n", time.Since(start).Round(time.Millisecond))
+	}
+}
+
+// requireLoaded exits unless every index of a re-opened DB came from the
+// snapshot.
+func requireLoaded(s rnknn.Stats) {
+	for name, ix := range s.Indexes {
+		if !ix.Loaded {
+			fmt.Fprintf(os.Stderr, "verify: index %s was rebuilt, not loaded\n", name)
+			os.Exit(1)
+		}
 	}
 }
 

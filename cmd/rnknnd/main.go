@@ -88,25 +88,25 @@ func main() {
 	// Whatever is opened — a shard set, a snapshot, or a ladder network
 	// built here — is then populated, reported and served the same way.
 	var (
-		one *rnknn.DB
-		sdb *rnknn.ShardedDB
+		db  *rnknn.DB
 		err error
 	)
 	start := time.Now()
 	switch {
 	case *shardDir != "":
-		// One mapped DB per partition cell, objects placed on their owning
-		// shards. The manifest names the methods unless -methods was given.
+		// The set's one snapshot, mapped once, with objects partitioned over
+		// the manifest's cells. The manifest names the methods unless
+		// -methods was given.
 		explicit := false
 		flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "methods" })
 		if !explicit {
 			opts = nil
 		}
-		sdb, err = rnknn.OpenSharded(*shardDir, opts...)
+		db, err = rnknn.OpenSharded(*shardDir, opts...)
 	case *snapshot != "":
 		// Zero-copy: graph and indexes come from the snapshot's mapping;
 		// warm start costs page faults, not a decode.
-		one, err = rnknn.OpenSnapshotFile(*snapshot, opts...)
+		db, err = rnknn.OpenSnapshotFile(*snapshot, opts...)
 	default:
 		spec, ok := gen.LadderSpec(*network)
 		if !ok {
@@ -122,23 +122,18 @@ func main() {
 				opts = append(opts, rnknn.WithMmap())
 			}
 		}
-		one, err = rnknn.Open(g, opts...)
+		db, err = rnknn.Open(g, opts...)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)
 	}
-	var (
-		db      database
-		srv     *serve.Server
-		serving string
-	)
-	if sdb != nil {
-		db, srv, serving = sdb, serve.NewSharded(sdb, cfg), fmt.Sprintf("across %d shards", sdb.NumShards())
-	} else {
-		db, srv, serving = one, serve.New(one, cfg), fmt.Sprintf("methods %v", one.Methods())
-	}
 	defer db.Close()
+	srv := serve.New(db, cfg)
+	serving := fmt.Sprintf("methods %v", db.Methods())
+	if n := db.NumShards(); n > 1 {
+		serving += fmt.Sprintf(" across %d shards", n)
+	}
 	g := db.Graph()
 	if err := db.RegisterObjects(rnknn.DefaultCategory, gen.Uniform(g, *density, *seed)); err != nil {
 		fmt.Fprintln(os.Stderr, "objects:", err)
@@ -173,15 +168,6 @@ func main() {
 	stats := srv.Stats()
 	fmt.Printf("rnknnd: served %d requests (%d shed, %d cache hits, %d coalesced)\n",
 		stats.Requests, stats.Shed, stats.CacheHits, stats.Coalesced)
-}
-
-// database is what rnknnd needs of whatever it opened; *rnknn.DB and
-// *rnknn.ShardedDB both provide it.
-type database interface {
-	Graph() *rnknn.Graph
-	RegisterObjects(name string, vertices []int32) error
-	NumObjects(name string) (int, error)
-	Close() error
 }
 
 func usageExit(format string, args ...any) {

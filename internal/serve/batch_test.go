@@ -133,7 +133,7 @@ func TestBatchCoalescesWithSingles(t *testing.T) {
 		})
 	}()
 	<-entered // the batch has registered its follower and is parked before Run
-	waitFor(t, func() bool { return s.stacks[0].co.coalesced.Load() == 1 })
+	waitFor(t, func() bool { return s.st.co.coalesced.Load() == 1 })
 	close(release)
 	wg.Wait()
 

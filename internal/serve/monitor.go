@@ -69,7 +69,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	// with their proper HTTP status instead of a 200 stream.
 	streaming := false
 	summary := MonitorSummaryJSON{K: k, Category: category}
-	for u, err := range s.stacks[0].db.Monitor(r.Context(), route, k, rnknn.WithMethod(method), rnknn.WithCategory(category)) {
+	for u, err := range s.st.db.Monitor(r.Context(), route, k, rnknn.WithMethod(method), rnknn.WithCategory(category)) {
 		if err != nil {
 			if !streaming {
 				writeError(w, err)
@@ -142,7 +142,7 @@ func (s *Server) monitorRoute(r *http.Request) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := s.objs.Graph()
+	g := s.st.db.Graph()
 	if q < 0 || q >= g.NumVertices() {
 		return nil, fmt.Errorf("parameter \"q\": vertex %d out of range (network has %d vertices)", q, g.NumVertices())
 	}

@@ -56,17 +56,22 @@ func edgeWalkRoute(db *rnknn.DB, start int32, n int) []int32 {
 // every step, with a consistent closing summary.
 func TestMonitorEndpoint(t *testing.T) {
 	db := newTestDB(t)
-	s := New(db, Config{})
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(New(db, Config{}).Handler())
 	defer ts.Close()
+	monitorReplays(t, ts.URL, db, edgeWalkRoute(db, 17, 25), 4)
+}
 
-	const k = 4
-	route := edgeWalkRoute(db, 17, 25)
+// monitorReplays follows route on the server at url and requires the
+// streamed deltas to replay, at every step, to a valid kNN answer by
+// oracle's brute force, closed by a consistent summary with some steps
+// avoided.
+func monitorReplays(t *testing.T, url string, oracle *rnknn.DB, route []int32, k int) {
+	t.Helper()
 	parts := make([]string, len(route))
 	for i, v := range route {
 		parts[i] = fmt.Sprint(v)
 	}
-	resp, err := http.Get(fmt.Sprintf("%s/monitor?route=%s&k=%d", ts.URL, strings.Join(parts, ","), k))
+	resp, err := http.Get(fmt.Sprintf("%s/monitor?route=%s&k=%d", url, strings.Join(parts, ","), k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestMonitorEndpoint(t *testing.T) {
 		}
 		// The replayed membership must be a valid kNN answer at this step:
 		// annotate members with true distances and compare tie-tolerantly.
-		want, err := db.BruteForceKNN(step.Vertex, k)
+		want, err := oracle.BruteForceKNN(step.Vertex, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +123,8 @@ func TestMonitorEndpoint(t *testing.T) {
 		for m := range state {
 			members = append(members, m)
 		}
-		annotated := knn.BruteForce(db.Graph(), knn.NewObjectSet(db.Graph(), members), step.Vertex, len(members))
+		g := oracle.Graph()
+		annotated := knn.BruteForce(g, knn.NewObjectSet(g, members), step.Vertex, len(members))
 		if !knn.SameResults(annotated, want) {
 			t.Fatalf("step %d: replayed set %s invalid (want %s)",
 				i, knn.FormatResults(annotated), knn.FormatResults(want))

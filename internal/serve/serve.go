@@ -1,8 +1,8 @@
 // Package serve is the network serving layer over rnknn.DB: the HTTP/JSON
 // front end cmd/rnknnd mounts, turning the in-process query library into a
 // service that survives heavy traffic by shedding load in three layers,
-// cheapest first — one such stack per database, so one for a DB and one per
-// shard for a shard set, behind the same Server and the same handlers:
+// cheapest first — one such stack per Server, whether the database is an
+// ordinary DB or a shard set (which is a DB too; see rnknn.OpenSharded):
 //
 //	request ──► admission ──► result cache ──► coalescer ──► session pools
 //	             (429 when     (hit: no          (follower:    (db.KNNPinned)
@@ -17,7 +17,10 @@
 // with the old one, and the orphaned entries age out of the LRU. There are
 // no TTLs and no invalidation messages, and a cached answer can never be
 // stale: an entry stamped with epoch E is only ever served to a reader that
-// observed epoch E. The coalescer is a single-flight layer under the cache:
+// observed epoch E. The argument does not care how many partition cells the
+// category spans: an epoch is one counter versioning every cell, a search
+// answers from exactly the epoch it pinned, and the cache holds the merged
+// answer. The coalescer is a single-flight layer under the cache:
 // identical concurrent misses run one search and share its answer.
 //
 // Both /knn and /range ride the cache (kNN entries carry radius -1, range
@@ -43,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -57,10 +59,11 @@ type Config struct {
 	// /batch); excess requests are answered 429 immediately. <= 0 means the
 	// default 256.
 	MaxInFlight int
-	// CacheEntries bounds the result cache (total entries across shards).
+	// CacheEntries bounds the result cache (total entries across its shards).
 	// 0 means the default 4096; negative disables caching.
 	CacheEntries int
-	// CacheShards is the shard count (rounded up to a power of two).
+	// CacheShards is the cache's lock-shard count (rounded up to a power of
+	// two); nothing to do with a shard set's partition cells.
 	// <= 0 means the default 16.
 	CacheShards int
 }
@@ -75,10 +78,8 @@ const (
 // errSaturated reports a full admission semaphore; writeError maps it to 429.
 var errSaturated = errors.New("server saturated: max in-flight queries reached")
 
-// stack is the serving state in front of one rnknn.DB: its admission
+// stack is the serving state in front of the rnknn.DB: its admission
 // semaphore, its epoch-keyed result cache, its coalescer and its counters.
-// A Server over one DB has one stack; over a shard set, one per shard, each
-// keyed on that shard's exact epochs.
 type stack struct {
 	db       *rnknn.DB
 	adm      *admission
@@ -93,34 +94,12 @@ type stack struct {
 	batchShared    atomic.Uint64
 }
 
-// store is what the mutation and /stats handlers need of the database
-// behind the stacks; *rnknn.DB and *rnknn.ShardedDB both provide it (the
-// shard set routes each mutated vertex to its owning cell).
-type store interface {
-	Graph() *rnknn.Graph
-	InsertObjects(name string, vertices []int32) error
-	RemoveObjects(name string, vertices []int32) error
-	Epoch(name string) (uint64, error)
-	NumObjects(name string) (int, error)
-}
-
-// Server serves one rnknn.DB, or one rnknn.ShardedDB, over HTTP. Create
-// with New or NewSharded, mount Handler.
-//
-// Over a shard set every shard gets its own stack, and /knn and /range
-// answer from rnknn.ShardedDB's bound-pruned fan with the per-shard cached
-// query path plugged in: a shard consulted twice for the same (vertex, k,
-// epoch) answers the second time from its cache, and object churn on one
-// shard invalidates only that shard's entries. Admission is per shard too:
-// a request holds a slot on each shard while it queries it, so a hot shard
-// sheds load (429) without idling the others. /monitor and /batch answer
-// 501 there — both are per-session/per-plan machinery a later change can
-// lift over the fan.
+// Server serves one rnknn.DB over HTTP. Create with New, mount Handler. A
+// shard set is served like any other DB: its queries fan over the cells
+// inside the library, under the one admission slot, cache entry and
+// coalescer claim of the request.
 type Server struct {
-	stacks []*stack
-	objs   store
-	// sdb is the shard set the stacks belong to; nil over a single DB.
-	sdb *rnknn.ShardedDB
+	st  *stack
 	mux *http.ServeMux
 	// batchMode is the shared-expansion mode /batch executes with: always
 	// rnknn.SharedAuto (the planner's fitted cost model decides per group),
@@ -134,86 +113,60 @@ type Server struct {
 
 // New builds a Server over db with the given sizing.
 func New(db *rnknn.DB, cfg Config) *Server {
-	return newServer(db, nil, []*rnknn.DB{db}, cfg)
-}
-
-// NewSharded builds a Server over the shard set sdb. cfg sizes each
-// shard's stack individually (MaxInFlight and CacheEntries are per shard).
-func NewSharded(sdb *rnknn.ShardedDB, cfg Config) *Server {
-	dbs := make([]*rnknn.DB, sdb.NumShards())
-	for i := range dbs {
-		dbs[i] = sdb.Shard(i)
-	}
-	return newServer(sdb, sdb, dbs, cfg)
-}
-
-func newServer(objs store, sdb *rnknn.ShardedDB, dbs []*rnknn.DB, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = defaultMaxInFlight
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = defaultCacheEntries
 	}
-	s := &Server{objs: objs, sdb: sdb, mux: http.NewServeMux()}
-	for _, db := range dbs {
-		s.stacks = append(s.stacks, &stack{
-			db:    db,
-			adm:   newAdmission(cfg.MaxInFlight),
-			cache: newResultCache(cfg.CacheEntries, cfg.CacheShards),
-			co:    newCoalescer(),
-		})
-	}
-	// Over one DB a query request holds the stack's slot from parse to
-	// response; over a shard set each fanned shard query takes its own
-	// shard's slot (see answer), and the session- and plan-scoped endpoints
-	// are not served.
-	front, monitor, batch := s.admitted, s.admitted(s.handleMonitor), s.admitted(s.handleBatch)
-	if sdb != nil {
-		front = func(h http.HandlerFunc) http.HandlerFunc { return h }
-		monitor, batch = handleUnsupported, handleUnsupported
-	}
+	s := &Server{mux: http.NewServeMux(), st: &stack{
+		db:    db,
+		adm:   newAdmission(cfg.MaxInFlight),
+		cache: newResultCache(cfg.CacheEntries, cfg.CacheShards),
+		co:    newCoalescer(),
+	}}
 	s.mux.HandleFunc("GET /healthz", handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /knn", front(s.handleKNN))
-	s.mux.HandleFunc("GET /range", front(s.handleRange))
-	s.mux.HandleFunc("GET /monitor", monitor)
-	s.mux.HandleFunc("POST /batch", batch)
-	s.mux.HandleFunc("POST /objects/insert", s.handleObjects(objs.InsertObjects))
-	s.mux.HandleFunc("POST /objects/remove", s.handleObjects(objs.RemoveObjects))
+	s.mux.HandleFunc("GET /knn", s.admitted(s.handleKNN))
+	s.mux.HandleFunc("GET /range", s.admitted(s.handleRange))
+	s.mux.HandleFunc("GET /monitor", s.admitted(s.handleMonitor))
+	s.mux.HandleFunc("POST /batch", s.admitted(s.handleBatch))
+	s.mux.HandleFunc("POST /objects/insert", s.handleObjects(db.InsertObjects))
+	s.mux.HandleFunc("POST /objects/remove", s.handleObjects(db.RemoveObjects))
 	return s
 }
+
+// NewSharded is New: a shard set is a DB.
+func NewSharded(sdb *rnknn.ShardedDB, cfg Config) *Server { return New(sdb, cfg) }
 
 // Handler returns the HTTP handler serving every endpoint.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats snapshots the serving layer's counters (the GET /stats "server"
-// section), summed over the shard stacks when there are several.
-func (s *Server) Stats() ServerStats { return sumStats(s.stacks) }
-
-func sumStats(stacks []*stack) ServerStats {
-	var t ServerStats
-	for _, st := range stacks {
-		t.InFlight += st.adm.inFlight()
-		t.MaxInFlight += st.adm.max()
-		t.Requests += st.requests.Load()
-		t.Shed += st.adm.shed.Load()
-		t.CacheHits += st.cache.hits.Load()
-		t.CacheMisses += st.cache.misses.Load()
-		t.CacheEvictions += st.cache.evictions.Load()
-		t.CacheEntries += st.cache.len()
-		t.Coalesced += st.co.coalesced.Load()
-		t.Batches += st.batches.Load()
-		t.BatchQueries += st.batchQueries.Load()
-		t.BatchCacheHits += st.batchCacheHits.Load()
-		t.BatchShared += st.batchShared.Load()
+// section).
+func (s *Server) Stats() ServerStats {
+	st := s.st
+	return ServerStats{
+		InFlight:       st.adm.inFlight(),
+		MaxInFlight:    st.adm.max(),
+		Requests:       st.requests.Load(),
+		Shed:           st.adm.shed.Load(),
+		CacheHits:      st.cache.hits.Load(),
+		CacheMisses:    st.cache.misses.Load(),
+		CacheEvictions: st.cache.evictions.Load(),
+		CacheEntries:   st.cache.len(),
+		Coalesced:      st.co.coalesced.Load(),
+		Batches:        st.batches.Load(),
+		BatchQueries:   st.batchQueries.Load(),
+		BatchCacheHits: st.batchCacheHits.Load(),
+		BatchShared:    st.batchShared.Load(),
 	}
-	return t
 }
 
-// admitted wraps a single-stack query handler in the admission semaphore:
-// acquire or answer 429 now, never queue.
+// admitted wraps a query handler in the admission semaphore: acquire or
+// answer 429 now, never queue.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
-	st := s.stacks[0]
+	st := s.st
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !st.adm.tryAcquire() {
 			writeError(w, errSaturated)
@@ -229,23 +182,22 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func handleUnsupported(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusNotImplemented, ErrorResponse{
-		Error: "not supported on a sharded front; connect to a single-DB server",
-	})
-}
-
+// handleStats reports the serving counters, the graph's shape and the
+// library's Stats; over a shard set also, per partition cell, how many
+// queries opened it and the default-category objects it owns.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	g := s.objs.Graph()
-	graph := GraphJSON{NumVertices: g.NumVertices(), NumEdges: g.NumEdges() / 2, Weights: g.Kind.String()}
-	if s.sdb == nil {
-		writeJSON(w, http.StatusOK, StatsResponse{Server: s.Stats(), Graph: graph, DB: s.stacks[0].db.Stats()})
-		return
+	g := s.st.db.Graph()
+	out := StatsResponse{
+		Server: s.Stats(),
+		Graph:  GraphJSON{NumVertices: g.NumVertices(), NumEdges: g.NumEdges() / 2, Weights: g.Kind.String()},
+		DB:     s.st.db.Stats(),
 	}
-	out := ShardedStatsResponse{Graph: graph, NumShards: len(s.stacks)}
-	for i, st := range s.stacks {
-		n, _ := st.db.NumObjects(rnknn.DefaultCategory)
-		out.Shards = append(out.Shards, ShardStatsJSON{Server: sumStats(s.stacks[i : i+1]), NumObjects: n})
+	out.NumShards = len(out.DB.Shards)
+	for _, sh := range out.DB.Shards {
+		out.Shards = append(out.Shards, ShardStatsJSON{
+			Server:     ServerStats{Requests: sh.Opened},
+			NumObjects: sh.Categories[rnknn.DefaultCategory],
+		})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -299,42 +251,6 @@ func (st *stack) query(ctx context.Context, cq cachedQuery, gate func()) ([]rnkn
 	})
 }
 
-// answer serves cq from the one stack, or from the shard set's fan with
-// every consulted shard answering from its own stack: that shard's
-// admission slot (or shed), then its cache and coalescer. A fanned answer
-// counts as cached only when no consulted shard ran a search, and its
-// epoch is the composite identifying the cross-shard object-set version
-// (informational — see rnknn.ShardedDB.Epoch).
-func (s *Server) answer(ctx context.Context, cq cachedQuery) ([]rnknn.Result, uint64, bool, error) {
-	if s.sdb == nil {
-		return s.stacks[0].query(ctx, cq, s.gate)
-	}
-	searched := make([]bool, len(s.stacks))
-	ask := func(shard int) ([]rnknn.Result, error) {
-		st := s.stacks[shard]
-		if !st.adm.tryAcquire() {
-			return nil, errSaturated
-		}
-		defer st.adm.release()
-		st.requests.Add(1)
-		res, _, hit, err := st.query(ctx, cq, s.gate)
-		searched[shard] = !hit // one writer per shard slot; read after the fan joins
-		return res, err
-	}
-	var res []rnknn.Result
-	var err error
-	if cq.isRange {
-		res, err = s.sdb.FanRange(ctx, cq.vertex, rnknn.Dist(cq.radius), ask)
-	} else {
-		res, err = s.sdb.FanKNN(ctx, cq.vertex, cq.k, ask)
-	}
-	if err != nil {
-		return nil, 0, false, err
-	}
-	epoch, _ := s.sdb.Epoch(cq.category)
-	return res, epoch, !slices.Contains(searched, true), nil
-}
-
 // handleKNN is the cached read path: epoch-keyed lookup, then single-flight
 // execution on miss. The answer's epoch stamp always names the exact object
 // set it was computed from.
@@ -356,7 +272,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cq := cachedQuery{vertex: int32(qv), k: k, radius: -1, method: method, category: categoryParam(r)}
-	res, epoch, cached, err := s.answer(r.Context(), cq)
+	res, epoch, cached, err := s.st.query(r.Context(), cq, s.gate)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -390,7 +306,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cq := cachedQuery{isRange: true, vertex: int32(qv), radius: int64(radius), category: categoryParam(r)}
-	res, epoch, cached, err := s.answer(r.Context(), cq)
+	res, epoch, cached, err := s.st.query(r.Context(), cq, s.gate)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -422,7 +338,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 //     search pinned.
 //  4. Followers collect their leaders' answers.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	st := s.stacks[0]
+	st := s.st
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad batch body: " + err.Error()})
@@ -607,10 +523,9 @@ func batchResultJSON(br rnknn.BatchResult, cached bool) BatchResultJSON {
 	return out
 }
 
-// handleObjects wraps one mutation (InsertObjects or RemoveObjects; over a
-// shard set the ShardedDB splits the vertices by owning cell). The mutation
-// path deliberately skips admission and the cache — see the package comment:
-// the epochs advance, retiring exactly the affected stacks' cache entries.
+// handleObjects wraps one mutation (InsertObjects or RemoveObjects). The
+// mutation path deliberately skips admission and the cache — see the package
+// comment: the epoch advances, retiring exactly the category's cache entries.
 func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req ObjectsRequest
@@ -625,12 +540,12 @@ func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerF
 			writeError(w, err)
 			return
 		}
-		epoch, err := s.objs.Epoch(req.Category)
+		epoch, err := s.st.db.Epoch(req.Category)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		n, _ := s.objs.NumObjects(req.Category)
+		n, _ := s.st.db.NumObjects(req.Category)
 		writeJSON(w, http.StatusOK, ObjectsResponse{Category: req.Category, Epoch: epoch, NumObjects: n})
 	}
 }
@@ -681,9 +596,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError maps errors onto HTTP statuses: unknown categories are 404,
 // context expiry is 503 (the query was cut short, not invalid), a full
-// admission semaphore — the request's own, or that of any shard it fanned
-// to — is 429 with a Retry-After, and everything else — the typed
-// validation errors — is 400.
+// admission semaphore is 429 with a Retry-After, and everything else — the
+// typed validation errors — is 400.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {

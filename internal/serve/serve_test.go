@@ -308,7 +308,7 @@ func TestCoalescing(t *testing.T) {
 	}
 	// The leader is parked on the gate; wait until the other n-1 requests
 	// are all registered as followers, so nothing can slip past coalescing.
-	waitFor(t, func() bool { return s.stacks[0].co.coalesced.Load() == n-1 })
+	waitFor(t, func() bool { return s.st.co.coalesced.Load() == n-1 })
 	close(release)
 	wg.Wait()
 
@@ -363,7 +363,7 @@ func TestAdmissionSheds(t *testing.T) {
 			}
 		}(q)
 	}
-	waitFor(t, func() bool { return s.stacks[0].adm.inFlight() == 2 })
+	waitFor(t, func() bool { return s.st.adm.inFlight() == 2 })
 
 	// Every further request — including for already-cached-nothing and even
 	// /range and /batch — is shed fast.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,8 +13,8 @@ import (
 	"rnknn/pkg/rnknn"
 )
 
-// newShardedPair builds a monolithic DB (the oracle) and a sharded DB over
-// the same network and objects, served by a sharded front.
+// newShardedPair builds a monolithic DB (the oracle) and a shard set over
+// the same network and objects, the latter behind a server.
 func newShardedPair(t *testing.T, shards int) (*rnknn.DB, *rnknn.ShardedDB, *httptest.Server) {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "shsrv", Rows: 11, Cols: 13, Seed: 5})
@@ -41,9 +42,9 @@ func newShardedPair(t *testing.T, shards int) (*rnknn.DB, *rnknn.ShardedDB, *htt
 	return db, sdb, ts
 }
 
-// TestShardedFrontKNNMatchesMonolithic: answers over HTTP through the
-// sharded front equal the monolithic library answers, and a repeated
-// query reports cached=true once every consulted shard has the entry.
+// TestShardedFrontKNNMatchesMonolithic: answers over HTTP from a shard set
+// equal the monolithic library answers, and a repeated query is served the
+// merged answer from the cache.
 func TestShardedFrontKNNMatchesMonolithic(t *testing.T) {
 	db, _, ts := newShardedPair(t, 3)
 	ctx := context.Background()
@@ -60,9 +61,6 @@ func TestShardedFrontKNNMatchesMonolithic(t *testing.T) {
 		if !rnknn.SameResults(toRnknnResults(resp.Results), want) {
 			t.Fatalf("q=%d: got %v want %v", q, resp.Results, want)
 		}
-		// Second identical request: every shard the fan touches now hits
-		// its cache (the same shards are consulted — bounds are
-		// deterministic), so the front reports cached.
 		var again KNNResponse
 		getJSON(t, fmt.Sprintf("%s/knn?q=%d&k=5", ts.URL, q), &again)
 		if !again.Cached {
@@ -95,65 +93,99 @@ func TestShardedFrontRange(t *testing.T) {
 	}
 }
 
-// TestShardedFrontObjectsInvalidatePerShard: a mutation routed through the
-// front advances only the owning shard's epoch, and subsequent queries see
-// the new object set.
+// TestShardedFrontObjects: a mutation through the server lands on the owning
+// cell, moves the category's one epoch counter by exactly one, and a cached
+// answer is served only under the epoch it was computed at — the entry from
+// before the insert is unreachable after it.
 func TestShardedFrontObjects(t *testing.T) {
 	db, sdb, ts := newShardedPair(t, 3)
-	// Insert a new object right next to a query vertex; the front's answer
-	// must change accordingly and match the mirrored monolithic mutation.
 	target := int32(db.Graph().NumVertices() / 2)
-	body := fmt.Sprintf(`{"vertices":[%d]}`, target)
-	resp, err := http.Post(ts.URL+"/objects/insert", "application/json", strings.NewReader(body))
+	url := fmt.Sprintf("%s/knn?q=%d&k=1", ts.URL, target)
+	var before, hit KNNResponse
+	getJSON(t, url, &before)
+	getJSON(t, url, &hit)
+	if before.Cached || !hit.Cached || hit.Epoch != before.Epoch {
+		t.Fatalf("before the insert: first %+v, repeat %+v", before, hit)
+	}
+
+	// Insert a new object right at the query vertex; the answer must change
+	// accordingly and match the mirrored monolithic mutation.
+	var or ObjectsResponse
+	resp, err := http.Post(ts.URL+"/objects/insert", "application/json", strings.NewReader(fmt.Sprintf(`{"vertices":[%d]}`, target)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	err = json.NewDecoder(resp.Body).Decode(&or)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("insert status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("insert status %d (%v)", resp.StatusCode, err)
+	}
+	if or.Epoch != before.Epoch+1 {
+		t.Fatalf("insert moved epoch %d to %d, want +1", before.Epoch, or.Epoch)
 	}
 	if err := db.InsertObjects(rnknn.DefaultCategory, []int32{target}); err != nil {
 		t.Fatal(err)
 	}
 	n, _ := db.NumObjects(rnknn.DefaultCategory)
 	sn, err := sdb.NumObjects(rnknn.DefaultCategory)
-	if err != nil || sn != n {
-		t.Fatalf("NumObjects %d vs %d (%v)", sn, n, err)
+	if err != nil || sn != n || or.NumObjects != n {
+		t.Fatalf("NumObjects %d / %d vs %d (%v)", sn, or.NumObjects, n, err)
 	}
 	want, err := db.KNN(context.Background(), target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kr KNNResponse
-	if code := getJSON(t, fmt.Sprintf("%s/knn?q=%d&k=1", ts.URL, target), &kr); code != http.StatusOK {
+	var after KNNResponse
+	if code := getJSON(t, url, &after); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if !rnknn.SameResults(toRnknnResults(kr.Results), want) {
-		t.Fatalf("after insert: got %v want %v", kr.Results, want)
+	if after.Cached || after.Epoch != or.Epoch {
+		t.Fatalf("after the insert: %+v, want a fresh search at epoch %d", after, or.Epoch)
+	}
+	if !rnknn.SameResults(toRnknnResults(after.Results), want) {
+		t.Fatalf("after insert: got %v want %v", after.Results, want)
 	}
 	if want[0].Vertex != target || want[0].Dist != 0 {
 		t.Fatalf("inserted object not nearest: %v", want)
 	}
-}
-
-// TestShardedFrontUnsupported: session- and plan-scoped endpoints answer
-// 501 on the sharded front.
-func TestShardedFrontUnsupported(t *testing.T) {
-	_, _, ts := newShardedPair(t, 2)
-	if code := getJSON(t, ts.URL+"/monitor?q=1&k=3&steps=2", nil); code != http.StatusNotImplemented {
-		t.Fatalf("/monitor status %d", code)
-	}
-	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"queries":[{"query":1,"k":3}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("/batch status %d", resp.StatusCode)
+	getJSON(t, url, &hit)
+	if !hit.Cached || hit.Epoch != or.Epoch || !rnknn.SameResults(toRnknnResults(hit.Results), want) {
+		t.Fatalf("repeat after the insert: %+v", hit)
 	}
 }
 
-// TestShardedFrontStats: the stats endpoint reports every shard.
+// TestShardedFrontBatchAndMonitor: the plan- and session-scoped endpoints
+// over a 3-cell set answer what the monolithic server answers.
+func TestShardedFrontBatchAndMonitor(t *testing.T) {
+	db, _, ts := newShardedPair(t, 3)
+	mono := httptest.NewServer(New(db, Config{}).Handler())
+	defer mono.Close()
+
+	radius := int64(4000)
+	var queries []BatchQuery
+	n := int32(db.Graph().NumVertices())
+	for q := int32(0); q < n; q += n/7 + 1 {
+		queries = append(queries,
+			BatchQuery{Query: q, K: 5},
+			BatchQuery{Query: q + 1, K: 5, Method: "INE"}, // same-leaf company: a shared group on the monolith
+			BatchQuery{Query: q, K: 3, Method: "Gtree"},
+			BatchQuery{Query: q, Radius: &radius})
+	}
+	queries = append(queries, BatchQuery{Query: 1, K: 2, Category: "nope"})
+	got, want := postBatch(t, ts.URL, queries), postBatch(t, mono.URL, queries)
+	for i := range queries {
+		g, w := got.Results[i], want.Results[i]
+		if g.Error != w.Error || g.Epoch != w.Epoch || !rnknn.SameResults(toRnknnResults(g.Results), toRnknnResults(w.Results)) {
+			t.Errorf("member %d (%+v): got %+v, monolithic %+v", i, queries[i], g, w)
+		}
+	}
+
+	monitorReplays(t, ts.URL, db, edgeWalkRoute(db, 17, 25), 4)
+}
+
+// TestShardedFrontStats: a shard set's /stats is the ordinary response —
+// server, graph and db sections — plus the per-cell breakdown, under either
+// name of the type.
 func TestShardedFrontStats(t *testing.T) {
 	_, _, ts := newShardedPair(t, 3)
 	getJSON(t, ts.URL+"/knn?q=5&k=3", nil)
@@ -164,35 +196,19 @@ func TestShardedFrontStats(t *testing.T) {
 	if st.NumShards != 3 || len(st.Shards) != 3 {
 		t.Fatalf("stats shards: %d / %d", st.NumShards, len(st.Shards))
 	}
-	totalReq := uint64(0)
+	if st.Server.Requests != 1 || st.Server.CacheMisses != 1 || st.Graph.NumVertices == 0 || len(st.DB.Methods) == 0 {
+		t.Fatalf("sharded /stats lacks the single-DB sections: %+v", st)
+	}
+	opened := uint64(0)
 	totalObj := 0
 	for _, sh := range st.Shards {
-		totalReq += sh.Server.Requests
+		opened += sh.Server.Requests
 		totalObj += sh.NumObjects
 	}
-	if totalReq == 0 {
-		t.Fatal("no shard recorded the fanned request")
+	if opened == 0 || opened > 3 {
+		t.Fatalf("one query opened %d of 3 cells", opened)
 	}
-	if totalObj == 0 {
-		t.Fatal("no objects across shards")
-	}
-}
-
-// TestShardedFrontSaturation: a shard with a full admission semaphore
-// sheds the fanned request with 429.
-func TestShardedFrontSaturation(t *testing.T) {
-	_, sdb, _ := newShardedPair(t, 2)
-	fs := NewSharded(sdb, Config{MaxInFlight: 1})
-	ts := httptest.NewServer(fs.Handler())
-	defer ts.Close()
-	// Hold the only slot on every shard, then query.
-	for i := 0; i < sdb.NumShards(); i++ {
-		if !fs.stacks[i].adm.tryAcquire() {
-			t.Fatal("slot unavailable")
-		}
-		defer fs.stacks[i].adm.release()
-	}
-	if code := getJSON(t, ts.URL+"/knn?q=5&k=3", nil); code != http.StatusTooManyRequests {
-		t.Fatalf("saturated status %d", code)
+	if totalObj != st.DB.Categories[rnknn.DefaultCategory] {
+		t.Fatalf("cells own %d objects, category holds %d", totalObj, st.DB.Categories[rnknn.DefaultCategory])
 	}
 }

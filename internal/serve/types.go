@@ -172,23 +172,24 @@ type ErrorResponse struct {
 
 // StatsResponse answers GET /stats: the serving layer's own counters, the
 // served graph's shape (what a load generator needs to size its workload),
-// and the library's Stats snapshot.
+// and the library's Stats snapshot; over a shard set also the per-cell
+// breakdown.
 type StatsResponse struct {
 	Server ServerStats `json:"server"`
 	Graph  GraphJSON   `json:"graph"`
 	DB     rnknn.Stats `json:"db"`
+	// NumShards and Shards are present when the DB is a shard set.
+	NumShards int              `json:"num_shards,omitempty"`
+	Shards    []ShardStatsJSON `json:"shards,omitempty"`
 }
 
-// ShardedStatsResponse answers GET /stats on a sharded front: the shared
-// graph plus every shard's serving-layer counters.
-type ShardedStatsResponse struct {
-	Graph     GraphJSON        `json:"graph"`
-	NumShards int              `json:"num_shards"`
-	Shards    []ShardStatsJSON `json:"shards"`
-}
+// ShardedStatsResponse is StatsResponse, named for readers of a shard set's
+// /stats.
+type ShardedStatsResponse = StatsResponse
 
-// ShardStatsJSON is one shard's contribution to the sharded /stats view:
-// its serving counters and the objects its cell owns (default category).
+// ShardStatsJSON is one partition cell in a shard set's /stats. The cell has
+// no serving stack of its own: of Server only Requests is set — the queries
+// whose fan opened the cell — beside the objects it owns (default category).
 type ShardStatsJSON struct {
 	Server     ServerStats `json:"server"`
 	NumObjects int         `json:"num_objects"`

@@ -176,10 +176,10 @@ func (b *Batch) Explain() BatchPlan {
 	return p
 }
 
-// opPlan is one batch query as prepare left it: the pinned binding and the
+// opPlan is one batch query as prepare left it: the pinned epoch and the
 // concrete method, or the error the query will report.
 type opPlan struct {
-	b   *core.Binding
+	ep  *epoch
 	m   Method
 	err error
 }
@@ -191,7 +191,7 @@ type planUnit struct {
 	m         Method
 	cat       string
 	leaf      int32
-	bind      *core.Binding
+	ep        *epoch
 	maxK      int
 	sharedRun bool
 	// choice is the planner's share-vs-fanout decision (its zero value, a
@@ -211,8 +211,10 @@ type groupKey struct {
 // buckets group-eligible kNN queries by (category, resolved method,
 // partition leaf), caps each bucket at the shared frontier's width, and
 // decides shared-vs-fanout per group. Queries that are not group-eligible —
-// range queries, methods without a shared path, validation failures — come
-// back in singles.
+// range queries, methods without a shared path, validation failures, and
+// queries on a category partitioned over several cells (a shared expansion
+// runs over one binding; those members run as fanned singles) — come back in
+// singles.
 func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]opPlan, []planUnit, []int) {
 	plans := make([]opPlan, len(ops))
 	var units []planUnit
@@ -220,8 +222,8 @@ func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]op
 	byKey := map[groupKey]int{} // key -> index of its open unit
 	for i := range ops {
 		op, p := &ops[i], &plans[i]
-		p.b, p.m, p.err = db.prepare(ctx, op)
-		if p.err != nil || op.isRange || mode == SharedOff || (p.m != INE && p.m != Gtree) {
+		p.ep, p.m, p.err = db.prepare(ctx, op)
+		if p.err != nil || op.isRange || mode == SharedOff || (p.m != INE && p.m != Gtree) || len(p.ep.parts) > 1 {
 			singles = append(singles, i)
 			continue
 		}
@@ -235,7 +237,7 @@ func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]op
 		if !open {
 			ui = len(units)
 			byKey[key] = ui
-			units = append(units, planUnit{m: p.m, cat: key.cat, leaf: key.leaf, bind: p.b})
+			units = append(units, planUnit{m: p.m, cat: key.cat, leaf: key.leaf, ep: p.ep})
 		}
 		u := &units[ui]
 		u.ops = append(u.ops, i)
@@ -249,7 +251,7 @@ func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]op
 		case mode == SharedOn:
 			u.sharedRun = true
 		default:
-			u.choice = db.plan.ChooseBatch(u.m.kind(), db.features(u.maxK, u.bind), len(u.ops))
+			u.choice = db.plan.ChooseBatch(u.m.kind(), db.features(u.maxK, u.ep), len(u.ops))
 			u.sharedRun = u.choice.Shared
 		}
 		if !u.sharedRun {
@@ -351,7 +353,7 @@ func (db *DB) runBatchGroup(ctx context.Context, ops []query, u *planUnit, out [
 		fail(err)
 		return
 	}
-	ps, err := db.workerSession(sess, u.m, u.bind)
+	ps, err := db.workerSession(sess, u.m, u.ep.parts[0])
 	if err != nil {
 		fail(err)
 		return
@@ -374,7 +376,7 @@ func (db *DB) runBatchGroup(ctx context.Context, ops []query, u *planUnit, out [
 	}
 	per := elapsed / time.Duration(len(u.ops))
 	for j, i := range u.ops {
-		out[i] = BatchResult{Query: ops[i].v, Method: u.m, Results: dst[j], Latency: per, Shared: true, Epoch: u.bind.Epoch}
+		out[i] = BatchResult{Query: ops[i].v, Method: u.m, Results: dst[j], Latency: per, Shared: true, Epoch: u.ep.n}
 		db.stats.recordKNN(u.m, per)
 	}
 }
@@ -407,13 +409,13 @@ func (db *DB) runBatchOp(ctx context.Context, op *query, p *opPlan, sess *[numMe
 	if res.Err != nil {
 		return res
 	}
-	ps, err := db.workerSession(sess, p.m, p.b)
+	ps, err := db.workerSession(sess, p.m, p.ep.parts[0])
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	if res.Results, res.Latency, res.Err = db.runOwned(ctx, ps, op, p.b, p.m); res.Err == nil {
-		res.Epoch = p.b.Epoch
+	if res.Results, res.Latency, res.Err = db.runOwned(ctx, ps, op, p.ep, p.m); res.Err == nil {
+		res.Epoch = p.ep.n
 	}
 	return res
 }

@@ -15,17 +15,19 @@ import (
 // the same typed error in the same precedence, brute force's answer at the
 // pinned epoch, one Stats entry and one planner observation per completed
 // query and none for a cancelled one, and a balanced session pool whatever
-// cut the query short.
+// cut the query short. Every row runs twice: on an ordinary DB, and (as
+// "ShardedDB.<row>") on the same network and objects opened as a two-cell
+// shard set — the same methods of the same type, over a partitioned epoch.
 
 const confCat = "poi"
 
 // confEnv is one fresh database per adapter (so its counters and planner
-// cells start at zero), plus the same network and objects over two shards
-// for the ShardedDB adapters.
+// cells start at zero): db is the one under test — a two-cell shard set when
+// sharded — and ref the ordinary DB over the same network and objects whose
+// brute force is the reference (db itself when not sharded).
 type confEnv struct {
-	t   *testing.T
-	db  *DB
-	sdb *ShardedDB
+	t       *testing.T
+	db, ref *DB
 }
 
 func newConfEnv(t *testing.T, sharded bool) *confEnv {
@@ -36,20 +38,17 @@ func newConfEnv(t *testing.T, sharded bool) *confEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &confEnv{t: t, db: db}
+	e := &confEnv{t: t, db: db, ref: db}
 	if sharded {
 		dir := t.TempDir()
 		if err := db.SaveShardSet(dir, 2); err != nil {
 			t.Fatal(err)
 		}
-		if e.sdb, err = OpenSharded(dir); err != nil {
+		if e.db, err = OpenSharded(dir, WithObjects(confCat, objs)); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { e.sdb.Close() })
-		if err := e.sdb.RegisterObjects(confCat, objs); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.sdb.RemoveObjects(confCat, objs[:1]); err != nil {
+		t.Cleanup(func() { e.db.Close() })
+		if err := e.db.RemoveObjects(confCat, objs[:1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,21 +59,11 @@ func newConfEnv(t *testing.T, sharded bool) *confEnv {
 	return e
 }
 
-// dbs lists the databases whose pools and counters the adapter touches.
-func (e *confEnv) dbs() []*DB {
-	if e.sdb != nil {
-		return e.sdb.shards
-	}
-	return []*DB{e.db}
-}
-
 // poolsBalanced reports whether every session checked out was returned.
 func (e *confEnv) poolsBalanced() bool {
-	for _, db := range e.dbs() {
-		for _, p := range db.pools {
-			if p != nil && p.gets.Load() != p.puts.Load() {
-				return false
-			}
+	for _, p := range e.db.pools {
+		if p != nil && p.gets.Load() != p.puts.Load() {
+			return false
 		}
 	}
 	return true
@@ -91,7 +80,9 @@ type confAnswer struct {
 type confAdapter struct {
 	name    string
 	isRange bool
-	sharded bool
+	// oneCell: the row is about a single-binding code path (a shared
+	// expansion group) and does not run on the shard set.
+	oneCell bool
 	// noCtx: the entry point takes no context (the brute-force references).
 	noCtx bool
 	// records is how many Stats entries one completed call lands; observes
@@ -185,7 +176,7 @@ var confAdapters = []confAdapter{
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return member(e, e.db.Batch().SharedExpansion(SharedOff).AddKNN(q, k, opts...), ctx, false)
 		}},
-	{name: "Batch shared member", records: 2, planK: sameK,
+	{name: "Batch shared member", oneCell: true, records: 2, planK: sameK,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return member(e, e.db.Batch().SharedExpansion(SharedOn).AddKNN(q, k, opts...).AddKNN(q, k, opts...), ctx, true)
 		}},
@@ -215,19 +206,6 @@ var confAdapters = []confAdapter{
 		ask: func(e *confEnv, _ context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return results(e.db.BruteForceKNN(q, k, opts...))
 		}},
-	{name: "ShardedDB.KNN", sharded: true, records: 1, observes: true, planK: sameK,
-		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
-			return results(e.sdb.KNN(ctx, q, k, opts...))
-		}},
-	{name: "ShardedDB.KNNSeq", sharded: true, records: 1, observes: true, planK: sameK,
-		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
-			return collect(e.sdb.KNNSeq(ctx, q, k, opts...))
-		},
-		first: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) {
-			for range e.sdb.KNNSeq(ctx, q, k, opts...) {
-				break
-			}
-		}},
 
 	{name: "Range", isRange: true, records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
@@ -248,10 +226,6 @@ var confAdapters = []confAdapter{
 	{name: "BruteForceRange", isRange: true, noCtx: true,
 		ask: func(e *confEnv, _ context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
 			return results(e.db.BruteForceRange(q, Dist(radius), opts...))
-		}},
-	{name: "ShardedDB.Range", isRange: true, sharded: true, records: 1,
-		ask: func(e *confEnv, ctx context.Context, q int32, radius int, opts ...QueryOption) (confAnswer, error) {
-			return results(e.sdb.Range(ctx, q, Dist(radius), opts...))
 		}},
 }
 
@@ -324,193 +298,194 @@ func (c *cancelAt) Err() error {
 }
 
 func TestEntryPointConformance(t *testing.T) {
+	for _, a := range confAdapters {
+		conformance(t, a, false)
+		if !a.oneCell {
+			conformance(t, a, true)
+		}
+	}
+}
+
+func conformance(t *testing.T, a confAdapter, sharded bool) {
 	const (
 		k      = 4
 		radius = 3000
 		q      = int32(57)
 	)
-	for _, a := range confAdapters {
-		arg := k
+	name := a.name
+	if sharded {
+		name = "ShardedDB." + a.name
+	}
+	arg := k
+	if a.isRange {
+		arg = radius
+	}
+	reference := func(e *confEnv, q int32) []Result {
+		var want []Result
+		var err error
 		if a.isRange {
-			arg = radius
+			want, err = e.ref.BruteForceRange(q, radius, WithCategory(confCat))
+		} else {
+			want, err = e.ref.BruteForceKNN(q, k, WithCategory(confCat))
 		}
-		reference := func(e *confEnv, q int32) []Result {
-			var want []Result
-			var err error
-			if a.isRange {
-				want, err = e.db.BruteForceRange(q, radius, WithCategory(confCat))
-			} else {
-				want, err = e.db.BruteForceKNN(q, k, WithCategory(confCat))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return want
+		if err != nil {
+			t.Fatal(err)
 		}
-		liveEpoch := func(e *confEnv) uint64 {
-			epoch, err := e.db.Epoch(confCat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return epoch
+		return want
+	}
+	liveEpoch := func(e *confEnv) uint64 {
+		epoch, err := e.db.Epoch(confCat)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return epoch
+	}
 
-		t.Run(a.name+"/errors", func(t *testing.T) {
-			e := newConfEnv(t, a.sharded)
-			faults := confFaults(e.db.Graph().NumVertices())
-			for _, f := range faults {
-				if a.isRange && f.appliesOnlyToKNN || a.noCtx && f.skipWithoutContext {
-					continue
-				}
-				in := confInput{q: q, arg: arg, opts: []QueryOption{WithCategory(confCat)}}
-				f.apply(&in, a.isRange)
-				for _, later := range faults {
-					if later.level > f.level && later.representsItsLevel {
-						later.apply(&in, a.isRange)
-					}
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				if in.cancelled {
-					cancel()
-				}
-				ans, err := a.ask(e, ctx, in.q, in.arg, in.opts...)
-				cancel()
-				want := f.wantKNN
-				if a.isRange {
-					want = f.wantRange
-				}
-				if !errors.Is(err, want) || ans.res != nil {
-					t.Errorf("%s (and every later fault): got %v with %d results, want %v and none", f.name, err, len(ans.res), want)
-				}
-			}
-			for _, db := range e.dbs() {
-				for name, ms := range db.Stats().Methods {
-					if ms.KNNQueries+ms.RangeQueries != 0 {
-						t.Errorf("rejected queries were recorded under %s: %+v", name, ms)
-					}
-				}
-			}
-			if !e.poolsBalanced() {
-				t.Error("a rejected query kept a session")
-			}
-		})
-
-		t.Run(a.name+"/answers", func(t *testing.T) {
-			e := newConfEnv(t, a.sharded)
-			methods := []Method{MethodAuto, INE, Gtree, ROAD}
-			if a.isRange {
-				methods = []Method{MethodAuto, INE}
-			}
-			n := int32(e.db.Graph().NumVertices())
-			for v := int32(0); v < n; v += n/9 + 1 {
-				want := reference(e, v)
-				for i := -1; i < len(methods); i++ {
-					opts := []QueryOption{WithCategory(confCat)}
-					if i >= 0 {
-						opts = append(opts, WithMethod(methods[i]))
-					}
-					ans, err := a.ask(e, context.Background(), v, arg, opts...)
-					if err != nil {
-						t.Fatalf("q=%d opts %d: %v", v, i, err)
-					}
-					if !SameResults(ans.res, want) {
-						t.Errorf("q=%d opts %d: got %s, brute force %s", v, i, FormatResults(ans.res), FormatResults(want))
-					}
-					if ans.hasEpoch && ans.epoch != liveEpoch(e) {
-						t.Errorf("q=%d opts %d: answer stamped epoch %d, live epoch %d", v, i, ans.epoch, liveEpoch(e))
-					}
-				}
-			}
-			if !e.poolsBalanced() {
-				t.Error("a completed query kept a session")
-			}
-		})
-
-		// The first completed query on a fresh database: its one Stats entry
-		// and one planner observation can be read exactly — and must have
-		// timed the same interval.
-		t.Run(a.name+"/records", func(t *testing.T) {
-			if a.noCtx {
-				t.Skip("the brute-force references record nothing")
-			}
-			e := newConfEnv(t, a.sharded)
-			if _, err := a.ask(e, context.Background(), q, arg, WithCategory(confCat), WithMethod(INE)); err != nil {
-				t.Fatal(err)
-			}
-			for i, db := range e.dbs() {
-				ms := db.Stats().Methods[INE.String()]
-				got := ms.KNNQueries + ms.RangeQueries
-				if a.sharded && got == 0 {
-					continue // pruned by its bound, or its stream was not drained
-				}
-				if got != uint64(a.records) {
-					t.Errorf("shard %d: %d queries recorded, want %d", i, got, a.records)
-				}
-				if a.isRange {
-					continue
-				}
-				b, err := db.snapshot(confCat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := db.plan.Choose([]core.MethodKind{core.INE}, db.features(a.planK(k), b))
-				switch {
-				case c.Observed != a.observes:
-					t.Errorf("shard %d: planner observed = %v, want %v", i, c.Observed, a.observes)
-				case c.Observed && c.Cost != ms.TotalLatency:
-					t.Errorf("shard %d: planner saw %v, Stats %v: not one observation of the same interval", i, c.Cost, ms.TotalLatency)
-				}
-			}
-		})
-
-		// Cancel the query at every point where it consults ctx, until it
-		// gets through: each cancelled attempt must surface ctx's error with
-		// no results, record nothing and return its session. Once per method
-		// whose search polls ctx (range queries run only INE).
-		for _, m := range []Method{INE, ROAD} {
-			if a.isRange && m != INE {
+	t.Run(name+"/errors", func(t *testing.T) {
+		e := newConfEnv(t, sharded)
+		faults := confFaults(e.db.Graph().NumVertices())
+		for _, f := range faults {
+			if a.isRange && f.appliesOnlyToKNN || a.noCtx && f.skipWithoutContext {
 				continue
 			}
-			t.Run(a.name+"/cancel/"+m.String(), func(t *testing.T) {
-				if a.noCtx {
-					t.Skip("takes no context")
+			in := confInput{q: q, arg: arg, opts: []QueryOption{WithCategory(confCat)}}
+			f.apply(&in, a.isRange)
+			for _, later := range faults {
+				if later.level > f.level && later.representsItsLevel {
+					later.apply(&in, a.isRange)
 				}
-				e := newConfEnv(t, a.sharded)
-				for n := 0; ; n++ {
-					if n > 500 {
-						t.Fatal("query never got through")
-					}
-					ans, err := a.ask(e, newCancelAt(n), q, arg, WithCategory(confCat), WithMethod(m))
-					if !e.poolsBalanced() {
-						t.Fatalf("cancel at check %d: session not returned", n)
-					}
-					if err == nil {
-						if !SameResults(ans.res, reference(e, q)) {
-							t.Errorf("uncancelled answer %s differs from brute force", FormatResults(ans.res))
-						}
-						break
-					}
-					if !errors.Is(err, context.Canceled) || ans.res != nil {
-						t.Fatalf("cancel at check %d: got %v with %d results", n, err, len(ans.res))
-					}
-					// Over shards, one that finished before the cancel landed
-					// has rightly recorded its own query.
-					ms := e.db.Stats().Methods[m.String()]
-					if !a.sharded && ms.KNNQueries+ms.RangeQueries != 0 {
-						t.Fatalf("cancel at check %d: recorded %+v", n, ms)
-					}
-				}
-			})
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			if in.cancelled {
+				cancel()
+			}
+			ans, err := a.ask(e, ctx, in.q, in.arg, in.opts...)
+			cancel()
+			want := f.wantKNN
+			if a.isRange {
+				want = f.wantRange
+			}
+			if !errors.Is(err, want) || ans.res != nil {
+				t.Errorf("%s (and every later fault): got %v with %d results, want %v and none", f.name, err, len(ans.res), want)
+			}
 		}
+		for name, ms := range e.db.Stats().Methods {
+			if ms.KNNQueries+ms.RangeQueries != 0 {
+				t.Errorf("rejected queries were recorded under %s: %+v", name, ms)
+			}
+		}
+		if !e.poolsBalanced() {
+			t.Error("a rejected query kept a session")
+		}
+	})
 
-		if a.first != nil {
-			t.Run(a.name+"/early-break", func(t *testing.T) {
-				e := newConfEnv(t, a.sharded)
-				a.first(e, context.Background(), q, k, WithCategory(confCat))
-				if !e.poolsBalanced() {
-					t.Error("early break kept a session")
-				}
-			})
+	t.Run(name+"/answers", func(t *testing.T) {
+		e := newConfEnv(t, sharded)
+		methods := []Method{MethodAuto, INE, Gtree, ROAD}
+		if a.isRange {
+			methods = []Method{MethodAuto, INE}
 		}
+		n := int32(e.db.Graph().NumVertices())
+		for v := int32(0); v < n; v += n/9 + 1 {
+			want := reference(e, v)
+			for i := -1; i < len(methods); i++ {
+				opts := []QueryOption{WithCategory(confCat)}
+				if i >= 0 {
+					opts = append(opts, WithMethod(methods[i]))
+				}
+				ans, err := a.ask(e, context.Background(), v, arg, opts...)
+				if err != nil {
+					t.Fatalf("q=%d opts %d: %v", v, i, err)
+				}
+				if !SameResults(ans.res, want) {
+					t.Errorf("q=%d opts %d: got %s, brute force %s", v, i, FormatResults(ans.res), FormatResults(want))
+				}
+				if ans.hasEpoch && ans.epoch != liveEpoch(e) {
+					t.Errorf("q=%d opts %d: answer stamped epoch %d, live epoch %d", v, i, ans.epoch, liveEpoch(e))
+				}
+			}
+		}
+		if !e.poolsBalanced() {
+			t.Error("a completed query kept a session")
+		}
+	})
+
+	// The first completed query on a fresh database: its one Stats entry
+	// and one planner observation can be read exactly — and must have
+	// timed the same interval. Over several cells too: a fan is one query.
+	t.Run(name+"/records", func(t *testing.T) {
+		if a.noCtx {
+			t.Skip("the brute-force references record nothing")
+		}
+		e := newConfEnv(t, sharded)
+		if _, err := a.ask(e, context.Background(), q, arg, WithCategory(confCat), WithMethod(INE)); err != nil {
+			t.Fatal(err)
+		}
+		ms := e.db.Stats().Methods[INE.String()]
+		if got := ms.KNNQueries + ms.RangeQueries; got != uint64(a.records) {
+			t.Errorf("%d queries recorded, want %d", got, a.records)
+		}
+		if a.isRange {
+			return
+		}
+		ep, err := e.db.snapshot(confCat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := e.db.plan.Choose([]core.MethodKind{core.INE}, e.db.features(a.planK(k), ep))
+		switch {
+		case c.Observed != a.observes:
+			t.Errorf("planner observed = %v, want %v", c.Observed, a.observes)
+		case c.Observed && c.Cost != ms.TotalLatency:
+			t.Errorf("planner saw %v, Stats %v: not one observation of the same interval", c.Cost, ms.TotalLatency)
+		}
+	})
+
+	// Cancel the query at every point where it consults ctx, until it
+	// gets through: each cancelled attempt must surface ctx's error with
+	// no results, record nothing and return its session. Once per method
+	// whose search polls ctx (range queries run only INE).
+	for _, m := range []Method{INE, ROAD} {
+		if a.isRange && m != INE {
+			continue
+		}
+		t.Run(name+"/cancel/"+m.String(), func(t *testing.T) {
+			if a.noCtx {
+				t.Skip("takes no context")
+			}
+			e := newConfEnv(t, sharded)
+			for n := 0; ; n++ {
+				if n > 500 {
+					t.Fatal("query never got through")
+				}
+				ans, err := a.ask(e, newCancelAt(n), q, arg, WithCategory(confCat), WithMethod(m))
+				if !e.poolsBalanced() {
+					t.Fatalf("cancel at check %d: session not returned", n)
+				}
+				if err == nil {
+					if !SameResults(ans.res, reference(e, q)) {
+						t.Errorf("uncancelled answer %s differs from brute force", FormatResults(ans.res))
+					}
+					break
+				}
+				if !errors.Is(err, context.Canceled) || ans.res != nil {
+					t.Fatalf("cancel at check %d: got %v with %d results", n, err, len(ans.res))
+				}
+				ms := e.db.Stats().Methods[m.String()]
+				if ms.KNNQueries+ms.RangeQueries != 0 {
+					t.Fatalf("cancel at check %d: recorded %+v", n, ms)
+				}
+			}
+		})
+	}
+
+	if a.first != nil {
+		t.Run(name+"/early-break", func(t *testing.T) {
+			e := newConfEnv(t, sharded)
+			a.first(e, context.Background(), q, k, WithCategory(confCat))
+			if !e.poolsBalanced() {
+				t.Error("early break kept a session")
+			}
+		})
 	}
 }

@@ -166,12 +166,12 @@ func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOp
 			}
 		}
 		qr.v, qr.k = r[0], k+1
-		b, m, err := db.prepare(ctx, &qr)
+		ep, m, err := db.prepare(ctx, &qr)
 		if err != nil {
 			yield(MonitorUpdate{}, err)
 			return
 		}
-		ps, err := db.pools[m].get(b)
+		ps, err := db.pools[m].get(ep.parts[0])
 		if err != nil {
 			yield(MonitorUpdate{}, err)
 			return
@@ -194,23 +194,23 @@ func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOp
 			}
 			// Re-snapshot the category each step so live churn is observed:
 			// a new epoch forces a refresh on this epoch's object set.
-			b, err = db.snapshot(qr.opt.category)
+			ep, err = db.snapshot(qr.opt.category)
 			if err != nil {
 				yield(MonitorUpdate{}, err)
 				return
 			}
-			reason := tr.Step(prev, v, b.Epoch)
+			reason := tr.Step(prev, v, ep.n)
 			var events []MonitorEvent
 			if reason != MonitorRefreshNone {
 				// Rebind is legal here: the monitor is between queries on
 				// its one single-goroutine session.
-				ps.sess.Rebind(b)
+				ps.sess.Rebind(ep.parts[0])
 				qr.v = v
-				if ps.buf, _, err = db.run(ctx, ps, &qr, b, m, ps.buf[:0]); err != nil {
+				if ps.buf, _, err = db.run(ctx, ps, &qr, ep, m, ps.buf[:0]); err != nil {
 					yield(MonitorUpdate{}, err)
 					return
 				}
-				tr.Pin(ps.buf, b.Epoch)
+				tr.Pin(ps.buf, ep.n)
 				events = monitor.Diff(emitted, tr.Results(), nil)
 				emitted = append(emitted[:0], tr.Results()...)
 			}

@@ -10,17 +10,28 @@ import (
 	"rnknn/internal/planner"
 )
 
+// epoch is one immutable version of a category: the counter Epoch reports
+// and one binding (object set plus derived per-method object indexes) per
+// partition cell — a single part on an ordinary DB, the manifest's cell count
+// on a shard set (see OpenSharded). Every part derives from the same
+// mutation history, so a query that pins an epoch answers from one
+// object-set version across all cells.
+type epoch struct {
+	n       uint64
+	parts   []*core.Binding
+	objects int // live objects across parts
+}
+
 // category is one named object set: a chain of immutable epochs, of which
-// binding holds the live one (the object set plus the derived per-method
-// object indexes). Queries pin an epoch by loading the pointer once; writers
-// serialize on mu, derive the next epoch from the live one, and publish it
-// with a single store.
+// live holds the current one. Queries pin an epoch by loading the pointer
+// once; writers serialize on mu, derive the next epoch from the live one, and
+// publish it with a single store.
 type category struct {
 	// mu serializes mutations (RegisterObjects, InsertObjects,
 	// RemoveObjects) so each next epoch derives from the latest one and
 	// epoch numbers advance monotonically. Readers never take it.
-	mu      sync.Mutex
-	binding atomic.Pointer[core.Binding]
+	mu   sync.Mutex
+	live atomic.Pointer[epoch]
 }
 
 // RegisterObjects installs (or atomically replaces) the named object
@@ -38,18 +49,17 @@ func (db *DB) RegisterObjects(name string, vertices []int32) error {
 	if err := db.checkObjects(name, vertices); err != nil {
 		return err
 	}
-	objs := knn.NewObjectSet(db.g, vertices)
 	cat := db.category(name)
 	cat.mu.Lock()
 	defer cat.mu.Unlock()
 	// Building the derived indexes happens outside any query's path; only
 	// the final pointer swap synchronizes with readers.
-	b := db.eng.NewBinding(objs, db.bindKinds)
-	if cur := cat.binding.Load(); cur != nil {
-		b.Epoch = cur.Epoch + 1
-		db.noteDensityShift(cur, b)
+	next := db.newEpoch(vertices)
+	if cur := cat.live.Load(); cur != nil {
+		next.n = cur.n + 1
+		db.noteDensityShift(cur, next)
 	}
-	cat.binding.Store(b)
+	cat.live.Store(next)
 	return nil
 }
 
@@ -71,17 +81,12 @@ func (db *DB) InsertObjects(name string, vertices []int32) error {
 	cat := db.category(name)
 	cat.mu.Lock()
 	defer cat.mu.Unlock()
-	cur := cat.binding.Load()
+	cur := cat.live.Load()
 	if cur == nil {
-		b := db.eng.NewBinding(knn.NewObjectSet(db.g, vertices), db.bindKinds)
-		cat.binding.Store(b)
+		cat.live.Store(db.newEpoch(vertices))
 		return nil
 	}
-	b := db.eng.NextBinding(cur, vertices, nil)
-	if b != cur {
-		db.noteDensityShift(cur, b)
-		cat.binding.Store(b)
-	}
+	db.advance(cat, cur, vertices, nil)
 	return nil
 }
 
@@ -102,19 +107,52 @@ func (db *DB) RemoveObjects(name string, vertices []int32) error {
 	}
 	cat.mu.Lock()
 	defer cat.mu.Unlock()
-	cur := cat.binding.Load()
+	cur := cat.live.Load()
 	if cur == nil {
 		// The category is mid-creation by a concurrent first mutation that
 		// has not published its first epoch yet; to this caller it does not
 		// exist.
 		return fmt.Errorf("%w: %q (registered: %v)", ErrUnknownCategory, name, db.Categories())
 	}
-	b := db.eng.NextBinding(cur, nil, vertices)
-	if b != cur {
-		db.noteDensityShift(cur, b)
-		cat.binding.Store(b)
-	}
+	db.advance(cat, cur, nil, vertices)
 	return nil
+}
+
+// newEpoch builds a category's bulk epoch over vertices: each cell's derived
+// object indexes from scratch over the vertices that cell owns (one cell,
+// all of them, on an ordinary DB). Counter 0; a replacing caller bumps it.
+func (db *DB) newEpoch(vertices []int32) *epoch {
+	ep := &epoch{}
+	for _, part := range db.splitByOwner(vertices) {
+		b := db.eng.NewBinding(knn.NewObjectSet(db.g, part), db.bindKinds)
+		ep.parts = append(ep.parts, b)
+		ep.objects += b.Objs.Len()
+	}
+	return ep
+}
+
+// advance derives cur's successor and publishes it with one store: the delta
+// is split by owning cell, only the touched cells get a next binding
+// (Engine.NextBinding, O(delta)) and the rest are carried by pointer, so
+// readers see every cell move together or not at all. An empty effective
+// delta publishes nothing — no new epoch. Called with cat.mu held.
+func (db *DB) advance(cat *category, cur *epoch, add, remove []int32) {
+	adds, removes := db.splitByOwner(add), db.splitByOwner(remove)
+	next := &epoch{n: cur.n + 1, parts: make([]*core.Binding, len(cur.parts))}
+	changed := false
+	for i, p := range cur.parts {
+		if len(adds[i])+len(removes[i]) > 0 {
+			p = db.eng.NextBinding(p, adds[i], removes[i])
+		}
+		next.parts[i] = p
+		next.objects += p.Objs.Len()
+		changed = changed || p != cur.parts[i]
+	}
+	if !changed {
+		return
+	}
+	db.noteDensityShift(cur, next)
+	cat.live.Store(next)
 }
 
 // checkObjects validates the shared mutation inputs.
@@ -154,39 +192,38 @@ func (db *DB) category(name string) *category {
 // noteDensityShift feeds a mutation's live-density change into the adaptive
 // planner so MethodAuto re-regimes as the set grows or shrinks (the paper's
 // density axis, Figure 11). Called with the category's mutation lock held.
-func (db *DB) noteDensityShift(old, next *core.Binding) {
+func (db *DB) noteDensityShift(old, next *epoch) {
 	db.plan.NoteDensityShift(
-		planner.Features{NumObjects: old.Objs.Len(), NumVertices: db.g.NumVertices()},
-		planner.Features{NumObjects: next.Objs.Len(), NumVertices: db.g.NumVertices()},
+		planner.Features{NumObjects: old.objects, NumVertices: db.g.NumVertices()},
+		planner.Features{NumObjects: next.objects, NumVertices: db.g.NumVertices()},
 	)
 }
 
-// snapshot resolves a category name to its live binding (the query-time
-// epoch pin).
-func (db *DB) snapshot(name string) (*core.Binding, error) {
+// snapshot resolves a category name to its live epoch (the query-time pin).
+func (db *DB) snapshot(name string) (*epoch, error) {
 	db.mu.RLock()
 	cat := db.cats[name]
 	db.mu.RUnlock()
 	if cat == nil {
 		return nil, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownCategory, name, db.Categories())
 	}
-	b := cat.binding.Load()
-	if b == nil {
+	ep := cat.live.Load()
+	if ep == nil {
 		// The category is being created by a concurrent first mutation and
 		// has no published epoch yet.
 		return nil, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownCategory, name, db.Categories())
 	}
-	return b, nil
+	return ep, nil
 }
 
 // NumObjects returns the number of objects currently live in the named
 // category.
 func (db *DB) NumObjects(name string) (int, error) {
-	b, err := db.snapshot(name)
+	ep, err := db.snapshot(name)
 	if err != nil {
 		return 0, err
 	}
-	return b.Objs.Len(), nil
+	return ep.objects, nil
 }
 
 // Epoch returns the named category's live epoch number: 0 after the first
@@ -194,11 +231,11 @@ func (db *DB) NumObjects(name string) (int, error) {
 // changed the set and by every RegisterObjects replacing an existing
 // category (a bulk replacement advances the epoch even if the new set is
 // identical). Two queries observing the same epoch observed the same
-// object set.
+// object set — on a shard set too, where one counter versions every cell.
 func (db *DB) Epoch(name string) (uint64, error) {
-	b, err := db.snapshot(name)
+	ep, err := db.snapshot(name)
 	if err != nil {
 		return 0, err
 	}
-	return b.Epoch, nil
+	return ep.n, nil
 }

@@ -28,6 +28,8 @@ type pooledSession struct {
 	// buf is scratch for queries whose results are copied into an
 	// exact-size slice at the API boundary.
 	buf []Result
+	// order is scratch for a fan's cell visiting order (see DB.fan).
+	order []cellBound
 }
 
 func newPooledSession(s core.Session) *pooledSession {
@@ -53,6 +55,14 @@ func (ps *pooledSession) disarm() {
 	}
 	ps.in.SetInterrupt(nil)
 	ps.ctx = nil
+}
+
+// search is one method call on the session as it is bound, appending to dst.
+func (ps *pooledSession) search(qr *query, dst []Result) []Result {
+	if qr.isRange {
+		return ps.sess.(knn.RangeMethod).RangeAppend(qr.v, qr.radius, dst)
+	}
+	return ps.sess.KNNAppend(qr.v, qr.k, dst)
 }
 
 // sessionPool hands out single-goroutine query sessions of one method kind.
@@ -182,52 +192,58 @@ func (db *DB) check(ctx context.Context, qr *query) error {
 	return nil
 }
 
-// features builds the planner's query-time signals from the live binding.
-func (db *DB) features(k int, b *core.Binding) planner.Features {
-	return planner.Features{K: k, NumObjects: b.Objs.Len(), NumVertices: db.g.NumVertices()}
+// features builds the planner's query-time signals from the pinned epoch
+// (its object count across all cells: density is the category's, however it
+// is partitioned).
+func (db *DB) features(k int, ep *epoch) planner.Features {
+	return planner.Features{K: k, NumObjects: ep.objects, NumVertices: db.g.NumVertices()}
 }
 
 // auto asks the planner to pick among the enabled methods for this (k,
 // density, network) regime.
-func (db *DB) auto(k int, b *core.Binding) planner.Choice {
-	return db.plan.Choose(db.bindKinds, db.features(k, b))
+func (db *DB) auto(k int, ep *epoch) planner.Choice {
+	return db.plan.Choose(db.bindKinds, db.features(k, ep))
 }
 
 // prepare is the first half of every query: validate (check), pin the
 // category's live epoch, and resolve the concrete method that will run —
 // INE for a range query, the planner's pick for MethodAuto. Nothing else in
-// the package validates a query, pins a binding for one, or resolves
+// the package validates a query, pins an epoch for one, or resolves
 // MethodAuto.
-func (db *DB) prepare(ctx context.Context, qr *query) (*core.Binding, Method, error) {
+func (db *DB) prepare(ctx context.Context, qr *query) (*epoch, Method, error) {
 	if err := db.check(ctx, qr); err != nil {
 		return nil, 0, err
 	}
-	b, err := db.snapshot(qr.opt.category)
+	ep, err := db.snapshot(qr.opt.category)
 	if err != nil {
 		return nil, 0, err
 	}
 	switch {
 	case qr.isRange:
-		return b, INE, nil
+		return ep, INE, nil
 	case qr.opt.method != MethodAuto:
-		return b, qr.opt.method, nil
+		return ep, qr.opt.method, nil
 	}
-	return b, Method(db.auto(qr.k, b).Kind), nil
+	return ep, Method(db.auto(qr.k, ep).Kind), nil
 }
 
-// run is the second half: one search of a prepared query on a session of
-// method m already bound to b, appending to dst. It arms the session with
-// ctx, times exactly the search call, disarms, and either drops the partial
-// answer of a cancelled scan (dst comes back unextended with ctx's error) or
-// records the completed query.
-func (db *DB) run(ctx context.Context, ps *pooledSession, qr *query, b *core.Binding, m Method, dst []Result) ([]Result, time.Duration, error) {
+// run is the second half: one search of a prepared query over epoch ep on a
+// session of method m, appending to dst. It is where an ordinary category
+// and a partitioned one part ways: over one cell the session — already bound
+// to ep's single part by whoever checked it out — searches once; over
+// several, fan visits the cells the bounds cannot prune, rebinding as it
+// goes. Either way run arms the session with ctx, times exactly the search,
+// disarms, and either drops the partial answer of a cancelled scan (dst
+// comes back unextended with ctx's error) or records the one completed
+// query.
+func (db *DB) run(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, m Method, dst []Result) ([]Result, time.Duration, error) {
 	mark := len(dst)
 	ps.arm(ctx)
 	start := time.Now()
-	if qr.isRange {
-		dst = ps.sess.(knn.RangeMethod).RangeAppend(qr.v, qr.radius, dst)
+	if len(ep.parts) == 1 {
+		dst = ps.search(qr, dst)
 	} else {
-		dst = ps.sess.KNNAppend(qr.v, qr.k, dst)
+		dst = db.fan(ctx, ps, qr, ep, dst)
 	}
 	elapsed := time.Since(start)
 	ps.disarm()
@@ -237,7 +253,7 @@ func (db *DB) run(ctx context.Context, ps *pooledSession, qr *query, b *core.Bin
 	if qr.isRange {
 		db.stats.recordRange(elapsed)
 	} else {
-		db.recordKNN(m, qr.k, b, elapsed)
+		db.recordKNN(m, qr.k, ep, elapsed)
 	}
 	return dst, elapsed, nil
 }
@@ -245,16 +261,16 @@ func (db *DB) run(ctx context.Context, ps *pooledSession, qr *query, b *core.Bin
 // recordKNN lands a completed kNN query in the per-method counters and
 // feeds the planner's latency EWMA for the query's regime — every query
 // trains MethodAuto, not just the auto-planned ones.
-func (db *DB) recordKNN(m Method, k int, b *core.Binding, elapsed time.Duration) {
+func (db *DB) recordKNN(m Method, k int, ep *epoch, elapsed time.Duration) {
 	db.stats.recordKNN(m, elapsed)
-	db.plan.Observe(m.kind(), db.features(k, b), elapsed)
+	db.plan.Observe(m.kind(), db.features(k, ep), elapsed)
 }
 
 // runOwned is run for callers that keep the answer: the search runs
 // allocation-free into the session's scratch buffer, and the one allocation
 // is the exact-size copy handed back.
-func (db *DB) runOwned(ctx context.Context, ps *pooledSession, qr *query, b *core.Binding, m Method) ([]Result, time.Duration, error) {
-	buf, elapsed, err := db.run(ctx, ps, qr, b, m, ps.buf[:0])
+func (db *DB) runOwned(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, m Method) ([]Result, time.Duration, error) {
+	buf, elapsed, err := db.run(ctx, ps, qr, ep, m, ps.buf[:0])
 	ps.buf = buf
 	if err != nil {
 		return nil, elapsed, err
@@ -267,27 +283,27 @@ func (db *DB) runOwned(ctx context.Context, ps *pooledSession, qr *query, b *cor
 // exec composes prepare and run for the one-shot entry points: check a
 // session of the resolved method out of its pool, run, return it. Results
 // are appended to dst, or returned as a fresh exact-size slice when dst is
-// nil; the epoch is that of the binding the search ran on. On error dst
-// comes back unextended and the epoch is zero.
+// nil; the epoch is the one the search ran on. On error dst comes back
+// unextended and the epoch is zero.
 func (db *DB) exec(ctx context.Context, qr query, dst []Result) ([]Result, uint64, error) {
-	b, m, err := db.prepare(ctx, &qr)
+	ep, m, err := db.prepare(ctx, &qr)
 	if err != nil {
 		return dst, 0, err
 	}
-	ps, err := db.pools[m].get(b)
+	ps, err := db.pools[m].get(ep.parts[0])
 	if err != nil {
 		return dst, 0, err
 	}
 	if dst == nil {
-		dst, _, err = db.runOwned(ctx, ps, &qr, b, m)
+		dst, _, err = db.runOwned(ctx, ps, &qr, ep, m)
 	} else {
-		dst, _, err = db.run(ctx, ps, &qr, b, m, dst)
+		dst, _, err = db.run(ctx, ps, &qr, ep, m, dst)
 	}
 	db.pools[m].put(ps)
 	if err != nil {
 		return dst, 0, err
 	}
-	return dst, b.Epoch, nil
+	return dst, ep.n, nil
 }
 
 // Plan describes how a query would execute: the concrete method KNN would
@@ -305,14 +321,14 @@ type Plan struct {
 // planner adapts to observed latency, so consecutive Explains may differ.
 func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 	qr := db.knnQuery(q, k, opts)
-	b, m, err := db.prepare(context.Background(), &qr)
+	ep, m, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return Plan{}, err
 	}
 	if qr.opt.method != MethodAuto {
 		return Plan{Method: m, Reason: "requested with WithMethod"}, nil
 	}
-	c := db.auto(k, b)
+	c := db.auto(k, ep)
 	return Plan{Method: Method(c.Kind), Reason: c.Reason()}, nil
 }
 
@@ -393,22 +409,32 @@ func (db *DB) RangePinned(ctx context.Context, q int32, radius Dist, opts ...Que
 // expansion always runs the reference scan; not recorded in Stats.
 func (db *DB) BruteForceKNN(q int32, k int, opts ...QueryOption) ([]Result, error) {
 	qr := db.knnQuery(q, k, opts)
-	b, _, err := db.prepare(context.Background(), &qr)
+	ep, _, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return nil, err
 	}
-	return knn.BruteForce(db.g, b.Objs, q, k), nil
+	return knn.BruteForce(db.g, db.objectSet(ep), q, k), nil
 }
 
 // BruteForceRange is the range-query correctness reference, mirroring
 // BruteForceKNN.
 func (db *DB) BruteForceRange(q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
 	qr := db.rangeQuery(q, radius, opts)
-	b, _, err := db.prepare(context.Background(), &qr)
+	ep, _, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return nil, err
 	}
-	return knn.BruteForceRange(db.g, b.Objs, q, radius), nil
+	return knn.BruteForceRange(db.g, db.objectSet(ep), q, radius), nil
+}
+
+// objectSet gathers ep's objects across its cells into the one set the
+// brute-force references scan.
+func (db *DB) objectSet(ep *epoch) *knn.ObjectSet {
+	var all []int32
+	for _, p := range ep.parts {
+		all = append(all, p.Objs.Vertices()...)
+	}
+	return knn.NewObjectSet(db.g, all)
 }
 
 // SameResults reports whether two result lists agree, tolerating reordering

@@ -5,6 +5,7 @@ import (
 	"iter"
 	"time"
 
+	"rnknn/internal/core"
 	"rnknn/internal/knn"
 )
 
@@ -35,32 +36,18 @@ import (
 func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		qr := db.knnQuery(q, k, opts)
-		b, m, err := db.prepare(ctx, &qr)
+		ep, m, err := db.prepare(ctx, &qr)
 		if err != nil {
 			yield(Result{}, err)
 			return
 		}
-		ps, err := db.pools[m].get(b)
-		if err != nil {
-			yield(Result{}, err)
-			return
-		}
-		ps.arm(ctx)
-		// The deferred release covers every exit: normal completion, early
-		// consumer break, the error yields below, and panics in the
-		// consumer's loop body unwinding through this frame.
-		defer func() {
-			ps.disarm()
-			db.pools[m].put(ps)
-		}()
-
 		consumerDone := false
 		// elapsed accumulates only time spent inside the method: the clock
 		// pauses around each yield so consumer loop-body work does not
 		// inflate Stats or poison the planner's latency EWMAs.
 		var elapsed time.Duration
 		segment := time.Now()
-		knn.StreamKNN(ps.sess, q, k, func(r knn.Result) bool {
+		emit := func(r Result) bool {
 			elapsed += time.Since(segment)
 			defer func() { segment = time.Now() }()
 			// The interrupt hook stops the scan between results; checking
@@ -74,15 +61,45 @@ func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) i
 				return false
 			}
 			return true
-		})
+		}
+		// One cell streams straight off its session; several merge their
+		// per-cell streams lazily (mergeCells).
+		if len(ep.parts) == 1 {
+			err = db.streamPart(ctx, &qr, ep.parts[0], m, emit)
+		} else {
+			err = db.mergeCells(ctx, &qr, ep, m, emit)
+		}
 		elapsed += time.Since(segment)
 		if consumerDone {
 			return
 		}
-		if err := ctx.Err(); err != nil {
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
 			yield(Result{}, err)
 			return
 		}
-		db.recordKNN(m, k, b, elapsed)
+		db.recordKNN(m, k, ep, elapsed)
 	}
+}
+
+// streamPart runs one streaming search of qr over the part b on a pooled
+// session of method m, handing each confirmed neighbor to emit until the
+// scan ends, emit returns false, or ctx stops it.
+func (db *DB) streamPart(ctx context.Context, qr *query, b *core.Binding, m Method, emit func(Result) bool) error {
+	ps, err := db.pools[m].get(b)
+	if err != nil {
+		return err
+	}
+	ps.arm(ctx)
+	// The deferred release covers every exit: normal completion, early
+	// consumer break, and panics in the consumer's loop body unwinding
+	// through this frame.
+	defer func() {
+		ps.disarm()
+		db.pools[m].put(ps)
+	}()
+	knn.StreamKNN(ps.sess, qr.v, qr.k, emit)
+	return nil
 }

@@ -121,6 +121,9 @@ type config struct {
 	snap      *mapped.Snapshot
 	seedFP    uint64
 	seedFPSet bool
+	// shardSet, when non-nil, is the manifest whose cell table Open installs
+	// on the DB (OpenSharded).
+	shardSet *shardManifest
 }
 
 type initialObjects struct {
@@ -200,6 +203,10 @@ type DB struct {
 	// mapped, when non-nil, is the snapshot mapping this DB's graph and/or
 	// indexes alias (WithMmap, OpenSnapshotFile); released by Close.
 	mapped *mapped.Snapshot
+
+	// shards, when non-nil, partitions every category's objects over the
+	// cells of a shard set (OpenSharded); nil is the ordinary one-cell DB.
+	shards *cellTable
 }
 
 // batchPartition returns the partition tree batch grouping keys on: the
@@ -333,6 +340,11 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 	if db.pools[INE] == nil {
 		db.pools[INE] = newSessionPool(db.eng, core.INE)
 	}
+	if cfg.shardSet != nil {
+		if err := db.installCells(cfg.shardSet); err != nil {
+			return fail(err)
+		}
+	}
 	for _, o := range cfg.objects {
 		if err := db.RegisterObjects(o.name, o.vertices); err != nil {
 			return fail(err)
@@ -359,7 +371,7 @@ func (db *DB) Categories() []string {
 	defer db.mu.RUnlock()
 	out := make([]string, 0, len(db.cats))
 	for name, cat := range db.cats {
-		if cat.binding.Load() != nil {
+		if cat.live.Load() != nil {
 			out = append(out, name)
 		}
 	}

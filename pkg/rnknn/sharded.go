@@ -1,28 +1,31 @@
-// Partition-sharded serving: one DB per partition cell behind a thin
-// router. Every shard opens the same snapshot file — with mmap, N shards
-// cost one page cache, not N heaps — and holds the full graph and indexes
-// but only its cell's objects, so a query plans against exact full-graph
-// distances everywhere and sharding changes where objects live, never what
-// a distance means. The router fans a query to the owning shard first,
-// prunes the rest with per-cell geometric lower bounds, and merges:
-// materialized KNN by threshold (a shard whose bound exceeds the running
-// k-th distance cannot contribute), streaming KNNSeq by an exact k-way
-// loser-tree merge (internal/kmerge) over the per-shard nondecreasing
-// streams. Exactness argument in ARCHITECTURE.md ("Continental scale").
+// Partition-sharded serving: a shard set is one DB whose categories are
+// partitioned. OpenSharded opens the set's one snapshot once — one mapping,
+// one engine, one set of session pools, one planner — and installs the
+// manifest's cell table on it; from then on every category epoch carries one
+// object binding per cell (see epoch), a mutation routes each vertex to its
+// owning cell and publishes all cells with one store, and a query pins one
+// epoch and answers from it across cells. Every cell is searched with exact
+// full-graph distances, so sharding changes where objects live, never what a
+// distance means. Per-cell geometric lower bounds prune the cells a query
+// opens: materialized queries by threshold (fan), streaming KNNSeq by an
+// exact lazy k-way loser-tree merge (internal/kmerge) over the per-cell
+// nondecreasing streams. Exactness argument in ARCHITECTURE.md
+// ("Continental scale").
 package rnknn
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"iter"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"rnknn/internal/graph"
 	"rnknn/internal/kmerge"
@@ -131,17 +134,23 @@ func (db *DB) SaveShardSet(dir string, shards int) error {
 	})
 }
 
-// ShardedDB serves one road network from multiple DBs, each owning the
-// objects of one partition cell. All methods are safe for concurrent use.
-type ShardedDB struct {
-	shards []*DB
-	cells  []shardCell
-	pt     *partition.Tree
-	g      *graph.Graph
+// ShardedDB is the DB OpenSharded returns: an ordinary DB with a cell table
+// installed. The name survives for callers that spell the shard-set type;
+// every method is DB's own.
+type ShardedDB = DB
+
+// cellTable is a shard set's partition as the DB holds it: the manifest's
+// cells over the partition tree's DFS leaf sequence, and per cell the
+// bounding box that lower-bounds distances into it and the count of searches
+// that opened it.
+type cellTable struct {
+	cells []shardCell
+	pt    *partition.Tree
 	// boxes[i] is cell i's vertex bounding box; with invSpeed it turns
 	// point-to-box Euclidean distance into a network-distance lower bound.
 	boxes    []bbox
 	invSpeed float64
+	opened   []atomic.Uint64
 }
 
 type bbox struct {
@@ -164,11 +173,13 @@ func (b *bbox) dist(x, y float64) float64 {
 }
 
 // OpenSharded opens the shard set written by SaveShardSet (or cmd/
-// buildindex -shards): one DB per manifest cell, every one a zero-copy
-// mapped open of the same snapshot file, so the shards share a single
-// physical copy of graph and indexes through the page cache. Methods come
-// from the manifest; opts are applied to every shard after it (so
-// WithMethods in opts overrides the manifest).
+// buildindex -shards): ONE zero-copy mapped open of the set's snapshot
+// (OpenSnapshotFile) with the manifest's cell table installed on the
+// resulting DB, so N cells cost one mapping, one engine and one pool set
+// plus N object bindings per category. Methods come from the manifest; opts
+// are applied after it (so WithMethods in opts overrides the manifest). A
+// manifest written for another road network than the snapshot beside it is
+// ErrFingerprintMismatch.
 func OpenSharded(dir string, opts ...Option) (*ShardedDB, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ShardManifestName))
 	if err != nil {
@@ -184,6 +195,16 @@ func OpenSharded(dir string, opts ...Option) (*ShardedDB, error) {
 	if len(man.Cells) == 0 {
 		return nil, fmt.Errorf("rnknn: shard manifest has no cells")
 	}
+	last := int32(0)
+	for i, c := range man.Cells {
+		if c.LeafLo != last || c.LeafHi <= c.LeafLo {
+			return nil, fmt.Errorf("rnknn: shard manifest cell %d [%d, %d) is not contiguous", i, c.LeafLo, c.LeafHi)
+		}
+		last = c.LeafHi
+	}
+	if filepath.Base(man.Snapshot) != man.Snapshot {
+		return nil, fmt.Errorf("rnknn: shard manifest snapshot %q is not a file name inside the shard set", man.Snapshot)
+	}
 	methods := make([]Method, 0, len(man.Methods))
 	for _, name := range man.Methods {
 		m, err := ParseMethod(name)
@@ -192,363 +213,208 @@ func OpenSharded(dir string, opts ...Option) (*ShardedDB, error) {
 		}
 		methods = append(methods, m)
 	}
-	snapPath := filepath.Join(dir, man.Snapshot)
 	allOpts := append([]Option{WithMethods(methods...)}, opts...)
+	allOpts = append(allOpts, func(c *config) { c.shardSet = &man })
+	return OpenSnapshotFile(filepath.Join(dir, man.Snapshot), allOpts...)
+}
 
-	s := &ShardedDB{cells: man.Cells}
-	for i := 0; i < len(man.Cells); i++ {
-		db, err := OpenSnapshotFile(snapPath, allOpts...)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("rnknn: opening shard %d: %w", i, err)
-		}
-		s.shards = append(s.shards, db)
+// installCells makes db a shard set: it checks the manifest was written for
+// the road network db opened and that its cells cover the partition's leaves,
+// then derives each cell's bounding box. Open calls it before any category is
+// registered, so every epoch is split by the table from the first.
+func (db *DB) installCells(man *shardManifest) error {
+	if fp := fmt.Sprintf("%016x", db.eng.Fingerprint()); man.Fingerprint != fp {
+		return fmt.Errorf("%w: shard manifest is for graph %q (fingerprint %s), snapshot holds %q (%s)",
+			ErrFingerprintMismatch, man.Graph, man.Fingerprint, db.g.Name, fp)
 	}
-	s.g = s.shards[0].g
-	s.pt = s.shards[0].batchPartition()
-
-	leaves := s.pt.Leaves()
-	last := int32(0)
-	for i, c := range man.Cells {
-		if c.LeafLo != last || c.LeafHi <= c.LeafLo {
-			s.Close()
-			return nil, fmt.Errorf("rnknn: shard manifest cell %d [%d, %d) is not contiguous", i, c.LeafLo, c.LeafHi)
-		}
-		last = c.LeafHi
+	pt := db.batchPartition()
+	leaves := pt.Leaves()
+	if covered := int(man.Cells[len(man.Cells)-1].LeafHi); covered != len(leaves) {
+		return fmt.Errorf("rnknn: shard manifest covers %d leaves, partition has %d", covered, len(leaves))
 	}
-	if int(last) != len(leaves) {
-		s.Close()
-		return nil, fmt.Errorf("rnknn: shard manifest covers %d leaves, partition has %d", last, len(leaves))
+	t := &cellTable{
+		cells:    man.Cells,
+		pt:       pt,
+		boxes:    make([]bbox, len(man.Cells)),
+		invSpeed: 1 / db.g.MaxSpeed(),
+		opened:   make([]atomic.Uint64, len(man.Cells)),
 	}
-
-	s.boxes = make([]bbox, len(man.Cells))
 	for i, c := range man.Cells {
 		b := bbox{minX: math.Inf(1), minY: math.Inf(1), maxX: math.Inf(-1), maxY: math.Inf(-1)}
 		for _, li := range leaves[c.LeafLo:c.LeafHi] {
-			for _, v := range s.pt.Nodes[li].Vertices {
-				b.add(s.g.X[v], s.g.Y[v])
+			for _, v := range pt.Nodes[li].Vertices {
+				b.add(db.g.X[v], db.g.Y[v])
 			}
 		}
-		s.boxes[i] = b
+		t.boxes[i] = b
 	}
-	s.invSpeed = 1 / s.g.MaxSpeed()
-	return s, nil
-}
-
-// Close closes every shard (releasing the snapshot mappings). Call only
-// after all queries have completed.
-func (s *ShardedDB) Close() error {
-	var first error
-	for _, db := range s.shards {
-		if db == nil {
-			continue
-		}
-		if err := db.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Graph returns the shared road network.
-func (s *ShardedDB) Graph() *Graph { return s.g }
-
-// NumShards returns the number of shards.
-func (s *ShardedDB) NumShards() int { return len(s.shards) }
-
-// Shard returns shard i's DB — useful for per-shard stats or serving
-// stacks; routing object mutations through it directly breaks the
-// ownership invariant, use the ShardedDB methods.
-func (s *ShardedDB) Shard(i int) *DB { return s.shards[i] }
-
-// OwnerShard returns the shard whose cell contains vertex v.
-func (s *ShardedDB) OwnerShard(v int32) int {
-	pos := s.pt.LeafSeq[v]
-	return sort.Search(len(s.cells), func(i int) bool { return s.cells[i].LeafHi > pos })
-}
-
-// ShardBound returns a lower bound on the network distance from vertex q
-// to any vertex in shard i's cell: the Euclidean distance from q to the
-// cell's bounding box, scaled by the graph's maximum speed (valid for
-// both weight views — see graph.MaxSpeed). Zero for q's own shard.
-func (s *ShardedDB) ShardBound(i int, q int32) Dist {
-	d := s.boxes[i].dist(s.g.X[q], s.g.Y[q])
-	return Dist(math.Floor(d * s.invSpeed))
-}
-
-// splitByOwner partitions vertices into per-shard subsets (every shard
-// present, possibly empty — registering empty subsets keeps categories
-// defined on every shard, so queries on a shard with no such objects get
-// an empty stream rather than ErrUnknownCategory).
-func (s *ShardedDB) splitByOwner(vertices []int32) ([][]int32, error) {
-	n := int32(s.g.NumVertices())
-	out := make([][]int32, len(s.shards))
-	for _, v := range vertices {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("%w: object vertex %d (network has %d vertices)", ErrBadVertex, v, n)
-		}
-		o := s.OwnerShard(v)
-		out[o] = append(out[o], v)
-	}
-	return out, nil
-}
-
-// RegisterObjects replaces the named category across all shards, each
-// receiving the objects its cell owns.
-func (s *ShardedDB) RegisterObjects(name string, vertices []int32) error {
-	parts, err := s.splitByOwner(vertices)
-	if err != nil {
-		return err
-	}
-	return s.eachShard(func(i int, db *DB) error { return db.RegisterObjects(name, parts[i]) })
-}
-
-// InsertObjects adds objects to the named category on their owning shards
-// (creating the category everywhere on first use, like DB.InsertObjects).
-func (s *ShardedDB) InsertObjects(name string, vertices []int32) error {
-	parts, err := s.splitByOwner(vertices)
-	if err != nil {
-		return err
-	}
-	return s.eachShard(func(i int, db *DB) error { return db.InsertObjects(name, parts[i]) })
-}
-
-// RemoveObjects removes objects from the named category on their owning
-// shards; vertices not present are ignored, like DB.RemoveObjects.
-func (s *ShardedDB) RemoveObjects(name string, vertices []int32) error {
-	parts, err := s.splitByOwner(vertices)
-	if err != nil {
-		return err
-	}
-	return s.eachShard(func(i int, db *DB) error { return db.RemoveObjects(name, parts[i]) })
-}
-
-// eachShard runs f on every shard concurrently and returns the first
-// error.
-func (s *ShardedDB) eachShard(f func(i int, db *DB) error) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, db := range s.shards {
-		wg.Add(1)
-		go func(i int, db *DB) {
-			defer wg.Done()
-			errs[i] = f(i, db)
-		}(i, db)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
+	db.shards = t
 	return nil
 }
 
-// Categories returns the registered category names (shard 0's view — the
-// routed mutations keep every shard's category set identical).
-func (s *ShardedDB) Categories() []string { return s.shards[0].Categories() }
-
-// NumObjects sums the named category's objects across shards.
-func (s *ShardedDB) NumObjects(name string) (int, error) {
-	total := 0
-	for _, db := range s.shards {
-		n, err := db.NumObjects(name)
-		if err != nil {
-			return 0, err
-		}
-		total += n
+// NumShards returns the number of partition cells a category's objects are
+// split over: the manifest's on a shard set, 1 on an ordinary DB.
+func (db *DB) NumShards() int {
+	if db.shards == nil {
+		return 1
 	}
-	return total, nil
+	return len(db.shards.cells)
 }
 
-// Epoch returns a composite epoch for the named category: FNV-64a over
-// the per-shard epochs. It identifies a cross-shard snapshot for cache
-// invalidation hints and stats; unlike a single DB's epoch it is not a
-// counter. Per-shard serving stacks key their caches on their own shard's
-// exact epoch.
-func (s *ShardedDB) Epoch(name string) (uint64, error) {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, db := range s.shards {
-		e, err := db.Epoch(name)
-		if err != nil {
-			return 0, err
-		}
-		for i := range buf {
-			buf[i] = byte(e >> (8 * i))
-		}
-		h.Write(buf[:])
+// OwnerShard returns the cell that owns vertex v.
+func (db *DB) OwnerShard(v int32) int {
+	t := db.shards
+	if t == nil {
+		return 0
 	}
-	return h.Sum64(), nil
+	pos := t.pt.LeafSeq[v]
+	return sort.Search(len(t.cells), func(i int) bool { return t.cells[i].LeafHi > pos })
 }
 
-// KNN answers a k-nearest-neighbors query over the union of all shards'
-// objects, exactly: the owning shard answers first, its k-th distance
-// becomes the pruning threshold, and only shards whose geometric lower
-// bound does not exceed it are queried (in parallel) before the k-way
-// merge. Results are sorted by (distance, vertex).
-func (s *ShardedDB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, error) {
-	return s.fan(ctx, s.shards[0].knnQuery(q, k, opts), func(shard int) ([]Result, error) {
-		return s.shards[shard].KNN(ctx, q, k, opts...)
-	})
-}
-
-// FanKNN is KNN's routing skeleton with the per-shard query pluggable:
-// serving stacks pass a closure that consults their per-shard caches,
-// the library path queries the shard DB directly. query is called for the
-// owning shard first and then concurrently for every shard whose bound
-// passes the threshold prune; each call must return that shard's exact
-// top-k (or fewer if it has fewer objects) sorted by distance.
-func (s *ShardedDB) FanKNN(ctx context.Context, q int32, k int, query func(shard int) ([]Result, error)) ([]Result, error) {
-	return s.fan(ctx, s.shards[0].knnQuery(q, k, nil), query)
-}
-
-// Range returns every object within radius of q across all shards,
-// querying only shards whose lower bound does not exceed the radius.
-// Results are sorted by (distance, vertex).
-func (s *ShardedDB) Range(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
-	return s.fan(ctx, s.shards[0].rangeQuery(q, radius, opts), func(shard int) ([]Result, error) {
-		return s.shards[shard].Range(ctx, q, radius, opts...)
-	})
-}
-
-// FanRange is Range's routing skeleton with the per-shard query pluggable
-// (see FanKNN).
-func (s *ShardedDB) FanRange(ctx context.Context, q int32, radius Dist, query func(shard int) ([]Result, error)) ([]Result, error) {
-	return s.fan(ctx, s.shards[0].rangeQuery(q, radius, nil), query)
-}
-
-// fan is the one bound-pruned fan-and-merge behind KNN and Range. The
-// query is checked once up front (every shard holds the same graph and
-// methods, so shard 0 speaks for all; the category is the shards' to
-// report). The pruning threshold — no shard whose every object is farther
-// can change the answer — is the radius for a range query; for kNN it is
-// the owning shard's k-th distance, so the owner is asked first, and with
-// fewer than k local results every shard must be consulted.
-func (s *ShardedDB) fan(ctx context.Context, qr query, ask func(shard int) ([]Result, error)) ([]Result, error) {
-	if err := s.shards[0].check(ctx, &qr); err != nil {
-		return nil, err
+// ShardBound returns a lower bound on the network distance from vertex q
+// to any vertex in cell i: the Euclidean distance from q to the cell's
+// bounding box, scaled by the graph's maximum speed (valid for both weight
+// views — see graph.MaxSpeed). Zero for q's own cell.
+func (db *DB) ShardBound(i int, q int32) Dist {
+	t := db.shards
+	if t == nil {
+		return 0
 	}
-	var merged []Result
-	owner, threshold := -1, qr.radius
+	d := t.boxes[i].dist(db.g.X[q], db.g.Y[q])
+	return Dist(math.Floor(d * t.invSpeed))
+}
+
+// splitByOwner partitions vertices (already validated) into per-cell
+// subsets, every cell present, possibly empty. An ordinary DB's one cell
+// takes the caller's slice as it is: its mutations copy nothing.
+func (db *DB) splitByOwner(vertices []int32) [][]int32 {
+	if db.shards == nil {
+		return [][]int32{vertices}
+	}
+	out := make([][]int32, len(db.shards.cells))
+	for _, v := range vertices {
+		o := db.OwnerShard(v)
+		out[o] = append(out[o], v)
+	}
+	return out
+}
+
+// cellBound is one cell in a fan's visiting order.
+type cellBound struct {
+	cell  int
+	bound Dist
+}
+
+// byDistVertex is the order fanned answers are merged in.
+func byDistVertex(a, b Result) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Vertex, b.Vertex)
+}
+
+// fan is the one bound-pruned search of a multi-cell epoch, run on the one
+// session the query already holds: the non-empty cells are visited in
+// ascending lower-bound order — IER's Euclidean ordering (paper §3.2)
+// applied to cells — with the session rebound to each, and the visit stops
+// at the first cell whose bound exceeds the threshold, since no cell whose
+// every object is farther can change the answer. The threshold is the radius
+// for a range query; for kNN it is the running k-th distance, tightened after
+// every cell (∞ while fewer than k results are in hand, so then every cell
+// is consulted). Results land in dst sorted by (distance, vertex).
+func (db *DB) fan(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, dst []Result) []Result {
+	order := ps.order[:0]
+	for i, p := range ep.parts {
+		if p.Objs.Len() > 0 {
+			order = append(order, cellBound{i, db.ShardBound(i, qr.v)})
+		}
+	}
+	slices.SortFunc(order, func(a, b cellBound) int { return cmp.Compare(a.bound, b.bound) })
+	ps.order = order
+	mark, threshold := len(dst), qr.radius
 	if !qr.isRange {
-		owner = s.OwnerShard(qr.v)
-		first, err := ask(owner)
-		if err != nil {
-			return nil, err
-		}
 		threshold = graph.Inf
-		if len(first) >= qr.k {
-			threshold = first[qr.k-1].Dist
+	}
+	for _, c := range order {
+		if c.bound > threshold || ctx.Err() != nil {
+			break
 		}
-		merged = append(merged, first...)
-	}
-	type res struct {
-		rs  []Result
-		err error
-	}
-	results := make([]res, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		if i == owner || s.ShardBound(i, qr.v) > threshold {
+		db.shards.opened[c.cell].Add(1)
+		ps.sess.Rebind(ep.parts[c.cell])
+		dst = ps.search(qr, dst)
+		if qr.isRange {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rs, err := ask(i)
-			results[i] = res{rs, err}
-		}(i)
-	}
-	wg.Wait()
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
+		slices.SortFunc(dst[mark:], byDistVertex)
+		if len(dst)-mark >= qr.k {
+			dst = dst[:mark+qr.k]
+			threshold = dst[len(dst)-1].Dist
 		}
-		merged = append(merged, results[i].rs...)
 	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Dist != merged[b].Dist {
-			return merged[a].Dist < merged[b].Dist
-		}
-		return merged[a].Vertex < merged[b].Vertex
-	})
-	if !qr.isRange && len(merged) > qr.k {
-		merged = merged[:qr.k]
+	if qr.isRange {
+		slices.SortFunc(dst[mark:], byDistVertex)
 	}
-	return merged, nil
+	return dst
 }
 
-// shardStream adapts one shard's KNNSeq to a kmerge.Source: the stream is
-// opened lazily on first Next, so shards whose bound never wins the
+// cellStream adapts one cell's streaming search to a kmerge.Source: the
+// stream is opened lazily on first Next, so cells whose bound never wins the
 // tournament never run a search at all.
-type shardStream struct {
-	open  func() (func() (Result, error, bool), func())
+type cellStream struct {
+	open  func() (func() (Result, bool), func())
 	bound Dist
-	next  func() (Result, error, bool)
+	next  func() (Result, bool)
 	stop  func()
 	err   error
 }
 
-func (ss *shardStream) Bound() int64 { return int64(ss.bound) }
+func (cs *cellStream) Bound() int64 { return int64(cs.bound) }
 
-func (ss *shardStream) Next() (kmerge.Item, bool, error) {
-	if ss.next == nil {
-		ss.next, ss.stop = ss.open()
+func (cs *cellStream) Next() (kmerge.Item, bool, error) {
+	if cs.next == nil {
+		cs.next, cs.stop = cs.open()
 	}
-	r, err, ok := ss.next()
+	r, ok := cs.next()
 	if !ok {
-		return kmerge.Item{}, false, nil
-	}
-	if err != nil {
-		return kmerge.Item{}, false, err
+		return kmerge.Item{}, false, cs.err
 	}
 	return kmerge.Item{V: r.Vertex, D: int64(r.Dist)}, true, nil
 }
 
-// KNNSeq streams the global k nearest neighbors in nondecreasing
-// (distance, vertex) order by merging the per-shard KNNSeq streams with a
-// loser tree keyed on each shard's lower bound: a shard's stream is opened
-// only when its bound becomes the merge frontier, and the merge is exact
-// because each per-shard stream yields exact full-graph distances in
-// nondecreasing order (see ARCHITECTURE.md for the argument). Breaking
-// early abandons the remaining per-shard searches.
-func (s *ShardedDB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		qr := s.shards[0].knnQuery(q, k, opts)
-		if err := s.shards[0].check(ctx, &qr); err != nil {
-			yield(Result{}, err)
-			return
+// mergeCells is KNNSeq over a multi-cell epoch: the global k nearest in
+// nondecreasing (distance, vertex) order, by merging the per-cell streams
+// with a loser tree keyed on each cell's lower bound. A cell's stream — its
+// own pooled session, bound to that cell's part of ep — is opened only when
+// its bound becomes the merge frontier, and the merge is exact because each
+// per-cell stream yields exact full-graph distances in nondecreasing order
+// (see ARCHITECTURE.md for the argument). emit returning false abandons the
+// remaining per-cell searches.
+func (db *DB) mergeCells(ctx context.Context, qr *query, ep *epoch, m Method, emit func(Result) bool) error {
+	var streams []*cellStream
+	var sources []kmerge.Source
+	for i, part := range ep.parts {
+		if part.Objs.Len() == 0 {
+			continue
 		}
-		streams := make([]*shardStream, len(s.shards))
-		sources := make([]kmerge.Source, len(s.shards))
-		for i := range s.shards {
-			db := s.shards[i]
-			streams[i] = &shardStream{
-				bound: s.ShardBound(i, q),
-				open: func() (func() (Result, error, bool), func()) {
-					return iter.Pull2(db.KNNSeq(ctx, q, k, opts...))
-				},
-			}
-			sources[i] = streams[i]
+		cs := &cellStream{bound: db.ShardBound(i, qr.v)}
+		cs.open = func() (func() (Result, bool), func()) {
+			db.shards.opened[i].Add(1)
+			return iter.Pull(func(yield func(Result) bool) {
+				cs.err = db.streamPart(ctx, qr, part, m, yield)
+			})
 		}
-		defer func() {
-			for _, ss := range streams {
-				if ss.stop != nil {
-					ss.stop()
-				}
-			}
-		}()
-		yielded := 0
-		err := kmerge.Merge(sources, func(it kmerge.Item) bool {
-			if !yield(Result{Vertex: it.V, Dist: Dist(it.D)}, nil) {
-				return false
-			}
-			yielded++
-			return yielded < k
-		})
-		if err != nil {
-			yield(Result{}, err)
-		}
+		streams, sources = append(streams, cs), append(sources, cs)
 	}
+	defer func() {
+		for _, cs := range streams {
+			if cs.stop != nil {
+				cs.stop()
+			}
+		}
+	}()
+	yielded := 0
+	return kmerge.Merge(sources, func(it kmerge.Item) bool {
+		yielded++
+		return emit(Result{Vertex: it.V, Dist: Dist(it.D)}) && yielded < qr.k
+	})
 }

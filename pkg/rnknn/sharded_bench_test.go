@@ -1,0 +1,100 @@
+package rnknn_test
+
+import (
+	"context"
+	"os"
+	"sync"
+	"testing"
+
+	"rnknn/internal/gen"
+	"rnknn/pkg/rnknn"
+)
+
+// shardedBench is BenchmarkShardedKNN's fixture, built once per process: NW
+// with the serving methods, opened as an ordinary DB and as a 4-cell shard
+// set over the same snapshot, the same two object densities on both.
+var shardedBench struct {
+	once        sync.Once
+	mono, cells *rnknn.DB
+	qs          []int32
+	err         error
+}
+
+func shardedBenchFixture(b *testing.B) (mono, cells *rnknn.DB, qs []int32) {
+	f := &shardedBench
+	f.once.Do(func() {
+		spec, _ := gen.LadderSpec("NW")
+		g := gen.Network(spec)
+		if f.mono, f.err = rnknn.Open(g, rnknn.WithMethods(rnknn.INE, rnknn.IERPHL, rnknn.Gtree, rnknn.ROAD)); f.err != nil {
+			return
+		}
+		// Not b.TempDir, whose removal would race the fixture's later users:
+		// the files go as soon as the set is open (the mapping, or the
+		// decoded heap copy where there is no mmap, outlives them).
+		dir, err := os.MkdirTemp("", "shardedbench")
+		if f.err = err; err != nil {
+			return
+		}
+		defer os.RemoveAll(dir)
+		if f.err = f.mono.SaveShardSet(dir, 4); f.err != nil {
+			return
+		}
+		if f.cells, f.err = rnknn.OpenSharded(dir); f.err != nil {
+			return
+		}
+		for _, db := range []*rnknn.DB{f.mono, f.cells} {
+			for name, density := range map[string]float64{"d0.01": 0.01, "d0.001": 0.001} {
+				if f.err = db.RegisterObjects(name, gen.Uniform(g, density, 7)); f.err != nil {
+					return
+				}
+			}
+		}
+		f.qs = gen.QueryVertices(g, 512, 11)
+	})
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+	return f.mono, f.cells, f.qs
+}
+
+// BenchmarkShardedKNN is what partitioning a category costs one caller:
+// DB.KNN (k=10) on an ordinary DB against the same call on a 4-cell shard
+// set of the same network and objects, for the query MethodAuto serves in
+// microseconds (d0.01) and for a millisecond expansion (explicit INE on
+// d0.001). cells/op is how many cells the bounds let a query open. Compare
+// across -cpu 1,2: the fan runs on the caller's goroutine.
+func BenchmarkShardedKNN(b *testing.B) {
+	mono, cells, qs := shardedBenchFixture(b)
+	ctx := context.Background()
+	opened := func(db *rnknn.DB) (n uint64) {
+		for _, sh := range db.Stats().Shards {
+			n += sh.Opened
+		}
+		return n
+	}
+	for _, w := range []struct {
+		name, category string
+		method         rnknn.Method
+	}{
+		{"Auto-d0.01", "d0.01", rnknn.MethodAuto},
+		{"INE-d0.001", "d0.001", rnknn.INE},
+	} {
+		for _, side := range []struct {
+			name string
+			db   *rnknn.DB
+		}{{"mono", mono}, {"cells=4", cells}} {
+			b.Run(w.name+"/"+side.name, func(b *testing.B) {
+				opts := []rnknn.QueryOption{rnknn.WithMethod(w.method), rnknn.WithCategory(w.category)}
+				before := opened(side.db)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := side.db.KNN(ctx, qs[i%len(qs)], 10, opts...); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(opened(side.db)-before)/float64(b.N), "cells/op")
+			})
+		}
+	}
+}

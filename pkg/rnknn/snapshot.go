@@ -61,8 +61,8 @@ func OpenFromSnapshot(g *Graph, r io.Reader, opts ...Option) (*DB, error) {
 // file, or OpenSnapshotFile — which implies it), the file is mmap'ed
 // read-only and every mappable section decodes into slices that alias the
 // mapping. Warm start becomes O(pages touched) instead of O(bytes
-// decoded), and all processes (or shard DBs) opening the same snapshot
-// share one physical copy of it in the page cache.
+// decoded), and all processes opening the same snapshot share one physical
+// copy of it in the page cache.
 //
 // The trade: a mapped open skips checksum verification and the
 // per-element validation scans (each would fault in every page, paying

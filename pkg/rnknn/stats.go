@@ -79,6 +79,19 @@ type Stats struct {
 	// Batch aggregates batch execution (see DB.Batch): shared-expansion
 	// groups versus individual fan-out.
 	Batch BatchStats
+	// Shards has one entry per partition cell of a shard set (see
+	// OpenSharded); empty on an ordinary DB.
+	Shards []ShardStats
+}
+
+// ShardStats describes one partition cell of a shard set.
+type ShardStats struct {
+	// Opened counts the searches that opened this cell: one per query whose
+	// bound-pruned fan or lazy merge reached it.
+	Opened uint64
+	// Categories maps each registered object category to the live objects
+	// this cell owns.
+	Categories map[string]int
 }
 
 // counters is one method's lock-free aggregate.
@@ -148,11 +161,20 @@ func (db *DB) Stats() Stats {
 			s.Methods[INE.String()] = ms
 		}
 	}
+	if t := db.shards; t != nil {
+		s.Shards = make([]ShardStats, len(t.cells))
+		for i := range s.Shards {
+			s.Shards[i] = ShardStats{Opened: t.opened[i].Load(), Categories: map[string]int{}}
+		}
+	}
 	db.mu.RLock()
 	for name, cat := range db.cats {
-		if b := cat.binding.Load(); b != nil {
-			s.Categories[name] = b.Objs.Len()
-			s.Epochs[name] = b.Epoch
+		if ep := cat.live.Load(); ep != nil {
+			s.Categories[name] = ep.objects
+			s.Epochs[name] = ep.n
+			for i := range s.Shards {
+				s.Shards[i].Categories[name] = ep.parts[i].Objs.Len()
+			}
 		}
 	}
 	db.mu.RUnlock()
