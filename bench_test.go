@@ -275,10 +275,9 @@ func sharedAllocDB(b *testing.B) (*api.DB, []int32) {
 
 // BenchmarkDBKNNAllocs is the allocation surface of the perf trajectory:
 // warm-session db.KNNAppend into a caller-reused buffer, one sub-benchmark
-// per method. ReportAllocs makes allocs/op land in BENCH_pr.json (the CI
-// bench job runs with -benchmem as well), and the companion regression
-// tests (TestDBKNNAppendZeroAllocs, core's TestWarmSessionKNNZeroAllocs)
-// hard-fail if any of these ever report a steady-state allocation again.
+// per method. The companion regression tests (TestDBKNNAppendZeroAllocs,
+// core's TestWarmSessionKNNZeroAllocs) hard-fail if any of these ever
+// report a steady-state allocation again.
 func BenchmarkDBKNNAllocs(b *testing.B) {
 	db, qs := sharedAllocDB(b)
 	ctx := context.Background()
@@ -339,9 +338,7 @@ func sharedGridDB(b *testing.B) (*api.DB, []int32) {
 }
 
 // BenchmarkDBKNNGrid sweeps method × k × density on one network — the
-// ns/op surface behind the adaptive planner's regime table. CI runs it
-// with -benchtime=1x and folds the output into BENCH_pr.json (see
-// cmd/bench2json), so the per-regime trajectory accumulates across PRs.
+// ns/op surface behind the planner's regime table.
 func BenchmarkDBKNNGrid(b *testing.B) {
 	db, qs := sharedGridDB(b)
 	ctx := context.Background()
@@ -356,10 +353,6 @@ func BenchmarkDBKNNGrid(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					// cmd/fitcost needs the network size per record to fit the
-					// cost model; bench2json keeps custom units in its metrics
-					// map, no parser change needed.
-					b.ReportMetric(float64(db.Graph().NumVertices()), "nv")
 				})
 			}
 		}
@@ -424,9 +417,7 @@ var batchClusteredOnce sync.Once
 // by the pooled fan-out baseline (mode=fanout). The answers must match
 // exactly, and the shared mode reports its speedup over fan-out and
 // hard-fails below 1.5x so a regression in the shared frontier can't land
-// silently. CI folds both modes into BENCH_pr.json; cmd/fitcost consumes
-// the pair (via the "members" metric) to fit the cost model's shared-cost
-// coefficient.
+// silently.
 func BenchmarkDBBatchClustered(b *testing.B) {
 	db, _ := sharedChurnDB(b)
 	g := db.Graph()
@@ -479,7 +470,6 @@ func BenchmarkDBBatchClustered(b *testing.B) {
 				runOnce(b, mode)
 			}
 			*ns = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(float64(batchQueryCount), "members")
 		}
 	}
 	b.Run("mode=fanout", bench(api.SharedOff, &fanoutNs))
@@ -581,10 +571,9 @@ var monitorBenchOnce sync.Once
 // BenchmarkMonitorRoute drives db.Monitor along a 512-step edge walk and
 // reports, beyond ns/op, the two numbers the continuous-query design is
 // about: ns/step and avoided-ratio — the fraction of steps the per-step
-// safe-region check answered without re-running a kNN search. CI folds
-// both into BENCH_pr.json (cmd/bench2json keeps extra ReportMetric units
-// in a "metrics" map), and the benchmark hard-fails if the ratio drops
-// below 60% so a regression in the drift accounting can't land silently.
+// safe-region check answered without re-running a kNN search. The
+// benchmark hard-fails if the ratio drops below 60% so a regression in the
+// drift accounting can't land silently.
 func BenchmarkMonitorRoute(b *testing.B) {
 	db, _ := sharedChurnDB(b)
 	g := db.Graph()
@@ -632,8 +621,7 @@ func BenchmarkMonitorRoute(b *testing.B) {
 // O(delta) maintainer work), mode=reregister pays the pre-epoch cost model,
 // a full RegisterObjects rebuild of every derived object index. The
 // incremental path must stay >= 10x faster than re-registration from 10k
-// objects up; CI folds both modes into BENCH_pr.json so the ratio is
-// tracked per PR.
+// objects up.
 func BenchmarkObjectChurn(b *testing.B) {
 	db, sets := sharedChurnDB(b)
 	const spare int32 = 0 // never part of the registered sets
@@ -674,7 +662,7 @@ func BenchmarkObjectChurn(b *testing.B) {
 // timing. Both modes report open-ms and the snapshot size; the mmap mode
 // additionally reports its speedup over decode and hard-fails below 10x,
 // so the "warm start costs page faults, not a decode of every byte" claim
-// is enforced on every PR. CI folds both modes into BENCH_pr.json.
+// is enforced on every PR.
 func BenchmarkOpenFromSnapshot(b *testing.B) {
 	db, qs := sharedBenchDB(b)
 	g := db.Graph()

@@ -2,7 +2,7 @@
 // public rnknn API, printing results and basic timings — a minimal
 // end-to-end exercise of the library.
 //
-// One query with a chosen method (or "auto" for the adaptive planner):
+// One query with a chosen method (or "auto" for the planner):
 //
 //	knnquery -network NW -method IER-PHL -k 10 -density 0.001 -q 123
 //	knnquery -network NW -method auto -k 10 -density 0.001

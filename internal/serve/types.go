@@ -32,8 +32,8 @@ type KNNResponse struct {
 	// Query echoes the query vertex; K the requested neighbor count.
 	Query int32 `json:"query"`
 	K     int   `json:"k"`
-	// Method is the method the request asked for ("Auto" when the adaptive
-	// planner routed it).
+	// Method is the method the request asked for ("Auto" when the planner
+	// routed it).
 	Method string `json:"method"`
 	// Category is the object category searched.
 	Category string `json:"category"`

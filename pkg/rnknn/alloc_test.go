@@ -38,8 +38,8 @@ func TestDBKNNAppendZeroAllocs(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			opt := WithMethod(m)
 			var buf []Result
-			// Warm up: manufacture the pooled session, grow its scratch to
-			// steady state, and land this regime's planner EWMA bucket.
+			// Warm up: manufacture the pooled session and grow its scratch
+			// to steady state.
 			for q := int32(0); q < 16; q++ {
 				buf, err = db.KNNAppend(ctx, q*29, k, buf[:0], opt)
 				if err != nil {

@@ -3,8 +3,8 @@ package rnknn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
-	"time"
 
 	"rnknn/internal/gen"
 )
@@ -13,10 +13,7 @@ import (
 // MethodAuto must resolve to different methods across (k, density)
 // regimes — INE where objects are dense and k small (the expansion finds
 // them immediately, Section 7.3), a fast-oracle method where objects are
-// sparse and k large (Figures 10-11). The checked-in DefaultModel is
-// fitted to one machine's measurements and may legitimately place the
-// dense crossover elsewhere, so the test pins the planner to the seed
-// model — the paper's regime table — explicitly.
+// sparse and k large (Figures 10-11).
 func TestMethodAutoRegimes(t *testing.T) {
 	// Large enough that a graph-wide INE scan (the sparse regime's worst
 	// case) is clearly costlier than oracle-verified candidates.
@@ -29,7 +26,6 @@ func TestMethodAutoRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.plan.SetModel(nil) // nil reverts to the hand-seeded paper priors
 
 	densePlan, err := db.Explain(0, 2, WithMethod(MethodAuto), WithCategory("dense"))
 	if err != nil {
@@ -94,41 +90,82 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-// TestAutoAdaptsToObservedLatency: after feeding the planner heavily
-// skewed observations for a regime, MethodAuto must move off its static
-// choice within that regime.
-func TestAutoAdaptsToObservedLatency(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "adapt", Rows: 16, Cols: 20, Seed: 8})
-	db, err := Open(g,
-		WithMethods(INE, Gtree),
-		WithObjects(DefaultCategory, gen.Uniform(g, 0.1, 3)),
-	)
+// TestAutoPlanIgnoresHistory: MethodAuto's choice is a function of the
+// query and the category's live object count, never of what ran before.
+// Plans over a density x k grid must come back identical after thousands of
+// explicit-method queries — graph-wide INE scans on the sparse category
+// among them — and after an insert/remove pair that takes a category across
+// a density decade and back.
+func TestAutoPlanIgnoresHistory(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "history", Rows: 48, Cols: 60, Seed: 17})
+	cats := map[string][]int32{
+		"d0.1":   gen.Uniform(g, 0.1, 5),
+		"d0.01":  gen.Uniform(g, 0.01, 6),
+		"d0.001": gen.Uniform(g, 0.001, 7),
+	}
+	opts := []Option{WithMethods(INE, IERPHL, Gtree)}
+	for name, objs := range cats {
+		opts = append(opts, WithObjects(name, objs))
+	}
+	db, err := Open(g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := db.Explain(0, 2, WithMethod(MethodAuto))
-	if err != nil {
+	ks := []int{1, 5, 10, 25, 50}
+	plans := func() map[string]Plan {
+		out := map[string]Plan{}
+		for name := range cats {
+			for _, k := range ks {
+				p, err := db.Explain(0, k, WithMethod(MethodAuto), WithCategory(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("%s k=%d", name, k)] = p
+			}
+		}
+		return out
+	}
+	before := plans()
+
+	ctx := context.Background()
+	qs := gen.QueryVertices(g, 64, 9)
+	var buf []Result
+	for name := range cats {
+		for _, k := range ks {
+			for _, m := range db.Methods() {
+				for _, q := range qs {
+					if buf, err = db.KNNAppend(ctx, q, k, buf[:0], WithMethod(m), WithCategory(name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	// Ten times the sparse category's size in fresh vertices: one decade up
+	// on insert, back down on remove.
+	sparse := cats["d0.001"]
+	member := map[int32]bool{}
+	for _, v := range sparse {
+		member[v] = true
+	}
+	var fresh []int32
+	for v := int32(0); len(fresh) < 10*len(sparse); v++ {
+		if !member[v] {
+			fresh = append(fresh, v)
+		}
+	}
+	if err := db.InsertObjects("d0.001", fresh); err != nil {
 		t.Fatal(err)
 	}
-	if before.Method != INE {
-		t.Fatalf("static dense choice = %v, want INE", before.Method)
-	}
-	b, err := db.snapshot(DefaultCategory)
-	if err != nil {
+	if err := db.RemoveObjects("d0.001", fresh); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate INE latencies collapsing (as if the regime's real traffic
-	// contradicted the model) and Gtree being fast.
-	for i := 0; i < 30; i++ {
-		db.plan.Observe(INE.kind(), db.features(2, b), 50*time.Millisecond)
-		db.plan.Observe(Gtree.kind(), db.features(2, b), 50*time.Microsecond)
-	}
-	after, err := db.Explain(0, 2, WithMethod(MethodAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Method != Gtree {
-		t.Fatalf("after observations: %v (%s), want Gtree", after.Method, after.Reason)
+
+	after := plans()
+	for cell, want := range before {
+		if got := after[cell]; got != want {
+			t.Errorf("%s: plan moved with history:\n before %+v\n after  %+v", cell, want, got)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // expansion — a multi-source frontier (INE) or a shared border-distance
 // computation (G-tree) that pays the graph traversal once for the whole
 // group while preserving each member's exact answer. Whether a group
-// shares or fans out is decided by the planner's fitted cost model
+// shares or fans out is decided by the planner's cost model
 // (SharedAuto, the default): sharing wins when individual queries are
 // expensive (sparse objects, large k), and loses when they are cheap.
 // Everything else — range queries, scattered queries, non-expansion
@@ -49,8 +49,8 @@ type Batch struct {
 type SharedMode int
 
 const (
-	// SharedAuto (the default) lets the planner's fitted cost model decide
-	// per group whether sharing beats fanning out.
+	// SharedAuto (the default) lets the planner's cost model decide per
+	// group whether sharing beats fanning out.
 	SharedAuto SharedMode = iota
 	// SharedOn forces every eligible group (≥2 same-leaf queries on an
 	// expansion method) through the shared path.
@@ -153,8 +153,8 @@ type BatchPlan struct {
 
 // Explain reports how Run would execute the batch — the grouping planner's
 // clusters and per-group shared-vs-fanout decisions — without running any
-// query. The planner adapts to observed latency, so consecutive Explains
-// may differ.
+// query. Like DB.Explain it depends on the queries and the live object
+// counts, never on what ran before.
 func (b *Batch) Explain() BatchPlan {
 	_, units, singles := b.db.planBatch(context.Background(), b.ops, b.shared)
 	p := BatchPlan{FanoutQueries: len(singles)}
@@ -251,7 +251,7 @@ func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]op
 		case mode == SharedOn:
 			u.sharedRun = true
 		default:
-			u.choice = db.plan.ChooseBatch(u.m.kind(), db.features(u.maxK, u.ep), len(u.ops))
+			u.choice = planner.ChooseBatch(u.m.kind(), db.features(u.maxK, u.ep), len(u.ops))
 			u.sharedRun = u.choice.Shared
 		}
 		if !u.sharedRun {
@@ -339,10 +339,7 @@ func (db *DB) batchWorker(ctx context.Context, ops []query, plans []opPlan, out 
 // runBatchGroup answers one shared group through a single KNNGroupAppend on
 // the group's method session. Every member answers from the unit's pinned
 // category epoch; each member's Latency is the group's elapsed time divided
-// by the group size. Shared members feed the per-method query counters but
-// NOT the planner's latency EWMA — an amortized group latency is not a
-// single-query latency and would corrupt the regime cells the grouping
-// decision itself reads.
+// by the group size.
 func (db *DB) runBatchGroup(ctx context.Context, ops []query, u *planUnit, out []BatchResult, sess *[numMethods]*pooledSession) {
 	fail := func(err error) {
 		for _, i := range u.ops {

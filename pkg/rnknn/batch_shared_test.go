@@ -185,7 +185,7 @@ func TestBatchExplainGroups(t *testing.T) {
 	if plan.SharedQueries != 6 || plan.FanoutQueries != 1 {
 		t.Fatalf("plan counts = %+v", plan)
 	}
-	// The auto decision cites the cost model (fitted or seed) or the EWMA.
+	// The auto decision cites the cost model.
 	auto := db.Batch().SharedExpansion(SharedAuto)
 	for i := 0; i < 6; i++ {
 		auto.AddKNN(verts[i], 4, WithMethod(INE))

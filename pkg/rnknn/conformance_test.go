@@ -6,23 +6,22 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"rnknn/internal/core"
 	"rnknn/internal/gen"
 )
 
 // One table for every query entry point. Each adapter below is a thin shell
 // over prepare/run, so each must show the same behaviour on the same rows:
 // the same typed error in the same precedence, brute force's answer at the
-// pinned epoch, one Stats entry and one planner observation per completed
-// query and none for a cancelled one, and a balanced session pool whatever
-// cut the query short. Every row runs twice: on an ordinary DB, and (as
-// "ShardedDB.<row>") on the same network and objects opened as a two-cell
-// shard set — the same methods of the same type, over a partitioned epoch.
+// pinned epoch, one Stats entry per completed query and none for a
+// cancelled one, and a balanced session pool whatever cut the query short.
+// Every row runs twice: on an ordinary DB, and (as "ShardedDB.<row>") on the
+// same network and objects opened as a two-cell shard set — the same methods
+// of the same type, over a partitioned epoch.
 
 const confCat = "poi"
 
-// confEnv is one fresh database per adapter (so its counters and planner
-// cells start at zero): db is the one under test — a two-cell shard set when
+// confEnv is one fresh database per adapter (so its counters start at
+// zero): db is the one under test — a two-cell shard set when
 // sharded — and ref the ordinary DB over the same network and objects whose
 // brute force is the reference (db itself when not sharded).
 type confEnv struct {
@@ -85,12 +84,8 @@ type confAdapter struct {
 	oneCell bool
 	// noCtx: the entry point takes no context (the brute-force references).
 	noCtx bool
-	// records is how many Stats entries one completed call lands; observes
-	// whether it also trains the planner (range queries and shared-group
-	// members do not); planK what k the planner sees for a request of k.
-	records  int
-	observes bool
-	planK    func(k int) int
+	// records is how many Stats entries one completed call lands.
+	records int
 	// ask runs one query to completion; arg is k, or the radius.
 	ask func(e *confEnv, ctx context.Context, q int32, arg int, opts ...QueryOption) (confAnswer, error)
 	// first, on the streaming entry points, consumes one element and breaks.
@@ -148,22 +143,20 @@ func member(e *confEnv, b *Batch, ctx context.Context, wantShared bool) (confAns
 	return pinned(out[0].Results, out[0].Epoch, out[0].Err)
 }
 
-func sameK(k int) int { return k }
-
 var confAdapters = []confAdapter{
-	{name: "KNN", records: 1, observes: true, planK: sameK,
+	{name: "KNN", records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return results(e.db.KNN(ctx, q, k, opts...))
 		}},
-	{name: "KNNAppend", records: 1, observes: true, planK: sameK,
+	{name: "KNNAppend", records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return appended(e.db.KNNAppend(ctx, q, k, append(make([]Result, 0, 16), Result{Vertex: -7}), opts...))
 		}},
-	{name: "KNNPinned", records: 1, observes: true, planK: sameK,
+	{name: "KNNPinned", records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return pinned(e.db.KNNPinned(ctx, q, k, opts...))
 		}},
-	{name: "KNNSeq", records: 1, observes: true, planK: sameK,
+	{name: "KNNSeq", records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return collect(e.db.KNNSeq(ctx, q, k, opts...))
 		},
@@ -172,15 +165,15 @@ var confAdapters = []confAdapter{
 				break
 			}
 		}},
-	{name: "Batch single", records: 1, observes: true, planK: sameK,
+	{name: "Batch single", records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return member(e, e.db.Batch().SharedExpansion(SharedOff).AddKNN(q, k, opts...), ctx, false)
 		}},
-	{name: "Batch shared member", oneCell: true, records: 2, planK: sameK,
+	{name: "Batch shared member", oneCell: true, records: 2,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return member(e, e.db.Batch().SharedExpansion(SharedOn).AddKNN(q, k, opts...).AddKNN(q, k, opts...), ctx, true)
 		}},
-	{name: "Monitor first step", records: 1, observes: true, planK: func(k int) int { return k + 1 },
+	{name: "Monitor first step", records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			for u, err := range e.db.Monitor(ctx, []int32{q}, k, opts...) {
 				if err != nil {
@@ -202,7 +195,7 @@ var confAdapters = []confAdapter{
 				break
 			}
 		}},
-	{name: "BruteForceKNN", noCtx: true, planK: sameK,
+	{name: "BruteForceKNN", noCtx: true,
 		ask: func(e *confEnv, _ context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
 			return results(e.db.BruteForceKNN(q, k, opts...))
 		}},
@@ -410,9 +403,8 @@ func conformance(t *testing.T, a confAdapter, sharded bool) {
 		}
 	})
 
-	// The first completed query on a fresh database: its one Stats entry
-	// and one planner observation can be read exactly — and must have
-	// timed the same interval. Over several cells too: a fan is one query.
+	// The first completed query on a fresh database: its Stats entries can
+	// be counted exactly. Over several cells too: a fan is one query.
 	t.Run(name+"/records", func(t *testing.T) {
 		if a.noCtx {
 			t.Skip("the brute-force references record nothing")
@@ -424,20 +416,6 @@ func conformance(t *testing.T, a confAdapter, sharded bool) {
 		ms := e.db.Stats().Methods[INE.String()]
 		if got := ms.KNNQueries + ms.RangeQueries; got != uint64(a.records) {
 			t.Errorf("%d queries recorded, want %d", got, a.records)
-		}
-		if a.isRange {
-			return
-		}
-		ep, err := e.db.snapshot(confCat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := e.db.plan.Choose([]core.MethodKind{core.INE}, e.db.features(a.planK(k), ep))
-		switch {
-		case c.Observed != a.observes:
-			t.Errorf("planner observed = %v, want %v", c.Observed, a.observes)
-		case c.Observed && c.Cost != ms.TotalLatency:
-			t.Errorf("planner saw %v, Stats %v: not one observation of the same interval", c.Cost, ms.TotalLatency)
 		}
 	})
 

@@ -10,12 +10,11 @@ import (
 // Method identifies a kNN method configuration. The zero value is INE.
 type Method int
 
-// MethodAuto asks the adaptive planner to pick the method per query from
-// the DB's enabled methods, using the paper's regime findings (no single
-// method dominates; crossovers are governed by k, object density, and
-// network size — Section 7, Table 5) refined by observed per-method
-// latency. Usable with WithMethod on KNN, KNNSeq, and batch queries;
-// Explain reports what it resolves to and why.
+// MethodAuto asks the planner to pick the method per query from the DB's
+// enabled methods, using the paper's regime findings (no single method
+// dominates; crossovers are governed by k, object density, and network
+// size — Section 7, Table 5). Usable with WithMethod on KNN, KNNSeq, and
+// batch queries; Explain reports what it resolves to and why.
 const MethodAuto Method = -1
 
 // The methods mirror internal/core's kinds: the paper's five algorithms,

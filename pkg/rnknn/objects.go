@@ -7,7 +7,6 @@ import (
 
 	"rnknn/internal/core"
 	"rnknn/internal/knn"
-	"rnknn/internal/planner"
 )
 
 // epoch is one immutable version of a category: the counter Epoch reports
@@ -57,7 +56,6 @@ func (db *DB) RegisterObjects(name string, vertices []int32) error {
 	next := db.newEpoch(vertices)
 	if cur := cat.live.Load(); cur != nil {
 		next.n = cur.n + 1
-		db.noteDensityShift(cur, next)
 	}
 	cat.live.Store(next)
 	return nil
@@ -151,7 +149,6 @@ func (db *DB) advance(cat *category, cur *epoch, add, remove []int32) {
 	if !changed {
 		return
 	}
-	db.noteDensityShift(cur, next)
 	cat.live.Store(next)
 }
 
@@ -187,16 +184,6 @@ func (db *DB) category(name string) *category {
 		db.cats[name] = cat
 	}
 	return cat
-}
-
-// noteDensityShift feeds a mutation's live-density change into the adaptive
-// planner so MethodAuto re-regimes as the set grows or shrinks (the paper's
-// density axis, Figure 11). Called with the category's mutation lock held.
-func (db *DB) noteDensityShift(old, next *epoch) {
-	db.plan.NoteDensityShift(
-		planner.Features{NumObjects: old.objects, NumVertices: db.g.NumVertices()},
-		planner.Features{NumObjects: next.objects, NumVertices: db.g.NumVertices()},
-	)
 }
 
 // snapshot resolves a category name to its live epoch (the query-time pin).

@@ -202,7 +202,7 @@ func (db *DB) features(k int, ep *epoch) planner.Features {
 // auto asks the planner to pick among the enabled methods for this (k,
 // density, network) regime.
 func (db *DB) auto(k int, ep *epoch) planner.Choice {
-	return db.plan.Choose(db.bindKinds, db.features(k, ep))
+	return planner.Choose(db.bindKinds, db.features(k, ep))
 }
 
 // prepare is the first half of every query: validate (check), pin the
@@ -253,17 +253,9 @@ func (db *DB) run(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, 
 	if qr.isRange {
 		db.stats.recordRange(elapsed)
 	} else {
-		db.recordKNN(m, qr.k, ep, elapsed)
+		db.stats.recordKNN(m, elapsed)
 	}
 	return dst, elapsed, nil
-}
-
-// recordKNN lands a completed kNN query in the per-method counters and
-// feeds the planner's latency EWMA for the query's regime — every query
-// trains MethodAuto, not just the auto-planned ones.
-func (db *DB) recordKNN(m Method, k int, ep *epoch, elapsed time.Duration) {
-	db.stats.recordKNN(m, elapsed)
-	db.plan.Observe(m.kind(), db.features(k, ep), elapsed)
 }
 
 // runOwned is run for callers that keep the answer: the search runs
@@ -318,7 +310,9 @@ type Plan struct {
 // Explain resolves the method a KNN call with the same arguments would
 // run, without running it. For MethodAuto it reports the planner's choice
 // and cost rationale; for a fixed method it validates the request. The
-// planner adapts to observed latency, so consecutive Explains may differ.
+// plan is a function of k, the category's live object count and the network
+// size alone: it changes when objects are inserted or removed, never with
+// the queries that ran before.
 func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 	qr := db.knnQuery(q, k, opts)
 	ep, m, err := db.prepare(context.Background(), &qr)
@@ -328,8 +322,7 @@ func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 	if qr.opt.method != MethodAuto {
 		return Plan{Method: m, Reason: "requested with WithMethod"}, nil
 	}
-	c := db.auto(k, ep)
-	return Plan{Method: Method(c.Kind), Reason: c.Reason()}, nil
+	return Plan{Method: m, Reason: db.auto(k, ep).Reason()}, nil
 }
 
 // KNN returns the k nearest objects of the query's category to vertex q by

@@ -32,7 +32,7 @@ import (
 // INE, the IER family, G-tree and ROAD stream natively (each confirmed
 // neighbor is yielded mid-search); the SILC pair computes its full answer
 // first and replays it. Safe for unbounded concurrent callers; only fully
-// consumed streams are recorded in Stats and planner EWMAs.
+// consumed streams are recorded in Stats.
 func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		qr := db.knnQuery(q, k, opts)
@@ -44,7 +44,7 @@ func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) i
 		consumerDone := false
 		// elapsed accumulates only time spent inside the method: the clock
 		// pauses around each yield so consumer loop-body work does not
-		// inflate Stats or poison the planner's latency EWMAs.
+		// inflate Stats.
 		var elapsed time.Duration
 		segment := time.Now()
 		emit := func(r Result) bool {
@@ -80,7 +80,7 @@ func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) i
 			yield(Result{}, err)
 			return
 		}
-		db.recordKNN(m, k, ep, elapsed)
+		db.stats.recordKNN(m, elapsed)
 	}
 }
 

@@ -39,12 +39,12 @@
 //     pool, checking sessions out once per worker — the unit of work for
 //     a server front end.
 //
-// WithMethod(MethodAuto) resolves the method per query through an adaptive
+// WithMethod(MethodAuto) resolves the method per query through the
 // planner: the paper's regime findings (no single method dominates;
 // crossovers governed by k, object density, and network size — Section 7,
-// Table 5) seeded as a static cost model and refined online by observed
-// per-method latency. Explain reports the planner's decision without
-// running the query.
+// Table 5) as one static cost model, a function of k, the category's live
+// object count and the network size and of nothing else. Explain reports the
+// planner's decision without running the query.
 //
 // # Index persistence
 //
@@ -82,7 +82,6 @@ import (
 	"rnknn/internal/knn"
 	"rnknn/internal/mapped"
 	"rnknn/internal/partition"
-	"rnknn/internal/planner"
 )
 
 // Graph is the road network a DB serves: a CSR adjacency with travel
@@ -191,10 +190,6 @@ type DB struct {
 	batchStats batchCounters
 	// mon aggregates continuous-query counters (see Monitor).
 	mon monitorCounters
-	// plan resolves MethodAuto queries and learns from every completed
-	// kNN query's latency (see MethodAuto and Explain).
-	plan *planner.Planner
-
 	// batchPT is the leaf partition the batch grouping planner clusters
 	// queries by, built lazily by batchPartition on the first batch.
 	batchPTOnce sync.Once
@@ -249,7 +244,6 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 	db := &DB{
 		g:    g,
 		cats: map[string]*category{},
-		plan: planner.New(),
 	}
 	for _, m := range cfg.methods {
 		if !m.valid() {
