@@ -61,26 +61,29 @@ func TestWarmSessionKNNZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmSessionRangeZeroAllocs pins the same property for the native
-// range query (INE's RangeAppend).
+// TestWarmSessionRangeZeroAllocs pins the same property for the range query:
+// INE's bounded expansion, and Euclidean restriction over the pinned PHL
+// source and the suspended Dijkstra.
 func TestWarmSessionRangeZeroAllocs(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "alloc-r", Rows: 20, Cols: 20, Seed: 405})
 	e := core.New(g)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.05, 12))
-	b := e.NewBinding(objs, []core.MethodKind{core.INE})
-	sess, err := e.NewSession(core.INE, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := sess.(knn.RangeMethod)
-	var buf []knn.Result
-	for i := 0; i < 8; i++ {
-		buf = rm.RangeAppend(int32(i*17), 5000, buf[:0])
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		buf = rm.RangeAppend(137, 5000, buf[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("warm RangeAppend allocates %v allocs/op, want 0", allocs)
+	for _, kind := range []core.MethodKind{core.INE, core.IERPHL, core.IERDijk} {
+		b := e.NewBinding(objs, []core.MethodKind{kind})
+		sess, err := e.NewSession(kind, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rm := sess.(knn.RangeMethod)
+		var buf []knn.Result
+		for i := 0; i < 8; i++ {
+			buf = rm.RangeAppend(int32(i*17), 5000, buf[:0])
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			buf = rm.RangeAppend(137, 5000, buf[:0])
+		})
+		if allocs != 0 || len(buf) == 0 {
+			t.Errorf("%s: warm RangeAppend allocates %v allocs/op for %d results, want 0 for some", kind, allocs, len(buf))
+		}
 	}
 }

@@ -66,10 +66,11 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 
 // NextBinding derives the next epoch of cur: cur's object set minus remove
 // plus add, with every derived object index updated incrementally from
-// cur's — copy-on-write clones mutated by the per-method maintainers
-// (R-tree Insert/Delete, occurrence-list and association-directory
-// Add/Remove) in O(delta) element work, never an O(set) reconstruction.
-// The one exception is the SILC object hierarchy (DisBrwOH), which has no
+// cur's by the per-method maintainers — a copy-on-write R-tree clone with
+// Insert/Delete, the occurrence list's and association directory's Next over
+// the new object set (the one membership bitset every index of the epoch
+// reads) — in O(delta) element work, never an O(set) reconstruction. The one
+// exception is the SILC object hierarchy (DisBrwOH), which has no
 // incremental maintainer and is rebuilt from the new set.
 //
 // cur is never mutated: queries pinned to it keep answering from their
@@ -94,26 +95,10 @@ func (e *Engine) NextBinding(cur *Binding, add, remove []int32) *Binding {
 		b.rt = rt
 	}
 	if cur.ol != nil {
-		idx := e.GtreeIndex()
-		ol := cur.ol.Clone()
-		for _, v := range removed {
-			ol.Remove(idx, v)
-		}
-		for _, v := range added {
-			ol.Add(idx, v)
-		}
-		b.ol = ol
+		b.ol = cur.ol.Next(e.GtreeIndex(), objs, added, removed)
 	}
 	if cur.ad != nil {
-		idx := e.ROADIndex()
-		ad := cur.ad.Clone()
-		for _, v := range removed {
-			ad.Remove(idx, v)
-		}
-		for _, v := range added {
-			ad.Add(idx, v)
-		}
-		b.ad = ad
+		b.ad = cur.ad.Next(e.ROADIndex(), objs, added, removed)
 	}
 	if cur.oh != nil {
 		b.oh = e.SILCIndex().NewObjectHierarchy(objs, 0)
@@ -227,7 +212,10 @@ type disbrwSession struct{ *silc.DisBrw }
 func (s disbrwSession) Rebind(b *Binding) { s.DisBrw.SetObjects(b.oh) }
 
 var (
+	// Range queries: INE's expansion, and Euclidean restriction over every
+	// IER oracle (the promoted RangeAppend of the embedded methods).
 	_ knn.RangeMethod   = ineSession{}
+	_ knn.RangeMethod   = (*ierSession)(nil)
 	_ knn.Interruptible = ineSession{}
 	_ knn.Interruptible = (*ierSession)(nil)
 	_ knn.Interruptible = roadSession{}

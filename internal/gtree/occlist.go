@@ -1,9 +1,6 @@
 package gtree
 
-import (
-	"rnknn/internal/bitset"
-	"rnknn/internal/knn"
-)
+import "rnknn/internal/knn"
 
 // OccurrenceList is G-tree's decoupled object index (Section 3.5): for every
 // tree node, the children that contain objects, and for every leaf, the
@@ -11,21 +8,21 @@ import (
 // to the kNN algorithm, mirroring how the paper separates object index
 // construction from querying (Section 7.4, Appendix A.2).
 //
-// The list is a dynamic maintainer: Add and Remove update it in O(tree
-// height + leaf objects) instead of rebuilding, and Clone derives an
-// independent copy whose mutations never alter the original (Add/Remove
-// replace the per-node object and child slices copy-on-write) — the
-// per-method maintainer contract of the epoch-versioned object store.
+// A list is immutable: Next derives the list of the next object set in
+// O(delta x (tree height + leaf objects)) instead of rebuilding, replacing
+// the per-node object and child slices it touches copy-on-write so the
+// original keeps answering from its own set — the per-method maintainer
+// contract of the epoch-versioned object store.
 type OccurrenceList struct {
 	// childOcc[n] lists the children of node n containing >= 1 object.
 	childOcc [][]int32
-	// leafObjs[n] lists object vertices in leaf n (sorted), nil otherwise.
+	// leafObjs[n] lists object vertices in leaf n, nil otherwise.
 	leafObjs [][]int32
 	// count[n] is the number of objects in node n's subgraph.
 	count []int32
-	// member marks object vertices: the O(1) membership test the Algorithm 4
-	// leaf search uses in place of a per-query hash set.
-	member *bitset.Set
+	// objs is the object set the list was built over: the O(1) membership
+	// test the Algorithm 4 leaf search uses in place of a per-query hash set.
+	objs *knn.ObjectSet
 }
 
 // NewOccurrenceList builds the occurrence list for objs over the index.
@@ -34,11 +31,10 @@ func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
 		childOcc: make([][]int32, len(x.nodes)),
 		leafObjs: make([][]int32, len(x.nodes)),
 		count:    make([]int32, len(x.nodes)),
-		member:   bitset.New(len(x.PT.LeafOf)),
+		objs:     objs,
 	}
 	pt := x.PT
 	for _, v := range objs.Vertices() {
-		ol.member.Set(v)
 		leaf := pt.LeafOf[v]
 		ol.leafObjs[leaf] = append(ol.leafObjs[leaf], v)
 		// Propagate counts bottom-up.
@@ -59,18 +55,25 @@ func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
 	return ol
 }
 
-// Clone returns an independent copy: the fixed-size arrays are memcpys, the
-// per-node slices are shared until an Add or Remove on either copy replaces
-// them. Mutating the clone never changes what a reader of the original
-// observes, which is what lets each object-store epoch derive its list from
-// the previous epoch in O(delta).
-func (ol *OccurrenceList) Clone() *OccurrenceList {
-	return &OccurrenceList{
+// Next returns the list of objs, the successor of ol's object set whose
+// effective delta is added and removed (knn.ObjectSet.WithDelta: each vertex
+// at most once per slice, removed ones present in ol, added ones absent
+// after the removals). The fixed-size arrays are memcpys; the per-node
+// slices are shared with ol until add or remove replaces them.
+func (ol *OccurrenceList) Next(x *Index, objs *knn.ObjectSet, added, removed []int32) *OccurrenceList {
+	next := &OccurrenceList{
 		childOcc: append([][]int32(nil), ol.childOcc...),
 		leafObjs: append([][]int32(nil), ol.leafObjs...),
 		count:    append([]int32(nil), ol.count...),
-		member:   ol.member.Clone(),
+		objs:     objs,
 	}
+	for _, v := range removed {
+		next.remove(x, v)
+	}
+	for _, v := range added {
+		next.add(x, v)
+	}
+	return next
 }
 
 // HasObjects reports whether node ni's subgraph contains any object.
@@ -86,17 +89,12 @@ func (ol *OccurrenceList) Children(ni int32) []int32 { return ol.childOcc[ni] }
 func (ol *OccurrenceList) LeafObjects(ni int32) []int32 { return ol.leafObjs[ni] }
 
 // IsObject reports whether v is an object vertex.
-func (ol *OccurrenceList) IsObject(v int32) bool { return ol.member.Get(v) }
+func (ol *OccurrenceList) IsObject(v int32) bool { return ol.objs.Contains(v) }
 
-// Add registers a new object vertex, updating leaf lists, counts and child
+// add registers a new object vertex, updating leaf lists, counts and child
 // occurrences along its ancestor chain. The paper's decoupled-index design
-// makes this cheap compared to re-indexing the road network (Section 2.2);
-// Add is O(tree height + leaf objects).
-func (ol *OccurrenceList) Add(x *Index, v int32) {
-	if ol.member.Get(v) {
-		return // already present
-	}
-	ol.member.Set(v)
+// makes this cheap compared to re-indexing the road network (Section 2.2).
+func (ol *OccurrenceList) add(x *Index, v int32) {
 	pt := x.PT
 	leaf := pt.LeafOf[v]
 	ol.leafObjs[leaf] = cowAppend(ol.leafObjs[leaf], v)
@@ -109,13 +107,8 @@ func (ol *OccurrenceList) Add(x *Index, v int32) {
 	}
 }
 
-// Remove deletes an object vertex, reversing Add. It reports whether the
-// vertex was present.
-func (ol *OccurrenceList) Remove(x *Index, v int32) bool {
-	if !ol.member.Get(v) {
-		return false
-	}
-	ol.member.Clear(v)
+// remove deletes an object vertex, reversing add.
+func (ol *OccurrenceList) remove(x *Index, v int32) {
 	pt := x.PT
 	leaf := pt.LeafOf[v]
 	ol.leafObjs[leaf] = cowDelete(ol.leafObjs[leaf], v)
@@ -126,11 +119,10 @@ func (ol *OccurrenceList) Remove(x *Index, v int32) bool {
 			ol.childOcc[parent] = cowDelete(ol.childOcc[parent], n)
 		}
 	}
-	return true
 }
 
 // cowAppend and cowDelete replace a per-node slice instead of mutating it
-// in place, so a Clone sharing the slice keeps its view — required for
+// in place, so the list Next derived from keeps its view — required for
 // epoch sharing, and cheap because the slices are leaf- or fanout-sized.
 func cowAppend(s []int32, v int32) []int32 {
 	out := make([]int32, len(s)+1)
@@ -150,12 +142,13 @@ func cowDelete(s []int32, v int32) []int32 {
 }
 
 // SizeBytes estimates the occurrence list's memory footprint (the object
-// index cost of Figure 18).
+// index cost of Figure 18): the counts and child occurrences plus the object
+// set — its vertices are what the leaf lists hold, its membership bits what
+// IsObject reads.
 func (ol *OccurrenceList) SizeBytes() int {
-	total := len(ol.count)*4 + ol.member.Capacity()/8
-	for i := range ol.childOcc {
-		total += len(ol.childOcc[i]) * 4
-		total += len(ol.leafObjs[i]) * 4
+	total := len(ol.count)*4 + ol.objs.SizeBytes()
+	for _, c := range ol.childOcc {
+		total += len(c) * 4
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package gtree_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rnknn/internal/gen"
@@ -9,69 +10,102 @@ import (
 	"rnknn/internal/knn"
 )
 
-// TestOccurrenceListUpdates drives a random Add/Remove workload against the
-// occurrence list and checks every intermediate state against a rebuilt
-// index and brute force.
-func TestOccurrenceListUpdates(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 141})
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
-	rng := rand.New(rand.NewSource(1))
+// derive applies one delta the way core.NextBinding does: the next object
+// set by WithDelta, the next list by Next over that set and the effective
+// delta.
+func derive(idx *gtree.Index, objs *knn.ObjectSet, ol *gtree.OccurrenceList, add, remove []int32) (*knn.ObjectSet, *gtree.OccurrenceList) {
+	next, added, removed := objs.WithDelta(add, remove)
+	return next, ol.Next(idx, next, added, removed)
+}
 
-	current := map[int32]bool{}
-	initial := gen.Uniform(g, 0.01, 5)
-	for _, v := range initial {
-		current[v] = true
+// checkList compares ol with a from-scratch build over objs: every node's
+// count, its occupied children and (for leaves) its objects — as sets, since
+// a derived list appends where a build sorts — and every vertex's membership.
+func checkList(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *knn.ObjectSet, when string) {
+	t.Helper()
+	fresh := idx.NewOccurrenceList(objs)
+	sorted := func(s []int32) []int32 { s = slices.Clone(s); slices.Sort(s); return s }
+	for i := 0; i < idx.NumNodes(); i++ {
+		ni := int32(i)
+		if ol.Count(ni) != fresh.Count(ni) || ol.HasObjects(ni) != fresh.HasObjects(ni) {
+			t.Fatalf("%s: node %d count %d, from-scratch build %d", when, ni, ol.Count(ni), fresh.Count(ni))
+		}
+		if got, want := sorted(ol.Children(ni)), sorted(fresh.Children(ni)); !slices.Equal(got, want) {
+			t.Fatalf("%s: node %d occupied children %v, from-scratch build %v", when, ni, got, want)
+		}
+		if got, want := sorted(ol.LeafObjects(ni)), sorted(fresh.LeafObjects(ni)); !slices.Equal(got, want) {
+			t.Fatalf("%s: leaf %d objects %v, from-scratch build %v", when, ni, got, want)
+		}
 	}
-	ol := idx.NewOccurrenceList(knn.NewObjectSet(g, initial))
-	m := gtree.NewKNN(idx, ol)
-
-	for step := 0; step < 60; step++ {
-		v := int32(rng.Intn(g.NumVertices()))
-		if current[v] {
-			if !ol.Remove(idx, v) {
-				t.Fatalf("Remove(%d) reported absent but present", v)
-			}
-			delete(current, v)
-		} else {
-			ol.Add(idx, v)
-			current[v] = true
-		}
-		if step%5 != 0 {
-			continue
-		}
-		var verts []int32
-		for u := range current {
-			verts = append(verts, u)
-		}
-		objs := knn.NewObjectSet(g, verts)
-		q := int32(rng.Intn(g.NumVertices()))
-		got := m.KNN(q, 5)
-		want := knn.BruteForce(g, objs, q, 5)
-		if !knn.SameResults(got, want) {
-			t.Fatalf("step %d q=%d: got %s want %s", step, q,
-				knn.FormatResults(got), knn.FormatResults(want))
-		}
-		// Counts must equal a fresh build's counts at every node.
-		fresh := idx.NewOccurrenceList(objs)
-		for ni := 0; ni < idx.NumNodes(); ni++ {
-			if ol.Count(int32(ni)) != fresh.Count(int32(ni)) {
-				t.Fatalf("step %d node %d: count %d != fresh %d", step, ni,
-					ol.Count(int32(ni)), fresh.Count(int32(ni)))
-			}
+	for v := int32(0); v < int32(len(idx.PT.LeafOf)); v++ {
+		if ol.IsObject(v) != objs.Contains(v) {
+			t.Fatalf("%s: IsObject(%d) = %v, set says %v", when, v, ol.IsObject(v), objs.Contains(v))
 		}
 	}
 }
 
+func checkKNN(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *knn.ObjectSet, q int32, when string) {
+	t.Helper()
+	got := gtree.NewKNN(idx, ol).KNN(q, 5)
+	if want := knn.BruteForce(idx.G, objs, q, 5); !knn.SameResults(got, want) {
+		t.Fatalf("%s q=%d: got %s want %s", when, q, knn.FormatResults(got), knn.FormatResults(want))
+	}
+}
+
+// TestOccurrenceListUpdates drives random insert/remove deltas through
+// ObjectSet.WithDelta + Next and, after every step, compares the derived
+// list with a from-scratch build, its kNN answers with brute force, and the
+// previous epoch's list with its own set (copy-on-write).
+func TestOccurrenceListUpdates(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 141})
+	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	rng := rand.New(rand.NewSource(1))
+	n := g.NumVertices()
+
+	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.01, 5))
+	ol := idx.NewOccurrenceList(objs)
+	for step := 0; step < 120; step++ {
+		// One to three vertices per delta, flipped: present ones leave,
+		// absent ones join. Late steps only remove, so the set drains and
+		// nodes of every level lose their last object.
+		var add, remove []int32
+		for i := rng.Intn(3); i >= 0; i-- {
+			v := int32(rng.Intn(n))
+			if step >= 80 && objs.Len() > 0 {
+				v = objs.Vertices()[rng.Intn(objs.Len())]
+			}
+			if objs.Contains(v) {
+				remove = append(remove, v)
+			} else {
+				add = append(add, v)
+			}
+		}
+		prevObjs, prevOL := objs, ol
+		objs, ol = derive(idx, objs, ol, add, remove)
+		checkList(t, idx, ol, objs, "after the step")
+		checkList(t, idx, prevOL, prevObjs, "previous epoch")
+		q := int32(rng.Intn(n))
+		checkKNN(t, idx, ol, objs, q, "after the step")
+		checkKNN(t, idx, prevOL, prevObjs, q, "previous epoch")
+	}
+}
+
+// TestOccurrenceListAddIdempotent: the list keeps no membership of its own,
+// so idempotency is the effective delta's — a vertex named twice, one already
+// present, or an absent one removed must not move a count.
 func TestOccurrenceListAddIdempotent(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 8, Cols: 8, Seed: 142})
 	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 16})
-	ol := idx.NewOccurrenceList(knn.NewObjectSet(g, []int32{3}))
-	ol.Add(idx, 3)
-	ol.Add(idx, 3)
-	if ol.Count(0) != 1 {
-		t.Fatalf("double Add inflated count to %d", ol.Count(0))
+	objs := knn.NewObjectSet(g, []int32{3})
+	ol := idx.NewOccurrenceList(objs)
+	objs, ol = derive(idx, objs, ol, []int32{3, 7, 7}, []int32{60})
+	if ol.Count(0) != 2 {
+		t.Fatalf("adding {3 (present), 7, 7} and removing an absent vertex left %d objects, want 2", ol.Count(0))
 	}
-	if ol.Remove(idx, 99) {
-		t.Fatal("Remove of absent vertex reported true")
+	// Removed and re-added in one delta: still there, once.
+	objs, ol = derive(idx, objs, ol, []int32{7}, []int32{7, 3})
+	checkList(t, idx, ol, objs, "remove+re-add")
+	if ol.Count(0) != 1 || !ol.IsObject(7) || ol.IsObject(3) {
+		t.Fatalf("after removing {7, 3} and re-adding 7: count %d", ol.Count(0))
 	}
 }

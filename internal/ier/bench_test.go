@@ -1,6 +1,7 @@
 package ier_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -37,3 +38,31 @@ func benchIERPHL(b *testing.B, density float64) {
 
 func BenchmarkIERPHLSparse(b *testing.B) { benchIERPHL(b, 0.001) }
 func BenchmarkIERPHLDense(b *testing.B)  { benchIERPHL(b, 0.1) }
+
+// BenchmarkIERPHLRangeSparse is the range twin of BenchmarkIERPHLSparse and
+// the other side of internal/ine's BenchmarkINERangeSparse — what rnbench's
+// lib-expand Range slot runs since the planner may pick either: the objects
+// within the median 10th-neighbour distance, density 0.001 on NW. results/op
+// is what the query returns, calls/op the oracle work behind it.
+func BenchmarkIERPHLRangeSparse(b *testing.B) {
+	g, labels := benchNW()
+	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.001, 1))
+	x := ier.New("IER-PHL", g, objs, labels.NewSource())
+	queries := gen.QueryVertices(g, 96, 2)
+	tenth := make([]graph.Dist, len(queries))
+	for i, q := range queries {
+		tenth[i] = knn.BruteForce(g, objs, q, 10)[9].Dist
+	}
+	slices.Sort(tenth)
+	radius := tenth[len(tenth)/2]
+	var dst []knn.Result
+	results, calls := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = x.RangeAppend(queries[i%len(queries)], radius, dst[:0])
+		results += len(dst)
+		calls += x.OracleCalls
+	}
+	b.ReportMetric(float64(results)/float64(b.N), "results/op")
+	b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
+}

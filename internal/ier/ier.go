@@ -2,7 +2,8 @@
 // the heuristic best-first kNN framework the paper revives (Section 5): an
 // R-tree supplies candidate objects in Euclidean-lower-bound order, and any
 // pluggable distance oracle (Dijkstra, CH, TNR, PHL, materialized G-tree)
-// verifies their network distances.
+// verifies their network distances. The same scan and oracle answer range
+// queries (RangeAppend: range by Euclidean restriction).
 //
 // On travel-time graphs the lower bound is dE/S where S is the maximum
 // "speed" dE(e)/w(e) over edges (Section 7.5); the same formula is used on
@@ -12,6 +13,7 @@ package ier
 
 import (
 	"math"
+	"slices"
 
 	"rnknn/internal/geo"
 	"rnknn/internal/graph"
@@ -196,6 +198,43 @@ func (x *IER) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	x.emitPending(graph.Inf, yield)
 }
 
+// Range implements knn.RangeMethod.
+func (x *IER) Range(qv int32, radius graph.Dist) []knn.Result {
+	return x.RangeAppend(qv, radius, nil)
+}
+
+// RangeAppend implements knn.RangeMethod's zero-allocation form: range by
+// Euclidean restriction, IER's range twin (RER, Papadias et al. VLDB 2003).
+// The same R-tree scan supplies objects in nondecreasing lower-bound order
+// and the same oracle verifies each, but the stop rule needs no candidate
+// heap: the scan ends at the first object whose lower bound exceeds radius,
+// because every unscanned object then has network distance >= lb > radius.
+// Verified objects within radius (inclusive, as INE) are kept and sorted by
+// (distance, vertex). FalseHits counts verified objects outside the radius.
+func (x *IER) RangeAppend(qv int32, radius graph.Dist, dst []knn.Result) []knn.Result {
+	x.FalseHits, x.OracleCalls, x.Evictions = 0, 0, 0
+	if x.objs.Len() == 0 {
+		return dst
+	}
+	src := x.factory.NewSource(qv)
+	x.scan.Start(x.rt, geo.Point{X: x.g.X[qv], Y: x.g.Y[qv]})
+	mark := len(dst)
+	for x.interrupt == nil || !x.interrupt() {
+		nb, ok := x.scan.Next()
+		if !ok || graph.Dist(math.Floor(nb.Dist*x.invSpeed)) > radius {
+			break
+		}
+		x.OracleCalls++
+		if d := src.DistanceTo(nb.ID); d <= radius {
+			dst = append(dst, knn.Result{Vertex: nb.ID, Dist: d})
+		} else {
+			x.FalseHits++
+		}
+	}
+	slices.SortFunc(dst[mark:], knn.ByDistVertex)
+	return dst
+}
+
 // emitPending yields pending candidates with distance <= limit, skipping
 // lazily invalidated (evicted) entries; false means the consumer stopped
 // the stream.
@@ -214,6 +253,7 @@ func (x *IER) emitPending(limit graph.Dist, yield func(knn.Result) bool) bool {
 
 var (
 	_ knn.Method        = (*IER)(nil)
+	_ knn.RangeMethod   = (*IER)(nil)
 	_ knn.Interruptible = (*IER)(nil)
 	_ knn.Streamer      = (*IER)(nil)
 )

@@ -5,6 +5,7 @@
 package knn
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -18,6 +19,12 @@ import (
 type Result struct {
 	Vertex int32
 	Dist   graph.Dist
+}
+
+// ByDistVertex orders results by distance, ties by vertex: the canonical
+// order of an answer that is sorted rather than produced in settle order.
+func ByDistVertex(a, b Result) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Vertex, b.Vertex))
 }
 
 // Method is a kNN query algorithm bound to a road network index and an

@@ -365,55 +365,73 @@ func (x *Index) SizeBytes() int {
 
 // AssociationDirectory is ROAD's decoupled object index: one bit per Rnet
 // recording whether the Rnet's subgraph contains any object (Section 3.4,
-// Figure 18 measures its size and build time), plus the per-Rnet object
-// counts that make removals O(hierarchy depth) and a vertex-membership
-// bitset for the per-settle IsObject test.
+// Figure 18 measures its size and build time). Vertex membership — the
+// per-settle IsObject test — is read from the object set the directory was
+// built over, so the bits are all a directory owns.
 //
-// The directory is a dynamic maintainer (the frequently-changing object
-// sets of Section 2.2, e.g. parking spaces): Add and Remove adjust the
-// counts along one ancestor chain instead of rebuilding, and Clone derives
-// an independent copy in three memcpys so an epoch-versioned object store
-// can carry the next epoch's directory while queries still read the
-// previous one.
+// A directory is immutable: for the frequently-changing object sets of
+// Section 2.2 (e.g. parking spaces), Next derives the directory of the next
+// object set from this one in O(delta x hierarchy depth), so an
+// epoch-versioned object store can carry the next epoch's directory while
+// queries still read the previous one. Occupancy needs no per-Rnet counts:
+// a set bit implies every ancestor's bit is set, and an Rnet empties exactly
+// when no vertex (leaf) or child (inner) under it is still occupied.
 type AssociationDirectory struct {
-	member *bitset.Set // object vertices
-	has    *bitset.Set // Rnet occupancy (count > 0), the Algorithm 5 test
-	count  []int32     // objects per Rnet
-	n      int         // live object count
+	objs *knn.ObjectSet // object vertices (shared with the binding)
+	has  *bitset.Set    // Rnet occupancy, the Algorithm 5 test
 }
 
 // NewAssociationDirectory builds the directory for objs.
 func (x *Index) NewAssociationDirectory(objs *knn.ObjectSet) *AssociationDirectory {
-	ad := &AssociationDirectory{
-		member: bitset.New(len(x.PT.LeafOf)),
-		has:    bitset.New(len(x.PT.Nodes)),
-		count:  make([]int32, len(x.PT.Nodes)),
-	}
+	ad := &AssociationDirectory{objs: objs, has: bitset.New(len(x.PT.Nodes))}
 	for _, v := range objs.Vertices() {
-		ad.addLocked(x, v)
+		ad.add(x, v)
 	}
 	return ad
 }
 
-// addLocked is Add without the membership guard (build-time fast path over
-// a deduplicated ObjectSet).
-func (ad *AssociationDirectory) addLocked(x *Index, v int32) {
-	ad.member.Set(v)
-	ad.n++
-	for n := x.PT.LeafOf[v]; n != -1; n = x.PT.Nodes[n].Parent {
-		ad.count[n]++
+// Next returns the directory of objs, the successor of ad's object set whose
+// effective delta is added and removed (knn.ObjectSet.WithDelta). ad is left
+// untouched: a reader of it keeps answering from its own set.
+func (ad *AssociationDirectory) Next(x *Index, objs *knn.ObjectSet, added, removed []int32) *AssociationDirectory {
+	next := &AssociationDirectory{objs: objs, has: ad.has.Clone()}
+	for _, v := range removed {
+		next.remove(x, v)
+	}
+	for _, v := range added {
+		next.add(x, v)
+	}
+	return next
+}
+
+// add marks v's ancestor chain occupied, stopping at the first Rnet that
+// already is (its ancestors then are too).
+func (ad *AssociationDirectory) add(x *Index, v int32) {
+	for n := x.PT.LeafOf[v]; n != -1 && !ad.has.Get(n); n = x.PT.Nodes[n].Parent {
 		ad.has.Set(n)
 	}
 }
 
-// Clone returns an independent copy of the directory; mutating the clone
-// never changes what a reader of the original observes.
-func (ad *AssociationDirectory) Clone() *AssociationDirectory {
-	return &AssociationDirectory{
-		member: ad.member.Clone(),
-		has:    ad.has.Clone(),
-		count:  append([]int32(nil), ad.count...),
-		n:      ad.n,
+// remove clears the occupancy bits v's departure from ad.objs empties: the
+// leaf Rnet if none of its vertices is an object any more, then each
+// ancestor none of whose children is occupied, stopping at the first Rnet
+// that stays occupied.
+func (ad *AssociationDirectory) remove(x *Index, v int32) {
+	nodes := x.PT.Nodes
+	leaf := x.PT.LeafOf[v]
+	for _, u := range nodes[leaf].Vertices {
+		if ad.objs.Contains(u) {
+			return
+		}
+	}
+	ad.has.Clear(leaf)
+	for n := nodes[leaf].Parent; n != -1; n = nodes[n].Parent {
+		for _, c := range nodes[n].Children {
+			if ad.has.Get(c) {
+				return
+			}
+		}
+		ad.has.Clear(n)
 	}
 }
 
@@ -421,42 +439,12 @@ func (ad *AssociationDirectory) Clone() *AssociationDirectory {
 func (ad *AssociationDirectory) HasObjects(ni int32) bool { return ad.has.Get(ni) }
 
 // IsObject reports whether v is an object vertex.
-func (ad *AssociationDirectory) IsObject(v int32) bool { return ad.member.Get(v) }
+func (ad *AssociationDirectory) IsObject(v int32) bool { return ad.objs.Contains(v) }
 
-// Len returns the number of object vertices in the directory.
-func (ad *AssociationDirectory) Len() int { return ad.n }
-
-// SizeBytes estimates the directory's footprint including object storage.
+// SizeBytes estimates the directory's footprint including object storage
+// (the object set it reads membership from, counted once).
 func (ad *AssociationDirectory) SizeBytes() int {
-	return ad.member.Capacity()/8 + ad.has.Capacity()/8 + len(ad.count)*4
-}
-
-// Add registers a new object vertex at query time without rebuilding: the
-// counts and occupancy bits along the vertex's ancestor chain are the only
-// state touched.
-func (ad *AssociationDirectory) Add(x *Index, v int32) {
-	if ad.member.Get(v) {
-		return
-	}
-	ad.addLocked(x, v)
-}
-
-// Remove deletes an object vertex, decrementing the counts along its
-// ancestor chain and clearing the occupancy bit of every Rnet the removal
-// empties. Reports whether the vertex was present.
-func (ad *AssociationDirectory) Remove(x *Index, v int32) bool {
-	if !ad.member.Get(v) {
-		return false
-	}
-	ad.member.Clear(v)
-	ad.n--
-	for n := x.PT.LeafOf[v]; n != -1; n = x.PT.Nodes[n].Parent {
-		ad.count[n]--
-		if ad.count[n] == 0 {
-			ad.has.Clear(n)
-		}
-	}
-	return true
+	return ad.objs.SizeBytes() + ad.has.Capacity()/8
 }
 
 // KNN is the ROAD kNN algorithm (Algorithm 5) bound to an association

@@ -9,76 +9,128 @@ import (
 	"rnknn/internal/road"
 )
 
-// TestAssociationDirectoryUpdates drives random Add/Remove operations and
-// validates kNN answers against brute force over the evolving set.
-func TestAssociationDirectoryUpdates(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 151})
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 4})
-	rng := rand.New(rand.NewSource(2))
+// derive applies one delta the way core.NextBinding does: the next object
+// set by WithDelta, the next directory by Next over that set and the
+// effective delta.
+func derive(idx *road.Index, objs *knn.ObjectSet, ad *road.AssociationDirectory, add, remove []int32) (*knn.ObjectSet, *road.AssociationDirectory) {
+	next, added, removed := objs.WithDelta(add, remove)
+	return next, ad.Next(idx, next, added, removed)
+}
 
-	current := map[int32]bool{}
-	initial := gen.Uniform(g, 0.01, 6)
-	for _, v := range initial {
-		current[v] = true
+// checkDirectory compares ad bit for bit — every Rnet's occupancy, every
+// vertex's membership — with a from-scratch build over objs.
+func checkDirectory(t *testing.T, idx *road.Index, ad *road.AssociationDirectory, objs *knn.ObjectSet, when string) {
+	t.Helper()
+	fresh := idx.NewAssociationDirectory(objs)
+	for ni := range idx.PT.Nodes {
+		if got, want := ad.HasObjects(int32(ni)), fresh.HasObjects(int32(ni)); got != want {
+			t.Fatalf("%s: Rnet %d occupied = %v, from-scratch build says %v", when, ni, got, want)
+		}
 	}
-	ad := idx.NewAssociationDirectory(knn.NewObjectSet(g, initial))
-	m := road.NewKNN(idx, ad)
-
-	for step := 0; step < 50; step++ {
-		v := int32(rng.Intn(g.NumVertices()))
-		if current[v] {
-			if !ad.Remove(idx, v) {
-				t.Fatalf("Remove(%d) failed", v)
-			}
-			delete(current, v)
-		} else {
-			ad.Add(idx, v)
-			current[v] = true
-		}
-		if step%5 != 0 {
-			continue
-		}
-		var verts []int32
-		for u := range current {
-			verts = append(verts, u)
-		}
-		objs := knn.NewObjectSet(g, verts)
-		q := int32(rng.Intn(g.NumVertices()))
-		got := m.KNN(q, 5)
-		want := knn.BruteForce(g, objs, q, 5)
-		if !knn.SameResults(got, want) {
-			t.Fatalf("step %d q=%d: got %s want %s", step, q,
-				knn.FormatResults(got), knn.FormatResults(want))
+	for v := int32(0); v < int32(idx.G.NumVertices()); v++ {
+		if ad.IsObject(v) != objs.Contains(v) {
+			t.Fatalf("%s: IsObject(%d) = %v, set says %v", when, v, ad.IsObject(v), objs.Contains(v))
 		}
 	}
 }
 
+func checkKNN(t *testing.T, idx *road.Index, ad *road.AssociationDirectory, objs *knn.ObjectSet, q int32, when string) {
+	t.Helper()
+	got := road.NewKNN(idx, ad).KNN(q, 5)
+	if want := knn.BruteForce(idx.G, objs, q, 5); !knn.SameResults(got, want) {
+		t.Fatalf("%s q=%d: got %s want %s", when, q, knn.FormatResults(got), knn.FormatResults(want))
+	}
+}
+
+// TestAssociationDirectoryUpdates drives random insert/remove deltas through
+// ObjectSet.WithDelta + Next and, after every step, compares the derived
+// directory with a from-scratch build, its kNN answers with brute force, and
+// the previous epoch's directory with its own set (copy-on-write).
+func TestAssociationDirectoryUpdates(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 151})
+	idx := road.Build(g, road.Options{Fanout: 4, Levels: 4})
+	rng := rand.New(rand.NewSource(2))
+	n := g.NumVertices()
+
+	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.01, 6))
+	ad := idx.NewAssociationDirectory(objs)
+	for step := 0; step < 120; step++ {
+		// One to three vertices per delta, flipped: present ones leave,
+		// absent ones join. Late steps only remove, so the set drains to
+		// (nearly) empty and Rnets of every level lose their last object.
+		var add, remove []int32
+		for i := rng.Intn(3); i >= 0; i-- {
+			v := int32(rng.Intn(n))
+			if step >= 80 && objs.Len() > 0 {
+				v = objs.Vertices()[rng.Intn(objs.Len())]
+			}
+			if objs.Contains(v) {
+				remove = append(remove, v)
+			} else {
+				add = append(add, v)
+			}
+		}
+		prevObjs, prevAD := objs, ad
+		objs, ad = derive(idx, objs, ad, add, remove)
+		checkDirectory(t, idx, ad, objs, "after the step")
+		checkDirectory(t, idx, prevAD, prevObjs, "previous epoch")
+		q := int32(rng.Intn(n))
+		checkKNN(t, idx, ad, objs, q, "after the step")
+		checkKNN(t, idx, prevAD, prevObjs, q, "previous epoch")
+	}
+}
+
+// TestAssociationDirectoryAddRemoveCycle empties the hierarchy one level at a
+// time — the last object of a leaf Rnet, then of a whole top-level Rnet, then
+// of the network — and fills it again, with no counts to lean on.
 func TestAssociationDirectoryAddRemoveCycle(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 8, Cols: 8, Seed: 152})
 	idx := road.Build(g, road.Options{Fanout: 4, Levels: 3})
-	ad := idx.NewAssociationDirectory(knn.NewObjectSet(g, []int32{5}))
-	if !ad.IsObject(5) {
-		t.Fatal("initial object missing")
-	}
-	ad.Add(idx, 9)
-	if !ad.IsObject(9) {
-		t.Fatal("added object missing")
-	}
-	if !ad.Remove(idx, 5) || ad.IsObject(5) {
-		t.Fatal("base object not removed")
-	}
-	if !ad.Remove(idx, 9) || ad.IsObject(9) {
-		t.Fatal("extra object not removed")
-	}
-	// Directory must now be empty everywhere.
-	for ni := range idx.PT.Nodes {
-		if ad.HasObjects(int32(ni)) {
-			t.Fatalf("node %d still marked occupied", ni)
+	pt := idx.PT
+	top := pt.Nodes[0].Children
+	// a and b share the first top-level Rnet but not a leaf; c lives in
+	// another top-level Rnet.
+	a := pt.Nodes[top[0]].Vertices[0]
+	b := int32(-1)
+	for _, v := range pt.Nodes[top[0]].Vertices {
+		if pt.LeafOf[v] != pt.LeafOf[a] {
+			b = v
+			break
 		}
 	}
-	// Re-adding a removed base object works.
-	ad.Add(idx, 5)
-	if !ad.IsObject(5) || !ad.HasObjects(0) {
-		t.Fatal("re-add failed")
+	c := pt.Nodes[top[1]].Vertices[0]
+	if b < 0 {
+		t.Fatal("top-level Rnet has a single leaf; pick another network")
 	}
+
+	objs := knn.NewObjectSet(g, []int32{a, b, c})
+	ad := idx.NewAssociationDirectory(objs)
+	full, fullObjs := ad, objs
+
+	objs, ad = derive(idx, objs, ad, nil, []int32{a})
+	checkDirectory(t, idx, ad, objs, "leaf Rnet emptied")
+	if ad.HasObjects(pt.LeafOf[a]) || !ad.HasObjects(top[0]) {
+		t.Fatalf("after removing %d: leaf occupied = %v, its top-level Rnet occupied = %v, want false and true",
+			a, ad.HasObjects(pt.LeafOf[a]), ad.HasObjects(top[0]))
+	}
+	objs, ad = derive(idx, objs, ad, nil, []int32{b})
+	checkDirectory(t, idx, ad, objs, "top-level Rnet emptied")
+	if ad.HasObjects(top[0]) || !ad.HasObjects(top[1]) || !ad.HasObjects(0) {
+		t.Fatal("emptying one top-level Rnet must clear it and nothing beside it")
+	}
+	checkKNN(t, idx, ad, objs, a, "top-level Rnet emptied")
+	objs, ad = derive(idx, objs, ad, nil, []int32{c})
+	for ni := range pt.Nodes {
+		if ad.HasObjects(int32(ni)) {
+			t.Fatalf("empty set: Rnet %d still marked occupied", ni)
+		}
+	}
+	// Back in, the removed-and-re-added vertex in one delta included.
+	objs, ad = derive(idx, objs, ad, []int32{a, b}, nil)
+	objs, ad = derive(idx, objs, ad, []int32{c, a}, []int32{a})
+	checkDirectory(t, idx, ad, objs, "refilled")
+	checkKNN(t, idx, ad, objs, c, "refilled")
+	// The first epoch never saw any of it.
+	checkDirectory(t, idx, full, fullObjs, "first epoch")
+	checkKNN(t, idx, full, fullObjs, c, "first epoch")
 }

@@ -2,6 +2,8 @@ package rnknn
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"rnknn/internal/gen"
@@ -58,20 +60,69 @@ func TestDBKNNAppendZeroAllocs(t *testing.T) {
 		})
 	}
 
+	// A range is as allocation-free on either of its forms, and through the
+	// planner (which picks IER-PHL at this density).
 	t.Run("Range", func(t *testing.T) {
-		var buf []Result
-		for q := int32(0); q < 8; q++ {
-			var err error
-			buf, err = db.RangeAppend(ctx, q*31, 4000, buf[:0])
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			buf, _ = db.RangeAppend(ctx, 137, 4000, buf[:0])
-		})
-		if allocs != 0 {
-			t.Errorf("warm db.RangeAppend allocates %v allocs/op, want 0", allocs)
+		for _, m := range []Method{MethodAuto, INE, IERPHL} {
+			t.Run(m.String(), func(t *testing.T) {
+				opt := WithMethod(m)
+				var buf []Result
+				for q := int32(0); q < 8; q++ {
+					var err error
+					buf, err = db.RangeAppend(ctx, q*31, 4000, buf[:0], opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				allocs := testing.AllocsPerRun(50, func() {
+					buf, _ = db.RangeAppend(ctx, 137, 4000, buf[:0], opt)
+				})
+				if allocs != 0 || len(buf) == 0 {
+					t.Errorf("warm db.RangeAppend allocates %v allocs/op for %d results, want 0 for some", allocs, len(buf))
+				}
+			})
 		}
 	})
+}
+
+// TestBindingFixedCost gates what one registered category costs however few
+// objects it holds — the in-tree twin of what rnbench's rss_mb sees of the
+// harness's 148 categories (four times over on a shard set). A binding holds
+// one object set (a membership bit per vertex) that every derived index
+// reads, the R-tree, ROAD's occupancy bit per Rnet, and G-tree's per-node
+// counts and slice headers: ≈22 KB on NW. The next per-vertex or per-Rnet
+// array added to a binding (the per-Rnet counts and two private membership
+// bitsets this replaced made it 52 KB) fails here, not at a benchmark bound.
+func TestBindingFixedCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds PHL, G-tree and ROAD on NW")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the binding's")
+	}
+	spec, _ := gen.LadderSpec("NW")
+	g := gen.Network(spec)
+	db, err := Open(g, WithMethods(INE, IERPHL, Gtree, ROAD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cats = 64
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for c := int32(0); c < cats; c++ {
+		if err := db.RegisterObjects(fmt.Sprint("cat", c), []int32{c * 131, c*131 + 7000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perCat := float64(heap()-before) / cats / 1024
+	t.Logf("%.1f KB per two-object category on %s (|V| = %d)", perCat, spec.Name, g.NumVertices())
+	if perCat > 30 {
+		t.Errorf("a two-object category costs %.1f KB, want <= 30", perCat)
+	}
+	runtime.KeepAlive(db)
 }

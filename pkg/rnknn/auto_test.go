@@ -65,6 +65,67 @@ func TestMethodAutoRegimes(t *testing.T) {
 	}
 }
 
+// TestRangeMethodRegimes is the same contract for a range that names no
+// method: the planner's one cost table picks among INE and the enabled IER
+// family from the category's density alone — Euclidean restriction over a
+// fast oracle where objects are sparse, INE where they are dense or no fast
+// oracle is enabled — whatever the radius, and Stats and BatchResult.Method
+// name the method that answered.
+func TestRangeMethodRegimes(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "range-auto", Rows: 64, Cols: 80, Seed: 13})
+	densities := []float64{0.0001, 0.001, 0.01, 0.1}
+	radii := []Dist{0, 700, 5000, 40000, 1 << 40}
+	cache := WithIndexCache(t.TempDir()) // PHL and G-tree are built once
+	for _, c := range []struct {
+		methods []Method
+		want    [4]Method // per density
+	}{
+		{[]Method{INE, IERPHL}, [4]Method{IERPHL, IERPHL, IERPHL, INE}},
+		{[]Method{INE, IERDijk, Gtree}, [4]Method{INE, INE, INE, INE}},
+		// INE answers the dense regime even where it is not an enabled kNN
+		// method.
+		{[]Method{IERPHL, Gtree}, [4]Method{IERPHL, IERPHL, IERPHL, INE}},
+	} {
+		opts := []Option{WithMethods(c.methods...), cache}
+		for i, d := range densities {
+			opts = append(opts, WithObjects(fmt.Sprint(d), gen.Uniform(g, d, int64(20+i))))
+		}
+		db, err := Open(g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answered := map[Method]uint64{}
+		for i, d := range densities {
+			inCat := WithCategory(fmt.Sprint(d))
+			b := db.Batch()
+			for _, r := range radii {
+				b.AddRange(99, r, inCat).AddRange(99, r, inCat, WithMethod(MethodAuto))
+			}
+			out, err := b.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, br := range out {
+				if br.Method != c.want[i] {
+					t.Errorf("%v, density %g, radius %d: range resolved to %v, want %v", c.methods, d, radii[j/2], br.Method, c.want[i])
+				}
+				want, err := db.BruteForceRange(99, radii[j/2], inCat)
+				if err != nil || br.Err != nil || !SameResults(br.Results, want) {
+					t.Errorf("%v, density %g, radius %d: got %s (%v), brute force %s (%v)", c.methods, d, radii[j/2],
+						FormatResults(br.Results), br.Err, FormatResults(want), err)
+				}
+				answered[br.Method]++
+			}
+		}
+		stats := db.Stats().Methods
+		for m, n := range answered {
+			if stats[m.String()].RangeQueries != n {
+				t.Errorf("%v: Stats counts %d range queries under %v, %d were answered by it", c.methods, stats[m.String()].RangeQueries, m, n)
+			}
+		}
+	}
+}
+
 // TestExplain covers the fixed-method path and validation.
 func TestExplain(t *testing.T) {
 	db := testDB(t)

@@ -24,7 +24,8 @@ import (
 // shares or fans out is decided by the planner's cost model
 // (SharedAuto, the default): sharing wins when individual queries are
 // expensive (sparse objects, large k), and loses when they are cheap.
-// Everything else — range queries, scattered queries, non-expansion
+// Everything else — range queries (on INE or the IER family, the planner's
+// pick when no method is named), scattered queries, non-expansion
 // methods — fans across a bounded worker pool, and each worker checks out
 // at most one pooled session per method for its whole share of the batch,
 // so the per-query pool round-trip is amortized away either way.
@@ -64,9 +65,9 @@ const (
 type BatchResult struct {
 	// Query echoes the query vertex.
 	Query int32
-	// Method is the concrete method that answered (the planner's pick when
-	// the query asked for MethodAuto; INE for range queries). Meaningless
-	// when Err is non-nil.
+	// Method is the concrete method that answered: the named one, or the
+	// planner's pick for MethodAuto and for a range query naming none (INE
+	// or the IER family). Meaningless when Err is non-nil.
 	Method Method
 	// Results is the query's answer, in nondecreasing distance order.
 	Results []Result

@@ -196,15 +196,20 @@ func TestBatchSessionAmortization(t *testing.T) {
 }
 
 // TestBatchStats: batch queries land in the same per-method counters as
-// individual ones.
+// individual ones — a range under the method that answered it, which the
+// member's result names.
 func TestBatchStats(t *testing.T) {
 	db := batchDB(t)
-	if _, err := db.Batch().AddKNN(1, 2, WithMethod(IERPHL)).AddRange(1, 500).Run(context.Background()); err != nil {
+	out, err := db.Batch().AddKNN(1, 2, WithMethod(IERPHL)).AddRange(1, 500).AddRange(1, 500, WithMethod(INE)).Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
+	if out[1].Method != IERPHL || out[2].Method != INE {
+		t.Fatalf("range members report %v (planned at density 0.03) and %v (named), want IER-PHL and INE", out[1].Method, out[2].Method)
+	}
 	s := db.Stats()
-	if s.Methods["IER-PHL"].KNNQueries != 1 {
-		t.Fatalf("IER-PHL KNNQueries = %d", s.Methods["IER-PHL"].KNNQueries)
+	if ms := s.Methods["IER-PHL"]; ms.KNNQueries != 1 || ms.RangeQueries != 1 {
+		t.Fatalf("IER-PHL: %+v, want one kNN and one range query", ms)
 	}
 	if s.Methods["INE"].RangeQueries != 1 {
 		t.Fatalf("INE RangeQueries = %d", s.Methods["INE"].RangeQueries)

@@ -117,11 +117,12 @@ func TestConcurrentQueriesWithLiveSwap(t *testing.T) {
 	swaps.Wait()
 
 	s := db.Stats()
-	var totalKNN uint64
+	var totalKNN, totalRange uint64
 	for _, ms := range s.Methods {
 		totalKNN += ms.KNNQueries
+		totalRange += ms.RangeQueries
 	}
-	if totalKNN == 0 || s.Methods["INE"].RangeQueries == 0 {
+	if totalKNN == 0 || totalRange == 0 {
 		t.Fatalf("stats did not record the concurrent workload: %+v", s.Methods)
 	}
 }

@@ -15,35 +15,53 @@ import (
 // pinned epoch, one Stats entry per completed query and none for a
 // cancelled one, and a balanced session pool whatever cut the query short.
 // Every row runs twice: on an ordinary DB, and (as "ShardedDB.<row>") on the
-// same network and objects opened as a two-cell shard set — the same methods
-// of the same type, over a partitioned epoch.
+// same network and objects opened as a four-cell shard set — the same methods
+// of the same type, over a partitioned epoch. The range rows run a third
+// time (as "Mapped.<row>") on the DB's own snapshot opened zero-copy.
 
 const confCat = "poi"
 
 // confEnv is one fresh database per adapter (so its counters start at
-// zero): db is the one under test — a two-cell shard set when
-// sharded — and ref the ordinary DB over the same network and objects whose
-// brute force is the reference (db itself when not sharded).
+// zero): db is the one under test — an ordinary DB, a four-cell shard set or
+// a mapped open of the ordinary DB's snapshot — and ref the ordinary DB over
+// the same network and objects whose brute force is the reference (db itself
+// when that is the one under test).
 type confEnv struct {
 	t       *testing.T
 	db, ref *DB
 }
 
-func newConfEnv(t *testing.T, sharded bool) *confEnv {
+// The topologies a row runs on; each one's name prefixes the row's.
+const (
+	confMono    = ""
+	confSharded = "ShardedDB."
+	confMapped  = "Mapped."
+)
+
+func newConfEnv(t *testing.T, topology string) *confEnv {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "conf", Rows: 12, Cols: 14, Seed: 21})
 	objs := gen.Uniform(g, 0.06, 5)
-	db, err := Open(g, WithMethods(INE, Gtree, ROAD), WithObjects(confCat, objs))
+	db, err := Open(g, WithMethods(INE, IERPHL, Gtree, ROAD), WithObjects(confCat, objs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := &confEnv{t: t, db: db, ref: db}
-	if sharded {
+	if topology != confMono {
 		dir := t.TempDir()
-		if err := db.SaveShardSet(dir, 2); err != nil {
-			t.Fatal(err)
+		if topology == confSharded {
+			if err := db.SaveShardSet(dir, 4); err != nil {
+				t.Fatal(err)
+			}
+			e.db, err = OpenSharded(dir, WithObjects(confCat, objs))
+		} else {
+			path := dir + "/conf.rnks"
+			if err := db.SaveIndexesFile(path); err != nil {
+				t.Fatal(err)
+			}
+			e.db, err = OpenSnapshotFile(path, WithMethods(db.Methods()...), WithObjects(confCat, objs))
 		}
-		if e.db, err = OpenSharded(dir, WithObjects(confCat, objs)); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { e.db.Close() })
@@ -135,9 +153,10 @@ func member(e *confEnv, b *Batch, ctx context.Context, wantShared bool) (confAns
 	// Run's own error only says ctx ended before Run returned; the member's
 	// outcome is the member's.
 	out, _ := b.Run(ctx)
-	// ROAD has no shared expansion: its members run one by one even when
-	// sharing is forced on.
-	if out[0].Err == nil && out[0].Shared != (wantShared && out[0].Method != ROAD) {
+	// Only INE and G-tree have a shared expansion: members on another method
+	// (named, or the planner's pick) run one by one even when sharing is
+	// forced on.
+	if out[0].Err == nil && out[0].Shared != (wantShared && (out[0].Method == INE || out[0].Method == Gtree)) {
 		e.t.Errorf("batch member Shared = %v, want %v", out[0].Shared, wantShared)
 	}
 	return pinned(out[0].Results, out[0].Epoch, out[0].Err)
@@ -171,7 +190,10 @@ var confAdapters = []confAdapter{
 		}},
 	{name: "Batch shared member", oneCell: true, records: 2,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
-			return member(e, e.db.Batch().SharedExpansion(SharedOn).AddKNN(q, k, opts...).AddKNN(q, k, opts...), ctx, true)
+			// One worker: on a method with no shared path the two members are
+			// two units, and on two workers the second could complete (and be
+			// recorded) while the first — the one reported — is cancelled.
+			return member(e, e.db.Batch().Workers(1).SharedExpansion(SharedOn).AddKNN(q, k, opts...).AddKNN(q, k, opts...), ctx, true)
 		}},
 	{name: "Monitor first step", records: 1,
 		ask: func(e *confEnv, ctx context.Context, q int32, k int, opts ...QueryOption) (confAnswer, error) {
@@ -233,6 +255,7 @@ type confFault struct {
 	representsItsLevel bool
 	skipWithoutContext bool
 	appliesOnlyToKNN   bool
+	appliesOnlyToRange bool
 }
 
 type confInput struct {
@@ -257,8 +280,14 @@ func confFaults(numVertices int) []confFault {
 			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(Method(99))) }},
 		{name: "negative method", level: 1, wantKNN: ErrUnknownMethod, wantRange: ErrUnknownMethod,
 			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(Method(-7))) }},
-		{name: "method the DB cannot run it on", level: 1, wantKNN: ErrMethodNotEnabled, wantRange: ErrRangeMethod,
-			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(IERPHL)) }},
+		{name: "method not enabled", level: 1, wantKNN: ErrMethodNotEnabled, wantRange: ErrMethodNotEnabled,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(IERCH)) }},
+		{name: "G-tree on a range", level: 1, appliesOnlyToRange: true, wantRange: ErrRangeMethod,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(Gtree)) }},
+		{name: "ROAD on a range", level: 1, appliesOnlyToRange: true, wantRange: ErrRangeMethod,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(ROAD)) }},
+		{name: "DisBrw, not enabled, on a range", level: 1, appliesOnlyToRange: true, wantRange: ErrRangeMethod,
+			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(DisBrw)) }},
 		{name: "cancelled ctx", level: 2, representsItsLevel: true, skipWithoutContext: true, wantKNN: context.Canceled, wantRange: context.Canceled,
 			apply: func(in *confInput, _ bool) { in.cancelled = true }},
 		{name: "negative vertex", level: 3, representsItsLevel: true, wantKNN: ErrBadVertex, wantRange: ErrBadVertex,
@@ -292,23 +321,23 @@ func (c *cancelAt) Err() error {
 
 func TestEntryPointConformance(t *testing.T) {
 	for _, a := range confAdapters {
-		conformance(t, a, false)
+		conformance(t, a, confMono)
 		if !a.oneCell {
-			conformance(t, a, true)
+			conformance(t, a, confSharded)
+		}
+		if a.isRange {
+			conformance(t, a, confMapped)
 		}
 	}
 }
 
-func conformance(t *testing.T, a confAdapter, sharded bool) {
+func conformance(t *testing.T, a confAdapter, topology string) {
 	const (
 		k      = 4
 		radius = 3000
 		q      = int32(57)
 	)
-	name := a.name
-	if sharded {
-		name = "ShardedDB." + a.name
-	}
+	name := topology + a.name
 	arg := k
 	if a.isRange {
 		arg = radius
@@ -335,10 +364,10 @@ func conformance(t *testing.T, a confAdapter, sharded bool) {
 	}
 
 	t.Run(name+"/errors", func(t *testing.T) {
-		e := newConfEnv(t, sharded)
+		e := newConfEnv(t, topology)
 		faults := confFaults(e.db.Graph().NumVertices())
 		for _, f := range faults {
-			if a.isRange && f.appliesOnlyToKNN || a.noCtx && f.skipWithoutContext {
+			if a.isRange && f.appliesOnlyToKNN || !a.isRange && f.appliesOnlyToRange || a.noCtx && f.skipWithoutContext {
 				continue
 			}
 			in := confInput{q: q, arg: arg, opts: []QueryOption{WithCategory(confCat)}}
@@ -373,10 +402,10 @@ func conformance(t *testing.T, a confAdapter, sharded bool) {
 	})
 
 	t.Run(name+"/answers", func(t *testing.T) {
-		e := newConfEnv(t, sharded)
+		e := newConfEnv(t, topology)
 		methods := []Method{MethodAuto, INE, Gtree, ROAD}
 		if a.isRange {
-			methods = []Method{MethodAuto, INE}
+			methods = []Method{MethodAuto, INE, IERPHL}
 		}
 		n := int32(e.db.Graph().NumVertices())
 		for v := int32(0); v < n; v += n/9 + 1 {
@@ -409,7 +438,7 @@ func conformance(t *testing.T, a confAdapter, sharded bool) {
 		if a.noCtx {
 			t.Skip("the brute-force references record nothing")
 		}
-		e := newConfEnv(t, sharded)
+		e := newConfEnv(t, topology)
 		if _, err := a.ask(e, context.Background(), q, arg, WithCategory(confCat), WithMethod(INE)); err != nil {
 			t.Fatal(err)
 		}
@@ -422,16 +451,18 @@ func conformance(t *testing.T, a confAdapter, sharded bool) {
 	// Cancel the query at every point where it consults ctx, until it
 	// gets through: each cancelled attempt must surface ctx's error with
 	// no results, record nothing and return its session. Once per method
-	// whose search polls ctx (range queries run only INE).
-	for _, m := range []Method{INE, ROAD} {
-		if a.isRange && m != INE {
-			continue
-		}
+	// whose search polls ctx: the two expansions for kNN, the two range forms
+	// for a range.
+	pollers := []Method{INE, ROAD}
+	if a.isRange {
+		pollers = []Method{INE, IERPHL}
+	}
+	for _, m := range pollers {
 		t.Run(name+"/cancel/"+m.String(), func(t *testing.T) {
 			if a.noCtx {
 				t.Skip("takes no context")
 			}
-			e := newConfEnv(t, sharded)
+			e := newConfEnv(t, topology)
 			for n := 0; ; n++ {
 				if n > 500 {
 					t.Fatal("query never got through")
@@ -459,7 +490,7 @@ func conformance(t *testing.T, a confAdapter, sharded bool) {
 
 	if a.first != nil {
 		t.Run(name+"/early-break", func(t *testing.T) {
-			e := newConfEnv(t, sharded)
+			e := newConfEnv(t, topology)
 			a.first(e, context.Background(), q, k, WithCategory(confCat))
 			if !e.poolsBalanced() {
 				t.Error("early break kept a session")

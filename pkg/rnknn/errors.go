@@ -24,9 +24,10 @@ var (
 	ErrBadK = errors.New("rnknn: k must be positive")
 	// ErrBadRadius reports a negative range radius.
 	ErrBadRadius = errors.New("rnknn: radius must be non-negative")
-	// ErrRangeMethod reports a Range call with a method other than INE;
-	// range queries run on incremental network expansion only.
-	ErrRangeMethod = errors.New("rnknn: range queries support only INE")
+	// ErrRangeMethod reports a Range call naming a method with no range
+	// form: range queries run on INE or the IER family (the planner's pick
+	// among the enabled ones when no method is named).
+	ErrRangeMethod = errors.New("rnknn: range queries run on INE or the IER family")
 	// ErrBadRoute reports a Monitor call with an empty route.
 	ErrBadRoute = errors.New("rnknn: route must have at least one vertex")
 )

@@ -48,6 +48,10 @@ func (m Method) valid() bool { return m >= 0 && m < numMethods }
 
 func (m Method) kind() core.MethodKind { return core.MethodKind(m) }
 
+// ranges reports whether the method has a range form: INE's bounded
+// expansion, or the IER family's Euclidean restriction over any oracle.
+func (m Method) ranges() bool { return m == INE || m >= IERDijk && m <= IERGt }
+
 // String returns the method's display name (e.g. "IER-PHL"), the same name
 // ParseMethod accepts. MethodAuto prints as "Auto".
 func (m Method) String() string {

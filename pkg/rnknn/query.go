@@ -143,8 +143,14 @@ func (db *DB) knnQuery(q int32, k int, opts []QueryOption) query {
 	return query{v: q, k: k, opt: db.mergeOpts(opts)}
 }
 
+// rangeQuery leaves the method to the planner unless the call names one: a
+// range has no default method.
 func (db *DB) rangeQuery(q int32, radius Dist, opts []QueryOption) query {
-	return query{v: q, radius: radius, isRange: true, opt: db.mergeOpts(opts)}
+	qr := query{v: q, radius: radius, isRange: true, opt: db.mergeOpts(opts)}
+	if !qr.opt.methodSet {
+		qr.opt.method = MethodAuto
+	}
+	return qr
 }
 
 func (db *DB) mergeOpts(opts []QueryOption) QueryOption {
@@ -164,9 +170,10 @@ func (db *DB) mergeOpts(opts []QueryOption) QueryOption {
 // entry point reports: k or radius, then the method, then ctx, then the
 // query vertex (the category follows, in prepare). A kNN method must be
 // MethodAuto or a known method (ErrUnknownMethod) the DB was opened with
-// (ErrMethodNotEnabled) — never a silent fallback. Range queries run only
-// on INE, the one method with a native range form: MethodAuto and INE are
-// accepted, a known other method is ErrRangeMethod.
+// (ErrMethodNotEnabled) — never a silent fallback. Range queries run on the
+// methods with a range form: MethodAuto, INE (enabled or not: its pool always
+// exists) and an enabled IER method are accepted, a known method without one
+// (G-tree, ROAD, DisBrw) is ErrRangeMethod.
 func (db *DB) check(ctx context.Context, qr *query) error {
 	m := qr.opt.method
 	switch {
@@ -174,11 +181,11 @@ func (db *DB) check(ctx context.Context, qr *query) error {
 		return fmt.Errorf("%w: radius=%d", ErrBadRadius, qr.radius)
 	case !qr.isRange && qr.k <= 0:
 		return fmt.Errorf("%w: k=%d", ErrBadK, qr.k)
-	case m == MethodAuto || qr.isRange && (!qr.opt.methodSet || m == INE):
-		// The planner (kNN) or INE (range) decides; no method to validate.
+	case m == MethodAuto || qr.isRange && m == INE:
+		// The planner decides, or INE's range form runs; nothing to validate.
 	case !m.valid():
 		return fmt.Errorf("%w: %d", ErrUnknownMethod, int(m))
-	case qr.isRange:
+	case qr.isRange && !m.ranges():
 		return fmt.Errorf("%w: got %s", ErrRangeMethod, m)
 	case !db.enabled[m]:
 		return fmt.Errorf("%w: %s (enabled: %v)", ErrMethodNotEnabled, m, db.methods)
@@ -207,9 +214,12 @@ func (db *DB) auto(k int, ep *epoch) planner.Choice {
 
 // prepare is the first half of every query: validate (check), pin the
 // category's live epoch, and resolve the concrete method that will run —
-// INE for a range query, the planner's pick for MethodAuto. Nothing else in
-// the package validates a query, pins an epoch for one, or resolves
-// MethodAuto.
+// the named one, or the planner's pick for MethodAuto. A range is planned
+// among INE and the enabled IER family at a nominal k = 1: INE settles
+// ≈1.2·m/density vertices and Euclidean restriction verifies ≈2.5·m
+// candidates for the m objects inside the disc, so the radius cancels and
+// the pick is a function of density alone. Nothing else in the package
+// validates a query, pins an epoch for one, or resolves MethodAuto.
 func (db *DB) prepare(ctx context.Context, qr *query) (*epoch, Method, error) {
 	if err := db.check(ctx, qr); err != nil {
 		return nil, 0, err
@@ -219,10 +229,10 @@ func (db *DB) prepare(ctx context.Context, qr *query) (*epoch, Method, error) {
 		return nil, 0, err
 	}
 	switch {
-	case qr.isRange:
-		return ep, INE, nil
 	case qr.opt.method != MethodAuto:
 		return ep, qr.opt.method, nil
+	case qr.isRange:
+		return ep, Method(planner.Choose(db.rangeKinds, db.features(1, ep)).Kind), nil
 	}
 	return ep, Method(db.auto(qr.k, ep).Kind), nil
 }
@@ -251,7 +261,7 @@ func (db *DB) run(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, 
 		return dst[:mark], elapsed, err
 	}
 	if qr.isRange {
-		db.stats.recordRange(elapsed)
+		db.stats.recordRange(m, elapsed)
 	} else {
 		db.stats.recordKNN(m, elapsed)
 	}
@@ -364,12 +374,16 @@ func (db *DB) KNNPinned(ctx context.Context, q int32, k int, opts ...QueryOption
 }
 
 // Range returns every object of the query's category within network
-// distance radius of vertex q, in nondecreasing distance order. Range
-// queries always run incremental network expansion (the one method with a
-// native range form); passing WithMethod with any other concrete method
-// reports ErrRangeMethod (an unknown one, ErrUnknownMethod), while
-// MethodAuto resolves to INE. Safe for unbounded concurrent callers, with
-// the same context semantics as KNN.
+// distance radius (inclusive) of vertex q, in nondecreasing distance order.
+// Range queries run on INE (a radius-bounded expansion) or the IER family
+// (range by Euclidean restriction: the R-tree scan stops at the first
+// object whose Euclidean lower bound exceeds the radius). With no method
+// named, or MethodAuto, the planner picks among INE and the enabled IER
+// methods from the category's density — INE where objects are dense or no
+// fast oracle is enabled. WithMethod accepts INE (enabled or not) and any
+// enabled IER method; a method without a range form reports ErrRangeMethod
+// (an unknown one, ErrUnknownMethod). Safe for unbounded concurrent callers,
+// with the same context semantics as KNN.
 func (db *DB) Range(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
 	res, _, err := db.exec(ctx, db.rangeQuery(q, radius, opts), nil)
 	return res, err
@@ -389,8 +403,8 @@ func (db *DB) RangeAppend(ctx context.Context, q int32, radius Dist, dst []Resul
 // the answer with the epoch of the very binding it ran on (not re-read
 // around the call) closes the load-epoch/run-query race, so an entry keyed
 // on (vertex, radius, category, epoch) can never serve one epoch's answer
-// to a reader observing another. Validation, INE-only method rules,
-// cancellation, and Stats recording are identical to Range.
+// to a reader observing another. Validation, method rules, cancellation, and
+// Stats recording are identical to Range.
 func (db *DB) RangePinned(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, uint64, error) {
 	return db.exec(ctx, db.rangeQuery(q, radius, opts), nil)
 }

@@ -44,7 +44,9 @@
 // crossovers governed by k, object density, and network size — Section 7,
 // Table 5) as one static cost model, a function of k, the category's live
 // object count and the network size and of nothing else. Explain reports the
-// planner's decision without running the query.
+// planner's decision without running the query. A range query runs on INE or
+// the IER family (range by Euclidean restriction), the planner's pick from
+// the same table when no method is named.
 //
 // # Index persistence
 //
@@ -178,8 +180,11 @@ type DB struct {
 	// bindKinds lists the enabled method kinds; every category binding
 	// carries the derived object indexes for all of them.
 	bindKinds []core.MethodKind
+	// rangeKinds lists the kinds the planner picks a range query's method
+	// from: INE, then the enabled IER family.
+	rangeKinds []core.MethodKind
 	// pools[m] pools query sessions of method m. pools[INE] always exists:
-	// it also serves Range and context-checked fallbacks.
+	// INE answers range queries whether or not it is an enabled kNN method.
 	pools [numMethods]*sessionPool
 
 	mu   sync.RWMutex // guards cats (the map, not the bindings inside)
@@ -242,8 +247,9 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 		return nil, fmt.Errorf("%w: WithMethods given no methods", ErrUnknownMethod)
 	}
 	db := &DB{
-		g:    g,
-		cats: map[string]*category{},
+		g:          g,
+		cats:       map[string]*category{},
+		rangeKinds: []core.MethodKind{core.INE},
 	}
 	for _, m := range cfg.methods {
 		if !m.valid() {
@@ -255,6 +261,9 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 		db.enabled[m] = true
 		db.methods = append(db.methods, m)
 		db.bindKinds = append(db.bindKinds, m.kind())
+		if m != INE && m.ranges() {
+			db.rangeKinds = append(db.rangeKinds, m.kind())
+		}
 	}
 	db.eng = core.New(g)
 	db.eng.Opts = cfg.opts

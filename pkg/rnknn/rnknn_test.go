@@ -190,8 +190,12 @@ func TestStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.Range(ctx, 0, 5000); err != nil {
-		t.Fatal(err)
+	// A range lands under the method that answered it: the planner's pick at
+	// this density, then the one named.
+	for _, opts := range [][]QueryOption{nil, {WithMethod(INE)}} {
+		if _, err := db.Range(ctx, 0, 5000, opts...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := db.Stats()
 	if s.Methods["Gtree"].KNNQueries != 5 {
@@ -200,8 +204,8 @@ func TestStats(t *testing.T) {
 	if s.Methods["Gtree"].TotalLatency <= 0 || s.Methods["Gtree"].MaxLatency <= 0 {
 		t.Fatalf("Gtree latency aggregates not recorded: %+v", s.Methods["Gtree"])
 	}
-	if s.Methods["INE"].RangeQueries != 1 {
-		t.Fatalf("INE RangeQueries = %d, want 1", s.Methods["INE"].RangeQueries)
+	if s.Methods["IER-PHL"].RangeQueries != 1 || s.Methods["INE"].RangeQueries != 1 {
+		t.Fatalf("RangeQueries: IER-PHL %d, INE %d, want 1 and 1", s.Methods["IER-PHL"].RangeQueries, s.Methods["INE"].RangeQueries)
 	}
 	for _, idx := range []string{"Gtree", "ROAD", "CH", "PHL", "TNR"} {
 		info, ok := s.Indexes[idx]

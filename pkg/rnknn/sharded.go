@@ -29,6 +29,7 @@ import (
 
 	"rnknn/internal/graph"
 	"rnknn/internal/kmerge"
+	"rnknn/internal/knn"
 	"rnknn/internal/partition"
 )
 
@@ -305,14 +306,6 @@ type cellBound struct {
 	bound Dist
 }
 
-// byDistVertex is the order fanned answers are merged in.
-func byDistVertex(a, b Result) int {
-	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Vertex, b.Vertex)
-}
-
 // fan is the one bound-pruned search of a multi-cell epoch, run on the one
 // session the query already holds: the non-empty cells are visited in
 // ascending lower-bound order — IER's Euclidean ordering (paper §3.2)
@@ -345,14 +338,14 @@ func (db *DB) fan(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, 
 		if qr.isRange {
 			continue
 		}
-		slices.SortFunc(dst[mark:], byDistVertex)
+		slices.SortFunc(dst[mark:], knn.ByDistVertex)
 		if len(dst)-mark >= qr.k {
 			dst = dst[:mark+qr.k]
 			threshold = dst[len(dst)-1].Dist
 		}
 	}
 	if qr.isRange {
-		slices.SortFunc(dst[mark:], byDistVertex)
+		slices.SortFunc(dst[mark:], knn.ByDistVertex)
 	}
 	return dst
 }

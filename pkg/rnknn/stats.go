@@ -20,7 +20,7 @@ type IndexStats struct {
 // MethodStats aggregates the queries one method has served.
 type MethodStats struct {
 	// KNNQueries and RangeQueries count completed (non-errored,
-	// non-cancelled) queries. Range queries always run on INE.
+	// non-cancelled) queries, each under the method that answered it.
 	KNNQueries   uint64
 	RangeQueries uint64
 	// TotalLatency sums completed query latencies; divide by the query
@@ -127,15 +127,15 @@ func (c *counters) snapshot() MethodStats {
 }
 
 // registry holds one counters slot per method; slots for disabled methods
-// exist but stay zero (INE's slot also aggregates Range queries even when
-// INE is not an enabled KNN method).
+// exist but stay zero (except INE's, which counts the range queries INE
+// answers even when it is not an enabled kNN method).
 type registry struct {
 	perMethod [numMethods]counters
 }
 
 func (r *registry) recordKNN(m Method, d time.Duration) { r.perMethod[m].record(d, false) }
 
-func (r *registry) recordRange(d time.Duration) { r.perMethod[INE].record(d, true) }
+func (r *registry) recordRange(m Method, d time.Duration) { r.perMethod[m].record(d, true) }
 
 // Stats returns a snapshot of index build costs, per-method query counters
 // and live category sizes. Safe for concurrent use; counters are read
@@ -155,7 +155,7 @@ func (db *DB) Stats() Stats {
 	for _, m := range db.methods {
 		s.Methods[m.String()] = db.stats.perMethod[m].snapshot()
 	}
-	// Range queries land on INE even when it is not an enabled method.
+	// INE may answer range queries while not an enabled kNN method.
 	if !db.enabled[INE] {
 		if ms := db.stats.perMethod[INE].snapshot(); ms.RangeQueries > 0 {
 			s.Methods[INE.String()] = ms
