@@ -173,8 +173,8 @@ func (s *ierSession) Rebind(b *Binding) { s.IER.Rebind(b.Objs, b.rt) }
 
 // gtreeSession and roadSession cannot embed their methods (the embedded
 // type name KNN would shadow the KNN method), so they delegate explicitly
-// (including the incremental-scan hook KNNStream and, for ROAD, the
-// SetInterrupt hook).
+// (including the incremental-scan hook KNNStream and the SetInterrupt
+// hook).
 type gtreeSession struct{ m *gtree.KNN }
 
 func (s gtreeSession) Name() string                    { return s.m.Name() }
@@ -182,12 +182,10 @@ func (s gtreeSession) KNN(q int32, k int) []knn.Result { return s.m.KNN(q, k) }
 func (s gtreeSession) KNNAppend(q int32, k int, dst []knn.Result) []knn.Result {
 	return s.m.KNNAppend(q, k, dst)
 }
-func (s gtreeSession) Rebind(b *Binding) { s.m.SetObjects(b.ol) }
+func (s gtreeSession) Rebind(b *Binding)              { s.m.SetObjects(b.ol) }
+func (s gtreeSession) SetInterrupt(check func() bool) { s.m.SetInterrupt(check) }
 func (s gtreeSession) KNNStream(q int32, k int, yield func(knn.Result) bool) {
 	s.m.KNNStream(q, k, yield)
-}
-func (s gtreeSession) KNNGroupAppend(qs []knn.GroupQuery, dst [][]knn.Result) {
-	s.m.KNNGroupAppend(qs, dst)
 }
 
 type roadSession struct{ m *road.KNN }
@@ -218,6 +216,7 @@ var (
 	_ knn.RangeMethod   = (*ierSession)(nil)
 	_ knn.Interruptible = ineSession{}
 	_ knn.Interruptible = (*ierSession)(nil)
+	_ knn.Interruptible = gtreeSession{}
 	_ knn.Interruptible = roadSession{}
 	// The incremental-result hook behind pkg/rnknn's KNNSeq: INE and IER
 	// stream through the promoted KNNStream of their embedded methods,
@@ -227,8 +226,7 @@ var (
 	_ knn.Streamer = (*ierSession)(nil)
 	_ knn.Streamer = gtreeSession{}
 	_ knn.Streamer = roadSession{}
-	// Shared-expansion batch execution: INE through the promoted
-	// KNNGroupAppend, G-tree through an explicit delegate.
+	// Shared-expansion batch execution: INE's multi-source frontier, through
+	// the promoted KNNGroupAppend.
 	_ knn.BatchMethod = ineSession{}
-	_ knn.BatchMethod = gtreeSession{}
 )

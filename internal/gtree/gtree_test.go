@@ -207,3 +207,58 @@ func TestTinyGraphSingleLeaf(t *testing.T) {
 		t.Fatalf("single leaf: got %s want %s", knn.FormatResults(got), knn.FormatResults(want))
 	}
 }
+
+// TestKNNInterrupt pins G-tree's share of "a deadline is a deadline": the
+// installed check is polled once per iteration of the Algorithm 3 loop and
+// every knn.InterruptStride settled vertices of the source-leaf search, a
+// true return stops the scan there with a prefix of the full answer, and a
+// nil check restores the uninterrupted scan.
+func TestKNNInterrupt(t *testing.T) {
+	g := testGraph(t, 64, 40, 40)
+	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.05, 9))
+	k := objs.Len() + 1 // more than exist: the scan must exhaust the tree
+	for _, tc := range []struct {
+		name string
+		tau  int
+		// wantPolls is the uninterrupted scan's poll count, where it is known.
+		wantPolls int
+	}{
+		// Small leaves: nearly every poll is the main loop's.
+		{name: "tree", tau: 32},
+		// One leaf holding the whole network: the main loop never runs, so
+		// every poll is the leaf search's stride.
+		{name: "leaf", tau: g.NumVertices(), wantPolls: g.NumVertices() / knn.InterruptStride},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: tc.tau})
+			x := gtree.NewKNN(idx, idx.NewOccurrenceList(objs))
+			full := x.KNN(0, k)
+			if len(full) != objs.Len() {
+				t.Fatalf("full scan found %d of %d objects", len(full), objs.Len())
+			}
+			polls := 0
+			x.SetInterrupt(func() bool { polls++; return false })
+			if got := x.KNN(0, k); !knn.SameResults(got, full) {
+				t.Fatal("a check that never fires changed the answer")
+			}
+			if polls < 3 || (tc.wantPolls > 0 && polls != tc.wantPolls) {
+				t.Fatalf("uninterrupted scan polled %d times, want %d (0: at least 3)", polls, tc.wantPolls)
+			}
+
+			polls = 0
+			x.SetInterrupt(func() bool { polls++; return polls == 2 })
+			part := x.KNN(0, k)
+			if polls != 2 {
+				t.Fatalf("scan went on for %d polls after the check fired on the 2nd", polls)
+			}
+			if len(part) >= len(full) || !knn.SameResults(part, full[:len(part)]) {
+				t.Fatalf("interrupted answer (%d results) is not a proper prefix of the full one (%d)", len(part), len(full))
+			}
+
+			x.SetInterrupt(nil)
+			if again := x.KNN(0, k); !knn.SameResults(again, full) {
+				t.Fatal("scan after clearing the interrupt differs from the first")
+			}
+		})
+	}
+}

@@ -27,9 +27,12 @@ type KNN struct {
 	out     []knn.Result
 	collect func(knn.Result) bool
 
-	// grp is the shared-expansion batch scratch (see group.go), created on
-	// the first KNNGroupAppend so single-query sessions stay lean.
-	grp *groupScratch
+	// interrupt, when non-nil, is polled once per iteration of the
+	// Algorithm 3 loop (an iteration can cost a border-matrix assembly, so no
+	// stride is needed there) and every knn.InterruptStride settled vertices
+	// of the source-leaf search; a true return stops the scan early (see
+	// knn.Interruptible).
+	interrupt func() bool
 
 	// PathCost reports the border-to-border additions of the last query
 	// (Figure 9b).
@@ -58,6 +61,9 @@ func (x *KNN) Name() string {
 // SetObjects swaps the occurrence list.
 func (x *KNN) SetObjects(ol *OccurrenceList) { x.ol = ol }
 
+// SetInterrupt implements knn.Interruptible.
+func (x *KNN) SetInterrupt(check func() bool) { x.interrupt = check }
+
 // queue ids: vertices are encoded as themselves (>= 0), tree nodes as
 // -(node+1).
 func encodeNode(ni int32) int32 { return -(ni + 1) }
@@ -83,8 +89,8 @@ func (x *KNN) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 // settles its pre-border objects in the same global order (every path out
 // of the source leaf crosses a border, so nothing outside can be closer),
 // which makes every appended result final at append time: it is yielded
-// immediately instead of buffered. A false return from yield abandons the
-// remaining search.
+// immediately instead of buffered. A false return from yield, or a true one
+// from the installed interrupt check, abandons the remaining search.
 func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	idx := x.idx
 	pt := idx.PT
@@ -98,7 +104,7 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	leafQ := pt.LeafOf[qv]
 	if x.ol.Count(leafQ) > 0 {
 		if x.ImprovedLeaf {
-			found, stopped = x.leafSearchScan(src.leafLocal(), src.leafQ, k, q, yield)
+			found, stopped = x.leafSearchScan(src, k, q, yield)
 		} else {
 			x.leafSearchOriginal(src, qv, q)
 		}
@@ -112,6 +118,9 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	}
 
 	for !stopped && found < k && (!q.Empty() || tn != root) {
+		if x.interrupt != nil && x.interrupt() {
+			break
+		}
 		if q.Empty() {
 			tn, tmin = x.advanceT(src, q, tn)
 		}
@@ -198,14 +207,17 @@ func (x *KNN) enqueueLeafObjects(src *Source, ni int32, q *pqueue.Queue) {
 // border are immediate results (yielded right away); objects settled
 // afterwards are enqueued into the main queue with their exact distances.
 // The search stops after k settled leaf objects, or when the stream
-// consumer stops (stopped=true). found counts the results yielded. The scan
-// parameter lets shared-batch members run the same search over their own
-// restarted scan (see group.go).
-func (x *KNN) leafSearchScan(ls *leafScan, leaf int32, k int, q *pqueue.Queue, yield func(knn.Result) bool) (found int, stopped bool) {
+// consumer or the interrupt check stops it (stopped=true). found counts the
+// results yielded.
+func (x *KNN) leafSearchScan(src *Source, k int, q *pqueue.Queue, yield func(knn.Result) bool) (found int, stopped bool) {
+	ls, leaf := src.leafLocal(), src.leafQ
 	n := &x.idx.nodes[leaf]
 	borderFound := false
 	targets := 0
-	for targets < k {
+	for settled := 1; targets < k; settled++ {
+		if x.interrupt != nil && settled%knn.InterruptStride == 0 && x.interrupt() {
+			return found, true
+		}
 		v, d, ok := ls.next()
 		if !ok {
 			break
@@ -269,8 +281,9 @@ func (x *KNN) leafSearchOriginal(src *Source, qv int32, q *pqueue.Queue) {
 }
 
 var (
-	_ knn.Method   = (*KNN)(nil)
-	_ knn.Streamer = (*KNN)(nil)
+	_ knn.Method        = (*KNN)(nil)
+	_ knn.Streamer      = (*KNN)(nil)
+	_ knn.Interruptible = (*KNN)(nil)
 )
 
 // leafOnlyDistances runs a plain Dijkstra constrained to the leaf subgraph

@@ -67,7 +67,7 @@ type Interruptible interface {
 }
 
 // InterruptStride is how many settled vertices the expansion methods (INE,
-// ROAD) let pass between interrupt polls: frequent enough to bound
+// ROAD, G-tree's source-leaf search) let pass between interrupt polls: frequent enough to bound
 // cancellation latency on graph-wide scans, rare enough to stay off the
 // per-vertex hot path.
 const InterruptStride = 256
@@ -122,6 +122,11 @@ type GroupQuery struct {
 // and a warm method value do not allocate. Group members are expected to be
 // close together (the caller groups by partition leaf cell); correctness
 // does not depend on it, only the speedup does.
+//
+// INE's multi-source frontier is the one implementer (a G-tree group was
+// measured slower than its own fan-out and dropped). The interface stays
+// because it is how pkg/rnknn reaches the kernel through a core.Session
+// without importing the method package.
 type BatchMethod interface {
 	Method
 	KNNGroupAppend(qs []GroupQuery, dst [][]Result)

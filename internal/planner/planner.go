@@ -12,7 +12,7 @@
 // can move it.
 //
 // The same cost surface drives batch execution: ChooseBatch decides whether
-// a group of clustered queries should run as one shared multi-source
+// a group of clustered INE queries should run as one shared multi-source
 // expansion or fan out as independent queries.
 package planner
 
@@ -85,7 +85,6 @@ type BatchChoice struct {
 	// GroupCost is the estimated total for the chosen execution.
 	GroupCost time.Duration
 
-	kind core.MethodKind
 	size int
 }
 
@@ -97,25 +96,26 @@ func (bc BatchChoice) Reason() string {
 	crossover := time.Duration(model.SharedMinSingleNanos).Round(time.Microsecond)
 	if !bc.Shared {
 		return fmt.Sprintf("fan-out: %s single-query estimate %v below %v sharing crossover by the regime model",
-			bc.kind, bc.SingleCost.Round(time.Microsecond), crossover)
+			core.INE, bc.SingleCost.Round(time.Microsecond), crossover)
 	}
 	return fmt.Sprintf("shared expansion: %d×%s at %v/query ≥ %v sharing crossover by the regime model, group estimate %v vs %v fanned out",
-		bc.size, bc.kind, bc.SingleCost.Round(time.Microsecond), crossover,
+		bc.size, core.INE, bc.SingleCost.Round(time.Microsecond), crossover,
 		bc.GroupCost.Round(time.Microsecond), (bc.SingleCost * time.Duration(bc.size)).Round(time.Microsecond))
 }
 
-// ChooseBatch decides how a batch group of size clustered queries of one
-// method kind should execute: as one shared multi-source expansion or as
-// independent fanned-out queries. The decision rides on the model's
-// single-query estimate for the group's (k, density, |V|): sharing pays
+// ChooseBatch decides how a batch group of size clustered INE queries — INE
+// is the one method with a shared expansion, so its row is the one costed —
+// should execute: as one shared multi-source expansion or as independent
+// fanned-out queries. The decision rides on the model's single-query INE
+// estimate for the group's (k, density, |V|): sharing pays
 // exactly when individual queries are expensive — large search regions
 // overlap heavily inside one partition leaf, so the frontier's work is paid
 // once for the whole group — and loses when queries are cheap, where the
 // multi-source frontier's per-vertex width tax exceeds the savings. The
 // crossover itself is a model coefficient (Model.SharedMinSingleNanos).
-func ChooseBatch(kind core.MethodKind, f Features, size int) BatchChoice {
-	single := model.perMethod[kind].nanos(f.terms())
-	bc := BatchChoice{SingleCost: time.Duration(single), GroupCost: time.Duration(single * float64(size)), kind: kind, size: size}
+func ChooseBatch(f Features, size int) BatchChoice {
+	single := model.perMethod[core.INE].nanos(f.terms())
+	bc := BatchChoice{SingleCost: time.Duration(single), GroupCost: time.Duration(single * float64(size)), size: size}
 	if size >= 2 && single >= model.SharedMinSingleNanos {
 		bc.Shared = true
 		bc.GroupCost = time.Duration(model.SharedBaseNanos + single*(1+model.SharedMemberFrac*float64(size-1)))

@@ -86,15 +86,15 @@ func TestChooseBatch(t *testing.T) {
 	sparse := Features{K: 10, NumObjects: 110, NumVertices: nv}  // ~1e-3: slow INE
 	dense := Features{K: 10, NumObjects: 11000, NumVertices: nv} // 0.1: fast INE
 
-	if bc := ChooseBatch(core.INE, sparse, 64); !bc.Shared {
+	if bc := ChooseBatch(sparse, 64); !bc.Shared {
 		t.Fatalf("sparse 64-group must share, got %s", bc.Reason())
 	} else if bc.GroupCost <= 0 || bc.SingleCost <= 0 || bc.Reason() == "" {
 		t.Fatalf("incomplete shared choice: %+v", bc)
 	}
-	if bc := ChooseBatch(core.INE, dense, 64); bc.Shared {
+	if bc := ChooseBatch(dense, 64); bc.Shared {
 		t.Fatalf("dense 64-group must fan out, got %s", bc.Reason())
 	}
-	if bc := ChooseBatch(core.INE, sparse, 1); bc.Shared {
+	if bc := ChooseBatch(sparse, 1); bc.Shared {
 		t.Fatalf("singleton group must fan out, got %s", bc.Reason())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"rnknn/internal/gen"
 	"rnknn/pkg/rnknn"
 )
 
@@ -158,21 +159,27 @@ func TestBatchCoalescesWithSingles(t *testing.T) {
 	}
 }
 
-// TestBatchSharedOnServer forces SharedOn and proves same-leaf members are
-// answered by shared-expansion groups end to end — marked on the wire,
-// counted in the server stats, and still exact.
+// TestBatchSharedOnServer proves same-leaf members are answered by
+// shared-expansion groups end to end — marked on the wire, counted in the
+// server stats, and still exact — under the mode the server always runs,
+// SharedAuto: the category is sparse enough (12 objects on 12.5k vertices,
+// k = 10) that the planner prices one INE member above its sharing crossover.
 func TestBatchSharedOnServer(t *testing.T) {
-	db := newTestDB(t)
+	g := gen.Network(gen.NetworkSpec{Name: "srv-sparse", Rows: 112, Cols: 112, Seed: 3})
+	db, err := rnknn.Open(g, rnknn.WithMethods(rnknn.INE),
+		rnknn.WithObjects(rnknn.DefaultCategory, gen.Uniform(g, 0.001, 11)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(db, Config{})
-	s.batchMode = rnknn.SharedOn
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// 32 consecutive vertices on the 12x14 grid: by pigeonhole several land
-	// in the same partition leaf, so SharedOn must form at least one group.
+	// 32 consecutive vertices mid-network: by pigeonhole several land in the
+	// same partition leaf, so the planner must form at least one group.
 	queries := make([]BatchQuery, 32)
 	for i := range queries {
-		queries[i] = BatchQuery{Query: int32(40 + i), K: 3, Method: "INE"}
+		queries[i] = BatchQuery{Query: int32(g.NumVertices()/2 + i), K: 10, Method: "INE"}
 	}
 	br := postBatch(t, ts.URL, queries)
 	shared := 0

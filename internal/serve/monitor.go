@@ -31,7 +31,7 @@ const maxMonitorSteps = 65536
 // whole session — a monitor is sustained work, so it must count against
 // MaxInFlight for its duration, not just its setup.
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
-	k, err := intParam(r, "k", 10)
+	k, err := int32Param(r, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -68,8 +68,8 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	// validation errors (bad k, bad vertex, unknown category) still answer
 	// with their proper HTTP status instead of a 200 stream.
 	streaming := false
-	summary := MonitorSummaryJSON{K: k, Category: category}
-	for u, err := range s.st.db.Monitor(r.Context(), route, k, rnknn.WithMethod(method), rnknn.WithCategory(category)) {
+	summary := MonitorSummaryJSON{K: int(k), Category: category}
+	for u, err := range s.st.db.Monitor(r.Context(), route, int(k), rnknn.WithMethod(method), rnknn.WithCategory(category)) {
 		if err != nil {
 			if !streaming {
 				writeError(w, err)
@@ -119,9 +119,9 @@ func (s *Server) monitorRoute(r *http.Request) ([]int32, error) {
 		}
 		route := make([]int32, len(parts))
 		for i, p := range parts {
-			n, err := strconv.Atoi(strings.TrimSpace(p))
+			n, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("parameter \"route\": %q is not an integer", p)
+				return nil, fmt.Errorf("parameter \"route\": %q is not a 32-bit integer", p)
 			}
 			route[i] = int32(n)
 		}

@@ -276,6 +276,8 @@ func TestMonitorEndpointErrors(t *testing.T) {
 		{"/monitor?q=5&k=0", http.StatusBadRequest},                // bad k
 		{"/monitor?q=999999", http.StatusBadRequest},               // vertex out of range
 		{"/monitor?route=1,nope", http.StatusBadRequest},           // unparsable route
+		{"/monitor?route=4294967396&k=3", http.StatusBadRequest},   // not vertex 100 (2^32 + 100)
+		{"/monitor?q=5&k=4294967299", http.StatusBadRequest},       // k beyond 32 bits
 		{"/monitor?route=1,2&category=ghost", http.StatusNotFound}, // unknown category
 		{"/monitor?q=5&steps=9999999", http.StatusBadRequest},      // steps over cap
 		{"/monitor?q=5&k=3&method=ROAD", http.StatusBadRequest},    // method not enabled

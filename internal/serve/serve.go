@@ -101,10 +101,6 @@ type stack struct {
 type Server struct {
 	st  *stack
 	mux *http.ServeMux
-	// batchMode is the shared-expansion mode /batch executes with: always
-	// rnknn.SharedAuto (the planner's fitted cost model decides per group),
-	// except where a test forces a mode.
-	batchMode rnknn.SharedMode
 	// gate, when non-nil, runs on the cache-miss path immediately before
 	// the underlying query — a test hook that lets the coalescing and
 	// admission tests hold queries in flight deterministically.
@@ -208,14 +204,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 type cachedQuery struct {
 	isRange  bool
 	vertex   int32
-	k        int
+	k        int32
 	radius   int64
 	method   rnknn.Method
 	category string
 }
 
 func (cq cachedQuery) key(epoch uint64) cacheKey {
-	return cacheKey{vertex: cq.vertex, k: int32(cq.k), radius: cq.radius, epoch: epoch, category: cq.category}
+	return cacheKey{vertex: cq.vertex, k: cq.k, radius: cq.radius, epoch: epoch, category: cq.category}
 }
 
 // query answers cq through the stack's cache and coalescer (the caller
@@ -240,7 +236,7 @@ func (st *stack) query(ctx context.Context, cq cachedQuery, gate func()) ([]rnkn
 		if cq.isRange {
 			res, pinned, err = st.db.RangePinned(ctx, cq.vertex, rnknn.Dist(cq.radius), rnknn.WithCategory(cq.category))
 		} else {
-			res, pinned, err = st.db.KNNPinned(ctx, cq.vertex, cq.k, rnknn.WithMethod(cq.method), rnknn.WithCategory(cq.category))
+			res, pinned, err = st.db.KNNPinned(ctx, cq.vertex, int(cq.k), rnknn.WithMethod(cq.method), rnknn.WithCategory(cq.category))
 		}
 		if err == nil {
 			// Store under the epoch the search pinned — possibly newer than
@@ -256,12 +252,12 @@ func (st *stack) query(ctx context.Context, cq cachedQuery, gate func()) ([]rnkn
 // set it was computed from.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := intParam(r, "q", -1)
+	qv, err := int32Param(r, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	k, err := intParam(r, "k", 10)
+	k, err := int32Param(r, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -271,7 +267,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	cq := cachedQuery{vertex: int32(qv), k: k, radius: -1, method: method, category: categoryParam(r)}
+	cq := cachedQuery{vertex: qv, k: k, radius: -1, method: method, category: categoryParam(r)}
 	res, epoch, cached, err := s.st.query(r.Context(), cq, s.gate)
 	if err != nil {
 		writeError(w, err)
@@ -279,7 +275,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, KNNResponse{
 		Query:         cq.vertex,
-		K:             cq.k,
+		K:             int(cq.k),
 		Method:        methodName,
 		Category:      cq.category,
 		Epoch:         epoch,
@@ -295,7 +291,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 // object churn retires range answers by the same epoch mechanism.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := intParam(r, "q", -1)
+	qv, err := int32Param(r, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -305,7 +301,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	cq := cachedQuery{isRange: true, vertex: int32(qv), radius: int64(radius), category: categoryParam(r)}
+	cq := cachedQuery{isRange: true, vertex: qv, radius: int64(radius), category: categoryParam(r)}
 	res, epoch, cached, err := s.st.query(r.Context(), cq, s.gate)
 	if err != nil {
 		writeError(w, err)
@@ -369,6 +365,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if q.Radius != nil && q.K > 0 {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: both k and radius set", i)})
+			return
+		}
+		// The cache keys k as 32 bits; a k that does not fit must not alias
+		// one that does.
+		if !fits32(q.K) {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: k %d does not fit 32 bits", i, q.K)})
 			return
 		}
 	}
@@ -444,7 +446,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Phase 3: one db.Batch over the leaders — same-leaf clusters among them
 	// share expansions — then publish under the epoch each answer pinned.
 	if len(run) > 0 {
-		b := st.db.Batch().SharedExpansion(s.batchMode)
+		b := st.db.Batch()
 		for _, i := range run {
 			q := req.Queries[i]
 			var opts []rnknn.QueryOption
@@ -573,6 +575,20 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	}
 	return n, nil
 }
+
+// int32Param is intParam for the parameters that name a vertex or a k: both
+// are 32-bit downstream (vertex ids, the cache key's k), and a value that
+// does not fit is refused here rather than narrowed into some other value.
+func int32Param(r *http.Request, name string, def int) (int32, error) {
+	n, err := intParam(r, name, def)
+	if err == nil && !fits32(n) {
+		err = fmt.Errorf("parameter %q: %d does not fit 32 bits", name, n)
+	}
+	return int32(n), err
+}
+
+// fits32 reports whether n survives narrowing to 32 bits.
+func fits32(n int) bool { return n == int(int32(n)) }
 
 // methodParam parses the optional method parameter (default "Auto": the
 // planner picks among whatever methods the DB was opened with).

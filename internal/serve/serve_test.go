@@ -141,10 +141,14 @@ func TestKNNEndpoint(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/knn", http.StatusBadRequest},                        // missing q
-		{"/knn?q=abc", http.StatusBadRequest},                  // non-integer
-		{"/knn?q=5&k=0", http.StatusBadRequest},                // ErrBadK
-		{"/knn?q=999999&k=3", http.StatusBadRequest},           // ErrBadVertex
+		{"/knn", http.StatusBadRequest},                    // missing q
+		{"/knn?q=abc", http.StatusBadRequest},              // non-integer
+		{"/knn?q=5&k=0", http.StatusBadRequest},            // ErrBadK
+		{"/knn?q=999999&k=3", http.StatusBadRequest},       // ErrBadVertex
+		{"/knn?q=4294967396&k=3", http.StatusBadRequest},   // not vertex 100 (2^32 + 100)
+		{"/knn?q=100&k=3", http.StatusOK},                  // cached under k = 3 ...
+		{"/knn?q=100&k=4294967299", http.StatusBadRequest}, // ... which k = 2^32 + 3 must not hit
+		{"/range?q=4294967396&radius=100", http.StatusBadRequest},
 		{"/knn?q=5&k=3&method=nope", http.StatusBadRequest},    // ErrUnknownMethod
 		{"/knn?q=5&k=3&method=IER-PHL", http.StatusBadRequest}, // ErrMethodNotEnabled
 		{"/knn?q=5&k=3&category=ghost", http.StatusNotFound},   // ErrUnknownCategory
@@ -218,6 +222,7 @@ func TestRangeAndBatchEndpoints(t *testing.T) {
 		`{"queries":[]}`,
 		`{"queries":[{"query":1,"k":3,"radius":5}]}`,
 		`{"queries":[{"query":1,"k":3,"method":"nope"}]}`,
+		`{"queries":[{"query":1,"k":4294967299}]}`, // would share k = 3's cache key
 		`not json`,
 	} {
 		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(bad))

@@ -15,18 +15,17 @@ import (
 )
 
 // Batch collects kNN and range queries and executes them together. Run
-// first groups the kNN queries by (object category, resolved method,
+// first groups the kNN queries that resolve to INE by (object category,
 // partition leaf): queries clustered in one leaf cell of the road network
 // overlap heavily in search region, and a group of them runs as ONE shared
-// expansion — a multi-source frontier (INE) or a shared border-distance
-// computation (G-tree) that pays the graph traversal once for the whole
-// group while preserving each member's exact answer. Whether a group
-// shares or fans out is decided by the planner's cost model
+// expansion — INE's multi-source frontier, which pays the graph traversal
+// once for the whole group while preserving each member's exact answer.
+// Whether a group shares or fans out is decided by the planner's cost model
 // (SharedAuto, the default): sharing wins when individual queries are
 // expensive (sparse objects, large k), and loses when they are cheap.
 // Everything else — range queries (on INE or the IER family, the planner's
-// pick when no method is named), scattered queries, non-expansion
-// methods — fans across a bounded worker pool, and each worker checks out
+// pick when no method is named), scattered queries, every method but
+// INE — fans across a bounded worker pool, and each worker checks out
 // at most one pooled session per method for its whole share of the batch,
 // so the per-query pool round-trip is amortized away either way.
 //
@@ -53,8 +52,8 @@ const (
 	// SharedAuto (the default) lets the planner's cost model decide per
 	// group whether sharing beats fanning out.
 	SharedAuto SharedMode = iota
-	// SharedOn forces every eligible group (≥2 same-leaf queries on an
-	// expansion method) through the shared path.
+	// SharedOn forces every eligible group (≥2 same-leaf queries on INE)
+	// through the shared path.
 	SharedOn
 	// SharedOff disables sharing: every query fans out individually.
 	SharedOff
@@ -125,7 +124,8 @@ func (b *Batch) Len() int { return len(b.ops) }
 // BatchGroup describes one same-leaf cluster the grouping planner found,
 // and its execution decision.
 type BatchGroup struct {
-	// Method is the resolved method the group's members share.
+	// Method is the resolved method the group's members share: INE, the one
+	// method with a shared expansion.
 	Method Method
 	// Category is the members' object category.
 	Category string
@@ -148,7 +148,7 @@ type BatchPlan struct {
 	// SharedQueries counts queries that would run inside shared groups.
 	SharedQueries int
 	// FanoutQueries counts queries that would fan out individually (range
-	// queries, non-expansion methods, scattered or below-crossover groups).
+	// queries, every method but INE, scattered or below-crossover groups).
 	FanoutQueries int
 }
 
@@ -165,7 +165,7 @@ func (b *Batch) Explain() BatchPlan {
 			reason = fmt.Sprintf("shared expansion: forced by SharedOn (%d members)", len(u.ops))
 		}
 		p.Groups = append(p.Groups, BatchGroup{
-			Method: u.m, Category: u.cat, Leaf: u.leaf,
+			Method: INE, Category: u.cat, Leaf: u.leaf,
 			Size: len(u.ops), Shared: u.sharedRun, Reason: reason,
 		})
 		if u.sharedRun {
@@ -185,11 +185,10 @@ type opPlan struct {
 	err error
 }
 
-// planUnit is one same-leaf cluster with its execution decision and the
-// category epoch it is pinned to.
+// planUnit is one same-leaf cluster of INE queries with its execution
+// decision and the category epoch it is pinned to.
 type planUnit struct {
 	ops       []int // indices into Batch.ops
-	m         Method
 	cat       string
 	leaf      int32
 	ep        *epoch
@@ -200,19 +199,19 @@ type planUnit struct {
 	choice planner.BatchChoice
 }
 
-// groupKey identifies one shareable cluster.
+// groupKey identifies one shareable cluster (of INE members).
 type groupKey struct {
 	cat  string
-	m    Method
 	leaf int32
 }
 
 // planBatch prepares every query once — the plan a worker later runs is the
 // one made here, epoch pin included — and is the grouping planner: it
-// buckets group-eligible kNN queries by (category, resolved method,
-// partition leaf), caps each bucket at the shared frontier's width, and
-// decides shared-vs-fanout per group. Queries that are not group-eligible —
-// range queries, methods without a shared path, validation failures, and
+// buckets group-eligible kNN queries — those resolved to INE, the one method
+// with a shared expansion — by (category, partition leaf), caps each bucket at
+// the shared frontier's width, and decides shared-vs-fanout per group.
+// Queries that are not group-eligible — range queries, every other method
+// (named or the planner's pick), validation failures, and
 // queries on a category partitioned over several cells (a shared expansion
 // runs over one binding; those members run as fanned singles) — come back in
 // singles.
@@ -224,11 +223,11 @@ func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]op
 	for i := range ops {
 		op, p := &ops[i], &plans[i]
 		p.ep, p.m, p.err = db.prepare(ctx, op)
-		if p.err != nil || op.isRange || mode == SharedOff || (p.m != INE && p.m != Gtree) || len(p.ep.parts) > 1 {
+		if p.err != nil || op.isRange || mode == SharedOff || p.m != INE || len(p.ep.parts) > 1 {
 			singles = append(singles, i)
 			continue
 		}
-		key := groupKey{cat: op.opt.category, m: p.m, leaf: db.batchPartition().LeafOf[op.v]}
+		key := groupKey{cat: op.opt.category, leaf: db.batchPartition().LeafOf[op.v]}
 		ui, open := byKey[key]
 		// Buckets split at the shared frontier's width: a wider group would
 		// overflow the multi-source improvement masks.
@@ -238,7 +237,7 @@ func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]op
 		if !open {
 			ui = len(units)
 			byKey[key] = ui
-			units = append(units, planUnit{m: p.m, cat: key.cat, leaf: key.leaf, ep: p.ep})
+			units = append(units, planUnit{cat: key.cat, leaf: key.leaf, ep: p.ep})
 		}
 		u := &units[ui]
 		u.ops = append(u.ops, i)
@@ -252,7 +251,7 @@ func (db *DB) planBatch(ctx context.Context, ops []query, mode SharedMode) ([]op
 		case mode == SharedOn:
 			u.sharedRun = true
 		default:
-			u.choice = planner.ChooseBatch(u.m.kind(), db.features(u.maxK, u.ep), len(u.ops))
+			u.choice = planner.ChooseBatch(db.features(u.maxK, u.ep), len(u.ops))
 			u.sharedRun = u.choice.Shared
 		}
 		if !u.sharedRun {
@@ -338,7 +337,7 @@ func (db *DB) batchWorker(ctx context.Context, ops []query, plans []opPlan, out 
 }
 
 // runBatchGroup answers one shared group through a single KNNGroupAppend on
-// the group's method session. Every member answers from the unit's pinned
+// the worker's INE session. Every member answers from the unit's pinned
 // category epoch; each member's Latency is the group's elapsed time divided
 // by the group size.
 func (db *DB) runBatchGroup(ctx context.Context, ops []query, u *planUnit, out []BatchResult, sess *[numMethods]*pooledSession) {
@@ -351,7 +350,7 @@ func (db *DB) runBatchGroup(ctx context.Context, ops []query, u *planUnit, out [
 		fail(err)
 		return
 	}
-	ps, err := db.workerSession(sess, u.m, u.ep.parts[0])
+	ps, err := db.workerSession(sess, INE, u.ep.parts[0])
 	if err != nil {
 		fail(err)
 		return
@@ -374,8 +373,8 @@ func (db *DB) runBatchGroup(ctx context.Context, ops []query, u *planUnit, out [
 	}
 	per := elapsed / time.Duration(len(u.ops))
 	for j, i := range u.ops {
-		out[i] = BatchResult{Query: ops[i].v, Method: u.m, Results: dst[j], Latency: per, Shared: true, Epoch: u.ep.n}
-		db.stats.recordKNN(u.m, per)
+		out[i] = BatchResult{Query: ops[i].v, Method: INE, Results: dst[j], Latency: per, Shared: true, Epoch: u.ep.n}
+		db.stats.recordKNN(INE, per)
 	}
 }
 

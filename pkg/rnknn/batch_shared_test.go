@@ -99,15 +99,15 @@ func TestBatchSharedEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchSharedOnActuallyShares pins that SharedOn drives the expansion
-// methods through the shared path (Shared flag and counters), and SharedOff
-// never does.
+// TestBatchSharedOnActuallyShares pins that SharedOn drives INE through the
+// shared path (Shared flag and counters), that G-tree members — G-tree has no
+// shared expansion — fan out even then, and that SharedOff never shares.
 func TestBatchSharedOnActuallyShares(t *testing.T) {
 	db := sharedEquivDBs(t)[0]
 	ctx := context.Background()
 	queries := clusteredQueries(db, 16)
-	for _, m := range []Method{INE, Gtree} {
-		before := db.batchStats.snapshot()
+	run := func(m Method) (got []BatchResult, sharedN int, before, after BatchStats) {
+		before = db.batchStats.snapshot()
 		b := db.Batch().SharedExpansion(SharedOn)
 		for _, q := range queries {
 			b.AddKNN(q, 5, WithMethod(m))
@@ -116,24 +116,39 @@ func TestBatchSharedOnActuallyShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharedN := 0
 		for _, r := range got {
 			if r.Shared {
 				sharedN++
 			}
 		}
-		after := db.batchStats.snapshot()
-		if sharedN == 0 || after.SharedGroups == before.SharedGroups {
-			t.Fatalf("%s: SharedOn batch shared %d queries, groups %d -> %d",
-				m, sharedN, before.SharedGroups, after.SharedGroups)
+		return got, sharedN, before, db.batchStats.snapshot()
+	}
+	_, sharedN, before, after := run(INE)
+	if sharedN == 0 || after.SharedGroups == before.SharedGroups {
+		t.Fatalf("INE: SharedOn batch shared %d queries, groups %d -> %d",
+			sharedN, before.SharedGroups, after.SharedGroups)
+	}
+	if after.SharedQueries-before.SharedQueries != uint64(sharedN) {
+		t.Fatalf("INE: Shared flags (%d) disagree with counters (%d)",
+			sharedN, after.SharedQueries-before.SharedQueries)
+	}
+	got, sharedN, before, after := run(Gtree)
+	if sharedN != 0 || after.SharedGroups != before.SharedGroups ||
+		after.FanoutQueries-before.FanoutQueries != uint64(len(queries)) {
+		t.Fatalf("Gtree: SharedOn batch shared %d queries, groups %d -> %d, fan-out +%d; want 0, unmoved, +%d",
+			sharedN, before.SharedGroups, after.SharedGroups, after.FanoutQueries-before.FanoutQueries, len(queries))
+	}
+	for i, r := range got {
+		want, err := db.KNN(ctx, queries[i], 5, WithMethod(Gtree))
+		if err != nil || r.Err != nil {
+			t.Fatal(err, r.Err)
 		}
-		if after.SharedQueries-before.SharedQueries != uint64(sharedN) {
-			t.Fatalf("%s: Shared flags (%d) disagree with counters (%d)",
-				m, sharedN, after.SharedQueries-before.SharedQueries)
+		if r.Method != Gtree || !SameResults(r.Results, want) {
+			t.Fatalf("Gtree member %d: method %s, %s != individual %s", i, r.Method, FormatResults(r.Results), FormatResults(want))
 		}
 	}
 	// SharedOff: everything fans out.
-	before := db.batchStats.snapshot()
+	before = db.batchStats.snapshot()
 	b := db.Batch().SharedExpansion(SharedOff)
 	for _, q := range queries {
 		b.AddKNN(q, 5, WithMethod(INE))
@@ -147,7 +162,7 @@ func TestBatchSharedOnActuallyShares(t *testing.T) {
 			t.Fatalf("SharedOff op %d ran shared", i)
 		}
 	}
-	after := db.batchStats.snapshot()
+	after = db.batchStats.snapshot()
 	if after.SharedGroups != before.SharedGroups {
 		t.Fatal("SharedOff still formed shared groups")
 	}
@@ -174,6 +189,11 @@ func TestBatchExplainGroups(t *testing.T) {
 		b.AddKNN(verts[i], 4, WithMethod(INE))
 	}
 	b.AddRange(verts[0], 500) // never grouped
+	// A G-tree cluster in the same leaf: no shared expansion, so no group —
+	// its members are reported as fan-out.
+	for i := 0; i < 6; i++ {
+		b.AddKNN(verts[i], 4, WithMethod(Gtree))
+	}
 	plan := b.Explain()
 	if len(plan.Groups) != 1 {
 		t.Fatalf("Explain groups = %+v, want one 6-member group", plan.Groups)
@@ -182,7 +202,7 @@ func TestBatchExplainGroups(t *testing.T) {
 	if g.Size != 6 || !g.Shared || g.Method != INE || g.Reason == "" {
 		t.Fatalf("group = %+v", g)
 	}
-	if plan.SharedQueries != 6 || plan.FanoutQueries != 1 {
+	if plan.SharedQueries != 6 || plan.FanoutQueries != 7 {
 		t.Fatalf("plan counts = %+v", plan)
 	}
 	// The auto decision cites the cost model.
@@ -204,8 +224,10 @@ func TestBatchExplainGroups(t *testing.T) {
 			t.Fatalf("op %d: err=%v shared=%v, want shared", i, got[i].Err, got[i].Shared)
 		}
 	}
-	if got[6].Shared {
-		t.Fatal("range query ran shared")
+	for i := 6; i < len(got); i++ {
+		if got[i].Err != nil || got[i].Shared {
+			t.Fatalf("op %d (range or G-tree member): err=%v shared=%v, want fanned out", i, got[i].Err, got[i].Shared)
+		}
 	}
 }
 

@@ -153,10 +153,9 @@ func member(e *confEnv, b *Batch, ctx context.Context, wantShared bool) (confAns
 	// Run's own error only says ctx ended before Run returned; the member's
 	// outcome is the member's.
 	out, _ := b.Run(ctx)
-	// Only INE and G-tree have a shared expansion: members on another method
-	// (named, or the planner's pick) run one by one even when sharing is
-	// forced on.
-	if out[0].Err == nil && out[0].Shared != (wantShared && (out[0].Method == INE || out[0].Method == Gtree)) {
+	// Only INE has a shared expansion: members on another method (named, or
+	// the planner's pick) run one by one even when sharing is forced on.
+	if out[0].Err == nil && out[0].Shared != (wantShared && out[0].Method == INE) {
 		e.t.Errorf("batch member Shared = %v, want %v", out[0].Shared, wantShared)
 	}
 	return pinned(out[0].Results, out[0].Epoch, out[0].Err)
@@ -451,9 +450,9 @@ func conformance(t *testing.T, a confAdapter, topology string) {
 	// Cancel the query at every point where it consults ctx, until it
 	// gets through: each cancelled attempt must surface ctx's error with
 	// no results, record nothing and return its session. Once per method
-	// whose search polls ctx: the two expansions for kNN, the two range forms
-	// for a range.
-	pollers := []Method{INE, ROAD}
+	// whose search polls ctx: the two expansions and G-tree for kNN, the two
+	// range forms for a range.
+	pollers := []Method{INE, ROAD, Gtree}
 	if a.isRange {
 		pollers = []Method{INE, IERPHL}
 	}

@@ -339,8 +339,9 @@ func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 // network distance (fewer if the live object set is smaller than k), in
 // nondecreasing distance order. It is safe for unbounded concurrent
 // callers. Cancellation or expiry of ctx is checked between expansion steps
-// of the interruptible scans (INE and the IER family), so long graph-wide
-// scans return promptly with ctx's error.
+// of the interruptible scans (INE, the IER family, ROAD and G-tree — every
+// method but the SILC pair), so long graph-wide scans return promptly with
+// ctx's error.
 func (db *DB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, error) {
 	res, _, err := db.exec(ctx, db.knnQuery(q, k, opts), nil)
 	return res, err

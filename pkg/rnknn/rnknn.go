@@ -209,10 +209,11 @@ type DB struct {
 	shards *cellTable
 }
 
-// batchPartition returns the partition tree batch grouping keys on: the
-// G-tree's own partition when that index is built (its leaves are exactly
-// the locality unit the shared G-tree path requires), otherwise a
-// standalone partition of the road network, built once on first use.
+// batchPartition returns the partition tree batch grouping keys on and shard
+// sets are cut along: the G-tree's own partition when that index is built
+// (it is already in memory, so the network is not partitioned twice),
+// otherwise a standalone partition of the road network, built once on first
+// use.
 func (db *DB) batchPartition() *partition.Tree {
 	db.batchPTOnce.Do(func() {
 		if db.enabled[Gtree] {

@@ -8,9 +8,8 @@
 // full-graph distances, so sharding changes where objects live, never what a
 // distance means. Per-cell geometric lower bounds prune the cells a query
 // opens: materialized queries by threshold (fan), streaming KNNSeq by an
-// exact lazy k-way loser-tree merge (internal/kmerge) over the per-cell
-// nondecreasing streams. Exactness argument in ARCHITECTURE.md
-// ("Continental scale").
+// exact lazy merge of the per-cell nondecreasing streams (mergeCells).
+// Exactness argument in ARCHITECTURE.md ("Continental scale").
 package rnknn
 
 import (
@@ -28,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"rnknn/internal/graph"
-	"rnknn/internal/kmerge"
 	"rnknn/internal/knn"
 	"rnknn/internal/partition"
 )
@@ -350,53 +348,49 @@ func (db *DB) fan(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, 
 	return dst
 }
 
-// cellStream adapts one cell's streaming search to a kmerge.Source: the
-// stream is opened lazily on first Next, so cells whose bound never wins the
-// tournament never run a search at all.
+// cellStream is one cell's streaming search inside mergeCells. It is opened
+// lazily, so a cell whose bound never reaches the merge frontier never runs a
+// search at all.
 type cellStream struct {
-	open  func() (func() (Result, bool), func())
+	cell  int
 	bound Dist
-	next  func() (Result, bool)
-	stop  func()
-	err   error
+	// head is the next result not yet emitted, valid once the stream is open
+	// (next != nil) and until it is done.
+	head Result
+	next func() (Result, bool)
+	stop func()
+	done bool
+	err  error
 }
 
-func (cs *cellStream) Bound() int64 { return int64(cs.bound) }
-
-func (cs *cellStream) Next() (kmerge.Item, bool, error) {
+// key is the stream's place in the merge frontier: its head once open, else
+// its bound with the lowest vertex id, so that a bound sorts ahead of an item
+// at the same distance and the cell is opened before that item is emitted —
+// it may hold one of exactly that distance.
+func (cs *cellStream) key() Result {
 	if cs.next == nil {
-		cs.next, cs.stop = cs.open()
+		return Result{Vertex: math.MinInt32, Dist: cs.bound}
 	}
-	r, ok := cs.next()
-	if !ok {
-		return kmerge.Item{}, false, cs.err
-	}
-	return kmerge.Item{V: r.Vertex, D: int64(r.Dist)}, true, nil
+	return cs.head
 }
 
 // mergeCells is KNNSeq over a multi-cell epoch: the global k nearest in
 // nondecreasing (distance, vertex) order, by merging the per-cell streams
-// with a loser tree keyed on each cell's lower bound. A cell's stream — its
-// own pooled session, bound to that cell's part of ep — is opened only when
-// its bound becomes the merge frontier, and the merge is exact because each
-// per-cell stream yields exact full-graph distances in nondecreasing order
-// (see ARCHITECTURE.md for the argument). emit returning false abandons the
-// remaining per-cell searches.
+// over a linear frontier — each step takes the least key among the cells not
+// yet exhausted, which at shard-count fan-in is a handful of comparisons
+// beside the coroutine switch every pulled result already costs. A cell's
+// stream — its own pooled session, bound to that cell's part of ep — is
+// opened only when its bound becomes the frontier's minimum, and the merge is
+// exact because each per-cell stream yields exact full-graph distances in
+// nondecreasing order, none below the cell's bound (see ARCHITECTURE.md for
+// the argument). emit returning false abandons the remaining per-cell
+// searches.
 func (db *DB) mergeCells(ctx context.Context, qr *query, ep *epoch, m Method, emit func(Result) bool) error {
 	var streams []*cellStream
-	var sources []kmerge.Source
 	for i, part := range ep.parts {
-		if part.Objs.Len() == 0 {
-			continue
+		if part.Objs.Len() > 0 {
+			streams = append(streams, &cellStream{cell: i, bound: db.ShardBound(i, qr.v)})
 		}
-		cs := &cellStream{bound: db.ShardBound(i, qr.v)}
-		cs.open = func() (func() (Result, bool), func()) {
-			db.shards.opened[i].Add(1)
-			return iter.Pull(func(yield func(Result) bool) {
-				cs.err = db.streamPart(ctx, qr, part, m, yield)
-			})
-		}
-		streams, sources = append(streams, cs), append(sources, cs)
 	}
 	defer func() {
 		for _, cs := range streams {
@@ -406,8 +400,33 @@ func (db *DB) mergeCells(ctx context.Context, qr *query, ep *epoch, m Method, em
 		}
 	}()
 	yielded := 0
-	return kmerge.Merge(sources, func(it kmerge.Item) bool {
-		yielded++
-		return emit(Result{Vertex: it.V, Dist: Dist(it.D)}) && yielded < qr.k
-	})
+	for {
+		var least *cellStream
+		for _, cs := range streams {
+			if !cs.done && (least == nil || knn.ByDistVertex(cs.key(), least.key()) < 0) {
+				least = cs
+			}
+		}
+		switch {
+		case least == nil:
+			return nil
+		case least.next == nil:
+			if ctx.Err() != nil {
+				return nil
+			}
+			cs := least // captured by value: least itself stays off the heap
+			db.shards.opened[cs.cell].Add(1)
+			cs.next, cs.stop = iter.Pull(func(yield func(Result) bool) {
+				cs.err = db.streamPart(ctx, qr, ep.parts[cs.cell], m, yield)
+			})
+		default:
+			if yielded++; !emit(least.head) || yielded == qr.k {
+				return nil
+			}
+		}
+		r, ok := least.next()
+		if least.head, least.done = r, !ok; least.err != nil {
+			return least.err
+		}
+	}
 }

@@ -61,8 +61,11 @@ func shardedBenchFixture(b *testing.B) (mono, cells *rnknn.DB, qs []int32) {
 // DB.KNN (k=10) on an ordinary DB against the same call on a 4-cell shard
 // set of the same network and objects, for the query MethodAuto serves in
 // microseconds (d0.01) and for a millisecond expansion (explicit INE on
-// d0.001). cells/op is how many cells the bounds let a query open. Compare
-// across -cpu 1,2: the fan runs on the caller's goroutine.
+// d0.001). The KNNSeq rows are the streaming form of the same query — time
+// to the first neighbor and the full drain — which on the shard set is the
+// lazy merge of the per-cell streams (mergeCells). cells/op is how many cells
+// the bounds let a query open. Compare across -cpu 1,2: the fan and the merge
+// run on the caller's goroutine.
 func BenchmarkShardedKNN(b *testing.B) {
 	mono, cells, qs := shardedBenchFixture(b)
 	ctx := context.Background()
@@ -71,6 +74,33 @@ func BenchmarkShardedKNN(b *testing.B) {
 			n += sh.Opened
 		}
 		return n
+	}
+	const k = 10
+	// stream consumes take neighbors of one KNNSeq and abandons the rest.
+	stream := func(take int) func(*rnknn.DB, int32, []rnknn.QueryOption) error {
+		return func(db *rnknn.DB, q int32, opts []rnknn.QueryOption) error {
+			n := 0
+			for _, err := range db.KNNSeq(ctx, q, k, opts...) {
+				if err != nil {
+					return err
+				}
+				if n++; n == take {
+					break
+				}
+			}
+			return nil
+		}
+	}
+	ops := []struct {
+		suffix string
+		run    func(*rnknn.DB, int32, []rnknn.QueryOption) error
+	}{
+		{"", func(db *rnknn.DB, q int32, opts []rnknn.QueryOption) error {
+			_, err := db.KNN(ctx, q, k, opts...)
+			return err
+		}},
+		{"/KNNSeq-first", stream(1)},
+		{"/KNNSeq-drain", stream(k)},
 	}
 	for _, w := range []struct {
 		name, category string
@@ -83,18 +113,20 @@ func BenchmarkShardedKNN(b *testing.B) {
 			name string
 			db   *rnknn.DB
 		}{{"mono", mono}, {"cells=4", cells}} {
-			b.Run(w.name+"/"+side.name, func(b *testing.B) {
-				opts := []rnknn.QueryOption{rnknn.WithMethod(w.method), rnknn.WithCategory(w.category)}
-				before := opened(side.db)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := side.db.KNN(ctx, qs[i%len(qs)], 10, opts...); err != nil {
-						b.Fatal(err)
+			for _, op := range ops {
+				b.Run(w.name+"/"+side.name+op.suffix, func(b *testing.B) {
+					opts := []rnknn.QueryOption{rnknn.WithMethod(w.method), rnknn.WithCategory(w.category)}
+					before := opened(side.db)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := op.run(side.db, qs[i%len(qs)], opts); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(opened(side.db)-before)/float64(b.N), "cells/op")
-			})
+					b.StopTimer()
+					b.ReportMetric(float64(opened(side.db)-before)/float64(b.N), "cells/op")
+				})
+			}
 		}
 	}
 }

@@ -178,6 +178,104 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestShardedKNNSeqOpensByBound is the lazy merge's pruning contract, read
+// off the per-cell Opened counters: a drained KNNSeq never opens a cell whose
+// lower bound exceeds the answer's k-th distance and opens no more cells than
+// KNN's fan on the same epoch; breaking after the first neighbor leaves every
+// cell bounded beyond it unopened; and cancelling mid-merge ends the stream
+// with ctx's error. (That the per-cell sessions all come back is checked
+// where the pools are visible: TestShardedKNNSeqReleasesSessions.)
+func TestShardedKNNSeqOpensByBound(t *testing.T) {
+	ctx := context.Background()
+	g := gen.Network(gen.NetworkSpec{Name: "shSeq", Rows: 24, Cols: 24, Seed: 13})
+	_, sdb := shardedPair(t, g, gen.Uniform(g, 0.05, 17), 4)
+	opened := func() []uint64 {
+		shards := sdb.Stats().Shards
+		out := make([]uint64, len(shards))
+		for i, sh := range shards {
+			out[i] = sh.Opened
+		}
+		return out
+	}
+	const k = 3
+	pruned, skipped := 0, 0
+	for q := int32(0); q < int32(g.NumVertices()); q += 7 {
+		before := opened()
+		var got []rnknn.Result
+		for r, err := range sdb.KNNSeq(ctx, q, k) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, r)
+		}
+		afterSeq := opened()
+		if _, err := sdb.KNN(ctx, q, k); err != nil {
+			t.Fatal(err)
+		}
+		afterKNN := opened()
+		if len(got) != k {
+			t.Fatalf("q=%d: %d results, want %d", q, len(got), k)
+		}
+		var bySeq, byKNN uint64
+		for i := range before {
+			bySeq += afterSeq[i] - before[i]
+			byKNN += afterKNN[i] - afterSeq[i]
+			if sdb.ShardBound(i, q) > got[k-1].Dist {
+				pruned++
+				if afterSeq[i] != before[i] {
+					t.Fatalf("q=%d: cell %d (bound %d) opened for a k-th distance of %d", q, i, sdb.ShardBound(i, q), got[k-1].Dist)
+				}
+			}
+		}
+		if bySeq > byKNN {
+			t.Fatalf("q=%d: KNNSeq opened %d cells, KNN %d", q, bySeq, byKNN)
+		}
+
+		// shut checks that the cells bounded beyond d were not opened since
+		// before was read.
+		shut := func(d rnknn.Dist) {
+			for i, o := range opened() {
+				if sdb.ShardBound(i, q) > d {
+					skipped++
+					if o != before[i] {
+						t.Fatalf("q=%d: cell %d (bound %d) opened though the stream stopped at distance %d", q, i, sdb.ShardBound(i, q), d)
+					}
+				}
+			}
+		}
+		before = opened()
+		var first rnknn.Result
+		for r, err := range sdb.KNNSeq(ctx, q, k) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			first = r
+			break
+		}
+		shut(first.Dist)
+
+		cctx, cancel := context.WithCancel(ctx)
+		before = opened()
+		var streamed []rnknn.Result
+		var last error
+		for r, err := range sdb.KNNSeq(cctx, q, k) {
+			if last = err; err != nil {
+				break
+			}
+			streamed = append(streamed, r)
+			cancel()
+		}
+		cancel()
+		if len(streamed) != 1 || !errors.Is(last, context.Canceled) {
+			t.Fatalf("q=%d: cancelled after the first neighbor, stream yielded %d and ended with %v", q, len(streamed), last)
+		}
+		shut(streamed[0].Dist)
+	}
+	if pruned == 0 || skipped == 0 {
+		t.Fatalf("fixture never prunes: %d cells beyond a k-th distance, %d beyond a first", pruned, skipped)
+	}
+}
+
 // TestShardedKExceedsShardCounts: with k larger than any single shard's
 // object count (and larger than the global count), every shard must be
 // consulted and the merged answer must still match the monolithic one —
@@ -245,6 +343,15 @@ func TestShardedEmptyShardCategories(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSame(t, fmt.Sprintf("corner q=%d", q), got, want)
+		// The streaming merge over one occupied cell among empty ones.
+		var seq []rnknn.Result
+		for r, err := range sdb.KNNSeq(ctx, q, 3, rnknn.WithCategory("corner")) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq = append(seq, r)
+		}
+		requireSame(t, fmt.Sprintf("corner KNNSeq q=%d", q), seq, want)
 	}
 	n, err := sdb.NumObjects("corner")
 	if err != nil || n != len(corner) {

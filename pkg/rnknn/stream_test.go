@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"rnknn/internal/core"
 	"rnknn/internal/gen"
+	"rnknn/internal/knn"
 )
 
 // streamGraphs are the three networks the streaming contract is checked
@@ -224,5 +226,67 @@ func TestKNNSeqRecordsStatsOnCompletion(t *testing.T) {
 	collectSeq(t, db, 0, 3, WithMethod(ROAD))
 	if got := db.Stats().Methods["ROAD"].KNNQueries; got != 1 {
 		t.Fatalf("ROAD KNNQueries = %d, want 1 (completed stream only)", got)
+	}
+}
+
+// TestShardedKNNSeqReleasesSessions: the lazy merge holds one pooled session
+// per opened cell; breaking out of the stream or cancelling it mid-merge must
+// return every one of them.
+func TestShardedKNNSeqReleasesSessions(t *testing.T) {
+	e := newConfEnv(t, confSharded)
+	for q := int32(0); q < int32(e.db.Graph().NumVertices()); q += 5 {
+		for range e.db.KNNSeq(context.Background(), q, 8, WithCategory(confCat)) {
+			break
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var last error
+		for _, last = range e.db.KNNSeq(ctx, q, 8, WithCategory(confCat)) {
+			cancel()
+		}
+		cancel()
+		if !errors.Is(last, context.Canceled) {
+			t.Fatalf("q=%d: cancelled stream ended with %v", q, last)
+		}
+	}
+	if !e.poolsBalanced() {
+		t.Fatal("a broken or cancelled merge kept a per-cell session")
+	}
+}
+
+// TestShardedKNNSeqCellErrorAborts: a cell whose stream fails to open ends
+// the merge with that error as the stream's last pair. The one such failure
+// is a session that cannot be manufactured, forced here by handing the (still
+// empty) pool a method kind the engine does not know.
+func TestShardedKNNSeqCellErrorAborts(t *testing.T) {
+	e := newConfEnv(t, confSharded)
+	e.db.pools[INE].kind = core.DisBrwOH + 1
+	var last error
+	n := 0
+	for _, err := range e.db.KNNSeq(context.Background(), 0, 8, WithCategory(confCat), WithMethod(INE)) {
+		last = err
+		n++
+	}
+	if n != 1 || last == nil || errors.Is(last, context.Canceled) {
+		t.Fatalf("stream yielded %d pairs ending in %v, want the one session error", n, last)
+	}
+}
+
+// TestCellStreamKeyOrder pins the merge frontier's tie rule: an unopened
+// cell's bound sorts ahead of any item at the same distance, so a cell that
+// may hold an object at exactly its bound is opened before that distance is
+// emitted; once open, the cell sorts by its head.
+func TestCellStreamKeyOrder(t *testing.T) {
+	shut := &cellStream{bound: 50}
+	for _, item := range []Result{{Vertex: 0, Dist: 50}, {Vertex: 7, Dist: 50}, {Vertex: 0, Dist: 51}} {
+		if knn.ByDistVertex(shut.key(), item) >= 0 {
+			t.Errorf("unopened bound 50 does not sort ahead of item %+v", item)
+		}
+	}
+	if knn.ByDistVertex(shut.key(), Result{Vertex: 9, Dist: 49}) <= 0 {
+		t.Error("unopened bound 50 sorts ahead of a nearer item")
+	}
+	open := &cellStream{bound: 50, head: Result{Vertex: 3, Dist: 60}, next: func() (Result, bool) { return Result{}, false }}
+	if open.key() != open.head {
+		t.Errorf("open stream keyed %+v, want its head %+v", open.key(), open.head)
 	}
 }
