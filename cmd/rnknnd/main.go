@@ -1,6 +1,6 @@
 // Command rnknnd serves kNN queries over HTTP — the network front end of
-// the library, built on internal/serve's three load-shedding layers
-// (admission control, epoch-keyed result cache, request coalescing).
+// the library, built on internal/serve's two load-shedding layers
+// (admission control, epoch-keyed result cache).
 //
 // Serve the default ~16k-vertex ladder network with the default methods:
 //
@@ -57,7 +57,6 @@ func main() {
 		indexCache  = flag.String("indexcache", "", "directory for the index snapshot cache (skip rebuilds across restarts)")
 		maxInflight = flag.Int("max-inflight", 256, "admission limit: concurrent query requests before shedding 429s")
 		cacheSize   = flag.Int("cache-entries", 4096, "result cache capacity in entries (negative disables)")
-		cacheShards = flag.Int("cache-shards", 16, "result cache shard count")
 	)
 	flag.Parse()
 
@@ -82,7 +81,6 @@ func main() {
 	cfg := serve.Config{
 		MaxInFlight:  *maxInflight,
 		CacheEntries: *cacheSize,
-		CacheShards:  *cacheShards,
 	}
 
 	// Whatever is opened — a shard set, a snapshot, or a ladder network
@@ -166,8 +164,8 @@ func main() {
 		}
 	}
 	stats := srv.Stats()
-	fmt.Printf("rnknnd: served %d requests (%d shed, %d cache hits, %d coalesced)\n",
-		stats.Requests, stats.Shed, stats.CacheHits, stats.Coalesced)
+	fmt.Printf("rnknnd: served %d requests (%d shed, %d cache hits)\n",
+		stats.Requests, stats.Shed, stats.CacheHits)
 }
 
 func usageExit(format string, args ...any) {

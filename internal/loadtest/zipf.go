@@ -1,8 +1,7 @@
-// Package loadtest holds the measurement primitives cmd/loadgen is built
-// from: a Zipf sampler that (unlike math/rand's, which requires s > 1)
-// supports the whole exponent range including the classic s = 1.0 web-
-// traffic skew, and an HDR-style log-bucketed latency histogram with
-// quantile extraction.
+// Package loadtest holds the Zipf sampler the benchmark harness (bench/)
+// draws its skewed query keys from: unlike math/rand's, which requires
+// s > 1, it supports the whole exponent range including the classic
+// s = 1.0 web-traffic skew.
 package loadtest
 
 import (

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"rnknn/internal/gen"
@@ -99,63 +98,6 @@ func TestBatchRidesCache(t *testing.T) {
 	}
 	if after != before {
 		t.Fatalf("repeat batch ran %d searches, want 0", after-before)
-	}
-}
-
-// TestBatchCoalescesWithSingles holds a single /knn in flight behind the
-// test gate and proves a batch member with the identical key becomes a
-// follower of that single — the two paths share one coalescer map — while
-// the batch's other member proceeds as its own leader.
-func TestBatchCoalescesWithSingles(t *testing.T) {
-	db := newTestDB(t)
-	s := New(db, Config{MaxInFlight: 64})
-	entered := make(chan struct{}, 4)
-	release := make(chan struct{})
-	s.gate = func() { entered <- struct{}{}; <-release }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var single KNNResponse
-	go func() {
-		defer wg.Done()
-		getJSON(t, fmt.Sprintf("%s/knn?q=33&k=4", ts.URL), &single)
-	}()
-	<-entered // the single has claimed its key and is parked on the gate
-
-	wg.Add(1)
-	var br BatchResponse
-	go func() {
-		defer wg.Done()
-		br = postBatch(t, ts.URL, []BatchQuery{
-			{Query: 33, K: 4}, // identical to the in-flight single: follower
-			{Query: 34, K: 4}, // its own leader
-		})
-	}()
-	<-entered // the batch has registered its follower and is parked before Run
-	waitFor(t, func() bool { return s.st.co.coalesced.Load() == 1 })
-	close(release)
-	wg.Wait()
-
-	want33, _ := db.BruteForceKNN(33, 4)
-	want34, _ := db.BruteForceKNN(34, 4)
-	if !rnknn.SameResults(toResults(single.Results), want33) {
-		t.Fatal("single answer wrong")
-	}
-	if !br.Results[0].Cached || !rnknn.SameResults(toResults(br.Results[0].Results), want33) {
-		t.Fatalf("follower member: %+v", br.Results[0])
-	}
-	if br.Results[1].Cached || !rnknn.SameResults(toResults(br.Results[1].Results), want34) {
-		t.Fatalf("leader member: %+v", br.Results[1])
-	}
-	// Exactly two searches ran: the single's leader and the batch's own.
-	var total uint64
-	for _, ms := range db.Stats().Methods {
-		total += ms.KNNQueries
-	}
-	if total != 2 {
-		t.Fatalf("%d underlying searches, want 2", total)
 	}
 }
 

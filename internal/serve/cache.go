@@ -58,21 +58,19 @@ type cacheShard struct {
 	cap        int
 }
 
-// newResultCache sizes a cache for capacity total entries across shards
-// (shards rounded up to a power of two; capacity divided evenly with a
-// minimum of 1 per shard). capacity <= 0 disables caching: every lookup
-// misses and stores are dropped.
-func newResultCache(capacity, shards int) *resultCache {
+// cacheShards is the cache's lock-shard count (a power of two; nothing to
+// do with a shard set's partition cells).
+const cacheShards = 16
+
+// newResultCache sizes a cache for capacity total entries across
+// cacheShards shards — cut down to the largest power of two not above a
+// smaller capacity, which is then divided evenly. capacity <= 0 disables
+// caching: every lookup misses and stores are dropped.
+func newResultCache(capacity int) *resultCache {
 	if capacity <= 0 {
 		return &resultCache{seed: maphash.MakeSeed()}
 	}
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+	n := cacheShards
 	if n > capacity {
 		n = 1
 		for n*2 <= capacity {
@@ -80,9 +78,6 @@ func newResultCache(capacity, shards int) *resultCache {
 		}
 	}
 	per := capacity / n
-	if per < 1 {
-		per = 1
-	}
 	c := &resultCache{shards: make([]cacheShard, n), seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
@@ -143,9 +138,9 @@ func (c *resultCache) put(key cacheKey, results []rnknn.Result) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		// A coalesced peer or raced request already stored this answer; the
-		// epoch in the key guarantees both computed it from the same object
-		// set, so keeping either is correct.
+		// A raced request already stored this answer; the epoch in the key
+		// guarantees both computed it from the same object set, so keeping
+		// either is correct.
 		e.results = results
 		s.moveToFront(e)
 		s.mu.Unlock()

@@ -17,7 +17,7 @@ func res(vals ...int32) []rnknn.Result {
 }
 
 func TestCacheHitMissAndEpochSeparation(t *testing.T) {
-	c := newResultCache(64, 4)
+	c := newResultCache(64)
 	k0 := cacheKey{vertex: 7, k: 5, epoch: 0, category: "poi"}
 	if _, ok := c.get(k0); ok {
 		t.Fatal("hit on empty cache")
@@ -58,7 +58,8 @@ func TestCacheHitMissAndEpochSeparation(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// One shard of capacity 4 keeps eviction order observable.
-	c := newResultCache(4, 1)
+	c := newResultCache(1)
+	c.shards[0].cap = 4
 	key := func(i int) cacheKey { return cacheKey{vertex: int32(i), k: 1, category: "c"} }
 	for i := 0; i < 4; i++ {
 		c.put(key(i), res(int32(i)))
@@ -90,7 +91,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := newResultCache(-1, 8)
+	c := newResultCache(-1)
 	k := cacheKey{vertex: 1, k: 1}
 	c.put(k, res(1))
 	if _, ok := c.get(k); ok {
@@ -102,17 +103,15 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheShardSizing(t *testing.T) {
-	for _, tc := range []struct{ capacity, shards, wantShards int }{
-		{4096, 16, 16},
-		{4096, 0, 16},
-		{100, 13, 16},
-		{8, 16, 8}, // shards cut down to capacity
-		{1, 16, 1}, // minimum one shard, one entry
-		{3, 16, 2}, // power of two not above capacity
+	for _, tc := range []struct{ capacity, wantShards int }{
+		{4096, 16},
+		{8, 8}, // shards cut down to capacity
+		{1, 1}, // minimum one shard, one entry
+		{3, 2}, // power of two not above capacity
 	} {
-		c := newResultCache(tc.capacity, tc.shards)
+		c := newResultCache(tc.capacity)
 		if len(c.shards) != tc.wantShards {
-			t.Errorf("newResultCache(%d,%d): %d shards, want %d", tc.capacity, tc.shards, len(c.shards), tc.wantShards)
+			t.Errorf("newResultCache(%d): %d shards, want %d", tc.capacity, len(c.shards), tc.wantShards)
 		}
 	}
 }
@@ -120,7 +119,7 @@ func TestCacheShardSizing(t *testing.T) {
 // TestCacheConcurrent hammers all operations; run under -race this is the
 // shard-locking proof.
 func TestCacheConcurrent(t *testing.T) {
-	c := newResultCache(128, 8)
+	c := newResultCache(128)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -27,8 +27,8 @@ import (
 // different set's neighbors and fail the comparison. The writer
 // additionally re-queries a hot key after every mutation and checks it
 // against a fresh db.BruteForceKNN — the stale-read probe at the moment of
-// invalidation. Run under -race this also exercises the shard locks,
-// coalescer, and admission counters.
+// invalidation. Run under -race this also exercises the shard locks and
+// admission counters.
 func TestEpochInvalidationHammer(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "hammer", Rows: 10, Cols: 12, Seed: 5})
 	initial := gen.Uniform(g, 0.08, 13)
@@ -177,8 +177,8 @@ func TestEpochInvalidationHammer(t *testing.T) {
 	if st.Shed != 0 {
 		t.Fatalf("hammer shed %d requests; raise MaxInFlight", st.Shed)
 	}
-	t.Logf("hammer: %d requests, %d hits, %d misses, %d coalesced, %d entries, %d epochs",
-		st.Requests, st.CacheHits, st.CacheMisses, st.Coalesced, st.CacheEntries, epoch)
+	t.Logf("hammer: %d requests, %d hits, %d misses, %d entries, %d epochs",
+		st.Requests, st.CacheHits, st.CacheMisses, st.CacheEntries, epoch)
 }
 
 // TestRangeEpochInvalidationHammer mirrors the kNN hammer for the cached
@@ -317,8 +317,8 @@ func TestRangeEpochInvalidationHammer(t *testing.T) {
 	if st.Shed != 0 {
 		t.Fatalf("range hammer shed %d requests; raise MaxInFlight", st.Shed)
 	}
-	t.Logf("range hammer: %d requests, %d hits, %d misses, %d coalesced, %d entries, %d epochs",
-		st.Requests, st.CacheHits, st.CacheMisses, st.Coalesced, st.CacheEntries, epoch)
+	t.Logf("range hammer: %d requests, %d hits, %d misses, %d entries, %d epochs",
+		st.Requests, st.CacheHits, st.CacheMisses, st.CacheEntries, epoch)
 }
 
 // TestWeightViewServing sanity-checks the server over a travel-time view:

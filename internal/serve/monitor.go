@@ -18,6 +18,10 @@ import (
 // would let one client park in the semaphore forever.
 const maxMonitorSteps = 65536
 
+// maxMonitorIntervalMS bounds interval_ms, which also keeps the tick
+// duration computed from it from overflowing.
+const maxMonitorIntervalMS = 60000
+
 // handleMonitor is the continuous-query endpoint: GET /monitor opens a
 // Server-Sent Events stream that follows a moving query along a route and
 // emits one "step" event per vertex carrying the result-set deltas, then a
@@ -43,6 +47,9 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	}
 	category := categoryParam(r)
 	interval, err := intParam(r, "interval_ms", 0)
+	if err == nil && (interval < 0 || interval > maxMonitorIntervalMS) {
+		err = fmt.Errorf("parameter \"interval_ms\" must be in [0, %d], got %d", maxMonitorIntervalMS, interval)
+	}
 	if err != nil {
 		writeError(w, err)
 		return

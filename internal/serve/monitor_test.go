@@ -281,6 +281,9 @@ func TestMonitorEndpointErrors(t *testing.T) {
 		{"/monitor?route=1,2&category=ghost", http.StatusNotFound}, // unknown category
 		{"/monitor?q=5&steps=9999999", http.StatusBadRequest},      // steps over cap
 		{"/monitor?q=5&k=3&method=ROAD", http.StatusBadRequest},    // method not enabled
+		// As a tick duration this overflows negative, which NewTicker panics on.
+		{"/monitor?q=100&steps=3&k=3&interval_ms=9300000000000", http.StatusBadRequest},
+		{"/monitor?q=100&steps=3&k=3&interval_ms=-1", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Get(ts.URL + tc.url)

@@ -1,12 +1,12 @@
 // Package serve is the network serving layer over rnknn.DB: the HTTP/JSON
 // front end cmd/rnknnd mounts, turning the in-process query library into a
-// service that survives heavy traffic by shedding load in three layers,
+// service that survives heavy traffic by shedding load in two layers,
 // cheapest first — one such stack per Server, whether the database is an
 // ordinary DB or a shard set (which is a DB too; see rnknn.OpenSharded):
 //
-//	request ──► admission ──► result cache ──► coalescer ──► session pools
-//	             (429 when     (hit: no          (follower:    (db.KNNPinned)
-//	              saturated)    session runs)     wait, share)
+//	request ──► admission ──► result cache ──► session pools
+//	             (429 when     (hit: no          (db.KNNPinned,
+//	              saturated)    session runs)     then cache.put)
 //
 // Admission is a no-queue counting semaphore: a saturated server answers
 // 429 immediately instead of building a backlog. The result cache is a
@@ -20,18 +20,20 @@
 // observed epoch E. The argument does not care how many partition cells the
 // category spans: an epoch is one counter versioning every cell, a search
 // answers from exactly the epoch it pinned, and the cache holds the merged
-// answer. The coalescer is a single-flight layer under the cache:
-// identical concurrent misses run one search and share its answer.
+// answer. Identical concurrent misses are independent: each runs its own
+// search and stores the same answer, and the next request hits it — no
+// request ever waits on another (a single-flight layer was measured at
+// <= 0.83 % of misses and deleted; see ARCHITECTURE.md).
 //
 // Both /knn and /range ride the cache (kNN entries carry radius -1, range
 // entries k 0, so the key spaces are disjoint); /monitor streams one
 // db.Monitor session as Server-Sent Events, holding a single admission
 // slot for the session's lifetime and bypassing the cache (deltas are
 // per-session state — see monitor.go). /batch rides the same layers
-// member-wise — per-member cache lookups, misses claiming the same
-// coalescer map as the singles — and then executes its leaders as ONE
-// db.Batch, whose grouping planner runs same-leaf clusters through shared
-// expansions (see rnknn.Batch).
+// member-wise — per-member cache lookups, duplicate keys inside the batch
+// collapsed — and then executes its distinct misses as ONE db.Batch, whose
+// grouping planner runs same-leaf clusters through shared expansions (see
+// rnknn.Batch).
 //
 // Queries and mutations take separate paths on purpose (the HTAP lesson:
 // co-designed, not shared): /objects/insert and /objects/remove bypass
@@ -62,10 +64,6 @@ type Config struct {
 	// CacheEntries bounds the result cache (total entries across its shards).
 	// 0 means the default 4096; negative disables caching.
 	CacheEntries int
-	// CacheShards is the cache's lock-shard count (rounded up to a power of
-	// two); nothing to do with a shard set's partition cells.
-	// <= 0 means the default 16.
-	CacheShards int
 }
 
 const (
@@ -73,18 +71,20 @@ const (
 	defaultCacheEntries = 4096
 	// maxBatch bounds the queries accepted in one /batch request.
 	maxBatch = 4096
+	// maxBodyBytes bounds a POST body (/batch, /objects/*) before it is
+	// decoded: room for maxBatch members or a six-figure vertex list.
+	maxBodyBytes = 4 << 20
 )
 
 // errSaturated reports a full admission semaphore; writeError maps it to 429.
 var errSaturated = errors.New("server saturated: max in-flight queries reached")
 
 // stack is the serving state in front of the rnknn.DB: its admission
-// semaphore, its epoch-keyed result cache, its coalescer and its counters.
+// semaphore, its epoch-keyed result cache and its counters.
 type stack struct {
 	db       *rnknn.DB
 	adm      *admission
 	cache    *resultCache
-	co       *coalescer
 	requests atomic.Uint64
 	// Batch-path counters: requests, member queries, members answered from
 	// the cache, and members answered by a shared-expansion group.
@@ -96,14 +96,14 @@ type stack struct {
 
 // Server serves one rnknn.DB over HTTP. Create with New, mount Handler. A
 // shard set is served like any other DB: its queries fan over the cells
-// inside the library, under the one admission slot, cache entry and
-// coalescer claim of the request.
+// inside the library, under the one admission slot and cache entry of the
+// request.
 type Server struct {
 	st  *stack
 	mux *http.ServeMux
 	// gate, when non-nil, runs on the cache-miss path immediately before
-	// the underlying query — a test hook that lets the coalescing and
-	// admission tests hold queries in flight deterministically.
+	// the underlying query — a test hook that lets tests hold queries in
+	// flight deterministically.
 	gate func()
 }
 
@@ -118,8 +118,7 @@ func New(db *rnknn.DB, cfg Config) *Server {
 	s := &Server{mux: http.NewServeMux(), st: &stack{
 		db:    db,
 		adm:   newAdmission(cfg.MaxInFlight),
-		cache: newResultCache(cfg.CacheEntries, cfg.CacheShards),
-		co:    newCoalescer(),
+		cache: newResultCache(cfg.CacheEntries),
 	}}
 	s.mux.HandleFunc("GET /healthz", handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -151,7 +150,6 @@ func (s *Server) Stats() ServerStats {
 		CacheMisses:    st.cache.misses.Load(),
 		CacheEvictions: st.cache.evictions.Load(),
 		CacheEntries:   st.cache.len(),
-		Coalesced:      st.co.coalesced.Load(),
 		Batches:        st.batches.Load(),
 		BatchQueries:   st.batchQueries.Load(),
 		BatchCacheHits: st.batchCacheHits.Load(),
@@ -198,9 +196,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// cachedQuery is one /knn or /range request as the cache and coalescer see
-// it. kNN keys carry radius -1 and range keys k 0, which keeps the two key
-// spaces disjoint in the shared cache.
+// cachedQuery is one /knn or /range request as the cache sees it. kNN keys
+// carry radius -1 and range keys k 0, which keeps the two key spaces
+// disjoint in the shared cache.
 type cachedQuery struct {
 	isRange  bool
 	vertex   int32
@@ -214,42 +212,40 @@ func (cq cachedQuery) key(epoch uint64) cacheKey {
 	return cacheKey{vertex: cq.vertex, k: cq.k, radius: cq.radius, epoch: epoch, category: cq.category}
 }
 
-// query answers cq through the stack's cache and coalescer (the caller
-// holds an admission slot): the lookup key pins the epoch the reader
-// observed, so a hit is an answer computed from exactly that object set; a
-// miss runs single-flight. It returns the epoch stamped on the answer and
-// whether it was served without running a search here (a cache hit or a
-// coalesced follower).
+// query answers cq through the stack's cache (the caller holds an
+// admission slot): the lookup key pins the epoch the reader observed, so a
+// hit is an answer computed from exactly that object set; a miss runs the
+// search and stores its answer. It returns the epoch stamped on the answer
+// and whether it was a cache hit.
 func (st *stack) query(ctx context.Context, cq cachedQuery, gate func()) ([]rnknn.Result, uint64, bool, error) {
 	epoch, err := st.db.Epoch(cq.category)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	key := cq.key(epoch)
-	if res, ok := st.cache.get(key); ok {
+	if res, ok := st.cache.get(cq.key(epoch)); ok {
 		return res, epoch, true, nil
 	}
-	return st.co.do(ctx, key, func() (res []rnknn.Result, pinned uint64, err error) {
-		if gate != nil {
-			gate()
-		}
-		if cq.isRange {
-			res, pinned, err = st.db.RangePinned(ctx, cq.vertex, rnknn.Dist(cq.radius), rnknn.WithCategory(cq.category))
-		} else {
-			res, pinned, err = st.db.KNNPinned(ctx, cq.vertex, int(cq.k), rnknn.WithMethod(cq.method), rnknn.WithCategory(cq.category))
-		}
-		if err == nil {
-			// Store under the epoch the search pinned — possibly newer than
-			// the lookup epoch when churn raced this request; never older.
-			st.cache.put(cq.key(pinned), res)
-		}
-		return res, pinned, err
-	})
+	if gate != nil {
+		gate()
+	}
+	var res []rnknn.Result
+	if cq.isRange {
+		res, epoch, err = st.db.RangePinned(ctx, cq.vertex, rnknn.Dist(cq.radius), rnknn.WithCategory(cq.category))
+	} else {
+		res, epoch, err = st.db.KNNPinned(ctx, cq.vertex, int(cq.k), rnknn.WithMethod(cq.method), rnknn.WithCategory(cq.category))
+	}
+	if err != nil {
+		return nil, 0, false, err
+	}
+	// Store under the epoch the search pinned — possibly newer than the
+	// lookup epoch when churn raced this request; never older.
+	st.cache.put(cq.key(epoch), res)
+	return res, epoch, false, nil
 }
 
-// handleKNN is the cached read path: epoch-keyed lookup, then single-flight
-// execution on miss. The answer's epoch stamp always names the exact object
-// set it was computed from.
+// handleKNN is the cached read path: epoch-keyed lookup, then a search on
+// miss. The answer's epoch stamp always names the exact object set it was
+// computed from.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	qv, err := int32Param(r, "q", -1)
@@ -285,10 +281,10 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleRange is the cached range path, the same three layers as /knn.
-// Range entries share the kNN cache, so repeated radii — loadgen's
-// fixed-radius mix, map tiles at zoom levels — hit without a session, and
-// object churn retires range answers by the same epoch mechanism.
+// handleRange is the cached range path, the same two layers as /knn.
+// Range entries share the kNN cache, so repeated radii — a fixed-radius
+// mix, map tiles at zoom levels — hit without a session, and object churn
+// retires range answers by the same epoch mechanism.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	qv, err := int32Param(r, "q", -1)
@@ -319,25 +315,21 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch decodes a mixed kNN/range batch and runs it through the same
-// three layers as the single-query endpoints, then one db.Batch:
+// two layers as the single-query endpoints, then one db.Batch:
 //
 //  1. Every member does an epoch-keyed cache lookup; hits never reach a
 //     session.
-//  2. Each distinct missed key claims the coalescer: members whose key is
-//     already in flight (a concurrent /knn, /range, or another batch's
-//     leader) become followers and just wait; duplicates inside the batch
-//     collapse onto one leader.
-//  3. The leaders (plus unkeyable members — unknown categories and other
-//     per-member errors the library reports) execute as ONE db.Batch, so
-//     same-leaf clusters among them ride the shared-expansion path, and
-//     each answer is published to cache and followers under the epoch the
-//     search pinned.
-//  4. Followers collect their leaders' answers.
+//  2. Members that miss on a key an earlier member of this batch already
+//     missed on are its duplicates and run nothing.
+//  3. The distinct misses (plus unkeyable members — unknown categories and
+//     other per-member errors the library reports) execute as ONE db.Batch,
+//     so same-leaf clusters among them ride the shared-expansion path; each
+//     answer is stored under the epoch the search pinned and copied to its
+//     duplicates.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st := s.st
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad batch body: " + err.Error()})
+	if !decodeBody(w, r, "batch", &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -377,14 +369,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st.batches.Add(1)
 	st.batchQueries.Add(uint64(n))
 
-	// Phase 1: epoch-keyed cache lookups per member. An epoch lookup that
-	// fails (unknown category) leaves the member unkeyed; the inner batch
-	// reports the library's error for it.
+	// Epoch-keyed cache lookups per member. An epoch lookup that fails
+	// (unknown category) leaves the member unkeyed; the inner batch reports
+	// the library's error for it.
 	out := make([]BatchResultJSON, n)
 	keys := make([]cacheKey, n)
 	keyed := make([]bool, n)
 	epochs := map[string]uint64{}
-	var miss []int
+	first := map[cacheKey]int{} // distinct missed key -> the member that runs it
+	var run, dups []int         // members this request executes; members first[key] answers
 	for i, q := range req.Queries {
 		category := q.Category
 		if category == "" {
@@ -394,7 +387,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			var err error
 			if epoch, err = st.db.Epoch(category); err != nil {
-				miss = append(miss, i)
+				run = append(run, i)
 				continue
 			}
 			epochs[category] = epoch
@@ -410,41 +403,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out[i] = BatchResultJSON{Query: q.Query, Method: methodNames[i], Epoch: epoch, Cached: true, Results: Results(res)}
 			continue
 		}
-		miss = append(miss, i)
-	}
-
-	// Phase 2: claim or follow each distinct missed key.
-	type lead struct {
-		call    *inflightCall
-		members []int
-	}
-	type follow struct {
-		call   *inflightCall
-		member int
-	}
-	leaders := map[cacheKey]*lead{}
-	var followers []follow
-	var run []int // member indices this request executes (one per leader key, plus unkeyed members)
-	for _, i := range miss {
-		if !keyed[i] {
-			run = append(run, i)
+		if _, ok := first[keys[i]]; ok {
+			dups = append(dups, i)
 			continue
 		}
-		if l, ok := leaders[keys[i]]; ok {
-			l.members = append(l.members, i)
-			continue
-		}
-		call, leader := st.co.claim(keys[i])
-		if leader {
-			leaders[keys[i]] = &lead{call: call, members: []int{i}}
-			run = append(run, i)
-		} else {
-			followers = append(followers, follow{call: call, member: i})
-		}
+		first[keys[i]] = i
+		run = append(run, i)
 	}
 
-	// Phase 3: one db.Batch over the leaders — same-leaf clusters among them
-	// share expansions — then publish under the epoch each answer pinned.
+	// One db.Batch over the distinct misses — same-leaf clusters among them
+	// share expansions — then store each answer under the epoch it pinned.
 	if len(run) > 0 {
 		b := st.db.Batch()
 		for _, i := range run {
@@ -466,55 +434,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.gate()
 		}
 		// Run only errors on ctx expiry, and then every member result carries
-		// the error — publish those too, so followers never hang.
+		// the error.
 		results, _ := b.Run(r.Context())
 		for j, i := range run {
 			br := results[j]
 			if br.Shared {
 				st.batchShared.Add(1)
 			}
-			if !keyed[i] {
-				out[i] = batchResultJSON(br, false)
-				continue
-			}
-			l := leaders[keys[i]]
-			if br.Err == nil {
+			if keyed[i] && br.Err == nil {
 				k := keys[i]
 				k.epoch = br.Epoch // possibly newer than the lookup epoch; never older
 				st.cache.put(k, br.Results)
 			}
-			st.co.publish(keys[i], l.call, br.Results, br.Epoch, br.Err)
-			for mj, mi := range l.members {
-				out[mi] = batchResultJSON(br, mj > 0)
-			}
+			out[i] = batchResultJSON(br)
 		}
-	}
-
-	// Phase 4: collect followers from their leaders (a concurrent single or
-	// another batch), honoring this request's own deadline.
-	for _, f := range followers {
-		i := f.member
-		select {
-		case <-f.call.done:
-			br := rnknn.BatchResult{Query: req.Queries[i].Query, Results: f.call.res, Err: f.call.err, Epoch: f.call.epoch}
-			out[i] = batchResultJSON(br, true)
-			if br.Err == nil {
-				// The leader's concrete method is not recorded on the call;
-				// echo what this member asked for, as /knn does for followers.
-				out[i].Method = methodNames[i]
-			}
-		case <-r.Context().Done():
-			out[i] = BatchResultJSON{Query: req.Queries[i].Query, Error: r.Context().Err().Error()}
+		for _, i := range dups {
+			out[i] = out[first[keys[i]]]
+			out[i].Cached = true
 		}
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
 }
 
-// batchResultJSON converts one library batch result to its wire form;
-// cached marks answers served without running a search for this member
-// (intra-batch duplicates and coalesced followers).
-func batchResultJSON(br rnknn.BatchResult, cached bool) BatchResultJSON {
-	out := BatchResultJSON{Query: br.Query, LatencyMicros: br.Latency.Microseconds(), Cached: cached, Shared: br.Shared}
+// batchResultJSON converts one library batch result to its wire form.
+func batchResultJSON(br rnknn.BatchResult) BatchResultJSON {
+	out := BatchResultJSON{Query: br.Query, LatencyMicros: br.Latency.Microseconds(), Shared: br.Shared}
 	if br.Err != nil {
 		out.Error = br.Err.Error()
 	} else {
@@ -525,14 +469,30 @@ func batchResultJSON(br rnknn.BatchResult, cached bool) BatchResultJSON {
 	return out
 }
 
+// decodeBody decodes a POST body of at most maxBodyBytes into v and reports
+// whether it could; if not it has answered 413 for a longer body and 400
+// for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, ErrorResponse{Error: "bad " + what + " body: " + err.Error()})
+	return false
+}
+
 // handleObjects wraps one mutation (InsertObjects or RemoveObjects). The
 // mutation path deliberately skips admission and the cache — see the package
 // comment: the epoch advances, retiring exactly the category's cache entries.
 func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req ObjectsRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad objects body: " + err.Error()})
+		if !decodeBody(w, r, "objects", &req) {
 			return
 		}
 		if req.Category == "" {

@@ -280,19 +280,21 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestCoalescing holds one query in flight behind the test gate and proves
-// N identical concurrent requests execute exactly one underlying search:
-// the db-level query counter says 1, every other request is a counted
-// follower, and all N answers agree.
-func TestCoalescing(t *testing.T) {
+// TestConcurrentMissesIndependent holds N identical requests in flight
+// behind the test gate — every one of them past its cache miss — and
+// proves they are independent: each runs its own search, all answer the
+// brute-force result at the same epoch, nobody waits on anybody, and the
+// next request hits the entry they stored.
+func TestConcurrentMissesIndependent(t *testing.T) {
 	db := newTestDB(t)
 	s := New(db, Config{MaxInFlight: 64})
+	const n = 16
+	entered := make(chan struct{}, n)
 	release := make(chan struct{})
-	s.gate = func() { <-release }
+	s.gate = func() { entered <- struct{}{}; <-release }
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const n = 16
 	url := fmt.Sprintf("%s/knn?q=33&k=4", ts.URL)
 	var wg sync.WaitGroup
 	responses := make([]KNNResponse, n)
@@ -311,21 +313,21 @@ func TestCoalescing(t *testing.T) {
 			_ = json.NewDecoder(resp.Body).Decode(&responses[i])
 		}(i)
 	}
-	// The leader is parked on the gate; wait until the other n-1 requests
-	// are all registered as followers, so nothing can slip past coalescing.
-	waitFor(t, func() bool { return s.st.co.coalesced.Load() == n-1 })
+	// All n reach the gate: none is parked behind another's search.
+	for i := 0; i < n; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d identical requests reached their search", i, n)
+		}
+	}
+	if got := s.Stats().InFlight; got != n {
+		t.Fatalf("in flight at the gate: %d, want %d", got, n)
+	}
 	close(release)
 	wg.Wait()
 
-	var totalKNN uint64
-	for _, ms := range db.Stats().Methods {
-		totalKNN += ms.KNNQueries
-	}
-	if totalKNN != 1 {
-		t.Fatalf("%d identical concurrent requests ran %d underlying queries, want 1", n, totalKNN)
-	}
 	want, _ := db.BruteForceKNN(33, 4)
-	uncached := 0
 	for i := 0; i < n; i++ {
 		if codes[i] != 200 {
 			t.Fatalf("request %d: status %d", i, codes[i])
@@ -333,15 +335,24 @@ func TestCoalescing(t *testing.T) {
 		if !rnknn.SameResults(toResults(responses[i].Results), want) {
 			t.Fatalf("request %d: wrong answer %v", i, responses[i].Results)
 		}
-		if !responses[i].Cached {
-			uncached++
+		if responses[i].Cached || responses[i].Epoch != responses[0].Epoch {
+			t.Fatalf("request %d: cached=%v epoch=%d, want a search at epoch %d", i, responses[i].Cached, responses[i].Epoch, responses[0].Epoch)
 		}
 	}
-	if uncached != 1 {
-		t.Fatalf("%d responses claim to have run a search, want exactly the leader", uncached)
+	var totalKNN uint64
+	for _, ms := range db.Stats().Methods {
+		totalKNN += ms.KNNQueries
 	}
-	if st := s.Stats(); st.Coalesced != n-1 {
-		t.Fatalf("coalesced counter %d, want %d", st.Coalesced, n-1)
+	if totalKNN != n {
+		t.Fatalf("%d identical concurrent misses ran %d underlying queries, want %d", n, totalKNN, n)
+	}
+	waitFor(t, func() bool { return s.Stats().InFlight == 0 })
+	if st := s.Stats(); st.CacheMisses != n || st.Coalesced != 0 || st.CacheEntries != 1 {
+		t.Fatalf("after release: %+v", st)
+	}
+	var next KNNResponse
+	if code := getJSON(t, url, &next); code != 200 || !next.Cached || !rnknn.SameResults(toResults(next.Results), want) {
+		t.Fatalf("request %d: status %d, %+v", n+1, code, next)
 	}
 }
 
@@ -355,8 +366,7 @@ func TestAdmissionSheds(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Two distinct queries occupy both slots (distinct so neither coalesces
-	// onto the other).
+	// Two distinct queries occupy both slots.
 	var wg sync.WaitGroup
 	for _, q := range []int{5, 6} {
 		wg.Add(1)
@@ -389,6 +399,41 @@ func TestAdmissionSheds(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.InFlight != 0 || st.Requests != 2 {
 		t.Fatalf("after drain: %+v", st)
+	}
+}
+
+// TestOversizedBodies posts bodies just over maxBodyBytes — well-formed
+// JSON padded inside the value, so the decoder cannot stop early — and
+// expects 413 with an ErrorResponse, and the object set untouched.
+func TestOversizedBodies(t *testing.T) {
+	db := newTestDB(t)
+	s := New(db, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/batch", `{"queries":[{"query":1,"k":1}` + pad + `]}`},
+		{"/objects/insert", `{"vertices":[1` + pad + `]}`},
+		{"/objects/remove", `{"vertices":[1` + pad + `]}`},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Error == "" {
+				t.Fatalf("status %d, error %q; want 413 with an error body", resp.StatusCode, e.Error)
+			}
+		})
+	}
+	if epoch, _ := db.Epoch(rnknn.DefaultCategory); epoch != 0 {
+		t.Fatalf("a refused body moved the epoch to %d", epoch)
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 )
 
 // The wire types are the one JSON vocabulary for query answers: the
-// rnknnd endpoints encode them, cmd/loadgen decodes them, and
-// cmd/knnquery's -json mode prints them — scripting against any of the
-// three sees the same shape.
+// rnknnd endpoints encode them, the benchmark harness (bench/) decodes
+// them, and cmd/knnquery's -json mode prints them — scripting against any
+// of the three sees the same shape.
 
 // ResultJSON is one query answer on the wire.
 type ResultJSON struct {
@@ -41,8 +41,8 @@ type KNNResponse struct {
 	// object-set version, stamped by the search itself. Two responses with
 	// the same (query, k, category, epoch) saw the same object set.
 	Epoch uint64 `json:"epoch"`
-	// Cached reports the answer was served from the result cache (or from a
-	// coalesced in-flight query) without running a search session.
+	// Cached reports the answer was served from the result cache without
+	// running a search session.
 	Cached bool `json:"cached"`
 	// LatencyMicros is the server-side handling time in microseconds.
 	LatencyMicros int64 `json:"latency_us"`
@@ -52,7 +52,7 @@ type KNNResponse struct {
 
 // RangeResponse answers GET /range. Epoch and Cached carry the same
 // guarantees as on KNNResponse: the answer was computed from exactly that
-// object-set version, and Cached marks cache hits and coalesced followers.
+// object-set version, and Cached marks cache hits.
 type RangeResponse struct {
 	Query         int32        `json:"query"`
 	Radius        int64        `json:"radius"`
@@ -94,8 +94,8 @@ type BatchResultJSON struct {
 	// Epoch is the category epoch the answer was computed from, with the
 	// same guarantee as on KNNResponse.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Cached reports this member never ran a search: a result-cache hit, an
-	// intra-batch duplicate, or a follower of a concurrent identical query.
+	// Cached reports this member never ran a search: a result-cache hit or
+	// a duplicate of an earlier member of the same batch.
 	Cached bool `json:"cached,omitempty"`
 	// Shared reports a shared-expansion group answered this member (see
 	// rnknn.Batch).
@@ -202,8 +202,8 @@ type GraphJSON struct {
 	Weights     string `json:"weights"`
 }
 
-// ServerStats are the serving layer's counters. Cache hits + coalesced
-// requests are the queries the session pools never saw.
+// ServerStats are the serving layer's counters. Cache hits are the queries
+// the session pools never saw.
 type ServerStats struct {
 	// InFlight and MaxInFlight describe the admission semaphore.
 	InFlight    int `json:"in_flight"`
@@ -220,9 +220,8 @@ type ServerStats struct {
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheEvictions uint64 `json:"cache_evictions"`
 	CacheEntries   int    `json:"cache_entries"`
-	// Coalesced counts requests that waited on an identical in-flight query
-	// instead of running their own (the followers, not the leader). Batch
-	// members coalesce through the same map as singles and count here too.
+	// Coalesced always reads 0: no request waits on another's search. The
+	// field stays because the frozen benchmark harness subtracts it.
 	Coalesced uint64 `json:"coalesced"`
 	// Batches counts POST /batch requests accepted; BatchQueries their
 	// member queries. BatchCacheHits counts members answered straight from
