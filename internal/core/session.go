@@ -69,9 +69,10 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 // cur's by the per-method maintainers — a copy-on-write R-tree clone with
 // Insert/Delete, the occurrence list's and association directory's Next over
 // the new object set (the one membership bitset every index of the epoch
-// reads) — in O(delta) element work, never an O(set) reconstruction. The one
-// exception is the SILC object hierarchy (DisBrwOH), which has no
-// incremental maintainer and is rebuilt from the new set.
+// reads) — in O(delta) element work, never an O(set) reconstruction, though
+// the occurrence list copies its flat leaf lists into fresh arrays (a memcpy
+// of the set). The one index rebuilt from scratch is the SILC object
+// hierarchy (DisBrwOH), which has no incremental maintainer.
 //
 // cur is never mutated: queries pinned to it keep answering from their
 // epoch. Vertices already present in add and absent in remove are ignored.

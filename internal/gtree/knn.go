@@ -145,8 +145,10 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 		if pt.Nodes[ni].IsLeaf() {
 			x.enqueueLeafObjects(src, ni, q)
 		} else {
-			for _, c := range x.ol.Children(ni) {
-				q.Push(encodeNode(c), int64(src.MinBorderDist(c)))
+			for _, c := range pt.Nodes[ni].Children {
+				if x.ol.count[c] > 0 {
+					q.Push(encodeNode(c), int64(src.MinBorderDist(c)))
+				}
 			}
 		}
 	}
@@ -154,8 +156,8 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 }
 
 // advanceT climbs the active subtree pointer one level (the UpdateT step of
-// Algorithm 3): enqueue the occupied siblings of the previous subtree and
-// return the new (node, min-border-distance) bound.
+// Algorithm 3): enqueue the occupied siblings (nonzero count) of the
+// previous subtree and return the new (node, min-border-distance) bound.
 func (x *KNN) advanceT(src *Source, q *pqueue.Queue, tn int32) (int32, graph.Dist) {
 	idx := x.idx
 	pt := idx.PT
@@ -165,11 +167,10 @@ func (x *KNN) advanceT(src *Source, q *pqueue.Queue, tn int32) (int32, graph.Dis
 	if tn != 0 && len(idx.nodes[tn].borders) > 0 {
 		tmin = src.MinBorderDist(tn)
 	}
-	for _, c := range x.ol.Children(tn) {
-		if c == prev {
-			continue
+	for _, c := range pt.Nodes[tn].Children {
+		if c != prev && x.ol.count[c] > 0 {
+			q.Push(encodeNode(c), int64(src.MinBorderDist(c)))
 		}
-		q.Push(encodeNode(c), int64(src.MinBorderDist(c)))
 	}
 	return tn, tmin
 }

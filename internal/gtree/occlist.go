@@ -1,56 +1,65 @@
 package gtree
 
-import "rnknn/internal/knn"
+import (
+	"slices"
+
+	"rnknn/internal/bitset"
+	"rnknn/internal/knn"
+)
 
 // OccurrenceList is G-tree's decoupled object index (Section 3.5): for every
-// tree node, the children that contain objects, and for every leaf, the
-// object vertices it contains. It is built once per object set and passed
-// to the kNN algorithm, mirroring how the paper separates object index
-// construction from querying (Section 7.4, Appendix A.2).
+// tree node, how many objects its subgraph holds — a child is occupied when
+// its count is nonzero — and for every leaf, the object vertices it
+// contains. It is built once per object set and passed to the kNN
+// algorithm, mirroring how the paper separates object index construction
+// from querying (Section 7.4, Appendix A.2).
 //
-// A list is immutable: Next derives the list of the next object set in
-// O(delta x (tree height + leaf objects)) instead of rebuilding, replacing
-// the per-node object and child slices it touches copy-on-write so the
-// original keeps answering from its own set — the per-method maintainer
-// contract of the epoch-versioned object store.
+// A list is immutable: Next derives the list of the next object set into
+// fresh arrays, so the original keeps answering from its own set — the
+// per-method maintainer contract of the epoch-versioned object store. The
+// list holds three flat arrays and no per-node slices, so an almost empty
+// category costs two int32 per node.
 type OccurrenceList struct {
-	// childOcc[n] lists the children of node n containing >= 1 object.
-	childOcc [][]int32
-	// leafObjs[n] lists object vertices in leaf n, nil otherwise.
-	leafObjs [][]int32
 	// count[n] is the number of objects in node n's subgraph.
 	count []int32
+	// leafObj[leafOff[n]:leafOff[n+1]] are the object vertices of leaf n in
+	// ascending order (empty for inner nodes): the leaf lists in CSR form.
+	leafOff, leafObj []int32
 	// objs is the object set the list was built over: the O(1) membership
 	// test the Algorithm 4 leaf search uses in place of a per-query hash set.
 	objs *knn.ObjectSet
 }
 
-// NewOccurrenceList builds the occurrence list for objs over the index.
+// NewOccurrenceList builds the occurrence list for objs over the index in
+// O(objects × tree height + nodes): the counts up every object's ancestor
+// chain, then the leaf lists by a counting sort — leafOff[n] starts at the
+// end of leaf n's range and steps back once per object, visited in
+// descending order, so it ends at the range's start with the leaf's objects
+// ascending.
 func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
+	nodes := x.PT.Nodes
 	ol := &OccurrenceList{
-		childOcc: make([][]int32, len(x.nodes)),
-		leafObjs: make([][]int32, len(x.nodes)),
-		count:    make([]int32, len(x.nodes)),
-		objs:     objs,
+		count:   make([]int32, len(nodes)),
+		leafOff: make([]int32, len(nodes)+1),
+		leafObj: make([]int32, objs.Len()),
+		objs:    objs,
 	}
-	pt := x.PT
-	for _, v := range objs.Vertices() {
-		leaf := pt.LeafOf[v]
-		ol.leafObjs[leaf] = append(ol.leafObjs[leaf], v)
-		// Propagate counts bottom-up.
-		for n := leaf; n != -1; n = pt.Nodes[n].Parent {
-			ol.count[n]++
-		}
+	vs := objs.Vertices()
+	for _, v := range vs {
+		ol.shift(x, v, 1)
 	}
-	for ni := range pt.Nodes {
-		if pt.Nodes[ni].IsLeaf() {
-			continue
+	var end int32
+	for n := range nodes {
+		if nodes[n].IsLeaf() {
+			end += ol.count[n]
 		}
-		for _, c := range pt.Nodes[ni].Children {
-			if ol.count[c] > 0 {
-				ol.childOcc[ni] = append(ol.childOcc[ni], c)
-			}
-		}
+		ol.leafOff[n] = end
+	}
+	ol.leafOff[len(nodes)] = end
+	for i := len(vs) - 1; i >= 0; i-- {
+		leaf := x.PT.LeafOf[vs[i]]
+		ol.leafOff[leaf]--
+		ol.leafObj[ol.leafOff[leaf]] = vs[i]
 	}
 	return ol
 }
@@ -58,22 +67,48 @@ func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
 // Next returns the list of objs, the successor of ol's object set whose
 // effective delta is added and removed (knn.ObjectSet.WithDelta: each vertex
 // at most once per slice, removed ones present in ol, added ones absent
-// after the removals). The fixed-size arrays are memcpys; the per-node
-// slices are shared with ol until add or remove replaces them.
+// after the removals). The counts are copied and moved along the delta's
+// ancestor chains; the leaf lists are copied leaf by leaf, except that a
+// leaf the delta touched is refilled from its sorted vertices — O(nodes +
+// objects) memcpy plus O(leaf size) per touched leaf.
 func (ol *OccurrenceList) Next(x *Index, objs *knn.ObjectSet, added, removed []int32) *OccurrenceList {
+	nodes := x.PT.Nodes
 	next := &OccurrenceList{
-		childOcc: append([][]int32(nil), ol.childOcc...),
-		leafObjs: append([][]int32(nil), ol.leafObjs...),
-		count:    append([]int32(nil), ol.count...),
-		objs:     objs,
+		count:   slices.Clone(ol.count),
+		leafOff: make([]int32, len(nodes)+1),
+		leafObj: make([]int32, 0, objs.Len()),
+		objs:    objs,
 	}
+	touched := bitset.New(len(nodes))
 	for _, v := range removed {
-		next.remove(x, v)
+		touched.Set(x.PT.LeafOf[v])
+		next.shift(x, v, -1)
 	}
 	for _, v := range added {
-		next.add(x, v)
+		touched.Set(x.PT.LeafOf[v])
+		next.shift(x, v, 1)
 	}
+	for n := range nodes {
+		next.leafOff[n] = int32(len(next.leafObj))
+		if !touched.Get(int32(n)) {
+			next.leafObj = append(next.leafObj, ol.LeafObjects(int32(n))...)
+			continue
+		}
+		for _, u := range nodes[n].Vertices {
+			if objs.Contains(u) {
+				next.leafObj = append(next.leafObj, u)
+			}
+		}
+	}
+	next.leafOff[len(nodes)] = int32(len(next.leafObj))
 	return next
+}
+
+// shift adds d to the count of every node on v's ancestor chain.
+func (ol *OccurrenceList) shift(x *Index, v, d int32) {
+	for n := x.PT.LeafOf[v]; n != -1; n = x.PT.Nodes[n].Parent {
+		ol.count[n] += d
+	}
 }
 
 // HasObjects reports whether node ni's subgraph contains any object.
@@ -82,73 +117,17 @@ func (ol *OccurrenceList) HasObjects(ni int32) bool { return ol.count[ni] > 0 }
 // Count returns the number of objects under node ni.
 func (ol *OccurrenceList) Count(ni int32) int32 { return ol.count[ni] }
 
-// Children returns the children of node ni containing objects.
-func (ol *OccurrenceList) Children(ni int32) []int32 { return ol.childOcc[ni] }
-
 // LeafObjects returns the objects in leaf ni.
-func (ol *OccurrenceList) LeafObjects(ni int32) []int32 { return ol.leafObjs[ni] }
+func (ol *OccurrenceList) LeafObjects(ni int32) []int32 {
+	return ol.leafObj[ol.leafOff[ni]:ol.leafOff[ni+1]]
+}
 
 // IsObject reports whether v is an object vertex.
 func (ol *OccurrenceList) IsObject(v int32) bool { return ol.objs.Contains(v) }
 
-// add registers a new object vertex, updating leaf lists, counts and child
-// occurrences along its ancestor chain. The paper's decoupled-index design
-// makes this cheap compared to re-indexing the road network (Section 2.2).
-func (ol *OccurrenceList) add(x *Index, v int32) {
-	pt := x.PT
-	leaf := pt.LeafOf[v]
-	ol.leafObjs[leaf] = cowAppend(ol.leafObjs[leaf], v)
-	for n := leaf; n != -1; n = pt.Nodes[n].Parent {
-		ol.count[n]++
-		parent := pt.Nodes[n].Parent
-		if parent != -1 && ol.count[n] == 1 {
-			ol.childOcc[parent] = cowAppend(ol.childOcc[parent], n)
-		}
-	}
-}
-
-// remove deletes an object vertex, reversing add.
-func (ol *OccurrenceList) remove(x *Index, v int32) {
-	pt := x.PT
-	leaf := pt.LeafOf[v]
-	ol.leafObjs[leaf] = cowDelete(ol.leafObjs[leaf], v)
-	for n := leaf; n != -1; n = pt.Nodes[n].Parent {
-		ol.count[n]--
-		parent := pt.Nodes[n].Parent
-		if parent != -1 && ol.count[n] == 0 {
-			ol.childOcc[parent] = cowDelete(ol.childOcc[parent], n)
-		}
-	}
-}
-
-// cowAppend and cowDelete replace a per-node slice instead of mutating it
-// in place, so the list Next derived from keeps its view — required for
-// epoch sharing, and cheap because the slices are leaf- or fanout-sized.
-func cowAppend(s []int32, v int32) []int32 {
-	out := make([]int32, len(s)+1)
-	copy(out, s)
-	out[len(s)] = v
-	return out
-}
-
-func cowDelete(s []int32, v int32) []int32 {
-	out := make([]int32, 0, len(s)-1)
-	for _, e := range s {
-		if e != v {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // SizeBytes estimates the occurrence list's memory footprint (the object
-// index cost of Figure 18): the counts and child occurrences plus the object
-// set — its vertices are what the leaf lists hold, its membership bits what
-// IsObject reads.
+// index cost of Figure 18): the counts, the leaf lists and the object set
+// whose membership bits IsObject reads.
 func (ol *OccurrenceList) SizeBytes() int {
-	total := len(ol.count)*4 + ol.objs.SizeBytes()
-	for _, c := range ol.childOcc {
-		total += len(c) * 4
-	}
-	return total
+	return (len(ol.count)+len(ol.leafOff)+len(ol.leafObj))*4 + ol.objs.SizeBytes()
 }

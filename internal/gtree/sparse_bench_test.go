@@ -1,0 +1,29 @@
+package gtree_test
+
+import (
+	"testing"
+
+	"rnknn/internal/gen"
+	"rnknn/internal/gtree"
+	"rnknn/internal/knn"
+)
+
+// BenchmarkGtreeSparse is the in-tree twin of rnbench's gtree.sparse_us
+// probe: k=10 on the NW network at object density 0.001, where the
+// Algorithm 3 loop climbs high and enqueues many occupied children.
+// pathcost/op is the border-to-border additions the time buys (Figure 9b).
+func BenchmarkGtreeSparse(b *testing.B) {
+	spec, _ := gen.LadderSpec("NW")
+	g := gen.Network(spec)
+	idx := gtree.Build(g, gtree.Options{})
+	x := gtree.NewKNN(idx, idx.NewOccurrenceList(knn.NewObjectSet(g, gen.Uniform(g, 0.001, 1))))
+	queries := gen.QueryVertices(g, 64, 2)
+	dst := make([]knn.Result, 0, 10)
+	paths := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = x.KNNAppend(queries[i%len(queries)], 10, dst[:0])
+		paths += x.PathCost
+	}
+	b.ReportMetric(float64(paths)/float64(b.N), "pathcost/op")
+}

@@ -19,23 +19,42 @@ func derive(idx *gtree.Index, objs *knn.ObjectSet, ol *gtree.OccurrenceList, add
 }
 
 // checkList compares ol with a from-scratch build over objs: every node's
-// count, its occupied children and (for leaves) its objects — as sets, since
-// a derived list appends where a build sorts — and every vertex's membership.
+// count, the occupied children the search derives from the counts, and
+// every CSR leaf list — exactly, since both keep each leaf's objects
+// ascending, and empty for inner nodes — and every vertex's membership.
 func checkList(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *knn.ObjectSet, when string) {
 	t.Helper()
 	fresh := idx.NewOccurrenceList(objs)
-	sorted := func(s []int32) []int32 { s = slices.Clone(s); slices.Sort(s); return s }
+	occupied := func(ol *gtree.OccurrenceList, ni int32) (out []int32) {
+		for _, c := range idx.PT.Nodes[ni].Children {
+			if ol.HasObjects(c) {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	listed := 0
 	for i := 0; i < idx.NumNodes(); i++ {
 		ni := int32(i)
 		if ol.Count(ni) != fresh.Count(ni) || ol.HasObjects(ni) != fresh.HasObjects(ni) {
 			t.Fatalf("%s: node %d count %d, from-scratch build %d", when, ni, ol.Count(ni), fresh.Count(ni))
 		}
-		if got, want := sorted(ol.Children(ni)), sorted(fresh.Children(ni)); !slices.Equal(got, want) {
+		if got, want := occupied(ol, ni), occupied(fresh, ni); !slices.Equal(got, want) {
 			t.Fatalf("%s: node %d occupied children %v, from-scratch build %v", when, ni, got, want)
 		}
-		if got, want := sorted(ol.LeafObjects(ni)), sorted(fresh.LeafObjects(ni)); !slices.Equal(got, want) {
+		got := ol.LeafObjects(ni)
+		if want := fresh.LeafObjects(ni); !slices.Equal(got, want) {
 			t.Fatalf("%s: leaf %d objects %v, from-scratch build %v", when, ni, got, want)
 		}
+		for j, v := range got {
+			if !idx.PT.Nodes[ni].IsLeaf() || idx.PT.LeafOf[v] != ni || !objs.Contains(v) || (j > 0 && got[j-1] >= v) {
+				t.Fatalf("%s: node %d lists %v, not its objects in ascending order", when, ni, got)
+			}
+		}
+		listed += len(got)
+	}
+	if listed != objs.Len() {
+		t.Fatalf("%s: the leaf lists hold %d objects, the set %d", when, listed, objs.Len())
 	}
 	for v := int32(0); v < int32(len(idx.PT.LeafOf)); v++ {
 		if ol.IsObject(v) != objs.Contains(v) {
@@ -55,7 +74,7 @@ func checkKNN(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *kn
 // TestOccurrenceListUpdates drives random insert/remove deltas through
 // ObjectSet.WithDelta + Next and, after every step, compares the derived
 // list with a from-scratch build, its kNN answers with brute force, and the
-// previous epoch's list with its own set (copy-on-write).
+// previous epoch's list with its own set (Next never writes to it).
 func TestOccurrenceListUpdates(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 141})
 	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})

@@ -148,3 +148,45 @@ func TestBatchSharedOnServer(t *testing.T) {
 		t.Fatalf("db shared-query counter %d, want %d", got.SharedQueries, shared)
 	}
 }
+
+// TestBatchMemberWithoutMethodIsAuto proves a /batch member that names no
+// method is planned like /knn without one: on an {INE, IER-PHL} DB over a
+// sparse category the planner sends both to IER-PHL, the member's answer
+// says so, and the library counts both searches there — not under INE,
+// the DB's first method and Batch.AddKNN's default. A member that names a
+// method still gets it.
+func TestBatchMemberWithoutMethodIsAuto(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "srv-auto", Rows: 40, Cols: 40, Seed: 3})
+	db, err := rnknn.Open(g, rnknn.WithMethods(rnknn.INE, rnknn.IERPHL),
+		rnknn.WithObjects(rnknn.DefaultCategory, gen.Uniform(g, 0.005, 11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	count := func(method string) uint64 { return db.Stats().Methods[method].KNNQueries }
+
+	if code := getJSON(t, ts.URL+"/knn?q=100&k=5", nil); code != 200 {
+		t.Fatalf("/knn status %d", code)
+	}
+	if ier, ine := count("IER-PHL"), count("INE"); ier != 1 || ine != 0 {
+		t.Fatalf("/knn without a method ran %d IER-PHL and %d INE searches, want 1 and 0", ier, ine)
+	}
+	queries := []BatchQuery{{Query: 200, K: 5}, {Query: 300, K: 5, Method: "INE"}}
+	br := postBatch(t, ts.URL, queries)
+	for i, want := range []string{"IER-PHL", "INE"} {
+		m := br.Results[i]
+		if m.Error != "" || m.Cached || m.Method != want {
+			t.Fatalf("member %d (method %q): error %q, cached %v, answered by %q, want %s",
+				i, queries[i].Method, m.Error, m.Cached, m.Method, want)
+		}
+		exact, _ := db.BruteForceKNN(queries[i].Query, queries[i].K)
+		if !rnknn.SameResults(toResults(m.Results), exact) {
+			t.Fatalf("member %d wrong answer", i)
+		}
+	}
+	if ier, ine := count("IER-PHL"), count("INE"); ier != 2 || ine != 1 {
+		t.Fatalf("after the batch: %d IER-PHL and %d INE searches, want 2 and 1", ier, ine)
+	}
+}

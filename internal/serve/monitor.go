@@ -40,7 +40,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	_, method, err := methodParam(r)
+	method, err := parseMethod(r.URL.Query().Get("method"))
 	if err != nil {
 		writeError(w, err)
 		return

@@ -31,9 +31,10 @@
 // slot for the session's lifetime and bypassing the cache (deltas are
 // per-session state — see monitor.go). /batch rides the same layers
 // member-wise — per-member cache lookups, duplicate keys inside the batch
-// collapsed — and then executes its distinct misses as ONE db.Batch, whose
-// grouping planner runs same-leaf clusters through shared expansions (see
-// rnknn.Batch).
+// collapsed — and then executes its distinct misses as ONE db.Batch. A
+// member that names no method is planned like a /knn request without one
+// (MethodAuto), and the grouping planner runs same-leaf clusters of
+// INE-resolved members through shared expansions (see rnknn.Batch).
 //
 // Queries and mutations take separate paths on purpose (the HTAP lesson:
 // co-designed, not shared): /objects/insert and /objects/remove bypass
@@ -258,7 +259,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	methodName, method, err := methodParam(r)
+	method, err := parseMethod(r.URL.Query().Get("method"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -272,7 +273,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, KNNResponse{
 		Query:         cq.vertex,
 		K:             int(cq.k),
-		Method:        methodName,
+		Method:        method.String(),
 		Category:      cq.category,
 		Epoch:         epoch,
 		Cached:        cached,
@@ -323,9 +324,10 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 //     missed on are its duplicates and run nothing.
 //  3. The distinct misses (plus unkeyable members — unknown categories and
 //     other per-member errors the library reports) execute as ONE db.Batch,
-//     so same-leaf clusters among them ride the shared-expansion path; each
-//     answer is stored under the epoch the search pinned and copied to its
-//     duplicates.
+//     each with its own method or, naming none, MethodAuto — the planner
+//     picks per member exactly as for /knn — so same-leaf clusters that
+//     resolve to INE ride the shared-expansion path; each answer is stored
+//     under the epoch the search pinned and copied to its duplicates.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st := s.st
 	var req BatchRequest
@@ -342,19 +344,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(req.Queries)
 	methods := make([]rnknn.Method, n)
-	methodNames := make([]string, n)
 	for i, q := range req.Queries {
-		methods[i] = rnknn.MethodAuto
-		methodNames[i] = rnknn.MethodAuto.String()
-		if q.Method != "" {
-			m, err := rnknn.ParseMethod(q.Method)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: %v", i, err)})
-				return
-			}
-			methods[i] = m
-			methodNames[i] = m.String()
+		m, err := parseMethod(q.Method)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: %v", i, err)})
+			return
 		}
+		methods[i] = m
 		if q.Radius != nil && q.K > 0 {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: both k and radius set", i)})
 			return
@@ -400,7 +396,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		keyed[i] = true
 		if res, ok := st.cache.get(keys[i]); ok {
 			st.batchCacheHits.Add(1)
-			out[i] = BatchResultJSON{Query: q.Query, Method: methodNames[i], Epoch: epoch, Cached: true, Results: Results(res)}
+			out[i] = BatchResultJSON{Query: q.Query, Method: methods[i].String(), Epoch: epoch, Cached: true, Results: Results(res)}
 			continue
 		}
 		if _, ok := first[keys[i]]; ok {
@@ -417,12 +413,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		b := st.db.Batch()
 		for _, i := range run {
 			q := req.Queries[i]
-			var opts []rnknn.QueryOption
+			opts := []rnknn.QueryOption{rnknn.WithMethod(methods[i])}
 			if q.Category != "" {
 				opts = append(opts, rnknn.WithCategory(q.Category))
-			}
-			if q.Method != "" {
-				opts = append(opts, rnknn.WithMethod(methods[i]))
 			}
 			if q.Radius != nil {
 				b.AddRange(q.Query, rnknn.Dist(*q.Radius), opts...)
@@ -550,18 +543,15 @@ func int32Param(r *http.Request, name string, def int) (int32, error) {
 // fits32 reports whether n survives narrowing to 32 bits.
 func fits32(n int) bool { return n == int(int32(n)) }
 
-// methodParam parses the optional method parameter (default "Auto": the
-// planner picks among whatever methods the DB was opened with).
-func methodParam(r *http.Request) (string, rnknn.Method, error) {
-	v := r.URL.Query().Get("method")
+// parseMethod parses an optional method name — the method parameter of
+// /knn and /monitor, a /batch member's method — with one default for all
+// three: "Auto", the planner picks among whatever methods the DB was opened
+// with.
+func parseMethod(v string) (rnknn.Method, error) {
 	if v == "" {
-		return rnknn.MethodAuto.String(), rnknn.MethodAuto, nil
+		return rnknn.MethodAuto, nil
 	}
-	m, err := rnknn.ParseMethod(v)
-	if err != nil {
-		return "", 0, err
-	}
-	return m.String(), m, nil
+	return rnknn.ParseMethod(v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
