@@ -656,9 +656,9 @@ func BenchmarkObjectChurn(b *testing.B) {
 
 // BenchmarkOpenFromSnapshot is the warm-start acceptance benchmark: one
 // self-contained snapshot of the shared bench DB (graph + G-tree + PHL
-// indexes), opened per op either through the fully verified streaming
-// decode (mode=decode) or through the mmap zero-copy path (mode=mmap,
-// rnknn.OpenSnapshotFile). Answers must match the building DB before any
+// indexes), opened per op either through the fully verified decode of
+// bytes in memory (mode=decode, rnknn.OpenFromSnapshot) or through the
+// mmap zero-copy path (mode=mmap, rnknn.OpenSnapshotFile). Answers must match the building DB before any
 // timing. Both modes report open-ms and the snapshot size; the mmap mode
 // additionally reports its speedup over decode and hard-fails below 10x,
 // so the "warm start costs page faults, not a decode of every byte" claim

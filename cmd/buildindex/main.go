@@ -9,7 +9,7 @@
 // and rnknnd -snapshot open them zero-copy with no other input. Two more
 // modes feed the continental-scale path:
 //
-//	buildindex -graph NY.rnkn -methods Gtree -o ny.rnks       # a gendata -dimacs import
+//	buildindex -graph NY.rnks -methods Gtree -o ny.rnks       # a gendata -dimacs import
 //	buildindex -network DE -shards 4 -o de-shards -verify     # a shard set for rnknnd -shards
 //
 // The snapshot format is specified in docs/SNAPSHOT_FORMAT.md.
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"rnknn/internal/cliutil"
+	"rnknn/internal/core"
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
 	"rnknn/pkg/rnknn"
@@ -32,7 +33,7 @@ import (
 func main() {
 	var (
 		network   = flag.String("network", "NW", "ladder network name")
-		graphFile = flag.String("graph", "", "read the road network from a .rnkn graph file (see gendata -dimacs-gr) instead of -network")
+		graphFile = flag.String("graph", "", "read the road network from a .rnks snapshot's graph (see gendata -dimacs-gr) instead of -network")
 		methods   = flag.String("methods", "IER-PHL,Gtree", "comma-separated method names whose indexes to build, or 'all'")
 		out       = flag.String("o", "", "output snapshot path (default <network>.rnks); with -shards, the shard set directory (default <network>-shards)")
 		timeW     = flag.Bool("traveltime", false, "use travel-time weights")
@@ -58,14 +59,8 @@ func main() {
 
 	var g *graph.Graph
 	if *graphFile != "" {
-		f, err := os.Open(*graphFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graph:", err)
-			os.Exit(1)
-		}
-		g, err = graph.Read(f)
-		f.Close()
-		if err != nil {
+		var err error
+		if g, err = loadGraph(*graphFile); err != nil {
 			fmt.Fprintln(os.Stderr, "graph:", err)
 			os.Exit(1)
 		}
@@ -146,6 +141,26 @@ func main() {
 		requireLoaded(db2.Stats())
 		fmt.Printf("verify: reloaded every index in %s\n", time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// loadGraph reads the graph of a snapshot — typically the graph-only one
+// gendata -dimacs-gr writes — on the verified path (checksums and the
+// structural scan), then runs the full Validate: positive, symmetric
+// weights never below the Euclidean distance, which IER's lower bound
+// relies on.
+func loadGraph(path string) (*graph.Graph, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	g, _, err := core.LoadGraphData(data, false)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: invalid graph: %w", path, err)
+	}
+	return g, nil
 }
 
 // requireLoaded exits unless every index of a re-opened DB came from the

@@ -5,19 +5,23 @@
 // It also imports real road networks from the 9th DIMACS Implementation
 // Challenge (see cmd/README.md for download instructions):
 //
-//	gendata -dimacs-gr USA-road-d.NY.gr.gz -dimacs-co USA-road-d.NY.co.gz -o NY.rnkn
+//	gendata -dimacs-gr USA-road-d.NY.gr.gz -dimacs-co USA-road-d.NY.co.gz -o NY.rnks
 //
-// The written .rnkn graph file feeds buildindex -graph and from there the
-// sharded serving path.
+// The written file is a graph-only snapshot (docs/SNAPSHOT_FORMAT.md), the
+// one file format this system reads or writes. It feeds buildindex -graph
+// and from there the sharded serving path.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"rnknn/internal/cliutil"
+	"rnknn/internal/core"
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
 )
@@ -28,7 +32,7 @@ func main() {
 		pois     = flag.Bool("pois", false, "also list POI categories per network")
 		dimacsGr = flag.String("dimacs-gr", "", "DIMACS .gr[.gz] graph file to import (with -dimacs-co and -o)")
 		dimacsCo = flag.String("dimacs-co", "", "DIMACS .co[.gz] coordinate file to import")
-		outPath  = flag.String("o", "", "output .rnkn graph file for -dimacs import")
+		outPath  = flag.String("o", "", "output .rnks graph-only snapshot for -dimacs import")
 		outName  = flag.String("name", "", "graph name for -dimacs import (default: output file base name)")
 	)
 	flag.Parse()
@@ -37,7 +41,14 @@ func main() {
 		if *dimacsGr == "" || *dimacsCo == "" || *outPath == "" {
 			cliutil.UsageExit("", "-dimacs-gr, -dimacs-co, and -o must be given together")
 		}
-		importDIMACS(*dimacsGr, *dimacsCo, *outPath, *outName)
+		start := time.Now()
+		g, err := importDIMACS(*dimacsGr, *dimacsCo, *outPath, *outName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dimacs:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("imported %s: |V|=%d |E|=%d in %s -> %s\n",
+			g.Name, g.NumVertices(), g.NumEdges()/2, time.Since(start).Round(time.Millisecond), *outPath)
 		return
 	}
 
@@ -63,54 +74,36 @@ func main() {
 	}
 }
 
-// importDIMACS converts a DIMACS .gr/.co pair to the library's graph file
-// format.
-func importDIMACS(grPath, coPath, outPath, name string) {
+// importDIMACS converts a DIMACS .gr/.co pair to a graph-only snapshot at
+// outPath and returns the graph. The name defaults to outPath's base name
+// without its .rnks extension.
+func importDIMACS(grPath, coPath, outPath, name string) (*graph.Graph, error) {
 	if name == "" {
-		base := outPath
-		if i := len(base) - len(".rnkn"); i > 0 && base[i:] == ".rnkn" {
-			base = base[:i]
-		}
-		for i := len(base) - 1; i >= 0; i-- {
-			if base[i] == '/' {
-				base = base[i+1:]
-				break
-			}
-		}
-		name = base
+		name = strings.TrimSuffix(filepath.Base(outPath), ".rnks")
 	}
 	grF, err := os.Open(grPath)
 	if err != nil {
-		fatal("dimacs:", err)
+		return nil, err
 	}
 	defer grF.Close()
 	coF, err := os.Open(coPath)
 	if err != nil {
-		fatal("dimacs:", err)
+		return nil, err
 	}
 	defer coF.Close()
-	start := time.Now()
 	g, err := gen.ReadDIMACS(grF, coF, name)
 	if err != nil {
-		fatal("dimacs:", err)
+		return nil, err
 	}
 	out, err := os.Create(outPath)
 	if err != nil {
-		fatal("dimacs:", err)
+		return nil, err
 	}
-	if err := g.Write(out); err != nil {
-		fatal("dimacs: write:", err)
+	if err := core.New(g).SaveIndexes(out); err != nil {
+		out.Close()
+		return nil, err
 	}
-	if err := out.Close(); err != nil {
-		fatal("dimacs: write:", err)
-	}
-	fmt.Printf("imported %s: |V|=%d |E|=%d in %s -> %s\n",
-		name, g.NumVertices(), g.NumEdges()/2, time.Since(start).Round(time.Millisecond), outPath)
-}
-
-func fatal(prefix string, err error) {
-	fmt.Fprintln(os.Stderr, prefix, err)
-	os.Exit(1)
+	return g, out.Close()
 }
 
 // fastEdgeFraction reports the share of edges faster than local speed

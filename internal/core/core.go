@@ -126,12 +126,12 @@ type Engine struct {
 
 	// BuildTimes records the wall-clock construction time of each index by
 	// name ("Gtree", "ROAD", "SILC", "CH", "PHL", "TNR") — or, for indexes
-	// installed by LoadIndexes, the snapshot decode time. Read it only
+	// installed by LoadIndexesData, the snapshot decode time. Read it only
 	// after the builds of interest have completed (single-goroutine
 	// harness code); concurrent readers use BuiltIndexes.
 	BuildTimes map[string]time.Duration
 
-	// loaded marks indexes that came from a snapshot (LoadIndexes) rather
+	// loaded marks indexes that came from a snapshot (LoadIndexesData) rather
 	// than being constructed; guarded by mu, surfaced via IndexInfo.Loaded.
 	loaded map[string]bool
 
@@ -259,7 +259,7 @@ type IndexInfo struct {
 	// Loaded is true.
 	BuildTime time.Duration
 	SizeBytes int
-	// Loaded reports that the index was installed by LoadIndexes instead of
+	// Loaded reports that the index was installed by LoadIndexesData instead of
 	// being built.
 	Loaded bool
 }

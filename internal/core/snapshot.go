@@ -1,12 +1,12 @@
 // Index persistence for the engine: SaveIndexes writes every built index
-// (and the graph itself) into one snapshot container, LoadIndexes installs
-// indexes decoded from a snapshot so the lazy-build getters find them
-// already present. Decoding runs in parallel across sections (CH first —
-// TNR shares the hierarchy, a dependency the v2 container records
-// explicitly), and BuiltIndexes distinguishes loaded from built entries so
-// callers can verify a warm start skipped construction. LoadIndexesData is
-// the zero-copy path: over an mmap'ed snapshot the mappable sections
-// decode into structs whose slices alias the mapping.
+// (and the graph itself) into one snapshot container, LoadIndexesData
+// installs indexes decoded from a snapshot held whole in memory, so the
+// lazy-build getters find them already present. Decoding runs in parallel
+// across sections (CH first — TNR shares the hierarchy, a dependency the
+// container records explicitly), and BuiltIndexes distinguishes loaded from
+// built entries so callers can verify a warm start skipped construction.
+// Over an mmap'ed snapshot the mappable sections decode into structs whose
+// slices alias the mapping.
 package core
 
 import (
@@ -107,30 +107,23 @@ func (e *Engine) SaveIndexes(w io.Writer) error {
 	return snapshot.Write(w, e.Fingerprint(), secs)
 }
 
-// LoadIndexes reads a snapshot written by SaveIndexes and installs every
-// index it contains that the engine has not already built, so the lazy
-// getters (and EnsureIndex) treat them as present. The snapshot must carry
-// the fingerprint of the engine's graph (ErrFingerprintMismatch otherwise);
+// LoadIndexesData parses a snapshot written by SaveIndexes, held whole in
+// data (read into the heap or mapped), and installs every index it
+// contains that the engine has not already built, so the lazy getters (and
+// EnsureIndex) treat them as present. The snapshot must carry the
+// fingerprint of the engine's graph (ErrFingerprintMismatch otherwise);
 // corrupt containers or payloads surface ErrBadSnapshot. Sections decode in
 // parallel across CPU cores; unknown section names are skipped (that is how
 // old binaries read snapshots that carry indexes added later). BuildTimes
 // records the decode time of each loaded index, and BuiltIndexes marks it
 // Loaded.
-func (e *Engine) LoadIndexes(r io.Reader) error {
-	payloads, err := snapshot.Read(r, e.Fingerprint())
-	if err != nil {
-		return err
-	}
-	return e.installPayloads(payloads, false)
-}
-
-// LoadIndexesData is LoadIndexes over a snapshot already materialized (or
-// mapped) as one byte slice. With alias set, mappable sections decode into
-// indexes whose slices are views of data — data must then stay valid (and
-// unmodified) for the life of the engine — and checksum verification is
-// skipped along with the per-element validation scans: a mapped open's
-// cost is O(pages touched), and verifying would touch them all. Pass
-// alias=false for private decoding with full verification.
+//
+// With alias set, mappable sections decode into indexes whose slices are
+// views of data — data must then stay valid (and unmodified) for the life
+// of the engine — and checksum verification is skipped along with the
+// per-element validation scans: a mapped open's cost is O(pages touched),
+// and verifying would touch them all. Pass alias=false for private
+// decoding with full verification.
 func (e *Engine) LoadIndexesData(data []byte, alias bool) error {
 	fp, payloads, err := snapshot.Parse(data, !alias)
 	if err != nil {
@@ -179,9 +172,9 @@ func (e *Engine) installPayloads(payloads []snapshot.Payload, alias bool) error 
 	}
 
 	// CH decodes first: TNR shares the hierarchy object, and an engine that
-	// already built one reuses it. (The v2 container validates the declared
-	// CH-before-TNR table ordering at parse time; the check below also
-	// covers v1 snapshots, which had no way to declare it.)
+	// already built one reuses it. (Parse enforces a declared CH-before-TNR
+	// ordering, but a container may omit the declaration, so the check
+	// below stays.)
 	e.mu.Lock()
 	chx := e.chx
 	e.mu.Unlock()

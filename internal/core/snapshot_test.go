@@ -45,7 +45,7 @@ func TestSnapshotRoundTripAllMethods(t *testing.T) {
 			t.Fatalf("%s: save: %v", g.Name, err)
 		}
 		loaded := core.New(g)
-		if err := loaded.LoadIndexes(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := loaded.LoadIndexesData(buf.Bytes(), false); err != nil {
 			t.Fatalf("%s: load: %v", g.Name, err)
 		}
 		for name, info := range loaded.BuiltIndexes() {
@@ -106,7 +106,7 @@ func TestSnapshotLoadDoesNotRebuild(t *testing.T) {
 	}
 
 	loaded := core.New(g)
-	if err := loaded.LoadIndexes(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := loaded.LoadIndexesData(buf.Bytes(), false); err != nil {
 		t.Fatal(err)
 	}
 	gt := loaded.GtreeIndex()
@@ -141,13 +141,13 @@ func TestSnapshotGraphMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := core.New(g2)
-	err := e2.LoadIndexes(bytes.NewReader(buf.Bytes()))
+	err := e2.LoadIndexesData(buf.Bytes(), false)
 	if !errors.Is(err, snapshot.ErrFingerprintMismatch) {
 		t.Fatalf("want ErrFingerprintMismatch, got %v", err)
 	}
 	// The weight view is part of the fingerprint too.
 	e3 := core.New(g1.View(graph.TravelTime))
-	if err := e3.LoadIndexes(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrFingerprintMismatch) {
+	if err := e3.LoadIndexesData(buf.Bytes(), false); !errors.Is(err, snapshot.ErrFingerprintMismatch) {
 		t.Fatalf("want ErrFingerprintMismatch for weight view, got %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	data := buf.Bytes()
 
 	for _, cut := range []int{1, len(data) / 3, len(data) - 1} {
-		err := core.New(g).LoadIndexes(bytes.NewReader(data[:cut]))
+		err := core.New(g).LoadIndexesData(data[:cut], false)
 		if !errors.Is(err, snapshot.ErrBadSnapshot) {
 			t.Fatalf("truncate at %d: want ErrBadSnapshot, got %v", cut, err)
 		}
@@ -176,7 +176,7 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	for pos := 0; pos < len(data); pos += len(data)/13 + 1 {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x40
-		err := core.New(g).LoadIndexes(bytes.NewReader(mut))
+		err := core.New(g).LoadIndexesData(mut, false)
 		if err == nil {
 			t.Fatalf("flip at %d: corruption not detected", pos)
 		}
@@ -197,7 +197,7 @@ func TestSnapshotTNRWithoutCHRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-frame the container keeping only the TNR section.
-	payloads, err := snapshot.Read(bytes.NewReader(buf.Bytes()), snapshot.Fingerprint(g))
+	_, payloads, err := snapshot.Parse(buf.Bytes(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSnapshotTNRWithoutCHRejected(t *testing.T) {
 	if err := snapshot.Write(&tnrOnly, snapshot.Fingerprint(g), secs); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.New(g).LoadIndexes(bytes.NewReader(tnrOnly.Bytes())); !errors.Is(err, snapshot.ErrBadSnapshot) {
+	if err := core.New(g).LoadIndexesData(tnrOnly.Bytes(), false); !errors.Is(err, snapshot.ErrBadSnapshot) {
 		t.Fatalf("want ErrBadSnapshot for TNR without CH, got %v", err)
 	}
 }
@@ -238,8 +238,7 @@ func TestSnapshotV1SectionRejected(t *testing.T) {
 	if err := e.SaveIndexes(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fp := snapshot.Fingerprint(g)
-	payloads, err := snapshot.Read(bytes.NewReader(buf.Bytes()), fp)
+	fp, payloads, err := snapshot.Parse(buf.Bytes(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +263,7 @@ func TestSnapshotV1SectionRejected(t *testing.T) {
 		if err := snapshot.Write(&v1, fp, secs); err != nil {
 			t.Fatal(err)
 		}
-		if err := core.New(g).LoadIndexes(bytes.NewReader(v1.Bytes())); !errors.Is(err, snapshot.ErrBadSnapshot) {
+		if err := core.New(g).LoadIndexesData(v1.Bytes(), false); !errors.Is(err, snapshot.ErrBadSnapshot) {
 			t.Errorf("%s stamped v1, decoded: want ErrBadSnapshot, got %v", victim.Name, err)
 		}
 		if err := core.New(g).LoadIndexesData(v1.Bytes(), true); !errors.Is(err, snapshot.ErrBadSnapshot) {

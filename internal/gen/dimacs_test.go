@@ -3,40 +3,32 @@ package gen_test
 import (
 	"bytes"
 	"compress/gzip"
+	"os"
 	"strings"
 	"testing"
 
 	"rnknn/internal/gen"
 )
 
-// A tiny DIMACS pair: a 5-vertex path plus a chord, arcs in both
-// directions as real DIMACS files have, with comment lines interleaved.
-const testGr = `c tiny test graph
-p sp 5 12
-a 1 2 10
-a 2 1 10
-a 2 3 12
-a 3 2 12
-a 3 4 9
-a 4 3 9
-a 4 5 14
-a 5 4 14
-a 1 3 25
-a 3 1 25
-a 2 4 20
-a 4 2 20
-`
-
-const testCo = `c coordinates
-p aux sp co 5
-v 1 0 0
-v 2 1000 0
-v 3 2000 500
-v 4 3000 0
-v 5 4000 0
-`
+// tinyPair returns the tiny DIMACS pair in testdata: a 5-vertex path plus a
+// chord, arcs in both directions as real DIMACS files have, with comment
+// lines interleaved. The cmd/gendata and cmd/buildindex import tests read
+// the same two files.
+func tinyPair(t *testing.T) (gr, co string) {
+	t.Helper()
+	grB, err := os.ReadFile("testdata/tiny.gr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coB, err := os.ReadFile("testdata/tiny.co")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(grB), string(coB)
+}
 
 func TestReadDIMACS(t *testing.T) {
+	testGr, testCo := tinyPair(t)
 	g, err := gen.ReadDIMACS(strings.NewReader(testGr), strings.NewReader(testCo), "tiny")
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +65,7 @@ func TestReadDIMACSGzip(t *testing.T) {
 		zw.Close()
 		return bytes.NewReader(buf.Bytes())
 	}
+	testGr, testCo := tinyPair(t)
 	g, err := gen.ReadDIMACS(gz(testGr), gz(testCo), "tinygz")
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +107,7 @@ v 6 40 0
 }
 
 func TestReadDIMACSErrors(t *testing.T) {
+	testGr, testCo := tinyPair(t)
 	cases := []struct{ gr, co string }{
 		{"a 1 2 3\n", testCo},                    // arc before problem line
 		{"p sp 5 1\na 1 9 3\n", testCo},          // vertex out of range

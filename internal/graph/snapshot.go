@@ -4,12 +4,6 @@
 // decoded Graph's slices alias the mapping. This is what makes a snapshot
 // self-contained: a process can open one file and get graph plus indexes
 // without re-reading the network from its original source.
-//
-// This is a different artifact from the standalone .rnkn graph file
-// (io.go): that format is a transport for graphs alone, fully validated on
-// read; this section lives inside an index snapshot whose container
-// already binds it to a fingerprint, and its aliased decode deliberately
-// skips the O(V+E) deep validation that would fault in every page.
 package graph
 
 import (

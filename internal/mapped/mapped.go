@@ -33,32 +33,24 @@ func Open(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Closing f does not invalidate an established mapping.
 	defer f.Close()
-	return OpenFile(f)
-}
-
-// OpenFile maps (or reads) f, which the caller remains responsible for
-// closing — closing f does not invalidate an established mapping.
-func OpenFile(f *os.File) (*Snapshot, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	size := fi.Size()
 	if size <= 0 {
-		return nil, fmt.Errorf("mapped: %s is empty", f.Name())
+		return nil, fmt.Errorf("mapped: %s is empty", path)
 	}
 	if size <= int64(^uint(0)>>1) {
 		if s, err := mmapFile(f, int(size)); err == nil {
 			return s, nil
 		}
 	}
-	// Fallback: a private in-memory copy (pipes, exotic filesystems,
-	// platforms without mmap). Callers treat it identically, just without
-	// the zero-copy and page-cache-sharing properties.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
+	// Fallback: a private in-memory copy (exotic filesystems, platforms
+	// without mmap). Callers treat it identically, just without the
+	// zero-copy and page-cache-sharing properties.
 	data, err := io.ReadAll(f)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,7 @@ import (
 	"os"
 )
 
-// mmapFile always fails on platforms without unix mmap; OpenFile falls
+// mmapFile always fails on platforms without unix mmap; Open falls
 // back to reading the file into private memory.
 func mmapFile(f *os.File, size int) (*Snapshot, error) {
 	return nil, errors.New("mapped: mmap unsupported on this platform")

@@ -29,23 +29,25 @@ func Encode(t *Tree, w *snapio.Writer) {
 	w.RawI32s(t.LeafSeq)
 }
 
-// maxTreeNodes bounds the node count read from a snapshot so a corrupt
-// prefix cannot drive a huge allocation (the deepest real hierarchies are a
-// few thousand nodes).
-const maxTreeNodes = 1 << 26
+// minNodeBytes is the smallest encoding of one node: four u32 fields and
+// two array length prefixes. Bounding the node count by the bytes left
+// keeps a corrupt count from driving an allocation the payload cannot back.
+const minNodeBytes = 4*4 + 2*4
 
 // Decode reads a tree written by Encode for a graph of numVertices vertices,
 // validating structural invariants (indexes in range, per-vertex maps the
-// right length). With an aliasing source the arrays are views of the mapping
-// and the per-element range scans are skipped. On any inconsistency Decode
-// records an error on r and returns nil.
+// right length, and the shape Build emits: every node after its parent, one
+// level below it, and listed as its parent's child — so walks up and down
+// the tree terminate). With an aliasing source the arrays are views of the
+// mapping and the per-element range scans are skipped. On any
+// inconsistency Decode records an error on r and returns nil.
 func Decode(r *snapio.Source, numVertices int) *Tree {
 	t := &Tree{Fanout: int(r.U32())}
 	count := int(r.U32())
 	if r.Err() != nil {
 		return nil
 	}
-	if count <= 0 || count > maxTreeNodes {
+	if count <= 0 || count > r.Remaining()/minNodeBytes {
 		r.Failf("partition tree has implausible node count %d", count)
 		return nil
 	}
@@ -61,16 +63,16 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 		if r.Err() != nil {
 			return nil
 		}
-		if (i == 0) != (n.Parent == -1) {
-			r.Failf("partition node %d parent %d (only the root may be -1)", i, n.Parent)
+		if i == 0 && (n.Parent != -1 || n.Level != 0) {
+			r.Failf("partition root has parent %d, level %d", n.Parent, n.Level)
 			return nil
 		}
-		if i > 0 && (n.Parent < 0 || int(n.Parent) >= count) {
-			r.Failf("partition node %d parent %d out of range", i, n.Parent)
+		if i > 0 && (n.Parent < 0 || int(n.Parent) >= i || n.Level != t.Nodes[n.Parent].Level+1) {
+			r.Failf("partition node %d (level %d) does not follow its parent %d", i, n.Level, n.Parent)
 			return nil
 		}
 		for _, c := range n.Children {
-			if c <= 0 || int(c) >= count {
+			if int(c) <= i || int(c) >= count {
 				r.Failf("partition node %d child %d out of range", i, c)
 				return nil
 			}
@@ -81,6 +83,14 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 					r.Failf("partition node %d vertex %d out of range", i, v)
 					return nil
 				}
+			}
+		}
+	}
+	for i := range t.Nodes {
+		for _, c := range t.Nodes[i].Children {
+			if t.Nodes[c].Parent != int32(i) {
+				r.Failf("partition node %d lists child %d, whose parent is %d", i, c, t.Nodes[c].Parent)
+				return nil
 			}
 		}
 	}

@@ -1,11 +1,15 @@
 package partition_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
 	"rnknn/internal/partition"
+	"rnknn/internal/snapio"
 )
 
 func testGraph(t testing.TB) *graph.Graph {
@@ -155,5 +159,55 @@ func TestExtractCSR(t *testing.T) {
 	}
 	if off[len(verts)] != wantEdges {
 		t.Fatalf("extracted %d edges, want %d", off[len(verts)], wantEdges)
+	}
+}
+
+// TestDecodeRejectsMalformedShape: Decode refuses, on the decoding and the
+// aliasing path alike, a tree whose walks up or down might not terminate
+// (a parent at or after its child, a level that does not follow the
+// parent's, a child list the parent links disagree with) and a node count
+// the payload cannot back.
+func TestDecodeRejectsMalformedShape(t *testing.T) {
+	g := testGraph(t)
+	good := partition.Build(g, partition.Options{Fanout: 4, MaxLeafSize: 30})
+	encode := func(tr *partition.Tree) []byte {
+		var buf bytes.Buffer
+		w := snapio.NewWriter(&buf)
+		partition.Encode(tr, w)
+		if _, err := w.Result(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	decodes := func(data []byte) (ok [2]bool) {
+		for i, alias := range []bool{false, true} {
+			r := snapio.NewSource(data, alias)
+			ok[i] = partition.Decode(r, g.NumVertices()) != nil && r.Err() == nil
+		}
+		return ok
+	}
+	if ok := decodes(encode(good)); !ok[0] || !ok[1] {
+		t.Fatalf("the built tree must decode: %v", ok)
+	}
+	grandchild := good.Nodes[1].Children[0]
+	for name, mutate := range map[string]func(n []partition.Node){
+		"root below level 0":  func(n []partition.Node) { n[0].Level = 1 },
+		"parent after child":  func(n []partition.Node) { n[1].Parent = int32(len(n) - 1) },
+		"parent cycle":        func(n []partition.Node) { n[1].Parent, n[2].Parent = 2, 1 },
+		"level skips":         func(n []partition.Node) { n[1].Level = 3 },
+		"child of another":    func(n []partition.Node) { n[0].Children = append(slices.Clone(n[0].Children), grandchild) },
+		"child before parent": func(n []partition.Node) { n[2].Children = []int32{1} },
+	} {
+		bad := *good
+		bad.Nodes = slices.Clone(good.Nodes)
+		mutate(bad.Nodes)
+		if ok := decodes(encode(&bad)); ok[0] || ok[1] {
+			t.Errorf("%s: decoded (decode, alias) = %v", name, ok)
+		}
+	}
+	huge := encode(good)
+	binary.LittleEndian.PutUint32(huge[4:], 1<<26) // the node count
+	if ok := decodes(huge); ok[0] || ok[1] {
+		t.Errorf("a node count the payload cannot back decoded: %v", ok)
 	}
 }

@@ -45,7 +45,7 @@ import (
 const Magic = "RNKS"
 
 // Version is the container format version this package writes, and the only
-// one Read and Parse accept.
+// one Parse accepts.
 const Version = 2
 
 // maxSections bounds the section table so a corrupt count cannot drive a
@@ -119,10 +119,10 @@ type Section struct {
 	Mappable bool
 }
 
-// Payload is one named section read back from a snapshot. Read verifies
-// checksums; Parse leaves verification to the caller's choice (an mmap'ed
-// open skips it — checksumming would fault in every page). Data aliases
-// the parsed buffer when Parse produced it.
+// Payload is one named section read back from a snapshot by Parse, which
+// leaves checksum verification to the caller's choice (an mmap'ed open
+// skips it — checksumming would fault in every page). Data aliases the
+// parsed buffer.
 type Payload struct {
 	Name     string
 	Data     []byte
@@ -254,40 +254,26 @@ type tableEntry struct {
 	crc      uint32
 }
 
-// countingReader tracks how many bytes have been consumed, giving
-// readHeader the header length.
-type countingReader struct {
-	r io.Reader
-	n uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += uint64(n)
-	return n, err
-}
-
-// readHeader parses the fixed header and section table from r and returns
-// the fingerprint, the entries with absolute payload offsets, and the
-// header length in bytes. Dependencies are validated here: each must name a
-// section earlier in the table.
-func readHeader(rr io.Reader) (fp uint64, entries []tableEntry, headerLen uint64, err error) {
-	r := &countingReader{r: rr}
+// readHeader parses the fixed header and section table from the start of r
+// and returns the fingerprint and the entries with absolute payload
+// offsets. Dependencies are validated here: each must name a section
+// earlier in the table.
+func readHeader(r *bytes.Reader) (fp uint64, entries []tableEntry, err error) {
 	var hdr [4 + 4 + 8 + 4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: short header: %v", ErrBadSnapshot, err)
+		return 0, nil, fmt.Errorf("%w: short header: %v", ErrBadSnapshot, err)
 	}
 	if string(hdr[:4]) != Magic {
-		return 0, nil, 0, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, hdr[:4])
+		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, hdr[:4])
 	}
 	le := binary.LittleEndian
 	if version := le.Uint32(hdr[4:8]); version != Version {
-		return 0, nil, 0, fmt.Errorf("%w: unsupported format version %d (want %d)", ErrBadSnapshot, version, Version)
+		return 0, nil, fmt.Errorf("%w: unsupported format version %d (want %d)", ErrBadSnapshot, version, Version)
 	}
 	fp = le.Uint64(hdr[8:16])
 	count := int(le.Uint32(hdr[16:20]))
 	if count < 0 || count > maxSections {
-		return 0, nil, 0, fmt.Errorf("%w: implausible section count %d", ErrBadSnapshot, count)
+		return 0, nil, fmt.Errorf("%w: implausible section count %d", ErrBadSnapshot, count)
 	}
 
 	var scratch [8]byte
@@ -314,80 +300,60 @@ func readHeader(rr io.Reader) (fp uint64, entries []tableEntry, headerLen uint64
 	for i := range entries {
 		e := &entries[i]
 		if e.name, err = readName(); err != nil {
-			return 0, nil, 0, err
+			return 0, nil, err
 		}
 		if e.name == "" {
-			return 0, nil, 0, fmt.Errorf("%w: empty section name at entry %d", ErrBadSnapshot, i)
+			return 0, nil, fmt.Errorf("%w: empty section name at entry %d", ErrBadSnapshot, i)
 		}
 		if _, dup := position[e.name]; dup {
-			return 0, nil, 0, fmt.Errorf("%w: duplicate section %q", ErrBadSnapshot, e.name)
+			return 0, nil, fmt.Errorf("%w: duplicate section %q", ErrBadSnapshot, e.name)
 		}
 		b, err := readN(1)
 		if err != nil {
-			return 0, nil, 0, err
+			return 0, nil, err
 		}
 		ndeps := int(b[0])
 		for d := 0; d < ndeps; d++ {
 			dep, err := readName()
 			if err != nil {
-				return 0, nil, 0, err
+				return 0, nil, err
 			}
 			if _, ok := position[dep]; !ok {
-				return 0, nil, 0, fmt.Errorf("%w: section %q depends on %q, which does not appear earlier in the table", ErrBadSnapshot, e.name, dep)
+				return 0, nil, fmt.Errorf("%w: section %q depends on %q, which does not appear earlier in the table", ErrBadSnapshot, e.name, dep)
 			}
 			e.deps = append(e.deps, dep)
 		}
 		if b, err = readN(4); err != nil {
-			return 0, nil, 0, err
+			return 0, nil, err
 		}
 		e.mappable = le.Uint32(b)&FlagMappable != 0
 		if b, err = readN(8); err != nil {
-			return 0, nil, 0, err
+			return 0, nil, err
 		}
 		e.off = le.Uint64(b)
 		if b, err = readN(8); err != nil {
-			return 0, nil, 0, err
+			return 0, nil, err
 		}
 		e.size = le.Uint64(b)
+		// Bounding size and offset keeps off+size from overflowing.
 		if e.size > 1<<40 {
-			return 0, nil, 0, fmt.Errorf("%w: implausible section size %d", ErrBadSnapshot, e.size)
+			return 0, nil, fmt.Errorf("%w: implausible section size %d", ErrBadSnapshot, e.size)
 		}
 		if b, err = readN(4); err != nil {
-			return 0, nil, 0, err
+			return 0, nil, err
 		}
 		e.crc = le.Uint32(b)
 		position[e.name] = i
 	}
-	headerLen = r.n
-
-	pos := headerLen
+	pos := uint64(r.Size() - int64(r.Len())) // the header length
 	for i := range entries {
 		e := &entries[i]
 		if e.off < pos || e.off > 1<<40 {
-			return 0, nil, 0, fmt.Errorf("%w: section %q offset %d overlaps preceding data", ErrBadSnapshot, e.name, e.off)
+			return 0, nil, fmt.Errorf("%w: section %q offset %d overlaps preceding data", ErrBadSnapshot, e.name, e.off)
 		}
 		pos = e.off + e.size
 	}
-	return fp, entries, headerLen, nil
-}
-
-// readPayload reads one section payload of the declared size in bounded
-// chunks, so a corrupt size field in the (unchecksummed) section table costs
-// at most one chunk of over-allocation before the truncated stream surfaces
-// as ErrBadSnapshot — never an OOM-sized make.
-func readPayload(r io.Reader, name string, size uint64) ([]byte, error) {
-	const chunk = 1 << 22 // 4 MiB
-	data := make([]byte, 0, min(size, chunk))
-	for remaining := size; remaining > 0; {
-		step := min(remaining, chunk)
-		off := len(data)
-		data = append(data, make([]byte, step)...)
-		if _, err := io.ReadFull(r, data[off:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated section %s: %v", ErrBadSnapshot, name, err)
-		}
-		remaining -= step
-	}
-	return data, nil
+	return fp, entries, nil
 }
 
 // verifyCRCs checks every payload's checksum in parallel, one goroutine
@@ -413,50 +379,16 @@ func verifyCRCs(payloads []Payload, entries []tableEntry) error {
 	return nil
 }
 
-// Read parses a snapshot, rejects it unless its fingerprint equals
-// fingerprint, and returns the sections with checksums verified (in
-// parallel). Section payloads are fully materialized in memory — they
-// decode into in-memory indexes anyway. For zero-copy access to an
-// mmap'ed snapshot, use Parse instead.
-func Read(r io.Reader, fingerprint uint64) ([]Payload, error) {
-	fp, entries, headerLen, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if fp != fingerprint {
-		return nil, fmt.Errorf("%w: snapshot %016x vs graph %016x", ErrFingerprintMismatch, fp, fingerprint)
-	}
-	payloads := make([]Payload, len(entries))
-	pos := headerLen
-	for i, e := range entries {
-		if e.off > pos {
-			// Alignment padding between sections.
-			if _, err := io.CopyN(io.Discard, r, int64(e.off-pos)); err != nil {
-				return nil, fmt.Errorf("%w: truncated padding before section %s: %v", ErrBadSnapshot, e.name, err)
-			}
-			pos = e.off
-		}
-		data, err := readPayload(r, e.name, e.size)
-		if err != nil {
-			return nil, err
-		}
-		payloads[i] = Payload{Name: e.name, Data: data, Mappable: e.mappable}
-		pos += e.size
-	}
-	if err := verifyCRCs(payloads, entries); err != nil {
-		return nil, err
-	}
-	return payloads, nil
-}
-
-// Parse reads a snapshot already materialized (or mapped) as one byte
-// slice and returns its fingerprint and sections, with each payload a view
-// of data — no copies. With verify set, checksums are validated (in
-// parallel) as Read does; a caller opening an mmap'ed snapshot passes
-// false, since checksumming would fault in every page and defeat the
-// O(page-faults) warm start — mapped opens trust the file.
+// Parse is the one snapshot reader. It reads a snapshot held whole in
+// memory — read into the heap or mapped — and returns its fingerprint and
+// sections, with each payload a view of data (no copies). A section that
+// runs past the end of data, as in a truncated file, is ErrBadSnapshot.
+// With verify set, checksums are validated in parallel; a caller opening
+// an mmap'ed snapshot passes false, since checksumming would fault in
+// every page and defeat the O(page-faults) warm start — mapped opens trust
+// the file.
 func Parse(data []byte, verify bool) (uint64, []Payload, error) {
-	fp, entries, _, err := readHeader(bytes.NewReader(data))
+	fp, entries, err := readHeader(bytes.NewReader(data))
 	if err != nil {
 		return 0, nil, err
 	}

@@ -27,9 +27,12 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err := snapshot.Write(&buf, 0xfeed, secs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := snapshot.Read(bytes.NewReader(buf.Bytes()), 0xfeed)
+	fp, got, err := snapshot.Parse(buf.Bytes(), true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fp != 0xfeed {
+		t.Fatalf("fingerprint %x", fp)
 	}
 	if len(got) != 3 {
 		t.Fatalf("got %d sections", len(got))
@@ -45,13 +48,18 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFingerprintMismatch: Parse reports the container's fingerprint
+// whether or not checksums are verified, so a caller (core.LoadIndexesData)
+// can refuse one that is not its graph's with ErrFingerprintMismatch.
 func TestFingerprintMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, 1, []snapshot.Section{sec("a", []byte("x"))}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.Read(bytes.NewReader(buf.Bytes()), 2); !errors.Is(err, snapshot.ErrFingerprintMismatch) {
-		t.Fatalf("want ErrFingerprintMismatch, got %v", err)
+	for _, verify := range []bool{true, false} {
+		if fp, _, err := snapshot.Parse(buf.Bytes(), verify); err != nil || fp != 1 {
+			t.Fatalf("verify=%v: fingerprint %d, err %v; want 1", verify, fp, err)
+		}
 	}
 }
 
@@ -72,9 +80,6 @@ func TestBadMagicAndVersion(t *testing.T) {
 	} {
 		bad := append([]byte(nil), data...)
 		row.mutate(bad)
-		if _, err := snapshot.Read(bytes.NewReader(bad), 1); !errors.Is(err, snapshot.ErrBadSnapshot) {
-			t.Errorf("%s: Read: %v", row.name, err)
-		}
 		if _, _, err := snapshot.Parse(bad, true); !errors.Is(err, snapshot.ErrBadSnapshot) {
 			t.Errorf("%s: Parse: %v", row.name, err)
 		}
@@ -88,13 +93,17 @@ func TestTruncationAndChecksum(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{0, 3, 10, 25, len(data) - 1} {
-		if _, err := snapshot.Read(bytes.NewReader(data[:cut]), 9); !errors.Is(err, snapshot.ErrBadSnapshot) {
-			t.Fatalf("truncate %d: %v", cut, err)
+		// A cut inside the header or the section table, and one inside the
+		// payload: the section then runs past the end of the data.
+		for _, verify := range []bool{true, false} {
+			if _, _, err := snapshot.Parse(data[:cut], verify); !errors.Is(err, snapshot.ErrBadSnapshot) {
+				t.Fatalf("truncate %d (verify=%v): %v", cut, verify, err)
+			}
 		}
 	}
 	flip := append([]byte(nil), data...)
 	flip[len(flip)-10] ^= 0xff // inside the payload
-	if _, err := snapshot.Read(bytes.NewReader(flip), 9); !errors.Is(err, snapshot.ErrBadSnapshot) {
+	if _, _, err := snapshot.Parse(flip, true); !errors.Is(err, snapshot.ErrBadSnapshot) {
 		t.Fatalf("checksum: %v", err)
 	}
 }

@@ -85,12 +85,12 @@ func TestDependencyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.Read(bytes.NewReader(good.Bytes()), 1); err != nil {
+	if _, payloads, err := snapshot.Parse(good.Bytes(), true); err != nil || len(payloads) != 2 {
 		t.Fatalf("valid dep order rejected: %v", err)
 	}
 
 	// Reversed order: Write preserves the order verbatim (validation is the
-	// reader's job, so tests can craft bad containers), Read must reject.
+	// reader's job, so tests can craft bad containers), Parse must reject.
 	var bad bytes.Buffer
 	err = snapshot.Write(&bad, 1, []snapshot.Section{
 		depSec("TNR", []string{"CH"}, false, []byte("transit nodes")),
@@ -99,7 +99,7 @@ func TestDependencyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = snapshot.Read(bytes.NewReader(bad.Bytes()), 1)
+	_, _, err = snapshot.Parse(bad.Bytes(), true)
 	if !errors.Is(err, snapshot.ErrBadSnapshot) {
 		t.Fatalf("want ErrBadSnapshot for TNR-before-CH, got %v", err)
 	}
@@ -115,11 +115,10 @@ func TestDependencyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.Read(bytes.NewReader(missing.Bytes()), 1); !errors.Is(err, snapshot.ErrBadSnapshot) {
-		t.Fatalf("want ErrBadSnapshot for missing dep, got %v", err)
-	}
-	if _, _, err := snapshot.Parse(missing.Bytes(), false); !errors.Is(err, snapshot.ErrBadSnapshot) {
-		t.Fatalf("Parse must enforce deps too, got %v", err)
+	for _, verify := range []bool{true, false} {
+		if _, _, err := snapshot.Parse(missing.Bytes(), verify); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Fatalf("verify=%v: want ErrBadSnapshot for missing dep, got %v", verify, err)
+		}
 	}
 }
 

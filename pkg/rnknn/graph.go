@@ -1,13 +1,9 @@
 package rnknn
 
-import (
-	"io"
-
-	"rnknn/internal/graph"
-)
+import "rnknn/internal/graph"
 
 // The graph construction surface, re-exported so external importers (which
-// cannot reach internal/ packages) can build, load and save road networks.
+// cannot reach internal/ packages) can build road networks.
 // In-module code may keep using internal/graph and internal/gen directly.
 
 // GraphBuilder accumulates undirected edges and produces a Graph in CSR
@@ -31,6 +27,3 @@ const (
 func NewGraphBuilder(n int, x, y []float64) *GraphBuilder {
 	return graph.NewBuilder(n, x, y)
 }
-
-// ReadGraph deserializes a Graph written with Graph.Write.
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }

@@ -87,10 +87,11 @@ func newSessionPool(eng *core.Engine, kind core.MethodKind) *sessionPool {
 }
 
 // get returns a session rebound to b, manufacturing one when the pool is
-// empty.
+// empty. Only a successful checkout counts: a failed manufacture hands out
+// nothing the caller could put back.
 func (p *sessionPool) get(b *core.Binding) (*pooledSession, error) {
-	p.gets.Add(1)
 	if ps, ok := p.pool.Get().(*pooledSession); ok {
+		p.gets.Add(1)
 		ps.sess.Rebind(b)
 		return ps, nil
 	}
@@ -98,6 +99,7 @@ func (p *sessionPool) get(b *core.Binding) (*pooledSession, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.gets.Add(1)
 	return newPooledSession(s), nil
 }
 

@@ -59,8 +59,10 @@
 //     matches the graph, builds whatever is missing, and saves the result
 //     back atomically. No other code changes; the second Open of the same
 //     graph skips every build (Stats reports Loaded per index).
-//   - OpenFromSnapshot(g, r): warm-start from a snapshot written earlier —
-//     typically by cmd/buildindex at deploy time.
+//   - OpenSnapshotFile(path) / OpenFromSnapshot(g, r): warm-start from a
+//     snapshot written earlier — typically by cmd/buildindex at deploy
+//     time. The first maps the file zero-copy; the second reads it into
+//     memory and decodes it with every check.
 //   - DB.SaveIndexes / DB.SaveIndexesFile: write the built indexes
 //     explicitly.
 //
@@ -74,7 +76,6 @@ package rnknn
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -110,15 +111,12 @@ type config struct {
 	objects []initialObjects
 	// cacheDir enables the transparent snapshot cache (WithIndexCache).
 	cacheDir string
-	// snapshotR, when non-nil, warm-starts Open from a snapshot
-	// (OpenFromSnapshot).
-	snapshotR io.Reader
-	// mmap selects the zero-copy load path for file-backed snapshots
-	// (WithMmap).
+	// mmap selects the zero-copy load path for the cache file (WithMmap).
 	mmap bool
-	// snap, when non-nil, is an already-opened snapshot whose bytes Open
-	// loads directly (OpenSnapshotFile); seedFP carries its container
-	// fingerprint so the engine never recomputes it from mapped pages.
+	// snap, when non-nil, is a snapshot whose bytes Open loads first:
+	// mapped by OpenSnapshotFile, read into the heap by OpenFromSnapshot.
+	// seedFP carries OpenSnapshotFile's container fingerprint so the engine
+	// never recomputes it from mapped pages.
 	snap      *mapped.Snapshot
 	seedFP    uint64
 	seedFPSet bool
@@ -201,7 +199,8 @@ type DB struct {
 	batchPT     *partition.Tree
 
 	// mapped, when non-nil, is the snapshot mapping this DB's graph and/or
-	// indexes alias (WithMmap, OpenSnapshotFile); released by Close.
+	// indexes alias (OpenSnapshotFile, or WithMmap on the cache); released
+	// by Close.
 	mapped *mapped.Snapshot
 
 	// shards, when non-nil, partitions every category's objects over the
@@ -277,27 +276,14 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 		_ = db.mapped.Close()
 		return nil, err
 	}
-	switch {
-	case cfg.snap != nil:
-		// OpenSnapshotFile: the snapshot is already open (and usually
-		// mapped); graph and mappable indexes alias its bytes.
-		db.mapped = cfg.snap
+	if cfg.snap != nil {
+		// A mapped snapshot stays held: the graph and mappable indexes alias
+		// it. Heap bytes are decoded into private copies and dropped.
+		if cfg.snap.Mapped {
+			db.mapped = cfg.snap
+		}
 		if err := db.eng.LoadIndexesData(cfg.snap.Data, cfg.snap.Mapped); err != nil {
 			return fail(err)
-		}
-	case cfg.snapshotR != nil:
-		f, isFile := cfg.snapshotR.(*os.File)
-		if cfg.mmap && isFile {
-			ms, err := mapped.OpenFile(f)
-			if err != nil {
-				return nil, err
-			}
-			db.mapped = ms
-			if err := db.eng.LoadIndexesData(ms.Data, ms.Mapped); err != nil {
-				return fail(err)
-			}
-		} else if err := db.eng.LoadIndexes(cfg.snapshotR); err != nil {
-			return nil, err
 		}
 	}
 	var cachePath string
@@ -306,8 +292,9 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 			return fail(err)
 		}
 		cachePath = cacheFilePath(cfg.cacheDir, g, db.eng.Fingerprint())
+		// Best effort: a missing, corrupt, or mismatched cache file just
+		// means the builds below run and refresh it.
 		if cfg.mmap && db.mapped == nil {
-			// Best effort, like the streamed load below.
 			if ms, err := mapped.Open(cachePath); err == nil {
 				if db.eng.LoadIndexesData(ms.Data, ms.Mapped) == nil {
 					db.mapped = ms
@@ -315,11 +302,8 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 					_ = ms.Close()
 				}
 			}
-		} else if f, err := os.Open(cachePath); err == nil {
-			// Best effort: a missing, corrupt, or mismatched cache file just
-			// means the builds below run and refresh it.
-			_ = db.eng.LoadIndexes(f)
-			f.Close()
+		} else if data, err := os.ReadFile(cachePath); err == nil {
+			_ = db.eng.LoadIndexesData(data, false)
 		}
 	}
 	for _, m := range db.methods {

@@ -5,6 +5,7 @@
 package rnknn
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -50,19 +51,27 @@ func WithIndexCache(dir string) Option {
 // by SaveIndexes (or cmd/buildindex): every index the snapshot carries is
 // loaded instead of built, and any enabled method whose index the snapshot
 // lacks is built as usual. The snapshot must match g (ErrFingerprintMismatch
-// otherwise); corrupt data surfaces ErrBadSnapshot.
+// otherwise); corrupt data surfaces ErrBadSnapshot. r is read to its end
+// into memory and decoded with every check (checksums included); the bytes
+// are not retained. To open a snapshot file zero-copy, use
+// OpenSnapshotFile.
 func OpenFromSnapshot(g *Graph, r io.Reader, opts ...Option) (*DB, error) {
-	opts = append(append([]Option(nil), opts...), func(c *config) { c.snapshotR = r })
+	// io.Copy hands a WriterTo source (a bytes.Reader) over in one write,
+	// so the buffer is sized once rather than regrown as io.ReadAll would.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, err
+	}
+	opts = append(append([]Option(nil), opts...), func(c *config) { c.snap = &mapped.Snapshot{Data: buf.Bytes()} })
 	return Open(g, opts...)
 }
 
 // WithMmap selects the zero-copy snapshot load path: when the snapshot
-// source is a file (OpenFromSnapshot with an *os.File, the WithIndexCache
-// file, or OpenSnapshotFile — which implies it), the file is mmap'ed
-// read-only and every mappable section decodes into slices that alias the
-// mapping. Warm start becomes O(pages touched) instead of O(bytes
-// decoded), and all processes opening the same snapshot share one physical
-// copy of it in the page cache.
+// source is a file (the WithIndexCache file, or OpenSnapshotFile — which
+// implies it), the file is mmap'ed read-only and every mappable section
+// decodes into slices that alias the mapping. Warm start becomes O(pages
+// touched) instead of O(bytes decoded), and all processes opening the same
+// snapshot share one physical copy of it in the page cache.
 //
 // The trade: a mapped open skips checksum verification and the
 // per-element validation scans (each would fault in every page, paying
@@ -98,7 +107,7 @@ func OpenSnapshotFile(path string, opts ...Option) (*DB, error) {
 	})
 	db, err := Open(g, opts...)
 	if err != nil {
-		// Open released the mapping on its own failure paths.
+		_ = ms.Close() // idempotent: Open may have released it already
 		return nil, err
 	}
 	return db, nil

@@ -118,6 +118,19 @@ func TestKNNSeqEarlyBreakReleasesSession(t *testing.T) {
 	}
 }
 
+// TestSessionPoolCountsOnlyCheckouts: a session that cannot be manufactured
+// is not a checkout, so a failed get leaves gets equal to puts.
+func TestSessionPoolCountsOnlyCheckouts(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "pool", Rows: 4, Cols: 4, Seed: 1})
+	p := newSessionPool(core.New(g), core.MethodKind(-1))
+	if ps, err := p.get(nil); err == nil || ps != nil {
+		t.Fatalf("invalid method kind: got session %v, err %v; want an error", ps, err)
+	}
+	if gets, puts := p.gets.Load(), p.puts.Load(); gets != 0 || puts != 0 {
+		t.Fatalf("after a failed get: gets=%d puts=%d, want 0/0", gets, puts)
+	}
+}
+
 // TestKNNSeqEarlyBreakConcurrent hammers early breaks from many
 // goroutines — under -race this proves the release path is data-race free.
 func TestKNNSeqEarlyBreakConcurrent(t *testing.T) {
