@@ -2,7 +2,8 @@
 // the library, built on internal/serve's two load-shedding layers
 // (admission control, epoch-keyed result cache).
 //
-// Serve the default ~16k-vertex ladder network with the default methods:
+// Serve the default ~16k-vertex ladder network with the default methods
+// (INE, IER-PHL and G-tree; -methods picks others):
 //
 //	rnknnd -addr :8080 -network NW -density 0.001
 //
@@ -50,7 +51,7 @@ func main() {
 		snapshot    = flag.String("snapshot", "", "open a self-contained snapshot file zero-copy (graph included; see buildindex) instead of -network")
 		shardDir    = flag.String("shards", "", "serve a shard set directory (see buildindex -shards) instead of -network")
 		mmapFlag    = flag.Bool("mmap", false, "map the -indexcache snapshot zero-copy instead of decoding it")
-		methodsFlag = flag.String("methods", "INE,IER-Dijk,Gtree", "comma-separated methods to build (see rnknn.MethodNames)")
+		methodsFlag = flag.String("methods", "INE,IER-PHL,Gtree", "comma-separated methods to build (see rnknn.MethodNames)")
 		density     = flag.Float64("density", 0.001, "uniform object density in (0,1] for the default category")
 		seed        = flag.Int64("seed", 42, "object placement seed")
 		timeW       = flag.Bool("traveltime", false, "use travel-time weights")

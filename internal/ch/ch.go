@@ -6,9 +6,12 @@
 package ch
 
 import (
+	"slices"
+
 	"rnknn/internal/graph"
 	"rnknn/internal/knn"
 	"rnknn/internal/pqueue"
+	"rnknn/internal/scratch"
 )
 
 // Index is a built contraction hierarchy.
@@ -79,44 +82,47 @@ type dynEdge struct {
 }
 
 // Build contracts g into a hierarchy.
+//
+// The working graph adj holds only uncontracted vertices: contracting v
+// removes v from each neighbour's list. The removal is a stable filter
+// because relaxation order decides heap tie order, and with the witness
+// settle limit that decides which shortcuts are added.
 func Build(g *graph.Graph) *Index {
 	n := g.NumVertices()
 	x := &Index{g: g, rank: make([]int32, n)}
 
-	// Mutable working graph: remaining adjacency among uncontracted
-	// vertices, starting from the original edges.
+	// The initial lists share one array; each is capped at its length, so
+	// a shortcut appended to one moves it out instead of overwriting the next.
 	adj := make([][]dynEdge, n)
+	backing := make([]dynEdge, 0, g.NumEdges())
 	for v := int32(0); v < int32(n); v++ {
 		ts, ws := g.Neighbors(v)
-		adj[v] = make([]dynEdge, len(ts))
+		start := len(backing)
 		for i := range ts {
-			adj[v][i] = dynEdge{ts[i], ws[i]}
+			backing = append(backing, dynEdge{ts[i], ws[i]})
 		}
+		adj[v] = backing[start:len(backing):len(backing)]
 	}
 	contracted := make([]bool, n)
 	deleted := make([]int16, n) // contracted neighbors heuristic term
 
-	// allEdges accumulates original + shortcut edges for the upward graph.
-	type fullEdge struct {
-		u, v int32
-		w    int32
-	}
-	var all []fullEdge
+	// all accumulates original + shortcut edges for the upward graph.
+	var all []shortcut
 	for v := int32(0); v < int32(n); v++ {
 		ts, ws := g.Neighbors(v)
 		for i, t := range ts {
 			if t > v {
-				all = append(all, fullEdge{v, t, ws[i]})
+				all = append(all, shortcut{v, t, ws[i]})
 			}
 		}
 	}
 
+	// prio simulates contracting v; ws.shortcuts keeps the last simulation's
+	// shortcuts, which are the ones to add when the pop is accepted.
 	ws := newWitnessSearch(n)
-	simulate := func(v int32) (added int) {
-		return ws.shortcutsNeeded(adj, contracted, v, nil)
-	}
 	prio := func(v int32) int64 {
-		return int64(simulate(v)-len(remaining(adj[v], contracted)))*4 + int64(deleted[v])
+		ws.simulate(adj, v)
+		return int64(len(ws.shortcuts)-len(adj[v]))*4 + int64(deleted[v])
 	}
 
 	q := pqueue.NewQueue(n)
@@ -136,26 +142,20 @@ func Build(g *graph.Graph) *Index {
 			q.Push(v, p)
 			continue
 		}
-		// Contract v: add needed shortcuts among uncontracted neighbors.
-		var shortcuts [][3]int32
-		ws.shortcutsNeeded(adj, contracted, v, func(u, t, w int32) {
-			shortcuts = append(shortcuts, [3]int32{u, t, w})
-		})
-		for _, sc := range shortcuts {
-			u, t, w := sc[0], sc[1], sc[2]
-			adj[u] = upsertEdge(adj[u], t, w)
-			adj[t] = upsertEdge(adj[t], u, w)
-			all = append(all, fullEdge{u, t, w})
+		for _, sc := range ws.shortcuts {
+			adj[sc.u] = upsertEdge(adj[sc.u], sc.v, sc.w)
+			adj[sc.v] = upsertEdge(adj[sc.v], sc.u, sc.w)
+			all = append(all, sc)
 			x.Shortcuts++
 		}
 		contracted[v] = true
 		x.rank[v] = next
 		next++
 		for _, e := range adj[v] {
-			if !contracted[e.to] {
-				deleted[e.to]++
-			}
+			deleted[e.to]++
+			adj[e.to] = slices.DeleteFunc(adj[e.to], func(f dynEdge) bool { return f.to == v })
 		}
+		adj[v] = nil
 	}
 
 	// Build the upward CSR: edge endpoints point from lower to higher rank.
@@ -193,16 +193,6 @@ func Build(g *graph.Graph) *Index {
 	return x
 }
 
-func remaining(es []dynEdge, contracted []bool) []dynEdge {
-	out := es[:0:0]
-	for _, e := range es {
-		if !contracted[e.to] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func upsertEdge(es []dynEdge, to, w int32) []dynEdge {
 	for i := range es {
 		if es[i].to == to {
@@ -215,95 +205,65 @@ func upsertEdge(es []dynEdge, to, w int32) []dynEdge {
 	return append(es, dynEdge{to, w})
 }
 
+// shortcut is an edge {u, v} of weight w: one a contraction adds, or an
+// original edge on its way into the upward graph.
+type shortcut struct{ u, v, w int32 }
+
 // witnessSearch is a bounded Dijkstra used to decide whether a shortcut
 // u -> t through the contracted vertex v is necessary.
 type witnessSearch struct {
-	dist  []graph.Dist
-	stamp []uint32
-	cur   uint32
-	q     *pqueue.Queue
+	dist      *scratch.Dists
+	q         *pqueue.Queue
+	shortcuts []shortcut
 }
 
 func newWitnessSearch(n int) *witnessSearch {
-	return &witnessSearch{
-		dist:  make([]graph.Dist, n),
-		stamp: make([]uint32, n),
-		q:     pqueue.NewQueue(256),
-	}
+	return &witnessSearch{dist: scratch.NewDists(n), q: pqueue.NewQueue(256)}
 }
 
 // witnessSettleLimit bounds each witness search; a lower limit adds more
 // (harmless) shortcuts but speeds preprocessing.
 const witnessSettleLimit = 60
 
-// shortcutsNeeded counts (and via emit, reports) the shortcuts required to
-// contract v: for every pair of uncontracted neighbors (u, t) with path
-// u-v-t of weight w, a shortcut is needed unless a witness path of weight
-// <= w exists in the remaining graph avoiding v.
-func (ws *witnessSearch) shortcutsNeeded(adj [][]dynEdge, contracted []bool, v int32, emit func(u, t, w int32)) int {
-	var nbrs []dynEdge
-	for _, e := range adj[v] {
-		if !contracted[e.to] {
-			nbrs = append(nbrs, e)
-		}
-	}
-	count := 0
+// simulate fills ws.shortcuts with the shortcuts required to contract v:
+// for every pair of neighbors (u, t) with path u-v-t of weight w, a
+// shortcut is needed unless a witness path of weight <= w exists in the
+// remaining graph avoiding v.
+func (ws *witnessSearch) simulate(adj [][]dynEdge, v int32) {
+	ws.shortcuts = ws.shortcuts[:0]
+	nbrs := adj[v]
 	for i, eu := range nbrs {
-		// One witness Dijkstra from u bounded by the largest via weight.
+		// Each unordered pair once: one witness Dijkstra from u, bounded by
+		// the largest via weight to a later neighbour. Weights are positive,
+		// so nothing it would relax past that bound decides a pair.
 		var maxVia graph.Dist
-		for j, et := range nbrs {
-			if j == i {
-				continue
-			}
-			if via := graph.Dist(eu.w) + graph.Dist(et.w); via > maxVia {
-				maxVia = via
-			}
+		for _, et := range nbrs[i+1:] {
+			maxVia = max(maxVia, graph.Dist(eu.w)+graph.Dist(et.w))
 		}
 		if maxVia == 0 {
-			continue
+			break
 		}
-		ws.run(adj, contracted, eu.to, v, maxVia)
-		for j, et := range nbrs {
-			if j <= i {
-				continue // each unordered pair once
-			}
+		ws.run(adj, eu.to, v, maxVia)
+		for _, et := range nbrs[i+1:] {
 			via := graph.Dist(eu.w) + graph.Dist(et.w)
-			if ws.distOf(et.to) > via {
-				count++
-				if emit != nil {
-					emit(eu.to, et.to, int32(via))
-				}
+			if ws.dist.Get(et.to) > via {
+				ws.shortcuts = append(ws.shortcuts, shortcut{eu.to, et.to, int32(via)})
 			}
 		}
 	}
-	return count
 }
 
-func (ws *witnessSearch) distOf(v int32) graph.Dist {
-	if ws.stamp[v] != ws.cur {
-		return graph.Inf
-	}
-	return ws.dist[v]
-}
-
-func (ws *witnessSearch) run(adj [][]dynEdge, contracted []bool, src, avoid int32, limit graph.Dist) {
-	ws.cur++
-	if ws.cur == 0 {
-		for i := range ws.stamp {
-			ws.stamp[i] = 0
-		}
-		ws.cur = 1
-	}
+func (ws *witnessSearch) run(adj [][]dynEdge, src, avoid int32, limit graph.Dist) {
+	ws.dist.Reset()
 	ws.q.Reset()
-	ws.dist[src] = 0
-	ws.stamp[src] = ws.cur
+	ws.dist.Set(src, 0)
 	ws.q.Push(src, 0)
 	settled := 0
 	for !ws.q.Empty() && settled < witnessSettleLimit {
 		it := ws.q.Pop()
 		u := it.ID
 		d := graph.Dist(it.Key)
-		if d > ws.distOf(u) {
+		if d > ws.dist.Get(u) {
 			continue
 		}
 		if d > limit {
@@ -311,13 +271,10 @@ func (ws *witnessSearch) run(adj [][]dynEdge, contracted []bool, src, avoid int3
 		}
 		settled++
 		for _, e := range adj[u] {
-			if e.to == avoid || contracted[e.to] {
+			if e.to == avoid {
 				continue
 			}
-			nd := d + graph.Dist(e.w)
-			if nd < ws.distOf(e.to) {
-				ws.dist[e.to] = nd
-				ws.stamp[e.to] = ws.cur
+			if nd := d + graph.Dist(e.w); ws.dist.Lower(e.to, nd) {
 				ws.q.Push(e.to, int64(nd))
 			}
 		}

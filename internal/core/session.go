@@ -219,6 +219,8 @@ var (
 	_ knn.Interruptible = (*ierSession)(nil)
 	_ knn.Interruptible = gtreeSession{}
 	_ knn.Interruptible = roadSession{}
+	_ knn.Interruptible = dbennSession{}
+	_ knn.Interruptible = disbrwSession{}
 	// The incremental-result hook behind pkg/rnknn's KNNSeq: INE and IER
 	// stream through the promoted KNNStream of their embedded methods,
 	// G-tree and ROAD through explicit delegates; the SILC sessions have no

@@ -37,6 +37,11 @@ type candidates struct {
 	refiners []Refiner
 	ref      *scratch.Map32
 	inL      *scratch.Set
+
+	// interrupt, when non-nil, is polled once per iteration of the browse
+	// loop; a true return stops it, and the query returns the candidates
+	// in L (see knn.Interruptible).
+	interrupt func() bool
 }
 
 // init sizes the stamped tables for x's graph; call once per owner.
@@ -60,6 +65,8 @@ func (c *candidates) reset(q int32, k int) {
 	c.ref.Reset()
 	c.inL.Reset()
 }
+
+func (c *candidates) interrupted() bool { return c.interrupt != nil && c.interrupt() }
 
 // refinerOf returns o's refiner, or nil when o has not been encountered
 // this query.
@@ -232,6 +239,9 @@ func (m *DBENN) Rebind(objs *knn.ObjectSet, rt *rtree.Tree) {
 	m.rt = rt
 }
 
+// SetInterrupt implements knn.Interruptible.
+func (m *DBENN) SetInterrupt(check func() bool) { m.c.interrupt = check }
+
 // KNN implements knn.Method.
 func (m *DBENN) KNN(qv int32, k int) []knn.Result {
 	return m.KNNAppend(qv, k, make([]knn.Result, 0, k))
@@ -258,7 +268,7 @@ func (m *DBENN) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 		c.processCandidate(nb.ID)
 	}
 	scanOpen := true
-	for {
+	for !c.interrupted() {
 		peek := graph.Inf
 		if scanOpen {
 			p := scan.PeekDist()
@@ -331,6 +341,9 @@ func (m *DisBrw) Name() string { return "DisBrw-OH" }
 // SetObjects swaps the Object Hierarchy (the decoupled object index).
 func (m *DisBrw) SetObjects(oh *ObjectHierarchy) { m.oh = oh }
 
+// SetInterrupt implements knn.Interruptible.
+func (m *DisBrw) SetInterrupt(check func() bool) { m.c.interrupt = check }
+
 // KNN implements knn.Method.
 func (m *DisBrw) KNN(qv int32, k int) []knn.Result {
 	return m.KNNAppend(qv, k, make([]knn.Result, 0, k))
@@ -350,7 +363,7 @@ func (m *DisBrw) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 	qpt := geo.Point{X: m.x.G.X[qv], Y: m.x.G.Y[qv]}
 	c.queue.Push(encodeOH(0), 0)
 
-	for !c.queue.Empty() {
+	for !c.queue.Empty() && !c.interrupted() {
 		it := c.queue.Pop()
 		lb := graph.Dist(it.Key)
 		if lb >= c.dk && c.l.Len() >= k {

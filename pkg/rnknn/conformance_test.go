@@ -42,7 +42,7 @@ func newConfEnv(t *testing.T, topology string) *confEnv {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "conf", Rows: 12, Cols: 14, Seed: 21})
 	objs := gen.Uniform(g, 0.06, 5)
-	db, err := Open(g, WithMethods(INE, IERPHL, Gtree, ROAD), WithObjects(confCat, objs))
+	db, err := Open(g, WithMethods(INE, IERPHL, Gtree, ROAD, DisBrw, DisBrwOH), WithObjects(confCat, objs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,9 +450,9 @@ func conformance(t *testing.T, a confAdapter, topology string) {
 	// Cancel the query at every point where it consults ctx, until it
 	// gets through: each cancelled attempt must surface ctx's error with
 	// no results, record nothing and return its session. Once per method
-	// whose search polls ctx: the two expansions and G-tree for kNN, the two
-	// range forms for a range.
-	pollers := []Method{INE, ROAD, Gtree}
+	// whose search polls ctx: the two expansions, G-tree and the SILC pair
+	// for kNN, the two range forms for a range.
+	pollers := []Method{INE, ROAD, Gtree, DisBrw, DisBrwOH}
 	if a.isRange {
 		pollers = []Method{INE, IERPHL}
 	}

@@ -340,10 +340,10 @@ func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 // KNN returns the k nearest objects of the query's category to vertex q by
 // network distance (fewer if the live object set is smaller than k), in
 // nondecreasing distance order. It is safe for unbounded concurrent
-// callers. Cancellation or expiry of ctx is checked between expansion steps
-// of the interruptible scans (INE, the IER family, ROAD and G-tree — every
-// method but the SILC pair), so long graph-wide scans return promptly with
-// ctx's error.
+// callers. Cancellation or expiry of ctx is checked between the search
+// steps of every method (expansion steps for INE, ROAD and G-tree, candidates
+// for the IER family, browse-loop iterations for the SILC pair), so long
+// graph-wide scans return promptly with ctx's error.
 func (db *DB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, error) {
 	res, _, err := db.exec(ctx, db.knnQuery(q, k, opts), nil)
 	return res, err
