@@ -64,13 +64,21 @@ func maybeGunzip(r io.Reader) (io.Reader, error) {
 	return br, nil
 }
 
-// readCoords parses the .co file: "p aux sp co N" sizes the arrays,
-// "v id x y" lines fill them (1-based ids).
+// readCoords parses the .co file: "p aux sp co N" declares the vertex
+// count, "v id x y" lines give coordinates (1-based ids). Memory grows with
+// the lines read, not with N: the arrays are sized only once the file has
+// listed at least N vertices.
 func readCoords(r io.Reader) (x, y []float64, err error) {
 	rr, err := maybeGunzip(r)
 	if err != nil {
 		return nil, nil, err
 	}
+	type coord struct {
+		id   int
+		x, y float64
+	}
+	var vs []coord
+	n := 0
 	sc := bufio.NewScanner(rr)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -83,14 +91,14 @@ func readCoords(r io.Reader) (x, y []float64, err error) {
 			continue
 		case 'p':
 			f := strings.Fields(line)
-			n, err := strconv.Atoi(f[len(f)-1])
-			if err != nil || n <= 0 {
+			if n != 0 {
+				return nil, nil, fmt.Errorf("second problem line %q", line)
+			}
+			if n, err = strconv.Atoi(f[len(f)-1]); err != nil || n <= 0 {
 				return nil, nil, fmt.Errorf("bad problem line %q", line)
 			}
-			x = make([]float64, n)
-			y = make([]float64, n)
 		case 'v':
-			if x == nil {
+			if n == 0 {
 				return nil, nil, fmt.Errorf("vertex line before problem line")
 			}
 			f := strings.Fields(line)
@@ -100,17 +108,24 @@ func readCoords(r io.Reader) (x, y []float64, err error) {
 			id, err1 := strconv.Atoi(f[1])
 			vx, err2 := strconv.ParseFloat(f[2], 64)
 			vy, err3 := strconv.ParseFloat(f[3], 64)
-			if err1 != nil || err2 != nil || err3 != nil || id < 1 || id > len(x) {
+			if err1 != nil || err2 != nil || err3 != nil || id < 1 || id > n {
 				return nil, nil, fmt.Errorf("bad vertex line %q", line)
 			}
-			x[id-1], y[id-1] = vx, vy
+			vs = append(vs, coord{id, vx, vy})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	if x == nil {
+	if n == 0 {
 		return nil, nil, fmt.Errorf("no problem line")
+	}
+	if len(vs) < n {
+		return nil, nil, fmt.Errorf("problem line declares %d vertices, file lists %d", n, len(vs))
+	}
+	x, y = make([]float64, n), make([]float64, n)
+	for _, v := range vs {
+		x[v.id-1], y[v.id-1] = v.x, v.y
 	}
 	return x, y, nil
 }

@@ -116,10 +116,37 @@ func TestReadDIMACSErrors(t *testing.T) {
 		{"p sp 5 0\n", testCo},                   // no arcs
 		{"p xx 5 1\na 1 2 3\n", testCo},          // wrong problem type
 		{"p sp 5 1\na 1 2 notanumber\n", testCo}, // bad weight
+		// A declared count the file does not back: no 32 GB allocation.
+		{testGr, "p aux sp co 4000000000\nv 1 0 0\n"},
+		{testGr, strings.Replace(testCo, "v 1 0 0", "v 1 NaN 0", 1)},          // NaN coordinate
+		{testGr, strings.Replace(testCo, "v 3 2000 500", "v 3 2000 -Inf", 1)}, // infinite coordinate
+		{testGr, testCo + "p aux sp co 2\n"},                                  // second problem line
 	}
 	for i, tc := range cases {
 		if _, err := gen.ReadDIMACS(strings.NewReader(tc.gr), strings.NewReader(tc.co), "bad"); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
+}
+
+// FuzzReadDIMACS: whatever the two files hold, the reader returns a graph
+// or an error; it never panics.
+func FuzzReadDIMACS(f *testing.F) {
+	gr, err := os.ReadFile("testdata/tiny.gr")
+	if err != nil {
+		f.Fatal(err)
+	}
+	co, err := os.ReadFile("testdata/tiny.co")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gr, co)
+	f.Fuzz(func(t *testing.T, gr, co []byte) {
+		g, err := gen.ReadDIMACS(bytes.NewReader(gr), bytes.NewReader(co), "fuzz")
+		if err == nil {
+			if err := g.Validate(); err != nil {
+				t.Fatalf("accepted an invalid graph: %v", err)
+			}
+		}
+	})
 }

@@ -154,9 +154,9 @@ func (g *Graph) EdgeWeightBetween(u, v int32) (int32, bool) {
 }
 
 // Validate checks structural invariants: sorted offsets, targets in range,
-// positive weights, symmetry of the undirected representation, and that
-// travel-distance weights upper-bound Euclidean lengths. It is intended for
-// tests and data-loading paths, not hot loops.
+// finite coordinates, positive weights, symmetry of the undirected
+// representation, and that travel-distance weights upper-bound Euclidean
+// lengths. It is intended for tests and data-loading paths, not hot loops.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if n <= 0 {
@@ -170,6 +170,11 @@ func (g *Graph) Validate() error {
 	}
 	if len(g.X) != n || len(g.Y) != n {
 		return fmt.Errorf("coordinate arrays do not match vertex count")
+	}
+	for v := range n {
+		if math.IsNaN(g.X[v]) || math.IsInf(g.X[v], 0) || math.IsNaN(g.Y[v]) || math.IsInf(g.Y[v], 0) {
+			return fmt.Errorf("non-finite coordinate at vertex %d", v)
+		}
 	}
 	type key struct{ u, v int32 }
 	seen := make(map[key]int32, len(g.Targets))

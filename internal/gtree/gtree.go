@@ -6,21 +6,24 @@
 // 3 with the improved leaf search of Algorithm 4 (Appendix A.2.1), and the
 // Occurrence List object index.
 //
-// Distance matrices are built in two phases: a bottom-up pass computes
-// distances constrained to each node's subgraph (leaves by Dijkstra on the
+// Distance matrices are built in two phases. A bottom-up pass computes
+// distances constrained to each node's subgraph: leaves by Dijkstra on the
 // leaf subgraph, internal nodes by Dijkstra over the border graph assembled
-// from child matrices plus cut edges), and a top-down pass refines every
-// matrix to global network distances by injecting the parent's already
-// global border-to-border distances. Global matrices make LCA-based
-// assembly exact for arbitrary partitions.
+// from child matrices plus cut edges. A top-down pass then refines every
+// matrix to global network distances in closed form, as min-plus products
+// with the parent's already global border-to-border distances (see
+// refineTopDown). Global matrices make LCA-based assembly exact for
+// arbitrary partitions.
 package gtree
 
 import (
 	"math"
+	"slices"
 
 	"rnknn/internal/graph"
 	"rnknn/internal/partition"
 	"rnknn/internal/pqueue"
+	"rnknn/internal/scratch"
 )
 
 // inf32 is the matrix sentinel for "no path" (matrices store int32 cells to
@@ -115,9 +118,10 @@ func BuildOnPartition(g *graph.Graph, pt *partition.Tree, tau int) *Index {
 	idx.computePositions()
 	idx.extractLeafCSRs()
 	idx.computeBorders()
-	idx.layoutInternalNodes()
-	idx.buildLeafMatrices(nil)
-	idx.buildInternalMatrices()
+	pos := scratch.NewMap32(g.NumVertices())
+	idx.layoutInternalNodes(pos)
+	idx.buildLeafMatrices()
+	idx.buildInternalMatrices(pos)
 	idx.refineTopDown()
 	return idx
 }
@@ -145,10 +149,12 @@ func (x *Index) extractLeafCSRs() {
 
 // computeBorders marks, for every node N and vertex u in N, u as a border of
 // N when u has a neighbor outside N. A vertex with an external neighbor v is
-// a border of every ancestor of its leaf that does not contain v.
+// a border of every ancestor of its leaf that does not contain v. Vertices
+// are scanned in ascending order, so each border list is built sorted, and a
+// vertex's duplicates (one per cross edge) arrive adjacently and are dropped
+// with a last-element check.
 func (x *Index) computeBorders() {
 	pt := x.PT
-	isBorder := make([]map[int32]bool, len(pt.Nodes))
 	for u := int32(0); u < int32(x.G.NumVertices()); u++ {
 		ts, _ := x.G.Neighbors(u)
 		leafU := pt.LeafOf[u]
@@ -156,31 +162,18 @@ func (x *Index) computeBorders() {
 			if pt.LeafOf[v] == leafU {
 				continue
 			}
-			n := leafU
-			for n != -1 && !pt.Contains(n, v) {
-				if isBorder[n] == nil {
-					isBorder[n] = make(map[int32]bool)
+			for n := leafU; n != -1 && !pt.Contains(n, v); n = pt.Nodes[n].Parent {
+				if bs := x.nodes[n].borders; len(bs) == 0 || bs[len(bs)-1] != u {
+					x.nodes[n].borders = append(bs, u)
 				}
-				isBorder[n][u] = true
-				n = pt.Nodes[n].Parent
 			}
 		}
 	}
-	for ni := range x.nodes {
-		m := isBorder[ni]
-		if len(m) == 0 {
-			continue
-		}
-		bs := make([]int32, 0, len(m))
-		for v := range m {
-			bs = append(bs, v)
-		}
-		sortInt32(bs)
-		x.nodes[ni].borders = bs
-	}
 }
 
-func (x *Index) layoutInternalNodes() {
+// layoutInternalNodes fills childOff, childBorders and ownIdx. pos is a
+// vertex-keyed scratch map, reset per node.
+func (x *Index) layoutInternalNodes(pos *scratch.Map32) {
 	pt := x.PT
 	for ni := range x.nodes {
 		p := &pt.Nodes[ni]
@@ -199,46 +192,36 @@ func (x *Index) layoutInternalNodes() {
 			n.childOff[ci+1] = n.childOff[ci] + int32(len(x.nodes[c].borders))
 			n.childBorders = append(n.childBorders, x.nodes[c].borders...)
 		}
-		// Own borders are child borders too; locate each in childBorders.
-		pos := make(map[int32]int32, len(n.childBorders))
+		// Own borders are child borders too; locate each in childBorders
+		// (vertex partitioning puts every vertex in one child block).
+		pos.Reset()
 		for i, v := range n.childBorders {
-			if _, ok := pos[v]; !ok {
-				pos[v] = int32(i)
-			}
+			pos.Put(v, int32(i))
 		}
 		n.ownIdx = make([]int32, len(n.borders))
 		for i, b := range n.borders {
-			n.ownIdx[i] = pos[b]
+			n.ownIdx[i], _ = pos.Get(b)
 		}
 	}
 }
 
 // buildLeafMatrices computes each leaf's border-to-vertex matrix with
-// Dijkstra constrained to the leaf subgraph. If extra is non-nil,
-// extra(leafID) returns an additional border-to-border clique (global
-// distances from the parent) injected into the search; this is the top-down
-// refinement pass.
-func (x *Index) buildLeafMatrices(extra func(ni int32) []int32) {
+// Dijkstra constrained to the leaf subgraph.
+func (x *Index) buildLeafMatrices() {
 	for _, li := range x.PT.Leaves() {
-		x.buildLeafMatrix(li, extra)
+		x.buildLeafMatrix(li)
 	}
 }
 
-func (x *Index) buildLeafMatrix(li int32, extra func(ni int32) []int32) {
+func (x *Index) buildLeafMatrix(li int32) {
 	pt := x.PT
 	verts := pt.Nodes[li].Vertices
 	n := &x.nodes[li]
 	nb := len(n.borders)
 	nv := len(verts)
 	n.stride = int32(nv)
-	if n.mat == nil {
-		n.mat = make([]int32, nb*nv)
-	}
+	n.mat = make([]int32, nb*nv)
 	off, tgt, w := x.leafOff[li], x.leafTgt[li], x.leafW[li]
-	var clique []int32
-	if extra != nil {
-		clique = extra(li) // nb x nb global border distances, or nil
-	}
 	dist := make([]graph.Dist, nv)
 	q := pqueue.NewQueue(nv)
 	for bi := 0; bi < nb; bi++ {
@@ -263,22 +246,6 @@ func (x *Index) buildLeafMatrix(li int32, extra func(ni int32) []int32) {
 					q.Push(t, int64(nd))
 				}
 			}
-			// Border clique relaxation (refinement pass only).
-			if clique != nil {
-				if vi := borderIndexOf(n, v); vi >= 0 {
-					for bj := 0; bj < nb; bj++ {
-						cw := clique[vi*nb+bj]
-						if cw >= inf32 {
-							continue
-						}
-						t := n.ownIdx[bj]
-						if nd := d + graph.Dist(cw); nd < dist[t] {
-							dist[t] = nd
-							q.Push(t, int64(nd))
-						}
-					}
-				}
-			}
 		}
 		row := n.mat[bi*nv : (bi+1)*nv]
 		for j := 0; j < nv; j++ {
@@ -299,91 +266,77 @@ func borderIndexOf(n *node, v int32) int {
 }
 
 // buildInternalMatrices computes internal-node matrices bottom-up over the
-// border graph of each node's children.
-func (x *Index) buildInternalMatrices() {
-	order := x.nodesByLevelDesc()
-	for _, ni := range order {
+// border graph of each node's children. pos is a vertex-keyed scratch map.
+func (x *Index) buildInternalMatrices(pos *scratch.Map32) {
+	for _, ni := range x.nodesByLevelDesc() {
 		if !x.PT.Nodes[ni].IsLeaf() {
-			x.buildInternalMatrix(ni, nil)
+			x.buildInternalMatrix(ni, pos)
 		}
 	}
 }
 
-// buildInternalMatrix runs Dijkstra over node ni's border graph. extra, if
-// non-nil, is a |borders|^2 clique of global distances between ni's own
-// borders (from the parent) for the refinement pass.
-func (x *Index) buildInternalMatrix(ni int32, extra []int32) {
+// buildInternalMatrix runs Dijkstra from every vertex of node ni's border
+// graph: the child borders, joined by each child's clique of constrained
+// border distances and by the cut edges between children.
+//
+// A child's clique holds shortest distances within the child, so it is
+// closed under the triangle inequality. A vertex whose label came from a
+// clique hop has therefore had its own clique relaxed already, by the vertex
+// the hop came from, and relaxes only its cut edges; one without cut edges
+// has nothing left to relax and is never queued. viaClique records how each
+// label was last lowered: a strict improvement through a cut edge clears
+// it, and a tie keeps it.
+func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32) {
 	pt := x.PT
 	n := &x.nodes[ni]
 	cb := n.childBorders
 	ncb := len(cb)
 	n.stride = int32(ncb)
-	if n.mat == nil {
-		n.mat = make([]int32, ncb*ncb)
-	}
-	pos := make(map[int32]int32, ncb)
+	n.mat = make([]int32, ncb*ncb)
+	pos.Reset()
 	for i, v := range cb {
-		pos[v] = int32(i)
+		pos.Put(v, int32(i))
 	}
-	// Border graph adjacency: child cliques + cut edges + optional own
-	// clique. Built as flat slices.
-	type arc struct {
-		to int32
-		w  int32
-	}
-	adj := make([][]arc, ncb)
-	children := pt.Nodes[ni].Children
-	for ci, c := range children {
+	// Vertex v lies in child block[v]; clique[rowOff[v]:] starts its row of
+	// that child's clique, whose columns are the child's block of cb.
+	block := make([]int32, ncb)
+	rowOff := make([]int32, ncb)
+	var clique []int32
+	for ci, c := range pt.Nodes[ni].Children {
 		cn := &x.nodes[c]
 		base := n.childOff[ci]
-		nb := len(cn.borders)
-		for i := 0; i < nb; i++ {
-			for j := 0; j < nb; j++ {
-				if i == j {
-					continue
-				}
-				var w int32
-				if pt.Nodes[c].IsLeaf() {
-					w = cn.matAt(int32(i), cn.ownIdx[j])
-				} else {
-					w = cn.matAt(cn.ownIdx[i], cn.ownIdx[j])
-				}
-				if w < inf32 {
-					adj[base+int32(i)] = append(adj[base+int32(i)], arc{base + int32(j), w})
-				}
+		for i := range cn.borders {
+			r := cn.ownIdx[i] // leaf matrices have one row per border
+			if pt.Nodes[c].IsLeaf() {
+				r = int32(i)
+			}
+			block[base+int32(i)], rowOff[base+int32(i)] = int32(ci), int32(len(clique))
+			for _, j := range cn.ownIdx {
+				clique = append(clique, cn.matAt(r, j))
 			}
 		}
 	}
 	// Cut edges between children of ni: edge (u,v), both inside ni, in
 	// different children. Endpoints are borders of their children, hence in
-	// cb. A vertex may appear in several child blocks only if it were
-	// shared, which vertex partitioning forbids, so pos is unambiguous.
-	for _, u := range cb {
-		ui := pos[u]
+	// cb, and vertex partitioning puts each in exactly one child block.
+	cutOff := make([]int32, ncb+1)
+	var cutTo, cutW []int32
+	for ui, u := range cb {
 		ts, ws := x.G.Neighbors(u)
 		for i, v := range ts {
-			if vi, ok := pos[v]; ok && pt.PartOf(u, pt.Nodes[ni].Level+1) != pt.PartOf(v, pt.Nodes[ni].Level+1) {
-				adj[ui] = append(adj[ui], arc{vi, ws[i]})
+			if vi, ok := pos.Get(v); ok && block[vi] != block[ui] {
+				cutTo, cutW = append(cutTo, vi), append(cutW, ws[i])
 			}
 		}
-	}
-	if extra != nil {
-		nb := len(n.borders)
-		for i := 0; i < nb; i++ {
-			for j := 0; j < nb; j++ {
-				if i == j || extra[i*nb+j] >= inf32 {
-					continue
-				}
-				adj[n.ownIdx[i]] = append(adj[n.ownIdx[i]], arc{n.ownIdx[j], extra[i*nb+j]})
-			}
-		}
+		cutOff[ui+1] = int32(len(cutTo))
 	}
 
 	dist := make([]graph.Dist, ncb)
+	viaClique := make([]bool, ncb)
 	q := pqueue.NewQueue(ncb)
 	for src := 0; src < ncb; src++ {
 		for i := range dist {
-			dist[i] = graph.Inf
+			dist[i], viaClique[i] = graph.Inf, false
 		}
 		q.Reset()
 		dist[src] = 0
@@ -395,10 +348,24 @@ func (x *Index) buildInternalMatrix(ni int32, extra []int32) {
 			if d > dist[v] {
 				continue
 			}
-			for _, a := range adj[v] {
-				if nd := d + graph.Dist(a.w); nd < dist[a.to] {
-					dist[a.to] = nd
-					q.Push(a.to, int64(nd))
+			if !viaClique[v] {
+				base := n.childOff[block[v]]
+				row := clique[rowOff[v] : rowOff[v]+n.childOff[block[v]+1]-base]
+				for j, w := range row {
+					t := base + int32(j)
+					if nd := d + graph.Dist(w); w < inf32 && nd < dist[t] {
+						dist[t], viaClique[t] = nd, true
+						if cutOff[t] < cutOff[t+1] {
+							q.Push(t, int64(nd))
+						}
+					}
+				}
+			}
+			for e := cutOff[v]; e < cutOff[v+1]; e++ {
+				t := cutTo[e]
+				if nd := d + graph.Dist(cutW[e]); nd < dist[t] {
+					dist[t], viaClique[t] = nd, false
+					q.Push(t, int64(nd))
 				}
 			}
 		}
@@ -411,18 +378,69 @@ func (x *Index) buildInternalMatrix(ni int32, extra []int32) {
 
 // refineTopDown upgrades every matrix from subgraph-constrained to global
 // distances, level by level from the root (whose matrix is already global).
+// Let G be the parent's global distances between node N's own borders
+// o_1..o_k (G[i,i] = 0). Each refinement is then a min-plus product:
+//
+//   - Leaf: L*[s,v] = min_j G[s,j] + L[j,v]. After the last border o_j it
+//     visits, a global shortest path from border s to v stays inside the
+//     leaf, and its part up to o_j is no shorter than G[s,j].
+//   - Internal: M*[a,b] = min(M[a,b], min_ij M[a,o_i] + G[i,j] + M[o_j,b]).
+//     A path that leaves N goes out through an own border o_i and comes
+//     back in through one, o_j; before o_i and after o_j it stays inside N.
+//     It is evaluated as T = G·M[o,:], then M* = min(M, M[:,o]·T).
 func (x *Index) refineTopDown() {
-	order := x.nodesByLevelAsc()
-	for _, ni := range order {
-		parent := x.PT.Nodes[ni].Parent
-		if parent == -1 {
+	var tmp []int32
+	for _, ni := range x.nodesByLevelAsc() {
+		if x.PT.Nodes[ni].Parent == -1 {
 			continue // root is already global
 		}
-		clique := x.globalBorderClique(ni)
+		g := x.globalBorderClique(ni)
+		n := &x.nodes[ni]
+		k, cols := len(n.ownIdx), int(n.stride)
 		if x.PT.Nodes[ni].IsLeaf() {
-			x.buildLeafMatrix(ni, func(int32) []int32 { return clique })
-		} else {
-			x.buildInternalMatrix(ni, clique)
+			tmp = append(tmp[:0], n.mat...)
+			minPlusInto(n.mat, g, tmp, k, cols)
+			continue
+		}
+		own := make([]int32, 0, k*cols)   // M[o,:]
+		exits := make([]int32, 0, cols*k) // M[:,o]
+		for _, o := range n.ownIdx {
+			own = append(own, n.mat[int(o)*cols:][:cols]...)
+		}
+		for a := 0; a < cols; a++ {
+			for _, o := range n.ownIdx {
+				exits = append(exits, n.mat[a*cols+int(o)])
+			}
+		}
+		t := slices.Clone(own)
+		minPlusInto(t, g, own, k, cols)
+		minPlusInto(n.mat, exits, t, k, cols)
+	}
+}
+
+// minPlusInto lowers dst (r x c, row-major) to min(dst, a·b) in the min-plus
+// semiring, for a (r x k) and b (k x c). Sums accumulate in int64 and are
+// clamped back to inf32, so no-path cells stay inf32. dst must not alias b.
+func minPlusInto(dst, a, b []int32, k, c int) {
+	acc := make([]graph.Dist, c)
+	for r := 0; r*c < len(dst); r++ {
+		row := dst[r*c : (r+1)*c]
+		for j, v := range row {
+			acc[j] = graph.Dist(v)
+		}
+		for i, w := range a[r*k : (r+1)*k] {
+			if w >= inf32 {
+				continue
+			}
+			bi := b[i*c:][:len(acc)]
+			for j := range acc {
+				if s := graph.Dist(w) + graph.Dist(bi[j]); s < acc[j] {
+					acc[j] = s
+				}
+			}
+		}
+		for j := range row {
+			row[j] = clamp32(acc[j])
 		}
 	}
 }
@@ -498,10 +516,6 @@ func clamp32(d graph.Dist) int32 {
 		return inf32
 	}
 	return int32(d)
-}
-
-func sortInt32(a []int32) {
-	sortInt32Func(a, func(x, y int32) bool { return x < y })
 }
 
 func sortInt32Func(a []int32, less func(x, y int32) bool) {
