@@ -160,20 +160,21 @@ func (s *Source) BorderDists(ni int32) []graph.Dist {
 		}
 		if x.layout == ArrayLayout {
 			// Row-contiguous pass: iterate each child border's matrix row
-			// once (the Section 6.1 spatial-locality access pattern).
-			for i := range cd {
-				if cd[i] == graph.Inf {
+			// once (the Section 6.1 spatial-locality access pattern), as a
+			// branch-free min-plus: a no-path cell offers Inf.
+			own := n.ownIdx[:len(out)]
+			for i, fi := range cd {
+				if fi == graph.Inf {
 					continue
 				}
 				row := n.mat[(base+int32(i))*n.stride:]
-				for j := range out {
-					w := row[n.ownIdx[j]]
+				for j, oj := range own {
+					w := row[oj]
+					d := fi + graph.Dist(w)
 					if w >= inf32 {
-						continue
+						d = graph.Inf
 					}
-					if d := cd[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
+					out[j] = min(out[j], d)
 				}
 			}
 		} else {
@@ -217,23 +218,22 @@ func (s *Source) BorderDists(ni int32) []graph.Dist {
 			fromD = s.BorderDists(parent)
 			fromIdx = pn.ownIdx
 		}
-		for j := 0; j < nb; j++ {
+		out = out[:nb] // already nb long; lets the compiler drop bounds checks below
+		for j := range out {
 			out[j] = graph.Inf
 		}
 		if x.layout == ArrayLayout {
-			for i := range fromD {
-				if fromD[i] == graph.Inf {
+			for i, fi := range fromD {
+				if fi == graph.Inf {
 					continue
 				}
-				row := pn.mat[fromIdx[i]*pn.stride+myBase:]
-				for j := 0; j < nb; j++ {
-					w := row[j]
+				row := pn.mat[fromIdx[i]*pn.stride+myBase:][:nb]
+				for j, w := range row {
+					d := fi + graph.Dist(w)
 					if w >= inf32 {
-						continue
+						d = graph.Inf
 					}
-					if d := fromD[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
+					out[j] = min(out[j], d)
 				}
 			}
 		} else {

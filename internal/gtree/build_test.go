@@ -37,7 +37,7 @@ func TestBuildMatchesReferenceRefinement(t *testing.T) {
 		{"distance", gen.Network(spec(88)), 32},
 		{"travel-time", gen.Network(spec(89)).View(graph.TravelTime), 24},
 		{"unit-grid", unitGrid(24, 24), 32},
-		{"split-leaves", twoChains(240), 16},
+		{"split-leaves", twoChains(240, true), 16},
 	}
 	for _, tc := range cases {
 		pt := partition.Build(tc.g, partition.Options{Fanout: 4, MaxLeafSize: tc.tau})
@@ -55,7 +55,7 @@ func TestBuildMatchesReferenceRefinement(t *testing.T) {
 	// The split-leaves graph is there for its no-path cells: before
 	// refinement, some border reaches some vertex of its own node only by
 	// leaving it.
-	g := twoChains(240)
+	g := twoChains(240, true)
 	pt := partition.Build(g, partition.Options{Fanout: 4, MaxLeafSize: 16})
 	x := &Index{G: g, PT: pt, Tau: 16, nodes: make([]node, len(pt.Nodes))}
 	x.computePositions()
@@ -91,10 +91,11 @@ func unitGrid(rows, cols int) *graph.Graph {
 }
 
 // twoChains lays n vertices (n even) on a line and joins the even ones and
-// the odd ones into two chains, bridged only at the two ends. Geometric
-// bisection cuts the line into runs that hold pieces of both chains, so a
-// leaf away from the ends is disconnected inside.
-func twoChains(n int) *graph.Graph {
+// the odd ones into two chains, bridged only at the two ends when bridged
+// is set. Geometric bisection cuts the line into runs that hold pieces of
+// both chains, so a leaf away from the ends is disconnected inside; without
+// the bridges the whole graph is, and refined matrices keep inf32 cells.
+func twoChains(n int, bridged bool) *graph.Graph {
 	x, y := make([]float64, n), make([]float64, n)
 	for i := range x {
 		x[i] = float64(i)
@@ -103,8 +104,10 @@ func twoChains(n int) *graph.Graph {
 	for i := int32(0); i+2 < int32(n); i++ {
 		b.AddEdge(i, i+2, 2+i%3, 3)
 	}
-	b.AddEdge(0, 1, 1, 1)
-	b.AddEdge(int32(n-2), int32(n-1), 1, 1)
+	if bridged {
+		b.AddEdge(0, 1, 1, 1)
+		b.AddEdge(int32(n-2), int32(n-1), 1, 1)
+	}
 	return b.Build("two-chains")
 }
 

@@ -89,9 +89,12 @@ func (x *INE) KNNGroupAppend(qs []knn.GroupQuery, dst [][]knn.Result) {
 	g.qs = append(g.qs[:0], qs...)
 	g.src = g.src[:0]
 	total := 0
-	for _, q := range qs {
-		g.src = append(g.src, q.Q)
-		total += q.K
+	for u := range g.qs {
+		// No member can find more objects than exist, and the arenas below
+		// are sized by the sum of the k: clamp first (a huge k would OOM).
+		g.qs[u].K = min(g.qs[u].K, x.objs.Len())
+		g.src = append(g.src, g.qs[u].Q)
+		total += g.qs[u].K
 	}
 	if cap(g.off) < m+1 {
 		g.off = make([]int32, m+1)
@@ -100,7 +103,7 @@ func (x *INE) KNNGroupAppend(qs []knn.GroupQuery, dst [][]knn.Result) {
 	g.off = g.off[:m+1]
 	g.size = g.size[:m]
 	g.off[0] = 0
-	for u, q := range qs {
+	for u, q := range g.qs {
 		g.off[u+1] = g.off[u] + int32(q.K)
 		g.size[u] = 0
 	}

@@ -1,7 +1,9 @@
 package ine_test
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rnknn/internal/ine"
@@ -70,6 +72,29 @@ func TestGroupDuplicateMembers(t *testing.T) {
 		if !knn.SameResults(dst[u], want) {
 			t.Fatalf("dup member %d: %s want %s", u,
 				knn.FormatResults(dst[u]), knn.FormatResults(want))
+		}
+	}
+}
+
+// TestGroupHugeK pins that a member's k is clamped to the object count before
+// the group sizes its arenas by the sum of the k: two members at
+// math.MaxInt32 once asked for 2^32 heap slots and killed the process.
+func TestGroupHugeK(t *testing.T) {
+	g, objs, queries := setup(t, 67)
+	x := ine.New(g, objs)
+	qs := []knn.GroupQuery{{Q: queries[0], K: math.MaxInt32}, {Q: queries[1], K: math.MaxInt32}}
+	dst := make([][]knn.Result, len(qs))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	x.KNNGroupAppend(qs, dst)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("group of two huge-k members allocated %d bytes", alloc)
+	}
+	for u, q := range qs {
+		want := knn.BruteForce(g, objs, q.Q, objs.Len())
+		if len(dst[u]) != objs.Len() || !knn.SameResults(dst[u], want) {
+			t.Fatalf("member %d: %s, want every object %s", u, knn.FormatResults(dst[u]), knn.FormatResults(want))
 		}
 	}
 }

@@ -356,7 +356,7 @@ func (x *Index) innerShortcuts(ni int32, pos *scratch.Map32) {
 
 // SizeBytes estimates the index footprint (shortcut array dominates).
 func (x *Index) SizeBytes() int {
-	total := len(x.shorts)*4 + len(x.matOff)*4
+	total := 4 * (len(x.shorts) + len(x.matOff) + len(x.roOff) + len(x.roRnet) + len(x.roBi))
 	for _, b := range x.borders {
 		total += len(b) * 4
 	}
@@ -458,6 +458,12 @@ type KNN struct {
 	// qAnc[level] is the ancestor Rnet of the query leaf at that level,
 	// used to reject bypassing any Rnet containing the query in O(1).
 	qAnc []int32
+	// via[v] names the Rnet whose shortcut row last lowered v's label by its
+	// level, or is 0 when an edge did (see bypass). The Rnets a vertex
+	// borders lie on its leaf's ancestor chain, one per level, so the level
+	// is enough; the root, level 0, has no borders. Written by every push,
+	// so a settled vertex's entry is always from the current query.
+	via []uint8
 
 	// interrupt, when non-nil, is polled every knn.InterruptStride settled
 	// vertices; a true return aborts the scan early.
@@ -466,10 +472,10 @@ type KNN struct {
 	out     []knn.Result
 	collect func(knn.Result) bool
 
-	// VisitedVertices counts vertices settled by the last query and
+	// VisitedVertices counts vertices settled by the last query,
 	// VerticesBypassed the total size of the Rnets it bypassed via shortcuts
-	// (Figure 9b).
-	VisitedVertices, VerticesBypassed int
+	// (Figure 9b) and RowsRelaxed the shortcut rows it relaxed.
+	VisitedVertices, VerticesBypassed, RowsRelaxed int
 }
 
 // NewKNN returns the ROAD kNN method.
@@ -480,6 +486,7 @@ func NewKNN(idx *Index, ad *AssociationDirectory) *KNN {
 		q:    pqueue.NewQueue(1024),
 		dist: scratch.NewDists(idx.G.NumVertices()),
 		qAnc: make([]int32, idx.Levels+1),
+		via:  make([]uint8, idx.G.NumVertices()),
 	}
 	x.collect = func(r knn.Result) bool {
 		x.out = append(x.out, r)
@@ -519,7 +526,7 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	pt := x.idx.PT
 	x.dist.Reset()
 	x.q.Reset()
-	x.VisitedVertices, x.VerticesBypassed = 0, 0
+	x.VisitedVertices, x.VerticesBypassed, x.RowsRelaxed = 0, 0, 0
 
 	leafQ := pt.LeafOf[qv]
 	for i := range x.qAnc {
@@ -529,7 +536,7 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 		x.qAnc[pt.Nodes[n].Level] = n
 	}
 	found := 0
-	x.push(qv, 0)
+	x.push(qv, 0, 0)
 	for !x.q.Empty() && found < k {
 		it := x.q.Pop()
 		v, d := it.ID, graph.Dist(it.Key)
@@ -586,18 +593,28 @@ func (x *KNN) relaxShortcuts(v int32, d graph.Dist, qv, leafQ int32) {
 
 // bypass relaxes the shortcuts from border bi of Rnet r plus v's ordinary
 // edges that leave r.
+//
+// The shortcut row is skipped when v's label came from another border's row
+// of r: that border b relaxed its whole row, so every border k of r holds a
+// label <= d_b + S[b][k], and S, shortest distances inside r, obeys the
+// triangle inequality, so d + S[v][k] = d_b + S[b][v] + S[v][k] >=
+// d_b + S[b][k]. push refuses a label it cannot strictly lower, so not one
+// push of the row could succeed: the heap sees the same pushes either way.
 func (x *KNN) bypass(r, bi, v int32, d graph.Dist) {
 	idx := x.idx
-	bs := idx.borders[r]
-	nb := int32(len(bs))
-	base := idx.matOff[r] + bi*nb
-	for bj := int32(0); bj < nb; bj++ {
-		// The Appendix A.3 improvement (never re-insert a settled border)
-		// needs no test of its own: push refuses any label it cannot lower,
-		// and that covers v itself (shortcut 0) and every settled border.
-		if w := idx.shorts[base+bj]; w < inf32 {
-			x.push(bs[bj], d+graph.Dist(w))
+	if lvl := uint8(idx.PT.Nodes[r].Level); x.via[v] != lvl {
+		bs := idx.borders[r]
+		nb := int32(len(bs))
+		base := idx.matOff[r] + bi*nb
+		for bj := int32(0); bj < nb; bj++ {
+			// The Appendix A.3 improvement (never re-insert a settled border)
+			// needs no test of its own: push refuses any label it cannot lower,
+			// and that covers v itself (shortcut 0) and every settled border.
+			if w := idx.shorts[base+bj]; w < inf32 {
+				x.push(bs[bj], d+graph.Dist(w), lvl)
+			}
 		}
+		x.RowsRelaxed++
 	}
 	x.relaxEdges(v, d, r)
 	x.VerticesBypassed += len(idx.PT.Nodes[r].Vertices)
@@ -613,15 +630,17 @@ func (x *KNN) relaxEdges(v int32, d graph.Dist, skipInside int32) {
 		if skipInside >= 0 && pt.Contains(skipInside, t) {
 			continue
 		}
-		x.push(t, d+graph.Dist(ws[i]))
+		x.push(t, d+graph.Dist(ws[i]), 0)
 	}
 }
 
 // push enqueues t at distance nd unless its label is already as small (the
 // same duplicate suppression INE uses; see scratch.Dists for why it also
-// keeps settled vertices out).
-func (x *KNN) push(t int32, nd graph.Dist) {
+// keeps settled vertices out), recording via, the level of the Rnet whose
+// shortcut row offered nd (0 for an edge).
+func (x *KNN) push(t int32, nd graph.Dist, via uint8) {
 	if x.dist.Lower(t, nd) {
+		x.via[t] = via
 		x.q.Push(t, int64(nd))
 	}
 }

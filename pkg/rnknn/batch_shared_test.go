@@ -2,6 +2,7 @@ package rnknn
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -169,6 +170,39 @@ func TestBatchSharedOnActuallyShares(t *testing.T) {
 	if after.FanoutQueries-before.FanoutQueries != uint64(len(queries)) {
 		t.Fatalf("SharedOff fan-out count %d, want %d",
 			after.FanoutQueries-before.FanoutQueries, len(queries))
+	}
+}
+
+// TestBatchSharedHugeK pins that INE members with a k far beyond the object
+// count still share one expansion and answer every object: the group clamps
+// k before sizing its arenas, where math.MaxInt32 once ran the process out
+// of memory.
+func TestBatchSharedHugeK(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "huge-k", Rows: 24, Cols: 24, Seed: 19})
+	db, err := Open(g, WithMethods(INE), WithObjects(DefaultCategory, gen.Uniform(g, 0.01, 20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	queries := clusteredQueries(db, 2)
+	b := db.Batch().SharedExpansion(SharedOn)
+	for _, q := range queries {
+		b.AddKNN(q, math.MaxInt32, WithMethod(INE))
+	}
+	got, err := b.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := db.NumObjects(DefaultCategory)
+	for i, r := range got {
+		want, err := db.KNN(ctx, queries[i], n, WithMethod(INE))
+		if err != nil || r.Err != nil {
+			t.Fatal(err, r.Err)
+		}
+		if !r.Shared || len(r.Results) != n || !SameResults(r.Results, want) {
+			t.Fatalf("member %d: shared=%v, %d results %s; want shared, all %d objects %s",
+				i, r.Shared, len(r.Results), FormatResults(r.Results), n, FormatResults(want))
+		}
 	}
 }
 
