@@ -75,6 +75,13 @@ func (x *Index) Name() string { return "CH" }
 // TNR to pick transit nodes).
 func (x *Index) Rank(v int32) int32 { return x.rank[v] }
 
+// Up returns v's upward arcs (original and shortcut edges to higher-ranked
+// vertices) with their weights; PHL derives its labels from them.
+func (x *Index) Up(v int32) (to, w []int32) {
+	lo, hi := x.upOff[v], x.upOff[v+1]
+	return x.upTo[lo:hi], x.upW[lo:hi]
+}
+
 // dynEdge is a working-graph edge during contraction.
 type dynEdge struct {
 	to int32

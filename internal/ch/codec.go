@@ -30,9 +30,11 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 
 // Read deserializes an index written by WriteTo and re-arms the query-time
 // scratch state, validating CSR invariants against g. When sr aliases a
-// mapped snapshot the arrays are views of the mapping and the per-element
-// validation scans are skipped (they would fault in every page — mapped
-// opens trust the snapshot; dimensions are still checked).
+// mapped snapshot the arrays are views of the mapping and the per-edge
+// target scan is skipped (it would fault in every page — mapped opens trust
+// the arcs). Dimensions and the O(|V|) per-vertex checks, ranks in [0, |V|)
+// and monotone upward offsets, run on both paths: Up slices by the offsets
+// and PHL's build subscripts by rank.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	x := &Index{g: g}
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
@@ -53,17 +55,17 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}
-	if !sr.Aliasing() {
-		for v := 0; v < n; v++ {
-			if x.rank[v] < 0 || int(x.rank[v]) >= n {
-				sr.Failf("ch rank[%d]=%d out of range", v, x.rank[v])
-				return nil, sr.Err()
-			}
-			if x.upOff[v] > x.upOff[v+1] {
-				sr.Failf("ch upward offsets not monotone at %d", v)
-				return nil, sr.Err()
-			}
+	for v := 0; v < n; v++ {
+		if x.rank[v] < 0 || int(x.rank[v]) >= n {
+			sr.Failf("ch rank[%d]=%d out of range", v, x.rank[v])
+			return nil, sr.Err()
 		}
+		if x.upOff[v] > x.upOff[v+1] {
+			sr.Failf("ch upward offsets not monotone at %d", v)
+			return nil, sr.Err()
+		}
+	}
+	if !sr.Aliasing() {
 		for i, t := range x.upTo {
 			if t < 0 || int(t) >= n {
 				sr.Failf("ch upward target %d out of range at edge %d", t, i)

@@ -26,10 +26,10 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // Read deserializes an index written by WriteTo for a graph of numVertices
 // vertices, validating the CSR invariants. When sr aliases a mapped
 // snapshot, the label arrays are views of the mapping and the per-element
-// scans (monotone offsets, hubs in [0, numVertices), distances >= 0) are
-// skipped — they would fault in every label page; mapped opens trust the
-// snapshot, dimensions are still checked, and Source masks the one
-// subscript a hub value feeds.
+// label scans (hubs in [0, numVertices), distances >= 0) are skipped — they
+// would fault in every label page; mapped opens trust the labels, and
+// Source masks the one subscript a hub value feeds. Dimensions and the
+// monotone offsets every label slice relies on are checked on both paths.
 func Read(sr *snapio.Source, numVertices int) (*Index, error) {
 	x := &Index{}
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
@@ -44,13 +44,13 @@ func Read(sr *snapio.Source, numVertices int) (*Index, error) {
 		sr.Failf("phl label CSR is inconsistent for %d vertices", n)
 		return nil, sr.Err()
 	}
-	if !sr.Aliasing() {
-		for v := 0; v < n; v++ {
-			if x.off[v] > x.off[v+1] {
-				sr.Failf("phl offsets not monotone at %d", v)
-				return nil, sr.Err()
-			}
+	for v := 0; v < n; v++ {
+		if x.off[v] > x.off[v+1] {
+			sr.Failf("phl offsets not monotone at %d", v)
+			return nil, sr.Err()
 		}
+	}
+	if !sr.Aliasing() {
 		for i, h := range x.hubs {
 			if h < 0 || int(h) >= n || x.dist[i] < 0 {
 				sr.Failf("phl label entry %d (hub %d, dist %d) out of range", i, h, x.dist[i])

@@ -1,21 +1,26 @@
 // Package phl provides the hub-labeling distance oracle that stands in for
 // Pruned Highway Labeling in the IER compositions (Section 5; see DESIGN.md
-// Substitutions). Labels are built by pruned landmark labeling (Akiba et
-// al.): pruned Dijkstras from vertices in importance order — here the
-// contraction-hierarchy rank, which yields small labels on road networks.
-// A point-to-point query (Index.Distance) is a linear merge of two sorted
-// hub lists; IER, which asks for many distances from one query vertex, pins
-// that vertex's label once and scans each candidate's (Source) — the build's
-// prune test works the same way. Like PHL, labels are smaller on
-// travel-time graphs whose hierarchies prune more aggressively (Section
-// 7.2, Appendix B.2).
+// Substitutions). The labels are those of pruned landmark labeling (Akiba
+// et al.) with the contraction-hierarchy rank as vertex order, which yields
+// small labels on road networks. They are not built by PLL's pruned
+// Dijkstras but derived from the hierarchy (Abraham et al.'s hierarchical
+// hub labelings): most important vertex first, a vertex's candidate hubs
+// are its upward neighbours' final labels extended by the arc, and PLL's
+// own prune test keeps exactly the entries PLL would (ARCHITECTURE.md "PHL
+// labels from the hierarchy"). A point-to-point query (Index.Distance) is a
+// linear merge of two sorted hub lists; IER, which asks for many distances
+// from one query vertex, pins that vertex's label once and scans each
+// candidate's (Source) — the build's prune test works the same way. Like
+// PHL, labels are smaller on travel-time graphs whose hierarchies prune
+// more aggressively (Section 7.2, Appendix B.2).
 package phl
 
 import (
+	"slices"
+
 	"rnknn/internal/ch"
 	"rnknn/internal/graph"
 	"rnknn/internal/knn"
-	"rnknn/internal/pqueue"
 )
 
 // Index is a built hub labeling.
@@ -49,66 +54,70 @@ func Build(g *graph.Graph, hierarchy *ch.Index) *Index {
 		importance[v] = int32(i)
 	}
 
-	// Growable per-vertex labels during construction.
-	labHubs := make([][]int32, n)
-	labDist := make([][]int32, n)
-
-	// The prune test is the query's one-sided scan. Every more important
-	// root has already run, so the root's label is final but for its own
-	// entry (which no other label holds yet): it is pinned once per root
-	// and each popped vertex costs one pass over its own label.
-	tmp := newPin(n)
-
-	dists := make([]graph.Dist, n)
-	stamp := make([]uint32, n)
-	var cur uint32
-	q := pqueue.NewQueue(1024)
-	for rank, root := range order {
-		tmp.scatter(labHubs[root], labDist[root])
-		cur++
-		q.Reset()
-		dists[root] = 0
-		stamp[root] = cur
-		q.Push(root, 0)
-		for !q.Empty() {
-			it := q.Pop()
-			v := it.ID
-			d := graph.Dist(it.Key)
-			if stamp[v] != cur || d > dists[v] {
-				continue
-			}
-			// Prune: if existing labels already certify a distance <= d,
-			// the root does not need to cover v (nor anything beyond it).
-			if tmp.scan(labHubs[v], labDist[v]) <= uint64(d) {
-				continue
-			}
-			labHubs[v] = append(labHubs[v], int32(rank))
-			labDist[v] = append(labDist[v], int32(d))
-			ts, ws := g.Neighbors(v)
-			for i, t := range ts {
-				nd := d + graph.Dist(ws[i])
-				if stamp[t] != cur || nd < dists[t] {
-					dists[t] = nd
-					stamp[t] = cur
-					q.Push(t, int64(nd))
+	// Labels in importance order in one arena: importance i's label is
+	// hubs[aOff[i]:aOff[i+1]], final once i is done. Every label holds at
+	// least its self entry, so n entries is the least the arena needs.
+	aOff := make([]int32, n+1)
+	hubs, dist := make([]int32, 0, n), make([]int32, 0, n)
+	// cand holds v's candidate hubs (those listed in touched); kept holds
+	// v's entries accepted so far, the label state the prune test scans.
+	cand, kept := newPin(n), newPin(n)
+	var touched []int32
+	for i, v := range order {
+		// Upward arcs lead to more important, finished vertices. (A hostile
+		// mapped hierarchy's arc to an unfinished one reads an empty range:
+		// aOff past i is still zero.)
+		ts, ws := hierarchy.Up(v)
+		for k, u := range ts {
+			j, w := importance[u], uint32(ws[k])
+			for e := aOff[j]; e < aOff[j+1]; e++ {
+				h, d := hubs[e], w+uint32(dist[e])
+				if cand[h] == far {
+					touched = append(touched, h)
 				}
+				cand[h] = min(cand[h], d)
 			}
 		}
-		tmp.clear(labHubs[root])
+		// v's label has at most len(touched)+1 entries. Grow by doubling:
+		// on NW, append's 1.25× steps cost 57 allocations and 85 MB per
+		// build against 33 and 59 MB, and run slower.
+		if need := len(hubs) + len(touched) + 1; need > cap(hubs) {
+			c := max(2*cap(hubs), need)
+			hubs = append(make([]int32, 0, c), hubs...)
+			dist = append(make([]int32, 0, c), dist...)
+		}
+		// PLL's prune test, in the order PLL's roots run: when root h pops
+		// v, h's label but for its self entry is pinned and scanned against
+		// v's entries above h.
+		slices.Sort(touched)
+		start := len(hubs)
+		for _, h := range touched {
+			d := cand[h]
+			cand[h] = far
+			lo, hi := aOff[h], aOff[h+1]-1
+			if kept.scan(hubs[lo:hi], dist[lo:hi]) <= uint64(d) {
+				continue
+			}
+			kept[h] = d
+			hubs = append(hubs, h)
+			dist = append(dist, int32(d))
+		}
+		kept.clear(hubs[start:])
+		touched = touched[:0]
+		hubs = append(hubs, int32(i))
+		dist = append(dist, 0)
+		aOff[i+1] = int32(len(hubs))
 	}
 
-	// Pack into CSR.
+	// Permute the arena into vertex-ordered CSR.
 	x := &Index{off: make([]int32, n+1)}
-	total := 0
-	for v := 0; v < n; v++ {
-		total += len(labHubs[v])
-		x.off[v+1] = int32(total)
+	for v, i := range importance {
+		x.off[v+1] = x.off[v] + aOff[i+1] - aOff[i]
 	}
-	x.hubs = make([]int32, total)
-	x.dist = make([]int32, total)
-	for v := 0; v < n; v++ {
-		copy(x.hubs[x.off[v]:], labHubs[v])
-		copy(x.dist[x.off[v]:], labDist[v])
+	x.hubs, x.dist = make([]int32, x.off[n]), make([]int32, x.off[n])
+	for v, i := range importance {
+		copy(x.hubs[x.off[v]:], hubs[aOff[i]:aOff[i+1]])
+		copy(x.dist[x.off[v]:], dist[aOff[i]:aOff[i+1]])
 	}
 	return x
 }

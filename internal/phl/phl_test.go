@@ -101,21 +101,7 @@ func TestSelfDistance(t *testing.T) {
 func twoIslands(t testing.TB) *graph.Graph {
 	t.Helper()
 	g := testGraph(t, 97, 9, 9)
-	n := int32(g.NumVertices())
-	x, y := make([]float64, 2*n), make([]float64, 2*n)
-	for v := int32(0); v < n; v++ {
-		x[v], y[v] = g.X[v], g.Y[v]
-		x[n+v], y[n+v] = g.X[v]+1e6, g.Y[v]
-	}
-	b := graph.NewBuilder(int(2*n), x, y)
-	for v := int32(0); v < n; v++ {
-		for e := g.Offsets[v]; e < g.Offsets[v+1]; e++ {
-			u := g.Targets[e]
-			b.AddEdge(v, u, g.DistW[e], g.TimeW[e])
-			b.AddEdge(n+v, n+u, g.DistW[e], g.TimeW[e])
-		}
-	}
-	return b.Build("islands")
+	return phl.Disjoint(g, g)
 }
 
 // TestSourceMatchesDistanceAndDijkstra is the pinned scan's differential:

@@ -3,6 +3,7 @@ package rnknn_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -157,10 +158,50 @@ func TestOpenSnapshotFileRejectsGarbage(t *testing.T) {
 	}
 }
 
+// tamperArrays returns a copy of a snapshot with fn applied to the raw
+// 64-byte-aligned int32 arrays of the named section, read after the
+// section's scalar header.
+func tamperArrays(t *testing.T, orig []byte, section string, header func(*snapio.Source), fn func(arrays [][]byte)) []byte {
+	t.Helper()
+	data := bytes.Clone(orig)
+	_, payloads, err := snapshot.Parse(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if p.Name != section {
+			continue
+		}
+		sr := snapio.NewSource(p.Data, false)
+		header(sr)
+		var arrays [][]byte
+		for sr.Remaining() > 0 {
+			_, b, _ := sr.AlignedRaw(4, 4)
+			arrays = append(arrays, b)
+		}
+		fn(arrays)
+		if bytes.Equal(data, orig) {
+			t.Fatalf("tampering left the %s section unchanged", section)
+		}
+		return data
+	}
+	t.Fatalf("no %s section in the snapshot", section)
+	return nil
+}
+
+// lastIntoFirst sets an offset array's entry 1 to its last entry, so the
+// offsets are no longer monotone: the slice for vertex 1 would start past
+// its end.
+func lastIntoFirst(off []byte) {
+	copy(off[4:8], off[len(off)-4:])
+}
+
 // TestOpenSnapshotFileHostilePHLLabels: a mapped open skips the per-element
 // label validation the decode path does, and IER-PHL's pinned scan
 // subscripts an array by hub VALUE. A snapshot whose PHL hubs and dist
 // arrays were overwritten may answer wrongly or error; it must not panic.
+// Offsets that are not monotone would slice a label past its end, so the
+// mapped open checks them and refuses the file.
 func TestOpenSnapshotFileHostilePHLLabels(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 10, Cols: 12, Seed: 8})
 	objs := gen.Uniform(g, 0.1, 3)
@@ -178,45 +219,25 @@ func TestOpenSnapshotFileHostilePHLLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, fill := range map[string]struct {
-		hub, dist byte
-		keepDist  bool
+	version := func(sr *snapio.Source) { sr.U16() }
+	fill := func(b []byte, v byte) {
+		for i := range b {
+			b[i] = v
+		}
+	}
+	for name, c := range map[string]struct {
+		tamper func(off, hubs, dist []byte)
+		refuse bool
 	}{
-		"hubs -1, dist -1":          {hub: 0xFF, dist: 0xFF},
-		"hubs huge, dist very low":  {hub: 0x7F, dist: 0x80},
-		"hubs very low, dist huge":  {hub: 0x80, dist: 0x7F},
-		"hubs all zero, dist huge":  {hub: 0x00, dist: 0x7F},
-		"hubs -1, dist all zero":    {hub: 0xFF, dist: 0x00},
-		"hubs huge, dist untouched": {hub: 0x7F, keepDist: true},
+		"hubs -1, dist -1":          {tamper: func(_, h, d []byte) { fill(h, 0xFF); fill(d, 0xFF) }},
+		"hubs huge, dist very low":  {tamper: func(_, h, d []byte) { fill(h, 0x7F); fill(d, 0x80) }},
+		"hubs very low, dist huge":  {tamper: func(_, h, d []byte) { fill(h, 0x80); fill(d, 0x7F) }},
+		"hubs all zero, dist huge":  {tamper: func(_, h, d []byte) { fill(h, 0x00); fill(d, 0x7F) }},
+		"hubs -1, dist all zero":    {tamper: func(_, h, d []byte) { fill(h, 0xFF); fill(d, 0x00) }},
+		"hubs huge, dist untouched": {tamper: func(_, h, _ []byte) { fill(h, 0x7F) }},
+		"off[1] = off[n]":           {tamper: func(off, _, _ []byte) { lastIntoFirst(off) }, refuse: true},
 	} {
-		data := bytes.Clone(orig)
-		_, payloads, err := snapshot.Parse(data, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tampered := false
-		for _, p := range payloads {
-			if p.Name != "PHL" {
-				continue
-			}
-			sr := snapio.NewSource(p.Data, false)
-			sr.U16()            // codec version
-			sr.AlignedRaw(4, 4) // off: left intact
-			_, hubs, _ := sr.AlignedRaw(4, 4)
-			_, dist, _ := sr.AlignedRaw(4, 4)
-			for i := range hubs {
-				hubs[i] = fill.hub
-			}
-			if !fill.keepDist {
-				for i := range dist {
-					dist[i] = fill.dist
-				}
-			}
-			tampered = len(hubs) > 0 && len(dist) > 0
-		}
-		if !tampered || bytes.Equal(data, orig) {
-			t.Fatal("did not find the PHL label arrays in the snapshot")
-		}
+		data := tamperArrays(t, orig, "PHL", version, func(a [][]byte) { c.tamper(a[0], a[1], a[2]) })
 		path := filepath.Join(dir, "hostile.rnks")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -225,11 +246,55 @@ func TestOpenSnapshotFileHostilePHLLabels(t *testing.T) {
 		if err != nil {
 			continue // refusing the file is an acceptable outcome
 		}
-		for q := int32(0); q < int32(g.NumVertices()); q += 7 {
+		if c.refuse {
+			t.Errorf("%s: mapped open accepted the file", name)
+		}
+		for q := int32(0); q < int32(g.NumVertices()); q++ {
 			_, _ = db.KNN(context.Background(), q, 5, rnknn.WithMethod(rnknn.IERPHL))
 		}
 		if err := db.Close(); err != nil {
 			t.Fatalf("%s: close: %v", name, err)
+		}
+	}
+}
+
+// TestOpenSnapshotFileHostileCHHierarchy: PHL's build reads the hierarchy's
+// upward arcs through its offsets and orders vertices by rank, and it runs
+// over a mapped CH when a snapshot carries CH but not PHL. A mapped open
+// therefore checks both and refuses offsets that are not monotone and ranks
+// outside [0, |V|).
+func TestOpenSnapshotFileHostileCHHierarchy(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 10, Cols: 12, Seed: 8})
+	objs := gen.Uniform(g, 0.1, 3)
+	built, err := rnknn.Open(g, rnknn.WithMethods(rnknn.IERCH), rnknn.WithObjects(rnknn.DefaultCategory, objs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.rnks")
+	if err := built.SaveIndexesFile(clean); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := func(sr *snapio.Source) { sr.U16(); sr.U32() } // version, shortcut count
+	for name, tamper := range map[string]func(rank, upOff []byte){
+		"upOff[1] = upOff[n]": func(_, upOff []byte) { lastIntoFirst(upOff) },
+		"rank[0] = |V|":       func(rank, _ []byte) { binary.LittleEndian.PutUint32(rank, uint32(g.NumVertices())) },
+		"rank[0] = -1":        func(rank, _ []byte) { binary.LittleEndian.PutUint32(rank, 0xFFFFFFFF) },
+	} {
+		data := tamperArrays(t, orig, "CH", header, func(a [][]byte) { tamper(a[0], a[1]) })
+		path := filepath.Join(dir, "hostile.rnks")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := rnknn.OpenSnapshotFile(path, rnknn.WithMethods(rnknn.IERCH, rnknn.IERPHL),
+			rnknn.WithObjects(rnknn.DefaultCategory, objs))
+		if err == nil {
+			db.Close()
+			t.Errorf("%s: mapped open accepted the file", name)
 		}
 	}
 }
