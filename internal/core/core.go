@@ -96,22 +96,11 @@ func (k MethodKind) String() string {
 	return fmt.Sprintf("MethodKind(%d)", int(k))
 }
 
-// Options tunes index construction; zero values use the defaults each index
-// derives from the network size (matching the paper's parameter choices).
-type Options struct {
-	GtreeFanout int
-	GtreeTau    int
-	RoadFanout  int
-	RoadLevels  int
-	NumTransit  int
-	// SILCParallelism bounds the SILC build workers.
-	SILCParallelism int
-}
-
-// Engine owns one road network and its lazily built indexes.
+// Engine owns one road network and its lazily built indexes. Each index is
+// built with the parameters it derives from the network size (matching the
+// paper's choices).
 type Engine struct {
-	G    *graph.Graph
-	Opts Options
+	G *graph.Graph
 
 	// mu serializes lazy index construction (and guards BuildTimes), so
 	// concurrent query sessions may trigger first-use builds safely. The
@@ -161,7 +150,7 @@ func (e *Engine) GtreeIndex() *gtree.Index {
 func (e *Engine) gtreeLocked() *gtree.Index {
 	if e.gt == nil {
 		e.timed("Gtree", func() {
-			e.gt = gtree.Build(e.G, gtree.Options{Fanout: e.Opts.GtreeFanout, Tau: e.Opts.GtreeTau})
+			e.gt = gtree.Build(e.G, gtree.Options{})
 		})
 	}
 	return e.gt
@@ -173,7 +162,7 @@ func (e *Engine) ROADIndex() *road.Index {
 	defer e.mu.Unlock()
 	if e.rd == nil {
 		e.timed("ROAD", func() {
-			e.rd = road.Build(e.G, road.Options{Fanout: e.Opts.RoadFanout, Levels: e.Opts.RoadLevels})
+			e.rd = road.Build(e.G, road.Options{})
 		})
 	}
 	return e.rd
@@ -187,7 +176,7 @@ func (e *Engine) SILCIndex() *silc.Index {
 	defer e.mu.Unlock()
 	if e.sc == nil {
 		e.timed("SILC", func() {
-			e.sc = silc.Build(e.G, silc.Options{Parallelism: e.Opts.SILCParallelism})
+			e.sc = silc.Build(e.G, silc.Options{})
 		})
 	}
 	return e.sc
@@ -228,7 +217,7 @@ func (e *Engine) TNRIndex() *tnr.Index {
 	if e.tnrx == nil {
 		hierarchy := e.chLocked()
 		e.timed("TNR", func() {
-			e.tnrx = tnr.Build(e.G, hierarchy, tnr.Options{NumTransit: e.Opts.NumTransit})
+			e.tnrx = tnr.Build(e.G, hierarchy, tnr.Options{})
 		})
 	}
 	return e.tnrx

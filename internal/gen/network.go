@@ -239,15 +239,16 @@ func Ladder() []NetworkSpec {
 	mk := func(name string, rows, cols int, seed int64) NetworkSpec {
 		return NetworkSpec{Name: name, Rows: rows, Cols: cols, Seed: seed}
 	}
+	// Each comment gives |V| after the chain vertices are added.
 	return []NetworkSpec{
-		mk("DE", 24, 30, 1),   // ~1k grid -> ~1.3k vertices after chains
-		mk("VT", 34, 42, 2),   // ~2k
-		mk("ME", 48, 60, 3),   // ~4k
-		mk("CO", 68, 84, 4),   // ~8k
-		mk("NW", 96, 120, 5),  // ~16k (default medium network)
-		mk("CA", 136, 168, 6), // ~32k
-		mk("E", 192, 240, 7),  // ~64k
-		mk("US", 272, 340, 8), // ~128k (default large network)
+		mk("DE", 24, 30, 1),   // 1,389
+		mk("VT", 34, 42, 2),   // 2,709
+		mk("ME", 48, 60, 3),   // 5,479
+		mk("CO", 68, 84, 4),   // 10,839
+		mk("NW", 96, 120, 5),  // 21,825 (default medium network)
+		mk("CA", 136, 168, 6), // 43,849
+		mk("E", 192, 240, 7),  // 87,665
+		mk("US", 272, 340, 8), // 176,597 (default large network)
 	}
 }
 

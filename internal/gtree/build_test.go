@@ -8,7 +8,6 @@ import (
 	"rnknn/internal/graph"
 	"rnknn/internal/partition"
 	"rnknn/internal/pqueue"
-	"rnknn/internal/scratch"
 )
 
 // BenchmarkGtreeBuild is the in-tree twin of rnbench's build.gtree_s:
@@ -57,14 +56,7 @@ func TestBuildMatchesReferenceRefinement(t *testing.T) {
 	// leaving it.
 	g := twoChains(240, true)
 	pt := partition.Build(g, partition.Options{Fanout: 4, MaxLeafSize: 16})
-	x := &Index{G: g, PT: pt, Tau: 16, nodes: make([]node, len(pt.Nodes))}
-	x.computePositions()
-	x.extractLeafCSRs()
-	x.computeBorders()
-	pos := scratch.NewMap32(g.NumVertices())
-	x.layoutInternalNodes(pos)
-	x.buildLeafMatrices()
-	x.buildInternalMatrices(pos)
+	x := bottomUp(g, pt, false)
 	if !slices.ContainsFunc(x.nodes, func(n node) bool { return slices.Contains(n.mat, inf32) }) {
 		t.Fatal("split-leaves: the constrained pass has no inf32 cell")
 	}
@@ -277,8 +269,7 @@ func (x refIndex) buildLeafMatrix(li int32, extra func(ni int32) []int32) {
 // buildInternalMatrices computes internal-node matrices bottom-up over the
 // border graph of each node's children.
 func (x refIndex) buildInternalMatrices() {
-	order := x.nodesByLevelDesc()
-	for _, ni := range order {
+	for _, ni := range slices.Backward(x.PT.ByLevel()) {
 		if !x.PT.Nodes[ni].IsLeaf() {
 			x.buildInternalMatrix(ni, nil)
 		}
@@ -388,8 +379,7 @@ func (x refIndex) buildInternalMatrix(ni int32, extra []int32) {
 // refineTopDown upgrades every matrix from subgraph-constrained to global
 // distances, level by level from the root (whose matrix is already global).
 func (x refIndex) refineTopDown() {
-	order := x.nodesByLevelAsc()
-	for _, ni := range order {
+	for _, ni := range x.PT.ByLevel() {
 		parent := x.PT.Nodes[ni].Parent
 		if parent == -1 {
 			continue // root is already global

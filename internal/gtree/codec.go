@@ -9,6 +9,7 @@ package gtree
 
 import (
 	"io"
+	"slices"
 
 	"rnknn/internal/graph"
 	"rnknn/internal/partition"
@@ -102,10 +103,11 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // Read deserializes an index written by WriteTo, installing every derived
 // array as views of the payload (zero recomputation; aliased views of the
 // mapping when sr aliases).
-// The matrices are validated against the dimensions the layout implies —
-// pure arithmetic on the side tables, no matrix pages touched — so a
-// snapshot for a different graph (or a corrupt one) fails instead of
-// producing wrong distances.
+// The matrices are validated against the dimensions the layout implies, and
+// every element of the side tables is range-checked (see validate; no
+// matrix page is touched), so a snapshot for a different graph, or a
+// corrupt one, fails instead of producing wrong distances or crashing a
+// query.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
 		sr.Failf("gtree codec version %d (want %d)", v, codecVersion)
@@ -167,28 +169,72 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 		sr.Failf("gtree matrix heap has %d cells, nodes imply %d", len(mats), pos)
 		return nil, sr.Err()
 	}
-	return x, x.validateDims(sr)
+	return x, x.validate(sr)
 }
 
-// validateDims cross-checks every node's stride and matrix size against the
-// dimensions its border and layout arrays imply.
-func (x *Index) validateDims(sr *snapio.Source) error {
+// validate cross-checks every node's stride and matrix size against the
+// dimensions its border and layout arrays imply, and range-checks every
+// element the query path subscripts with, in one pass over each array: a
+// decoded index cannot index out of bounds. Matrix cells and leaf weights
+// stay unchecked, since a bad one gives a wrong distance, not a crash.
+func (x *Index) validate(sr *snapio.Source) error {
 	pt := x.PT
+	fail := func(format string, args ...any) error {
+		sr.Failf("gtree "+format, args...)
+		return sr.Err()
+	}
+	for v, p := range x.posInLeaf {
+		if uint32(p) >= uint32(len(pt.Nodes[pt.LeafOf[v]].Vertices)) {
+			return fail("posInLeaf[%d] = %d is outside its leaf", v, p)
+		}
+	}
 	for ni := range x.nodes {
-		n := &x.nodes[ni]
+		n, p := &x.nodes[ni], &pt.Nodes[ni]
 		var wantStride, wantLen int
-		if pt.Nodes[ni].IsLeaf() {
-			wantStride = len(pt.Nodes[ni].Vertices)
+		if p.IsLeaf() {
+			wantStride = len(p.Vertices)
 			wantLen = len(n.borders) * wantStride
 		} else {
 			wantStride = len(n.childBorders)
 			wantLen = wantStride * wantStride
 		}
 		if int(n.stride) != wantStride || len(n.mat) != wantLen {
-			sr.Failf("gtree node %d matrix is %dx%d cells, want stride %d with %d cells",
+			return fail("node %d matrix is %dx%d cells, want stride %d with %d cells",
 				ni, n.stride, len(n.mat), wantStride, wantLen)
-			return sr.Err()
+		}
+		if !below(n.borders, x.G.NumVertices()) || !below(n.childBorders, x.G.NumVertices()) {
+			return fail("node %d names a border outside the graph", ni)
+		}
+		if len(n.ownIdx) != len(n.borders) || !below(n.ownIdx, wantStride) {
+			return fail("node %d ownIdx does not index its %d borders into stride %d", ni, len(n.borders), wantStride)
+		}
+		if p.IsLeaf() {
+			off, tgt := x.leafOff[ni], x.leafTgt[ni]
+			if len(off) != len(p.Vertices)+1 || off[0] != 0 || int(off[len(off)-1]) != len(tgt) ||
+				!slices.IsSorted(off) || len(x.leafW[ni]) != len(tgt) || !below(tgt, len(p.Vertices)) {
+				return fail("leaf %d local graph is inconsistent", ni)
+			}
+			continue
+		}
+		// Child i's borders are the block childOff[i]:childOff[i+1].
+		ok := len(n.childOff) == len(p.Children)+1 && n.childOff[0] == 0 &&
+			int(n.childOff[len(p.Children)]) == len(n.childBorders)
+		for ci, c := range p.Children {
+			ok = ok && n.childOff[ci+1]-n.childOff[ci] == int32(len(x.nodes[c].borders))
+		}
+		if !ok {
+			return fail("node %d childOff does not match its children's borders", ni)
 		}
 	}
 	return nil
+}
+
+// below reports whether every element of a lies in [0, n).
+func below(a []int32, n int) bool {
+	for _, v := range a {
+		if uint32(v) >= uint32(n) {
+			return false
+		}
+	}
+	return true
 }

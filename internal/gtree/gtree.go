@@ -9,11 +9,12 @@
 // Distance matrices are built in two phases. A bottom-up pass computes
 // distances constrained to each node's subgraph: leaves by Dijkstra on the
 // leaf subgraph, internal nodes by Dijkstra over the border graph assembled
-// from child matrices plus cut edges. A top-down pass then refines every
-// matrix to global network distances in closed form, as min-plus products
-// with the parent's already global border-to-border distances (see
-// refineTopDown). Global matrices make LCA-based assembly exact for
-// arbitrary partitions.
+// from child matrices plus cut edges. Restricted to each node's own
+// borders, this pass is BorderCliques, which ROAD stores as its shortcuts.
+// A top-down pass then refines every matrix to global network distances in
+// closed form, as min-plus products with the parent's already global
+// border-to-border distances (see refineTopDown). Global matrices make
+// LCA-based assembly exact for arbitrary partitions.
 package gtree
 
 import (
@@ -113,17 +114,64 @@ func Build(g *graph.Graph, opts Options) *Index {
 // BuildOnPartition constructs a G-tree over a pre-built partition tree (the
 // experiments share one partition between G-tree and ROAD, Section 7.2).
 func BuildOnPartition(g *graph.Graph, pt *partition.Tree, tau int) *Index {
-	idx := &Index{G: g, PT: pt, Tau: tau}
-	idx.nodes = make([]node, len(pt.Nodes))
-	idx.computePositions()
-	idx.extractLeafCSRs()
-	idx.computeBorders()
+	x := bottomUp(g, pt, false)
+	x.Tau = tau
+	x.refineTopDown()
+	return x
+}
+
+// BorderCliques returns, for every node of pt, the row-major |B| x |B|
+// distances between its borders (in pt.Borders order) constrained to the
+// node's subgraph: the bottom-up half of the G-tree build, and ROAD's Rnet
+// shortcuts (Section 3.4). A cell with no path inside the node holds
+// math.MaxInt32/4. Only the rows of each node's own borders are computed,
+// since they are all a parent reads.
+func BorderCliques(g *graph.Graph, pt *partition.Tree) [][]int32 {
+	x := bottomUp(g, pt, true)
+	out := make([][]int32, len(x.nodes))
+	for ni := range x.nodes {
+		n := &x.nodes[ni]
+		c := make([]int32, 0, len(n.ownIdx)*len(n.ownIdx))
+		for i := range n.ownIdx {
+			row := x.ownRow(int32(ni), i)
+			for _, j := range n.ownIdx {
+				c = append(c, n.matAt(row, j))
+			}
+		}
+		out[ni] = c
+	}
+	return out
+}
+
+// bottomUp lays a G-tree out over pt and fills every node's matrix with
+// distances constrained to the node's subgraph, children before parents.
+// With ownOnly, an internal node computes only the rows of its own borders;
+// otherwise it computes one row per child border.
+func bottomUp(g *graph.Graph, pt *partition.Tree, ownOnly bool) *Index {
+	x := &Index{G: g, PT: pt, nodes: make([]node, len(pt.Nodes))}
+	x.computePositions()
+	x.extractLeafCSRs()
+	for ni, bs := range pt.Borders(g) {
+		x.nodes[ni].borders = bs
+	}
 	pos := scratch.NewMap32(g.NumVertices())
-	idx.layoutInternalNodes(pos)
-	idx.buildLeafMatrices()
-	idx.buildInternalMatrices(pos)
-	idx.refineTopDown()
-	return idx
+	x.layoutInternalNodes(pos)
+	for _, ni := range slices.Backward(pt.ByLevel()) {
+		n := &x.nodes[ni]
+		if pt.Nodes[ni].IsLeaf() {
+			x.buildLeafMatrix(ni)
+			continue
+		}
+		rows := n.ownIdx
+		if !ownOnly {
+			rows = make([]int32, len(n.childBorders))
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+		}
+		x.buildInternalMatrix(ni, pos, rows)
+	}
+	return x
 }
 
 func (x *Index) computePositions() {
@@ -144,30 +192,6 @@ func (x *Index) extractLeafCSRs() {
 	for _, li := range x.PT.Leaves() {
 		off, tgt, w := partition.ExtractCSR(x.G, x.PT.Nodes[li].Vertices)
 		x.leafOff[li], x.leafTgt[li], x.leafW[li] = off, tgt, w
-	}
-}
-
-// computeBorders marks, for every node N and vertex u in N, u as a border of
-// N when u has a neighbor outside N. A vertex with an external neighbor v is
-// a border of every ancestor of its leaf that does not contain v. Vertices
-// are scanned in ascending order, so each border list is built sorted, and a
-// vertex's duplicates (one per cross edge) arrive adjacently and are dropped
-// with a last-element check.
-func (x *Index) computeBorders() {
-	pt := x.PT
-	for u := int32(0); u < int32(x.G.NumVertices()); u++ {
-		ts, _ := x.G.Neighbors(u)
-		leafU := pt.LeafOf[u]
-		for _, v := range ts {
-			if pt.LeafOf[v] == leafU {
-				continue
-			}
-			for n := leafU; n != -1 && !pt.Contains(n, v); n = pt.Nodes[n].Parent {
-				if bs := x.nodes[n].borders; len(bs) == 0 || bs[len(bs)-1] != u {
-					x.nodes[n].borders = append(bs, u)
-				}
-			}
-		}
 	}
 }
 
@@ -205,14 +229,8 @@ func (x *Index) layoutInternalNodes(pos *scratch.Map32) {
 	}
 }
 
-// buildLeafMatrices computes each leaf's border-to-vertex matrix with
-// Dijkstra constrained to the leaf subgraph.
-func (x *Index) buildLeafMatrices() {
-	for _, li := range x.PT.Leaves() {
-		x.buildLeafMatrix(li)
-	}
-}
-
+// buildLeafMatrix computes leaf li's border-to-vertex matrix with Dijkstra
+// constrained to the leaf subgraph.
 func (x *Index) buildLeafMatrix(li int32) {
 	pt := x.PT
 	verts := pt.Nodes[li].Vertices
@@ -265,19 +283,21 @@ func borderIndexOf(n *node, v int32) int {
 	return -1
 }
 
-// buildInternalMatrices computes internal-node matrices bottom-up over the
-// border graph of each node's children. pos is a vertex-keyed scratch map.
-func (x *Index) buildInternalMatrices(pos *scratch.Map32) {
-	for _, ni := range x.nodesByLevelDesc() {
-		if !x.PT.Nodes[ni].IsLeaf() {
-			x.buildInternalMatrix(ni, pos)
-		}
+// ownRow returns the matrix row of node ni's own border i: a leaf has one row
+// per border, an internal node one per child border.
+func (x *Index) ownRow(ni int32, i int) int32 {
+	if x.PT.Nodes[ni].IsLeaf() {
+		return int32(i)
 	}
+	return x.nodes[ni].ownIdx[i]
 }
 
-// buildInternalMatrix runs Dijkstra from every vertex of node ni's border
-// graph: the child borders, joined by each child's clique of constrained
-// border distances and by the cut edges between children.
+// buildInternalMatrix runs Dijkstra over node ni's border graph — the child
+// borders, joined by each child's clique of constrained border distances and
+// by the cut edges between children — from each source in rows, a position
+// in childBorders, filling that source's matrix row. G-tree's queries read
+// every row; a parent reads only its children's own-border rows. pos is a
+// vertex-keyed scratch map.
 //
 // A child's clique holds shortest distances within the child, so it is
 // closed under the triangle inequality. A vertex whose label came from a
@@ -286,7 +306,7 @@ func (x *Index) buildInternalMatrices(pos *scratch.Map32) {
 // has nothing left to relax and is never queued. viaClique records how each
 // label was last lowered: a strict improvement through a cut edge clears
 // it, and a tie keeps it.
-func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32) {
+func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32, rows []int32) {
 	pt := x.PT
 	n := &x.nodes[ni]
 	cb := n.childBorders
@@ -306,10 +326,7 @@ func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32) {
 		cn := &x.nodes[c]
 		base := n.childOff[ci]
 		for i := range cn.borders {
-			r := cn.ownIdx[i] // leaf matrices have one row per border
-			if pt.Nodes[c].IsLeaf() {
-				r = int32(i)
-			}
+			r := x.ownRow(c, i)
 			block[base+int32(i)], rowOff[base+int32(i)] = int32(ci), int32(len(clique))
 			for _, j := range cn.ownIdx {
 				clique = append(clique, cn.matAt(r, j))
@@ -334,13 +351,13 @@ func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32) {
 	dist := make([]graph.Dist, ncb)
 	viaClique := make([]bool, ncb)
 	q := pqueue.NewQueue(ncb)
-	for src := 0; src < ncb; src++ {
+	for _, src := range rows {
 		for i := range dist {
 			dist[i], viaClique[i] = graph.Inf, false
 		}
 		q.Reset()
 		dist[src] = 0
-		q.Push(int32(src), 0)
+		q.Push(src, 0)
 		for !q.Empty() {
 			it := q.Pop()
 			v := it.ID
@@ -369,7 +386,7 @@ func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32) {
 				}
 			}
 		}
-		row := n.mat[src*ncb : (src+1)*ncb]
+		row := n.mat[int(src)*ncb : int(src+1)*ncb]
 		for j := 0; j < ncb; j++ {
 			row[j] = clamp32(dist[j])
 		}
@@ -390,7 +407,7 @@ func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32) {
 //     It is evaluated as T = G·M[o,:], then M* = min(M, M[:,o]·T).
 func (x *Index) refineTopDown() {
 	var tmp []int32
-	for _, ni := range x.nodesByLevelAsc() {
+	for _, ni := range x.PT.ByLevel() {
 		if x.PT.Nodes[ni].Parent == -1 {
 			continue // root is already global
 		}
@@ -473,28 +490,6 @@ func childIndex(pt *partition.Tree, parent, child int32) int {
 	panic("gtree: child not found under parent")
 }
 
-func (x *Index) nodesByLevelDesc() []int32 {
-	return x.nodesSorted(func(a, b int32) bool {
-		return x.PT.Nodes[a].Level > x.PT.Nodes[b].Level
-	})
-}
-
-func (x *Index) nodesByLevelAsc() []int32 {
-	return x.nodesSorted(func(a, b int32) bool {
-		return x.PT.Nodes[a].Level < x.PT.Nodes[b].Level
-	})
-}
-
-func (x *Index) nodesSorted(less func(a, b int32) bool) []int32 {
-	out := make([]int32, len(x.nodes))
-	for i := range out {
-		out[i] = int32(i)
-	}
-	// Stable insertion-friendly sort; node count is modest.
-	sortInt32Func(out, less)
-	return out
-}
-
 // SizeBytes estimates the index memory footprint (matrices dominate).
 func (x *Index) SizeBytes() int {
 	total := len(x.posInLeaf) * 4
@@ -516,42 +511,4 @@ func clamp32(d graph.Dist) int32 {
 		return inf32
 	}
 	return int32(d)
-}
-
-func sortInt32Func(a []int32, less func(x, y int32) bool) {
-	// Simple binary-insertion-friendly quicksort via sort.Slice equivalent;
-	// implemented inline to avoid reflect overhead on hot build paths.
-	var qs func(lo, hi int)
-	qs = func(lo, hi int) {
-		for hi-lo > 12 {
-			p := a[(lo+hi)/2]
-			i, j := lo, hi-1
-			for i <= j {
-				for less(a[i], p) {
-					i++
-				}
-				for less(p, a[j]) {
-					j--
-				}
-				if i <= j {
-					a[i], a[j] = a[j], a[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				qs(lo, j+1)
-				lo = i
-			} else {
-				qs(i, hi)
-				hi = j + 1
-			}
-		}
-		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && less(a[j], a[j-1]); j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-	}
-	qs(0, len(a))
 }

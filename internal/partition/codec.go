@@ -104,12 +104,11 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 			len(t.LeafOf), len(t.LeafSeq), numVertices)
 		return nil
 	}
-	if !r.Aliasing() {
-		for v, li := range t.LeafOf {
-			if li < 0 || int(li) >= count || !t.Nodes[li].IsLeaf() {
-				r.Failf("vertex %d mapped to invalid leaf %d", v, li)
-				return nil
-			}
+	// Checked on the mapped path too: every index subscripts nodes by it.
+	for v, li := range t.LeafOf {
+		if li < 0 || int(li) >= count || !t.Nodes[li].IsLeaf() {
+			r.Failf("vertex %d mapped to invalid leaf %d", v, li)
+			return nil
 		}
 	}
 	return t

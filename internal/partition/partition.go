@@ -8,6 +8,8 @@
 package partition
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"rnknn/internal/graph"
@@ -83,6 +85,42 @@ func (t *Tree) Leaves() []int32 {
 	}
 	sort.Slice(out, func(a, b int) bool { return t.Nodes[out[a]].LeafLo < t.Nodes[out[b]].LeafLo })
 	return out
+}
+
+// ByLevel returns the node indexes in ascending level order, the root first;
+// nodes of one level keep their index order.
+func (t *Tree) ByLevel() []int32 {
+	order := make([]int32, len(t.Nodes))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(t.Nodes[a].Level, t.Nodes[b].Level) })
+	return order
+}
+
+// Borders returns, for every node N, its border vertices: the vertices of N
+// with a neighbor outside N, sorted ascending. A vertex with a neighbor v in
+// another leaf is a border of every ancestor of its leaf that does not
+// contain v. Vertices are scanned in ascending order, so each list is built
+// sorted, and a vertex's duplicates (one per cross edge) arrive adjacently
+// and are dropped with a last-element check.
+func (t *Tree) Borders(g *graph.Graph) [][]int32 {
+	borders := make([][]int32, len(t.Nodes))
+	for u := int32(0); u < int32(g.NumVertices()); u++ {
+		ts, _ := g.Neighbors(u)
+		leafU := t.LeafOf[u]
+		for _, v := range ts {
+			if t.LeafOf[v] == leafU {
+				continue
+			}
+			for n := leafU; n != -1 && !t.Contains(n, v); n = t.Nodes[n].Parent {
+				if bs := borders[n]; len(bs) == 0 || bs[len(bs)-1] != u {
+					borders[n] = append(bs, u)
+				}
+			}
+		}
+	}
+	return borders
 }
 
 // Options configures Build.

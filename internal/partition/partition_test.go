@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
+	"sort"
 	"testing"
 
 	"rnknn/internal/gen"
@@ -43,6 +44,46 @@ func TestLeafSizeRespected(t *testing.T) {
 		}
 		if n == 0 {
 			t.Fatal("empty leaf")
+		}
+	}
+}
+
+// TestByLevelIsStableLevelOrder checks ByLevel against a stable sort of the
+// node indexes by level, on a leaf-size tree and a level-capped one.
+func TestByLevelIsStableLevelOrder(t *testing.T) {
+	g := testGraph(t)
+	for _, opts := range []partition.Options{{Fanout: 4, MaxLeafSize: 16}, {Fanout: 4, MaxLevels: 4}} {
+		tr := partition.Build(g, opts)
+		want := make([]int32, len(tr.Nodes))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool { return tr.Nodes[want[a]].Level < tr.Nodes[want[b]].Level })
+		if got := tr.ByLevel(); !slices.Equal(got, want) {
+			t.Fatalf("%+v: ByLevel = %v, want %v", opts, got, want)
+		}
+	}
+}
+
+// TestBordersMatchDefinition checks Borders against the definition it
+// scans for: the vertices of node N, in ascending order, with a neighbor
+// outside N.
+func TestBordersMatchDefinition(t *testing.T) {
+	g := testGraph(t)
+	for _, opts := range []partition.Options{{Fanout: 4, MaxLeafSize: 16}, {Fanout: 4, MaxLevels: 4}} {
+		tr := partition.Build(g, opts)
+		got := tr.Borders(g)
+		for ni := range tr.Nodes {
+			var want []int32
+			for _, u := range tr.Nodes[ni].Vertices {
+				ts, _ := g.Neighbors(u)
+				if slices.ContainsFunc(ts, func(v int32) bool { return !tr.Contains(int32(ni), v) }) {
+					want = append(want, u)
+				}
+			}
+			if !slices.Equal(got[ni], want) {
+				t.Fatalf("%+v: node %d borders = %v, want %v", opts, ni, got[ni], want)
+			}
 		}
 	}
 }
@@ -209,5 +250,14 @@ func TestDecodeRejectsMalformedShape(t *testing.T) {
 	binary.LittleEndian.PutUint32(huge[4:], 1<<26) // the node count
 	if ok := decodes(huge); ok[0] || ok[1] {
 		t.Errorf("a node count the payload cannot back decoded: %v", ok)
+	}
+	// Every index subscripts nodes by leafOf, so a mapped tree checks it too.
+	for _, leaf := range []int32{0, int32(len(good.Nodes))} { // the root, then past the end
+		bad := *good
+		bad.LeafOf = slices.Clone(good.LeafOf)
+		bad.LeafOf[0] = leaf
+		if ok := decodes(encode(&bad)); ok[0] || ok[1] {
+			t.Errorf("leafOf[0] = %d decoded: %v", leaf, ok)
+		}
 	}
 }

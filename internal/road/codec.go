@@ -1,9 +1,10 @@
 // Binary snapshot codec for ROAD. Persists the partition tree and the
 // global shortcut array (the Dijkstra-heavy build products); border lists,
 // matrix offsets, and the Route Overlay are recomputed on load by the same
-// deterministic linear passes Build runs. The layout uses the snapio raw
-// 64-byte-aligned arrays so a mapped snapshot aliases the tree and the
-// shortcut array with zero copy. See docs/SNAPSHOT_FORMAT.md.
+// deterministic passes Build runs (layout, buildRouteOverlay). The section
+// uses the snapio raw 64-byte-aligned arrays so a mapped snapshot aliases
+// the tree and the shortcut array with zero copy. See
+// docs/SNAPSHOT_FORMAT.md.
 package road
 
 import (
@@ -41,12 +42,7 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 		return nil, sr.Err()
 	}
 	x := &Index{G: g, PT: pt, Levels: levels, shorts: shorts}
-	x.computeBorders()
-	x.matOff = make([]int32, len(pt.Nodes)+1)
-	for ni := range pt.Nodes {
-		b := len(x.borders[ni])
-		x.matOff[ni+1] = x.matOff[ni] + int32(b*b)
-	}
+	x.layout()
 	if len(shorts) != int(x.matOff[len(pt.Nodes)]) {
 		sr.Failf("road shortcut array has %d cells, borders imply %d",
 			len(shorts), x.matOff[len(pt.Nodes)])

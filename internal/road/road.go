@@ -4,20 +4,27 @@
 // bypasses Rnets containing no objects by relaxing their shortcuts instead
 // of exploring their interiors (Algorithms 5 and 6).
 //
-// Shortcuts of an Rnet store distances constrained to that Rnet's subgraph,
-// computed bottom-up: leaf Rnets by Dijkstra on their subgraphs, inner
-// Rnets over the border graph assembled from child shortcut cliques plus
-// cut edges. Constrained distances suffice for correctness because the
-// expansion itself stitches together path segments that leave and re-enter
-// an Rnet through its borders.
+// Shortcuts of an Rnet store distances between its borders constrained to
+// its subgraph. They are exactly the bottom-up half of the G-tree build over
+// the same partition tree (Section 7.2), so they come from
+// gtree.BorderCliques: leaf Rnets by Dijkstra on their subgraphs, inner
+// Rnets over the border graph assembled from child cliques plus cut edges.
+// Borders and the level order of Rnets come from the partition tree.
+// Constrained distances suffice for correctness because the expansion
+// itself stitches together path segments that leave and re-enter an Rnet
+// through its borders.
 //
 // The Appendix A.3 improvement — not re-inserting shortcut targets that are
 // already settled — is applied.
 package road
 
 import (
+	"math"
+	"slices"
+
 	"rnknn/internal/bitset"
 	"rnknn/internal/graph"
+	"rnknn/internal/gtree"
 	"rnknn/internal/knn"
 	"rnknn/internal/partition"
 	"rnknn/internal/pqueue"
@@ -82,128 +89,55 @@ func Build(g *graph.Graph, opts Options) *Index {
 // BuildOnPartition constructs ROAD over a pre-built partition tree.
 func BuildOnPartition(g *graph.Graph, pt *partition.Tree, levels int) *Index {
 	x := &Index{G: g, PT: pt, Levels: levels}
-	x.computeBorders()
-	x.computeShortcuts()
+	x.layout()
+	x.shorts = make([]int32, 0, x.matOff[len(pt.Nodes)])
+	for _, clique := range gtree.BorderCliques(g, pt) {
+		for _, w := range clique {
+			if w == cliqueNoPath {
+				w = inf32
+			}
+			x.shorts = append(x.shorts, w)
+		}
+	}
 	x.buildRouteOverlay()
 	return x
 }
 
+// cliqueNoPath is the cell gtree.BorderCliques reports for a border pair
+// with no path inside the Rnet; ROAD stores inf32 there.
+const cliqueNoPath = math.MaxInt32 / 4
+
+// layout derives what Build and Read share from the partition tree: every
+// Rnet's borders and its shortcut matrix's offset in the global array.
+func (x *Index) layout() {
+	x.borders = x.PT.Borders(x.G)
+	x.matOff = make([]int32, len(x.borders)+1)
+	for ni, bs := range x.borders {
+		x.matOff[ni+1] = x.matOff[ni] + int32(len(bs)*len(bs))
+	}
+}
+
 // buildRouteOverlay packs, per vertex, the (Rnet, border index) pairs where
-// the vertex is a border, ordered by level ascending (chain Rnets are
-// nested, so this is "highest first").
+// the vertex is a border. Rnets are walked in level-ascending order, so each
+// vertex's pairs come out highest level first (chain Rnets are nested).
 func (x *Index) buildRouteOverlay() {
 	n := x.G.NumVertices()
-	type entry struct {
-		rnet int32
-		bi   int32
-	}
-	per := make([][]entry, n)
-	// Walk nodes in level-ascending order so per-vertex lists come out
-	// highest-level-first without sorting.
-	order := make([]int32, len(x.PT.Nodes))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && x.PT.Nodes[order[j]].Level < x.PT.Nodes[order[j-1]].Level; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, ni := range order {
-		for bi, v := range x.borders[ni] {
-			per[v] = append(per[v], entry{ni, int32(bi)})
-		}
-	}
 	x.roOff = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		x.roOff[v+1] = x.roOff[v] + int32(len(per[v]))
-	}
-	total := x.roOff[n]
-	x.roRnet = make([]int32, total)
-	x.roBi = make([]int32, total)
-	for v := 0; v < n; v++ {
-		base := x.roOff[v]
-		for i, e := range per[v] {
-			x.roRnet[base+int32(i)] = e.rnet
-			x.roBi[base+int32(i)] = e.bi
+	for _, bs := range x.borders {
+		for _, v := range bs {
+			x.roOff[v+1]++
 		}
 	}
-}
-
-func (x *Index) computeBorders() {
-	pt := x.PT
-	// Vertices are scanned in ascending order, so each node's border list
-	// is built already sorted; duplicates (one per outgoing cross edge)
-	// arrive adjacently and are dropped with a last-element check — no
-	// per-node hash set, no sort (the Section 6.2 container discipline
-	// applied to the build path).
-	x.borders = make([][]int32, len(pt.Nodes))
-	for u := int32(0); u < int32(x.G.NumVertices()); u++ {
-		ts, _ := x.G.Neighbors(u)
-		leafU := pt.LeafOf[u]
-		for _, v := range ts {
-			if pt.LeafOf[v] == leafU {
-				continue
-			}
-			n := leafU
-			for n != -1 && !pt.Contains(n, v) {
-				if bs := x.borders[n]; len(bs) == 0 || bs[len(bs)-1] != u {
-					x.borders[n] = append(x.borders[n], u)
-				}
-				n = pt.Nodes[n].Parent
-			}
-		}
+	for v := range n {
+		x.roOff[v+1] += x.roOff[v]
 	}
-}
-
-// borderIndex returns v's index within node ni's border list, or -1.
-func (x *Index) borderIndex(ni, v int32) int32 {
-	bs := x.borders[ni]
-	lo, hi := 0, len(bs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(bs) && bs[lo] == v {
-		return int32(lo)
-	}
-	return -1
-}
-
-// computeShortcuts fills the global shortcut array bottom-up.
-func (x *Index) computeShortcuts() {
-	pt := x.PT
-	// Allocate matrix offsets.
-	x.matOff = make([]int32, len(pt.Nodes)+1)
-	for ni := range pt.Nodes {
-		b := len(x.borders[ni])
-		x.matOff[ni+1] = x.matOff[ni] + int32(b*b)
-	}
-	x.shorts = make([]int32, x.matOff[len(pt.Nodes)])
-
-	// Bottom-up by level.
-	order := make([]int32, len(pt.Nodes))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && pt.Nodes[order[j]].Level > pt.Nodes[order[j-1]].Level; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	// One stamped position map serves every node's shortcut computation
-	// (reset per node in O(1)) — the former per-node map[int32]int32
-	// allocations.
-	pos := scratch.NewMap32(x.G.NumVertices())
-	for _, ni := range order {
-		if pt.Nodes[ni].IsLeaf() {
-			x.leafShortcuts(ni, pos)
-		} else {
-			x.innerShortcuts(ni, pos)
+	x.roRnet = make([]int32, x.roOff[n])
+	x.roBi = make([]int32, x.roOff[n])
+	next := slices.Clone(x.roOff[:n])
+	for _, ni := range x.PT.ByLevel() {
+		for bi, v := range x.borders[ni] {
+			x.roRnet[next[v]], x.roBi[next[v]] = ni, int32(bi)
+			next[v]++
 		}
 	}
 }
@@ -217,141 +151,6 @@ func (x *Index) Shortcut(ni, bi, bj int32) graph.Dist {
 		return graph.Inf
 	}
 	return graph.Dist(w)
-}
-
-func (x *Index) setShortcut(ni, bi, bj int32, d graph.Dist) {
-	nb := int32(len(x.borders[ni]))
-	w := inf32
-	if d < graph.Dist(inf32) {
-		w = int32(d)
-	}
-	x.shorts[x.matOff[ni]+bi*nb+bj] = w
-}
-
-func (x *Index) leafShortcuts(ni int32, pos *scratch.Map32) {
-	pt := x.PT
-	verts := pt.Nodes[ni].Vertices
-	bs := x.borders[ni]
-	if len(bs) == 0 {
-		return
-	}
-	off, tgt, w := partition.ExtractCSR(x.G, verts)
-	pos.Reset()
-	for i, v := range verts {
-		pos.Put(v, int32(i))
-	}
-	dist := make([]graph.Dist, len(verts))
-	q := pqueue.NewQueue(len(verts))
-	for bi, b := range bs {
-		for i := range dist {
-			dist[i] = graph.Inf
-		}
-		q.Reset()
-		src, _ := pos.Get(b)
-		dist[src] = 0
-		q.Push(src, 0)
-		for !q.Empty() {
-			it := q.Pop()
-			v := it.ID
-			d := graph.Dist(it.Key)
-			if d > dist[v] {
-				continue
-			}
-			for e := off[v]; e < off[v+1]; e++ {
-				t := tgt[e]
-				if nd := d + graph.Dist(w[e]); nd < dist[t] {
-					dist[t] = nd
-					q.Push(t, int64(nd))
-				}
-			}
-		}
-		for bj, b2 := range bs {
-			p, _ := pos.Get(b2)
-			x.setShortcut(ni, int32(bi), int32(bj), dist[p])
-		}
-	}
-}
-
-func (x *Index) innerShortcuts(ni int32, pos *scratch.Map32) {
-	pt := x.PT
-	children := pt.Nodes[ni].Children
-	// Border graph vertices: union of child borders.
-	var cb []int32
-	pos.Reset()
-	for _, c := range children {
-		for _, b := range x.borders[c] {
-			if _, ok := pos.Get(b); !ok {
-				pos.Put(b, int32(len(cb)))
-				cb = append(cb, b)
-			}
-		}
-	}
-	type arc struct {
-		to int32
-		w  int32
-	}
-	adj := make([][]arc, len(cb))
-	for _, c := range children {
-		bs := x.borders[c]
-		nb := int32(len(bs))
-		for i := int32(0); i < nb; i++ {
-			pi, _ := pos.Get(bs[i])
-			for j := int32(0); j < nb; j++ {
-				if i == j {
-					continue
-				}
-				w := x.shorts[x.matOff[c]+i*nb+j]
-				if w < inf32 {
-					pj, _ := pos.Get(bs[j])
-					adj[pi] = append(adj[pi], arc{pj, w})
-				}
-			}
-		}
-	}
-	childLevel := pt.Nodes[ni].Level + 1
-	for _, u := range cb {
-		ui, _ := pos.Get(u)
-		ts, ws := x.G.Neighbors(u)
-		for i, v := range ts {
-			vi, ok := pos.Get(v)
-			if !ok {
-				continue
-			}
-			if pt.PartOf(u, childLevel) != pt.PartOf(v, childLevel) {
-				adj[ui] = append(adj[ui], arc{vi, ws[i]})
-			}
-		}
-	}
-	bs := x.borders[ni]
-	dist := make([]graph.Dist, len(cb))
-	q := pqueue.NewQueue(len(cb))
-	for bi, b := range bs {
-		for i := range dist {
-			dist[i] = graph.Inf
-		}
-		q.Reset()
-		src, _ := pos.Get(b) // every border of ni is a border of some child
-		dist[src] = 0
-		q.Push(src, 0)
-		for !q.Empty() {
-			it := q.Pop()
-			v := it.ID
-			d := graph.Dist(it.Key)
-			if d > dist[v] {
-				continue
-			}
-			for _, a := range adj[v] {
-				if nd := d + graph.Dist(a.w); nd < dist[a.to] {
-					dist[a.to] = nd
-					q.Push(a.to, int64(nd))
-				}
-			}
-		}
-		for bj, b2 := range bs {
-			p, _ := pos.Get(b2)
-			x.setShortcut(ni, int32(bi), int32(bj), dist[p])
-		}
-	}
 }
 
 // SizeBytes estimates the index footprint (shortcut array dominates).

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rnknn/internal/gen"
+	"rnknn/internal/partition"
 	"rnknn/internal/snapio"
 	"rnknn/internal/snapshot"
 	"rnknn/pkg/rnknn"
@@ -297,4 +298,74 @@ func TestOpenSnapshotFileHostileCHHierarchy(t *testing.T) {
 			t.Errorf("%s: mapped open accepted the file", name)
 		}
 	}
+}
+
+// TestOpenSnapshotFileHostileGtreeArrays: G-tree's queries subscript with
+// the elements of its position, border, layout and leaf-graph arrays. A
+// snapshot whose element is out of range, re-framed so its checksum holds,
+// must be refused with ErrBadSnapshot on the verified and the mapped path
+// alike: accepted, the first row makes IER-Gt's leaf scan index out of range.
+func TestOpenSnapshotFileHostileGtreeArrays(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 10, Cols: 12, Seed: 8})
+	objs := gen.Uniform(g, 0.1, 3)
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.IERGt, rnknn.Gtree), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+	built, err := rnknn.Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.SaveIndexes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Version, tau and the partition tree precede the arrays: posInLeaf,
+	// then offset/data pairs for borders, childBorders, childOff, ownIdx,
+	// leafOff, leafTgt and leafW.
+	header := func(sr *snapio.Source) { sr.U16(); sr.U32(); partition.Decode(sr, g.NumVertices()) }
+	put := func(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
+	dir := t.TempDir()
+	for name, tamper := range map[string]func(a [][]byte){
+		"posInLeaf[0] = 15269639": func(a [][]byte) { put(a[0], 15269639) },
+		"leafTgt[0] = 1<<30":      func(a [][]byte) { put(a[12], 1<<30) },
+		"ownIdx[0] = -1":          func(a [][]byte) { put(a[8], 0xFFFFFFFF) },
+		"childOff[1] = 1<<20":     func(a [][]byte) { put(a[6][4:], 1<<20) },
+		"borders[0] = |V|":        func(a [][]byte) { put(a[2], uint32(g.NumVertices())) },
+	} {
+		data := reframe(t, tamperArrays(t, buf.Bytes(), "Gtree", header, tamper))
+		if _, err := rnknn.OpenFromSnapshot(g, bytes.NewReader(data), opts...); !errors.Is(err, rnknn.ErrBadSnapshot) {
+			t.Errorf("%s: verified open: want ErrBadSnapshot, got %v", name, err)
+		}
+		path := filepath.Join(dir, "hostile.rnks")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := rnknn.OpenSnapshotFile(path, opts...)
+		if err == nil {
+			db.Close()
+		}
+		if !errors.Is(err, rnknn.ErrBadSnapshot) {
+			t.Errorf("%s: mapped open: want ErrBadSnapshot, got %v", name, err)
+		}
+	}
+}
+
+// reframe writes a snapshot's sections again under fresh checksums, so a
+// tampered payload reaches its codec on the verified path too.
+func reframe(t *testing.T, data []byte) []byte {
+	t.Helper()
+	fp, payloads, err := snapshot.Parse(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := make([]snapshot.Section, len(payloads))
+	for i, p := range payloads {
+		secs[i] = snapshot.Section{Name: p.Name, Mappable: p.Mappable, Encode: func(w io.Writer) error {
+			_, err := w.Write(p.Data)
+			return err
+		}}
+	}
+	var out bytes.Buffer
+	if err := snapshot.Write(&out, fp, secs); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }

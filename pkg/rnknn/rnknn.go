@@ -107,7 +107,6 @@ const DefaultCategory = "default"
 // config collects Open options.
 type config struct {
 	methods []Method
-	opts    core.Options
 	objects []initialObjects
 	// cacheDir enables the transparent snapshot cache (WithIndexCache).
 	cacheDir string
@@ -149,24 +148,6 @@ func WithObjects(name string, vertices []int32) Option {
 		c.objects = append(c.objects, initialObjects{name, append([]int32(nil), vertices...)})
 	}
 }
-
-// WithGtreeFanout sets the G-tree fanout (paper default 4).
-func WithGtreeFanout(n int) Option { return func(c *config) { c.opts.GtreeFanout = n } }
-
-// WithGtreeTau sets the G-tree leaf capacity tau.
-func WithGtreeTau(n int) Option { return func(c *config) { c.opts.GtreeTau = n } }
-
-// WithRoadFanout sets the ROAD hierarchy fanout.
-func WithRoadFanout(n int) Option { return func(c *config) { c.opts.RoadFanout = n } }
-
-// WithRoadLevels sets the ROAD hierarchy depth.
-func WithRoadLevels(n int) Option { return func(c *config) { c.opts.RoadLevels = n } }
-
-// WithNumTransit sets the TNR transit-set size.
-func WithNumTransit(n int) Option { return func(c *config) { c.opts.NumTransit = n } }
-
-// WithSILCParallelism bounds the SILC build workers.
-func WithSILCParallelism(n int) Option { return func(c *config) { c.opts.SILCParallelism = n } }
 
 // DB is a queryable road-network database. All methods are safe for
 // concurrent use by any number of goroutines.
@@ -266,7 +247,6 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 		}
 	}
 	db.eng = core.New(g)
-	db.eng.Opts = cfg.opts
 	if cfg.seedFPSet {
 		db.eng.SeedFingerprint(cfg.seedFP)
 	}
