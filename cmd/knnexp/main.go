@@ -6,8 +6,8 @@
 //	knnexp -exp fig10
 //	knnexp -exp all -queries 200 -scale 0.5
 //
-// Each experiment id corresponds to a table or figure of the paper; see
-// DESIGN.md for the index and EXPERIMENTS.md for recorded outcomes.
+// Each experiment id corresponds to a table or figure of the paper;
+// knnexp -list prints the index, one line per experiment.
 package main
 
 import (

@@ -2,7 +2,7 @@
 // the library, built on internal/serve's two load-shedding layers
 // (admission control, epoch-keyed result cache).
 //
-// Serve the default ~16k-vertex ladder network with the default methods
+// Serve the default ~22k-vertex ladder network with the default methods
 // (INE, IER-PHL and G-tree; -methods picks others):
 //
 //	rnknnd -addr :8080 -network NW -density 0.001

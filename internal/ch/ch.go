@@ -16,7 +16,6 @@ import (
 
 // Index is a built contraction hierarchy.
 type Index struct {
-	g *graph.Graph
 	// rank[v] is v's contraction order (higher = more important).
 	rank []int32
 	// Upward adjacency in CSR form: for every (original or shortcut) edge
@@ -26,23 +25,13 @@ type Index struct {
 	upW   []int32
 	// Shortcuts counts the shortcut edges added during preprocessing.
 	Shortcuts int
-
-	// def is the searcher Distance delegates to; concurrent callers create
-	// their own with NewSearcher.
-	def *Searcher
-
-	// Reusable upward-search state (separate from query state so index
-	// construction helpers do not disturb in-flight queries).
-	distU  []graph.Dist
-	stampU []uint32
-	curU   uint32
-	qu     *pqueue.Queue
 }
 
-// Searcher holds the bidirectional-Dijkstra state of one query session over
-// an Index. The Index itself is immutable after Build, so any number of
-// Searchers may query it concurrently; a single Searcher is not safe for
-// concurrent use.
+// Searcher holds the search state of one query session over an Index: the
+// forward and backward halves of the bidirectional Dijkstra, the forward
+// half doubling as UpwardSearch's. The Index itself is immutable after
+// Build, so any number of Searchers may query it concurrently; a single
+// Searcher is not safe for concurrent use.
 type Searcher struct {
 	x              *Index
 	distF, distB   []graph.Dist
@@ -67,9 +56,6 @@ func (x *Index) NewSearcher() *Searcher {
 
 // Name implements knn.DistanceOracle.
 func (s *Searcher) Name() string { return "CH" }
-
-// Name implements knn.DistanceOracle.
-func (x *Index) Name() string { return "CH" }
 
 // Rank returns the contraction rank of v (higher contracted later; used by
 // TNR to pick transit nodes).
@@ -96,7 +82,7 @@ type dynEdge struct {
 // settle limit that decides which shortcuts are added.
 func Build(g *graph.Graph) *Index {
 	n := g.NumVertices()
-	x := &Index{g: g, rank: make([]int32, n)}
+	x := &Index{rank: make([]int32, n)}
 
 	// The initial lists share one array; each is capped at its length, so
 	// a shortcut appended to one moves it out instead of overwriting the next.
@@ -192,11 +178,6 @@ func Build(g *graph.Graph) *Index {
 		x.upW[pos[lo]] = e.w
 		pos[lo]++
 	}
-
-	x.def = x.NewSearcher()
-	x.distU = make([]graph.Dist, n)
-	x.stampU = make([]uint32, n)
-	x.qu = pqueue.NewQueue(256)
 	return x
 }
 
@@ -288,25 +269,13 @@ func (ws *witnessSearch) run(adj [][]dynEdge, src, avoid int32, limit graph.Dist
 	}
 }
 
-// Distance implements knn.DistanceOracle via the index's default searcher;
-// it is not safe for concurrent use (concurrent callers use NewSearcher).
-func (x *Index) Distance(s, t int32) graph.Dist { return x.def.Distance(s, t) }
-
 // Distance implements knn.DistanceOracle: a bidirectional upward Dijkstra.
 func (sr *Searcher) Distance(s, t int32) graph.Dist {
 	if s == t {
 		return 0
 	}
 	x := sr.x
-	sr.cur++
-	if sr.cur == 0 {
-		for i := range sr.stampF {
-			sr.stampF[i] = 0
-			sr.stampB[i] = 0
-		}
-		sr.cur = 1
-	}
-	sr.qf.Reset()
+	sr.next()
 	sr.qb.Reset()
 	sr.setF(s, 0)
 	sr.setB(t, 0)
@@ -373,34 +342,33 @@ func (sr *Searcher) bOf(v int32) graph.Dist {
 	return sr.distB[v]
 }
 
-// UpwardSearch runs a full upward Dijkstra from s, invoking visit for every
-// settled vertex with its upward distance. When pruneAt returns true for a
-// settled vertex, its edges are not relaxed (the vertex is reported but the
-// search does not continue through it). TNR uses this for access-node and
-// local-cone computation.
-func (x *Index) UpwardSearch(s int32, pruneAt func(v int32) bool, visit func(v int32, d graph.Dist)) {
-	x.curU++
-	if x.curU == 0 {
-		for i := range x.stampU {
-			x.stampU[i] = 0
-		}
-		x.curU = 1
+// next starts a new search: it advances the stamp (clearing both stamp
+// arrays when it wraps) and empties the forward queue.
+func (sr *Searcher) next() {
+	sr.cur++
+	if sr.cur == 0 {
+		clear(sr.stampF)
+		clear(sr.stampB)
+		sr.cur = 1
 	}
-	uOf := func(v int32) graph.Dist {
-		if x.stampU[v] != x.curU {
-			return graph.Inf
-		}
-		return x.distU[v]
-	}
-	x.qu.Reset()
-	x.distU[s] = 0
-	x.stampU[s] = x.curU
-	x.qu.Push(s, 0)
-	for !x.qu.Empty() {
-		it := x.qu.Pop()
+	sr.qf.Reset()
+}
+
+// UpwardSearch runs a full upward Dijkstra from s on the searcher's forward
+// state, invoking visit for every settled vertex with its upward distance.
+// When pruneAt returns true for a settled vertex, its edges are not relaxed
+// (the vertex is reported but the search does not continue through it).
+// TNR's build uses this for access-node and local-cone computation.
+func (sr *Searcher) UpwardSearch(s int32, pruneAt func(v int32) bool, visit func(v int32, d graph.Dist)) {
+	x := sr.x
+	sr.next()
+	sr.setF(s, 0)
+	sr.qf.Push(s, 0)
+	for !sr.qf.Empty() {
+		it := sr.qf.Pop()
 		v := it.ID
 		d := graph.Dist(it.Key)
-		if d > uOf(v) {
+		if d > sr.fOf(v) {
 			continue
 		}
 		visit(v, d)
@@ -409,11 +377,9 @@ func (x *Index) UpwardSearch(s int32, pruneAt func(v int32) bool, visit func(v i
 		}
 		for e := x.upOff[v]; e < x.upOff[v+1]; e++ {
 			u := x.upTo[e]
-			nd := d + graph.Dist(x.upW[e])
-			if nd < uOf(u) {
-				x.distU[u] = nd
-				x.stampU[u] = x.curU
-				x.qu.Push(u, int64(nd))
+			if nd := d + graph.Dist(x.upW[e]); nd < sr.fOf(u) {
+				sr.setF(u, nd)
+				sr.qf.Push(u, int64(nd))
 			}
 		}
 	}
@@ -424,5 +390,4 @@ func (x *Index) SizeBytes() int {
 	return len(x.rank)*4 + len(x.upOff)*4 + len(x.upTo)*4 + len(x.upW)*4
 }
 
-var _ knn.DistanceOracle = (*Index)(nil)
 var _ knn.DistanceOracle = (*Searcher)(nil)

@@ -18,7 +18,7 @@ func testGraph(t testing.TB, seed int64, rows, cols int) *graph.Graph {
 
 func TestDistanceMatchesDijkstra(t *testing.T) {
 	g := testGraph(t, 81, 16, 16)
-	x := Build(g)
+	x := Build(g).NewSearcher()
 	solver := dijkstra.NewSolver(g)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -32,7 +32,7 @@ func TestDistanceMatchesDijkstra(t *testing.T) {
 
 func TestDistanceTravelTime(t *testing.T) {
 	g := testGraph(t, 82, 14, 14).View(graph.TravelTime)
-	x := Build(g)
+	x := Build(g).NewSearcher()
 	solver := dijkstra.NewSolver(g)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
@@ -46,7 +46,7 @@ func TestDistanceTravelTime(t *testing.T) {
 
 func TestSelfDistanceZero(t *testing.T) {
 	g := testGraph(t, 83, 8, 8)
-	x := Build(g)
+	x := Build(g).NewSearcher()
 	for _, v := range []int32{0, 7, 30} {
 		if d := x.Distance(v, v); d != 0 {
 			t.Fatalf("d(%d,%d) = %d", v, v, d)
@@ -69,7 +69,10 @@ func TestRanksArePermutation(t *testing.T) {
 
 func TestUpwardSearchVisitsSource(t *testing.T) {
 	g := testGraph(t, 85, 10, 10)
-	x := Build(g)
+	x := Build(g).NewSearcher()
+	// A point-to-point query first: the upward search reuses its forward
+	// state and must not see the labels it left behind.
+	x.Distance(5, 60)
 	visited := map[int32]graph.Dist{}
 	x.UpwardSearch(5, nil, func(v int32, d graph.Dist) { visited[v] = d })
 	if d, ok := visited[5]; !ok || d != 0 {
@@ -86,7 +89,7 @@ func TestUpwardSearchVisitsSource(t *testing.T) {
 
 func TestUpwardSearchPrune(t *testing.T) {
 	g := testGraph(t, 86, 10, 10)
-	x := Build(g)
+	x := Build(g).NewSearcher()
 	full, pruned := 0, 0
 	x.UpwardSearch(3, nil, func(int32, graph.Dist) { full++ })
 	x.UpwardSearch(3, func(v int32) bool { return v != 3 }, func(int32, graph.Dist) { pruned++ })
@@ -155,7 +158,7 @@ func unitGrid(rows, cols int) *graph.Graph {
 // Kept as the reference Build must reproduce element for element.
 func referenceBuild(g *graph.Graph) *Index {
 	n := g.NumVertices()
-	x := &Index{g: g, rank: make([]int32, n)}
+	x := &Index{rank: make([]int32, n)}
 
 	// Mutable working graph: remaining adjacency among uncontracted
 	// vertices, starting from the original edges.

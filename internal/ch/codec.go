@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"rnknn/internal/graph"
-	"rnknn/internal/pqueue"
 	"rnknn/internal/snapio"
 )
 
@@ -28,15 +27,15 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return sw.Result()
 }
 
-// Read deserializes an index written by WriteTo and re-arms the query-time
-// scratch state, validating CSR invariants against g. When sr aliases a
-// mapped snapshot the arrays are views of the mapping and the per-edge
-// target scan is skipped (it would fault in every page — mapped opens trust
-// the arcs). Dimensions and the O(|V|) per-vertex checks, ranks in [0, |V|)
+// Read deserializes an index written by WriteTo, validating CSR invariants
+// against g. When sr aliases a mapped snapshot the arrays are views of the
+// mapping and the per-edge target scan is skipped (it would fault in every
+// page — mapped opens trust the arcs), so nothing of |V| size is allocated.
+// Dimensions and the O(|V|) per-vertex checks, ranks in [0, |V|)
 // and monotone upward offsets, run on both paths: Up slices by the offsets
 // and PHL's build subscripts by rank.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
-	x := &Index{g: g}
+	x := &Index{}
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
 		sr.Failf("ch codec version %d (want %d)", v, codecVersion)
 	}
@@ -73,9 +72,5 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 			}
 		}
 	}
-	x.def = x.NewSearcher()
-	x.distU = make([]graph.Dist, n)
-	x.stampU = make([]uint32, n)
-	x.qu = pqueue.NewQueue(256)
 	return x, nil
 }

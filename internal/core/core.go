@@ -1,24 +1,26 @@
 // Package core is the library's engine room: an Engine that owns a road
 // network, lazily builds each road-network index exactly once (recording
-// build time and size), and manufactures kNN methods — any of the paper's
-// five algorithms, with IER composable over any distance oracle — bound to
-// interchangeable object sets (the decoupled-index design of Section 2.2).
+// build time and size), and manufactures query sessions — any of the
+// paper's five algorithms, with IER composable over any distance oracle —
+// bound to interchangeable object sets (the decoupled-index design of
+// Section 2.2).
 //
 // The public, concurrency-safe entry point to the library is pkg/rnknn: its
 // DB facade pools the query sessions manufactured here (NewSession) and
-// multiplexes concurrent callers over one Engine. Use core directly only
-// from the experiment harness and other single-goroutine internal code:
+// multiplexes concurrent callers over one Engine. The experiment harness
+// builds its sessions the same way, one goroutine each:
 //
 //	g := gen.Network(gen.NetworkSpec{Name: "city", Rows: 96, Cols: 120, Seed: 1})
 //	e := core.New(g)
 //	hospitals := knn.NewObjectSet(g, hospitalVertices)
-//	m, _ := e.NewMethod(core.IERPHL, hospitals)
-//	results := m.KNN(query, 10)
+//	kinds := []core.MethodKind{core.IERPHL}
+//	s, _ := e.NewSession(core.IERPHL, e.NewBinding(hospitals, kinds))
+//	results := s.KNN(query, 10)
 //
 // Index construction is serialized by an internal mutex, so concurrent
-// sessions may trigger lazy builds safely; the methods returned by
-// NewMethod and the sessions returned by NewSession are each
-// single-goroutine objects.
+// sessions may trigger lazy builds safely. A built index holds no query
+// state; the sessions returned by NewSession are each single-goroutine
+// objects.
 package core
 
 import (
@@ -29,9 +31,6 @@ import (
 	"rnknn/internal/ch"
 	"rnknn/internal/graph"
 	"rnknn/internal/gtree"
-	"rnknn/internal/ier"
-	"rnknn/internal/ine"
-	"rnknn/internal/knn"
 	"rnknn/internal/phl"
 	"rnknn/internal/road"
 	"rnknn/internal/silc"
@@ -150,7 +149,7 @@ func (e *Engine) GtreeIndex() *gtree.Index {
 func (e *Engine) gtreeLocked() *gtree.Index {
 	if e.gt == nil {
 		e.timed("Gtree", func() {
-			e.gt = gtree.Build(e.G, gtree.Options{})
+			e.gt = gtree.Build(e.G)
 		})
 	}
 	return e.gt
@@ -162,7 +161,7 @@ func (e *Engine) ROADIndex() *road.Index {
 	defer e.mu.Unlock()
 	if e.rd == nil {
 		e.timed("ROAD", func() {
-			e.rd = road.Build(e.G, road.Options{})
+			e.rd = road.Build(e.G)
 		})
 	}
 	return e.rd
@@ -176,7 +175,7 @@ func (e *Engine) SILCIndex() *silc.Index {
 	defer e.mu.Unlock()
 	if e.sc == nil {
 		e.timed("SILC", func() {
-			e.sc = silc.Build(e.G, silc.Options{})
+			e.sc = silc.Build(e.G)
 		})
 	}
 	return e.sc
@@ -216,9 +215,7 @@ func (e *Engine) TNRIndex() *tnr.Index {
 	defer e.mu.Unlock()
 	if e.tnrx == nil {
 		hierarchy := e.chLocked()
-		e.timed("TNR", func() {
-			e.tnrx = tnr.Build(e.G, hierarchy, tnr.Options{})
-		})
+		e.timed("TNR", func() { e.tnrx = tnr.Build(e.G, hierarchy) })
 	}
 	return e.tnrx
 }
@@ -278,41 +275,6 @@ func (e *Engine) BuiltIndexes() map[string]IndexInfo {
 		out["TNR"] = IndexInfo{e.BuildTimes["TNR"], e.tnrx.SizeBytes(), e.loaded["TNR"]}
 	}
 	return out
-}
-
-// NewMethod builds a kNN method of the given kind over the object set,
-// constructing the required road-network index (once) and the method's
-// decoupled object index. The method owns its search scratch — for IER-PHL
-// that includes the pinned-source oracle state, as in NewSession — so it is
-// a single-goroutine object.
-func (e *Engine) NewMethod(kind MethodKind, objs *knn.ObjectSet) (knn.Method, error) {
-	switch kind {
-	case INE:
-		return ine.New(e.G, objs), nil
-	case IERDijk:
-		return ier.New("IER-Dijk", e.G, objs, &ier.DijkstraFactory{G: e.G}), nil
-	case IERCH:
-		return ier.New("IER-CH", e.G, objs, &ier.OracleFactory{Oracle: e.CHIndex()}), nil
-	case IERTNR:
-		return ier.New("IER-TNR", e.G, objs, &ier.OracleFactory{Oracle: e.TNRIndex()}), nil
-	case IERPHL:
-		return e.newIERPHL(objs, ier.NewObjectTree(e.G, objs)), nil
-	case IERGt:
-		return ier.New("IER-Gt", e.G, objs, &gtree.Factory{Idx: e.GtreeIndex()}), nil
-	case Gtree:
-		idx := e.GtreeIndex()
-		return gtree.NewKNN(idx, idx.NewOccurrenceList(objs)), nil
-	case ROAD:
-		idx := e.ROADIndex()
-		return road.NewKNN(idx, idx.NewAssociationDirectory(objs)), nil
-	case DisBrw:
-		return silc.NewDBENN(e.SILCIndex(), objs), nil
-	case DisBrwOH:
-		idx := e.SILCIndex()
-		return silc.NewDisBrw(idx, idx.NewObjectHierarchy(objs, 0)), nil
-	default:
-		return nil, fmt.Errorf("core: unknown method kind %v", kind)
-	}
 }
 
 // IndexSize returns the built size in bytes of the road-network index a

@@ -20,7 +20,7 @@ func TestAllMethodsAgreeWithBruteForce(t *testing.T) {
 		queries[i] = int32(rng.Intn(g.NumVertices()))
 	}
 	for _, kind := range core.Kinds() {
-		m, err := e.NewMethod(kind, objs)
+		m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -60,7 +60,7 @@ func TestIndexSizesPositive(t *testing.T) {
 	e := core.New(g)
 	for _, kind := range core.Kinds() {
 		objs := knn.NewObjectSet(g, []int32{1, 2, 3})
-		if _, err := e.NewMethod(kind, objs); err != nil {
+		if _, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind})); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if s := e.IndexSize(kind); s <= 0 {
@@ -77,7 +77,7 @@ func TestTravelTimeEngine(t *testing.T) {
 	kinds := []core.MethodKind{core.INE, core.IERDijk, core.IERCH, core.IERTNR, core.IERPHL, core.IERGt, core.Gtree, core.ROAD}
 	rng := rand.New(rand.NewSource(2))
 	for _, kind := range kinds {
-		m, err := e.NewMethod(kind, objs)
+		m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -98,7 +98,7 @@ func TestMethodNames(t *testing.T) {
 	e := core.New(g)
 	objs := knn.NewObjectSet(g, []int32{5})
 	for _, kind := range core.Kinds() {
-		m, err := e.NewMethod(kind, objs)
+		m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 		if err != nil {
 			t.Fatal(err)
 		}

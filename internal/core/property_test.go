@@ -25,7 +25,7 @@ func TestPropertyAllMethodsExact(t *testing.T) {
 		want := knn.BruteForce(g, objs, q, k)
 		e := core.New(g)
 		for _, kind := range core.Kinds() {
-			m, err := e.NewMethod(kind, objs)
+			m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 			if err != nil {
 				return false
 			}
@@ -50,7 +50,7 @@ func TestPropertyOraclesExact(t *testing.T) {
 			g = g.View(graph.TravelTime)
 		}
 		e := core.New(g)
-		oracles := []knn.DistanceOracle{e.CHIndex(), e.PHLIndex(), e.TNRIndex()}
+		oracles := []knn.DistanceOracle{e.CHIndex().NewSearcher(), e.PHLIndex(), e.TNRIndex().NewQuerier()}
 		solver := dijkstra.NewSolver(g)
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 20; trial++ {
@@ -86,7 +86,7 @@ func TestPropertyKNNMonotoneInK(t *testing.T) {
 		q := int32(int(qSel) % g.NumVertices())
 		k := 1 + int(kSel)%6
 		for _, kind := range []core.MethodKind{core.Gtree, core.ROAD, core.IERPHL, core.DisBrw} {
-			m, err := e.NewMethod(kind, objs)
+			m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 			if err != nil {
 				return false
 			}
@@ -117,7 +117,7 @@ func TestPropertyResultInvariants(t *testing.T) {
 	f := func(qSel uint16) bool {
 		q := int32(int(qSel) % g.NumVertices())
 		for _, kind := range core.Kinds() {
-			m, err := e.NewMethod(kind, objs)
+			m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 			if err != nil {
 				return false
 			}

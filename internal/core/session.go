@@ -137,7 +137,9 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 	case IERTNR:
 		return &ierSession{ier.NewWithTree("IER-TNR", e.G, b.Objs, b.rt, &ier.OracleFactory{Oracle: e.TNRIndex().NewQuerier()})}, nil
 	case IERPHL:
-		return &ierSession{e.newIERPHL(b.Objs, b.rt)}, nil
+		// Each session owns a phl.Source, the labeling's pinned-source
+		// scratch (4-8 B/vertex); the labeling itself is shared.
+		return &ierSession{ier.NewWithTree("IER-PHL", e.G, b.Objs, b.rt, e.PHLIndex().NewSource())}, nil
 	case IERGt:
 		return &ierSession{ier.NewWithTree("IER-Gt", e.G, b.Objs, b.rt, &gtree.Factory{Idx: e.GtreeIndex()})}, nil
 	case Gtree:
@@ -151,13 +153,6 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown method kind %v", kind)
 	}
-}
-
-// newIERPHL is the one IER-PHL construction (NewMethod and NewSession both
-// use it): each instance owns a phl.Source, the labeling's pinned-source
-// scratch (4-8 B/vertex); the labeling itself is shared.
-func (e *Engine) newIERPHL(objs *knn.ObjectSet, rt *rtree.Tree) *ier.IER {
-	return ier.NewWithTree("IER-PHL", e.G, objs, rt, e.PHLIndex().NewSource())
 }
 
 // The session wrappers embed the concrete methods (promoting KNN, Name,

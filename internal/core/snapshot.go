@@ -205,7 +205,7 @@ func (e *Engine) installPayloads(payloads []snapshot.Payload, alias bool) error 
 		secROAD:  func(p snapshot.Payload) (any, error) { return road.Read(src(p), e.G) },
 		secSILC:  func(p snapshot.Payload) (any, error) { return silc.Read(src(p), e.G) },
 		secPHL:   func(p snapshot.Payload) (any, error) { return phl.Read(src(p), e.G.NumVertices()) },
-		secTNR:   func(p snapshot.Payload) (any, error) { return tnr.Read(src(p), chx) },
+		secTNR:   func(p snapshot.Payload) (any, error) { return tnr.Read(src(p), chx, e.G.NumVertices()) },
 	}
 	results := make(chan result, len(byName))
 	launched := 0

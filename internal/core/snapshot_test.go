@@ -65,11 +65,11 @@ func TestSnapshotRoundTripAllMethods(t *testing.T) {
 			queries[i] = int32(rng.Intn(g.NumVertices()))
 		}
 		for _, kind := range core.Kinds() {
-			mBuilt, err := built.NewMethod(kind, objs)
+			mBuilt, err := built.NewSession(kind, built.NewBinding(objs, []core.MethodKind{kind}))
 			if err != nil {
 				t.Fatalf("%v: %v", kind, err)
 			}
-			mLoaded, err := loaded.NewMethod(kind, objs)
+			mLoaded, err := loaded.NewSession(kind, loaded.NewBinding(objs, []core.MethodKind{kind}))
 			if err != nil {
 				t.Fatalf("%v: %v", kind, err)
 			}

@@ -120,7 +120,7 @@ func TestAllMethodsOnAdversarialTopologies(t *testing.T) {
 		}
 		objs := knn.NewObjectSet(g, verts)
 		for _, kind := range core.Kinds() {
-			m, err := e.NewMethod(kind, objs)
+			m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", g.Name, kind, err)
 			}
@@ -145,7 +145,7 @@ func TestTwoVertexGraph(t *testing.T) {
 	e := core.New(g)
 	objs := knn.NewObjectSet(g, []int32{1})
 	for _, kind := range core.Kinds() {
-		m, err := e.NewMethod(kind, objs)
+		m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

@@ -1,7 +1,8 @@
 // Package exp is the experiment harness: one entry point per table and
 // figure of the paper's evaluation (Section 7 and Appendices A-B), each
 // regenerating the corresponding rows/series over the synthetic dataset
-// ladder (see DESIGN.md for the experiment index and substitutions).
+// ladder (knnexp -list prints the experiment index; package gen documents
+// the dataset substitutions).
 //
 // Networks, engines and indexes are cached process-wide so a full run
 // builds each index once, as the paper's scripts do.

@@ -15,8 +15,10 @@ import (
 	"rnknn/internal/silc"
 )
 
+// mustMethod builds a query session of the given kind over objs, as
+// pkg/rnknn's session pools do.
 func (h *Harness) mustMethod(e *core.Engine, kind core.MethodKind, objs *knn.ObjectSet) knn.Method {
-	m, err := e.NewMethod(kind, objs)
+	m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 	if err != nil {
 		panic(err)
 	}
@@ -154,7 +156,7 @@ func init() {
 
 		// Table 3 substitute: Go cannot read CPU cache counters in-process;
 		// report time and allocation counters for the same workload.
-		tc := &Table{ID: "table3", Title: "layout profile substitute (time and allocs; see DESIGN.md)",
+		tc := &Table{ID: "table3", Title: "layout profile substitute (time and allocs; Go reads no cache counters)",
 			Header: []string{"layout", "us/query", "allocs/query", "alloc B/query"}}
 		for _, l := range layouts {
 			idx.SetMatrixLayout(l)
@@ -217,7 +219,7 @@ func init() {
 			objs := h.UniformObjects(net, DefaultDensity)
 			queries := h.Queries(net)
 
-			gm := h.mustMethod(e, core.Gtree, objs).(*gtree.KNN)
+			gm := gtree.NewKNN(e.GtreeIndex(), e.GtreeIndex().NewOccurrenceList(objs))
 			gtCost := 0
 			for _, q := range queries {
 				gm.KNN(q, DefaultK)
@@ -230,7 +232,7 @@ func init() {
 				ierM.KNN(q, DefaultK)
 			}
 
-			rm := h.mustMethod(e, core.ROAD, objs).(*road.KNN)
+			rm := road.NewKNN(e.ROADIndex(), e.ROADIndex().NewAssociationDirectory(objs))
 			byp := 0
 			for _, q := range queries {
 				rm.KNN(q, DefaultK)

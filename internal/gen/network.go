@@ -1,10 +1,10 @@
 // Package gen generates the synthetic road networks and object sets used by
 // the experiment harness. It substitutes for the paper's DIMACS road
-// networks and OpenStreetMap POI extracts (see DESIGN.md, Substitutions):
-// the networks are planar, connected, perturbed grids with a highway tier
-// (so travel-time graphs exhibit the hierarchy PHL/CH/TNR exploit) and a
-// configurable fraction of degree-2 chain vertices (matching the degree
-// statistics the paper reports).
+// networks and OpenStreetMap POI extracts: the networks are planar,
+// connected, perturbed grids with a highway tier (so travel-time graphs
+// exhibit the hierarchy PHL/CH/TNR exploit) and a configurable fraction of
+// degree-2 chain vertices (matching the degree statistics the paper
+// reports).
 package gen
 
 import (

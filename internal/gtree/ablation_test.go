@@ -12,7 +12,7 @@ import (
 
 func TestMatrixLayoutsAgree(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 111})
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	idx := buildTau(g, 32)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.02, 1))
 	ol := idx.NewOccurrenceList(objs)
 	solver := dijkstra.NewSolver(g)

@@ -17,7 +17,7 @@ func BenchmarkGtreeBuild(b *testing.B) {
 	g := gen.Network(spec)
 	b.ReportAllocs()
 	for b.Loop() {
-		Build(g, Options{})
+		Build(g)
 	}
 }
 

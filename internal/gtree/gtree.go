@@ -75,40 +75,23 @@ type node struct {
 
 func (n *node) matAt(i, j int32) int32 { return n.mat[i*n.stride+j] }
 
-// Options configures Build.
-type Options struct {
-	// Fanout is the partition fanout (paper default 4).
-	Fanout int
-	// Tau is the leaf capacity (paper: 64..512 depending on network size).
-	Tau int
-}
-
-func (o Options) withDefaults(g *graph.Graph) Options {
-	if o.Fanout < 2 {
-		o.Fanout = 4
+// Build constructs a G-tree over g with the paper's fanout of 4 and a leaf
+// capacity tau that scales with the network size as the paper's does
+// (64..512).
+func Build(g *graph.Graph) *Index {
+	var tau int
+	switch n := g.NumVertices(); {
+	case n <= 2_000:
+		tau = 64
+	case n <= 10_000:
+		tau = 128
+	case n <= 70_000:
+		tau = 256
+	default:
+		tau = 512
 	}
-	if o.Tau <= 0 {
-		// Scale tau with network size roughly as the paper does.
-		n := g.NumVertices()
-		switch {
-		case n <= 2_000:
-			o.Tau = 64
-		case n <= 10_000:
-			o.Tau = 128
-		case n <= 70_000:
-			o.Tau = 256
-		default:
-			o.Tau = 512
-		}
-	}
-	return o
-}
-
-// Build constructs a G-tree over g.
-func Build(g *graph.Graph, opts Options) *Index {
-	opts = opts.withDefaults(g)
-	pt := partition.Build(g, partition.Options{Fanout: opts.Fanout, MaxLeafSize: opts.Tau})
-	return BuildOnPartition(g, pt, opts.Tau)
+	pt := partition.Build(g, partition.Options{Fanout: 4, MaxLeafSize: tau})
+	return BuildOnPartition(g, pt, tau)
 }
 
 // BuildOnPartition constructs a G-tree over a pre-built partition tree (the

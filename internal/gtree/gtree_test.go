@@ -9,6 +9,7 @@ import (
 	"rnknn/internal/graph"
 	"rnknn/internal/gtree"
 	"rnknn/internal/knn"
+	"rnknn/internal/partition"
 )
 
 func testGraph(t testing.TB, seed int64, rows, cols int) *graph.Graph {
@@ -16,9 +17,14 @@ func testGraph(t testing.TB, seed int64, rows, cols int) *graph.Graph {
 	return gen.Network(gen.NetworkSpec{Name: "t", Rows: rows, Cols: cols, Seed: seed})
 }
 
+// buildTau builds a G-tree over a fanout-4 partition with leaf capacity tau.
+func buildTau(g *graph.Graph, tau int) *gtree.Index {
+	return gtree.BuildOnPartition(g, partition.Build(g, partition.Options{Fanout: 4, MaxLeafSize: tau}), tau)
+}
+
 func TestSourceDistanceMatchesDijkstra(t *testing.T) {
 	g := testGraph(t, 41, 16, 16)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	idx := buildTau(g, 32)
 	solver := dijkstra.NewSolver(g)
 	rng := rand.New(rand.NewSource(1))
 	n := g.NumVertices()
@@ -39,7 +45,7 @@ func TestSourceDistanceMatchesDijkstra(t *testing.T) {
 
 func TestSourceSameLeafDistances(t *testing.T) {
 	g := testGraph(t, 42, 14, 14)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 40})
+	idx := buildTau(g, 40)
 	solver := dijkstra.NewSolver(g)
 	// Pick a source and query every vertex of its own leaf.
 	s := int32(7)
@@ -56,7 +62,7 @@ func TestSourceSameLeafDistances(t *testing.T) {
 
 func TestSourceMaterializationCheaper(t *testing.T) {
 	g := testGraph(t, 43, 16, 16)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	idx := buildTau(g, 32)
 	// Distances to many targets in one far leaf: the second query from the
 	// same source must add less path cost than the first.
 	src := idx.NewSource(0)
@@ -72,7 +78,7 @@ func TestSourceMaterializationCheaper(t *testing.T) {
 
 func TestKNNMatchesBruteForce(t *testing.T) {
 	g := testGraph(t, 44, 18, 18)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	idx := buildTau(g, 32)
 	rng := rand.New(rand.NewSource(2))
 	for _, density := range []float64{0.003, 0.02, 0.2} {
 		objs := knn.NewObjectSet(g, gen.Uniform(g, density, 77))
@@ -94,7 +100,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 
 func TestKNNOriginalLeafAlsoCorrect(t *testing.T) {
 	g := testGraph(t, 45, 16, 16)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 48})
+	idx := buildTau(g, 48)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.1, 9))
 	ol := idx.NewOccurrenceList(objs)
 	m := gtree.NewKNN(idx, ol)
@@ -112,7 +118,7 @@ func TestKNNOriginalLeafAlsoCorrect(t *testing.T) {
 
 func TestKNNTravelTime(t *testing.T) {
 	g := testGraph(t, 46, 16, 16).View(graph.TravelTime)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	idx := buildTau(g, 32)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.01, 5))
 	ol := idx.NewOccurrenceList(objs)
 	m := gtree.NewKNN(idx, ol)
@@ -129,7 +135,7 @@ func TestKNNTravelTime(t *testing.T) {
 
 func TestKNNQueryOnObject(t *testing.T) {
 	g := testGraph(t, 47, 12, 12)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 24})
+	idx := buildTau(g, 24)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.05, 6))
 	m := gtree.NewKNN(idx, idx.NewOccurrenceList(objs))
 	q := objs.Vertices()[3]
@@ -141,7 +147,7 @@ func TestKNNQueryOnObject(t *testing.T) {
 
 func TestKNNMoreThanAvailable(t *testing.T) {
 	g := testGraph(t, 48, 12, 12)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 24})
+	idx := buildTau(g, 24)
 	objs := knn.NewObjectSet(g, []int32{2, 40, 90})
 	m := gtree.NewKNN(idx, idx.NewOccurrenceList(objs))
 	got := m.KNN(5, 10)
@@ -152,7 +158,7 @@ func TestKNNMoreThanAvailable(t *testing.T) {
 
 func TestOccurrenceListCounts(t *testing.T) {
 	g := testGraph(t, 49, 12, 12)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 24})
+	idx := buildTau(g, 24)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.05, 7))
 	ol := idx.NewOccurrenceList(objs)
 	if int(ol.Count(0)) != objs.Len() {
@@ -173,7 +179,7 @@ func TestOccurrenceListCounts(t *testing.T) {
 
 func TestFactoryAsIEROracle(t *testing.T) {
 	g := testGraph(t, 50, 14, 14)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	idx := buildTau(g, 32)
 	f := &gtree.Factory{Idx: idx}
 	if f.Name() != "MGtree" {
 		t.Fatalf("factory name %q", f.Name())
@@ -188,8 +194,8 @@ func TestFactoryAsIEROracle(t *testing.T) {
 }
 
 func TestIndexSizeBytesPositiveAndGrows(t *testing.T) {
-	small := gtree.Build(testGraph(t, 51, 10, 10), gtree.Options{Fanout: 4, Tau: 32})
-	large := gtree.Build(testGraph(t, 51, 20, 20), gtree.Options{Fanout: 4, Tau: 32})
+	small := buildTau(testGraph(t, 51, 10, 10), 32)
+	large := buildTau(testGraph(t, 51, 20, 20), 32)
 	if small.SizeBytes() <= 0 || large.SizeBytes() <= small.SizeBytes() {
 		t.Fatalf("sizes: small=%d large=%d", small.SizeBytes(), large.SizeBytes())
 	}
@@ -198,7 +204,7 @@ func TestIndexSizeBytesPositiveAndGrows(t *testing.T) {
 func TestTinyGraphSingleLeaf(t *testing.T) {
 	// Graph smaller than tau: the tree is a single leaf (the root).
 	g := testGraph(t, 52, 4, 4)
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 4096})
+	idx := buildTau(g, 4096)
 	objs := knn.NewObjectSet(g, []int32{1, 5, 9})
 	m := gtree.NewKNN(idx, idx.NewOccurrenceList(objs))
 	got := m.KNN(0, 2)
@@ -230,7 +236,7 @@ func TestKNNInterrupt(t *testing.T) {
 		{name: "leaf", tau: g.NumVertices(), wantPolls: g.NumVertices() / knn.InterruptStride},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: tc.tau})
+			idx := buildTau(g, tc.tau)
 			x := gtree.NewKNN(idx, idx.NewOccurrenceList(objs))
 			full := x.KNN(0, k)
 			if len(full) != objs.Len() {

@@ -15,7 +15,7 @@ import (
 func BenchmarkGtreeSparse(b *testing.B) {
 	spec, _ := gen.LadderSpec("NW")
 	g := gen.Network(spec)
-	idx := gtree.Build(g, gtree.Options{})
+	idx := gtree.Build(g)
 	x := gtree.NewKNN(idx, idx.NewOccurrenceList(knn.NewObjectSet(g, gen.Uniform(g, 0.001, 1))))
 	queries := gen.QueryVertices(g, 64, 2)
 	dst := make([]knn.Result, 0, 10)

@@ -77,7 +77,7 @@ func checkKNN(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *kn
 // previous epoch's list with its own set (Next never writes to it).
 func TestOccurrenceListUpdates(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 141})
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 32})
+	idx := buildTau(g, 32)
 	rng := rand.New(rand.NewSource(1))
 	n := g.NumVertices()
 
@@ -114,7 +114,7 @@ func TestOccurrenceListUpdates(t *testing.T) {
 // present, or an absent one removed must not move a count.
 func TestOccurrenceListAddIdempotent(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 8, Cols: 8, Seed: 142})
-	idx := gtree.Build(g, gtree.Options{Fanout: 4, Tau: 16})
+	idx := buildTau(g, 16)
 	objs := knn.NewObjectSet(g, []int32{3})
 	ol := idx.NewOccurrenceList(objs)
 	objs, ol = derive(idx, objs, ol, []int32{3, 7, 7}, []int32{60})

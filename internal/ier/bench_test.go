@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"rnknn/internal/ch"
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
 	"rnknn/internal/ier"
@@ -15,7 +16,7 @@ import (
 var benchNW = sync.OnceValues(func() (*graph.Graph, *phl.Index) {
 	spec, _ := gen.LadderSpec("NW")
 	g := gen.Network(spec)
-	return g, phl.Build(g, nil)
+	return g, phl.Build(g, ch.Build(g))
 })
 
 // benchIERPHL is the in-tree twin of rnbench's ier.phl.*_us probes: IER

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"rnknn/internal/ch"
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
 	"rnknn/internal/ier"
@@ -38,7 +39,7 @@ func unitGrid(rows, cols int) *graph.Graph {
 // the planner picks, and the suspended Dijkstra that needs no index.
 func rangeMethods(g *graph.Graph, objs *knn.ObjectSet) []*ier.IER {
 	return []*ier.IER{
-		ier.New("IER-PHL", g, objs, phl.Build(g, nil).NewSource()),
+		ier.New("IER-PHL", g, objs, phl.Build(g, ch.Build(g)).NewSource()),
 		ier.New("IER-Dijk", g, objs, &ier.DijkstraFactory{G: g}),
 	}
 }

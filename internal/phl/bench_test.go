@@ -18,7 +18,7 @@ var benchSink graph.Dist
 var benchNW = sync.OnceValues(func() (*graph.Graph, *phl.Index) {
 	spec, _ := gen.LadderSpec("NW")
 	g := gen.Network(spec)
-	return g, phl.Build(g, nil)
+	return g, phl.Build(g, ch.Build(g))
 })
 
 // BenchmarkPHLDistance is the in-tree twin of rnbench's phl.dist_ns probe:

@@ -126,7 +126,6 @@ func TestBuildMatchesMergePrunedBuild(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
-		own  bool // Build(g, nil): Build makes its own hierarchy
 	}{
 		{name: "golden", g: golden(101)},
 		{name: "golden travel time", g: golden(102).View(graph.TravelTime)},
@@ -135,15 +134,9 @@ func TestBuildMatchesMergePrunedBuild(t *testing.T) {
 		{name: "NW travel time", g: nw.View(graph.TravelTime)},
 		{name: "24x24 equal weights", g: equalGrid(24, 24)},
 		{name: "two components", g: Disjoint(golden(103), ladder("DE"))},
-		{name: "own hierarchy", g: golden(104), own: true},
 	} {
 		h := ch.Build(c.g)
-		var x *Index
-		if c.own {
-			x = Build(c.g, nil)
-		} else {
-			x = Build(c.g, h)
-		}
+		x := Build(c.g, h)
 		off, hubs, dist := buildMergePruned(c.g, h)
 		if !slices.Equal(x.off, off) || !slices.Equal(x.hubs, hubs) || !slices.Equal(x.dist, dist) {
 			t.Errorf("%s: labels differ from pruned landmark labeling (%d vs %d entries)",

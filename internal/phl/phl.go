@@ -1,18 +1,18 @@
 // Package phl provides the hub-labeling distance oracle that stands in for
-// Pruned Highway Labeling in the IER compositions (Section 5; see DESIGN.md
-// Substitutions). The labels are those of pruned landmark labeling (Akiba
-// et al.) with the contraction-hierarchy rank as vertex order, which yields
-// small labels on road networks. They are not built by PLL's pruned
-// Dijkstras but derived from the hierarchy (Abraham et al.'s hierarchical
-// hub labelings): most important vertex first, a vertex's candidate hubs
-// are its upward neighbours' final labels extended by the arc, and PLL's
-// own prune test keeps exactly the entries PLL would (ARCHITECTURE.md "PHL
-// labels from the hierarchy"). A point-to-point query (Index.Distance) is a
-// linear merge of two sorted hub lists; IER, which asks for many distances
-// from one query vertex, pins that vertex's label once and scans each
-// candidate's (Source) — the build's prune test works the same way. Like
-// PHL, labels are smaller on travel-time graphs whose hierarchies prune
-// more aggressively (Section 7.2, Appendix B.2).
+// Pruned Highway Labeling in the IER compositions (Section 5; see
+// docs/ARCHITECTURE.md's package table). The labels are those of pruned
+// landmark labeling (Akiba et al.) with the contraction-hierarchy rank as
+// vertex order, which yields small labels on road networks. They are not
+// built by PLL's pruned Dijkstras but derived from the hierarchy (Abraham
+// et al.'s hierarchical hub labelings): most important vertex first, a
+// vertex's candidate hubs are its upward neighbours' final labels extended
+// by the arc, and PLL's own prune test keeps exactly the entries PLL would
+// (ARCHITECTURE.md "PHL labels from the hierarchy"). A point-to-point query
+// (Index.Distance) is a linear merge of two sorted hub lists; IER, which
+// asks for many distances from one query vertex, pins that vertex's label
+// once and scans each candidate's (Source) — the build's prune test works
+// the same way. Like PHL, labels are smaller on travel-time graphs whose
+// hierarchies prune more aggressively (Section 7.2, Appendix B.2).
 package phl
 
 import (
@@ -37,12 +37,9 @@ type Index struct {
 // Name implements knn.DistanceOracle.
 func (x *Index) Name() string { return "PHL" }
 
-// Build constructs the labeling for g. If hierarchy is nil a contraction
-// hierarchy is built internally to obtain the vertex ordering.
+// Build constructs the labeling for g from its contraction hierarchy, whose
+// ranks give the vertex ordering and whose upward arcs give the labels.
 func Build(g *graph.Graph, hierarchy *ch.Index) *Index {
-	if hierarchy == nil {
-		hierarchy = ch.Build(g)
-	}
 	n := g.NumVertices()
 	// order[i] = vertex with importance i (0 = most important).
 	order := make([]int32, n)

@@ -21,7 +21,7 @@ func testGraph(t testing.TB, seed int64, rows, cols int) *graph.Graph {
 
 func TestDistanceMatchesDijkstra(t *testing.T) {
 	g := testGraph(t, 91, 16, 16)
-	x := phl.Build(g, nil)
+	x := phl.Build(g, ch.Build(g))
 	solver := dijkstra.NewSolver(g)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -35,7 +35,7 @@ func TestDistanceMatchesDijkstra(t *testing.T) {
 
 func TestDistanceTravelTime(t *testing.T) {
 	g := testGraph(t, 92, 14, 14).View(graph.TravelTime)
-	x := phl.Build(g, nil)
+	x := phl.Build(g, ch.Build(g))
 	solver := dijkstra.NewSolver(g)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
@@ -62,7 +62,7 @@ func TestSharedHierarchy(t *testing.T) {
 
 func TestLabelStats(t *testing.T) {
 	g := testGraph(t, 94, 12, 12)
-	x := phl.Build(g, nil)
+	x := phl.Build(g, ch.Build(g))
 	avg := x.AvgLabelSize()
 	if avg < 1 {
 		t.Fatalf("AvgLabelSize = %v; every vertex labels itself at least", avg)
@@ -80,8 +80,9 @@ func TestTimeLabelsSmallerThanDistance(t *testing.T) {
 	// highway hierarchies (Section 7.2 / B.2); verify the substitute
 	// preserves that direction on a network large enough to have tiers.
 	g := testGraph(t, 95, 24, 24)
-	xd := phl.Build(g, nil)
-	xt := phl.Build(g.View(graph.TravelTime), nil)
+	xd := phl.Build(g, ch.Build(g))
+	tg := g.View(graph.TravelTime)
+	xt := phl.Build(tg, ch.Build(tg))
 	if xt.AvgLabelSize() >= xd.AvgLabelSize()*1.25 {
 		t.Fatalf("time labels (%.1f) much larger than distance labels (%.1f)",
 			xt.AvgLabelSize(), xd.AvgLabelSize())
@@ -90,7 +91,7 @@ func TestTimeLabelsSmallerThanDistance(t *testing.T) {
 
 func TestSelfDistance(t *testing.T) {
 	g := testGraph(t, 96, 8, 8)
-	x := phl.Build(g, nil)
+	x := phl.Build(g, ch.Build(g))
 	if d := x.Distance(9, 9); d != 0 {
 		t.Fatalf("self distance %d", d)
 	}
@@ -117,7 +118,7 @@ func TestSourceMatchesDistanceAndDijkstra(t *testing.T) {
 		islands,
 	}
 	for _, g := range graphs {
-		x := phl.Build(g, nil)
+		x := phl.Build(g, ch.Build(g))
 		n := g.NumVertices()
 		solver := dijkstra.NewSolver(g)
 		src := x.NewSource()
@@ -152,7 +153,7 @@ func TestSourceMatchesDistanceAndDijkstra(t *testing.T) {
 
 func TestSourceZeroAllocs(t *testing.T) {
 	g := testGraph(t, 100, 12, 12)
-	x := phl.Build(g, nil)
+	x := phl.Build(g, ch.Build(g))
 	src := x.NewSource()
 	n := int32(g.NumVertices())
 	s := int32(0)
@@ -171,7 +172,7 @@ func TestSourceZeroAllocs(t *testing.T) {
 // label distance is a bad snapshot, not an index.
 func TestReadRejectsOutOfRangeLabels(t *testing.T) {
 	g := testGraph(t, 103, 8, 8)
-	x := phl.Build(g, nil)
+	x := phl.Build(g, ch.Build(g))
 	var buf bytes.Buffer
 	if _, err := x.WriteTo(&buf); err != nil {
 		t.Fatal(err)

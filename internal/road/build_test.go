@@ -19,7 +19,7 @@ func BenchmarkROADBuild(b *testing.B) {
 	g := gen.Network(spec)
 	b.ReportAllocs()
 	for b.Loop() {
-		Build(g, Options{})
+		Build(g)
 	}
 }
 
@@ -41,9 +41,8 @@ func TestBuildMatchesReferenceShortcuts(t *testing.T) {
 		{"two-chains", twoChains(240)},
 	}
 	for _, tc := range cases {
-		opts := Options{}.withDefaults(tc.g)
-		pt := partition.Build(tc.g, partition.Options{Fanout: opts.Fanout, MaxLevels: opts.Levels})
-		got, want := BuildOnPartition(tc.g, pt, opts.Levels), referenceBuild(tc.g, pt, opts.Levels)
+		got := Build(tc.g)
+		want := referenceBuild(tc.g, got.PT, got.Levels)
 		if !slices.EqualFunc(got.borders, want.borders, slices.Equal) {
 			t.Errorf("%s: borders differ from the reference", tc.name)
 		}

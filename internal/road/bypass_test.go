@@ -26,7 +26,7 @@ func TestKNNMatchesReferenceBypass(t *testing.T) {
 		{"unit-grid", unitGrid(24, 24)},
 	}
 	for _, tc := range cases {
-		idx := Build(tc.g, Options{})
+		idx := Build(tc.g)
 		queries := gen.QueryVertices(tc.g, 16, 7)
 		for _, density := range []float64{0.0001, 0.001, 0.01, 0.1} {
 			ad := idx.NewAssociationDirectory(knn.NewObjectSet(tc.g, gen.Uniform(tc.g, density, 11)))

@@ -56,34 +56,17 @@ type Index struct {
 	roBi   []int32
 }
 
-// Options configures Build.
-type Options struct {
-	// Fanout is the partition fanout (paper default 4).
-	Fanout int
-	// Levels is the Rnet hierarchy depth l (paper: 7..11 by network size).
-	// Zero derives it from the network size targeting ~16-vertex leaves.
-	Levels int
-}
-
-func (o Options) withDefaults(g *graph.Graph) Options {
-	if o.Fanout < 2 {
-		o.Fanout = 4
+// Build constructs the ROAD index for g with the paper's fanout of 4 and an
+// Rnet hierarchy depth l derived from the network size, targeting ~16-vertex
+// leaves (the paper's 7..11, capped at 14).
+func Build(g *graph.Graph) *Index {
+	const fanout = 4
+	levels := 1
+	for size := float64(g.NumVertices()); size > 16 && levels < 14; size /= fanout {
+		levels++
 	}
-	if o.Levels <= 0 {
-		n := g.NumVertices()
-		o.Levels = 1
-		for size := float64(n); size > 16 && o.Levels < 14; size /= float64(o.Fanout) {
-			o.Levels++
-		}
-	}
-	return o
-}
-
-// Build constructs the ROAD index for g.
-func Build(g *graph.Graph, opts Options) *Index {
-	opts = opts.withDefaults(g)
-	pt := partition.Build(g, partition.Options{Fanout: opts.Fanout, MaxLevels: opts.Levels})
-	return BuildOnPartition(g, pt, opts.Levels)
+	pt := partition.Build(g, partition.Options{Fanout: fanout, MaxLevels: levels})
+	return BuildOnPartition(g, pt, levels)
 }
 
 // BuildOnPartition constructs ROAD over a pre-built partition tree.

@@ -8,6 +8,7 @@ import (
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
 	"rnknn/internal/knn"
+	"rnknn/internal/partition"
 	"rnknn/internal/road"
 )
 
@@ -16,9 +17,14 @@ func testGraph(t testing.TB, seed int64, rows, cols int) *graph.Graph {
 	return gen.Network(gen.NetworkSpec{Name: "t", Rows: rows, Cols: cols, Seed: seed})
 }
 
+// buildLevels builds ROAD over a fanout-4 partition of the given depth.
+func buildLevels(g *graph.Graph, levels int) *road.Index {
+	return road.BuildOnPartition(g, partition.Build(g, partition.Options{Fanout: 4, MaxLevels: levels}), levels)
+}
+
 func TestShortcutsAreWithinRnetDistances(t *testing.T) {
 	g := testGraph(t, 61, 14, 14)
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 3})
+	idx := buildLevels(g, 3)
 	solver := dijkstra.NewSolver(g)
 	// Root shortcuts are empty (no borders); level-1 node shortcuts must be
 	// >= the global distance (they are constrained to the Rnet) and
@@ -53,7 +59,7 @@ func idxBorders(idx *road.Index, ni int32) []int32 {
 
 func TestKNNMatchesBruteForce(t *testing.T) {
 	g := testGraph(t, 62, 18, 18)
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 4})
+	idx := buildLevels(g, 4)
 	rng := rand.New(rand.NewSource(5))
 	for _, density := range []float64{0.003, 0.02, 0.2} {
 		objs := knn.NewObjectSet(g, gen.Uniform(g, density, 88))
@@ -75,7 +81,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 
 func TestKNNTravelTime(t *testing.T) {
 	g := testGraph(t, 63, 16, 16).View(graph.TravelTime)
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 4})
+	idx := buildLevels(g, 4)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.01, 9))
 	m := road.NewKNN(idx, idx.NewAssociationDirectory(objs))
 	rng := rand.New(rand.NewSource(6))
@@ -92,7 +98,7 @@ func TestKNNTravelTime(t *testing.T) {
 func TestKNNSparseObjectsFarQuery(t *testing.T) {
 	// Sparse objects force long expansions where bypassing matters most.
 	g := testGraph(t, 64, 20, 20)
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 5})
+	idx := buildLevels(g, 5)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.002, 10))
 	m := road.NewKNN(idx, idx.NewAssociationDirectory(objs))
 	for _, q := range []int32{0, int32(g.NumVertices() / 2), int32(g.NumVertices() - 1)} {
@@ -109,7 +115,7 @@ func TestKNNSparseObjectsFarQuery(t *testing.T) {
 
 func TestAssociationDirectory(t *testing.T) {
 	g := testGraph(t, 65, 12, 12)
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 3})
+	idx := buildLevels(g, 3)
 	objs := knn.NewObjectSet(g, []int32{5})
 	ad := idx.NewAssociationDirectory(objs)
 	if !ad.IsObject(5) || ad.IsObject(6) {
@@ -133,7 +139,7 @@ func TestAssociationDirectory(t *testing.T) {
 
 func TestKNNMoreThanAvailable(t *testing.T) {
 	g := testGraph(t, 66, 10, 10)
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 3})
+	idx := buildLevels(g, 3)
 	objs := knn.NewObjectSet(g, []int32{3, 7})
 	m := road.NewKNN(idx, idx.NewAssociationDirectory(objs))
 	got := m.KNN(0, 10)
@@ -143,8 +149,8 @@ func TestKNNMoreThanAvailable(t *testing.T) {
 }
 
 func TestDefaultLevelsScaleWithSize(t *testing.T) {
-	small := road.Build(testGraph(t, 67, 8, 8), road.Options{})
-	big := road.Build(testGraph(t, 67, 24, 24), road.Options{})
+	small := road.Build(testGraph(t, 67, 8, 8))
+	big := road.Build(testGraph(t, 67, 24, 24))
 	if big.Levels <= small.Levels {
 		t.Fatalf("levels: small=%d big=%d", small.Levels, big.Levels)
 	}
@@ -159,7 +165,7 @@ func TestDefaultLevelsScaleWithSize(t *testing.T) {
 // nil check restores the uninterrupted scan.
 func TestKNNInterrupt(t *testing.T) {
 	g := testGraph(t, 64, 40, 40)
-	idx := road.Build(g, road.Options{})
+	idx := road.Build(g)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.05, 9))
 	x := road.NewKNN(idx, idx.NewAssociationDirectory(objs))
 	k := objs.Len() + 1 // more than exist: the scan must exhaust the graph

@@ -11,7 +11,7 @@ import (
 // roRnet and roBi out, 14.5 % of the index on NW).
 func TestIndexSizeBytesCountsEveryArray(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 20, Cols: 20, Seed: 3})
-	x := Build(g, Options{})
+	x := Build(g)
 	cells := len(x.shorts) + len(x.matOff) + len(x.roOff) + len(x.roRnet) + len(x.roBi)
 	for _, b := range x.borders {
 		cells += len(b)

@@ -16,7 +16,7 @@ import (
 func BenchmarkROADSparse(b *testing.B) {
 	spec, _ := gen.LadderSpec("NW")
 	g := gen.Network(spec)
-	idx := road.Build(g, road.Options{})
+	idx := road.Build(g)
 	x := road.NewKNN(idx, idx.NewAssociationDirectory(knn.NewObjectSet(g, gen.Uniform(g, 0.001, 1))))
 	queries := gen.QueryVertices(g, 64, 2)
 	dst := make([]knn.Result, 0, 10)

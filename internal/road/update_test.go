@@ -48,7 +48,7 @@ func checkKNN(t *testing.T, idx *road.Index, ad *road.AssociationDirectory, objs
 // the previous epoch's directory with its own set (copy-on-write).
 func TestAssociationDirectoryUpdates(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 151})
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 4})
+	idx := buildLevels(g, 4)
 	rng := rand.New(rand.NewSource(2))
 	n := g.NumVertices()
 
@@ -85,7 +85,7 @@ func TestAssociationDirectoryUpdates(t *testing.T) {
 // of the network — and fills it again, with no counts to lean on.
 func TestAssociationDirectoryAddRemoveCycle(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 8, Cols: 8, Seed: 152})
-	idx := road.Build(g, road.Options{Fanout: 4, Levels: 3})
+	idx := buildLevels(g, 3)
 	pt := idx.PT
 	top := pt.Nodes[0].Children
 	// a and b share the first top-level Rnet but not a leaf; c lives in

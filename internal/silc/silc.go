@@ -50,17 +50,11 @@ type Index struct {
 	ChainOptimization bool
 }
 
-// Options configures Build.
-type Options struct {
-	// Parallelism bounds the number of concurrent per-source computations
-	// (the build parallelizes trivially, Section 7.2). 0 means NumCPU.
-	Parallelism int
-}
-
 // Build constructs the SILC index: one Dijkstra plus Morton-list
 // compression per vertex. Pre-processing is O(|V|^2 log |V|); intended for
-// the smaller networks, as in the paper.
-func Build(g *graph.Graph, opts Options) *Index {
+// the smaller networks, as in the paper. The per-source computations run on
+// NumCPU workers (the build parallelizes trivially, Section 7.2).
+func Build(g *graph.Graph) *Index {
 	n := g.NumVertices()
 	x := &Index{
 		G:                 g,
@@ -98,10 +92,7 @@ func Build(g *graph.Graph, opts Options) *Index {
 		x.rank[v] = int32(i)
 	}
 
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := runtime.NumCPU()
 	var wg sync.WaitGroup
 	next := make(chan int32, workers)
 	for w := 0; w < workers; w++ {

@@ -14,7 +14,7 @@ import (
 func testIndex(t testing.TB, seed int64, rows, cols int) (*graph.Graph, *silc.Index) {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: rows, Cols: cols, Seed: seed})
-	return g, silc.Build(g, silc.Options{Parallelism: 2})
+	return g, silc.Build(g)
 }
 
 func TestPathIsShortestPath(t *testing.T) {
@@ -81,7 +81,7 @@ func TestChainOptimizationEquivalent(t *testing.T) {
 	// High-chain network: forced moves must not change results but must
 	// reduce lookups.
 	g := gen.HighwayNetwork("hwy", 5, 5, 3)
-	x := silc.Build(g, silc.Options{Parallelism: 2})
+	x := silc.Build(g)
 	solver := dijkstra.NewSolver(g)
 	rng := rand.New(rand.NewSource(4))
 	lookupsOn, lookupsOff := 0, 0

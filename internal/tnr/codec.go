@@ -34,12 +34,16 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Read deserializes an index written by WriteTo over the given hierarchy
-// (the same sharing Build uses), validating table and CSR dimensions. When
-// sr aliases a mapped snapshot the arrays are views of the mapping and the
-// per-element range scans are skipped (dimensions are still checked); the
-// derived isTransit markers are rebuilt either way — they are bools, not
-// part of the serialized layout.
-func Read(sr *snapio.Source, hierarchy *ch.Index) (*Index, error) {
+// (the same sharing Build uses), validating table and CSR dimensions
+// against the graph's numVertices. The O(|V|) checks — transit ids in
+// range, monotone access and cone offsets — and the access-node range scan
+// run on both paths, because a query slices by the offsets and subscripts
+// the transit table by access node. When sr aliases a mapped snapshot the
+// arrays are views of the mapping and only the cone-vertex scan is
+// skipped: a query compares cone vertices but never subscripts by them.
+// The derived isTransit markers are rebuilt either way — they are bools,
+// not part of the serialized layout.
+func Read(sr *snapio.Source, hierarchy *ch.Index, numVertices int) (*Index, error) {
 	x := &Index{hierarchy: hierarchy}
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
 		sr.Failf("tnr codec version %d (want %d)", v, codecVersion)
@@ -59,6 +63,8 @@ func Read(sr *snapio.Source, hierarchy *ch.Index) (*Index, error) {
 	n := len(x.transitID)
 	m := x.numT
 	switch {
+	case n != numVertices:
+		sr.Failf("tnr has %d vertices for %d", n, numVertices)
 	case m < 0 || m > n || len(x.table) != m*m:
 		sr.Failf("tnr table is %d cells for %d transit nodes", len(x.table), m)
 	case len(x.accOff) != n+1 || len(x.coneOff) != n+1:
@@ -77,15 +83,19 @@ func Read(sr *snapio.Source, hierarchy *ch.Index) (*Index, error) {
 			sr.Failf("tnr transit id %d out of range at vertex %d", id, v)
 			return nil, sr.Err()
 		}
+		if x.accOff[v] > x.accOff[v+1] || x.coneOff[v] > x.coneOff[v+1] {
+			sr.Failf("tnr offsets not monotone at %d", v)
+			return nil, sr.Err()
+		}
 		x.isTransit[v] = id >= 0
 	}
-	if !sr.Aliasing() {
-		for i, id := range x.accID {
-			if id < 0 || int(id) >= m {
-				sr.Failf("tnr access node %d out of range at entry %d", id, i)
-				return nil, sr.Err()
-			}
+	for i, id := range x.accID {
+		if id < 0 || int(id) >= m {
+			sr.Failf("tnr access node %d out of range at entry %d", id, i)
+			return nil, sr.Err()
 		}
+	}
+	if !sr.Aliasing() {
 		for i, v := range x.coneV {
 			if v < 0 || int(v) >= n {
 				sr.Failf("tnr cone vertex %d out of range at entry %d", v, i)

@@ -41,34 +41,18 @@ type Index struct {
 	coneOff []int32
 	coneV   []int32
 	coneD   []graph.Dist
-
-	// TableHits / LocalHits count query resolutions per kind.
-	TableHits, LocalHits int
 }
 
-// Options configures Build.
-type Options struct {
-	// NumTransit is the transit set size (paper: grid 128; here rank-based,
-	// default ~1.5*sqrt(|V|)).
-	NumTransit int
-}
-
-// Build constructs TNR for g. If hierarchy is nil a CH is built internally.
-func Build(g *graph.Graph, hierarchy *ch.Index, opts Options) *Index {
-	if hierarchy == nil {
-		hierarchy = ch.Build(g)
-	}
+// Build constructs TNR for g over its contraction hierarchy. The transit
+// set is the top-ranked ~1.4*sqrt(|V|) vertices, at least 24 (the paper
+// uses a 128 grid), and never more than |V|.
+func Build(g *graph.Graph, hierarchy *ch.Index) *Index {
 	n := g.NumVertices()
-	m := opts.NumTransit
-	if m <= 0 {
-		m = 24
-		for m*m < 2*n { // ~1.4*sqrt(n)
-			m++
-		}
+	m := 24
+	for m*m < 2*n {
+		m++
 	}
-	if m > n {
-		m = n
-	}
+	m = min(m, n)
 	x := &Index{
 		hierarchy: hierarchy,
 		isTransit: make([]bool, n),
@@ -107,9 +91,10 @@ func Build(g *graph.Graph, hierarchy *ch.Index, opts Options) *Index {
 		v int32
 		d graph.Dist
 	}
+	up := hierarchy.NewSearcher()
 	for v := int32(0); v < int32(n); v++ {
 		var acc, cone []pair
-		hierarchy.UpwardSearch(v, func(u int32) bool { return x.isTransit[u] },
+		up.UpwardSearch(v, func(u int32) bool { return x.isTransit[u] },
 			func(u int32, d graph.Dist) {
 				if x.isTransit[u] {
 					acc = append(acc, pair{x.transitID[u], d})
@@ -132,26 +117,8 @@ func Build(g *graph.Graph, hierarchy *ch.Index, opts Options) *Index {
 	return x
 }
 
-// Name implements knn.DistanceOracle.
-func (x *Index) Name() string { return "TNR" }
-
 // NumTransit returns the transit set size.
 func (x *Index) NumTransit() int { return x.numT }
-
-// Distance implements knn.DistanceOracle, counting resolutions in the
-// index's shared TableHits/LocalHits; not safe for concurrent use
-// (concurrent callers use NewQuerier).
-func (x *Index) Distance(s, t int32) graph.Dist {
-	d, local, resolved := x.distance(s, t)
-	if resolved {
-		if local {
-			x.LocalHits++
-		} else {
-			x.TableHits++
-		}
-	}
-	return d
-}
 
 // Querier is a per-session view of the index with private hit counters.
 // The Index tables are immutable after Build, so any number of Queriers may
@@ -168,26 +135,13 @@ func (x *Index) NewQuerier() *Querier { return &Querier{x: x} }
 // Name implements knn.DistanceOracle.
 func (q *Querier) Name() string { return "TNR" }
 
-// Distance implements knn.DistanceOracle.
+// Distance implements knn.DistanceOracle: the access-node table term
+// merged with the local-cone term, counting which of the two won.
 func (q *Querier) Distance(s, t int32) graph.Dist {
-	d, local, resolved := q.x.distance(s, t)
-	if resolved {
-		if local {
-			q.LocalHits++
-		} else {
-			q.TableHits++
-		}
-	}
-	return d
-}
-
-// distance is the shared read-only query: the access-node table term merged
-// with the local-cone term. local reports which term won; resolved is false
-// only for the trivial s == t case.
-func (x *Index) distance(s, t int32) (d graph.Dist, local, resolved bool) {
 	if s == t {
-		return 0, false, false
+		return 0
 	}
+	x := q.x
 	best := graph.Inf
 	// Access-node table term.
 	m := x.numT
@@ -219,7 +173,12 @@ func (x *Index) distance(s, t int32) (d graph.Dist, local, resolved bool) {
 			j++
 		}
 	}
-	return best, best < tableBest, true
+	if best < tableBest {
+		q.LocalHits++
+	} else {
+		q.TableHits++
+	}
+	return best
 }
 
 // SizeBytes estimates the index footprint (table + access + cones).
@@ -228,5 +187,4 @@ func (x *Index) SizeBytes() int {
 		len(x.coneV)*4 + len(x.coneD)*8 + len(x.accOff)*4 + len(x.coneOff)*4
 }
 
-var _ knn.DistanceOracle = (*Index)(nil)
 var _ knn.DistanceOracle = (*Querier)(nil)
