@@ -20,10 +20,10 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := snapio.NewWriter(w)
 	sw.U16(codecVersion)
 	sw.U32(uint32(x.Shortcuts))
-	sw.RawI32s(x.rank)
-	sw.RawI32s(x.upOff)
-	sw.RawI32s(x.upTo)
-	sw.RawI32s(x.upW)
+	snapio.WriteRaw(sw, x.rank)
+	snapio.WriteRaw(sw, x.upOff)
+	snapio.WriteRaw(sw, x.upTo)
+	snapio.WriteRaw(sw, x.upW)
 	return sw.Result()
 }
 
@@ -40,7 +40,10 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 		sr.Failf("ch codec version %d (want %d)", v, codecVersion)
 	}
 	x.Shortcuts = int(sr.U32())
-	x.rank, x.upOff, x.upTo, x.upW = sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s()
+	x.rank = snapio.ReadRaw[int32](sr)
+	x.upOff = snapio.ReadRaw[int32](sr)
+	x.upTo = snapio.ReadRaw[int32](sr)
+	x.upW = snapio.ReadRaw[int32](sr)
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

@@ -17,6 +17,13 @@
 //	s, _ := e.NewSession(core.IERPHL, e.NewBinding(hospitals, kinds))
 //	results := s.KNN(query, 10)
 //
+// Two tables drive the engine: indexes holds one row per road-network
+// index (its name, the index it is built over, the dependencies its
+// snapshot section declares, and its build and decode funcs) and kinds one
+// row per method kind (its name and the index it runs on). Building,
+// sizing, saving, loading and BuiltIndexes all walk them, so a new index
+// is one indexes row (with its indexID constant) plus one typed getter.
+//
 // Index construction is serialized by an internal mutex, so concurrent
 // sessions may trigger lazy builds safely. A built index holds no query
 // state; the sessions returned by NewSession are each single-goroutine
@@ -25,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -34,6 +42,7 @@ import (
 	"rnknn/internal/phl"
 	"rnknn/internal/road"
 	"rnknn/internal/silc"
+	"rnknn/internal/snapio"
 	"rnknn/internal/tnr"
 )
 
@@ -70,29 +79,89 @@ func Kinds() []MethodKind {
 }
 
 func (k MethodKind) String() string {
-	switch k {
-	case INE:
-		return "INE"
-	case IERDijk:
-		return "IER-Dijk"
-	case IERCH:
-		return "IER-CH"
-	case IERTNR:
-		return "IER-TNR"
-	case IERPHL:
-		return "IER-PHL"
-	case IERGt:
-		return "IER-Gt"
-	case Gtree:
-		return "Gtree"
-	case ROAD:
-		return "ROAD"
-	case DisBrw:
-		return "DisBrw"
-	case DisBrwOH:
-		return "DisBrw-OH"
+	if k >= 0 && k < numKinds {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("MethodKind(%d)", int(k))
+}
+
+// kinds holds, per method kind, its display name and the road-network
+// index it runs on (noIndex: the graph alone).
+var kinds = [numKinds]struct {
+	name string
+	on   indexID
+}{
+	INE:      {"INE", noIndex},
+	IERDijk:  {"IER-Dijk", noIndex},
+	IERCH:    {"IER-CH", idxCH},
+	IERTNR:   {"IER-TNR", idxTNR},
+	IERPHL:   {"IER-PHL", idxPHL},
+	IERGt:    {"IER-Gt", idxGtree},
+	Gtree:    {"Gtree", idxGtree},
+	ROAD:     {"ROAD", idxROAD},
+	DisBrw:   {"DisBrw", idxSILC},
+	DisBrwOH: {"DisBrw-OH", idxSILC},
+}
+
+// index is what the engine itself needs of a built road-network index: its
+// snapshot section encoding and its size.
+type index interface {
+	io.WriterTo
+	SizeBytes() int
+}
+
+// indexID numbers the road-network indexes in snapshot section order.
+type indexID int
+
+const (
+	idxGtree indexID = iota
+	idxROAD
+	idxSILC
+	idxCH
+	idxPHL
+	idxTNR
+	numIndexes
+	noIndex indexID = -1
+)
+
+// indexes holds one row per road-network index, in section order: its name
+// (the snapshot section and BuiltIndexes key), the index it is built over,
+// the dependencies its section declares, and its build and decode funcs.
+// Only TNR declares CH: PHL is built over CH too but decodes without it,
+// and declaring it would change the bytes of every snapshot with PHL.
+var indexes = [numIndexes]struct {
+	name  string
+	over  indexID
+	deps  []string
+	build func(g *graph.Graph, over index) index
+	read  func(sr *snapio.Source, g *graph.Graph) (index, error)
+}{
+	idxGtree: {"Gtree", noIndex, nil,
+		func(g *graph.Graph, _ index) index { return gtree.Build(g) },
+		func(sr *snapio.Source, g *graph.Graph) (index, error) { return gtree.Read(sr, g) }},
+	idxROAD: {"ROAD", noIndex, nil,
+		func(g *graph.Graph, _ index) index { return road.Build(g) },
+		func(sr *snapio.Source, g *graph.Graph) (index, error) { return road.Read(sr, g) }},
+	idxSILC: {"SILC", noIndex, nil,
+		func(g *graph.Graph, _ index) index { return silc.Build(g) },
+		func(sr *snapio.Source, g *graph.Graph) (index, error) { return silc.Read(sr, g) }},
+	idxCH: {"CH", noIndex, nil,
+		func(g *graph.Graph, _ index) index { return ch.Build(g) },
+		func(sr *snapio.Source, g *graph.Graph) (index, error) { return ch.Read(sr, g) }},
+	idxPHL: {"PHL", idxCH, nil,
+		func(g *graph.Graph, h index) index { return phl.Build(g, h.(*ch.Index)) },
+		func(sr *snapio.Source, g *graph.Graph) (index, error) { return phl.Read(sr, g.NumVertices()) }},
+	idxTNR: {"TNR", idxCH, []string{"CH"},
+		func(g *graph.Graph, h index) index { return tnr.Build(g, h.(*ch.Index)) },
+		func(sr *snapio.Source, g *graph.Graph) (index, error) { return tnr.Read(sr, g.NumVertices()) }},
+}
+
+// slot holds one index of an engine: the index once built or loaded, its
+// construction (or snapshot decode) time, and whether it was loaded.
+type slot struct {
+	x      index
+	took   time.Duration
+	loaded bool
 }
 
 // Engine owns one road network and its lazily built indexes. Each index is
@@ -101,27 +170,11 @@ func (k MethodKind) String() string {
 type Engine struct {
 	G *graph.Graph
 
-	// mu serializes lazy index construction (and guards BuildTimes), so
-	// concurrent query sessions may trigger first-use builds safely. The
-	// built indexes themselves are immutable and read lock-free.
-	mu   sync.Mutex
-	gt   *gtree.Index
-	rd   *road.Index
-	sc   *silc.Index
-	chx  *ch.Index
-	phlx *phl.Index
-	tnrx *tnr.Index
-
-	// BuildTimes records the wall-clock construction time of each index by
-	// name ("Gtree", "ROAD", "SILC", "CH", "PHL", "TNR") — or, for indexes
-	// installed by LoadIndexesData, the snapshot decode time. Read it only
-	// after the builds of interest have completed (single-goroutine
-	// harness code); concurrent readers use BuiltIndexes.
-	BuildTimes map[string]time.Duration
-
-	// loaded marks indexes that came from a snapshot (LoadIndexesData) rather
-	// than being constructed; guarded by mu, surfaced via IndexInfo.Loaded.
-	loaded map[string]bool
+	// mu serializes lazy index construction and guards idx, so concurrent
+	// query sessions may trigger first-use builds safely. The built indexes
+	// themselves are immutable and read lock-free.
+	mu  sync.Mutex
+	idx [numIndexes]slot
 
 	// fp memoizes the graph fingerprint (see Fingerprint).
 	fpOnce sync.Once
@@ -130,112 +183,59 @@ type Engine struct {
 
 // New creates an engine over g with default options.
 func New(g *graph.Graph) *Engine {
-	return &Engine{G: g, BuildTimes: map[string]time.Duration{}}
+	return &Engine{G: g}
 }
 
-func (e *Engine) timed(name string, f func()) {
-	start := time.Now()
-	f()
-	e.BuildTimes[name] = time.Since(start)
+// get returns index i, building it (and the index it is built over) on
+// first use.
+func (e *Engine) get(i indexID) index {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.getLocked(i)
+}
+
+func (e *Engine) getLocked(i indexID) index {
+	s := &e.idx[i]
+	if s.x == nil {
+		var over index
+		if o := indexes[i].over; o != noIndex {
+			over = e.getLocked(o)
+		}
+		start := time.Now()
+		s.x = indexes[i].build(e.G, over)
+		s.took = time.Since(start)
+	}
+	return s.x
 }
 
 // GtreeIndex returns the engine's G-tree, building it on first use.
-func (e *Engine) GtreeIndex() *gtree.Index {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gtreeLocked()
-}
-
-func (e *Engine) gtreeLocked() *gtree.Index {
-	if e.gt == nil {
-		e.timed("Gtree", func() {
-			e.gt = gtree.Build(e.G)
-		})
-	}
-	return e.gt
-}
+func (e *Engine) GtreeIndex() *gtree.Index { return e.get(idxGtree).(*gtree.Index) }
 
 // ROADIndex returns the engine's ROAD index, building it on first use.
-func (e *Engine) ROADIndex() *road.Index {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.rd == nil {
-		e.timed("ROAD", func() {
-			e.rd = road.Build(e.G)
-		})
-	}
-	return e.rd
-}
+func (e *Engine) ROADIndex() *road.Index { return e.get(idxROAD).(*road.Index) }
 
 // SILCIndex returns the engine's SILC index, building it on first use.
 // Beware the O(|V|^2 log |V|) build; the paper limits SILC to the smaller
 // networks and so does the experiment harness.
-func (e *Engine) SILCIndex() *silc.Index {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sc == nil {
-		e.timed("SILC", func() {
-			e.sc = silc.Build(e.G)
-		})
-	}
-	return e.sc
-}
+func (e *Engine) SILCIndex() *silc.Index { return e.get(idxSILC).(*silc.Index) }
 
 // CHIndex returns the engine's contraction hierarchy, building it on first
 // use.
-func (e *Engine) CHIndex() *ch.Index {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.chLocked()
-}
-
-func (e *Engine) chLocked() *ch.Index {
-	if e.chx == nil {
-		e.timed("CH", func() { e.chx = ch.Build(e.G) })
-	}
-	return e.chx
-}
+func (e *Engine) CHIndex() *ch.Index { return e.get(idxCH).(*ch.Index) }
 
 // PHLIndex returns the engine's hub labeling, building it on first use (the
 // contraction hierarchy is shared with CHIndex).
-func (e *Engine) PHLIndex() *phl.Index {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.phlx == nil {
-		hierarchy := e.chLocked()
-		e.timed("PHL", func() { e.phlx = phl.Build(e.G, hierarchy) })
-	}
-	return e.phlx
-}
+func (e *Engine) PHLIndex() *phl.Index { return e.get(idxPHL).(*phl.Index) }
 
 // TNRIndex returns the engine's transit-node index, building it on first
 // use (the contraction hierarchy is shared with CHIndex).
-func (e *Engine) TNRIndex() *tnr.Index {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.tnrx == nil {
-		hierarchy := e.chLocked()
-		e.timed("TNR", func() { e.tnrx = tnr.Build(e.G, hierarchy) })
-	}
-	return e.tnrx
-}
+func (e *Engine) TNRIndex() *tnr.Index { return e.get(idxTNR).(*tnr.Index) }
 
 // EnsureIndex builds the road-network index a method kind depends on, if
 // any (pkg/rnknn calls this at Open so queries never pay construction).
 func (e *Engine) EnsureIndex(kind MethodKind) {
-	switch kind {
-	case IERCH:
-		e.CHIndex()
-	case IERTNR:
-		e.TNRIndex()
-	case IERPHL:
-		e.PHLIndex()
-	case IERGt, Gtree:
-		e.GtreeIndex()
-	case ROAD:
-		e.ROADIndex()
-	case DisBrw, DisBrwOH:
-		e.SILCIndex()
+	if on := kinds[kind].on; on != noIndex {
+		e.get(on)
 	}
 }
 
@@ -250,29 +250,18 @@ type IndexInfo struct {
 	Loaded bool
 }
 
-// BuiltIndexes reports every index built so far by name — the observability
-// hook behind pkg/rnknn's DB.Stats. Safe for concurrent use.
+// BuiltIndexes reports every index built or loaded so far by name ("Gtree",
+// "ROAD", "SILC", "CH", "PHL", "TNR") — the observability hook behind
+// pkg/rnknn's DB.Stats and the harness's construction-time tables. Safe
+// for concurrent use.
 func (e *Engine) BuiltIndexes() map[string]IndexInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := map[string]IndexInfo{}
-	if e.gt != nil {
-		out["Gtree"] = IndexInfo{e.BuildTimes["Gtree"], e.gt.SizeBytes(), e.loaded["Gtree"]}
-	}
-	if e.rd != nil {
-		out["ROAD"] = IndexInfo{e.BuildTimes["ROAD"], e.rd.SizeBytes(), e.loaded["ROAD"]}
-	}
-	if e.sc != nil {
-		out["SILC"] = IndexInfo{e.BuildTimes["SILC"], e.sc.SizeBytes(), e.loaded["SILC"]}
-	}
-	if e.chx != nil {
-		out["CH"] = IndexInfo{e.BuildTimes["CH"], e.chx.SizeBytes(), e.loaded["CH"]}
-	}
-	if e.phlx != nil {
-		out["PHL"] = IndexInfo{e.BuildTimes["PHL"], e.phlx.SizeBytes(), e.loaded["PHL"]}
-	}
-	if e.tnrx != nil {
-		out["TNR"] = IndexInfo{e.BuildTimes["TNR"], e.tnrx.SizeBytes(), e.loaded["TNR"]}
+	for i, s := range e.idx {
+		if s.x != nil {
+			out[indexes[i].name] = IndexInfo{s.took, s.x.SizeBytes(), s.loaded}
+		}
 	}
 	return out
 }
@@ -281,23 +270,10 @@ func (e *Engine) BuiltIndexes() map[string]IndexInfo {
 // method kind depends on (the graph itself for INE and IER-Dijk, mirroring
 // the paper's "INE uses only the original graph" baseline in Figure 8).
 func (e *Engine) IndexSize(kind MethodKind) int {
-	switch kind {
-	case INE, IERDijk:
-		return graphSizeBytes(e.G)
-	case IERCH:
-		return e.CHIndex().SizeBytes()
-	case IERTNR:
-		return e.TNRIndex().SizeBytes()
-	case IERPHL:
-		return e.PHLIndex().SizeBytes()
-	case IERGt, Gtree:
-		return e.GtreeIndex().SizeBytes()
-	case ROAD:
-		return e.ROADIndex().SizeBytes()
-	case DisBrw, DisBrwOH:
-		return e.SILCIndex().SizeBytes()
+	if on := kinds[kind].on; on != noIndex {
+		return e.get(on).SizeBytes()
 	}
-	return 0
+	return graphSizeBytes(e.G)
 }
 
 func graphSizeBytes(g *graph.Graph) int {

@@ -43,7 +43,7 @@ func TestIndexesBuiltOnceAndTimed(t *testing.T) {
 	if a != b {
 		t.Fatal("G-tree rebuilt on second access")
 	}
-	if _, ok := e.BuildTimes["Gtree"]; !ok {
+	if _, ok := e.BuiltIndexes()["Gtree"]; !ok {
 		t.Fatal("build time not recorded")
 	}
 	// CH shared between PHL and TNR.

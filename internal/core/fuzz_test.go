@@ -14,9 +14,8 @@ import (
 // FuzzSectionCodecs puts a fuzzed payload in one section of an otherwise
 // valid snapshot — graph plus every index of a 6x6 network — re-framed by
 // snapshot.Write, so the checksum passes and the section's codec runs on
-// the fuzzed bytes. The verified loads must answer nil or ErrBadSnapshot,
-// never panic. (The mapped path skips validation by design and is not
-// fuzzed here.)
+// the fuzzed bytes. The verified and the mapped loads must answer nil or
+// ErrBadSnapshot, never panic.
 func FuzzSectionCodecs(f *testing.F) {
 	g := gen.Network(gen.NetworkSpec{Name: "fuzz", Rows: 6, Cols: 6, Seed: 1})
 	e := core.New(g)
@@ -51,11 +50,13 @@ func FuzzSectionCodecs(f *testing.F) {
 		if err := snapshot.Write(&out, fp, secs); err != nil {
 			t.Fatal(err)
 		}
-		if err := core.New(g).LoadIndexesData(out.Bytes(), false); err != nil && !errors.Is(err, snapshot.ErrBadSnapshot) {
-			t.Fatalf("section %s: LoadIndexesData: untyped error %v", base[v].Name, err)
-		}
-		if _, _, err := core.LoadGraphData(out.Bytes(), false); err != nil && !errors.Is(err, snapshot.ErrBadSnapshot) {
-			t.Fatalf("section %s: LoadGraphData: untyped error %v", base[v].Name, err)
+		for _, alias := range []bool{false, true} {
+			if err := core.New(g).LoadIndexesData(out.Bytes(), alias); err != nil && !errors.Is(err, snapshot.ErrBadSnapshot) {
+				t.Fatalf("section %s, alias=%v: LoadIndexesData: untyped error %v", base[v].Name, alias, err)
+			}
+			if _, _, err := core.LoadGraphData(out.Bytes(), alias); err != nil && !errors.Is(err, snapshot.ErrBadSnapshot) {
+				t.Fatalf("section %s, alias=%v: LoadGraphData: untyped error %v", base[v].Name, alias, err)
+			}
 		}
 	})
 }

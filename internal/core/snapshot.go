@@ -1,28 +1,22 @@
 // Index persistence for the engine: SaveIndexes writes every built index
 // (and the graph itself) into one snapshot container, LoadIndexesData
 // installs indexes decoded from a snapshot held whole in memory, so the
-// lazy-build getters find them already present. Decoding runs in parallel
-// across sections (CH first — TNR shares the hierarchy, a dependency the
-// container records explicitly), and BuiltIndexes distinguishes loaded from
-// built entries so callers can verify a warm start skipped construction.
-// Over an mmap'ed snapshot the mappable sections decode into structs whose
-// slices alias the mapping.
+// lazy-build getters find them already present. Every index section
+// decodes in parallel through its row of the indexes table, and
+// BuiltIndexes distinguishes loaded from built entries so callers can
+// verify a warm start skipped construction. Over an mmap'ed snapshot the
+// mappable sections decode into structs whose slices alias the mapping.
 package core
 
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
-	"rnknn/internal/ch"
 	"rnknn/internal/graph"
-	"rnknn/internal/gtree"
-	"rnknn/internal/phl"
-	"rnknn/internal/road"
-	"rnknn/internal/silc"
 	"rnknn/internal/snapio"
 	"rnknn/internal/snapshot"
-	"rnknn/internal/tnr"
 )
 
 // Fingerprint returns the snapshot fingerprint of the engine's graph,
@@ -42,17 +36,9 @@ func (e *Engine) SeedFingerprint(fp uint64) {
 	e.fpOnce.Do(func() { e.fp = fp })
 }
 
-// Section names in the snapshot container, matching the BuildTimes keys
-// (SecGraph carries the road network itself, not an index).
-const (
-	SecGraph = "Graph"
-	secGtree = "Gtree"
-	secROAD  = "ROAD"
-	secSILC  = "SILC"
-	secCH    = "CH"
-	secPHL   = "PHL"
-	secTNR   = "TNR"
-)
+// SecGraph names the snapshot section that carries the road network
+// itself; every other section is named after its row of indexes.
+const SecGraph = "Graph"
 
 // SaveIndexes writes the graph and every index built so far as one
 // snapshot. Indexes are immutable once built, so encoding proceeds outside
@@ -60,49 +46,24 @@ const (
 // with no built indexes writes a valid snapshot carrying just the graph.
 func (e *Engine) SaveIndexes(w io.Writer) error {
 	e.mu.Lock()
-	gt, rd, sc, chx, phlx, tnrx := e.gt, e.rd, e.sc, e.chx, e.phlx, e.tnrx
+	idx := e.idx
 	e.mu.Unlock()
 
-	var secs []snapshot.Section
-	add := func(name string, mappable bool, deps []string, wt io.WriterTo) {
-		secs = append(secs, snapshot.Section{
-			Name:     name,
-			Mappable: mappable,
-			Deps:     deps,
+	secs := []snapshot.Section{{Name: SecGraph, Mappable: true, Encode: func(w io.Writer) error {
+		_, err := e.G.WriteSnapshot(w)
+		return err
+	}}}
+	for i, s := range idx {
+		if s.x == nil {
+			continue
+		}
+		// The container records declared dependencies so readers reject a
+		// table that lists TNR before (or without) CH.
+		secs = append(secs, snapshot.Section{Name: indexes[i].name, Mappable: true, Deps: indexes[i].deps,
 			Encode: func(w io.Writer) error {
-				_, err := wt.WriteTo(w)
+				_, err := s.x.WriteTo(w)
 				return err
-			},
-		})
-	}
-	secs = append(secs, snapshot.Section{
-		Name:     SecGraph,
-		Mappable: true,
-		Encode: func(w io.Writer) error {
-			_, err := e.G.WriteSnapshot(w)
-			return err
-		},
-	})
-	if gt != nil {
-		add(secGtree, true, nil, gt)
-	}
-	if rd != nil {
-		add(secROAD, true, nil, rd)
-	}
-	if sc != nil {
-		add(secSILC, true, nil, sc)
-	}
-	if chx != nil {
-		add(secCH, true, nil, chx)
-	}
-	if phlx != nil {
-		add(secPHL, true, nil, phlx)
-	}
-	if tnrx != nil {
-		// TNR decodes against the contraction hierarchy; the container
-		// records the dependency so readers reject a table that lists TNR
-		// before (or without) CH instead of trusting writer convention.
-		add(secTNR, true, []string{secCH}, tnrx)
+			}})
 	}
 	return snapshot.Write(w, e.Fingerprint(), secs)
 }
@@ -112,11 +73,11 @@ func (e *Engine) SaveIndexes(w io.Writer) error {
 // contains that the engine has not already built, so the lazy getters (and
 // EnsureIndex) treat them as present. The snapshot must carry the
 // fingerprint of the engine's graph (ErrFingerprintMismatch otherwise);
-// corrupt containers or payloads surface ErrBadSnapshot. Sections decode in
+// corrupt containers or payloads surface ErrBadSnapshot, also for a
+// section whose index the engine already holds. Sections decode in
 // parallel across CPU cores; unknown section names are skipped (that is how
-// old binaries read snapshots that carry indexes added later). BuildTimes
-// records the decode time of each loaded index, and BuiltIndexes marks it
-// Loaded.
+// old binaries read snapshots that carry indexes added later). BuiltIndexes
+// reports the decode time of each loaded index and marks it Loaded.
 //
 // With alias set, mappable sections decode into indexes whose slices are
 // views of data — data must then stay valid (and unmodified) for the life
@@ -159,115 +120,68 @@ func LoadGraphData(data []byte, alias bool) (*graph.Graph, uint64, error) {
 	return nil, 0, fmt.Errorf("%w: snapshot has no %s section (written by an older binary?)", snapshot.ErrBadSnapshot, SecGraph)
 }
 
-// installPayloads decodes the index sections and installs whatever the
-// engine has not already built. alias propagates to mappable sections'
-// codecs (see LoadIndexesData).
+// installPayloads decodes every index section, in parallel, and installs
+// the ones the engine has not already built. alias propagates to mappable
+// sections' codecs (see LoadIndexesData).
 func (e *Engine) installPayloads(payloads []snapshot.Payload, alias bool) error {
-	byName := make(map[string]snapshot.Payload, len(payloads))
+	var found [numIndexes]*snapshot.Payload
 	for _, p := range payloads {
-		byName[p.Name] = p
-	}
-	src := func(p snapshot.Payload) *snapio.Source {
-		return snapio.NewSource(p.Data, alias && p.Mappable)
-	}
-
-	// CH decodes first: TNR shares the hierarchy object, and an engine that
-	// already built one reuses it. (Parse enforces a declared CH-before-TNR
-	// ordering, but a container may omit the declaration, so the check
-	// below stays.)
-	e.mu.Lock()
-	chx := e.chx
-	e.mu.Unlock()
-	var chTime time.Duration
-	chLoaded := false
-	var err error
-	if p, ok := byName[secCH]; ok && chx == nil {
-		start := time.Now()
-		chx, err = ch.Read(src(p), e.G)
-		if err != nil {
-			return fmt.Errorf("%w: section %s: %v", snapshot.ErrBadSnapshot, secCH, err)
+		if i := indexNamed(p.Name); i != noIndex {
+			found[i] = &p
 		}
-		chTime, chLoaded = time.Since(start), true
 	}
-	if _, ok := byName[secTNR]; ok && chx == nil {
-		return fmt.Errorf("%w: snapshot has a TNR section but no CH section to share its hierarchy", snapshot.ErrBadSnapshot)
+	// A declared dependency must be in the file or already in the engine
+	// (Parse checks the order of those in the file, not their presence).
+	e.mu.Lock()
+	held := e.idx
+	e.mu.Unlock()
+	for i, p := range found {
+		for _, dep := range indexes[i].deps {
+			if d := indexNamed(dep); p != nil && found[d] == nil && held[d].x == nil {
+				return fmt.Errorf("%w: snapshot has a %s section but no %s section", snapshot.ErrBadSnapshot, p.Name, dep)
+			}
+		}
 	}
 
-	// Remaining sections decode in parallel, one goroutine per section.
-	type result struct {
-		name string
-		idx  any
-		took time.Duration
-		err  error
-	}
-	decoders := map[string]func(p snapshot.Payload) (any, error){
-		secGtree: func(p snapshot.Payload) (any, error) { return gtree.Read(src(p), e.G) },
-		secROAD:  func(p snapshot.Payload) (any, error) { return road.Read(src(p), e.G) },
-		secSILC:  func(p snapshot.Payload) (any, error) { return silc.Read(src(p), e.G) },
-		secPHL:   func(p snapshot.Payload) (any, error) { return phl.Read(src(p), e.G.NumVertices()) },
-		secTNR:   func(p snapshot.Payload) (any, error) { return tnr.Read(src(p), chx, e.G.NumVertices()) },
-	}
-	results := make(chan result, len(byName))
-	launched := 0
-	for name, decode := range decoders {
-		p, ok := byName[name]
-		if !ok {
+	var decoded [numIndexes]slot
+	var errs [numIndexes]error
+	var wg sync.WaitGroup
+	for i, p := range found {
+		if p == nil {
 			continue
 		}
-		launched++
-		go func(name string, decode func(snapshot.Payload) (any, error), p snapshot.Payload) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			start := time.Now()
-			idx, err := decode(p)
-			results <- result{name: name, idx: idx, took: time.Since(start), err: err}
-		}(name, decode, p)
+			x, err := indexes[i].read(snapio.NewSource(p.Data, alias && p.Mappable), e.G)
+			decoded[i], errs[i] = slot{x, time.Since(start), true}, err
+		}()
 	}
-	decoded := make(map[string]result, launched)
-	for i := 0; i < launched; i++ {
-		res := <-results
-		if res.err != nil {
-			err = fmt.Errorf("%w: section %s: %v", snapshot.ErrBadSnapshot, res.name, res.err)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%w: section %s: %v", snapshot.ErrBadSnapshot, indexes[i].name, err)
 		}
-		decoded[res.name] = res
-	}
-	if err != nil {
-		return err
 	}
 
 	// Install atomically: only indexes the engine has not built yet.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.loaded == nil {
-		e.loaded = map[string]bool{}
-	}
-	if chLoaded && e.chx == nil {
-		e.chx = chx
-		e.BuildTimes[secCH] = chTime
-		e.loaded[secCH] = true
-	}
-	if res, ok := decoded[secGtree]; ok && e.gt == nil {
-		e.gt = res.idx.(*gtree.Index)
-		e.BuildTimes[secGtree] = res.took
-		e.loaded[secGtree] = true
-	}
-	if res, ok := decoded[secROAD]; ok && e.rd == nil {
-		e.rd = res.idx.(*road.Index)
-		e.BuildTimes[secROAD] = res.took
-		e.loaded[secROAD] = true
-	}
-	if res, ok := decoded[secSILC]; ok && e.sc == nil {
-		e.sc = res.idx.(*silc.Index)
-		e.BuildTimes[secSILC] = res.took
-		e.loaded[secSILC] = true
-	}
-	if res, ok := decoded[secPHL]; ok && e.phlx == nil {
-		e.phlx = res.idx.(*phl.Index)
-		e.BuildTimes[secPHL] = res.took
-		e.loaded[secPHL] = true
-	}
-	if res, ok := decoded[secTNR]; ok && e.tnrx == nil {
-		e.tnrx = res.idx.(*tnr.Index)
-		e.BuildTimes[secTNR] = res.took
-		e.loaded[secTNR] = true
+	for i, s := range decoded {
+		if s.x != nil && e.idx[i].x == nil {
+			e.idx[i] = s
+		}
 	}
 	return nil
+}
+
+// indexNamed returns the row of indexes with the given name, or noIndex.
+func indexNamed(name string) indexID {
+	for i := range indexes {
+		if indexes[i].name == name {
+			return indexID(i)
+		}
+	}
+	return noIndex
 }

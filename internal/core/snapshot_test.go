@@ -227,7 +227,8 @@ func TestSnapshotTNRWithoutCHRejected(t *testing.T) {
 // TestSnapshotV1SectionRejected stamps each index section in turn with the
 // retired layout version 1 (re-framed, so the checksum is valid and the
 // codec itself must refuse) and asserts the typed error under both the
-// decoding and the aliasing load.
+// decoding and the aliasing load, and from an engine that already holds
+// every index.
 func TestSnapshotV1SectionRejected(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "snapV1", Rows: 8, Cols: 8, Seed: 8})
 	e := core.New(g)
@@ -263,11 +264,19 @@ func TestSnapshotV1SectionRejected(t *testing.T) {
 		if err := snapshot.Write(&v1, fp, secs); err != nil {
 			t.Fatal(err)
 		}
-		if err := core.New(g).LoadIndexesData(v1.Bytes(), false); !errors.Is(err, snapshot.ErrBadSnapshot) {
-			t.Errorf("%s stamped v1, decoded: want ErrBadSnapshot, got %v", victim.Name, err)
-		}
-		if err := core.New(g).LoadIndexesData(v1.Bytes(), true); !errors.Is(err, snapshot.ErrBadSnapshot) {
-			t.Errorf("%s stamped v1, aliased: want ErrBadSnapshot, got %v", victim.Name, err)
+		for _, load := range []struct {
+			name  string
+			into  *core.Engine
+			alias bool
+		}{
+			{"decoded", core.New(g), false},
+			{"aliased", core.New(g), true},
+			// Every section decodes, also one whose index is already built.
+			{"decoded by the engine that built it", e, false},
+		} {
+			if err := load.into.LoadIndexesData(v1.Bytes(), load.alias); !errors.Is(err, snapshot.ErrBadSnapshot) {
+				t.Errorf("%s stamped v1, %s: want ErrBadSnapshot, got %v", victim.Name, load.name, err)
+			}
 		}
 	}
 	if stamped != 6 {

@@ -143,22 +143,11 @@ type Harness struct {
 // NewHarness returns a harness for cfg.
 func NewHarness(cfg Config) *Harness { return &Harness{cfg: cfg.withDefaults()} }
 
-// Cfg returns the harness configuration.
-func (h *Harness) Cfg() Config { return h.cfg }
-
 var (
 	cacheMu sync.Mutex
 	netsC   = map[string]*graph.Graph{}
 	engC    = map[string]*core.Engine{}
 )
-
-// ResetCaches drops all cached networks and engines (tests).
-func ResetCaches() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	netsC = map[string]*graph.Graph{}
-	engC = map[string]*core.Engine{}
-}
 
 // Network returns the harness network with the given ladder name, scaled by
 // the configuration.

@@ -139,13 +139,14 @@ func (h *Harness) buildTables(id string, wk graph.WeightKind, withSILC bool) []*
 	}
 	for _, net := range nets {
 		e := h.buildAll(net, wk, withSILC)
+		built := e.BuiltIndexes()
 		cell := func(name string, kind core.MethodKind, buildName string) {
 			sizes[name] = append(sizes[name], fmtBytes(e.IndexSize(kind)))
 			if buildName == "" {
 				times[name] = append(times[name], "-")
 				return
 			}
-			times[name] = append(times[name], fmtDur(e.BuildTimes[buildName]))
+			times[name] = append(times[name], fmtDur(built[buildName].BuildTime))
 		}
 		cell("Graph(INE)", core.INE, "")
 		cell("Gtree", core.Gtree, "Gtree")

@@ -23,19 +23,21 @@ func (g *Graph) WriteSnapshot(w io.Writer) (int64, error) {
 	sw.U8(uint8(g.Kind))
 	sw.U32(uint32(g.NumVertices()))
 	sw.U32(uint32(g.NumEdges()))
-	sw.RawI32s(g.Offsets)
-	sw.RawI32s(g.Targets)
-	sw.RawI32s(g.DistW)
-	sw.RawI32s(g.TimeW)
-	sw.RawF64s(g.X)
-	sw.RawF64s(g.Y)
+	snapio.WriteRaw(sw, g.Offsets)
+	snapio.WriteRaw(sw, g.Targets)
+	snapio.WriteRaw(sw, g.DistW)
+	snapio.WriteRaw(sw, g.TimeW)
+	snapio.WriteRaw(sw, g.X)
+	snapio.WriteRaw(sw, g.Y)
 	return sw.Result()
 }
 
 // ReadSnapshot deserializes a graph written by WriteSnapshot. Dimension
-// checks always run; the per-edge structural scan (monotone offsets,
-// targets in range) runs only when sr is not aliasing a mapped snapshot —
-// mapped opens trust the file and touch pages on first use instead.
+// checks and the structural scan (monotone offsets, targets in range) run
+// on both paths, because every search slices the edge arrays by offset and
+// subscripts per-vertex state by target: over a mapped snapshot the scan
+// reads the offset and target pages, O(|V|+|E|), and the weight and
+// coordinate pages stay untouched until first use.
 func ReadSnapshot(sr *snapio.Source) (*Graph, error) {
 	if v := sr.U16(); sr.Err() == nil && v != snapCodecVersion {
 		sr.Failf("graph codec version %d (want %d)", v, snapCodecVersion)
@@ -43,12 +45,12 @@ func ReadSnapshot(sr *snapio.Source) (*Graph, error) {
 	g := &Graph{Name: sr.String(), Kind: WeightKind(sr.U8())}
 	n := int(sr.U32())
 	m := int(sr.U32())
-	g.Offsets = sr.AlignedI32s()
-	g.Targets = sr.AlignedI32s()
-	g.DistW = sr.AlignedI32s()
-	g.TimeW = sr.AlignedI32s()
-	g.X = sr.AlignedF64s()
-	g.Y = sr.AlignedF64s()
+	g.Offsets = snapio.ReadRaw[int32](sr)
+	g.Targets = snapio.ReadRaw[int32](sr)
+	g.DistW = snapio.ReadRaw[int32](sr)
+	g.TimeW = snapio.ReadRaw[int32](sr)
+	g.X = snapio.ReadRaw[float64](sr)
+	g.Y = snapio.ReadRaw[float64](sr)
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}
@@ -74,18 +76,16 @@ func ReadSnapshot(sr *snapio.Source) (*Graph, error) {
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}
-	if !sr.Aliasing() {
-		for v := 0; v < n; v++ {
-			if g.Offsets[v] > g.Offsets[v+1] {
-				sr.Failf("graph offsets not monotone at %d", v)
-				return nil, sr.Err()
-			}
+	for v := 0; v < n; v++ {
+		if g.Offsets[v] > g.Offsets[v+1] {
+			sr.Failf("graph offsets not monotone at %d", v)
+			return nil, sr.Err()
 		}
-		for i, t := range g.Targets {
-			if t < 0 || int(t) >= n {
-				sr.Failf("graph target %d out of range at edge %d", t, i)
-				return nil, sr.Err()
-			}
+	}
+	for i, t := range g.Targets {
+		if t < 0 || int(t) >= n {
+			sr.Failf("graph target %d out of range at edge %d", t, i)
+			return nil, sr.Err()
 		}
 	}
 	return g, nil

@@ -32,16 +32,16 @@ func writeRagged(sw *snapio.Writer, items [][]int32) {
 	for _, it := range items {
 		data = append(data, it...)
 	}
-	sw.RawI32s(off)
-	sw.RawI32s(data)
+	snapio.WriteRaw(sw, off)
+	snapio.WriteRaw(sw, data)
 }
 
 // readRagged reads an array group written by writeRagged, returning the
 // per-item views (subslices of the concatenation — aliased views of the
 // mapping when sr aliases). want is the expected item count.
 func readRagged(sr *snapio.Source, want int, what string) [][]int32 {
-	off := sr.AlignedI32s()
-	data := sr.AlignedI32s()
+	off := snapio.ReadRaw[int32](sr)
+	data := snapio.ReadRaw[int32](sr)
 	if sr.Err() != nil {
 		return nil
 	}
@@ -69,7 +69,7 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	partition.Encode(x.PT, sw)
 
 	n := len(x.nodes)
-	sw.RawI32s(x.posInLeaf)
+	snapio.WriteRaw(sw, x.posInLeaf)
 	collect := func(f func(i int) []int32) [][]int32 {
 		items := make([][]int32, n)
 		for i := range items {
@@ -95,8 +95,8 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	for i := range x.nodes {
 		mats = append(mats, x.nodes[i].mat...)
 	}
-	sw.RawI32s(strides)
-	sw.RawI32s(mats)
+	snapio.WriteRaw(sw, strides)
+	snapio.WriteRaw(sw, mats)
 	return sw.Result()
 }
 
@@ -121,7 +121,7 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	x.nodes = make([]node, len(pt.Nodes))
 	n := len(x.nodes)
 
-	x.posInLeaf = sr.AlignedI32s()
+	x.posInLeaf = snapio.ReadRaw[int32](sr)
 	if sr.Err() == nil && len(x.posInLeaf) != g.NumVertices() {
 		sr.Failf("gtree posInLeaf has %d entries for %d vertices", len(x.posInLeaf), g.NumVertices())
 	}
@@ -132,8 +132,8 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	x.leafOff = readRagged(sr, n, "leafOff")
 	x.leafTgt = readRagged(sr, n, "leafTgt")
 	x.leafW = readRagged(sr, n, "leafW")
-	strides := sr.AlignedI32s()
-	mats := sr.AlignedI32s()
+	strides := snapio.ReadRaw[int32](sr)
+	mats := snapio.ReadRaw[int32](sr)
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

@@ -51,22 +51,6 @@ type groupState struct {
 	settle func(v int32, labels []graph.Dist) graph.Dist
 }
 
-// GroupStats reports the last shared group expansion: vertices settled once
-// for the whole group, and label-correcting re-settles (the exactness
-// price, near zero for tight clusters).
-type GroupStats struct {
-	SettledVertices int
-	Relabeled       int
-}
-
-// LastGroupStats returns statistics of the last KNNGroupAppend.
-func (x *INE) LastGroupStats() GroupStats {
-	if x.grp == nil || x.grp.ms == nil {
-		return GroupStats{}
-	}
-	return GroupStats{SettledVertices: x.grp.ms.SettledVertices, Relabeled: x.grp.ms.Relabeled}
-}
-
 // KNNGroupAppend implements knn.BatchMethod: one shared expansion answers
 // every member of the group exactly.
 func (x *INE) KNNGroupAppend(qs []knn.GroupQuery, dst [][]knn.Result) {

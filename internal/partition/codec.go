@@ -22,11 +22,11 @@ func Encode(t *Tree, w *snapio.Writer) {
 		w.U32(uint32(n.Level))
 		w.U32(uint32(n.LeafLo))
 		w.U32(uint32(n.LeafHi))
-		w.RawI32s(n.Children)
-		w.RawI32s(n.Vertices)
+		snapio.WriteRaw(w, n.Children)
+		snapio.WriteRaw(w, n.Vertices)
 	}
-	w.RawI32s(t.LeafOf)
-	w.RawI32s(t.LeafSeq)
+	snapio.WriteRaw(w, t.LeafOf)
+	snapio.WriteRaw(w, t.LeafSeq)
 }
 
 // minNodeBytes is the smallest encoding of one node: four u32 fields and
@@ -58,8 +58,8 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 		n.Level = int32(r.U32())
 		n.LeafLo = int32(r.U32())
 		n.LeafHi = int32(r.U32())
-		n.Children = r.AlignedI32s()
-		n.Vertices = r.AlignedI32s()
+		n.Children = snapio.ReadRaw[int32](r)
+		n.Vertices = snapio.ReadRaw[int32](r)
 		if r.Err() != nil {
 			return nil
 		}
@@ -94,8 +94,8 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 			}
 		}
 	}
-	t.LeafOf = r.AlignedI32s()
-	t.LeafSeq = r.AlignedI32s()
+	t.LeafOf = snapio.ReadRaw[int32](r)
+	t.LeafSeq = snapio.ReadRaw[int32](r)
 	if r.Err() != nil {
 		return nil
 	}

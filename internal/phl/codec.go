@@ -17,9 +17,9 @@ const codecVersion uint16 = 2
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := snapio.NewWriter(w)
 	sw.U16(codecVersion)
-	sw.RawI32s(x.off)
-	sw.RawI32s(x.hubs)
-	sw.RawI32s(x.dist)
+	snapio.WriteRaw(sw, x.off)
+	snapio.WriteRaw(sw, x.hubs)
+	snapio.WriteRaw(sw, x.dist)
 	return sw.Result()
 }
 
@@ -35,7 +35,9 @@ func Read(sr *snapio.Source, numVertices int) (*Index, error) {
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
 		sr.Failf("phl codec version %d (want %d)", v, codecVersion)
 	}
-	x.off, x.hubs, x.dist = sr.AlignedI32s(), sr.AlignedI32s(), sr.AlignedI32s()
+	x.off = snapio.ReadRaw[int32](sr)
+	x.hubs = snapio.ReadRaw[int32](sr)
+	x.dist = snapio.ReadRaw[int32](sr)
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

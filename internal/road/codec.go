@@ -24,7 +24,7 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	sw.U16(codecVersion)
 	sw.U32(uint32(x.Levels))
 	partition.Encode(x.PT, sw)
-	sw.RawI32s(x.shorts)
+	snapio.WriteRaw(sw, x.shorts)
 	return sw.Result()
 }
 
@@ -37,7 +37,7 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	}
 	levels := int(sr.U32())
 	pt := partition.Decode(sr, g.NumVertices())
-	shorts := sr.AlignedI32s()
+	shorts := snapio.ReadRaw[int32](sr)
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

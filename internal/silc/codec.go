@@ -37,8 +37,8 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := snapio.NewWriter(w)
 	sw.U16(codecVersion)
 	sw.Bool(x.ChainOptimization)
-	sw.RawI32s(x.rank)
-	sw.RawI32s(x.byRank)
+	snapio.WriteRaw(sw, x.rank)
+	snapio.WriteRaw(sw, x.byRank)
 	// Morton lists as one CSR: per-source offsets, then the blocks
 	// flattened into a single aligned array-of-structs.
 	n := len(x.trees)
@@ -52,7 +52,7 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	for _, tree := range x.trees {
 		blocks = append(blocks, tree...)
 	}
-	sw.RawI32s(off)
+	snapio.WriteRaw(sw, off)
 	sw.U32(uint32(total))
 	sw.Align64()
 	writeBlocks(sw, blocks)
@@ -90,9 +90,9 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 		sr.Failf("silc codec version %d (want %d)", v, codecVersion)
 	}
 	chainOpt := sr.Bool()
-	rank := sr.AlignedI32s()
-	byRank := sr.AlignedI32s()
-	off := sr.AlignedI32s()
+	rank := snapio.ReadRaw[int32](sr)
+	byRank := snapio.ReadRaw[int32](sr)
+	off := snapio.ReadRaw[int32](sr)
 	nb, raw, aliased := sr.AlignedRaw(blockSize, 4)
 	if sr.Err() != nil {
 		return nil, sr.Err()

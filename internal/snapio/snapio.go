@@ -15,7 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -156,63 +156,31 @@ func (w *Writer) RawBytes(b []byte) {
 	w.n += int64(len(b))
 }
 
-// RawI32s writes a uint32 count, pads to a 64-byte boundary, then the raw
-// little-endian element bytes — the layout Source.AlignedI32s maps without
-// copying.
-func (w *Writer) RawI32s(vs []int32) {
-	w.U32(uint32(len(vs)))
-	w.Align64()
-	if hostLittleEndian && len(vs) > 0 {
-		w.RawBytes(unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*4))
-		return
-	}
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
-		w.flushIfFull()
+// rawElem is an element type of the raw-array layout.
+type rawElem interface{ int32 | int64 | float64 }
+
+// rawBytes views vs as its in-memory bytes.
+func rawBytes[T rawElem](vs []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*int(unsafe.Sizeof(*new(T))))
+}
+
+// reverseElems reverses the bytes of each size-byte element of b in place,
+// converting between host and little-endian order on a big-endian host.
+func reverseElems(b []byte, size int) {
+	for i := 0; i < len(b); i += size {
+		slices.Reverse(b[i : i+size])
 	}
 }
 
-// RawI64s writes a uint32 count, 64-byte padding, then raw little-endian
-// int64 elements (see RawI32s).
-func (w *Writer) RawI64s(vs []int64) {
+// WriteRaw writes a uint32 count, pads to a 64-byte boundary, then the raw
+// little-endian element bytes — the layout ReadRaw maps without copying.
+func WriteRaw[T rawElem](w *Writer, vs []T) {
 	w.U32(uint32(len(vs)))
 	w.Align64()
-	if hostLittleEndian && len(vs) > 0 {
-		w.RawBytes(unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*8))
-		return
+	b := rawBytes(vs)
+	if !hostLittleEndian {
+		b = slices.Clone(b)
+		reverseElems(b, int(unsafe.Sizeof(*new(T))))
 	}
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
-		w.flushIfFull()
-	}
-}
-
-// RawF32s writes a uint32 count, 64-byte padding, then raw little-endian
-// float32 elements (see RawI32s).
-func (w *Writer) RawF32s(vs []float32) {
-	w.U32(uint32(len(vs)))
-	w.Align64()
-	if hostLittleEndian && len(vs) > 0 {
-		w.RawBytes(unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*4))
-		return
-	}
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, math.Float32bits(v))
-		w.flushIfFull()
-	}
-}
-
-// RawF64s writes a uint32 count, 64-byte padding, then raw little-endian
-// float64 elements (see RawI32s).
-func (w *Writer) RawF64s(vs []float64) {
-	w.U32(uint32(len(vs)))
-	w.Align64()
-	if hostLittleEndian && len(vs) > 0 {
-		w.RawBytes(unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*8))
-		return
-	}
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-		w.flushIfFull()
-	}
+	w.RawBytes(b)
 }

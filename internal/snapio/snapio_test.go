@@ -7,9 +7,8 @@ import (
 	"rnknn/internal/snapio"
 )
 
-// TestRoundTrip writes every scalar primitive (and the one raw array type
-// source_test.go's mixed stream leaves out) and reads them back through a
-// Source.
+// TestRoundTrip writes every scalar primitive (and a raw float64 array and
+// an empty one) and reads them back through a Source.
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := snapio.NewWriter(&buf)
@@ -21,8 +20,8 @@ func TestRoundTrip(t *testing.T) {
 	w.U64(1 << 60)
 	w.String("hello")
 	w.String("")
-	w.RawF32s([]float32{1.5, -0.25})
-	w.RawI32s(nil)
+	snapio.WriteRaw(w, []float64{1.5, -0.25})
+	snapio.WriteRaw[int32](w, nil)
 	if n, err := w.Result(); err != nil || n != int64(buf.Len()) {
 		t.Fatalf("result n=%d err=%v buf=%d", n, err, buf.Len())
 	}
@@ -49,11 +48,11 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.String(); got != "" {
 		t.Fatalf("String %q", got)
 	}
-	if got := r.AlignedF32s(); len(got) != 2 || got[0] != 1.5 || got[1] != -0.25 {
-		t.Fatalf("AlignedF32s %v", got)
+	if got := snapio.ReadRaw[float64](r); len(got) != 2 || got[0] != 1.5 || got[1] != -0.25 {
+		t.Fatalf("ReadRaw[float64] %v", got)
 	}
-	if got := r.AlignedI32s(); got != nil {
-		t.Fatalf("empty AlignedI32s %v", got)
+	if got := snapio.ReadRaw[int32](r); got != nil {
+		t.Fatalf("empty ReadRaw[int32] %v", got)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)

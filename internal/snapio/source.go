@@ -1,11 +1,11 @@
 // Source: a byte-slice decoder for snapshot payloads. It reads Writer's
 // scalar primitives and the aligned raw-array layout of the mappable
-// sections (Writer.RawI32s and friends): a uint32 count, zero padding to
-// the next 64-byte boundary, then raw little-endian element bytes. In alias mode the Aligned* reads return
-// slices whose backing array IS the source bytes — zero copy, so decoding
-// a section mapped from disk touches only the header pages — and in copy
-// mode (big-endian hosts, misaligned data, or callers that want private
-// memory) they decode element by element into fresh slices.
+// sections (WriteRaw): a uint32 count, zero padding to the next 64-byte
+// boundary, then raw little-endian element bytes. In alias mode ReadRaw
+// and AlignedRaw return slices whose backing array IS the source bytes —
+// zero copy, so decoding a section mapped from disk touches only the
+// header pages — and in copy mode (big-endian hosts, misaligned data, or
+// callers that want private memory) ReadRaw copies them into fresh slices.
 //
 // Aliased slices are views of a read-only mapping when the source came
 // from internal/mapped: writing to them faults. Treat every decoded index
@@ -15,7 +15,6 @@ package snapio
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"unsafe"
 )
 
@@ -29,7 +28,7 @@ type Source struct {
 }
 
 // NewSource returns a Source over data. When alias is true (and the host
-// is little endian), Aligned* reads return slices aliasing data instead of
+// is little endian), raw-array reads return slices aliasing data instead of
 // copying; data must then outlive everything decoded from it.
 func NewSource(data []byte, alias bool) *Source {
 	return &Source{data: data, alias: alias && hostLittleEndian}
@@ -38,7 +37,7 @@ func NewSource(data []byte, alias bool) *Source {
 // Err returns the first error encountered, if any.
 func (s *Source) Err() error { return s.err }
 
-// Aliasing reports whether Aligned* reads may return views of the source
+// Aliasing reports whether raw-array reads may return views of the source
 // bytes (alias mode requested and host is little endian).
 func (s *Source) Aliasing() bool { return s.alias }
 
@@ -147,7 +146,7 @@ func aligned(b []byte, align uintptr) bool {
 // and the raw bytes. In alias mode (and when the bytes satisfy elemAlign)
 // the returned slice is a view of the source; aliased reports which.
 // Codecs with array-of-struct payloads use this directly; typed arrays use
-// the AlignedI32s-style wrappers.
+// ReadRaw.
 func (s *Source) AlignedRaw(elemSize int, elemAlign uintptr) (n int, b []byte, aliased bool) {
 	n = s.count(elemSize)
 	s.align64()
@@ -161,67 +160,21 @@ func (s *Source) AlignedRaw(elemSize int, elemAlign uintptr) (n int, b []byte, a
 	return n, b, s.alias && aligned(b, elemAlign)
 }
 
-// AlignedI32s reads a []int32 written by Writer.RawI32s, aliasing the
-// source bytes when possible (see Source).
-func (s *Source) AlignedI32s() []int32 {
-	n, b, ok := s.AlignedRaw(4, 4)
+// ReadRaw reads an array written by WriteRaw, aliasing the source bytes
+// when possible (see Source) and copying them into a fresh slice otherwise.
+func ReadRaw[T rawElem](s *Source) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	n, b, ok := s.AlignedRaw(size, uintptr(size))
 	if n == 0 {
 		return nil
 	}
 	if ok {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// AlignedI64s reads a []int64 written by Writer.RawI64s.
-func (s *Source) AlignedI64s() []int64 {
-	n, b, ok := s.AlignedRaw(8, 8)
-	if n == 0 {
-		return nil
-	}
-	if ok {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-// AlignedF32s reads a []float32 written by Writer.RawF32s.
-func (s *Source) AlignedF32s() []float32 {
-	n, b, ok := s.AlignedRaw(4, 4)
-	if n == 0 {
-		return nil
-	}
-	if ok {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// AlignedF64s reads a []float64 written by Writer.RawF64s.
-func (s *Source) AlignedF64s() []float64 {
-	n, b, ok := s.AlignedRaw(8, 8)
-	if n == 0 {
-		return nil
-	}
-	if ok {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	out := make([]T, n)
+	copy(rawBytes(out), b)
+	if !hostLittleEndian {
+		reverseElems(rawBytes(out), size)
 	}
 	return out
 }

@@ -15,10 +15,10 @@ func buildRawStream(t *testing.T) []byte {
 	w := snapio.NewWriter(&buf)
 	w.U16(2)
 	w.Bool(true)
-	w.RawI32s([]int32{5, -1, 7, 1 << 30})
+	snapio.WriteRaw(w, []int32{5, -1, 7, 1 << 30})
 	w.String("tag")
-	w.RawF64s([]float64{0.5, -3.25})
-	w.RawI64s([]int64{1, 2, 3})
+	snapio.WriteRaw(w, []float64{0.5, -3.25})
+	snapio.WriteRaw(w, []int64{1, 2, 3})
 	w.U32(99)
 	w.Flush()
 	if _, err := w.Result(); err != nil {
@@ -35,20 +35,20 @@ func checkStream(t *testing.T, s *snapio.Source) {
 	if !s.Bool() {
 		t.Fatal("Bool = false")
 	}
-	i32s := s.AlignedI32s()
+	i32s := snapio.ReadRaw[int32](s)
 	if len(i32s) != 4 || i32s[0] != 5 || i32s[1] != -1 || i32s[3] != 1<<30 {
-		t.Fatalf("AlignedI32s = %v", i32s)
+		t.Fatalf("ReadRaw[int32] = %v", i32s)
 	}
 	if v := s.String(); v != "tag" {
 		t.Fatalf("String = %q", v)
 	}
-	f64s := s.AlignedF64s()
+	f64s := snapio.ReadRaw[float64](s)
 	if len(f64s) != 2 || f64s[0] != 0.5 || f64s[1] != -3.25 {
-		t.Fatalf("AlignedF64s = %v", f64s)
+		t.Fatalf("ReadRaw[float64] = %v", f64s)
 	}
-	i64s := s.AlignedI64s()
+	i64s := snapio.ReadRaw[int64](s)
 	if len(i64s) != 3 || i64s[2] != 3 {
-		t.Fatalf("AlignedI64s = %v", i64s)
+		t.Fatalf("ReadRaw[int64] = %v", i64s)
 	}
 	if v := s.U32(); v != 99 {
 		t.Fatalf("U32 = %d", v)
@@ -85,13 +85,13 @@ func TestSourceAliasMode(t *testing.T) {
 	}
 	s2.U16()
 	s2.Bool()
-	i32s := s2.AlignedI32s()
+	i32s := snapio.ReadRaw[int32](s2)
 	old := i32s[0]
 	i32s[0] = old + 1
 	s3 := snapio.NewSource(data, true)
 	s3.U16()
 	s3.Bool()
-	if again := s3.AlignedI32s(); again[0] != old+1 {
+	if again := snapio.ReadRaw[int32](s3); again[0] != old+1 {
 		t.Fatalf("aliased write not visible: %d want %d", again[0], old+1)
 	}
 	i32s[0] = old
@@ -105,10 +105,10 @@ func TestSourceTruncation(t *testing.T) {
 		s := snapio.NewSource(data[:cut], false)
 		s.U16()
 		s.Bool()
-		s.AlignedI32s()
+		snapio.ReadRaw[int32](s)
 		_ = s.String()
-		s.AlignedF64s()
-		s.AlignedI64s()
+		snapio.ReadRaw[float64](s)
+		snapio.ReadRaw[int64](s)
 		s.U32()
 		if s.Err() == nil {
 			t.Fatalf("cut=%d: no error", cut)
@@ -127,7 +127,7 @@ func TestSourceCountOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := snapio.NewSource(buf.Bytes(), false)
-	if out := s.AlignedI32s(); s.Err() == nil || out != nil {
+	if out := snapio.ReadRaw[int32](s); s.Err() == nil || out != nil {
 		t.Fatalf("overflow accepted: %v", s.Err())
 	}
 }

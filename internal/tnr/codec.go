@@ -1,16 +1,14 @@
 // Binary snapshot codec for TNR: the transit table, per-vertex access-node
 // lists, and local cones. The transit marker array is derived from the
-// serialized id map; the contraction hierarchy is not duplicated — the
-// caller supplies the (already loaded or built) ch.Index, mirroring how
-// Build shares it. Every array is written 64-byte-aligned (snapio raw-array
-// layout) so a mapped snapshot aliases them with zero copy. See
-// docs/SNAPSHOT_FORMAT.md.
+// serialized id map; the contraction hierarchy is not part of the index,
+// which needs it only to build. Every array is written 64-byte-aligned
+// (snapio raw-array layout) so a mapped snapshot aliases them with zero
+// copy. See docs/SNAPSHOT_FORMAT.md.
 package tnr
 
 import (
 	"io"
 
-	"rnknn/internal/ch"
 	"rnknn/internal/snapio"
 )
 
@@ -22,41 +20,40 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := snapio.NewWriter(w)
 	sw.U16(codecVersion)
 	sw.U32(uint32(x.numT))
-	sw.RawI32s(x.transitID)
-	sw.RawI64s(x.table)
-	sw.RawI32s(x.accOff)
-	sw.RawI32s(x.accID)
-	sw.RawI64s(x.accD)
-	sw.RawI32s(x.coneOff)
-	sw.RawI32s(x.coneV)
-	sw.RawI64s(x.coneD)
+	snapio.WriteRaw(sw, x.transitID)
+	snapio.WriteRaw(sw, x.table)
+	snapio.WriteRaw(sw, x.accOff)
+	snapio.WriteRaw(sw, x.accID)
+	snapio.WriteRaw(sw, x.accD)
+	snapio.WriteRaw(sw, x.coneOff)
+	snapio.WriteRaw(sw, x.coneV)
+	snapio.WriteRaw(sw, x.coneD)
 	return sw.Result()
 }
 
-// Read deserializes an index written by WriteTo over the given hierarchy
-// (the same sharing Build uses), validating table and CSR dimensions
-// against the graph's numVertices. The O(|V|) checks — transit ids in
-// range, monotone access and cone offsets — and the access-node range scan
-// run on both paths, because a query slices by the offsets and subscripts
-// the transit table by access node. When sr aliases a mapped snapshot the
-// arrays are views of the mapping and only the cone-vertex scan is
-// skipped: a query compares cone vertices but never subscripts by them.
-// The derived isTransit markers are rebuilt either way — they are bools,
-// not part of the serialized layout.
-func Read(sr *snapio.Source, hierarchy *ch.Index, numVertices int) (*Index, error) {
-	x := &Index{hierarchy: hierarchy}
+// Read deserializes an index written by WriteTo, validating table and CSR
+// dimensions against the graph's numVertices. The O(|V|) checks — transit
+// ids in range, monotone access and cone offsets — and the access-node
+// range scan run on both paths, because a query slices by the offsets and
+// subscripts the transit table by access node. When sr aliases a mapped
+// snapshot the arrays are views of the mapping and only the cone-vertex
+// scan is skipped: a query compares cone vertices but never subscripts by
+// them. The derived isTransit markers are rebuilt either way — they are
+// bools, not part of the serialized layout.
+func Read(sr *snapio.Source, numVertices int) (*Index, error) {
+	x := &Index{}
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
 		sr.Failf("tnr codec version %d (want %d)", v, codecVersion)
 	}
 	x.numT = int(sr.U32())
-	x.transitID = sr.AlignedI32s()
-	x.table = sr.AlignedI64s()
-	x.accOff = sr.AlignedI32s()
-	x.accID = sr.AlignedI32s()
-	x.accD = sr.AlignedI64s()
-	x.coneOff = sr.AlignedI32s()
-	x.coneV = sr.AlignedI32s()
-	x.coneD = sr.AlignedI64s()
+	x.transitID = snapio.ReadRaw[int32](sr)
+	x.table = snapio.ReadRaw[int64](sr)
+	x.accOff = snapio.ReadRaw[int32](sr)
+	x.accID = snapio.ReadRaw[int32](sr)
+	x.accD = snapio.ReadRaw[int64](sr)
+	x.coneOff = snapio.ReadRaw[int32](sr)
+	x.coneV = snapio.ReadRaw[int32](sr)
+	x.coneD = snapio.ReadRaw[int64](sr)
 	if sr.Err() != nil {
 		return nil, sr.Err()
 	}

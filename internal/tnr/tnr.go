@@ -25,7 +25,6 @@ import (
 
 // Index is a built TNR index.
 type Index struct {
-	hierarchy *ch.Index
 	// isTransit marks transit vertices.
 	isTransit []bool
 	// transitID maps a transit vertex to its table row, -1 otherwise.
@@ -54,7 +53,6 @@ func Build(g *graph.Graph, hierarchy *ch.Index) *Index {
 	}
 	m = min(m, n)
 	x := &Index{
-		hierarchy: hierarchy,
 		isTransit: make([]bool, n),
 		transitID: make([]int32, n),
 		numT:      m,

@@ -130,12 +130,12 @@ func TestReadRejectsMalformedAccess(t *testing.T) {
 	numAcc := uint32(len(pristineID) / 4)
 	n := g.NumVertices()
 	for _, alias := range []bool{false, true} {
-		if _, err := tnr.Read(snapio.NewSource(buf.Bytes(), alias), h, n); err != nil {
+		if _, err := tnr.Read(snapio.NewSource(buf.Bytes(), alias), n); err != nil {
 			t.Fatalf("alias=%v: pristine section: %v", alias, err)
 		}
 		// A section of another network's size would be sliced by vertices
 		// it does not have.
-		if _, err := tnr.Read(snapio.NewSource(buf.Bytes(), alias), h, n+1); err == nil {
+		if _, err := tnr.Read(snapio.NewSource(buf.Bytes(), alias), n+1); err == nil {
 			t.Errorf("alias=%v: Read accepted a section for %d vertices as one for %d", alias, n, n+1)
 		}
 	}
@@ -149,7 +149,7 @@ func TestReadRejectsMalformedAccess(t *testing.T) {
 		for _, alias := range []bool{false, true} {
 			data := bytes.Clone(buf.Bytes())
 			tamper(arrays(data))
-			if _, err := tnr.Read(snapio.NewSource(data, alias), h, n); err == nil {
+			if _, err := tnr.Read(snapio.NewSource(data, alias), n); err == nil {
 				t.Errorf("%s, alias=%v: Read accepted the section", name, alias)
 			}
 		}

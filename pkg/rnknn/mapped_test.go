@@ -176,7 +176,7 @@ func tamperArrays(t *testing.T, orig []byte, section string, header func(*snapio
 		sr := snapio.NewSource(p.Data, false)
 		header(sr)
 		var arrays [][]byte
-		for sr.Remaining() > 0 {
+		for sr.Remaining() > 0 && sr.Err() == nil {
 			_, b, _ := sr.AlignedRaw(4, 4)
 			arrays = append(arrays, b)
 		}
@@ -334,6 +334,47 @@ func TestOpenSnapshotFileHostileGtreeArrays(t *testing.T) {
 		if _, err := rnknn.OpenFromSnapshot(g, bytes.NewReader(data), opts...); !errors.Is(err, rnknn.ErrBadSnapshot) {
 			t.Errorf("%s: verified open: want ErrBadSnapshot, got %v", name, err)
 		}
+		path := filepath.Join(dir, "hostile.rnks")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := rnknn.OpenSnapshotFile(path, opts...)
+		if err == nil {
+			db.Close()
+		}
+		if !errors.Is(err, rnknn.ErrBadSnapshot) {
+			t.Errorf("%s: mapped open: want ErrBadSnapshot, got %v", name, err)
+		}
+	}
+}
+
+// TestOpenSnapshotFileHostileGraphArrays: every search slices the edge
+// arrays by vertex offset and subscripts per-vertex state by edge target.
+// A Graph section with one offset past |E| or one target outside [0, |V|)
+// must be refused with ErrBadSnapshot by the mapped open too: accepted,
+// the bad offset makes INE's first query slice past the edge arrays.
+func TestOpenSnapshotFileHostileGraphArrays(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 6, Cols: 6, Seed: 8})
+	objs := gen.Uniform(g, 0.1, 3)
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.INE), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+	built, err := rnknn.Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.SaveIndexes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Version, name, weight kind and the vertex and edge counts precede the
+	// offsets and targets; the int32 reads past them are not used.
+	header := func(sr *snapio.Source) { sr.U16(); _ = sr.String(); sr.U8(); sr.U32(); sr.U32() }
+	put := func(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
+	dir := t.TempDir()
+	for name, tamper := range map[string]func(a [][]byte){
+		"offsets[1] = |E|+1000": func(a [][]byte) { put(a[0][4:], uint32(g.NumEdges()+1000)) },
+		"targets[0] = |V|":      func(a [][]byte) { put(a[1], uint32(g.NumVertices())) },
+	} {
+		data := reframe(t, tamperArrays(t, buf.Bytes(), "Graph", header, tamper))
 		path := filepath.Join(dir, "hostile.rnks")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
