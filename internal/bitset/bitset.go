@@ -4,8 +4,9 @@
 // than an int array and far less than a hash set.
 //
 // In this repository it holds object membership and Rnet/node occupancy,
-// and the settled set of the Figure 7 ablation rungs; the production scans
-// derive "settled" from their label array instead (see scratch.Dists).
+// and the settled set of the experiment harness's Figure 7 INE ladder; the
+// production scans derive "settled" from their label array instead (see
+// scratch.Dists).
 package bitset
 
 import "math/bits"

@@ -29,11 +29,11 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 
 // Read deserializes an index written by WriteTo, validating CSR invariants
 // against g. When sr aliases a mapped snapshot the arrays are views of the
-// mapping and the per-edge target scan is skipped (it would fault in every
-// page — mapped opens trust the arcs), so nothing of |V| size is allocated.
-// Dimensions and the O(|V|) per-vertex checks, ranks in [0, |V|)
-// and monotone upward offsets, run on both paths: Up slices by the offsets
-// and PHL's build subscripts by rank.
+// mapping, so nothing of |V| size is allocated. Every check runs on both
+// paths: dimensions, ranks in [0, |V|), monotone upward offsets and upward
+// targets in [0, |V|) — Up slices by the offsets, PHL's build subscripts by
+// rank and the searches by target. The target scan reads only the arc
+// target pages.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	x := &Index{}
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
@@ -67,12 +67,10 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 			return nil, sr.Err()
 		}
 	}
-	if !sr.Aliasing() {
-		for i, t := range x.upTo {
-			if t < 0 || int(t) >= n {
-				sr.Failf("ch upward target %d out of range at edge %d", t, i)
-				return nil, sr.Err()
-			}
+	for i, t := range x.upTo {
+		if t < 0 || int(t) >= n {
+			sr.Failf("ch upward target %d out of range at edge %d", t, i)
+			return nil, sr.Err()
 		}
 	}
 	return x, nil

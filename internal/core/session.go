@@ -167,35 +167,20 @@ type ierSession struct{ *ier.IER }
 
 func (s *ierSession) Rebind(b *Binding) { s.IER.Rebind(b.Objs, b.rt) }
 
-// gtreeSession and roadSession cannot embed their methods (the embedded
-// type name KNN would shadow the KNN method), so they delegate explicitly
-// (including the incremental-scan hook KNNStream and the SetInterrupt
-// hook).
-type gtreeSession struct{ m *gtree.KNN }
+// gtreeSession and roadSession embed their methods through aliases, since
+// an embedded field named KNN would shadow the KNN method.
+type (
+	gtreeKNN = gtree.KNN
+	roadKNN  = road.KNN
+)
 
-func (s gtreeSession) Name() string                    { return s.m.Name() }
-func (s gtreeSession) KNN(q int32, k int) []knn.Result { return s.m.KNN(q, k) }
-func (s gtreeSession) KNNAppend(q int32, k int, dst []knn.Result) []knn.Result {
-	return s.m.KNNAppend(q, k, dst)
-}
-func (s gtreeSession) Rebind(b *Binding)              { s.m.SetObjects(b.ol) }
-func (s gtreeSession) SetInterrupt(check func() bool) { s.m.SetInterrupt(check) }
-func (s gtreeSession) KNNStream(q int32, k int, yield func(knn.Result) bool) {
-	s.m.KNNStream(q, k, yield)
-}
+type gtreeSession struct{ *gtreeKNN }
 
-type roadSession struct{ m *road.KNN }
+func (s gtreeSession) Rebind(b *Binding) { s.gtreeKNN.SetObjects(b.ol) }
 
-func (s roadSession) Name() string                    { return s.m.Name() }
-func (s roadSession) KNN(q int32, k int) []knn.Result { return s.m.KNN(q, k) }
-func (s roadSession) KNNAppend(q int32, k int, dst []knn.Result) []knn.Result {
-	return s.m.KNNAppend(q, k, dst)
-}
-func (s roadSession) Rebind(b *Binding)              { s.m.SetObjects(b.ad) }
-func (s roadSession) SetInterrupt(check func() bool) { s.m.SetInterrupt(check) }
-func (s roadSession) KNNStream(q int32, k int, yield func(knn.Result) bool) {
-	s.m.KNNStream(q, k, yield)
-}
+type roadSession struct{ *roadKNN }
+
+func (s roadSession) Rebind(b *Binding) { s.roadKNN.SetObjects(b.ad) }
 
 type dbennSession struct{ *silc.DBENN }
 
@@ -216,10 +201,10 @@ var (
 	_ knn.Interruptible = roadSession{}
 	_ knn.Interruptible = dbennSession{}
 	_ knn.Interruptible = disbrwSession{}
-	// The incremental-result hook behind pkg/rnknn's KNNSeq: INE and IER
-	// stream through the promoted KNNStream of their embedded methods,
-	// G-tree and ROAD through explicit delegates; the SILC sessions have no
-	// incremental hook and fall back to knn.StreamKNN's buffered replay.
+	// The incremental-result hook behind pkg/rnknn's KNNSeq: INE, IER,
+	// G-tree and ROAD stream through the promoted KNNStream of their
+	// embedded methods; the SILC sessions have no incremental hook and fall
+	// back to knn.StreamKNN's buffered replay.
 	_ knn.Streamer = ineSession{}
 	_ knn.Streamer = (*ierSession)(nil)
 	_ knn.Streamer = gtreeSession{}

@@ -4,6 +4,10 @@
 // ladder (knnexp -list prints the experiment index; package gen documents
 // the dataset substitutions).
 //
+// It also holds the code of the Section 6 implementation case studies, which
+// the serving packages do not carry: Figure 6's hashed matrix layouts
+// (exp_layouts.go) and Figure 7's INE ladder (exp_ineladder.go).
+//
 // Networks, engines and indexes are cached process-wide so a full run
 // builds each index once, as the paper's scripts do.
 package exp

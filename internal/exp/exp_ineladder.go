@@ -1,4 +1,4 @@
-package ine
+package exp
 
 import (
 	"rnknn/internal/bitset"
@@ -7,39 +7,40 @@ import (
 	"rnknn/internal/pqueue"
 )
 
-// Variant selects one rung of the Figure 7 implementation ladder. Each rung
-// keeps the previous rung's choices and improves one more.
+// ineVariant selects one rung of the Figure 7 implementation ladder
+// (Section 6.2). Each rung keeps the previous rung's choices and improves one
+// more.
 //
 // The rungs keep their own bit-array settled container (it is one of the
-// things the ladder measures) although the production INE no longer stores
-// one, and every duplicate-tolerant rung rides the same pqueue.Queue as
+// things the ladder measures) although package ine no longer stores one, and
+// every duplicate-tolerant rung rides the same pqueue.Queue as
 // production. A faster Queue therefore speeds all of them up together: what
 // Figure 7 reproduces is the ratio between rungs, not their absolute times.
-type Variant int
+type ineVariant int
 
 const (
-	// FirstCut: per-vertex adjacency objects, decrease-key indexed heap.
-	FirstCut Variant = iota
-	// PQueue: heap without decrease-key (duplicates allowed).
-	PQueue
-	// Settled: the rung that historically introduced the bit-array settled
+	// ineFirstCut: per-vertex adjacency objects, decrease-key indexed heap.
+	ineFirstCut ineVariant = iota
+	// inePQueue: heap without decrease-key (duplicates allowed).
+	inePQueue
+	// ineSettled: the rung that historically introduced the bit-array settled
 	// container. All rungs now share one bit-array (the Section 6.2
-	// recommendation), so this rung is timing-equivalent to PQueue; it is
-	// kept so Figure 7's ladder labels still resolve.
-	Settled
-	// CSRGraph: single packed edge array (this equals the production INE).
-	CSRGraph
+	// recommendation), so this rung is timing-equivalent to inePQueue; it
+	// is kept so Figure 7's ladder labels still resolve.
+	ineSettled
+	// ineCSRGraph: single packed edge array (this equals the production INE).
+	ineCSRGraph
 )
 
-func (v Variant) String() string {
+func (v ineVariant) String() string {
 	switch v {
-	case FirstCut:
+	case ineFirstCut:
 		return "1st Cut"
-	case PQueue:
+	case inePQueue:
 		return "PQueue"
-	case Settled:
+	case ineSettled:
 		return "Settled"
-	case CSRGraph:
+	case ineCSRGraph:
 		return "Graph"
 	}
 	return "?"
@@ -57,20 +58,20 @@ type vertexObj struct {
 	adj []adjEntry
 }
 
-// Ablation is an INE implementation parameterized by Variant; it exists to
-// reproduce Figure 7 and is intentionally not optimized further.
-type Ablation struct {
-	variant Variant
+// ineAblation is an INE implementation parameterized by ineVariant; it
+// exists to reproduce Figure 7 and is intentionally not optimized further.
+type ineAblation struct {
+	variant ineVariant
 	g       *graph.Graph
 	objs    *knn.ObjectSet
 	naive   []vertexObj
 	settled *bitset.Set
 }
 
-// NewAblation builds the variant's data structures over g.
-func NewAblation(g *graph.Graph, objs *knn.ObjectSet, v Variant) *Ablation {
-	a := &Ablation{variant: v, g: g, objs: objs}
-	if v < CSRGraph {
+// newINEAblation builds the variant's data structures over g.
+func newINEAblation(g *graph.Graph, objs *knn.ObjectSet, v ineVariant) *ineAblation {
+	a := &ineAblation{variant: v, g: g, objs: objs}
+	if v < ineCSRGraph {
 		a.naive = make([]vertexObj, g.NumVertices())
 		for u := int32(0); u < int32(g.NumVertices()); u++ {
 			ts, ws := g.Neighbors(u)
@@ -86,11 +87,11 @@ func NewAblation(g *graph.Graph, objs *knn.ObjectSet, v Variant) *Ablation {
 }
 
 // Name implements knn.Method.
-func (a *Ablation) Name() string { return "INE-" + a.variant.String() }
+func (a *ineAblation) Name() string { return "INE-" + a.variant.String() }
 
 // KNN implements knn.Method.
-func (a *Ablation) KNN(qv int32, k int) []knn.Result {
-	if a.variant == FirstCut {
+func (a *ineAblation) KNN(qv int32, k int) []knn.Result {
+	if a.variant == ineFirstCut {
 		return a.knnDecreaseKey(qv, k)
 	}
 	return a.knnDuplicates(qv, k)
@@ -100,14 +101,14 @@ func (a *Ablation) KNN(qv int32, k int) []knn.Result {
 // their per-query allocations (that overhead is part of what Figure 7
 // measures), so this is a copy of the buffered answer, not a zero-alloc
 // path.
-func (a *Ablation) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
+func (a *ineAblation) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 	return append(dst, a.KNN(qv, k)...)
 }
 
 // knnDecreaseKey is the first-cut variant: indexed heap with decrease-key
 // over per-vertex adjacency objects. The settled container is the shared
-// bit-array (see Variant).
-func (a *Ablation) knnDecreaseKey(qv int32, k int) []knn.Result {
+// bit-array (see ineVariant).
+func (a *ineAblation) knnDecreaseKey(qv int32, k int) []knn.Result {
 	q := pqueue.NewIndexedQueue(256)
 	a.settled.Reset()
 	out := make([]knn.Result, 0, k)
@@ -133,13 +134,13 @@ func (a *Ablation) knnDecreaseKey(qv int32, k int) []knn.Result {
 	return out
 }
 
-// knnDuplicates covers the PQueue, Settled and CSRGraph rungs: a duplicate-
-// tolerant heap and the shared bit-array settled container, with the graph
-// layout depending on the variant.
-func (a *Ablation) knnDuplicates(qv int32, k int) []knn.Result {
+// knnDuplicates covers the inePQueue, ineSettled and ineCSRGraph rungs: a
+// duplicate-tolerant heap and the shared bit-array settled container, with
+// the graph layout depending on the variant.
+func (a *ineAblation) knnDuplicates(qv int32, k int) []knn.Result {
 	q := pqueue.NewQueue(256)
 	a.settled.Reset()
-	useCSR := a.variant >= CSRGraph
+	useCSR := a.variant >= ineCSRGraph
 
 	out := make([]knn.Result, 0, k)
 	q.Push(qv, 0)

@@ -9,7 +9,6 @@ import (
 	"rnknn/internal/graph"
 	"rnknn/internal/gtree"
 	"rnknn/internal/ier"
-	"rnknn/internal/ine"
 	"rnknn/internal/knn"
 	"rnknn/internal/road"
 	"rnknn/internal/silc"
@@ -117,50 +116,39 @@ func init() {
 		}
 	})
 
-	register("fig6", "G-tree distance-matrix layout ablation + Table 3 substitute ("+Medium+")", func(h *Harness) []*Table {
+	register("fig6", "G-tree distance-matrix layouts under IER-Gt + Table 3 substitute ("+Medium+")", func(h *Harness) []*Table {
 		e := h.Engine(Medium, graph.TravelDistance)
 		idx := e.GtreeIndex()
-		defer idx.SetMatrixLayout(gtree.ArrayLayout)
 		queries := h.Queries(Medium)
-		layouts := []gtree.MatrixLayout{gtree.BuiltinMapLayout, gtree.OpenAddrLayout, gtree.ArrayLayout}
+		objs := h.UniformObjects(Medium, DefaultDensity)
 
-		ta := &Table{ID: "fig6a", Title: "matrix layouts: varying k (d=0.001)", Header: []string{"layout"}}
+		ta := &Table{ID: "fig6a", Title: "IER-Gt matrix layouts: varying k (d=0.001)", Header: []string{"layout"}}
 		for _, k := range Ks {
 			ta.Header = append(ta.Header, fmt.Sprintf("k=%d", k))
 		}
-		objs := h.UniformObjects(Medium, DefaultDensity)
-		ol := idx.NewOccurrenceList(objs)
-		for _, l := range layouts {
-			idx.SetMatrixLayout(l)
-			m := gtree.NewKNN(idx, ol)
+		tb := &Table{ID: "fig6b", Title: "IER-Gt matrix layouts: varying density (k=10)", Header: []string{"layout"}}
+		for _, d := range Densities {
+			tb.Header = append(tb.Header, fmt.Sprintf("d=%g", d))
+		}
+		// Table 3 substitute: Go cannot read CPU cache counters in-process;
+		// report time and allocation counters for the same workload.
+		tc := &Table{ID: "table3", Title: "layout profile substitute (time and allocs; Go reads no cache counters)",
+			Header: []string{"layout", "us/query", "allocs/query", "alloc B/query"}}
+		for _, l := range []matrixLayout{builtinMapLayout, openAddrLayout, arrayLayout} {
+			src := newLayoutSource(idx, newCells(idx, l))
+			m := ier.New("IER-Gt", e.G, objs, src)
 			row := []string{l.String()}
 			for _, k := range Ks {
 				row = append(row, fmtUS(Measure(m, queries, k)))
 			}
 			ta.Rows = append(ta.Rows, row)
-		}
 
-		tb := &Table{ID: "fig6b", Title: "matrix layouts: varying density (k=10)", Header: []string{"layout"}}
-		for _, d := range Densities {
-			tb.Header = append(tb.Header, fmt.Sprintf("d=%g", d))
-		}
-		for _, l := range layouts {
-			idx.SetMatrixLayout(l)
-			row := []string{l.String()}
+			row = []string{l.String()}
 			for _, d := range Densities {
-				m := gtree.NewKNN(idx, idx.NewOccurrenceList(h.UniformObjects(Medium, d)))
-				row = append(row, fmtUS(Measure(m, queries, DefaultK)))
+				row = append(row, fmtUS(Measure(ier.New("IER-Gt", e.G, h.UniformObjects(Medium, d), src), queries, DefaultK)))
 			}
 			tb.Rows = append(tb.Rows, row)
-		}
 
-		// Table 3 substitute: Go cannot read CPU cache counters in-process;
-		// report time and allocation counters for the same workload.
-		tc := &Table{ID: "table3", Title: "layout profile substitute (time and allocs; Go reads no cache counters)",
-			Header: []string{"layout", "us/query", "allocs/query", "alloc B/query"}}
-		for _, l := range layouts {
-			idx.SetMatrixLayout(l)
-			m := gtree.NewKNN(idx, ol)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			us := Measure(m, queries, DefaultK)
@@ -178,7 +166,7 @@ func init() {
 	register("fig7", "INE implementation ladder ("+Medium+")", func(h *Harness) []*Table {
 		g := h.Network(Medium)
 		queries := h.Queries(Medium)
-		variants := []ine.Variant{ine.FirstCut, ine.PQueue, ine.Settled, ine.CSRGraph}
+		variants := []ineVariant{ineFirstCut, inePQueue, ineSettled, ineCSRGraph}
 
 		ta := &Table{ID: "fig7a", Title: "INE ladder: varying k (d=0.001)", Header: []string{"variant"}}
 		for _, k := range Ks {
@@ -186,7 +174,7 @@ func init() {
 		}
 		objs := h.UniformObjects(Medium, DefaultDensity)
 		for _, v := range variants {
-			m := ine.NewAblation(g, objs, v)
+			m := newINEAblation(g, objs, v)
 			row := []string{v.String()}
 			for _, k := range Ks {
 				row = append(row, fmtUS(Measure(m, queries, k)))
@@ -201,7 +189,7 @@ func init() {
 		for _, v := range variants {
 			row := []string{v.String()}
 			for _, d := range Densities {
-				m := ine.NewAblation(g, h.UniformObjects(Medium, d), v)
+				m := newINEAblation(g, h.UniformObjects(Medium, d), v)
 				row = append(row, fmtUS(Measure(m, queries, DefaultK)))
 			}
 			tb.Rows = append(tb.Rows, row)
@@ -226,7 +214,7 @@ func init() {
 				gtCost += gm.PathCost
 			}
 
-			ig := gtree.NewCountingFactory(e.GtreeIndex())
+			ig := &pathCounter{Factory: gtree.Factory{Idx: e.GtreeIndex()}}
 			ierM := ier.New("IER-Gt", e.G, objs, ig)
 			for _, q := range queries {
 				ierM.KNN(q, DefaultK)
@@ -242,7 +230,7 @@ func init() {
 			n := len(queries)
 			tb.Rows = append(tb.Rows, []string{
 				net, fmt.Sprint(e.G.NumVertices()),
-				fmt.Sprint(gtCost / n), fmt.Sprint(int(ig.TotalPathCost()) / n), fmt.Sprint(byp / n),
+				fmt.Sprint(gtCost / n), fmt.Sprint(ig.Total() / n), fmt.Sprint(byp / n),
 			})
 		}
 		return []*Table{ta, tb}
@@ -591,4 +579,28 @@ func (h *Harness) sizeSweepAtDensity(id, title string, wk graph.WeightKind, dens
 		t.Rows = append(t.Rows, row)
 	}
 	return t
+}
+
+// pathCounter is gtree.Factory summing the path cost (border-to-border
+// additions) of every source it hands out: IER-Gt's column of Figure 9b.
+type pathCounter struct {
+	gtree.Factory
+	last  *gtree.Source
+	total int
+}
+
+// NewSource implements knn.SourceFactory.
+func (f *pathCounter) NewSource(q int32) knn.SourceOracle {
+	f.Total() // banks the last source's cost before the reuse resets it
+	f.last = f.Factory.NewSource(q).(*gtree.Source)
+	return f.last
+}
+
+// Total returns the path cost summed so far.
+func (f *pathCounter) Total() int {
+	if f.last != nil {
+		f.total += f.last.PathCost
+		f.last = nil
+	}
+	return f.total
 }

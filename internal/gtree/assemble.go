@@ -112,20 +112,21 @@ func (s *Source) DistanceTo(t int32) graph.Dist {
 	if leafT == s.leafQ {
 		return s.leafLocal().distanceTo(t)
 	}
-	db := s.BorderDists(leafT)
-	ln := &x.nodes[leafT]
-	pos := x.posInLeaf[t]
-	best := graph.Inf
-	for bi := range ln.borders {
-		w := x.matAt(leafT, int32(bi), pos)
-		if w >= inf32 {
-			continue
-		}
-		if d := db[bi] + graph.Dist(w); d < best {
-			best = d
+	return s.viaBorders(leafT, x.posInLeaf[t], graph.Inf)
+}
+
+// viaBorders returns the least of best and the distances from the source to
+// the vertex at position pos of leaf ni through each of the leaf's borders:
+// a border's materialized distance plus its cell of the leaf matrix.
+func (s *Source) viaBorders(ni, pos int32, best graph.Dist) graph.Dist {
+	db := s.BorderDists(ni)
+	n := &s.idx.nodes[ni]
+	for bi, d := range db {
+		if w := n.matAt(int32(bi), pos); d != graph.Inf && w < NoPath {
+			best = min(best, d+graph.Dist(w))
 		}
 	}
-	s.PathCost += len(ln.borders)
+	s.PathCost += len(db)
 	return best
 }
 
@@ -145,8 +146,8 @@ func (s *Source) BorderDists(ni int32) []graph.Dist {
 		// Base case: the refined leaf matrix columns at q are global.
 		ln := &x.nodes[ni]
 		pos := x.posInLeaf[s.q]
-		for bi := range ln.borders {
-			out[bi] = dist64(x.matAt(ni, int32(bi), pos))
+		for bi := range out {
+			out[bi] = dist64(ln.matAt(int32(bi), pos))
 		}
 	case pt.Contains(ni, s.q):
 		// Up step: combine the on-path child's border distances with this
@@ -158,40 +159,22 @@ func (s *Source) BorderDists(ni int32) []graph.Dist {
 		for j := range out {
 			out[j] = graph.Inf
 		}
-		if x.layout == ArrayLayout {
-			// Row-contiguous pass: iterate each child border's matrix row
-			// once (the Section 6.1 spatial-locality access pattern), as a
-			// branch-free min-plus: a no-path cell offers Inf.
-			own := n.ownIdx[:len(out)]
-			for i, fi := range cd {
-				if fi == graph.Inf {
-					continue
-				}
-				row := n.mat[(base+int32(i))*n.stride:]
-				for j, oj := range own {
-					w := row[oj]
-					d := fi + graph.Dist(w)
-					if w >= inf32 {
-						d = graph.Inf
-					}
-					out[j] = min(out[j], d)
-				}
+		// Row-contiguous pass: iterate each child border's matrix row once
+		// (the Section 6.1 spatial-locality access pattern), as a
+		// branch-free min-plus: a no-path cell offers Inf.
+		own := n.ownIdx[:len(out)]
+		for i, fi := range cd {
+			if fi == graph.Inf {
+				continue
 			}
-		} else {
-			for j := range n.borders {
-				oj := n.ownIdx[j]
-				for i := range cd {
-					if cd[i] == graph.Inf {
-						continue
-					}
-					w := x.matAt(ni, base+int32(i), oj)
-					if w >= inf32 {
-						continue
-					}
-					if d := cd[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
+			row := n.mat[(base+int32(i))*n.stride:]
+			for j, oj := range own {
+				w := row[oj]
+				d := fi + graph.Dist(w)
+				if w >= NoPath {
+					d = graph.Inf
 				}
+				out[j] = min(out[j], d)
 			}
 		}
 		s.PathCost += len(cd) * len(out)
@@ -222,35 +205,17 @@ func (s *Source) BorderDists(ni int32) []graph.Dist {
 		for j := range out {
 			out[j] = graph.Inf
 		}
-		if x.layout == ArrayLayout {
-			for i, fi := range fromD {
-				if fi == graph.Inf {
-					continue
-				}
-				row := pn.mat[fromIdx[i]*pn.stride+myBase:][:nb]
-				for j, w := range row {
-					d := fi + graph.Dist(w)
-					if w >= inf32 {
-						d = graph.Inf
-					}
-					out[j] = min(out[j], d)
-				}
+		for i, fi := range fromD {
+			if fi == graph.Inf {
+				continue
 			}
-		} else {
-			for j := 0; j < nb; j++ {
-				col := myBase + int32(j)
-				for i := range fromD {
-					if fromD[i] == graph.Inf {
-						continue
-					}
-					w := x.matAt(parent, fromIdx[i], col)
-					if w >= inf32 {
-						continue
-					}
-					if d := fromD[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
+			row := pn.mat[fromIdx[i]*pn.stride+myBase:][:nb]
+			for j, w := range row {
+				d := fi + graph.Dist(w)
+				if w >= NoPath {
+					d = graph.Inf
 				}
+				out[j] = min(out[j], d)
 			}
 		}
 		s.PathCost += len(fromD) * nb
@@ -285,7 +250,7 @@ func (s *Source) MinBorderDist(ni int32) graph.Dist {
 }
 
 func dist64(w int32) graph.Dist {
-	if w >= inf32 {
+	if w >= NoPath {
 		return graph.Inf
 	}
 	return graph.Dist(w)
@@ -367,7 +332,7 @@ func (ls *leafScan) next() (local int32, d graph.Dist, ok bool) {
 					continue
 				}
 				w := n.matAt(int32(bi), t)
-				if w >= inf32 {
+				if w >= NoPath {
 					continue
 				}
 				if nd := dv + graph.Dist(w); nd < ls.dist[t] {
@@ -397,38 +362,4 @@ func (ls *leafScan) distanceTo(t int32) graph.Dist {
 			return d
 		}
 	}
-}
-
-// CountingFactory is a SourceFactory that accumulates the path cost of
-// every source it hands out, for the IER-Gt statistic of Figure 9(b).
-type CountingFactory struct {
-	idx   *Index
-	total int64
-	last  *Source
-}
-
-// NewCountingFactory wraps idx.
-func NewCountingFactory(idx *Index) *CountingFactory { return &CountingFactory{idx: idx} }
-
-// Name implements knn.SourceFactory.
-func (f *CountingFactory) Name() string { return "MGtree" }
-
-// NewSource implements knn.SourceFactory.
-func (f *CountingFactory) NewSource(s int32) knn.SourceOracle {
-	f.flush()
-	f.last = f.idx.NewSource(s)
-	return f.last
-}
-
-func (f *CountingFactory) flush() {
-	if f.last != nil {
-		f.total += int64(f.last.PathCost)
-		f.last = nil
-	}
-}
-
-// TotalPathCost returns the accumulated border-to-border additions.
-func (f *CountingFactory) TotalPathCost() int64 {
-	f.flush()
-	return f.total
 }

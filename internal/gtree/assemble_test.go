@@ -15,7 +15,7 @@ import (
 // refSource.BorderDists does, with the same path cost, and that DistanceTo
 // and kNN answer from them exactly as from the reference's slices. The
 // two-islands graph is there for its no-path cells: only a disconnected
-// graph keeps inf32 in a refined matrix.
+// graph keeps NoPath in a refined matrix.
 func TestBorderDistsMatchReference(t *testing.T) {
 	spec := func(seed int64) gen.NetworkSpec {
 		return gen.NetworkSpec{Name: "t", Rows: 20, Cols: 22, Seed: seed}
@@ -34,7 +34,7 @@ func TestBorderDistsMatchReference(t *testing.T) {
 	noPath := false
 	for _, tc := range cases {
 		x := BuildOnPartition(tc.g, partition.Build(tc.g, partition.Options{Fanout: 4, MaxLeafSize: tc.tau}), tc.tau)
-		noPath = noPath || slices.ContainsFunc(x.nodes, func(n node) bool { return slices.Contains(n.mat, inf32) })
+		noPath = noPath || slices.ContainsFunc(x.nodes, func(n node) bool { return slices.Contains(n.mat, NoPath) })
 		queries := gen.QueryVertices(tc.g, 24, 3)
 		for _, density := range []float64{0.001, 0.01, 0.1} {
 			ol := x.NewOccurrenceList(knn.NewObjectSet(tc.g, gen.Uniform(tc.g, density, 5)))
@@ -68,7 +68,7 @@ func TestBorderDistsMatchReference(t *testing.T) {
 		}
 	}
 	if !noPath {
-		t.Fatal("no case holds an inf32 cell, so the no-path guard is never exercised")
+		t.Fatal("no case holds an NoPath cell, so the no-path guard is never exercised")
 	}
 }
 
@@ -89,7 +89,7 @@ func preloadReference(x *Index, s *Source, q int32) {
 // refSource carries the reference assembly, which shadows BorderDists.
 type refSource struct{ *Source }
 
-// BorderDists is the assembly as it was before the array layout's min-plus
+// BorderDists is the assembly as it was before the min-plus
 // went branch-free, kept as the reference the current loop must reproduce.
 func (s refSource) BorderDists(ni int32) []graph.Dist {
 	out := s.flat[s.off[ni]:s.off[ni+1]]
@@ -104,7 +104,7 @@ func (s refSource) BorderDists(ni int32) []graph.Dist {
 		ln := &x.nodes[ni]
 		pos := x.posInLeaf[s.q]
 		for bi := range ln.borders {
-			out[bi] = dist64(x.matAt(ni, int32(bi), pos))
+			out[bi] = dist64(ln.matAt(int32(bi), pos))
 		}
 	case pt.Contains(ni, s.q):
 		// Up step: combine the on-path child's border distances with this
@@ -116,38 +116,20 @@ func (s refSource) BorderDists(ni int32) []graph.Dist {
 		for j := range out {
 			out[j] = graph.Inf
 		}
-		if x.layout == ArrayLayout {
-			// Row-contiguous pass: iterate each child border's matrix row
-			// once (the Section 6.1 spatial-locality access pattern).
-			for i := range cd {
-				if cd[i] == graph.Inf {
+		// Row-contiguous pass: iterate each child border's matrix row once
+		// (the Section 6.1 spatial-locality access pattern).
+		for i := range cd {
+			if cd[i] == graph.Inf {
+				continue
+			}
+			row := n.mat[(base+int32(i))*n.stride:]
+			for j := range out {
+				w := row[n.ownIdx[j]]
+				if w >= NoPath {
 					continue
 				}
-				row := n.mat[(base+int32(i))*n.stride:]
-				for j := range out {
-					w := row[n.ownIdx[j]]
-					if w >= inf32 {
-						continue
-					}
-					if d := cd[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
-				}
-			}
-		} else {
-			for j := range n.borders {
-				oj := n.ownIdx[j]
-				for i := range cd {
-					if cd[i] == graph.Inf {
-						continue
-					}
-					w := x.matAt(ni, base+int32(i), oj)
-					if w >= inf32 {
-						continue
-					}
-					if d := cd[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
+				if d := cd[i] + graph.Dist(w); d < out[j] {
+					out[j] = d
 				}
 			}
 		}
@@ -178,36 +160,18 @@ func (s refSource) BorderDists(ni int32) []graph.Dist {
 		for j := 0; j < nb; j++ {
 			out[j] = graph.Inf
 		}
-		if x.layout == ArrayLayout {
-			for i := range fromD {
-				if fromD[i] == graph.Inf {
+		for i := range fromD {
+			if fromD[i] == graph.Inf {
+				continue
+			}
+			row := pn.mat[fromIdx[i]*pn.stride+myBase:]
+			for j := 0; j < nb; j++ {
+				w := row[j]
+				if w >= NoPath {
 					continue
 				}
-				row := pn.mat[fromIdx[i]*pn.stride+myBase:]
-				for j := 0; j < nb; j++ {
-					w := row[j]
-					if w >= inf32 {
-						continue
-					}
-					if d := fromD[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
-				}
-			}
-		} else {
-			for j := 0; j < nb; j++ {
-				col := myBase + int32(j)
-				for i := range fromD {
-					if fromD[i] == graph.Inf {
-						continue
-					}
-					w := x.matAt(parent, fromIdx[i], col)
-					if w >= inf32 {
-						continue
-					}
-					if d := fromD[i] + graph.Dist(w); d < out[j] {
-						out[j] = d
-					}
+				if d := fromD[i] + graph.Dist(w); d < out[j] {
+					out[j] = d
 				}
 			}
 		}

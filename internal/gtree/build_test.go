@@ -57,8 +57,8 @@ func TestBuildMatchesReferenceRefinement(t *testing.T) {
 	g := twoChains(240, true)
 	pt := partition.Build(g, partition.Options{Fanout: 4, MaxLeafSize: 16})
 	x := bottomUp(g, pt, false)
-	if !slices.ContainsFunc(x.nodes, func(n node) bool { return slices.Contains(n.mat, inf32) }) {
-		t.Fatal("split-leaves: the constrained pass has no inf32 cell")
+	if !slices.ContainsFunc(x.nodes, func(n node) bool { return slices.Contains(n.mat, NoPath) }) {
+		t.Fatal("split-leaves: the constrained pass has no NoPath cell")
 	}
 }
 
@@ -86,7 +86,7 @@ func unitGrid(rows, cols int) *graph.Graph {
 // the odd ones into two chains, bridged only at the two ends when bridged
 // is set. Geometric bisection cuts the line into runs that hold pieces of
 // both chains, so a leaf away from the ends is disconnected inside; without
-// the bridges the whole graph is, and refined matrices keep inf32 cells.
+// the bridges the whole graph is, and refined matrices keep NoPath cells.
 func twoChains(n int, bridged bool) *graph.Graph {
 	x, y := make([]float64, n), make([]float64, n)
 	for i := range x {
@@ -247,7 +247,7 @@ func (x refIndex) buildLeafMatrix(li int32, extra func(ni int32) []int32) {
 				if vi := borderIndexOf(n, v); vi >= 0 {
 					for bj := 0; bj < nb; bj++ {
 						cw := clique[vi*nb+bj]
-						if cw >= inf32 {
+						if cw >= NoPath {
 							continue
 						}
 						t := n.ownIdx[bj]
@@ -315,7 +315,7 @@ func (x refIndex) buildInternalMatrix(ni int32, extra []int32) {
 				} else {
 					w = cn.matAt(cn.ownIdx[i], cn.ownIdx[j])
 				}
-				if w < inf32 {
+				if w < NoPath {
 					adj[base+int32(i)] = append(adj[base+int32(i)], arc{base + int32(j), w})
 				}
 			}
@@ -338,7 +338,7 @@ func (x refIndex) buildInternalMatrix(ni int32, extra []int32) {
 		nb := len(n.borders)
 		for i := 0; i < nb; i++ {
 			for j := 0; j < nb; j++ {
-				if i == j || extra[i*nb+j] >= inf32 {
+				if i == j || extra[i*nb+j] >= NoPath {
 					continue
 				}
 				adj[n.ownIdx[i]] = append(adj[n.ownIdx[i]], arc{n.ownIdx[j], extra[i*nb+j]})

@@ -4,7 +4,9 @@
 // of Section 6.1), an assembly-based distance oracle with per-source
 // materialization (the MGtree of Section 5), the kNN algorithm of Algorithm
 // 3 with the improved leaf search of Algorithm 4 (Appendix A.2.1), and the
-// Occurrence List object index.
+// Occurrence List object index. The Section 6.1 comparison with hashed
+// matrix storage lives in the experiment harness, which reads the matrices
+// through Matrix.
 //
 // Distance matrices are built in two phases. A bottom-up pass computes
 // distances constrained to each node's subgraph: leaves by Dijkstra on the
@@ -27,9 +29,9 @@ import (
 	"rnknn/internal/scratch"
 )
 
-// inf32 is the matrix sentinel for "no path" (matrices store int32 cells to
+// NoPath is the matrix cell for "no path" (matrices store int32 cells to
 // maximize cache density, Section 6.1).
-const inf32 int32 = math.MaxInt32 / 4
+const NoPath int32 = math.MaxInt32 / 4
 
 // Index is a built G-tree.
 type Index struct {
@@ -46,11 +48,6 @@ type Index struct {
 	leafOff [][]int32
 	leafTgt [][]int32
 	leafW   [][]int32
-
-	// Query-time matrix layout (Section 6.1 ablation; see ablation.go).
-	layout     MatrixLayout
-	builtinMap map[uint64]int32
-	openAddr   *openTable
 }
 
 type node struct {
@@ -107,7 +104,7 @@ func BuildOnPartition(g *graph.Graph, pt *partition.Tree, tau int) *Index {
 // distances between its borders (in pt.Borders order) constrained to the
 // node's subgraph: the bottom-up half of the G-tree build, and ROAD's Rnet
 // shortcuts (Section 3.4). A cell with no path inside the node holds
-// math.MaxInt32/4. Only the rows of each node's own borders are computed,
+// NoPath. Only the rows of each node's own borders are computed,
 // since they are all a parent reads.
 func BorderCliques(g *graph.Graph, pt *partition.Tree) [][]int32 {
 	x := bottomUp(g, pt, true)
@@ -353,7 +350,7 @@ func (x *Index) buildInternalMatrix(ni int32, pos *scratch.Map32, rows []int32) 
 				row := clique[rowOff[v] : rowOff[v]+n.childOff[block[v]+1]-base]
 				for j, w := range row {
 					t := base + int32(j)
-					if nd := d + graph.Dist(w); w < inf32 && nd < dist[t] {
+					if nd := d + graph.Dist(w); w < NoPath && nd < dist[t] {
 						dist[t], viaClique[t] = nd, true
 						if cutOff[t] < cutOff[t+1] {
 							q.Push(t, int64(nd))
@@ -420,7 +417,7 @@ func (x *Index) refineTopDown() {
 
 // minPlusInto lowers dst (r x c, row-major) to min(dst, a·b) in the min-plus
 // semiring, for a (r x k) and b (k x c). Sums accumulate in int64 and are
-// clamped back to inf32, so no-path cells stay inf32. dst must not alias b.
+// clamped back to NoPath, so no-path cells stay NoPath. dst must not alias b.
 func minPlusInto(dst, a, b []int32, k, c int) {
 	acc := make([]graph.Dist, c)
 	for r := 0; r*c < len(dst); r++ {
@@ -429,7 +426,7 @@ func minPlusInto(dst, a, b []int32, k, c int) {
 			acc[j] = graph.Dist(v)
 		}
 		for i, w := range a[r*k : (r+1)*k] {
-			if w >= inf32 {
+			if w >= NoPath {
 				continue
 			}
 			bi := b[i*c:][:len(acc)]
@@ -483,6 +480,21 @@ func (x *Index) SizeBytes() int {
 	return total
 }
 
+// Matrix returns tree node ni's distance matrix, read-only: row-major with
+// stride columns, holding global distances (NoPath where none exists). A
+// leaf has one row per border and one column per vertex of its partition
+// leaf, and ownIdx[i] is the column of border i. An internal node has one
+// row and one column per child border, child c's block starting at
+// childOff[c], and ownIdx[i] is the row and column of its own border i.
+func (x *Index) Matrix(ni int32) (mat []int32, stride int32, ownIdx, childOff []int32) {
+	n := &x.nodes[ni]
+	return n.mat, n.stride, n.ownIdx, n.childOff
+}
+
+// PosInLeaf returns v's position in its partition leaf's vertex list: its
+// column in the leaf's matrix.
+func (x *Index) PosInLeaf(v int32) int32 { return x.posInLeaf[v] }
+
 // Borders returns the border vertices of tree node ni (tests and stats).
 func (x *Index) Borders(ni int32) []int32 { return x.nodes[ni].borders }
 
@@ -490,8 +502,8 @@ func (x *Index) Borders(ni int32) []int32 { return x.nodes[ni].borders }
 func (x *Index) NumNodes() int { return len(x.nodes) }
 
 func clamp32(d graph.Dist) int32 {
-	if d >= graph.Dist(inf32) {
-		return inf32
+	if d >= graph.Dist(NoPath) {
+		return NoPath
 	}
 	return int32(d)
 }

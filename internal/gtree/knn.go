@@ -178,27 +178,9 @@ func (x *KNN) advanceT(src *Source, q *pqueue.Queue, tn int32) (int32, graph.Dis
 // enqueueLeafObjects inserts every object of leaf ni with its exact network
 // distance assembled through the leaf's borders.
 func (x *KNN) enqueueLeafObjects(src *Source, ni int32, q *pqueue.Queue) {
-	idx := x.idx
-	db := src.BorderDists(ni)
-	ln := &idx.nodes[ni]
 	for _, o := range x.ol.LeafObjects(ni) {
-		pos := idx.posInLeaf[o]
-		best := graph.Inf
-		for bi := range ln.borders {
-			if db[bi] == graph.Inf {
-				continue
-			}
-			w := idx.matAt(ni, int32(bi), pos)
-			if w >= inf32 {
-				continue
-			}
-			if d := db[bi] + graph.Dist(w); d < best {
-				best = d
-			}
-		}
-		src.PathCost += len(ln.borders)
-		if best < graph.Inf {
-			q.Push(o, int64(best))
+		if d := src.viaBorders(ni, x.idx.posInLeaf[o], graph.Inf); d < graph.Inf {
+			q.Push(o, int64(d))
 		}
 	}
 }
@@ -253,30 +235,13 @@ func (x *KNN) leafSearchScan(src *Source, k int, q *pqueue.Queue, yield func(knn
 func (x *KNN) leafSearchOriginal(src *Source, qv int32, q *pqueue.Queue) {
 	idx := x.idx
 	leaf := src.leafQ
-	objs := x.ol.LeafObjects(leaf)
-	// Within-leaf-only Dijkstra (no border clique): path type (a).
+	// Within-leaf-only Dijkstra (no border clique): path type (a); the
+	// through-borders distances are path type (b).
 	inside := leafOnlyDistances(idx, leaf, qv)
-	// Global distances to borders: used for path type (b).
-	db := src.BorderDists(leaf)
-	ln := &idx.nodes[leaf]
-	for _, o := range objs {
+	for _, o := range x.ol.LeafObjects(leaf) {
 		pos := idx.posInLeaf[o]
-		best := inside[pos]
-		for bi := range ln.borders {
-			if db[bi] == graph.Inf {
-				continue
-			}
-			w := idx.matAt(leaf, int32(bi), pos)
-			if w >= inf32 {
-				continue
-			}
-			if d := db[bi] + graph.Dist(w); d < best {
-				best = d
-			}
-		}
-		src.PathCost += len(ln.borders)
-		if best < graph.Inf {
-			q.Push(o, int64(best))
+		if d := src.viaBorders(leaf, pos, inside[pos]); d < graph.Inf {
+			q.Push(o, int64(d))
 		}
 	}
 }

@@ -6,8 +6,8 @@
 // already tells a stale heap entry from a current one, so the production
 // path stores no settled set at all.
 //
-// The deliberately degraded variants of ablation.go reproduce the Figure 7
-// implementation ladder (1st Cut -> PQueue -> Settled -> Graph).
+// The Figure 7 implementation ladder that ends here (1st Cut -> PQueue ->
+// Settled -> Graph) is the experiment harness's (internal/exp).
 package ine
 
 import (

@@ -1,7 +1,6 @@
 package ine_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"rnknn/internal/gen"
@@ -85,23 +84,5 @@ func TestINEVisitedVerticesCounted(t *testing.T) {
 	_ = x.KNN(queries[0], 10)
 	if x.VisitedVertices <= 0 || x.VisitedVertices > g.NumVertices() {
 		t.Fatalf("VisitedVertices = %d", x.VisitedVertices)
-	}
-}
-
-func TestAblationVariantsAllCorrect(t *testing.T) {
-	g, objs, queries := setup(t, 27)
-	rng := rand.New(rand.NewSource(5))
-	for _, v := range []ine.Variant{ine.FirstCut, ine.PQueue, ine.Settled, ine.CSRGraph} {
-		a := ine.NewAblation(g, objs, v)
-		for trial := 0; trial < 10; trial++ {
-			q := queries[rng.Intn(len(queries))]
-			k := 1 + rng.Intn(10)
-			got := a.KNN(q, k)
-			want := knn.BruteForce(g, objs, q, k)
-			if !knn.SameResults(got, want) {
-				t.Fatalf("%s q=%d k=%d: got %s want %s", a.Name(), q, k,
-					knn.FormatResults(got), knn.FormatResults(want))
-			}
-		}
 	}
 }

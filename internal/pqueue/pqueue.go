@@ -17,7 +17,8 @@
 // priorities are small.
 //
 // MaxQueue (Distance Browsing's candidate list) and IndexedQueue (the
-// decrease-key rung of the Figure 7 ablation) are plain binary heaps.
+// decrease-key first rung of the experiment harness's Figure 7 INE ladder)
+// are plain binary heaps.
 package pqueue
 
 // Item is a heap entry: an identifier ordered by Key.

@@ -30,7 +30,8 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 
 // Read deserializes an index written by WriteTo, rebuilding borders, matrix
 // offsets, and the Route Overlay over g and validating the shortcut array
-// length against them.
+// length against them. A levels field below the decoded tree's depth is
+// refused.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
 		sr.Failf("road codec version %d (want %d)", v, codecVersion)
@@ -39,6 +40,10 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	pt := partition.Decode(sr, g.NumVertices())
 	shorts := snapio.ReadRaw[int32](sr)
 	if sr.Err() != nil {
+		return nil, sr.Err()
+	}
+	if h := pt.Height(); levels < h-1 {
+		sr.Failf("road levels %d, partition tree is %d deep", levels, h-1)
 		return nil, sr.Err()
 	}
 	x := &Index{G: g, PT: pt, Levels: levels, shorts: shorts}

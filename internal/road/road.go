@@ -19,7 +19,6 @@
 package road
 
 import (
-	"math"
 	"slices"
 
 	"rnknn/internal/bitset"
@@ -76,7 +75,7 @@ func BuildOnPartition(g *graph.Graph, pt *partition.Tree, levels int) *Index {
 	x.shorts = make([]int32, 0, x.matOff[len(pt.Nodes)])
 	for _, clique := range gtree.BorderCliques(g, pt) {
 		for _, w := range clique {
-			if w == cliqueNoPath {
+			if w == gtree.NoPath {
 				w = inf32
 			}
 			x.shorts = append(x.shorts, w)
@@ -85,10 +84,6 @@ func BuildOnPartition(g *graph.Graph, pt *partition.Tree, levels int) *Index {
 	x.buildRouteOverlay()
 	return x
 }
-
-// cliqueNoPath is the cell gtree.BorderCliques reports for a border pair
-// with no path inside the Rnet; ROAD stores inf32 there.
-const cliqueNoPath = math.MaxInt32 / 4
 
 // layout derives what Build and Read share from the partition tree: every
 // Rnet's borders and its shortcut matrix's offset in the global array.
@@ -237,8 +232,9 @@ type KNN struct {
 	ad   *AssociationDirectory
 	q    *pqueue.Queue
 	dist *scratch.Dists
-	// qAnc[level] is the ancestor Rnet of the query leaf at that level,
-	// used to reject bypassing any Rnet containing the query in O(1).
+	// qAnc[level] is the ancestor Rnet of the query leaf at that level (one
+	// entry per tree level), used to reject bypassing any Rnet containing
+	// the query in O(1).
 	qAnc []int32
 	// via[v] names the Rnet whose shortcut row last lowered v's label by its
 	// level, or is 0 when an edge did (see bypass). The Rnets a vertex
@@ -267,7 +263,7 @@ func NewKNN(idx *Index, ad *AssociationDirectory) *KNN {
 		ad:   ad,
 		q:    pqueue.NewQueue(1024),
 		dist: scratch.NewDists(idx.G.NumVertices()),
-		qAnc: make([]int32, idx.Levels+1),
+		qAnc: make([]int32, idx.PT.Height()),
 		via:  make([]uint8, idx.G.NumVertices()),
 	}
 	x.collect = func(r knn.Result) bool {
@@ -362,7 +358,7 @@ func (x *KNN) relaxShortcuts(v int32, d graph.Dist, qv, leafQ int32) {
 	for e := idx.roOff[v]; e < idx.roOff[v+1]; e++ {
 		r := idx.roRnet[e]
 		lvl := pt.Nodes[r].Level
-		if int(lvl) < len(x.qAnc) && x.qAnc[lvl] == r {
+		if x.qAnc[lvl] == r {
 			continue // Rnet contains the query; cannot bypass
 		}
 		if !x.ad.HasObjects(r) {

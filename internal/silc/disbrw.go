@@ -1,7 +1,9 @@
 package silc
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rnknn/internal/geo"
@@ -173,9 +175,8 @@ func (c *candidates) handleObject(o int32, extraFront graph.Dist) {
 // resultsAppend drains L into dst in ascending distance order, refining any
 // unconverged candidate to its exact distance so callers receive true
 // network distances (the algorithm's membership is unchanged; see Appendix
-// A.1 discussion). The appended segment is insertion-sorted in place — L
-// holds at most k entries and arrives near-sorted, and avoiding sort.Slice
-// keeps the path allocation-free.
+// A.1 discussion). The appended segment is sorted stably in place, without
+// allocating.
 func (c *candidates) resultsAppend(dst []knn.Result) []knn.Result {
 	base := len(dst)
 	for _, it := range c.l.Items() {
@@ -183,11 +184,7 @@ func (c *candidates) resultsAppend(dst []knn.Result) []knn.Result {
 		dst = append(dst, knn.Result{Vertex: it.ID, Dist: d})
 	}
 	seg := dst[base:]
-	for i := 1; i < len(seg); i++ {
-		for j := i; j > 0 && seg[j].Dist < seg[j-1].Dist; j-- {
-			seg[j], seg[j-1] = seg[j-1], seg[j]
-		}
-	}
+	slices.SortStableFunc(seg, func(a, b knn.Result) int { return cmp.Compare(a.Dist, b.Dist) })
 	if len(seg) > c.k {
 		dst = dst[:base+c.k]
 	}

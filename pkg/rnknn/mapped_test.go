@@ -261,9 +261,10 @@ func TestOpenSnapshotFileHostilePHLLabels(t *testing.T) {
 
 // TestOpenSnapshotFileHostileCHHierarchy: PHL's build reads the hierarchy's
 // upward arcs through its offsets and orders vertices by rank, and it runs
-// over a mapped CH when a snapshot carries CH but not PHL. A mapped open
-// therefore checks both and refuses offsets that are not monotone and ranks
-// outside [0, |V|).
+// over a mapped CH when a snapshot carries CH but not PHL; IER-CH's searches
+// subscript by arc target. A mapped open therefore checks all three and
+// refuses offsets that are not monotone and ranks or targets outside
+// [0, |V|).
 func TestOpenSnapshotFileHostileCHHierarchy(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 10, Cols: 12, Seed: 8})
 	objs := gen.Uniform(g, 0.1, 3)
@@ -281,12 +282,13 @@ func TestOpenSnapshotFileHostileCHHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	header := func(sr *snapio.Source) { sr.U16(); sr.U32() } // version, shortcut count
-	for name, tamper := range map[string]func(rank, upOff []byte){
-		"upOff[1] = upOff[n]": func(_, upOff []byte) { lastIntoFirst(upOff) },
-		"rank[0] = |V|":       func(rank, _ []byte) { binary.LittleEndian.PutUint32(rank, uint32(g.NumVertices())) },
-		"rank[0] = -1":        func(rank, _ []byte) { binary.LittleEndian.PutUint32(rank, 0xFFFFFFFF) },
+	for name, tamper := range map[string]func(rank, upOff, upTo []byte){
+		"upOff[1] = upOff[n]": func(_, upOff, _ []byte) { lastIntoFirst(upOff) },
+		"rank[0] = |V|":       func(rank, _, _ []byte) { binary.LittleEndian.PutUint32(rank, uint32(g.NumVertices())) },
+		"rank[0] = -1":        func(rank, _, _ []byte) { binary.LittleEndian.PutUint32(rank, 0xFFFFFFFF) },
+		"upTo[0] = |V|":       func(_, _, upTo []byte) { binary.LittleEndian.PutUint32(upTo, uint32(g.NumVertices())) },
 	} {
-		data := tamperArrays(t, orig, "CH", header, func(a [][]byte) { tamper(a[0], a[1]) })
+		data := tamperArrays(t, orig, "CH", header, func(a [][]byte) { tamper(a[0], a[1], a[2]) })
 		path := filepath.Join(dir, "hostile.rnks")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -344,6 +346,71 @@ func TestOpenSnapshotFileHostileGtreeArrays(t *testing.T) {
 		}
 		if !errors.Is(err, rnknn.ErrBadSnapshot) {
 			t.Errorf("%s: mapped open: want ErrBadSnapshot, got %v", name, err)
+		}
+	}
+}
+
+// TestOpenSnapshotFileHostileROADLevels: a ROAD query keeps one ancestor
+// per tree level. A snapshot whose levels field is below the decoded tree's
+// depth, re-framed so its checksum holds, must be refused with
+// ErrBadSnapshot on the verified and the mapped path alike; one far above
+// it must load and answer without sizing anything by it.
+func TestOpenSnapshotFileHostileROADLevels(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 20, Cols: 20, Seed: 8})
+	objs := gen.Uniform(g, 0.1, 3)
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.ROAD), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+	built, err := rnknn.Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.SaveIndexes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		levels uint32
+		refuse bool
+	}{{0, true}, {1 << 30, false}} {
+		data := bytes.Clone(buf.Bytes())
+		_, payloads, err := snapshot.Parse(data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if p.Name == "ROAD" {
+				binary.LittleEndian.PutUint32(p.Data[2:], c.levels) // after the version
+			}
+		}
+		data = reframe(t, data)
+		path := filepath.Join(dir, "hostile.rnks")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := map[string]func() (*rnknn.DB, error){
+			"verified": func() (*rnknn.DB, error) { return rnknn.OpenFromSnapshot(g, bytes.NewReader(data), opts...) },
+			"mapped":   func() (*rnknn.DB, error) { return rnknn.OpenSnapshotFile(path, opts...) },
+		}
+		for how, open := range open {
+			db, err := open()
+			if c.refuse {
+				if err == nil {
+					db.Close()
+				}
+				if !errors.Is(err, rnknn.ErrBadSnapshot) {
+					t.Errorf("levels %d, %s open: want ErrBadSnapshot, got %v", c.levels, how, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("levels %d, %s open: %v", c.levels, how, err)
+			}
+			for q := int32(0); q < int32(g.NumVertices()); q += 7 {
+				if _, err := db.KNN(context.Background(), q, 5, rnknn.WithMethod(rnknn.ROAD)); err != nil {
+					t.Fatalf("levels %d, %s open: KNN(%d): %v", c.levels, how, q, err)
+				}
+			}
+			db.Close()
 		}
 	}
 }
