@@ -39,6 +39,7 @@ import (
 	"rnknn/internal/ch"
 	"rnknn/internal/graph"
 	"rnknn/internal/gtree"
+	"rnknn/internal/ine"
 	"rnknn/internal/phl"
 	"rnknn/internal/road"
 	"rnknn/internal/silc"
@@ -179,6 +180,10 @@ type Engine struct {
 	// fp memoizes the graph fingerprint (see Fingerprint).
 	fpOnce sync.Once
 	fp     uint64
+
+	// hops memoizes INE's chain table (see INEHops).
+	hopsOnce sync.Once
+	hops     *ine.Hops
 }
 
 // New creates an engine over g with default options.
@@ -206,6 +211,14 @@ func (e *Engine) getLocked(i indexID) index {
 		s.took = time.Since(start)
 	}
 	return s.x
+}
+
+// INEHops returns INE's chain table over the engine's graph, building it on
+// first use; every INE session shares it. It is derived in O(|V|+|E|) and
+// never persisted, so an engine that runs no INE query never builds it.
+func (e *Engine) INEHops() *ine.Hops {
+	e.hopsOnce.Do(func() { e.hops = ine.BuildHops(e.G) })
+	return e.hops
 }
 
 // GtreeIndex returns the engine's G-tree, building it on first use.

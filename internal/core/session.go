@@ -127,7 +127,7 @@ type Session interface {
 func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 	switch kind {
 	case INE:
-		return ineSession{ine.New(e.G, b.Objs)}, nil
+		return ineSession{ine.NewWithHops(e.INEHops(), b.Objs)}, nil
 	case IERDijk:
 		return &ierSession{ier.NewWithTree("IER-Dijk", e.G, b.Objs, b.rt, &ier.DijkstraFactory{G: e.G})}, nil
 	case IERCH:

@@ -28,7 +28,9 @@ const (
 	// recommendation), so this rung is timing-equivalent to inePQueue; it
 	// is kept so Figure 7's ladder labels still resolve.
 	ineSettled
-	// ineCSRGraph: single packed edge array (this equals the production INE).
+	// ineCSRGraph: single packed edge array, the paper's last rung. The
+	// production INE goes one step further and walks degree-2 chains
+	// (ine.Hops), which no rung models.
 	ineCSRGraph
 )
 
@@ -109,7 +111,7 @@ func (a *ineAblation) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result 
 // over per-vertex adjacency objects. The settled container is the shared
 // bit-array (see ineVariant).
 func (a *ineAblation) knnDecreaseKey(qv int32, k int) []knn.Result {
-	q := pqueue.NewIndexedQueue(256)
+	q := newBinaryIndexedQueue(256)
 	a.settled.Reset()
 	out := make([]knn.Result, 0, k)
 	q.PushOrDecrease(qv, 0)
@@ -176,4 +178,90 @@ func (a *ineAblation) knnDuplicates(qv int32, k int) []knn.Result {
 		}
 	}
 	return out
+}
+
+// binaryIndexedQueue is a binary min-heap with decrease-key, keyed by vertex
+// id through a Go map: the "1st Cut" rung's heap, kept here because the
+// serving methods use none like it. It quantifies the cost the paper
+// attributes to decrease-key bookkeeping (Figure 7, "PQueue").
+type binaryIndexedQueue struct {
+	a   []pqueue.Item
+	pos map[int32]int
+}
+
+// newBinaryIndexedQueue returns an indexed queue with capacity hint n.
+func newBinaryIndexedQueue(n int) *binaryIndexedQueue {
+	return &binaryIndexedQueue{a: make([]pqueue.Item, 0, n), pos: make(map[int32]int, n)}
+}
+
+// Len returns the number of entries.
+func (q *binaryIndexedQueue) Len() int { return len(q.a) }
+
+// Empty reports whether the queue has no entries.
+func (q *binaryIndexedQueue) Empty() bool { return len(q.a) == 0 }
+
+// PushOrDecrease inserts id with key, or lowers its key if already present
+// with a larger key. It reports whether the queue changed.
+func (q *binaryIndexedQueue) PushOrDecrease(id int32, key int64) bool {
+	if i, ok := q.pos[id]; ok {
+		if q.a[i].Key <= key {
+			return false
+		}
+		q.a[i].Key = key
+		q.up(i)
+		return true
+	}
+	q.a = append(q.a, pqueue.Item{ID: id, Key: key})
+	q.pos[id] = len(q.a) - 1
+	q.up(len(q.a) - 1)
+	return true
+}
+
+// Pop removes and returns the minimum-key item.
+func (q *binaryIndexedQueue) Pop() pqueue.Item {
+	top := q.a[0]
+	last := len(q.a) - 1
+	q.swap(0, last)
+	q.a = q.a[:last]
+	delete(q.pos, top.ID)
+	if last > 0 {
+		q.down(0)
+	}
+	return top
+}
+
+func (q *binaryIndexedQueue) swap(i, j int) {
+	q.a[i], q.a[j] = q.a[j], q.a[i]
+	q.pos[q.a[i].ID] = i
+	q.pos[q.a[j].ID] = j
+}
+
+func (q *binaryIndexedQueue) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if q.a[parent].Key <= q.a[i].Key {
+			break
+		}
+		q.swap(i, parent)
+		i = parent
+	}
+}
+
+func (q *binaryIndexedQueue) down(i int) {
+	n := len(q.a)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		c := l
+		if r := l + 1; r < n && q.a[r].Key < q.a[l].Key {
+			c = r
+		}
+		if q.a[c].Key >= q.a[i].Key {
+			break
+		}
+		q.swap(i, c)
+		i = c
+	}
 }

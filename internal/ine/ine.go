@@ -6,6 +6,13 @@
 // already tells a stale heap entry from a current one, so the production
 // path stores no settled set at all.
 //
+// One step goes past the paper: the expansion walks chains of degree-2
+// vertices instead of queueing them (Hops). Road networks are about half
+// degree-2 vertices, and nothing branches at them, so each arc leads
+// straight to the first vertex past its chain unless an object sits inside
+// it. VisitedVertices therefore counts the vertices the heap settled, not
+// the ones a hop walked through.
+//
 // The Figure 7 implementation ladder that ends here (1st Cut -> PQueue ->
 // Settled -> Graph) is the experiment harness's (internal/exp).
 package ine
@@ -21,6 +28,7 @@ import (
 // vertex. Not safe for concurrent use.
 type INE struct {
 	g    *graph.Graph
+	hops *Hops
 	objs *knn.ObjectSet
 	dist *scratch.Dists
 	q    *pqueue.Queue
@@ -39,15 +47,25 @@ type INE struct {
 	// the first KNNGroupAppend so single-query sessions stay lean.
 	grp *groupState
 
-	// VisitedVertices counts vertices settled by the last query (an
-	// experiment statistic).
+	// VisitedVertices counts vertices the heap settled in the last query
+	// (an experiment statistic); vertices a hop walked through are not
+	// counted.
 	VisitedVertices int
 }
 
-// New returns an INE method over g and the object set.
+// New returns an INE method over g and the object set, with a chain table
+// of its own.
 func New(g *graph.Graph, objs *knn.ObjectSet) *INE {
+	return NewWithHops(BuildHops(g), objs)
+}
+
+// NewWithHops returns an INE method over the graph of h, sharing the chain
+// table h (read-only, so any number of sessions may share it).
+func NewWithHops(h *Hops, objs *knn.ObjectSet) *INE {
+	g := h.g
 	x := &INE{
 		g:    g,
+		hops: h,
 		objs: objs,
 		dist: scratch.NewDists(g.NumVertices()),
 		q:    pqueue.NewQueue(1024),
@@ -111,11 +129,24 @@ func (x *INE) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 				break
 			}
 		}
-		ts, ws := x.g.Neighbors(v)
-		for i, t := range ts {
-			if nd := d + graph.Dist(ws[i]); x.dist.Lower(t, nd) {
-				x.q.Push(t, int64(nd))
-			}
+		x.relax(v, d, graph.Inf)
+	}
+}
+
+// relax takes every arc out of v, settled at distance d, walking the
+// chains beyond it (Hops), and pushes each vertex it lands on whose label
+// it lowers to at most bound: the one relax step of KNNStream and
+// RangeAppend.
+func (x *INE) relax(v int32, d, bound graph.Dist) {
+	lo, hi := x.g.Offsets[v], x.g.Offsets[v+1]
+	ts, ws, hs := x.g.Targets[lo:hi], x.g.W[lo:hi], x.hops.arc[lo:hi]
+	for i, t := range ts {
+		nd := d + graph.Dist(ws[i])
+		if j := hs[i]; j != 0 {
+			t, nd = x.hops.take(j, d, x.objs)
+		}
+		if nd <= bound && x.dist.Lower(t, nd) {
+			x.q.Push(t, int64(nd))
 		}
 	}
 }
@@ -156,12 +187,7 @@ func (x *INE) RangeAppend(qv int32, radius graph.Dist, dst []knn.Result) []knn.R
 		if x.objs.Contains(v) {
 			dst = append(dst, knn.Result{Vertex: v, Dist: d})
 		}
-		ts, ws := x.g.Neighbors(v)
-		for i, t := range ts {
-			if nd := d + graph.Dist(ws[i]); nd <= radius && x.dist.Lower(t, nd) {
-				x.q.Push(t, int64(nd))
-			}
-		}
+		x.relax(v, d, radius)
 	}
 	return dst
 }

@@ -36,11 +36,13 @@ const minNodeBytes = 4*4 + 2*4
 
 // Decode reads a tree written by Encode for a graph of numVertices vertices,
 // validating structural invariants (indexes in range, per-vertex maps the
-// right length, and the shape Build emits: every node after its parent, one
+// right length, the shape Build emits: every node after its parent, one
 // level below it, and listed as its parent's child — so walks up and down
-// the tree terminate). With an aliasing source the arrays are views of the
-// mapping and the per-element range scans are skipped. On any
-// inconsistency Decode records an error on r and returns nil.
+// the tree terminate — and leaf-sequence ranges that nest as Build's do, so
+// Contains answers as it did for the built tree). With an aliasing source
+// the arrays are views of the mapping and the per-element range scans are
+// skipped. On any inconsistency Decode records an error on r and returns
+// nil.
 func Decode(r *snapio.Source, numVertices int) *Tree {
 	t := &Tree{Fanout: int(r.U32())}
 	count := int(r.U32())
@@ -111,5 +113,56 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 			return nil
 		}
 	}
+	if !leafRangesNest(t, r) {
+		return nil
+	}
 	return t
+}
+
+// leafRangesNest checks, in O(nodes + |V|), that the leaf-sequence ranges
+// answer Contains as Build's do: every leaf's range is one slot, the root's
+// is [0, #leaves), each node's children tile its range in order, and every
+// vertex's LeafSeq is its leaf's slot. Checked on the mapped path too:
+// accepted, a range that leaves out a vertex's slot makes Contains(root, v)
+// false, and G-tree's border walk then runs past the root.
+func leafRangesNest(t *Tree, r *snapio.Source) bool {
+	leaves := int32(0)
+	for i := range t.Nodes {
+		if t.Nodes[i].IsLeaf() {
+			leaves++
+		}
+	}
+	if root := &t.Nodes[0]; root.LeafLo != 0 || root.LeafHi != leaves {
+		r.Failf("partition root covers leaf slots [%d, %d) of %d", root.LeafLo, root.LeafHi, leaves)
+		return false
+	}
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		if n.IsLeaf() {
+			if n.LeafHi != n.LeafLo+1 {
+				r.Failf("partition leaf %d covers slots [%d, %d)", i, n.LeafLo, n.LeafHi)
+				return false
+			}
+			continue
+		}
+		at := n.LeafLo
+		for _, c := range n.Children {
+			if t.Nodes[c].LeafLo != at {
+				r.Failf("partition node %d: child %d starts at slot %d, not %d", i, c, t.Nodes[c].LeafLo, at)
+				return false
+			}
+			at = t.Nodes[c].LeafHi
+		}
+		if at != n.LeafHi {
+			r.Failf("partition node %d: children end at slot %d, not %d", i, at, n.LeafHi)
+			return false
+		}
+	}
+	for v, li := range t.LeafOf {
+		if t.LeafSeq[v] != t.Nodes[li].LeafLo {
+			r.Failf("vertex %d has leaf slot %d, its leaf %d slot %d", v, t.LeafSeq[v], li, t.Nodes[li].LeafLo)
+			return false
+		}
+	}
+	return true
 }

@@ -206,8 +206,9 @@ func TestExtractCSR(t *testing.T) {
 // TestDecodeRejectsMalformedShape: Decode refuses, on the decoding and the
 // aliasing path alike, a tree whose walks up or down might not terminate
 // (a parent at or after its child, a level that does not follow the
-// parent's, a child list the parent links disagree with) and a node count
-// the payload cannot back.
+// parent's, a child list the parent links disagree with), leaf-sequence
+// ranges that do not nest as Build's do, and a node count the payload
+// cannot back.
 func TestDecodeRejectsMalformedShape(t *testing.T) {
 	g := testGraph(t)
 	good := partition.Build(g, partition.Options{Fanout: 4, MaxLeafSize: 30})
@@ -250,6 +251,29 @@ func TestDecodeRejectsMalformedShape(t *testing.T) {
 	binary.LittleEndian.PutUint32(huge[4:], 1<<26) // the node count
 	if ok := decodes(huge); ok[0] || ok[1] {
 		t.Errorf("a node count the payload cannot back decoded: %v", ok)
+	}
+	// Contains reads the leaf-sequence ranges, so a mapped tree checks them
+	// too.
+	leaf := good.LeafOf[0]
+	for name, mutate := range map[string]func(tr *partition.Tree){
+		"leaf covers two slots":   func(tr *partition.Tree) { tr.Nodes[leaf].LeafHi++ },
+		"root misses the last":    func(tr *partition.Tree) { tr.Nodes[0].LeafHi-- },
+		"children out of order":   func(tr *partition.Tree) { c := tr.Nodes[0].Children; c[0], c[1] = c[1], c[0] },
+		"child range shifted":     func(tr *partition.Tree) { tr.Nodes[1].LeafLo++ },
+		"leafSeq past every leaf": func(tr *partition.Tree) { tr.LeafSeq[0] = 1 << 30 },
+		"leafSeq in another leaf": func(tr *partition.Tree) { tr.LeafSeq[0] = (tr.LeafSeq[0] + 1) % tr.Nodes[0].LeafHi },
+		"leafSeq negative":        func(tr *partition.Tree) { tr.LeafSeq[0] = -1 },
+	} {
+		bad := *good
+		bad.Nodes = slices.Clone(good.Nodes)
+		for i := range bad.Nodes {
+			bad.Nodes[i].Children = slices.Clone(bad.Nodes[i].Children)
+		}
+		bad.LeafSeq = slices.Clone(good.LeafSeq)
+		mutate(&bad)
+		if ok := decodes(encode(&bad)); ok[0] || ok[1] {
+			t.Errorf("%s: decoded (decode, alias) = %v", name, ok)
+		}
 	}
 	// Every index subscripts nodes by leafOf, so a mapped tree checks it too.
 	for _, leaf := range []int32{0, int32(len(good.Nodes))} { // the root, then past the end

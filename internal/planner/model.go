@@ -60,7 +60,11 @@ var model = Model{
 		// IER-PHL rides on this number: at 50 it falls at density 0.069,
 		// between the grid's 0.1 (INE 1.5-4.6× faster for k ≤ 10, level at
 		// k = 25, 1.3× slower at 50) and 0.01 (INE 3× slower at k = 1, ≥10×
-		// from k = 5).
+		// from k = 5). Since INE walks degree-2 chains it settles about half
+		// the vertices counted here, but that pays where objects are sparse:
+		// re-read on one host, ine.dense_us held (14.4 → 12.6-14.4 µs)
+		// while ine.sparse_us fell 1,418 → 959-1,062 µs. The row stays;
+		// a lower one would move no pick on the grid.
 		core.INE: {perSettle: 50},
 		// The same expansion plus an R-tree scan that rarely pays off for
 		// Dijkstra (Figure 4).
@@ -82,11 +86,14 @@ var model = Model{
 		// tree (Algorithm 3/4). gtree.dense_us (60-95) and gtree.sparse_us
 		// (270-430) bracket the row's 178 µs at k = 10. It decides only where
 		// no fast oracle is enabled, against INE: INE at densities 0.1 and
-		// 0.01, G-tree from k = 5 up at 0.001 (ine.sparse_us ≈ 800).
+		// 0.01, G-tree from k = 5 up at 0.001 (ine.sparse_us ≈ 800; 960-1,060
+		// on a host that read the parent's 1,418, so the pick holds).
 		core.Gtree: {base: 120000, perKLogV: 400},
 		// The same hierarchy, consistently slower in the paper's runs
-		// (Figures 10-11).
-		core.ROAD: {base: 3 * 120000, perKLogV: 3 * 400},
+		// (Figures 10-11). road.sparse_us reads about twice gtree.sparse_us
+		// (855-1,042 against 416-490 µs on one host) since ROAD's queue holds
+		// each vertex once; it read three times before (1,254 against 419).
+		core.ROAD: {base: 2 * 120000, perKLogV: 2 * 400},
 		// Quadratic index restricted to small networks; quickly dominated
 		// elsewhere (Figure 19).
 		core.DisBrw:   {base: 20000, perK: 5000, perVertex: 10},

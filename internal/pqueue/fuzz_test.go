@@ -124,3 +124,112 @@ func FuzzQueueMatchesSort(f *testing.F) {
 		}
 	})
 }
+
+// Opcodes of FuzzIndexedQueueMatchesModel: each names an id in the next
+// byte; the pushes read their key from the byte after it.
+const (
+	opOfferSmall = iota // key = next byte
+	opOfferWide         // key = next byte << 40
+	opOfferNeg          // key = -(next byte) - 1
+	opOfferInf          // key = graph.Inf
+	opDecrease          // key = the id's queued key - 1 - next byte, or next byte if not queued
+	opIPop
+	opIPopAll
+	opIReset
+)
+
+// FuzzIndexedQueueMatchesModel drives IndexedQueue and a map model of the
+// queued ids with the same stream of PushOrDecrease, Pop and Reset calls
+// over 256 ids: PushOrDecrease must report a change exactly when the id was
+// absent or queued with a larger key, every Pop must return a queued id
+// with the model's minimum key, and Len and Empty must agree throughout.
+// Ties may pop in any order.
+func FuzzIndexedQueueMatchesModel(f *testing.F) {
+	for _, n := range []int{0, 1, 2, 5, 9, 21, 22, 85, 86} {
+		var ops []byte
+		for i := range n {
+			ops = append(ops, opOfferSmall, byte(i), byte(n-i))
+		}
+		for i := range n {
+			ops = append(ops, opDecrease, byte(i), byte(i%3))
+		}
+		f.Add(append(ops, opIPopAll))
+	}
+	f.Add([]byte{opOfferInf, 1, opOfferNeg, 2, 9, opOfferWide, 3, 255, opDecrease, 1, 0, opIPop, opOfferSmall, 1, 4, opIReset, opOfferSmall, 1, 4, opIPopAll})
+	f.Add(bytes.Repeat([]byte{opOfferSmall, 7, 200, opDecrease, 7, 1, opIPop, opOfferWide, 9, 2, opDecrease, 9, 0}, 30))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		q := NewIndexedQueue(256)
+		model := map[int32]int64{}
+		arg := func() int64 {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int64(b)
+		}
+		offer := func(id int32, key int64) {
+			cur, queued := model[id]
+			want := !queued || key < cur
+			if got := q.PushOrDecrease(id, key); got != want {
+				t.Fatalf("PushOrDecrease(%d, %d) = %v; model key %d, queued %v", id, key, got, cur, queued)
+			}
+			if want {
+				model[id] = key
+			}
+		}
+		pop := func() {
+			if len(model) == 0 {
+				return // Pop on an empty queue panics by contract
+			}
+			got := q.Pop()
+			key, queued := model[got.ID]
+			if !queued || key != got.Key {
+				t.Fatalf("Pop = %+v; model has key %d, queued %v", got, key, queued)
+			}
+			for id, k := range model {
+				if k < got.Key {
+					t.Fatalf("Pop = %+v while id %d is queued at %d", got, id, k)
+				}
+			}
+			delete(model, got.ID)
+		}
+		for len(ops) > 0 {
+			op := ops[0] & 7
+			ops = ops[1:]
+			switch op {
+			case opOfferSmall:
+				id := int32(arg())
+				offer(id, arg())
+			case opOfferWide:
+				id := int32(arg())
+				offer(id, arg()<<40)
+			case opOfferNeg:
+				id := int32(arg())
+				offer(id, -arg()-1)
+			case opOfferInf:
+				offer(int32(arg()), int64(graph.Inf))
+			case opDecrease:
+				id := int32(arg())
+				if cur, queued := model[id]; queued {
+					offer(id, cur-1-arg())
+				} else {
+					offer(id, arg())
+				}
+			case opIPop:
+				pop()
+			case opIPopAll:
+				for len(model) > 0 {
+					pop()
+				}
+			case opIReset:
+				q.Reset()
+				clear(model)
+			}
+			if q.Len() != len(model) || q.Empty() != (len(model) == 0) {
+				t.Fatalf("Len = %d, Empty = %v; model holds %d", q.Len(), q.Empty(), len(model))
+			}
+		}
+	})
+}

@@ -16,10 +16,13 @@
 // distances lie in [0, graph.Inf] (Inf is MaxInt64/4) and CH's signed node
 // priorities are small.
 //
-// MaxQueue (Distance Browsing's candidate list) and IndexedQueue (the
-// decrease-key first rung of the experiment harness's Figure 7 INE ladder)
-// are plain binary heaps.
+// IndexedQueue is the decrease-key form of the same 4-ary heap, for scans
+// that keep re-offering queued vertices lower keys (ROAD's shortcut rows):
+// one heap per traffic pattern. MaxQueue (Distance Browsing's candidate
+// list) is a plain binary heap.
 package pqueue
+
+import "rnknn/internal/scratch"
 
 // Item is a heap entry: an identifier ordered by Key.
 type Item struct {
@@ -247,17 +250,22 @@ func (q *MaxQueue) fix(i int) {
 	q.a[i] = item
 }
 
-// IndexedQueue is a binary min-heap with decrease-key, keyed by vertex id.
-// It exists to quantify the cost the paper attributes to decrease-key
-// bookkeeping (Figure 7, "PQueue"); the production algorithms use Queue.
+// IndexedQueue is a 4-ary min-heap with decrease-key over ids in [0, n):
+// an id is queued at most once, and a position map records its slot, so a
+// lower key moves the queued entry up instead of adding a duplicate. It
+// serves the scans whose relaxations keep re-offering queued vertices lower
+// keys — ROAD's shortcut rows — where a duplicate-tolerant Queue pops more
+// stale entries than live ones. Positions live in a stamped scratch.Map32,
+// so Reset is O(1), and Pop takes the smallest child with Queue's sign-bit
+// select. The key domain is Queue's.
 type IndexedQueue struct {
 	a   []Item
-	pos map[int32]int
+	pos *scratch.Map32 // id -> slot in a; -1 once popped
 }
 
-// NewIndexedQueue returns an indexed queue with capacity hint n.
+// NewIndexedQueue returns an empty queue over ids in [0, n).
 func NewIndexedQueue(n int) *IndexedQueue {
-	return &IndexedQueue{a: make([]Item, 0, n), pos: make(map[int32]int, n)}
+	return &IndexedQueue{pos: scratch.NewMap32(n)}
 }
 
 // Len returns the number of entries.
@@ -266,68 +274,82 @@ func (q *IndexedQueue) Len() int { return len(q.a) }
 // Empty reports whether the queue has no entries.
 func (q *IndexedQueue) Empty() bool { return len(q.a) == 0 }
 
-// PushOrDecrease inserts id with key, or lowers its key if already present
-// with a larger key. It reports whether the queue changed.
+// Reset empties the queue in O(1), retaining capacity.
+func (q *IndexedQueue) Reset() {
+	q.a = q.a[:0]
+	q.pos.Reset()
+}
+
+// PushOrDecrease inserts id with key, or lowers its key if it is queued
+// with a larger one. It reports whether the queue changed. An id that was
+// popped since the last Reset is inserted again.
 func (q *IndexedQueue) PushOrDecrease(id int32, key int64) bool {
-	if i, ok := q.pos[id]; ok {
+	if i, ok := q.pos.Get(id); ok && i >= 0 {
 		if q.a[i].Key <= key {
 			return false
 		}
-		q.a[i].Key = key
-		q.up(i)
+		q.up(int(i), Item{id, key})
 		return true
 	}
-	q.a = append(q.a, Item{id, key})
-	q.pos[id] = len(q.a) - 1
-	q.up(len(q.a) - 1)
+	q.a = append(q.a, Item{})
+	q.up(len(q.a)-1, Item{id, key})
 	return true
 }
 
-// Pop removes and returns the minimum-key item.
+// Pop removes and returns the minimum-key item. It panics on an empty
+// queue. The hole at the root walks down as in Queue.Pop, recording each
+// entry it moves up.
 func (q *IndexedQueue) Pop() Item {
-	top := q.a[0]
-	last := len(q.a) - 1
-	q.swap(0, last)
-	q.a = q.a[:last]
-	delete(q.pos, top.ID)
-	if last > 0 {
-		q.down(0)
+	a := q.a
+	top := a[0]
+	q.pos.Put(top.ID, -1)
+	n := len(a) - 1
+	tail := a[n]
+	a = a[:n]
+	q.a = a
+	if n == 0 {
+		return top
 	}
+	i := 0
+	for {
+		l := 4*i + 1
+		if l+4 > n {
+			if l < n {
+				c := l
+				for j := l + 1; j < n; j++ {
+					c += (j - c) * less(a[j].Key, a[c].Key)
+				}
+				a[i] = a[c]
+				q.pos.Put(a[i].ID, int32(i))
+				i = c
+			}
+			break
+		}
+		g := a[l : l+4 : l+4]
+		c01 := less(g[1].Key, g[0].Key)
+		c23 := 2 + less(g[3].Key, g[2].Key)
+		c := (c01 + (c23-c01)*less(g[c23&3].Key, g[c01].Key)) & 3
+		a[i] = g[c]
+		q.pos.Put(a[i].ID, int32(i))
+		i = l + c
+	}
+	q.up(i, tail)
 	return top
 }
 
-func (q *IndexedQueue) swap(i, j int) {
-	q.a[i], q.a[j] = q.a[j], q.a[i]
-	q.pos[q.a[i].ID] = i
-	q.pos[q.a[j].ID] = j
-}
-
-func (q *IndexedQueue) up(i int) {
+// up places item into the hole at slot i, moving larger ancestors down and
+// recording every slot it writes.
+func (q *IndexedQueue) up(i int, item Item) {
+	a := q.a
 	for i > 0 {
-		parent := (i - 1) / 2
-		if q.a[parent].Key <= q.a[i].Key {
+		parent := (i - 1) >> 2
+		if a[parent].Key <= item.Key {
 			break
 		}
-		q.swap(i, parent)
+		a[i] = a[parent]
+		q.pos.Put(a[i].ID, int32(i))
 		i = parent
 	}
-}
-
-func (q *IndexedQueue) down(i int) {
-	n := len(q.a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && q.a[r].Key < q.a[l].Key {
-			c = r
-		}
-		if q.a[c].Key >= q.a[i].Key {
-			break
-		}
-		q.swap(i, c)
-		i = c
-	}
+	a[i] = item
+	q.pos.Put(item.ID, int32(i))
 }

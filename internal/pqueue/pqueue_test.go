@@ -105,7 +105,7 @@ func TestMaxQueueRemove(t *testing.T) {
 }
 
 func TestIndexedQueueDecreaseKey(t *testing.T) {
-	q := NewIndexedQueue(0)
+	q := NewIndexedQueue(3)
 	q.PushOrDecrease(1, 10)
 	q.PushOrDecrease(2, 20)
 	if !q.PushOrDecrease(2, 5) {
@@ -131,8 +131,8 @@ func TestIndexedQueueRandomAgainstQueue(t *testing.T) {
 	// With unique ids and monotone insertion, IndexedQueue and a sort give
 	// the same order.
 	rng := rand.New(rand.NewSource(42))
-	q := NewIndexedQueue(0)
 	keys := make([]int64, 300)
+	q := NewIndexedQueue(len(keys))
 	for i := range keys {
 		keys[i] = int64(rng.Intn(1000))
 		q.PushOrDecrease(int32(i), keys[i])

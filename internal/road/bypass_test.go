@@ -76,7 +76,9 @@ func unitGrid(rows, cols int) *graph.Graph {
 // refKNN carries the reference expansion, whose methods shadow the current
 // ones of the same names: the loop as it was before closed shortcut rows
 // were skipped, kept verbatim apart from rows, which counts the shortcut
-// rows it relaxed.
+// rows it relaxed, and the queue, which is the method's decrease-key
+// IndexedQueue (on the old duplicate-tolerant Queue, ties pop in another
+// order and settled counts drift by one).
 type refKNN struct {
 	*KNN
 	rows int
@@ -100,9 +102,6 @@ func (x *refKNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	for !x.q.Empty() && found < k {
 		it := x.q.Pop()
 		v, d := it.ID, graph.Dist(it.Key)
-		if d != x.dist.Get(v) {
-			continue // stale duplicate: v was settled through a shorter entry
-		}
 		x.VisitedVertices++
 		if x.interrupt != nil && x.VisitedVertices%knn.InterruptStride == 0 && x.interrupt() {
 			break
@@ -170,6 +169,6 @@ func (x *refKNN) relaxEdges(v int32, d graph.Dist, skipInside int32) {
 
 func (x *refKNN) push(t int32, nd graph.Dist) {
 	if x.dist.Lower(t, nd) {
-		x.q.Push(t, int64(nd))
+		x.q.PushOrDecrease(t, int64(nd))
 	}
 }

@@ -230,7 +230,7 @@ func (ad *AssociationDirectory) SizeBytes() int {
 type KNN struct {
 	idx  *Index
 	ad   *AssociationDirectory
-	q    *pqueue.Queue
+	q    *pqueue.IndexedQueue
 	dist *scratch.Dists
 	// qAnc[level] is the ancestor Rnet of the query leaf at that level (one
 	// entry per tree level), used to reject bypassing any Rnet containing
@@ -261,7 +261,7 @@ func NewKNN(idx *Index, ad *AssociationDirectory) *KNN {
 	x := &KNN{
 		idx:  idx,
 		ad:   ad,
-		q:    pqueue.NewQueue(1024),
+		q:    pqueue.NewIndexedQueue(idx.G.NumVertices()),
 		dist: scratch.NewDists(idx.G.NumVertices()),
 		qAnc: make([]int32, idx.PT.Height()),
 		via:  make([]uint8, idx.G.NumVertices()),
@@ -318,9 +318,6 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	for !x.q.Empty() && found < k {
 		it := x.q.Pop()
 		v, d := it.ID, graph.Dist(it.Key)
-		if d != x.dist.Get(v) {
-			continue // stale duplicate: v was settled through a shorter entry
-		}
 		x.VisitedVertices++
 		if x.interrupt != nil && x.VisitedVertices%knn.InterruptStride == 0 && x.interrupt() {
 			break
@@ -412,14 +409,16 @@ func (x *KNN) relaxEdges(v int32, d graph.Dist, skipInside int32) {
 	}
 }
 
-// push enqueues t at distance nd unless its label is already as small (the
-// same duplicate suppression INE uses; see scratch.Dists for why it also
-// keeps settled vertices out), recording via, the level of the Rnet whose
-// shortcut row offered nd (0 for an edge).
+// push queues t at distance nd, or lowers its queued key, unless its label
+// is already as small (see scratch.Dists for why that also keeps settled
+// vertices out), recording via, the level of the Rnet whose shortcut row
+// offered nd (0 for an edge). The queue holds each vertex once, so every
+// pop settles one: a border that several rows offer a lower label moves up
+// in place instead of leaving a stale entry behind.
 func (x *KNN) push(t int32, nd graph.Dist, via uint8) {
 	if x.dist.Lower(t, nd) {
 		x.via[t] = via
-		x.q.Push(t, int64(nd))
+		x.q.PushOrDecrease(t, int64(nd))
 	}
 }
 

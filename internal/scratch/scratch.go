@@ -119,27 +119,32 @@ func (s *Set) Contains(v int32) bool { return s.stamp[v] == s.cur }
 
 // Map32 is a stamped sparse int32-to-int32 map over keys in [0, n): the
 // allocation-free replacement for the per-query (and per-build-step)
-// map[int32]int32 position maps. Lookup and store are array indexing.
+// map[int32]int32 position maps. Lookup and store are array indexing, and
+// a key's value sits beside its stamp, so one touches one cache line.
 type Map32 struct {
-	val   []int32
-	stamp []uint32
-	cur   uint32
+	a   []entry32
+	cur uint32
+}
+
+type entry32 struct {
+	val   int32
+	stamp uint32
 }
 
 // NewMap32 returns a stamped map over n key slots.
 func NewMap32(n int) *Map32 {
-	return &Map32{val: make([]int32, n), stamp: make([]uint32, n), cur: 1}
+	return &Map32{a: make([]entry32, n), cur: 1}
 }
 
 // Len returns the number of key slots.
-func (m *Map32) Len() int { return len(m.val) }
+func (m *Map32) Len() int { return len(m.a) }
 
 // Reset empties the map in O(1).
 func (m *Map32) Reset() {
 	m.cur++
 	if m.cur == 0 {
-		for i := range m.stamp {
-			m.stamp[i] = 0
+		for i := range m.a {
+			m.a[i].stamp = 0
 		}
 		m.cur = 1
 	}
@@ -147,14 +152,14 @@ func (m *Map32) Reset() {
 
 // Get returns the value stored under k and whether k is present.
 func (m *Map32) Get(k int32) (int32, bool) {
-	if m.stamp[k] != m.cur {
+	e := m.a[k]
+	if e.stamp != m.cur {
 		return 0, false
 	}
-	return m.val[k], true
+	return e.val, true
 }
 
 // Put stores v under k.
 func (m *Map32) Put(k, v int32) {
-	m.val[k] = v
-	m.stamp[k] = m.cur
+	m.a[k] = entry32{v, m.cur}
 }

@@ -82,7 +82,7 @@ func TestGenerationWrap(t *testing.T) {
 	m := NewMap32(4)
 	m.Put(0, 1)
 	m.cur = ^uint32(0)
-	m.stamp[3] = 1
+	m.a[3].stamp = 1
 	m.Reset()
 	if _, ok := m.Get(0); ok {
 		t.Fatal("stale map entry survived the wrap")

@@ -415,6 +415,115 @@ func TestOpenSnapshotFileHostileROADLevels(t *testing.T) {
 	}
 }
 
+// TestOpenSnapshotFileHostilePartitionRanges: G-tree and ROAD answer "is v
+// inside this node" from the partition tree's leaf-sequence ranges (LeafLo,
+// LeafHi per node, LeafSeq per vertex). A snapshot whose ranges do not nest
+// as the built tree's do, re-framed so its checksum holds, must be refused
+// with ErrBadSnapshot on the verified and the mapped path alike, whichever
+// index's tree carries them: accepted, Contains(root, q) can be false and
+// G-tree's border walk reads the node before the root.
+func TestOpenSnapshotFileHostilePartitionRanges(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 20, Cols: 20, Seed: 8})
+	objs := gen.Uniform(g, 0.1, 3)
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.Gtree, rnknn.ROAD), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+	built, err := rnknn.Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.SaveIndexes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// tree is a decoded copy of a section's tree; lo and hi are the
+	// payload's LeafLo and LeafHi words per node, seq its LeafSeq array.
+	type fields struct {
+		tree   *partition.Tree
+		lo, hi [][]byte
+		seq    []byte
+	}
+	header := func(sr *snapio.Source) { sr.U16(); sr.U32() } // version, then tau or levels
+	locate := func(payload []byte) fields {
+		sr := snapio.NewSource(payload, false)
+		header(sr)
+		var f fields
+		f.tree = partition.Decode(sr, g.NumVertices())
+		sr = snapio.NewSource(payload, false)
+		header(sr)
+		sr.U32() // fanout
+		count := int(sr.U32())
+		for range count {
+			sr.U32()
+			sr.U32()
+			at := len(payload) - sr.Remaining()
+			f.lo, f.hi = append(f.lo, payload[at:at+4]), append(f.hi, payload[at+4:at+8])
+			sr.U32()
+			sr.U32()
+			sr.AlignedRaw(4, 4) // children
+			sr.AlignedRaw(4, 4) // vertices
+		}
+		sr.AlignedRaw(4, 4) // leafOf
+		_, f.seq, _ = sr.AlignedRaw(4, 4)
+		if sr.Err() != nil || f.tree == nil {
+			t.Fatalf("locating the partition tree: %v", sr.Err())
+		}
+		return f
+	}
+	add := func(b []byte, d int32) {
+		binary.LittleEndian.PutUint32(b, uint32(int32(binary.LittleEndian.Uint32(b))+d))
+	}
+	q := int32(g.NumVertices() / 2)
+	dir := t.TempDir()
+	for _, section := range []string{"Gtree", "ROAD"} {
+		for name, tamper := range map[string]func(f fields){
+			"a leaf covers two slots": func(f fields) { add(f.hi[f.tree.LeafOf[q]], 1) },
+			"the root misses a slot":  func(f fields) { add(f.hi[0], -1) },
+			"children out of order": func(f fields) {
+				c := f.tree.Nodes[0].Children
+				for _, w := range [][]byte{f.lo[c[0]], f.hi[c[0]]} {
+					add(w, f.tree.Nodes[c[1]].LeafLo)
+				}
+			},
+			"leafSeq[q] past every leaf": func(f fields) { add(f.seq[4*q:], 1<<20) },
+			"leafSeq[q] in another leaf": func(f fields) { add(f.seq[4*q:], 1) },
+		} {
+			data := bytes.Clone(buf.Bytes())
+			_, payloads, err := snapshot.Parse(data, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range payloads {
+				if p.Name == section {
+					tamper(locate(p.Data))
+				}
+			}
+			data = reframe(t, data)
+			if bytes.Equal(data, reframe(t, buf.Bytes())) {
+				t.Fatalf("%s, %s: tampering left the snapshot unchanged", section, name)
+			}
+			path := filepath.Join(dir, "hostile.rnks")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			open := map[string]func() (*rnknn.DB, error){
+				"verified": func() (*rnknn.DB, error) { return rnknn.OpenFromSnapshot(g, bytes.NewReader(data), opts...) },
+				"mapped":   func() (*rnknn.DB, error) { return rnknn.OpenSnapshotFile(path, opts...) },
+			}
+			for how, open := range open {
+				db, err := open()
+				if err == nil {
+					for _, m := range []rnknn.Method{rnknn.Gtree, rnknn.ROAD} {
+						db.KNN(context.Background(), q, 5, rnknn.WithMethod(m))
+					}
+					db.Close()
+				}
+				if !errors.Is(err, rnknn.ErrBadSnapshot) {
+					t.Errorf("%s, %s: %s open: want ErrBadSnapshot, got %v", section, name, how, err)
+				}
+			}
+		}
+	}
+}
+
 // TestOpenSnapshotFileHostileGraphArrays: every search slices the edge
 // arrays by vertex offset and subscripts per-vertex state by edge target.
 // A Graph section with one offset past |E| or one target outside [0, |V|)
