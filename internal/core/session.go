@@ -156,8 +156,8 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 }
 
 // The session wrappers embed the concrete methods (promoting KNN, Name,
-// Range and SetInterrupt where available) and adapt Rebind to each method's
-// own object-swap hook.
+// Range, KNNWithinAppend and SetInterrupt where available) and adapt Rebind
+// to each method's own object-swap hook.
 
 type ineSession struct{ *ine.INE }
 
@@ -192,9 +192,13 @@ func (s disbrwSession) Rebind(b *Binding) { s.DisBrw.SetObjects(b.oh) }
 
 var (
 	// Range queries: INE's expansion, and Euclidean restriction over every
-	// IER oracle (the promoted RangeAppend of the embedded methods).
+	// IER oracle (the promoted RangeAppend of the embedded methods); and
+	// kNN cut off at a bound by the same two stop rules (the promoted
+	// KNNWithinAppend, which pkg/rnknn's shard fan calls).
 	_ knn.RangeMethod   = ineSession{}
 	_ knn.RangeMethod   = (*ierSession)(nil)
+	_ knn.BoundedMethod = ineSession{}
+	_ knn.BoundedMethod = (*ierSession)(nil)
 	_ knn.Interruptible = ineSession{}
 	_ knn.Interruptible = (*ierSession)(nil)
 	_ knn.Interruptible = gtreeSession{}

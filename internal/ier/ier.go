@@ -124,17 +124,25 @@ func (x *IER) KNN(qv int32, k int) []knn.Result {
 
 // KNNAppend implements knn.Method's zero-allocation form.
 func (x *IER) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
+	return x.KNNWithinAppend(qv, k, graph.Inf, dst)
+}
+
+// KNNWithinAppend implements knn.BoundedMethod: the k nearest objects at
+// distance <= bound, appended to dst. The scan stops at the first object
+// whose Euclidean lower bound exceeds bound, RangeAppend's stop rule, and a
+// candidate verified beyond bound is a false hit; KNNAppend is the bound =
+// graph.Inf case.
+func (x *IER) KNNWithinAppend(qv int32, k int, bound graph.Dist, dst []knn.Result) []knn.Result {
 	x.out = dst
-	x.KNNStream(qv, k, x.collect)
+	x.stream(qv, k, bound, x.collect)
 	dst = x.out
 	x.out = nil
 	return dst
 }
 
-// KNNStream implements knn.Streamer and is the one search implementation
-// (KNN collects it): the best-first R-tree scan with each verified
-// candidate yielded as soon as it is provably final. The
-// R-tree emits objects in nondecreasing Euclidean-lower-bound order, so
+// KNNStream implements knn.Streamer: the best-first R-tree scan with each
+// verified candidate yielded as soon as it is provably final. The R-tree
+// emits objects in nondecreasing Euclidean-lower-bound order, so
 // every later object verifies at a network distance of at least the scan's
 // current lower bound lb; a candidate already verified at distance <= lb
 // can therefore never be displaced from the top k and is safe to emit.
@@ -142,6 +150,12 @@ func (x *IER) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 // min-heap of pending (verified, unemitted) results; a candidate evicted
 // from the top-k max-heap is lazily invalidated.
 func (x *IER) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
+	x.stream(qv, k, graph.Inf, yield)
+}
+
+// stream is the one kNN loop, behind KNNStream and KNNWithinAppend (and so
+// KNN): the scan above, cut off at bound.
+func (x *IER) stream(qv int32, k int, bound graph.Dist, yield func(knn.Result) bool) {
 	x.FalseHits = 0
 	x.OracleCalls = 0
 	x.Evictions = 0
@@ -169,12 +183,14 @@ func (x *IER) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 		if !x.emitPending(lb, yield) {
 			return
 		}
-		if len(x.cand) == k && lb >= dk {
+		if len(x.cand) == k && lb >= dk || lb > bound {
 			break
 		}
 		d := src.DistanceTo(nb.ID)
 		x.OracleCalls++
-		if len(x.cand) < k {
+		if d > bound {
+			x.FalseHits++
+		} else if len(x.cand) < k {
 			candPush(&x.cand, knn.Result{Vertex: nb.ID, Dist: d})
 			minPush(&x.pending, knn.Result{Vertex: nb.ID, Dist: d})
 			if len(x.cand) == k {
@@ -256,6 +272,7 @@ var (
 	_ knn.RangeMethod   = (*IER)(nil)
 	_ knn.Interruptible = (*IER)(nil)
 	_ knn.Streamer      = (*IER)(nil)
+	_ knn.BoundedMethod = (*IER)(nil)
 )
 
 // minPush and minPop maintain a min-heap of results keyed by distance (the

@@ -49,13 +49,14 @@ func csr(n int, arcs []arc) *graph.Graph {
 func edge(u, v, w int32) []arc { return []arc{{u, v, w}, {v, u, w}} }
 
 // chainGraph decodes data into a graph of at most 64 vertices rich in
-// degree-2 vertices, an object set, a query vertex, k and a radius. The
-// first five bytes pick the query, k, the radius, the object pattern and
-// the weight view; each following op byte appends one shape over vertices
+// degree-2 vertices, an object set, a query vertex, k, a radius and a kNN
+// bound. The first five bytes pick the query, k, the radius, the object
+// pattern, and the weight view (low bit) with the bound (the other seven: 0
+// to 126, and 127 for graph.Inf); each following op byte appends one shape over vertices
 // already present: a chain between two of them, a lollipop, a pure cycle,
 // a dead-end chain, a pair of parallel edges, a one-way arc, a self-loop or
 // a plain edge. Missing bytes read as zero.
-func chainGraph(data []byte) (*graph.Graph, *knn.ObjectSet, int32, int, graph.Dist) {
+func chainGraph(data []byte) (*graph.Graph, *knn.ObjectSet, int32, int, graph.Dist, graph.Dist) {
 	next := func() int32 {
 		if len(data) == 0 {
 			return 0
@@ -122,19 +123,29 @@ func chainGraph(data []byte) (*graph.Graph, *knn.ObjectSet, int32, int, graph.Di
 			objs = append(objs, v)
 		}
 	}
-	return g, knn.NewObjectSet(g, objs), qb % n, 1 + int(kb%8), graph.Dist(rb)
+	bound := graph.Dist(view >> 1)
+	if bound == 127 {
+		bound = graph.Inf
+	}
+	return g, knn.NewObjectSet(g, objs), qb % n, 1 + int(kb%8), graph.Dist(rb), bound
 }
 
-// checkAgainstBruteForce fails t unless INE's KNN and Range from q agree
-// with the brute-force scans: KNN under knn.SameResults, Range exactly up
-// to the order of ties.
-func checkAgainstBruteForce(t *testing.T, g *graph.Graph, objs *knn.ObjectSet, q int32, k int, radius graph.Dist) {
+// checkAgainstBruteForce fails t unless INE's KNN, bounded KNN and Range
+// from q agree with the brute-force scans: KNN under knn.SameResults, the
+// bounded form against the first k of the brute-force range within bound,
+// Range exactly up to the order of ties.
+func checkAgainstBruteForce(t *testing.T, g *graph.Graph, objs *knn.ObjectSet, q int32, k int, radius, bound graph.Dist) {
 	t.Helper()
 	x := ine.New(g, objs)
 	if got, want := x.KNN(q, k), knn.BruteForce(g, objs, q, k); !knn.SameResults(got, want) {
 		t.Fatalf("KNN(%d, %d) = %s, brute force %s", q, k, knn.FormatResults(got), knn.FormatResults(want))
 	}
 	byDist := func(a, b knn.Result) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Vertex, b.Vertex)) }
+	within := knn.BruteForceRange(g, objs, q, bound)
+	slices.SortFunc(within, byDist)
+	if got, want := x.KNNWithinAppend(q, k, bound, nil), within[:min(k, len(within))]; !knn.SameResults(got, want) {
+		t.Fatalf("KNNWithinAppend(%d, %d, %d) = %s, brute force %s", q, k, bound, knn.FormatResults(got), knn.FormatResults(want))
+	}
 	got, want := x.Range(q, radius), knn.BruteForceRange(g, objs, q, radius)
 	slices.SortFunc(got, byDist)
 	slices.SortFunc(want, byDist)
@@ -146,19 +157,19 @@ func checkAgainstBruteForce(t *testing.T, g *graph.Graph, objs *knn.ObjectSet, q
 // FuzzINEMatchesBruteForce checks INE's chain walk on graphs made mostly of
 // chains (see chainGraph): pure cycles, lollipops, parallel arcs,
 // self-loops, one-way arcs, objects and queries inside chains, under both
-// weight views.
+// weight views, unbounded and cut off at a bound.
 func FuzzINEMatchesBruteForce(f *testing.F) {
-	// header: query, k, radius, objects, view; then hubs and ops.
-	f.Add([]byte{0, 3, 40, 1, 0, 1, 0, 0, 1, 5, 1, 2, 3, 4, 5, 6})
-	f.Add([]byte{5, 2, 30, 2, 1, 0, 1, 0, 3, 1, 2, 3, 4, 5})              // lollipop
-	f.Add([]byte{2, 1, 20, 3, 0, 0, 2, 5, 1, 1, 1, 1, 1, 1})              // pure cycle
-	f.Add([]byte{1, 4, 60, 0, 1, 1, 4, 0, 1, 3, 7, 0, 0, 1, 4, 2, 2, 2})  // parallel edges
-	f.Add([]byte{3, 2, 50, 4, 0, 2, 0, 0, 1, 4, 2, 3, 5, 1, 2, 6, 3, 4})  // chain, then a one-way arc
-	f.Add([]byte{4, 5, 90, 1, 1, 0, 3, 0, 5, 2, 3, 4, 5, 6, 6, 2, 3, 3})  // dead end and a self-loop
-	f.Add([]byte{7, 8, 255, 5, 0, 2, 0, 0, 2, 1, 1, 1, 0, 1, 0, 3, 2, 2}) // two chains between hubs
-	f.Add([]byte("00010029000$01000012Y7X%1X01A000"))                     // a one-way arc into a chain vertex
+	// header: query, k, radius, objects, view and bound; then hubs and ops.
+	f.Add([]byte{0, 3, 40, 1, 40, 1, 0, 0, 1, 5, 1, 2, 3, 4, 5, 6})
+	f.Add([]byte{5, 2, 30, 2, 31, 0, 1, 0, 3, 1, 2, 3, 4, 5})              // lollipop
+	f.Add([]byte{2, 1, 20, 3, 0, 0, 2, 5, 1, 1, 1, 1, 1, 1})               // pure cycle
+	f.Add([]byte{1, 4, 60, 0, 255, 1, 4, 0, 1, 3, 7, 0, 0, 1, 4, 2, 2, 2}) // parallel edges
+	f.Add([]byte{3, 2, 50, 4, 0, 2, 0, 0, 1, 4, 2, 3, 5, 1, 2, 6, 3, 4})   // chain, then a one-way arc
+	f.Add([]byte{4, 5, 90, 1, 1, 0, 3, 0, 5, 2, 3, 4, 5, 6, 6, 2, 3, 3})   // dead end and a self-loop
+	f.Add([]byte{7, 8, 255, 5, 0, 2, 0, 0, 2, 1, 1, 1, 0, 1, 0, 3, 2, 2})  // two chains between hubs
+	f.Add([]byte("00010029000$01000012Y7X%1X01A000"))                      // a one-way arc into a chain vertex
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, objs, q, k, radius := chainGraph(data)
-		checkAgainstBruteForce(t, g, objs, q, k, radius)
+		g, objs, q, k, radius, bound := chainGraph(data)
+		checkAgainstBruteForce(t, g, objs, q, k, radius, bound)
 	})
 }

@@ -18,6 +18,8 @@
 package ine
 
 import (
+	"math"
+
 	"rnknn/internal/graph"
 	"rnknn/internal/knn"
 	"rnknn/internal/pqueue"
@@ -95,8 +97,16 @@ func (x *INE) KNN(qv int32, k int) []knn.Result {
 // KNNAppend implements knn.Method: the zero-allocation query form (the
 // caller owns dst, the session owns everything else).
 func (x *INE) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
+	return x.KNNWithinAppend(qv, k, graph.Inf, dst)
+}
+
+// KNNWithinAppend implements knn.BoundedMethod: the k nearest objects at
+// distance <= bound, appended to dst. The expansion stops at bound as
+// RangeAppend's stops at its radius — relax pushes no vertex past it, so
+// none beyond it is settled — and KNNAppend is the bound = graph.Inf case.
+func (x *INE) KNNWithinAppend(qv int32, k int, bound graph.Dist, dst []knn.Result) []knn.Result {
 	x.out = dst
-	x.KNNStream(qv, k, x.collect)
+	x.stream(qv, k, bound, x.collect)
 	dst = x.out
 	x.out = nil
 	return dst
@@ -108,6 +118,13 @@ func (x *INE) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 // yielded long before the k-th is found, and a false return from yield
 // abandons the rest of the expansion.
 func (x *INE) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
+	x.stream(qv, k, graph.Inf, yield)
+}
+
+// stream is INE's one search loop, behind KNNStream, KNNWithinAppend and
+// RangeAppend: it settles vertices in nondecreasing distance order up to
+// bound and yields each object settled, until k are found.
+func (x *INE) stream(qv int32, k int, bound graph.Dist, yield func(knn.Result) bool) {
 	x.begin(qv)
 	found := 0
 	for !x.q.Empty() && found < k {
@@ -129,14 +146,13 @@ func (x *INE) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 				break
 			}
 		}
-		x.relax(v, d, graph.Inf)
+		x.relax(v, d, bound)
 	}
 }
 
 // relax takes every arc out of v, settled at distance d, walking the
 // chains beyond it (Hops), and pushes each vertex it lands on whose label
-// it lowers to at most bound: the one relax step of KNNStream and
-// RangeAppend.
+// it lowers to at most bound: the one relax step of stream.
 func (x *INE) relax(v int32, d, bound graph.Dist) {
 	lo, hi := x.g.Offsets[v], x.g.Offsets[v+1]
 	ts, ws, hs := x.g.Targets[lo:hi], x.g.W[lo:hi], x.hops.arc[lo:hi]
@@ -168,28 +184,10 @@ func (x *INE) Range(qv int32, radius graph.Dist) []knn.Result {
 	return x.RangeAppend(qv, radius, nil)
 }
 
-// RangeAppend implements knn.RangeMethod's caller-owned-buffer form.
+// RangeAppend implements knn.RangeMethod's caller-owned-buffer form: every
+// object within radius, which is KNNWithinAppend with no limit on k.
 func (x *INE) RangeAppend(qv int32, radius graph.Dist, dst []knn.Result) []knn.Result {
-	x.begin(qv)
-	for !x.q.Empty() {
-		it := x.q.Pop()
-		v, d := it.ID, graph.Dist(it.Key)
-		if d != x.dist.Get(v) {
-			continue
-		}
-		if d > radius {
-			break
-		}
-		x.VisitedVertices++
-		if x.interrupt != nil && x.VisitedVertices%knn.InterruptStride == 0 && x.interrupt() {
-			break
-		}
-		if x.objs.Contains(v) {
-			dst = append(dst, knn.Result{Vertex: v, Dist: d})
-		}
-		x.relax(v, d, radius)
-	}
-	return dst
+	return x.KNNWithinAppend(qv, math.MaxInt, radius, dst)
 }
 
 var (
@@ -197,4 +195,5 @@ var (
 	_ knn.RangeMethod   = (*INE)(nil)
 	_ knn.Interruptible = (*INE)(nil)
 	_ knn.Streamer      = (*INE)(nil)
+	_ knn.BoundedMethod = (*INE)(nil)
 )

@@ -122,7 +122,7 @@ func TestINEChainShapes(t *testing.T) {
 				for q := range int32(c.n) {
 					for _, k := range []int{1, 2, 3, c.n} {
 						for _, radius := range []graph.Dist{0, 3, 7, 20} {
-							checkAgainstBruteForce(t, g, objs, q, k, radius)
+							checkAgainstBruteForce(t, g, objs, q, k, radius, radius)
 						}
 					}
 				}
@@ -156,6 +156,6 @@ func TestHopsSizeLinear(t *testing.T) {
 	}
 	objs := knn.NewObjectSet(g, []int32{n / 3, n + n/2, 2*n + n/4, 3*n - 2})
 	for _, q := range []int32{0, n / 2, n - 1, n, n + 7, 2 * n, 2*n + n/2, 3*n - 1} {
-		checkAgainstBruteForce(t, g, objs, q, 2, 5*n)
+		checkAgainstBruteForce(t, g, objs, q, 2, 5*n, n)
 	}
 }

@@ -57,6 +57,18 @@ type RangeMethod interface {
 	RangeAppend(q int32, radius graph.Dist, dst []Result) []Result
 }
 
+// BoundedMethod is implemented by methods whose kNN search can stop at a
+// distance bound: KNNWithinAppend appends the k nearest objects at network
+// distance <= bound (inclusive, as a range), in nondecreasing distance
+// order, and KNNAppend is its bound = graph.Inf case. The stop rule is the
+// one the method's range form already has — INE's bounded expansion, the
+// IER family's Euclidean-lower-bound break — so a caller that knows no
+// answer beyond some distance can matter (pkg/rnknn's shard fan, with the
+// running k-th distance) skips the search past it.
+type BoundedMethod interface {
+	KNNWithinAppend(q int32, k int, bound graph.Dist, dst []Result) []Result
+}
+
 // Interruptible is implemented by methods whose scans can abort early: the
 // installed check is polled periodically during expansion, and a true
 // return stops the scan, which returns whatever it has found so far.

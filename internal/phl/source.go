@@ -82,7 +82,12 @@ func (x *Index) NewSource() *Source {
 func (p *Source) Name() string { return p.x.Name() }
 
 // NewSource implements knn.SourceFactory: un-pin the previous source, pin s.
+// Asked for the vertex it already pins, it returns at once: the shard fan
+// searches every cell it opens from the same query vertex.
 func (p *Source) NewSource(s int32) knn.SourceOracle {
+	if s == p.s {
+		return p
+	}
 	if p.s >= 0 {
 		hubs, _ := p.x.label(p.s)
 		p.tmp.clear(hubs)

@@ -22,19 +22,25 @@ type pooledSession struct {
 	// in is the session's interrupt hook, nil when the method's scans are
 	// not interruptible.
 	in knn.Interruptible
+	// within is the session's bounded kNN, nil when the method has no
+	// distance-bounded form (see searchWithin).
+	within knn.BoundedMethod
 	// ctx is the context check reads; set by arm, cleared by disarm.
 	ctx   context.Context
 	check func() bool
 	// buf is scratch for queries whose results are copied into an
 	// exact-size slice at the API boundary.
 	buf []Result
-	// order is scratch for a fan's cell visiting order (see DB.fan).
-	order []cellBound
+	// order and merged are scratch for a fan: its cell visiting order and
+	// the running top-k merged with one cell's answer (see DB.fan).
+	order  []cellBound
+	merged []Result
 }
 
 func newPooledSession(s core.Session) *pooledSession {
 	ps := &pooledSession{sess: s}
 	ps.in, _ = s.(knn.Interruptible)
+	ps.within, _ = s.(knn.BoundedMethod)
 	ps.check = func() bool { return ps.ctx != nil && ps.ctx.Err() != nil }
 	return ps
 }
@@ -63,6 +69,17 @@ func (ps *pooledSession) search(qr *query, dst []Result) []Result {
 		return ps.sess.(knn.RangeMethod).RangeAppend(qr.v, qr.radius, dst)
 	}
 	return ps.sess.KNNAppend(qr.v, qr.k, dst)
+}
+
+// searchWithin is search for a kNN query whose answer cannot use an object
+// farther than bound: the method's bounded search where it has one (INE,
+// the IER family), else its plain search, whose results past bound the
+// caller drops.
+func (ps *pooledSession) searchWithin(qr *query, bound Dist, dst []Result) []Result {
+	if ps.within == nil {
+		return ps.search(qr, dst)
+	}
+	return ps.within.KNNWithinAppend(qr.v, qr.k, bound, dst)
 }
 
 // sessionPool hands out single-goroutine query sessions of one method kind.

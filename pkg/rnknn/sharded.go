@@ -312,7 +312,10 @@ type cellBound struct {
 // every object is farther can change the answer. The threshold is the radius
 // for a range query; for kNN it is the running k-th distance, tightened after
 // every cell (∞ while fewer than k results are in hand, so then every cell
-// is consulted). Results land in dst sorted by (distance, vertex).
+// is consulted). A kNN search inside a cell stops at the threshold too
+// (searchWithin; inclusive, so an object tied with the running k-th still
+// competes for its place), and its sorted answer is merged into the running
+// top-k in one pass. Results land in dst sorted by (distance, vertex).
 func (db *DB) fan(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, dst []Result) []Result {
 	order := ps.order[:0]
 	for i, p := range ep.parts {
@@ -332,13 +335,18 @@ func (db *DB) fan(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, 
 		}
 		db.shards.opened[c.cell].Add(1)
 		ps.sess.Rebind(ep.parts[c.cell])
-		dst = ps.search(qr, dst)
 		if qr.isRange {
+			dst = ps.search(qr, dst)
 			continue
 		}
-		slices.SortFunc(dst[mark:], knn.ByDistVertex)
+		top := len(dst)
+		dst = ps.searchWithin(qr, threshold, dst)
+		slices.SortFunc(dst[top:], knn.ByDistVertex)
+		if top > mark {
+			ps.merged = mergeTopK(ps.merged[:0], dst[mark:top], dst[top:], qr.k)
+			dst = append(dst[:mark], ps.merged...)
+		}
 		if len(dst)-mark >= qr.k {
-			dst = dst[:mark+qr.k]
 			threshold = dst[len(dst)-1].Dist
 		}
 	}
@@ -346,6 +354,19 @@ func (db *DB) fan(ctx context.Context, ps *pooledSession, qr *query, ep *epoch, 
 		slices.SortFunc(dst[mark:], knn.ByDistVertex)
 	}
 	return dst
+}
+
+// mergeTopK appends to out the first k results of the union of a and b, both
+// sorted by (distance, vertex), in that order.
+func mergeTopK(out, a, b []Result, k int) []Result {
+	for len(out) < k && (len(a) > 0 || len(b) > 0) {
+		if len(b) == 0 || len(a) > 0 && knn.ByDistVertex(a[0], b[0]) <= 0 {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return out
 }
 
 // cellStream is one cell's streaming search inside mergeCells. It is opened

@@ -3,6 +3,7 @@ package rnknn_test
 import (
 	"context"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,10 +18,11 @@ var shardedBench struct {
 	once        sync.Once
 	mono, cells *rnknn.DB
 	qs          []int32
+	radius      rnknn.Dist
 	err         error
 }
 
-func shardedBenchFixture(b *testing.B) (mono, cells *rnknn.DB, qs []int32) {
+func shardedBenchFixture(b *testing.B) (mono, cells *rnknn.DB, qs []int32, radius rnknn.Dist) {
 	f := &shardedBench
 	f.once.Do(func() {
 		spec, _ := gen.LadderSpec("NW")
@@ -50,11 +52,23 @@ func shardedBenchFixture(b *testing.B) (mono, cells *rnknn.DB, qs []int32) {
 			}
 		}
 		f.qs = gen.QueryVertices(g, 512, 11)
+		// The mix row's range radius, as rnbench draws it: the median
+		// distance to the 10th neighbour at d0.01.
+		tenth := make([]rnknn.Dist, 0, len(f.qs))
+		for _, q := range f.qs {
+			res, err := f.mono.KNN(context.Background(), q, 10, rnknn.WithCategory("d0.01"))
+			if f.err = err; err != nil {
+				return
+			}
+			tenth = append(tenth, res[len(res)-1].Dist)
+		}
+		slices.Sort(tenth)
+		f.radius = tenth[len(tenth)/2]
 	})
 	if f.err != nil {
 		b.Fatal(f.err)
 	}
-	return f.mono, f.cells, f.qs
+	return f.mono, f.cells, f.qs, f.radius
 }
 
 // BenchmarkShardedKNN is what partitioning a category costs one caller:
@@ -64,10 +78,13 @@ func shardedBenchFixture(b *testing.B) (mono, cells *rnknn.DB, qs []int32) {
 // d0.001). The KNNSeq rows are the streaming form of the same query — time
 // to the first neighbor and the full drain — which on the shard set is the
 // lazy merge of the per-cell streams (mergeCells). cells/op is how many cells
-// the bounds let a query open. Compare across -cpu 1,2: the fan and the merge
-// run on the caller's goroutine.
+// the bounds let a query open. The Mix-d0.01 rows are http-sharded's op mix on
+// the same two DBs: d0.01, MethodAuto kNN with k cycling over {1, 5, 10, 25,
+// 50}, and one op in ten a method-less Range at the median 10th-neighbour
+// distance. Compare across -cpu 1,2: the fan and the merge run on the
+// caller's goroutine.
 func BenchmarkShardedKNN(b *testing.B) {
-	mono, cells, qs := shardedBenchFixture(b)
+	mono, cells, qs, radius := shardedBenchFixture(b)
 	ctx := context.Background()
 	opened := func(db *rnknn.DB) (n uint64) {
 		for _, sh := range db.Stats().Shards {
@@ -102,6 +119,10 @@ func BenchmarkShardedKNN(b *testing.B) {
 		{"/KNNSeq-first", stream(1)},
 		{"/KNNSeq-drain", stream(k)},
 	}
+	sides := []struct {
+		name string
+		db   *rnknn.DB
+	}{{"mono", mono}, {"cells=4", cells}}
 	for _, w := range []struct {
 		name, category string
 		method         rnknn.Method
@@ -109,10 +130,7 @@ func BenchmarkShardedKNN(b *testing.B) {
 		{"Auto-d0.01", "d0.01", rnknn.MethodAuto},
 		{"INE-d0.001", "d0.001", rnknn.INE},
 	} {
-		for _, side := range []struct {
-			name string
-			db   *rnknn.DB
-		}{{"mono", mono}, {"cells=4", cells}} {
+		for _, side := range sides {
 			for _, op := range ops {
 				b.Run(w.name+"/"+side.name+op.suffix, func(b *testing.B) {
 					opts := []rnknn.QueryOption{rnknn.WithMethod(w.method), rnknn.WithCategory(w.category)}
@@ -128,5 +146,27 @@ func BenchmarkShardedKNN(b *testing.B) {
 				})
 			}
 		}
+	}
+	mixKs := []int{1, 5, 10, 25, 50}
+	for _, side := range sides {
+		b.Run("Mix-d0.01/"+side.name, func(b *testing.B) {
+			cat, auto := rnknn.WithCategory("d0.01"), rnknn.WithMethod(rnknn.MethodAuto)
+			before := opened(side.db)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				var err error
+				if i%10 == 9 {
+					_, err = side.db.Range(ctx, q, radius, cat)
+				} else {
+					_, err = side.db.KNN(ctx, q, mixKs[i/10%len(mixKs)], cat, auto)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(opened(side.db)-before)/float64(b.N), "cells/op")
+		})
 	}
 }

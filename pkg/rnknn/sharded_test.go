@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,11 +21,13 @@ import (
 // shardedPair builds one DB the ordinary way and a shard set from it, and
 // opens the sharded view with the same objects routed to their owning
 // cells. The monolithic DB is the oracle: a sharded answer is correct iff
-// it matches the monolithic one.
+// it matches the monolithic one. Both serve G-tree (the default, searched
+// unbounded in every cell), INE and IER-PHL (the fan's bounded searches;
+// IER-PHL is what MethodAuto picks on a shard set's sparse categories).
 func shardedPair(t *testing.T, g *rnknn.Graph, objs []int32, shards int) (*rnknn.DB, *rnknn.ShardedDB) {
 	t.Helper()
 	db, err := rnknn.Open(g,
-		rnknn.WithMethods(rnknn.Gtree, rnknn.INE),
+		rnknn.WithMethods(rnknn.Gtree, rnknn.INE, rnknn.IERPHL),
 		rnknn.WithObjects(rnknn.DefaultCategory, objs))
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +68,16 @@ func requireSame(t *testing.T, label string, got, want []rnknn.Result) {
 	}
 }
 
+// shardedMethods are the method choices the sharded sweeps run: the
+// default, every enabled method by name, and MethodAuto.
+var shardedMethods = [][]rnknn.QueryOption{
+	nil,
+	{rnknn.WithMethod(rnknn.INE)},
+	{rnknn.WithMethod(rnknn.IERPHL)},
+	{rnknn.WithMethod(rnknn.Gtree)},
+	{rnknn.WithMethod(rnknn.MethodAuto)},
+}
+
 // TestShardedMatchesMonolithic is the exactness acceptance test: across
 // three differently shaped networks, shard counts and object densities,
 // sharded KNN (under every method choice), KNNSeq, and Range answer
@@ -100,7 +113,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, opts := range [][]rnknn.QueryOption{nil, {rnknn.WithMethod(rnknn.INE)}, {rnknn.WithMethod(rnknn.MethodAuto)}} {
+						for _, opts := range shardedMethods {
 							got, err := sdb.KNN(ctx, int32(q), k, opts...)
 							if err != nil {
 								t.Fatal(err)
@@ -175,6 +188,60 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 			}
 			sweep("churned")
 		})
+	}
+}
+
+// TestShardedTiesAtKthAcrossCells pins the fan's bound at the running k-th
+// distance as inclusive. On a unit-weight grid network distance is the
+// Manhattan distance, so the k-th distance is shared by objects in several
+// cells for most queries; with at most k objects per cell every cell's
+// search returns all of its objects within the bound, and the fan's answer
+// must then be exactly the first k objects by (distance, vertex) — an object
+// of a later cell tied with the running k-th and of lower vertex id must
+// take its place, which a bound that excluded the k-th distance would miss.
+func TestShardedTiesAtKthAcrossCells(t *testing.T) {
+	ctx := context.Background()
+	const rows, cols = 12, 12
+	n := rows * cols
+	x, y := make([]float64, n), make([]float64, n)
+	for v := range n {
+		x[v], y[v] = float64(v%cols), float64(v/cols)
+	}
+	b := rnknn.NewGraphBuilder(n, x, y)
+	for v := int32(0); v < int32(n); v++ {
+		if int(v)%cols+1 < cols {
+			b.AddEdge(v, v+1, 1, 1)
+		}
+		if int(v)+cols < n {
+			b.AddEdge(v, v+cols, 1, 1)
+		}
+	}
+	g := b.Build("unit-grid")
+	objs := gen.Uniform(g, 0.1, 5)
+	db, sdb := shardedPair(t, g, objs, 4)
+	perCell := make([]int, sdb.NumShards())
+	for _, v := range objs {
+		perCell[sdb.OwnerShard(v)]++
+	}
+	maxPerCell := slices.Max(perCell)
+	for q := range int32(n) {
+		all, err := db.Range(ctx, q, rnknn.Dist(rows+cols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = canonical(all)
+		for k := maxPerCell; k <= maxPerCell+3 && k <= len(all); k++ {
+			want := all[:k]
+			for _, opts := range shardedMethods {
+				got, err := sdb.KNN(ctx, q, k, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(canonical(got), want) {
+					t.Fatalf("q=%d k=%d opts %v (objects per cell %v):\n got %v\nwant %v", q, k, opts, perCell, canonical(got), want)
+				}
+			}
+		}
 	}
 }
 
