@@ -5,9 +5,12 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"rnknn/internal/core"
 	"rnknn/internal/gen"
+	"rnknn/internal/graph"
+	"rnknn/internal/knn"
 	"rnknn/internal/snapshot"
 )
 
@@ -15,7 +18,10 @@ import (
 // valid snapshot — graph plus every index of a 6x6 network — re-framed by
 // snapshot.Write, so the checksum passes and the section's codec runs on
 // the fuzzed bytes. The verified and the mapped loads must answer nil or
-// ErrBadSnapshot, never panic.
+// ErrBadSnapshot, never panic. An engine that accepted the payload, on
+// either path, must then answer KNN from every vertex on every method kind,
+// and Range where the kind has one: a decoder may pass wrong content, but
+// never an index whose queries panic or hang.
 func FuzzSectionCodecs(f *testing.F) {
 	g := gen.Network(gen.NetworkSpec{Name: "fuzz", Rows: 6, Cols: 6, Seed: 1})
 	e := core.New(g)
@@ -32,6 +38,10 @@ func FuzzSectionCodecs(f *testing.F) {
 		f.Add(uint8(i), p.Data)
 		f.Add(uint8(i), p.Data[:len(p.Data)/2])
 	}
+	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.2, 1))
+	// The radius reaches a few objects from a typical vertex.
+	near := knn.BruteForce(g, objs, int32(g.NumVertices()/2), 3)
+	radius := near[len(near)-1].Dist
 
 	f.Fuzz(func(t *testing.T, victim uint8, payload []byte) {
 		v := int(victim) % len(base)
@@ -51,12 +61,45 @@ func FuzzSectionCodecs(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, alias := range []bool{false, true} {
-			if err := core.New(g).LoadIndexesData(out.Bytes(), alias); err != nil && !errors.Is(err, snapshot.ErrBadSnapshot) {
-				t.Fatalf("section %s, alias=%v: LoadIndexesData: untyped error %v", base[v].Name, alias, err)
-			}
 			if _, _, err := core.LoadGraphData(out.Bytes(), alias); err != nil && !errors.Is(err, snapshot.ErrBadSnapshot) {
 				t.Fatalf("section %s, alias=%v: LoadGraphData: untyped error %v", base[v].Name, alias, err)
 			}
+			loaded := core.New(g)
+			err := loaded.LoadIndexesData(out.Bytes(), alias)
+			if err != nil {
+				if !errors.Is(err, snapshot.ErrBadSnapshot) {
+					t.Fatalf("section %s, alias=%v: LoadIndexesData: untyped error %v", base[v].Name, alias, err)
+				}
+				continue
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				queryEveryKind(loaded, objs, radius)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("section %s, alias=%v: queries on the loaded engine still running after 10s", base[v].Name, alias)
+			}
 		}
 	})
+}
+
+// queryEveryKind runs KNN, and Range where the kind has one, from every
+// vertex on every method kind of e.
+func queryEveryKind(e *core.Engine, objs *knn.ObjectSet, radius graph.Dist) {
+	for _, kind := range core.Kinds() {
+		s, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
+		if err != nil {
+			panic(err)
+		}
+		r, ranges := s.(knn.RangeMethod)
+		for q := int32(0); q < int32(e.G.NumVertices()); q++ {
+			s.KNN(q, 3)
+			if ranges {
+				r.Range(q, radius)
+			}
+		}
+	}
 }

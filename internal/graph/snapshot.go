@@ -1,7 +1,5 @@
 // Snapshot-section codec for the graph itself: the CSR arrays, both weight
-// views, and the coordinates, written 64-byte-aligned (snapio raw-array
-// layout) so a mapped snapshot serves the graph with zero copy — the
-// decoded Graph's slices alias the mapping. This is what makes a snapshot
+// views, and the coordinates. This is what makes a snapshot
 // self-contained: a process can open one file and get graph plus indexes
 // without re-reading the network from its original source.
 package graph
@@ -32,21 +30,17 @@ func (g *Graph) WriteSnapshot(w io.Writer) (int64, error) {
 	return sw.Result()
 }
 
-// ReadSnapshot deserializes a graph written by WriteSnapshot. Dimension
-// checks and the structural scan (monotone offsets, targets in range) run
-// on both paths, because every search slices the edge arrays by offset and
-// subscripts per-vertex state by target: over a mapped snapshot the scan
-// reads the offset and target pages, O(|V|+|E|), and the weight and
-// coordinate pages stay untouched until first use.
+// ReadSnapshot deserializes a graph written by WriteSnapshot. Every search
+// slices the edge arrays by offset and subscripts per-vertex state by
+// target, so both are checked on every path; the weight and coordinate
+// pages stay untouched on a mapping until first use.
 func ReadSnapshot(sr *snapio.Source) (*Graph, error) {
-	if v := sr.U16(); sr.Err() == nil && v != snapCodecVersion {
-		sr.Failf("graph codec version %d (want %d)", v, snapCodecVersion)
-	}
+	sr.Version("graph", snapCodecVersion)
 	g := &Graph{Name: sr.String(), Kind: WeightKind(sr.U8())}
 	n := int(sr.U32())
 	m := int(sr.U32())
 	g.Offsets = snapio.ReadRaw[int32](sr)
-	g.Targets = snapio.ReadRaw[int32](sr)
+	g.Targets = sr.ReadIndex(n, "graph target")
 	g.DistW = snapio.ReadRaw[int32](sr)
 	g.TimeW = snapio.ReadRaw[int32](sr)
 	g.X = snapio.ReadRaw[float64](sr)
@@ -61,32 +55,17 @@ func ReadSnapshot(sr *snapio.Source) (*Graph, error) {
 		g.W = g.TimeW
 	default:
 		sr.Failf("graph weight kind %d unknown", g.Kind)
-		return nil, sr.Err()
 	}
 	switch {
-	case n <= 0 || m < 0:
-		sr.Failf("graph has %d vertices, %d edges", n, m)
-	case len(g.Offsets) != n+1 || g.Offsets[0] != 0 || int(g.Offsets[n]) != m:
-		sr.Failf("graph offsets are inconsistent for %d vertices, %d edges", n, m)
+	case n <= 0:
+		sr.Failf("graph has %d vertices", n)
 	case len(g.Targets) != m || len(g.DistW) != m || len(g.TimeW) != m:
 		sr.Failf("graph edge arrays disagree with %d edges", m)
 	case len(g.X) != n || len(g.Y) != n:
 		sr.Failf("graph coordinates have %d/%d entries for %d vertices", len(g.X), len(g.Y), n)
 	}
-	if sr.Err() != nil {
+	if !sr.CheckOffsets(g.Offsets, n, m, "graph") {
 		return nil, sr.Err()
-	}
-	for v := 0; v < n; v++ {
-		if g.Offsets[v] > g.Offsets[v+1] {
-			sr.Failf("graph offsets not monotone at %d", v)
-			return nil, sr.Err()
-		}
-	}
-	for i, t := range g.Targets {
-		if t < 0 || int(t) >= n {
-			sr.Failf("graph target %d out of range at edge %d", t, i)
-			return nil, sr.Err()
-		}
 	}
 	return g, nil
 }

@@ -1,15 +1,13 @@
 // Binary snapshot codec for the G-tree. The layout persists the partition
 // tree, the per-node distance matrices, and every derived query-time array
-// (positions, leaf CSRs, border lists, internal-node layout) as raw
-// 64-byte-aligned arrays: ragged per-node data is concatenated behind an
-// offset table, so a mapped snapshot aliases the whole index with zero copy
-// and zero recomputation — open cost is pages touched, not graph size. See
+// (positions, leaf CSRs, border lists, internal-node layout); ragged
+// per-node data is concatenated behind an offset table, so a mapped
+// snapshot holds the whole index with zero recomputation. See
 // docs/SNAPSHOT_FORMAT.md.
 package gtree
 
 import (
 	"io"
-	"slices"
 
 	"rnknn/internal/graph"
 	"rnknn/internal/partition"
@@ -42,21 +40,12 @@ func writeRagged(sw *snapio.Writer, items [][]int32) {
 func readRagged(sr *snapio.Source, want int, what string) [][]int32 {
 	off := snapio.ReadRaw[int32](sr)
 	data := snapio.ReadRaw[int32](sr)
-	if sr.Err() != nil {
-		return nil
-	}
-	if len(off) != want+1 || off[0] != 0 || int(off[want]) != len(data) {
-		sr.Failf("gtree %s offsets are inconsistent (%d entries for %d items)", what, len(off), want)
+	if !sr.CheckOffsets(off, want, len(data), what) {
 		return nil
 	}
 	items := make([][]int32, want)
-	for i := 0; i < want; i++ {
-		lo, hi := off[i], off[i+1]
-		if lo > hi || int(hi) > len(data) {
-			sr.Failf("gtree %s item %d spans [%d, %d)", what, i, lo, hi)
-			return nil
-		}
-		items[i] = data[lo:hi:hi]
+	for i := range items {
+		items[i] = data[off[i]:off[i+1]:off[i+1]]
 	}
 	return items
 }
@@ -100,18 +89,12 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return sw.Result()
 }
 
-// Read deserializes an index written by WriteTo, installing every derived
-// array as views of the payload (zero recomputation; aliased views of the
-// mapping when sr aliases).
-// The matrices are validated against the dimensions the layout implies, and
-// every element of the side tables is range-checked (see validate; no
-// matrix page is touched), so a snapshot for a different graph, or a
-// corrupt one, fails instead of producing wrong distances or crashing a
-// query.
+// Read deserializes an index written by WriteTo over g, installing every
+// derived array as views of the payload (zero recomputation). validate
+// checks every array the query path subscripts with; no matrix page is
+// touched.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
-	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
-		sr.Failf("gtree codec version %d (want %d)", v, codecVersion)
-	}
+	sr.Version("gtree", codecVersion)
 	tau := int(sr.U32())
 	pt := partition.Decode(sr, g.NumVertices())
 	if sr.Err() != nil {
@@ -125,13 +108,13 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	if sr.Err() == nil && len(x.posInLeaf) != g.NumVertices() {
 		sr.Failf("gtree posInLeaf has %d entries for %d vertices", len(x.posInLeaf), g.NumVertices())
 	}
-	borders := readRagged(sr, n, "border")
-	childBorders := readRagged(sr, n, "childBorders")
-	childOff := readRagged(sr, n, "childOff")
-	ownIdx := readRagged(sr, n, "ownIdx")
-	x.leafOff = readRagged(sr, n, "leafOff")
-	x.leafTgt = readRagged(sr, n, "leafTgt")
-	x.leafW = readRagged(sr, n, "leafW")
+	borders := readRagged(sr, n, "gtree border")
+	childBorders := readRagged(sr, n, "gtree childBorders")
+	childOff := readRagged(sr, n, "gtree childOff")
+	ownIdx := readRagged(sr, n, "gtree ownIdx")
+	x.leafOff = readRagged(sr, n, "gtree leafOff")
+	x.leafTgt = readRagged(sr, n, "gtree leafTgt")
+	x.leafW = readRagged(sr, n, "gtree leafW")
 	strides := snapio.ReadRaw[int32](sr)
 	mats := snapio.ReadRaw[int32](sr)
 	if sr.Err() != nil {
@@ -202,17 +185,19 @@ func (x *Index) validate(sr *snapio.Source) error {
 			return fail("node %d matrix is %dx%d cells, want stride %d with %d cells",
 				ni, n.stride, len(n.mat), wantStride, wantLen)
 		}
-		if !below(n.borders, x.G.NumVertices()) || !below(n.childBorders, x.G.NumVertices()) {
+		if !snapio.Below(n.borders, x.G.NumVertices()) || !snapio.Below(n.childBorders, x.G.NumVertices()) {
 			return fail("node %d names a border outside the graph", ni)
 		}
-		if len(n.ownIdx) != len(n.borders) || !below(n.ownIdx, wantStride) {
+		if len(n.ownIdx) != len(n.borders) || !snapio.Below(n.ownIdx, wantStride) {
 			return fail("node %d ownIdx does not index its %d borders into stride %d", ni, len(n.borders), wantStride)
 		}
 		if p.IsLeaf() {
-			off, tgt := x.leafOff[ni], x.leafTgt[ni]
-			if len(off) != len(p.Vertices)+1 || off[0] != 0 || int(off[len(off)-1]) != len(tgt) ||
-				!slices.IsSorted(off) || len(x.leafW[ni]) != len(tgt) || !below(tgt, len(p.Vertices)) {
+			tgt := x.leafTgt[ni]
+			if len(x.leafW[ni]) != len(tgt) || !snapio.Below(tgt, len(p.Vertices)) {
 				return fail("leaf %d local graph is inconsistent", ni)
+			}
+			if !sr.CheckOffsets(x.leafOff[ni], len(p.Vertices), len(tgt), "gtree leaf graph") {
+				return sr.Err()
 			}
 			continue
 		}
@@ -227,14 +212,4 @@ func (x *Index) validate(sr *snapio.Source) error {
 		}
 	}
 	return nil
-}
-
-// below reports whether every element of a lies in [0, n).
-func below(a []int32, n int) bool {
-	for _, v := range a {
-		if uint32(v) >= uint32(n) {
-			return false
-		}
-	}
-	return true
 }

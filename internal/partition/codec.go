@@ -1,8 +1,7 @@
 // Binary codec for the partition tree, embedded inside the G-tree and ROAD
 // snapshot sections (both indexes are hierarchies over a Tree, and the tree
 // itself is the one build product the cheap derived fields cannot be
-// recomputed from). The per-node arrays are 64-byte-aligned so a mapped
-// snapshot aliases them. See docs/SNAPSHOT_FORMAT.md.
+// recomputed from). See docs/SNAPSHOT_FORMAT.md.
 package partition
 
 import (
@@ -34,15 +33,13 @@ func Encode(t *Tree, w *snapio.Writer) {
 // keeps a corrupt count from driving an allocation the payload cannot back.
 const minNodeBytes = 4*4 + 2*4
 
-// Decode reads a tree written by Encode for a graph of numVertices vertices,
-// validating structural invariants (indexes in range, per-vertex maps the
-// right length, the shape Build emits: every node after its parent, one
-// level below it, and listed as its parent's child — so walks up and down
-// the tree terminate — and leaf-sequence ranges that nest as Build's do, so
-// Contains answers as it did for the built tree). With an aliasing source
-// the arrays are views of the mapping and the per-element range scans are
-// skipped. On any inconsistency Decode records an error on r and returns
-// nil.
+// Decode reads a tree written by Encode for a graph of numVertices vertices.
+// Every check runs on both paths: node vertices and leafOf in range, the
+// shape Build emits (every node after its parent, one level below it, and
+// listed as its parent's child — so walks up and down the tree terminate)
+// and leaf-sequence ranges that nest as Build's do, so Contains answers as
+// it did for the built tree. On any inconsistency Decode records an error
+// on r and returns nil.
 func Decode(r *snapio.Source, numVertices int) *Tree {
 	t := &Tree{Fanout: int(r.U32())}
 	count := int(r.U32())
@@ -61,7 +58,7 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 		n.LeafLo = int32(r.U32())
 		n.LeafHi = int32(r.U32())
 		n.Children = snapio.ReadRaw[int32](r)
-		n.Vertices = snapio.ReadRaw[int32](r)
+		n.Vertices = r.ReadIndex(numVertices, "partition node vertices")
 		if r.Err() != nil {
 			return nil
 		}
@@ -77,14 +74,6 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 			if int(c) <= i || int(c) >= count {
 				r.Failf("partition node %d child %d out of range", i, c)
 				return nil
-			}
-		}
-		if !r.Aliasing() {
-			for _, v := range n.Vertices {
-				if v < 0 || int(v) >= numVertices {
-					r.Failf("partition node %d vertex %d out of range", i, v)
-					return nil
-				}
 			}
 		}
 	}
@@ -106,7 +95,6 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 			len(t.LeafOf), len(t.LeafSeq), numVertices)
 		return nil
 	}
-	// Checked on the mapped path too: every index subscripts nodes by it.
 	for v, li := range t.LeafOf {
 		if li < 0 || int(li) >= count || !t.Nodes[li].IsLeaf() {
 			r.Failf("vertex %d mapped to invalid leaf %d", v, li)
@@ -122,9 +110,9 @@ func Decode(r *snapio.Source, numVertices int) *Tree {
 // leafRangesNest checks, in O(nodes + |V|), that the leaf-sequence ranges
 // answer Contains as Build's do: every leaf's range is one slot, the root's
 // is [0, #leaves), each node's children tile its range in order, and every
-// vertex's LeafSeq is its leaf's slot. Checked on the mapped path too:
-// accepted, a range that leaves out a vertex's slot makes Contains(root, v)
-// false, and G-tree's border walk then runs past the root.
+// vertex's LeafSeq is its leaf's slot. Accepted, a range that leaves out a
+// vertex's slot makes Contains(root, v) false, and G-tree's border walk
+// then runs past the root.
 func leafRangesNest(t *Tree, r *snapio.Source) bool {
 	leaves := int32(0)
 	for i := range t.Nodes {

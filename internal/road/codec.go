@@ -1,9 +1,7 @@
 // Binary snapshot codec for ROAD. Persists the partition tree and the
 // global shortcut array (the Dijkstra-heavy build products); border lists,
 // matrix offsets, and the Route Overlay are recomputed on load by the same
-// deterministic passes Build runs (layout, buildRouteOverlay). The section
-// uses the snapio raw 64-byte-aligned arrays so a mapped snapshot aliases
-// the tree and the shortcut array with zero copy. See
+// deterministic passes Build runs (layout, buildRouteOverlay). See
 // docs/SNAPSHOT_FORMAT.md.
 package road
 
@@ -33,9 +31,7 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // length against them. A levels field below the decoded tree's depth is
 // refused.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
-	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
-		sr.Failf("road codec version %d (want %d)", v, codecVersion)
-	}
+	sr.Version("road", codecVersion)
 	levels := int(sr.U32())
 	pt := partition.Decode(sr, g.NumVertices())
 	shorts := snapio.ReadRaw[int32](sr)

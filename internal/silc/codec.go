@@ -3,10 +3,10 @@
 // source's Morton list (block starts, first moves, and the conservative
 // lambda bounds as raw IEEE-754 bits, so reloaded intervals are bit-identical
 // to the built ones); the degree-2 chain marks are recomputed from the
-// graph. The permutation and CSR are written 64-byte-aligned and the
-// blocks as one aligned array-of-structs — exactly the in-memory []block
-// layout on little-endian hosts — so a mapped snapshot aliases the entire
-// Morton-list heap with zero copy. See docs/SNAPSHOT_FORMAT.md.
+// graph. The blocks are one aligned array-of-structs — exactly the
+// in-memory []block layout on little-endian hosts — so a mapped snapshot
+// aliases the entire Morton-list heap with zero copy. See
+// docs/SNAPSHOT_FORMAT.md.
 package silc
 
 import (
@@ -79,19 +79,19 @@ func writeBlocks(sw *snapio.Writer, blocks []block) {
 	}
 }
 
-// Read deserializes an index written by WriteTo over g, validating the
-// permutation and CSR dimensions and recomputing the chain marks. When sr
-// aliases a mapped snapshot, the block heap and permutation arrays are
-// views of the mapping and the per-element scans (permutation bijection,
-// Morton-list monotonicity) are skipped — they would fault in every page;
-// mapped opens trust the snapshot. Dimension checks always run.
+// Read deserializes an index written by WriteTo over g, recomputing the
+// chain marks. Queries subscript by rank and by each block's first move,
+// and binary-search each Morton list assuming its first block starts at
+// rank 0, so those are checked on every path, with the permutation and the
+// list offsets. The order of the later block starts is content: a wrong
+// one misroutes a lookup inside the list, and is scanned only when not
+// aliasing a mapping.
 func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
-	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
-		sr.Failf("silc codec version %d (want %d)", v, codecVersion)
-	}
+	n := g.NumVertices()
+	sr.Version("silc", codecVersion)
 	chainOpt := sr.Bool()
-	rank := snapio.ReadRaw[int32](sr)
-	byRank := snapio.ReadRaw[int32](sr)
+	rank := sr.ReadIndex(n, "silc rank")
+	byRank := sr.ReadIndex(n, "silc byRank")
 	off := snapio.ReadRaw[int32](sr)
 	nb, raw, aliased := sr.AlignedRaw(blockSize, 4)
 	if sr.Err() != nil {
@@ -114,24 +114,22 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 			}
 		}
 	}
-	n := g.NumVertices()
-	total := len(blocks)
-	switch {
-	case len(rank) != n || len(byRank) != n:
+	if len(rank) != n || len(byRank) != n {
 		sr.Failf("silc permutation has %d/%d entries for %d vertices", len(rank), len(byRank), n)
-	case len(off) != n+1 || off[0] != 0 || int(off[n]) != total:
-		sr.Failf("silc Morton-list CSR is inconsistent")
 	}
-	if sr.Err() != nil {
+	if !sr.CheckOffsets(off, n, len(blocks), "silc Morton-list") {
 		return nil, sr.Err()
 	}
-	deep := !sr.Aliasing()
-	if deep {
-		for v := 0; v < n; v++ {
-			if rank[v] < 0 || int(rank[v]) >= n || byRank[rank[v]] != int32(v) {
-				sr.Failf("silc Morton permutation is not a bijection at vertex %d", v)
-				return nil, sr.Err()
-			}
+	for v := 0; v < n; v++ {
+		if byRank[rank[v]] != int32(v) {
+			sr.Failf("silc Morton permutation is not a bijection at vertex %d", v)
+			return nil, sr.Err()
+		}
+	}
+	for i := range blocks {
+		if blocks[i].first < 0 || int(blocks[i].first) >= n {
+			sr.Failf("silc first move %d out of range at block %d", blocks[i].first, i)
+			return nil, sr.Err()
 		}
 	}
 	x := &Index{
@@ -145,37 +143,16 @@ func Read(sr *snapio.Source, g *graph.Graph) (*Index, error) {
 	for v := int32(0); v < int32(n); v++ {
 		x.isChain[v] = g.Degree(v) <= 2
 	}
-	if deep {
-		for i := range blocks {
-			if blocks[i].first < 0 || int(blocks[i].first) >= n {
-				sr.Failf("silc first move %d out of range at block %d", blocks[i].first, i)
-				return nil, sr.Err()
-			}
-		}
-	}
 	for s := 0; s < n; s++ {
-		lo, hi := off[s], off[s+1]
-		if lo > hi || lo < 0 || int(hi) > total {
-			sr.Failf("silc Morton-list offsets not monotone at %d", s)
+		tree := blocks[off[s]:off[s+1]:off[s+1]]
+		if len(tree) == 0 || tree[0].start != 0 {
+			sr.Failf("silc source %d has an empty or misaligned Morton list", s)
 			return nil, sr.Err()
 		}
-		tree := blocks[lo:hi:hi]
-		if len(tree) == 0 {
-			sr.Failf("silc source %d has an empty Morton list", s)
-			return nil, sr.Err()
-		}
-		if deep {
-			if tree[0].start != 0 {
-				sr.Failf("silc source %d has a misaligned Morton list", s)
-				return nil, sr.Err()
-			}
-			for i := range tree {
-				if i > 0 && tree[i].start <= tree[i-1].start {
-					sr.Failf("silc source %d block starts not increasing", s)
-					return nil, sr.Err()
-				}
-				if tree[i].start < 0 || int(tree[i].start) >= n {
-					sr.Failf("silc source %d block start out of range", s)
+		if !sr.Aliasing() {
+			for i := 1; i < len(tree); i++ {
+				if tree[i].start <= tree[i-1].start || int(tree[i].start) >= n {
+					sr.Failf("silc source %d block starts not increasing in [0, %d)", s, n)
 					return nil, sr.Err()
 				}
 			}

@@ -268,6 +268,7 @@ type Refiner struct {
 	vn     int32
 	d      graph.Dist // distance from the query to vn
 	lb, ub graph.Dist
+	moves  int // vertices walked from the query
 	// Lookups counts Morton-list lookups performed (the chain optimisation
 	// statistic of Figures 20/21).
 	Lookups int
@@ -311,7 +312,10 @@ func (r *Refiner) setInterval() {
 }
 
 // Step advances one vertex along the shortest path (following forced moves
-// along chains without lookups) and recomputes the interval.
+// along chains without lookups) and recomputes the interval. A shortest
+// path has fewer than |V| edges, so a walk that makes |V| moves without
+// reaching t follows first moves that cycle — a corrupt index — and ends
+// there with the interval [Inf, Inf], so every refinement terminates.
 func (r *Refiner) Step() {
 	if r.Exact() {
 		return
@@ -331,8 +335,13 @@ func (r *Refiner) Step() {
 		r.d += graph.Dist(w)
 		r.prev = r.vn
 		r.vn = next
+		r.moves++
 		if r.vn == r.t {
 			r.lb, r.ub = r.d, r.d
+			return
+		}
+		if r.moves >= g.NumVertices() {
+			r.lb, r.ub = graph.Inf, graph.Inf
 			return
 		}
 		// Keep consuming forced chain moves in the same Step; each one

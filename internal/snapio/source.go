@@ -4,12 +4,21 @@
 // boundary, then raw little-endian element bytes. In alias mode ReadRaw
 // and AlignedRaw return slices whose backing array IS the source bytes —
 // zero copy, so decoding a section mapped from disk touches only the
-// header pages — and in copy mode (big-endian hosts, misaligned data, or
-// callers that want private memory) ReadRaw copies them into fresh slices.
+// pages its checks read — and in copy mode (big-endian hosts, misaligned
+// data, or callers that want private memory) ReadRaw copies them into
+// fresh slices.
 //
 // Aliased slices are views of a read-only mapping when the source came
 // from internal/mapped: writing to them faults. Treat every decoded index
 // as immutable, which they already are.
+//
+// The range rule every codec follows: an array the query path subscripts
+// or slices by is checked in full on both paths, through ReadIndex (every
+// element in [0, n)) or CheckOffsets (a CSR offset table), so a decoded
+// index cannot access memory out of bounds whatever the file held. Arrays
+// that are only compared, or masked where they are used, are content: a
+// codec may scan them when !Aliasing() and trust them on a mapping, where
+// the scan would fault in every page.
 package snapio
 
 import (
@@ -45,6 +54,8 @@ func (s *Source) Aliasing() bool { return s.alias }
 func (s *Source) Remaining() int { return len(s.data) - s.off }
 
 // Failf records a corruption error (used by codecs for semantic checks).
+// Only the first error sticks, so a check after a failed read may fail
+// again harmlessly.
 func (s *Source) Failf(format string, args ...any) {
 	if s.err == nil {
 		s.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
@@ -118,6 +129,13 @@ func (s *Source) count(elemSize int) int {
 	return n
 }
 
+// Version reads a section's u16 codec version and fails unless it is want.
+func (s *Source) Version(section string, want uint16) {
+	if v := s.U16(); s.err == nil && v != want {
+		s.Failf("%s codec version %d (want %d)", section, v, want)
+	}
+}
+
 // String reads a length-prefixed string.
 func (s *Source) String() string {
 	n := s.count(1)
@@ -177,4 +195,51 @@ func ReadRaw[T rawElem](s *Source) []T {
 		reverseElems(rawBytes(out), size)
 	}
 	return out
+}
+
+// ReadIndex reads an int32 array written by WriteRaw whose elements
+// subscript something of size n, and fails unless every one lies in
+// [0, n) — on both paths, reading each page of the array once.
+func (s *Source) ReadIndex(n int, what string) []int32 {
+	a := ReadRaw[int32](s)
+	if i := outside(a, n); i >= 0 {
+		s.Failf("%s[%d] = %d outside [0, %d)", what, i, a[i], n)
+	}
+	return a
+}
+
+// Below reports whether every element of a lies in [0, n): ReadIndex's
+// check, for arrays whose bound differs from item to item.
+func Below(a []int32, n int) bool { return outside(a, n) < 0 }
+
+// outside returns the position of the first element of a outside [0, n),
+// or -1.
+func outside(a []int32, n int) int {
+	for i, v := range a {
+		if v < 0 || int(v) >= n {
+			return i
+		}
+	}
+	return -1
+}
+
+// CheckOffsets fails unless off is the offset table of n items over total
+// entries — n+1 entries, off[0] = 0, off[n] = total, monotone — so that
+// slicing item i as [off[i], off[i+1]) stays in bounds. It reports whether
+// off passed, and does nothing once the source has failed.
+func (s *Source) CheckOffsets(off []int32, n, total int, what string) bool {
+	if s.err != nil {
+		return false
+	}
+	if n < 0 || len(off) != n+1 || off[0] != 0 || int(off[n]) != total {
+		s.Failf("%s offsets: %d entries for %d items over %d", what, len(off), n, total)
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if off[i] > off[i+1] {
+			s.Failf("%s offsets not monotone at %d", what, i)
+			return false
+		}
+	}
+	return true
 }

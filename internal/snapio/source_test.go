@@ -159,3 +159,55 @@ func TestWriterOffsetAlign64(t *testing.T) {
 		t.Fatalf("buffer %d bytes, offset %d", buf.Len(), w.Offset())
 	}
 }
+
+// TestRangeRule: ReadIndex refuses an element outside [0, n) on the copy
+// and the alias path alike, CheckOffsets refuses every way an offset table
+// can slice out of bounds, and Version refuses a codec version other than
+// the one asked for.
+func TestRangeRule(t *testing.T) {
+	var buf bytes.Buffer
+	w := snapio.NewWriter(&buf)
+	w.U16(2)
+	snapio.WriteRaw(w, []int32{0, 3, 4})
+	if _, err := w.Result(); err != nil {
+		t.Fatal(err)
+	}
+	for _, alias := range []bool{false, true} {
+		for n, ok := range map[int]bool{5: true, 4: false, 0: false, -1: false} {
+			s := snapio.NewSource(buf.Bytes(), alias)
+			s.Version("test", 2)
+			s.ReadIndex(n, "idx")
+			if (s.Err() == nil) != ok {
+				t.Errorf("alias=%v: ReadIndex(%d) err = %v, want ok=%v", alias, n, s.Err(), ok)
+			}
+		}
+	}
+	s := snapio.NewSource(buf.Bytes(), false)
+	if s.Version("test", 1); s.Err() == nil {
+		t.Error("Version accepted codec version 2 as 1")
+	}
+	if !snapio.Below([]int32{0, 4}, 5) || snapio.Below([]int32{-1}, 5) || snapio.Below([]int32{0}, 0) {
+		t.Error("Below disagrees with [0, n)")
+	}
+
+	for _, c := range []struct {
+		name     string
+		off      []int32
+		n, total int
+		ok       bool
+	}{
+		{"valid", []int32{0, 2, 2, 5}, 3, 5, true},
+		{"no items", []int32{0}, 0, 0, true},
+		{"short", []int32{0, 2, 5}, 3, 5, false},
+		{"nil", nil, 0, 0, false},
+		{"off[0] != 0", []int32{1, 2, 2, 5}, 3, 5, false},
+		{"off[n] != total", []int32{0, 2, 2, 4}, 3, 5, false},
+		{"not monotone", []int32{0, 5, 2, 5}, 3, 5, false},
+		{"negative n", []int32{0}, -1, 0, false},
+	} {
+		s := snapio.NewSource(nil, false)
+		if got := s.CheckOffsets(c.off, c.n, c.total, "csr"); got != c.ok || (s.Err() == nil) != c.ok {
+			t.Errorf("%s: CheckOffsets = %v, err %v; want %v", c.name, got, s.Err(), c.ok)
+		}
+	}
+}

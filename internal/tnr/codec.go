@@ -1,9 +1,7 @@
 // Binary snapshot codec for TNR: the transit table, per-vertex access-node
 // lists, and local cones. The transit marker array is derived from the
 // serialized id map; the contraction hierarchy is not part of the index,
-// which needs it only to build. Every array is written 64-byte-aligned
-// (snapio raw-array layout) so a mapped snapshot aliases them with zero
-// copy. See docs/SNAPSHOT_FORMAT.md.
+// which needs it only to build. See docs/SNAPSHOT_FORMAT.md.
 package tnr
 
 import (
@@ -31,47 +29,35 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return sw.Result()
 }
 
-// Read deserializes an index written by WriteTo, validating table and CSR
-// dimensions against the graph's numVertices. The O(|V|) checks — transit
-// ids in range, monotone access and cone offsets — and the access-node
-// range scan run on both paths, because a query slices by the offsets and
-// subscripts the transit table by access node. When sr aliases a mapped
-// snapshot the arrays are views of the mapping and only the cone-vertex
-// scan is skipped: a query compares cone vertices but never subscripts by
-// them. The derived isTransit markers are rebuilt either way — they are
-// bools, not part of the serialized layout.
+// Read deserializes an index written by WriteTo for a graph of
+// numVertices vertices. A query slices by the access and cone offsets and
+// subscripts the transit table by transit id and access node, so those
+// are checked on every path; cone vertices are only compared, content
+// scanned only when not aliasing a mapping. The isTransit markers are
+// rebuilt from the ids.
 func Read(sr *snapio.Source, numVertices int) (*Index, error) {
-	x := &Index{}
-	if v := sr.U16(); sr.Err() == nil && v != codecVersion {
-		sr.Failf("tnr codec version %d (want %d)", v, codecVersion)
-	}
-	x.numT = int(sr.U32())
+	n := numVertices
+	sr.Version("tnr", codecVersion)
+	x := &Index{numT: int(sr.U32())}
+	m := x.numT
 	x.transitID = snapio.ReadRaw[int32](sr)
 	x.table = snapio.ReadRaw[int64](sr)
 	x.accOff = snapio.ReadRaw[int32](sr)
-	x.accID = snapio.ReadRaw[int32](sr)
+	x.accID = sr.ReadIndex(m, "tnr access node")
 	x.accD = snapio.ReadRaw[int64](sr)
 	x.coneOff = snapio.ReadRaw[int32](sr)
 	x.coneV = snapio.ReadRaw[int32](sr)
 	x.coneD = snapio.ReadRaw[int64](sr)
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-	n := len(x.transitID)
-	m := x.numT
 	switch {
-	case n != numVertices:
-		sr.Failf("tnr has %d vertices for %d", n, numVertices)
+	case len(x.transitID) != n:
+		sr.Failf("tnr has %d vertices for %d", len(x.transitID), n)
 	case m < 0 || m > n || len(x.table) != m*m:
 		sr.Failf("tnr table is %d cells for %d transit nodes", len(x.table), m)
-	case len(x.accOff) != n+1 || len(x.coneOff) != n+1:
-		sr.Failf("tnr offsets have %d/%d entries for %d vertices", len(x.accOff), len(x.coneOff), n)
-	case x.accOff[0] != 0 || int(x.accOff[n]) != len(x.accID) || len(x.accID) != len(x.accD):
-		sr.Failf("tnr access-node CSR is inconsistent")
-	case x.coneOff[0] != 0 || int(x.coneOff[n]) != len(x.coneV) || len(x.coneV) != len(x.coneD):
-		sr.Failf("tnr cone CSR is inconsistent")
+	case len(x.accID) != len(x.accD) || len(x.coneV) != len(x.coneD):
+		sr.Failf("tnr access-node or cone distances disagree with their ids")
 	}
-	if sr.Err() != nil {
+	if !sr.CheckOffsets(x.accOff, n, len(x.accID), "tnr access-node") ||
+		!sr.CheckOffsets(x.coneOff, n, len(x.coneV), "tnr cone") {
 		return nil, sr.Err()
 	}
 	x.isTransit = make([]bool, n)
@@ -80,25 +66,11 @@ func Read(sr *snapio.Source, numVertices int) (*Index, error) {
 			sr.Failf("tnr transit id %d out of range at vertex %d", id, v)
 			return nil, sr.Err()
 		}
-		if x.accOff[v] > x.accOff[v+1] || x.coneOff[v] > x.coneOff[v+1] {
-			sr.Failf("tnr offsets not monotone at %d", v)
-			return nil, sr.Err()
-		}
 		x.isTransit[v] = id >= 0
 	}
-	for i, id := range x.accID {
-		if id < 0 || int(id) >= m {
-			sr.Failf("tnr access node %d out of range at entry %d", id, i)
-			return nil, sr.Err()
-		}
-	}
-	if !sr.Aliasing() {
-		for i, v := range x.coneV {
-			if v < 0 || int(v) >= n {
-				sr.Failf("tnr cone vertex %d out of range at entry %d", v, i)
-				return nil, sr.Err()
-			}
-		}
+	if !sr.Aliasing() && !snapio.Below(x.coneV, n) {
+		sr.Failf("tnr cone vertex out of range")
+		return nil, sr.Err()
 	}
 	return x, nil
 }

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"rnknn/internal/gen"
 	"rnknn/internal/partition"
@@ -417,11 +419,14 @@ func TestOpenSnapshotFileHostileROADLevels(t *testing.T) {
 
 // TestOpenSnapshotFileHostilePartitionRanges: G-tree and ROAD answer "is v
 // inside this node" from the partition tree's leaf-sequence ranges (LeafLo,
-// LeafHi per node, LeafSeq per vertex). A snapshot whose ranges do not nest
-// as the built tree's do, re-framed so its checksum holds, must be refused
-// with ErrBadSnapshot on the verified and the mapped path alike, whichever
-// index's tree carries them: accepted, Contains(root, q) can be false and
-// G-tree's border walk reads the node before the root.
+// LeafHi per node, LeafSeq per vertex), and subscript per-vertex state by
+// the vertices a node lists. A snapshot whose ranges do not nest as the
+// built tree's do, or whose node lists a vertex outside [0, |V|), re-framed
+// so its checksum holds, must be refused with ErrBadSnapshot on the
+// verified and the mapped path alike, whichever index's tree carries them:
+// accepted, Contains(root, q) can be false and G-tree's border walk reads
+// the node before the root, and G-tree's leaf search and ROAD's object
+// removal index object bits by the bad vertex.
 func TestOpenSnapshotFileHostilePartitionRanges(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 20, Cols: 20, Seed: 8})
 	objs := gen.Uniform(g, 0.1, 3)
@@ -435,11 +440,12 @@ func TestOpenSnapshotFileHostilePartitionRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// tree is a decoded copy of a section's tree; lo and hi are the
-	// payload's LeafLo and LeafHi words per node, seq its LeafSeq array.
+	// payload's LeafLo and LeafHi words per node, verts its vertex arrays,
+	// seq its LeafSeq array.
 	type fields struct {
-		tree   *partition.Tree
-		lo, hi [][]byte
-		seq    []byte
+		tree          *partition.Tree
+		lo, hi, verts [][]byte
+		seq           []byte
 	}
 	header := func(sr *snapio.Source) { sr.U16(); sr.U32() } // version, then tau or levels
 	locate := func(payload []byte) fields {
@@ -459,7 +465,8 @@ func TestOpenSnapshotFileHostilePartitionRanges(t *testing.T) {
 			sr.U32()
 			sr.U32()
 			sr.AlignedRaw(4, 4) // children
-			sr.AlignedRaw(4, 4) // vertices
+			_, verts, _ := sr.AlignedRaw(4, 4)
+			f.verts = append(f.verts, verts)
 		}
 		sr.AlignedRaw(4, 4) // leafOf
 		_, f.seq, _ = sr.AlignedRaw(4, 4)
@@ -483,8 +490,9 @@ func TestOpenSnapshotFileHostilePartitionRanges(t *testing.T) {
 					add(w, f.tree.Nodes[c[1]].LeafLo)
 				}
 			},
-			"leafSeq[q] past every leaf": func(f fields) { add(f.seq[4*q:], 1<<20) },
-			"leafSeq[q] in another leaf": func(f fields) { add(f.seq[4*q:], 1) },
+			"leafSeq[q] past every leaf":  func(f fields) { add(f.seq[4*q:], 1<<20) },
+			"leafSeq[q] in another leaf":  func(f fields) { add(f.seq[4*q:], 1) },
+			"q's leaf lists vertex 1<<28": func(f fields) { add(f.verts[f.tree.LeafOf[q]], 1<<28) },
 		} {
 			data := bytes.Clone(buf.Bytes())
 			_, payloads, err := snapshot.Parse(data, false)
@@ -514,12 +522,128 @@ func TestOpenSnapshotFileHostilePartitionRanges(t *testing.T) {
 					for _, m := range []rnknn.Method{rnknn.Gtree, rnknn.ROAD} {
 						db.KNN(context.Background(), q, 5, rnknn.WithMethod(m))
 					}
+					// Removing q scans its leaf's vertex list for objects.
+					db.InsertObjects(rnknn.DefaultCategory, []int32{q})
+					db.RemoveObjects(rnknn.DefaultCategory, []int32{q})
 					db.Close()
 				}
 				if !errors.Is(err, rnknn.ErrBadSnapshot) {
 					t.Errorf("%s, %s: %s open: want ErrBadSnapshot, got %v", section, name, how, err)
 				}
 			}
+		}
+	}
+}
+
+// TestOpenSnapshotFileHostileSILCArrays: Distance Browsing subscripts by
+// Morton rank and by each block's first move, and binary-searches a
+// source's Morton list from a first block at rank 0. A SILC section with a
+// rank or a first move outside [0, |V|), or a first block that starts past
+// rank 0, re-framed so its checksum holds, must be refused with
+// ErrBadSnapshot on the verified and the mapped path alike: accepted, the
+// first hangs DisBrw and the other two index out of range. First moves in
+// range that cycle cannot be told from good ones without walking every
+// path, so that file loads; both methods must still answer every query.
+// Queries run under a timer, so a hang fails the test instead of stalling
+// it.
+func TestOpenSnapshotFileHostileSILCArrays(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 12, Cols: 12, Seed: 8})
+	objs := gen.Uniform(g, 0.1, 3)
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.DisBrw, rnknn.DisBrwOH), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+	built, err := rnknn.Open(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.SaveIndexes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	put := func(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
+	// everyFirst sets each 16-byte block's first move (start, first, λ-, λ+).
+	everyFirst := func(v uint32) func(_, _, blocks []byte) {
+		return func(_, _, blocks []byte) {
+			for i := 0; i < len(blocks); i += 16 {
+				put(blocks[i+4:], v)
+			}
+		}
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name   string
+		tamper func(rank, off, blocks []byte)
+		refuse bool
+	}{
+		{"rank of object = 1<<28", func(rank, _, _ []byte) { put(rank[4*objs[0]:], 1<<28) }, true},
+		{"every first = 1<<28", everyFirst(1 << 28), true},
+		{"first blocks start at 1<<28", func(_, off, blocks []byte) {
+			for s := 0; s < g.NumVertices(); s++ {
+				put(blocks[16*binary.LittleEndian.Uint32(off[4*s:]):], 1<<28)
+			}
+		}, true},
+		{"every first = 5", everyFirst(5), false},
+	} {
+		data := bytes.Clone(buf.Bytes())
+		_, payloads, err := snapshot.Parse(data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if p.Name != "SILC" {
+				continue
+			}
+			sr := snapio.NewSource(p.Data, false)
+			sr.U16()  // version
+			sr.Bool() // chain optimisation
+			_, rank, _ := sr.AlignedRaw(4, 4)
+			sr.AlignedRaw(4, 4) // byRank
+			_, off, _ := sr.AlignedRaw(4, 4)
+			_, blocks, _ := sr.AlignedRaw(16, 4)
+			if sr.Err() != nil {
+				t.Fatal(sr.Err())
+			}
+			c.tamper(rank, off, blocks)
+		}
+		data = reframe(t, data)
+		path := filepath.Join(dir, "hostile.rnks")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := map[string]func() (*rnknn.DB, error){
+			"verified": func() (*rnknn.DB, error) { return rnknn.OpenFromSnapshot(g, bytes.NewReader(data), opts...) },
+			"mapped":   func() (*rnknn.DB, error) { return rnknn.OpenSnapshotFile(path, opts...) },
+		}
+		for how, open := range open {
+			db, err := open()
+			if c.refuse && errors.Is(err, rnknn.ErrBadSnapshot) {
+				continue
+			}
+			if c.refuse || err != nil {
+				t.Errorf("%s: %s open: want refuse=%v, got %v", c.name, how, c.refuse, err)
+			}
+			if err != nil {
+				continue
+			}
+			done := make(chan error, 1)
+			go func() {
+				for q := int32(0); q < int32(g.NumVertices()); q++ {
+					for _, m := range []rnknn.Method{rnknn.DisBrw, rnknn.DisBrwOH} {
+						if _, err := db.KNN(context.Background(), q, 5, rnknn.WithMethod(m)); err != nil {
+							done <- fmt.Errorf("KNN(%d) by %v: %w", q, m, err)
+							return
+						}
+					}
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("%s: %s open: %v", c.name, how, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: %s open: queries still running after 10s", c.name, how)
+			}
+			db.Close()
 		}
 	}
 }
