@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -648,6 +649,75 @@ func BenchmarkObjectChurn(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// mutateDensities are the object densities BenchmarkObjectMutate churns,
+// each registered on NW as category "d<density>": rnbench's sparse and
+// dense categories.
+var mutateDensities = []float64{0.001, 0.1}
+
+// mutateDB lazily opens NW with rnbench's fixture methods (INE, IER-PHL,
+// G-tree, ROAD), so every mutation derives all four object indexes.
+var mutateDB = struct {
+	once sync.Once
+	db   *api.DB
+}{}
+
+// BenchmarkObjectMutate is the in-tree twin of rnbench's
+// objects.mutate_{sparse,dense}_us: one op is a 4-vertex InsertObjects of
+// vertices outside the category followed by the matching RemoveObjects,
+// so the set is the same after every op. ns/mutation is half of ns/op, the
+// probes' unit.
+func BenchmarkObjectMutate(b *testing.B) {
+	mutateDB.once.Do(func() {
+		spec, _ := gen.LadderSpec("NW")
+		g := gen.Network(spec)
+		opts := []api.Option{api.WithMethods(api.INE, api.IERPHL, api.Gtree, api.ROAD)}
+		for i, d := range mutateDensities {
+			opts = append(opts, api.WithObjects(fmt.Sprintf("d%g", d), gen.Uniform(g, d, int64(60+i))))
+		}
+		db, err := api.Open(g, opts...)
+		if err != nil {
+			panic(err)
+		}
+		mutateDB.db = db
+	})
+	db := mutateDB.db
+	if db == nil {
+		b.Fatal("shared mutate bench DB failed to open")
+	}
+	for i, d := range mutateDensities {
+		cat := fmt.Sprintf("d%g", d)
+		b.Run("density="+fmt.Sprint(d), func(b *testing.B) {
+			// 128 deltas of four distinct vertices, none in the category.
+			present := map[int32]bool{}
+			for _, v := range gen.Uniform(db.Graph(), d, int64(60+i)) {
+				present[v] = true
+			}
+			rng := rand.New(rand.NewSource(67))
+			deltas := make([][]int32, 128)
+			for j := range deltas {
+				for len(deltas[j]) < 4 {
+					if v := int32(rng.Intn(db.Graph().NumVertices())); !present[v] {
+						present[v] = true
+						deltas[j] = append(deltas[j], v)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vs := deltas[i%len(deltas)]
+				if err := db.InsertObjects(cat, vs); err != nil {
+					b.Fatal(err)
+				}
+				if err := db.RemoveObjects(cat, vs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/mutation")
 		})
 	}
 }

@@ -1,9 +1,9 @@
 package gtree
 
 import (
+	"math"
 	"slices"
 
-	"rnknn/internal/bitset"
 	"rnknn/internal/knn"
 )
 
@@ -67,41 +67,87 @@ func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
 // Next returns the list of objs, the successor of ol's object set whose
 // effective delta is added and removed (knn.ObjectSet.WithDelta: each vertex
 // at most once per slice, removed ones present in ol, added ones absent
-// after the removals). The counts are copied and moved along the delta's
-// ancestor chains; the leaf lists are copied leaf by leaf, except that a
-// leaf the delta touched is refilled from its sorted vertices — O(nodes +
-// objects) memcpy plus O(leaf size) per touched leaf.
+// after the removals, so a vertex removed and re-added is in both). The
+// counts are copied and moved along the delta's ancestor chains. The leaf
+// lists keep their node order, so every run of nodes between two touched
+// leaves moves as one block, by the size change of the touched leaves
+// before it; a touched leaf's list is its old list minus the removed
+// vertices merged with the added ones. Cost: O(tree height + touched-leaf
+// objects) per changed object, plus one O(objects + nodes) memcpy.
 func (ol *OccurrenceList) Next(x *Index, objs *knn.ObjectSet, added, removed []int32) *OccurrenceList {
 	nodes := x.PT.Nodes
 	next := &OccurrenceList{
 		count:   slices.Clone(ol.count),
 		leafOff: make([]int32, len(nodes)+1),
-		leafObj: make([]int32, 0, objs.Len()),
+		leafObj: make([]int32, objs.Len()),
 		objs:    objs,
 	}
-	touched := bitset.New(len(nodes))
-	for _, v := range removed {
-		touched.Set(x.PT.LeafOf[v])
+	// Each changed vertex as one key, leaf then vertex, so sorting groups
+	// the delta by leaf in node order and each leaf's part ascending.
+	keys := make([]int64, len(removed)+len(added))
+	rm, ad := keys[:len(removed)], keys[len(removed):]
+	for i, v := range removed {
 		next.shift(x, v, -1)
+		rm[i] = key(x.PT.LeafOf[v], v)
 	}
-	for _, v := range added {
-		touched.Set(x.PT.LeafOf[v])
+	for i, v := range added {
 		next.shift(x, v, 1)
+		ad[i] = key(x.PT.LeafOf[v], v)
 	}
-	for n := range nodes {
-		next.leafOff[n] = int32(len(next.leafObj))
-		if !touched.Get(int32(n)) {
-			next.leafObj = append(next.leafObj, ol.LeafObjects(int32(n))...)
-			continue
-		}
-		for _, u := range nodes[n].Vertices {
-			if objs.Contains(u) {
-				next.leafObj = append(next.leafObj, u)
+	slices.Sort(rm)
+	slices.Sort(ad)
+	var from, d int32 // first node not yet placed; its range's move
+	for len(rm) > 0 || len(ad) > 0 {
+		leaf := int32(min(head(rm), head(ad)) >> 32)
+		next.copyRun(ol, from, leaf, d)
+		out := next.leafObj[next.leafOff[leaf] : next.leafOff[leaf]+next.count[leaf]]
+		i := 0
+		for _, u := range ol.LeafObjects(leaf) {
+			if len(rm) > 0 && rm[0] == key(leaf, u) {
+				rm = rm[1:]
+				continue
 			}
+			for ; len(ad) > 0 && ad[0] < key(leaf, u); ad = ad[1:] {
+				out[i] = int32(ad[0])
+				i++
+			}
+			out[i] = u
+			i++
+		}
+		for ; len(ad) > 0 && ad[0]>>32 == int64(leaf); ad = ad[1:] {
+			out[i] = int32(ad[0])
+			i++
+		}
+		d += next.count[leaf] - ol.count[leaf]
+		from = leaf + 1
+	}
+	next.copyRun(ol, from, int32(len(nodes)), d)
+	return next
+}
+
+// copyRun places the untouched nodes from..to-1 of ol into next with every
+// range moved by d. It also sets next.leafOff[to]: the start of the touched
+// leaf that ends the run, or the end sentinel.
+func (next *OccurrenceList) copyRun(ol *OccurrenceList, from, to, d int32) {
+	off := next.leafOff[from : to+1]
+	copy(off, ol.leafOff[from:to+1])
+	if d != 0 {
+		for i := range off {
+			off[i] += d
 		}
 	}
-	next.leafOff[len(nodes)] = int32(len(next.leafObj))
-	return next
+	copy(next.leafObj[off[0]:], ol.leafObj[ol.leafOff[from]:ol.leafOff[to]])
+}
+
+// key is the sort key of object v in leaf n.
+func key(n, v int32) int64 { return int64(n)<<32 | int64(v) }
+
+// head is the first key of a sorted delta part, past every key when empty.
+func head(keys []int64) int64 {
+	if len(keys) == 0 {
+		return math.MaxInt64
+	}
+	return keys[0]
 }
 
 // shift adds d to the count of every node on v's ancestor chain.

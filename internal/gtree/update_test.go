@@ -74,38 +74,91 @@ func checkKNN(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *kn
 // TestOccurrenceListUpdates drives random insert/remove deltas through
 // ObjectSet.WithDelta + Next and, after every step, compares the derived
 // list with a from-scratch build, its kNN answers with brute force, and the
-// previous epoch's list with its own set (Next never writes to it).
+// previous epoch's list with its own set (Next never writes to it). The
+// deltas come in four phases: one to three flips; up to 64 flips with some
+// removed vertices re-added in the same delta, so touched leaves sit next
+// to each other and the first and last leaf are touched; a leaf emptied and
+// refilled; and removals only, so the set drains. The test fails unless
+// each of those splice cases occurred.
 func TestOccurrenceListUpdates(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 141})
 	idx := buildTau(g, 32)
 	rng := rand.New(rand.NewSource(1))
 	n := g.NumVertices()
+	var leaves []int32
+	for i := 0; i < idx.NumNodes(); i++ {
+		if idx.PT.Nodes[i].IsLeaf() {
+			leaves = append(leaves, int32(i))
+		}
+	}
+	first, last := leaves[0], leaves[len(leaves)-1]
+	var seen struct{ first, last, adjacent, readded, emptied, refilled bool }
 
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.01, 5))
 	ol := idx.NewOccurrenceList(objs)
-	for step := 0; step < 120; step++ {
-		// One to three vertices per delta, flipped: present ones leave,
-		// absent ones join. Late steps only remove, so the set drains and
-		// nodes of every level lose their last object.
+	flip := func(v int32, add, remove *[]int32) {
+		if objs.Contains(v) {
+			*remove = append(*remove, v)
+		} else {
+			*add = append(*add, v)
+		}
+	}
+	for step := 0; step < 200; step++ {
 		var add, remove []int32
-		for i := rng.Intn(3); i >= 0; i-- {
-			v := int32(rng.Intn(n))
-			if step >= 80 && objs.Len() > 0 {
-				v = objs.Vertices()[rng.Intn(objs.Len())]
+		switch leaf := leaves[step%len(leaves)]; {
+		case step < 60:
+			for i := rng.Intn(3); i >= 0; i-- {
+				flip(int32(rng.Intn(n)), &add, &remove)
 			}
-			if objs.Contains(v) {
-				remove = append(remove, v)
-			} else {
-				add = append(add, v)
+		case step < 120:
+			for i := rng.Intn(64); i >= 0; i-- {
+				flip(int32(rng.Intn(n)), &add, &remove)
+			}
+			for _, v := range remove {
+				if rng.Intn(4) == 0 {
+					add = append(add, v)
+				}
+			}
+		case step < 160 && step%2 == 0:
+			// Empty one leaf; the next step refills it whole.
+			remove = slices.Clone(ol.LeafObjects(leaf))
+		case step < 160:
+			add = slices.Clone(idx.PT.Nodes[leaves[(step-1)%len(leaves)]].Vertices)
+		default:
+			for i := rng.Intn(3); i >= 0 && objs.Len() > 0; i-- {
+				remove = append(remove, objs.Vertices()[rng.Intn(objs.Len())])
 			}
 		}
 		prevObjs, prevOL := objs, ol
-		objs, ol = derive(idx, objs, ol, add, remove)
+		var added, removed []int32
+		objs, added, removed = prevObjs.WithDelta(add, remove)
+		ol = prevOL.Next(idx, objs, added, removed)
+
+		touched := map[int32]bool{}
+		for _, v := range slices.Concat(added, removed) {
+			touched[idx.PT.LeafOf[v]] = true
+		}
+		for _, v := range added {
+			seen.readded = seen.readded || slices.Contains(removed, v)
+		}
+		seen.first = seen.first || touched[first]
+		seen.last = seen.last || touched[last]
+		for i := 1; i < len(leaves); i++ {
+			seen.adjacent = seen.adjacent || touched[leaves[i-1]] && touched[leaves[i]] && leaves[i] == leaves[i-1]+1
+		}
+		for l := range touched {
+			seen.emptied = seen.emptied || len(prevOL.LeafObjects(l)) > 0 && len(ol.LeafObjects(l)) == 0
+			seen.refilled = seen.refilled || len(prevOL.LeafObjects(l)) == 0 && len(ol.LeafObjects(l)) == len(idx.PT.Nodes[l].Vertices)
+		}
+
 		checkList(t, idx, ol, objs, "after the step")
 		checkList(t, idx, prevOL, prevObjs, "previous epoch")
 		q := int32(rng.Intn(n))
 		checkKNN(t, idx, ol, objs, q, "after the step")
 		checkKNN(t, idx, prevOL, prevObjs, q, "previous epoch")
+	}
+	if !seen.first || !seen.last || !seen.adjacent || !seen.readded || !seen.emptied || !seen.refilled {
+		t.Fatalf("a splice case never occurred: %+v", seen)
 	}
 }
 

@@ -16,7 +16,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rnknn/internal/geo"
@@ -86,7 +88,16 @@ func (t *Tree) bulkLoad(ids []int32, pts []geo.Point) {
 	if len(ids) == 0 {
 		return
 	}
-	strSort(ids, pts, t.nodeCap)
+	items := make([]strItem, len(ids))
+	for i := range items {
+		items[i] = strItem{pts[i], int32(i)}
+	}
+	strOrder(items, t.nodeCap)
+	sorted := make([]int32, len(ids))
+	for i, it := range items {
+		pts[i], sorted[i] = it.pt, ids[it.i]
+	}
+	ids = sorted
 
 	// Build leaf level. Sub-slicing with a capacity clamp keeps the packed
 	// backing arrays shared until a mutation copies a node's slice out.
@@ -108,8 +119,18 @@ func (t *Tree) bulkLoad(ids []int32, pts []geo.Point) {
 		})
 		level = append(level, int32(len(t.nodes)-1))
 	}
-	// Build internal levels until a single root remains.
+	// Build internal levels until a single root remains, each STR-ordered
+	// by node centre before grouping.
 	for len(level) > 1 {
+		items = items[:len(level)]
+		for i, ni := range level {
+			r := t.nodes[ni].rect
+			items[i] = strItem{geo.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}, ni}
+		}
+		strOrder(items, t.nodeCap)
+		for i, it := range items {
+			level[i] = it.i
+		}
 		var next []int32
 		for start := 0; start < len(level); start += t.nodeCap {
 			end := start + t.nodeCap
@@ -390,53 +411,40 @@ func cowRemovePt(s []geo.Point, i int) []geo.Point {
 	return append(out, s[i+1:]...)
 }
 
-// strSort orders the points by Sort-Tile-Recursive: sort by x, partition
-// into vertical slabs of sqrt(n/cap) tiles, sort each slab by y.
-func strSort(ids []int32, pts []geo.Point, cap int) {
-	n := len(ids)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return pts[idx[a]].X < pts[idx[b]].X })
-	leaves := (n + cap - 1) / cap
-	slabs := int(math.Ceil(math.Sqrt(float64(leaves))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	slabSize := (n + slabs - 1) / slabs
+// strItem is one entry STR orders: a point and what it stands for (an
+// entry's index, or a node by its centre).
+type strItem struct {
+	pt geo.Point
+	i  int32
+}
+
+// strOrder sorts items into Sort-Tile-Recursive order: by x, then cut into
+// ceil(sqrt(groups)) vertical slabs, each a whole number of groups of cap
+// items, and each slab sorted by y. Grouping the ordered items cap at a
+// time then tiles every slab and no group straddles two.
+func strOrder(items []strItem, cap int) {
+	n := len(items)
+	groups := (n + cap - 1) / cap
+	slabs := int(math.Ceil(math.Sqrt(float64(groups))))
+	slabSize := (groups + slabs - 1) / slabs * cap
+	slices.SortFunc(items, func(a, b strItem) int { return cmp.Compare(a.pt.X, b.pt.X) })
 	for s := 0; s < n; s += slabSize {
-		e := s + slabSize
-		if e > n {
-			e = n
-		}
-		sub := idx[s:e]
-		sort.Slice(sub, func(a, b int) bool { return pts[sub[a]].Y < pts[sub[b]].Y })
+		slices.SortFunc(items[s:min(s+slabSize, n)], func(a, b strItem) int { return cmp.Compare(a.pt.Y, b.pt.Y) })
 	}
-	outIDs := make([]int32, n)
-	outPts := make([]geo.Point, n)
-	for i, j := range idx {
-		outIDs[i] = ids[j]
-		outPts[i] = pts[j]
-	}
-	copy(ids, outIDs)
-	copy(pts, outPts)
 }
 
 // Neighbor is one result of a Euclidean nearest-neighbor scan.
 type Neighbor struct {
 	ID   int32
-	Pt   geo.Point
 	Dist float64
 }
 
 // scanItem is an entry of the scan's priority queue, holding either an
-// R-tree node (node >= 0) or a point entry (node == -1, id/pt set).
+// R-tree node (node >= 0) or a point entry (node == -1, id set): 16 bytes.
 type scanItem struct {
 	key  float64
 	node int32 // -1 for a point entry
 	id   int32
-	pt   geo.Point
 }
 
 // Scanner is a suspendable best-first incremental nearest-neighbor search
@@ -486,12 +494,12 @@ func (s *Scanner) Next() (Neighbor, bool) {
 	for len(s.items) > 0 {
 		it := s.pop()
 		if it.node < 0 {
-			return Neighbor{ID: it.id, Pt: it.pt, Dist: it.key}, true
+			return Neighbor{ID: it.id, Dist: it.key}, true
 		}
 		n := &t.nodes[it.node]
 		if n.leaf {
 			for i, p := range n.pts {
-				s.push(scanItem{key: s.from.Dist(p), node: -1, id: n.ids[i], pt: p})
+				s.push(scanItem{key: s.from.Dist(p), node: -1, id: n.ids[i]})
 			}
 		} else {
 			for _, c := range n.children {

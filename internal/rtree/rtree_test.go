@@ -303,3 +303,47 @@ func TestRebuildTriggers(t *testing.T) {
 		}
 	}
 }
+
+// TestSTRPacking checks the bulk load tiles the plane. On uniform points
+// the leaf MBRs sum to at most the data's bounding box, since every slab
+// holds whole leaves (leaves straddling two slabs covered it 2.2x over), and
+// each upper level to at most 1.25x: grouped by child centre in STR order,
+// its nodes overlap only where their children's MBRs reach past the
+// centres (grouped as vertical strips in slab order they covered 1.6x). The
+// node count stays that of packing ceil(n/cap) full leaves, then full
+// parents, level by level.
+func TestSTRPacking(t *testing.T) {
+	const n, nodeCap = 2182, 16
+	ids, pts := randomPoints(n, 21)
+	tr := New(ids, pts, nodeCap)
+	box := geo.EmptyRect()
+	for _, p := range pts {
+		box = box.Expand(p)
+	}
+	wantNodes := 0
+	for width := n; width > 1; {
+		width = (width + nodeCap - 1) / nodeCap
+		wantNodes += width
+	}
+	if len(tr.nodes) != wantNodes {
+		t.Fatalf("%d nodes, want %d", len(tr.nodes), wantNodes)
+	}
+	for depth, level := 0, []int32{tr.root}; len(level) > 0; depth++ {
+		var sum float64
+		var below []int32
+		for _, ni := range level {
+			sum += area(tr.nodes[ni].rect)
+			below = append(below, tr.nodes[ni].children...)
+		}
+		bound := 1.25
+		if tr.nodes[level[0]].leaf {
+			bound = 1
+		}
+		ratio := sum / area(box)
+		t.Logf("depth %d: %d MBRs cover %.2fx the bounding box", depth, len(level), ratio)
+		if ratio > bound {
+			t.Errorf("depth %d: %d MBRs cover %.2fx the bounding box, want <= %.2fx", depth, len(level), ratio, bound)
+		}
+		level = below
+	}
+}

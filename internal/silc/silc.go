@@ -225,11 +225,15 @@ func (x *Index) LambdaRange(s int32, loRank, hiRank int32) (lamLo, lamHi float64
 }
 
 // Path computes the full shortest path from s to t by iterated first moves
-// (O(m log |V|) for an m-edge path, Section 3.3).
+// (O(m log |V|) for an m-edge path, Section 3.3). A shortest path has fewer
+// than |V| edges, so a walk that makes |V| moves without reaching t follows
+// first moves that cycle — a corrupt index — and Path returns nil.
 func (x *Index) Path(s, t int32) []int32 {
 	path := []int32{s}
-	v := s
-	for v != t {
+	for v := s; v != t; {
+		if len(path) > x.G.NumVertices() {
+			return nil
+		}
 		v = x.FirstMove(v, t)
 		path = append(path, v)
 	}

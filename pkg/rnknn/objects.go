@@ -65,8 +65,9 @@ func (db *DB) RegisterObjects(name string, vertices []int32) error {
 // derived object indexes: the next epoch is derived from the live one in
 // O(delta) per enabled method (R-tree insert, occurrence-list counts and
 // association-directory Add, a copy-on-write membership update for the
-// expansion methods), plus a memcpy of the set into G-tree's fresh leaf
-// lists. A category that does not exist yet is created, so
+// expansion methods), plus a memcpy of G-tree's leaf lists in which only
+// the leaves the delta touches are merged. A category that does not exist
+// yet is created, so
 // InsertObjects into a fresh name is equivalent to RegisterObjects.
 // Vertices already present are ignored.
 //
