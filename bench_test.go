@@ -247,9 +247,8 @@ func BenchmarkDBConcurrentMixedSwap(b *testing.B) {
 // --- Public API: allocation trajectory ---
 
 // allocDB lazily opens the zero-allocation benchmark DB: a small network so
-// every required method — including quadratic-build SILC (DisBrw) — is
-// cheap to construct, with a dense-enough default category that k=10
-// queries always fill.
+// every required method is cheap to construct, with a dense-enough default
+// category that k=10 queries always fill.
 var allocDB = struct {
 	once sync.Once
 	db   *api.DB
@@ -260,7 +259,7 @@ func sharedAllocDB(b *testing.B) (*api.DB, []int32) {
 	allocDB.once.Do(func() {
 		g := gen.Network(gen.NetworkSpec{Name: "dballoc", Rows: 24, Cols: 24, Seed: 19})
 		db, err := api.Open(g,
-			api.WithMethods(api.INE, api.IERPHL, api.IERCH, api.Gtree, api.ROAD, api.DisBrw),
+			api.WithMethods(api.INE, api.IERPHL, api.IERCH, api.Gtree, api.ROAD),
 			api.WithObjects(api.DefaultCategory, gen.Uniform(g, 0.05, 27)))
 		if err != nil {
 			panic(err)

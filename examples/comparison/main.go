@@ -1,7 +1,8 @@
-// Comparison: a miniature of the paper's whole study through the public
-// API. Open a DB with every method over one network and object set, verify
-// each agrees with brute force, and print per-method timings from DB.Stats
-// — a sanity harness for adopters choosing a method for their workload.
+// Comparison: a miniature of the paper's study through the public API.
+// Open a DB with every method over one network and object set, verify each
+// agrees with brute force, and print per-method timings from DB.Stats — a
+// sanity harness for adopters choosing a method for their workload.
+// Distance Browsing is not served; cmd/knnexp runs it for the figures.
 package main
 
 import (
@@ -15,14 +16,8 @@ import (
 
 func main() {
 	g := gen.Network(gen.NetworkSpec{Name: "bench", Rows: 48, Cols: 60, Seed: 8})
-	// Every method except DisBrw-OH (same SILC index as DisBrw; kept for
-	// the fig19 ablation). SILC's quadratic build dominates Open here.
-	methods := []rnknn.Method{
-		rnknn.INE, rnknn.IERDijk, rnknn.IERCH, rnknn.IERTNR, rnknn.IERPHL,
-		rnknn.IERGt, rnknn.Gtree, rnknn.ROAD, rnknn.DisBrw,
-	}
 	start := time.Now()
-	db, err := rnknn.Open(g, rnknn.WithMethods(methods...),
+	db, err := rnknn.Open(g, rnknn.WithMethods(rnknn.Methods()...),
 		rnknn.WithObjects(rnknn.DefaultCategory, gen.Uniform(g, 0.001, 9)))
 	if err != nil {
 		panic(err)
@@ -39,7 +34,7 @@ func main() {
 	ctx := context.Background()
 	indexFor := map[rnknn.Method]string{
 		rnknn.IERCH: "CH", rnknn.IERTNR: "TNR", rnknn.IERPHL: "PHL",
-		rnknn.IERGt: "Gtree", rnknn.Gtree: "Gtree", rnknn.ROAD: "ROAD", rnknn.DisBrw: "SILC",
+		rnknn.IERGt: "Gtree", rnknn.Gtree: "Gtree", rnknn.ROAD: "ROAD",
 	}
 	stats := db.Stats()
 	for _, m := range db.Methods() {

@@ -15,9 +15,9 @@ import (
 // search state (heaps, stamped distance arrays, evicted sets, oracle
 // sources) all lives on the session and is reset in O(1) per query.
 //
-// Every kind is measured, including the two SILC variants and the IER
-// oracles beyond the required set (INE, IER-PHL, IER-CH, Gtree, ROAD,
-// DisBrw).
+// Every kind is measured, including the IER oracles beyond the required
+// set (INE, IER-PHL, IER-CH, Gtree, ROAD). Distance Browsing's gate is
+// internal/silc's TestWarmKNNZeroAllocs.
 func TestWarmSessionKNNZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every index")

@@ -1,9 +1,10 @@
 // Package core is the library's engine room: an Engine that owns a road
 // network, lazily builds each road-network index exactly once (recording
-// build time and size), and manufactures query sessions — any of the
-// paper's five algorithms, with IER composable over any distance oracle —
-// bound to interchangeable object sets (the decoupled-index design of
-// Section 2.2).
+// build time and size), and manufactures query sessions — INE, IER
+// composable over any distance oracle, G-tree and ROAD — bound to
+// interchangeable object sets (the decoupled-index design of Section 2.2).
+// The paper's fifth algorithm, Distance Browsing, is built by the
+// experiment harness alone (internal/exp), which reproduces its figures.
 //
 // The public, concurrency-safe entry point to the library is pkg/rnknn: its
 // DB facade pools the query sessions manufactured here (NewSession) and
@@ -42,7 +43,6 @@ import (
 	"rnknn/internal/ine"
 	"rnknn/internal/phl"
 	"rnknn/internal/road"
-	"rnknn/internal/silc"
 	"rnknn/internal/snapio"
 	"rnknn/internal/tnr"
 )
@@ -67,20 +67,18 @@ const (
 	Gtree
 	// ROAD is Route Overlay and Association Directory (Section 3.4).
 	ROAD
-	// DisBrw is Distance Browsing in its DB-ENN form (Appendix A.1.1).
-	DisBrw
-	// DisBrwOH is Distance Browsing with the original Object Hierarchy.
-	DisBrwOH
-	numKinds
+	// NumKinds is the number of method kinds (tables indexed by kind size
+	// themselves by it).
+	NumKinds
 )
 
 // Kinds lists every method kind in display order.
 func Kinds() []MethodKind {
-	return []MethodKind{INE, IERDijk, IERCH, IERTNR, IERPHL, IERGt, Gtree, ROAD, DisBrw, DisBrwOH}
+	return []MethodKind{INE, IERDijk, IERCH, IERTNR, IERPHL, IERGt, Gtree, ROAD}
 }
 
 func (k MethodKind) String() string {
-	if k >= 0 && k < numKinds {
+	if k >= 0 && k < NumKinds {
 		return kinds[k].name
 	}
 	return fmt.Sprintf("MethodKind(%d)", int(k))
@@ -88,20 +86,18 @@ func (k MethodKind) String() string {
 
 // kinds holds, per method kind, its display name and the road-network
 // index it runs on (noIndex: the graph alone).
-var kinds = [numKinds]struct {
+var kinds = [NumKinds]struct {
 	name string
 	on   indexID
 }{
-	INE:      {"INE", noIndex},
-	IERDijk:  {"IER-Dijk", noIndex},
-	IERCH:    {"IER-CH", idxCH},
-	IERTNR:   {"IER-TNR", idxTNR},
-	IERPHL:   {"IER-PHL", idxPHL},
-	IERGt:    {"IER-Gt", idxGtree},
-	Gtree:    {"Gtree", idxGtree},
-	ROAD:     {"ROAD", idxROAD},
-	DisBrw:   {"DisBrw", idxSILC},
-	DisBrwOH: {"DisBrw-OH", idxSILC},
+	INE:     {"INE", noIndex},
+	IERDijk: {"IER-Dijk", noIndex},
+	IERCH:   {"IER-CH", idxCH},
+	IERTNR:  {"IER-TNR", idxTNR},
+	IERPHL:  {"IER-PHL", idxPHL},
+	IERGt:   {"IER-Gt", idxGtree},
+	Gtree:   {"Gtree", idxGtree},
+	ROAD:    {"ROAD", idxROAD},
 }
 
 // index is what the engine itself needs of a built road-network index: its
@@ -117,7 +113,6 @@ type indexID int
 const (
 	idxGtree indexID = iota
 	idxROAD
-	idxSILC
 	idxCH
 	idxPHL
 	idxTNR
@@ -143,9 +138,6 @@ var indexes = [numIndexes]struct {
 	idxROAD: {"ROAD", noIndex, nil,
 		func(g *graph.Graph, _ index) index { return road.Build(g) },
 		func(sr *snapio.Source, g *graph.Graph) (index, error) { return road.Read(sr, g) }},
-	idxSILC: {"SILC", noIndex, nil,
-		func(g *graph.Graph, _ index) index { return silc.Build(g) },
-		func(sr *snapio.Source, g *graph.Graph) (index, error) { return silc.Read(sr, g) }},
 	idxCH: {"CH", noIndex, nil,
 		func(g *graph.Graph, _ index) index { return ch.Build(g) },
 		func(sr *snapio.Source, g *graph.Graph) (index, error) { return ch.Read(sr, g) }},
@@ -227,11 +219,6 @@ func (e *Engine) GtreeIndex() *gtree.Index { return e.get(idxGtree).(*gtree.Inde
 // ROADIndex returns the engine's ROAD index, building it on first use.
 func (e *Engine) ROADIndex() *road.Index { return e.get(idxROAD).(*road.Index) }
 
-// SILCIndex returns the engine's SILC index, building it on first use.
-// Beware the O(|V|^2 log |V|) build; the paper limits SILC to the smaller
-// networks and so does the experiment harness.
-func (e *Engine) SILCIndex() *silc.Index { return e.get(idxSILC).(*silc.Index) }
-
 // CHIndex returns the engine's contraction hierarchy, building it on first
 // use.
 func (e *Engine) CHIndex() *ch.Index { return e.get(idxCH).(*ch.Index) }
@@ -264,7 +251,7 @@ type IndexInfo struct {
 }
 
 // BuiltIndexes reports every index built or loaded so far by name ("Gtree",
-// "ROAD", "SILC", "CH", "PHL", "TNR") — the observability hook behind
+// "ROAD", "CH", "PHL", "TNR") — the observability hook behind
 // pkg/rnknn's DB.Stats and the harness's construction-time tables. Safe
 // for concurrent use.
 func (e *Engine) BuiltIndexes() map[string]IndexInfo {

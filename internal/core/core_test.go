@@ -73,8 +73,7 @@ func TestTravelTimeEngine(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 124}).View(graph.TravelTime)
 	e := core.New(g)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.01, 2))
-	// The travel-time comparison set (the paper excludes DisBrw there).
-	kinds := []core.MethodKind{core.INE, core.IERDijk, core.IERCH, core.IERTNR, core.IERPHL, core.IERGt, core.Gtree, core.ROAD}
+	kinds := core.Kinds()
 	rng := rand.New(rand.NewSource(2))
 	for _, kind := range kinds {
 		m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))

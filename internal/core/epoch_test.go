@@ -16,7 +16,7 @@ import (
 func TestNextBindingMatchesBulkRebuild(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 12, Cols: 12, Seed: 91})
 	e := New(g)
-	kinds := []MethodKind{INE, IERDijk, Gtree, ROAD, DisBrw, DisBrwOH}
+	kinds := []MethodKind{INE, IERDijk, Gtree, ROAD}
 	rng := rand.New(rand.NewSource(92))
 
 	current := map[int32]bool{}

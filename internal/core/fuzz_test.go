@@ -22,6 +22,11 @@ import (
 // either path, must then answer KNN from every vertex on every method kind,
 // and Range where the kind has one: a decoder may pass wrong content, but
 // never an index whose queries panic or hang.
+//
+// The victim byte picks a slot in the section order the format has always
+// had, so a corpus entry keeps naming the section it was found in. The
+// retired SILC section keeps its slot after ROAD: a payload there adds a
+// SILC section to the file, which both loads must refuse.
 func FuzzSectionCodecs(f *testing.F) {
 	g := gen.Network(gen.NetworkSpec{Name: "fuzz", Rows: 6, Cols: 6, Seed: 1})
 	e := core.New(g)
@@ -34,7 +39,12 @@ func FuzzSectionCodecs(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i, p := range base {
+	if base[2].Name != "ROAD" {
+		f.Fatalf("section 2 is %s, want ROAD", base[2].Name)
+	}
+	const retired = 3
+	slots := append(append(base[:retired:retired], snapshot.Payload{Name: "SILC", Mappable: true}), base[retired:]...)
+	for i, p := range slots {
 		f.Add(uint8(i), p.Data)
 		f.Add(uint8(i), p.Data[:len(p.Data)/2])
 	}
@@ -44,17 +54,19 @@ func FuzzSectionCodecs(f *testing.F) {
 	radius := near[len(near)-1].Dist
 
 	f.Fuzz(func(t *testing.T, victim uint8, payload []byte) {
-		v := int(victim) % len(base)
-		secs := make([]snapshot.Section, len(base))
-		for i, p := range base {
+		v := int(victim) % len(slots)
+		var secs []snapshot.Section
+		for i, p := range slots {
 			data := p.Data
 			if i == v {
 				data = payload
+			} else if i == retired {
+				continue
 			}
-			secs[i] = snapshot.Section{Name: p.Name, Mappable: p.Mappable, Encode: func(w io.Writer) error {
+			secs = append(secs, snapshot.Section{Name: p.Name, Mappable: p.Mappable, Encode: func(w io.Writer) error {
 				_, err := w.Write(data)
 				return err
-			}}
+			}})
 		}
 		var out bytes.Buffer
 		if err := snapshot.Write(&out, fp, secs); err != nil {
@@ -62,13 +74,16 @@ func FuzzSectionCodecs(f *testing.F) {
 		}
 		for _, alias := range []bool{false, true} {
 			if _, _, err := core.LoadGraphData(out.Bytes(), alias); err != nil && !errors.Is(err, snapshot.ErrBadSnapshot) {
-				t.Fatalf("section %s, alias=%v: LoadGraphData: untyped error %v", base[v].Name, alias, err)
+				t.Fatalf("section %s, alias=%v: LoadGraphData: untyped error %v", slots[v].Name, alias, err)
 			}
 			loaded := core.New(g)
 			err := loaded.LoadIndexesData(out.Bytes(), alias)
+			if v == retired && !errors.Is(err, snapshot.ErrBadSnapshot) {
+				t.Fatalf("retired section SILC, alias=%v: LoadIndexesData: want ErrBadSnapshot, got %v", alias, err)
+			}
 			if err != nil {
 				if !errors.Is(err, snapshot.ErrBadSnapshot) {
-					t.Fatalf("section %s, alias=%v: LoadIndexesData: untyped error %v", base[v].Name, alias, err)
+					t.Fatalf("section %s, alias=%v: LoadIndexesData: untyped error %v", slots[v].Name, alias, err)
 				}
 				continue
 			}
@@ -80,7 +95,7 @@ func FuzzSectionCodecs(f *testing.F) {
 			select {
 			case <-done:
 			case <-time.After(10 * time.Second):
-				t.Fatalf("section %s, alias=%v: queries on the loaded engine still running after 10s", base[v].Name, alias)
+				t.Fatalf("section %s, alias=%v: queries on the loaded engine still running after 10s", slots[v].Name, alias)
 			}
 		}
 	})

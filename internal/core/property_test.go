@@ -85,7 +85,7 @@ func TestPropertyKNNMonotoneInK(t *testing.T) {
 	f := func(qSel uint16, kSel uint8) bool {
 		q := int32(int(qSel) % g.NumVertices())
 		k := 1 + int(kSel)%6
-		for _, kind := range []core.MethodKind{core.Gtree, core.ROAD, core.IERPHL, core.DisBrw} {
+		for _, kind := range []core.MethodKind{core.Gtree, core.ROAD, core.IERPHL} {
 			m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
 			if err != nil {
 				return false

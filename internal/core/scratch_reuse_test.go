@@ -12,8 +12,7 @@ import (
 )
 
 // reuseGraphs are the three networks the dirty-scratch property is checked
-// on; the smallest also builds SILC so the DisBrw pair's candidate
-// machinery is exercised.
+// on.
 var reuseGraphs = []gen.NetworkSpec{
 	{Name: "r-small", Rows: 8, Cols: 10, Seed: 61},
 	{Name: "r-mid", Rows: 14, Cols: 18, Seed: 67},
@@ -38,12 +37,7 @@ func TestDirtyScratchReuse(t *testing.T) {
 			g := gen.Network(spec)
 			e := core.New(g)
 			objs := knn.NewObjectSet(g, gen.Uniform(g, 0.06, int64(spec.Seed)+1))
-			kinds := []core.MethodKind{core.INE, core.IERDijk, core.IERCH, core.IERTNR,
-				core.IERPHL, core.IERGt, core.Gtree, core.ROAD}
-			if g.NumVertices() <= 200 {
-				kinds = append(kinds, core.DisBrw, core.DisBrwOH)
-			}
-			for _, kind := range kinds {
+			for _, kind := range core.Kinds() {
 				kind := kind
 				t.Run(kind.String(), func(t *testing.T) {
 					b := e.NewBinding(objs, []core.MethodKind{kind})
@@ -104,7 +98,7 @@ func TestDirtyScratchReuse(t *testing.T) {
 // returning false from yield (an early consumer break) once reached.
 func collectStream(s core.Session, q int32, k, stop int) []knn.Result {
 	var out []knn.Result
-	knn.StreamKNN(s, q, k, func(r knn.Result) bool {
+	s.KNNStream(q, k, func(r knn.Result) bool {
 		out = append(out, r)
 		return len(out) < stop
 	})

@@ -10,19 +10,17 @@ import (
 	"rnknn/internal/knn"
 	"rnknn/internal/road"
 	"rnknn/internal/rtree"
-	"rnknn/internal/silc"
 )
 
 // Binding bundles an object set with the derived object indexes the method
 // kinds need (the decoupled-index design of Section 2.2): the Euclidean
-// R-tree for the IER family and DisBrw, the G-tree occurrence list, the
-// ROAD association directory, and the SILC object hierarchy. A Binding is
-// one immutable epoch of an object category: safe for concurrent use by any
-// number of query sessions, never mutated after publication. Mutating the
-// object set means deriving the next epoch with NextBinding (incremental,
-// O(delta)) or building a fresh epoch 0 with NewBinding (bulk), then
-// rebinding sessions to it; queries in flight keep the Binding they
-// snapshotted and stay consistent.
+// R-tree for the IER family, the G-tree occurrence list and the ROAD
+// association directory. A Binding is one immutable epoch of an object
+// category: safe for concurrent use by any number of query sessions, never
+// mutated after publication. Mutating the object set means deriving the
+// next epoch with NextBinding (incremental, O(delta)) or building a fresh
+// epoch 0 with NewBinding (bulk), then rebinding sessions to it; queries in
+// flight keep the Binding they snapshotted and stay consistent.
 type Binding struct {
 	Objs *knn.ObjectSet
 	// Epoch is the binding's version within its category: 0 for a bulk
@@ -32,7 +30,6 @@ type Binding struct {
 	rt *rtree.Tree
 	ol *gtree.OccurrenceList
 	ad *road.AssociationDirectory
-	oh *silc.ObjectHierarchy
 }
 
 // NewBinding builds the derived object indexes required by kinds over objs
@@ -43,7 +40,7 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 	b := &Binding{Objs: objs}
 	for _, k := range kinds {
 		switch k {
-		case IERDijk, IERCH, IERTNR, IERPHL, IERGt, DisBrw:
+		case IERDijk, IERCH, IERTNR, IERPHL, IERGt:
 			if b.rt == nil {
 				b.rt = ier.NewObjectTree(e.G, objs)
 			}
@@ -54,10 +51,6 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 		case ROAD:
 			if b.ad == nil {
 				b.ad = e.ROADIndex().NewAssociationDirectory(objs)
-			}
-		case DisBrwOH:
-			if b.oh == nil {
-				b.oh = e.SILCIndex().NewObjectHierarchy(objs, 0)
 			}
 		}
 	}
@@ -71,8 +64,7 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 // the new object set (the one membership bitset every index of the epoch
 // reads) — in O(delta) element work, never an O(set) reconstruction, though
 // the occurrence list copies its flat leaf lists into fresh arrays (a memcpy
-// of the set). The one index rebuilt from scratch is the SILC object
-// hierarchy (DisBrwOH), which has no incremental maintainer.
+// of the set).
 //
 // cur is never mutated: queries pinned to it keep answering from their
 // epoch. Vertices already present in add and absent in remove are ignored.
@@ -101,9 +93,6 @@ func (e *Engine) NextBinding(cur *Binding, add, remove []int32) *Binding {
 	if cur.ad != nil {
 		b.ad = cur.ad.Next(e.ROADIndex(), objs, added, removed)
 	}
-	if cur.oh != nil {
-		b.oh = e.SILCIndex().NewObjectHierarchy(objs, 0)
-	}
 	return b
 }
 
@@ -111,9 +100,12 @@ func (e *Engine) NextBinding(cur *Binding, add, remove []int32) *Binding {
 // binding can be swapped between queries. pkg/rnknn pools sessions per
 // method kind and rebinds each one to the live Binding snapshot before
 // every query, which is what makes object-set swaps safe while queries are
-// in flight.
+// in flight. Every kind streams its answer (knn.Streamer, behind KNNSeq)
+// and polls an interrupt hook (knn.Interruptible, behind ctx cancellation).
 type Session interface {
 	knn.Method
+	knn.Streamer
+	knn.Interruptible
 	// Rebind points the session at b's object set and derived indexes. It
 	// must only be called between queries.
 	Rebind(b *Binding)
@@ -146,18 +138,14 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 		return gtreeSession{gtree.NewKNN(e.GtreeIndex(), b.ol)}, nil
 	case ROAD:
 		return roadSession{road.NewKNN(e.ROADIndex(), b.ad)}, nil
-	case DisBrw:
-		return dbennSession{silc.NewDBENNWithTree(e.SILCIndex(), b.Objs, b.rt)}, nil
-	case DisBrwOH:
-		return disbrwSession{silc.NewDisBrw(e.SILCIndex(), b.oh)}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown method kind %v", kind)
 	}
 }
 
 // The session wrappers embed the concrete methods (promoting KNN, Name,
-// Range, KNNWithinAppend and SetInterrupt where available) and adapt Rebind
-// to each method's own object-swap hook.
+// KNNStream, SetInterrupt, and RangeAppend and KNNWithinAppend where
+// available) and adapt Rebind to each method's own object-swap hook.
 
 type ineSession struct{ *ine.INE }
 
@@ -182,14 +170,6 @@ type roadSession struct{ *roadKNN }
 
 func (s roadSession) Rebind(b *Binding) { s.roadKNN.SetObjects(b.ad) }
 
-type dbennSession struct{ *silc.DBENN }
-
-func (s dbennSession) Rebind(b *Binding) { s.DBENN.Rebind(b.Objs, b.rt) }
-
-type disbrwSession struct{ *silc.DisBrw }
-
-func (s disbrwSession) Rebind(b *Binding) { s.DisBrw.SetObjects(b.oh) }
-
 var (
 	// Range queries: INE's expansion, and Euclidean restriction over every
 	// IER oracle (the promoted RangeAppend of the embedded methods); and
@@ -199,20 +179,6 @@ var (
 	_ knn.RangeMethod   = (*ierSession)(nil)
 	_ knn.BoundedMethod = ineSession{}
 	_ knn.BoundedMethod = (*ierSession)(nil)
-	_ knn.Interruptible = ineSession{}
-	_ knn.Interruptible = (*ierSession)(nil)
-	_ knn.Interruptible = gtreeSession{}
-	_ knn.Interruptible = roadSession{}
-	_ knn.Interruptible = dbennSession{}
-	_ knn.Interruptible = disbrwSession{}
-	// The incremental-result hook behind pkg/rnknn's KNNSeq: INE, IER,
-	// G-tree and ROAD stream through the promoted KNNStream of their
-	// embedded methods; the SILC sessions have no incremental hook and fall
-	// back to knn.StreamKNN's buffered replay.
-	_ knn.Streamer = ineSession{}
-	_ knn.Streamer = (*ierSession)(nil)
-	_ knn.Streamer = gtreeSession{}
-	_ knn.Streamer = roadSession{}
 	// Shared-expansion batch execution: INE's multi-source frontier, through
 	// the promoted KNNGroupAppend.
 	_ knn.BatchMethod = ineSession{}

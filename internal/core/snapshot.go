@@ -40,6 +40,13 @@ func (e *Engine) SeedFingerprint(fp uint64) {
 // itself; every other section is named after its row of indexes.
 const SecGraph = "Graph"
 
+// secRetired names the one retired index section: SILC, the index of
+// Distance Browsing (DisBrw, DisBrw-OH), which left the serving build for
+// the experiment harness. A file that carries it was written for methods
+// this build no longer serves, so opening it fails with ErrBadSnapshot
+// instead of dropping the section silently.
+const secRetired = "SILC"
+
 // SaveIndexes writes the graph and every index built so far as one
 // snapshot. Indexes are immutable once built, so encoding proceeds outside
 // the engine lock and concurrent queries keep running. Saving an engine
@@ -74,9 +81,10 @@ func (e *Engine) SaveIndexes(w io.Writer) error {
 // EnsureIndex) treat them as present. The snapshot must carry the
 // fingerprint of the engine's graph (ErrFingerprintMismatch otherwise);
 // corrupt containers or payloads surface ErrBadSnapshot, also for a
-// section whose index the engine already holds. Sections decode in
-// parallel across CPU cores; unknown section names are skipped (that is how
-// old binaries read snapshots that carry indexes added later). BuiltIndexes
+// section whose index the engine already holds, and so does a retired
+// section (see secRetired). Sections decode in parallel across CPU cores;
+// unknown section names are skipped (that is how old binaries read
+// snapshots that carry indexes added later). BuiltIndexes
 // reports the decode time of each loaded index and marks it Loaded.
 //
 // With alias set, mappable sections decode into indexes whose slices are
@@ -126,6 +134,9 @@ func LoadGraphData(data []byte, alias bool) (*graph.Graph, uint64, error) {
 func (e *Engine) installPayloads(payloads []snapshot.Payload, alias bool) error {
 	var found [numIndexes]*snapshot.Payload
 	for _, p := range payloads {
+		if p.Name == secRetired {
+			return fmt.Errorf("%w: section %s is retired (Distance Browsing is no longer served); rebuild the snapshot without it", snapshot.ErrBadSnapshot, p.Name)
+		}
 		if i := indexNamed(p.Name); i != noIndex {
 			found[i] = &p
 		}

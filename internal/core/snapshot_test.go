@@ -232,7 +232,7 @@ func TestSnapshotTNRWithoutCHRejected(t *testing.T) {
 func TestSnapshotV1SectionRejected(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "snapV1", Rows: 8, Cols: 8, Seed: 8})
 	e := core.New(g)
-	for _, kind := range []core.MethodKind{core.Gtree, core.ROAD, core.IERPHL, core.IERTNR, core.DisBrw} {
+	for _, kind := range []core.MethodKind{core.Gtree, core.ROAD, core.IERPHL, core.IERTNR} {
 		e.EnsureIndex(kind)
 	}
 	var buf bytes.Buffer
@@ -279,7 +279,7 @@ func TestSnapshotV1SectionRejected(t *testing.T) {
 			}
 		}
 	}
-	if stamped != 6 {
-		t.Fatalf("stamped %d index sections, want 6 (Gtree, ROAD, PHL, CH, TNR, SILC)", stamped)
+	if stamped != 5 {
+		t.Fatalf("stamped %d index sections, want 5 (Gtree, ROAD, PHL, CH, TNR)", stamped)
 	}
 }

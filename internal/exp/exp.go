@@ -4,9 +4,10 @@
 // ladder (knnexp -list prints the experiment index; package gen documents
 // the dataset substitutions).
 //
-// It also holds the code of the Section 6 implementation case studies, which
-// the serving packages do not carry: Figure 6's hashed matrix layouts
-// (exp_layouts.go) and Figure 7's INE ladder (exp_ineladder.go).
+// It also holds what the serving packages do not carry: the Section 6
+// implementation case studies — Figure 6's hashed matrix layouts
+// (exp_layouts.go) and Figure 7's INE ladder (exp_ineladder.go) — and
+// Distance Browsing, whose SILC index the harness builds itself (silc.go).
 //
 // Networks, engines and indexes are cached process-wide so a full run
 // builds each index once, as the paper's scripts do.
@@ -277,20 +278,20 @@ var (
 	Densities = []float64{0.0001, 0.001, 0.01, 0.1, 1}
 )
 
-// DistMethods returns the method kinds compared on travel-distance networks
+// DistMethods returns the methods compared on travel-distance networks
 // (DisBrw included only where SILC is built, as in the paper).
-func (h *Harness) DistMethods(name string) []core.MethodKind {
-	kinds := []core.MethodKind{core.INE, core.ROAD, core.Gtree, core.IERGt, core.IERPHL}
+func (h *Harness) DistMethods(name string) []method {
+	ms := h.TimeMethods()
 	if h.DisBrwAllowed(name) {
-		kinds = append(kinds, core.DisBrw)
+		ms = append(ms, disBrw)
 	}
-	return kinds
+	return ms
 }
 
-// TimeMethods returns the method kinds compared on travel-time networks
-// (no DisBrw, Section B).
-func (h *Harness) TimeMethods() []core.MethodKind {
-	return []core.MethodKind{core.INE, core.ROAD, core.Gtree, core.IERGt, core.IERPHL}
+// TimeMethods returns the methods compared on travel-time networks (no
+// DisBrw, Section B).
+func (h *Harness) TimeMethods() []method {
+	return served(core.INE, core.ROAD, core.Gtree, core.IERGt, core.IERPHL)
 }
 
 // fmtUS formats a microsecond measurement.

@@ -22,7 +22,7 @@ func (h *Harness) buildAll(net string, wk graph.WeightKind, withSILC bool) *core
 	e.PHLIndex()
 	e.TNRIndex()
 	if withSILC && h.DisBrwAllowed(net) {
-		e.SILCIndex()
+		silcIndex(e)
 	}
 	return e
 }
@@ -155,12 +155,13 @@ func (h *Harness) buildTables(id string, wk graph.WeightKind, withSILC bool) []*
 		cell("PHL", core.IERPHL, "PHL")
 		cell("TNR", core.IERTNR, "TNR")
 		if withSILC {
+			size, took := "-", "-"
 			if h.DisBrwAllowed(net) {
-				cell("DisBrw(SILC)", core.DisBrw, "SILC")
-			} else {
-				sizes["DisBrw(SILC)"] = append(sizes["DisBrw(SILC)"], "-")
-				times["DisBrw(SILC)"] = append(times["DisBrw(SILC)"], "-")
+				s := silcIndex(e)
+				size, took = fmtBytes(s.x.SizeBytes()), fmtDur(s.took)
 			}
+			sizes["DisBrw(SILC)"] = append(sizes["DisBrw(SILC)"], size)
+			times["DisBrw(SILC)"] = append(times["DisBrw(SILC)"], took)
 		}
 	}
 	for _, n := range names {

@@ -11,21 +11,10 @@ import (
 	"rnknn/internal/ier"
 	"rnknn/internal/knn"
 	"rnknn/internal/road"
-	"rnknn/internal/silc"
 )
 
-// mustMethod builds a query session of the given kind over objs, as
-// pkg/rnknn's session pools do.
-func (h *Harness) mustMethod(e *core.Engine, kind core.MethodKind, objs *knn.ObjectSet) knn.Method {
-	m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// kSweep measures each method kind across k values at fixed density.
-func (h *Harness) kSweep(id, title, net string, wk graph.WeightKind, kinds []core.MethodKind, density float64, ks []int) *Table {
+// kSweep measures each method across k values at fixed density.
+func (h *Harness) kSweep(id, title, net string, wk graph.WeightKind, ms []method, density float64, ks []int) *Table {
 	e := h.Engine(net, wk)
 	objs := h.UniformObjects(net, density)
 	queries := h.Queries(net)
@@ -33,9 +22,9 @@ func (h *Harness) kSweep(id, title, net string, wk graph.WeightKind, kinds []cor
 	for _, k := range ks {
 		t.Header = append(t.Header, fmt.Sprintf("k=%d", k))
 	}
-	for _, kind := range kinds {
-		row := []string{kind.String()}
-		m := h.mustMethod(e, kind, objs)
+	for _, me := range ms {
+		row := []string{me.name}
+		m := h.mustMethod(e, me, objs)
 		for _, k := range ks {
 			row = append(row, fmtUS(Measure(m, queries, k)))
 		}
@@ -44,33 +33,36 @@ func (h *Harness) kSweep(id, title, net string, wk graph.WeightKind, kinds []cor
 	return t
 }
 
-// densitySweep measures each method kind across densities at fixed k.
-func (h *Harness) densitySweep(id, title, net string, wk graph.WeightKind, kinds []core.MethodKind, k int, densities []float64) *Table {
+// densitySweep measures each method across densities at fixed k.
+func (h *Harness) densitySweep(id, title, net string, wk graph.WeightKind, ms []method, k int, densities []float64) *Table {
 	e := h.Engine(net, wk)
 	queries := h.Queries(net)
 	t := &Table{ID: id, Title: title, Header: []string{"method"}}
 	for _, d := range densities {
 		t.Header = append(t.Header, fmt.Sprintf("d=%g", d))
 	}
-	rows := make(map[core.MethodKind][]string)
-	for _, kind := range kinds {
-		rows[kind] = []string{kind.String()}
-	}
+	t.Rows = labelRows(ms)
 	for _, d := range densities {
 		objs := h.UniformObjects(net, d)
-		for _, kind := range kinds {
-			m := h.mustMethod(e, kind, objs)
-			rows[kind] = append(rows[kind], fmtUS(Measure(m, queries, k)))
+		for i, me := range ms {
+			m := h.mustMethod(e, me, objs)
+			t.Rows[i] = append(t.Rows[i], fmtUS(Measure(m, queries, k)))
 		}
-	}
-	for _, kind := range kinds {
-		t.Rows = append(t.Rows, rows[kind])
 	}
 	return t
 }
 
-// sizeSweep measures each method kind across the ladder at the defaults.
-func (h *Harness) sizeSweep(id, title string, wk graph.WeightKind, nets []string, kinds func(net string) []core.MethodKind) *Table {
+// labelRows starts one table row per method, labelled with its name.
+func labelRows(ms []method) [][]string {
+	rows := make([][]string, len(ms))
+	for i, m := range ms {
+		rows[i] = []string{m.name}
+	}
+	return rows
+}
+
+// sizeSweep measures each method across the ladder at the defaults.
+func (h *Harness) sizeSweep(id, title string, wk graph.WeightKind, nets []string, ms func(net string) []method) *Table {
 	t := &Table{ID: id, Title: title, Header: []string{"method"}}
 	for _, net := range nets {
 		t.Header = append(t.Header, fmt.Sprintf("%s(%d)", net, h.Network(net).NumVertices()))
@@ -81,8 +73,8 @@ func (h *Harness) sizeSweep(id, title string, wk graph.WeightKind, nets []string
 		e := h.Engine(net, wk)
 		objs := h.UniformObjects(net, DefaultDensity)
 		queries := h.Queries(net)
-		for _, kind := range kinds(net) {
-			name := kind.String()
+		for _, me := range ms(net) {
+			name := me.name
 			if _, ok := rows[name]; !ok {
 				rows[name] = []string{name}
 				order = append(order, name)
@@ -90,7 +82,7 @@ func (h *Harness) sizeSweep(id, title string, wk graph.WeightKind, nets []string
 			for len(rows[name]) < 1+ni {
 				rows[name] = append(rows[name], "-")
 			}
-			m := h.mustMethod(e, kind, objs)
+			m := h.mustMethod(e, me, objs)
 			rows[name] = append(rows[name], fmtUS(Measure(m, queries, DefaultK)))
 		}
 	}
@@ -109,7 +101,7 @@ func (h *Harness) ladder() []string { return []string{"DE", "VT", "ME", "CO", "N
 
 func init() {
 	register("fig4", "IER oracle variants (distance weights, "+Medium+", uniform objects)", func(h *Harness) []*Table {
-		kinds := []core.MethodKind{core.IERDijk, core.IERGt, core.IERPHL, core.IERTNR, core.IERCH}
+		kinds := served(core.IERDijk, core.IERGt, core.IERPHL, core.IERTNR, core.IERCH)
 		return []*Table{
 			h.kSweep("fig4a", "IER variants: varying k (d=0.001)", Medium, graph.TravelDistance, kinds, DefaultDensity, Ks),
 			h.densitySweep("fig4b", "IER variants: varying density (k=10)", Medium, graph.TravelDistance, kinds, DefaultK, Densities),
@@ -254,26 +246,20 @@ func init() {
 		g := h.Network(Medium)
 		e := h.Engine(Medium, graph.TravelDistance)
 		queries := h.Queries(Medium)
-		kinds := h.DistMethods(Medium)
+		ms := h.DistMethods(Medium)
 
 		counts := []int{1, 10, 100, 1000}
 		ta := &Table{ID: "fig12a", Title: "varying number of clusters (cluster size <= 5, k=10)", Header: []string{"method"}}
 		for _, c := range counts {
 			ta.Header = append(ta.Header, fmt.Sprintf("|C|=%d", c))
 		}
-		rows := map[core.MethodKind][]string{}
-		for _, kind := range kinds {
-			rows[kind] = []string{kind.String()}
-		}
+		ta.Rows = labelRows(ms)
 		for _, c := range counts {
 			objs := knn.NewObjectSet(g, gen.Clustered(g, c, 5, h.cfg.Seed+int64(c)))
-			for _, kind := range kinds {
-				m := h.mustMethod(e, kind, objs)
-				rows[kind] = append(rows[kind], fmtUS(Measure(m, queries, DefaultK)))
+			for i, me := range ms {
+				m := h.mustMethod(e, me, objs)
+				ta.Rows[i] = append(ta.Rows[i], fmtUS(Measure(m, queries, DefaultK)))
 			}
-		}
-		for _, kind := range kinds {
-			ta.Rows = append(ta.Rows, rows[kind])
 		}
 
 		// Varying k at |C| = 0.001*|V| clusters.
@@ -286,9 +272,9 @@ func init() {
 		for _, k := range Ks {
 			tb.Header = append(tb.Header, fmt.Sprintf("k=%d", k))
 		}
-		for _, kind := range kinds {
-			m := h.mustMethod(e, kind, objs)
-			row := []string{kind.String()}
+		for _, me := range ms {
+			m := h.mustMethod(e, me, objs)
+			row := []string{me.name}
 			for _, k := range Ks {
 				row = append(row, fmtUS(Measure(m, queries, k)))
 			}
@@ -331,8 +317,8 @@ func init() {
 		queries := h.Queries(net)
 		build := func(objs *knn.ObjectSet) []knn.Method {
 			return []knn.Method{
-				h.mustMethod(e, core.DisBrwOH, objs),
-				h.mustMethod(e, core.DisBrw, objs),
+				h.mustMethod(e, disBrwOH, objs),
+				h.mustMethod(e, disBrw, objs),
 			}
 		}
 		ta := &Table{ID: "fig19a", Title: "varying k (d=0.001)", Header: []string{"variant"}}
@@ -370,10 +356,10 @@ func init() {
 			{"fig21", h.Network("ME")},
 		} {
 			e := h.EngineFor(tc.g)
-			idx := e.SILCIndex()
+			idx := silcIndex(e).x
 			objs := knn.NewObjectSet(tc.g, gen.Uniform(tc.g, DefaultDensity, h.cfg.Seed))
 			queries := gen.QueryVertices(tc.g, h.cfg.Queries, h.cfg.Seed+3)
-			m := silc.NewDBENN(idx, objs)
+			m := h.mustMethod(e, disBrw, objs)
 			t := &Table{
 				ID: tc.id,
 				Title: fmt.Sprintf("chain optimisation on %s (%.0f%% deg<=2): varying k",
@@ -434,11 +420,11 @@ func init() {
 	})
 
 	register("table5", "ranking of algorithms under different criteria", func(h *Harness) []*Table {
-		kinds := []core.MethodKind{core.INE, core.Gtree, core.ROAD, core.IERPHL, core.DisBrw}
+		ms := append(served(core.INE, core.Gtree, core.ROAD, core.IERPHL), disBrw)
 		t := &Table{ID: "table5", Title: "dense ranks, 1 = best (DisBrw only where SILC fits)",
 			Header: []string{"criteria"}}
-		for _, k := range kinds {
-			t.Header = append(t.Header, k.String())
+		for _, m := range ms {
+			t.Header = append(t.Header, m.name)
 		}
 		criteria := []struct {
 			name string
@@ -460,16 +446,16 @@ func init() {
 			queries := h.Queries(c.net)
 			var vals []float64
 			var present []int
-			for i, kind := range kinds {
-				if kind == core.DisBrw && !h.DisBrwAllowed(c.net) {
+			for i, me := range ms {
+				if me.browse != nil && !h.DisBrwAllowed(c.net) {
 					continue
 				}
-				m := h.mustMethod(e, kind, objs)
+				m := h.mustMethod(e, me, objs)
 				vals = append(vals, Measure(m, queries, c.k))
 				present = append(present, i)
 			}
 			ranks := rankRow(vals)
-			row := make([]string, len(kinds)+1)
+			row := make([]string, len(ms)+1)
 			row[0] = c.name
 			for i := range row[1:] {
 				row[i+1] = "N/A"
@@ -484,7 +470,7 @@ func init() {
 }
 
 // poiTable measures every method over the eight POI categories.
-func (h *Harness) poiTable(id, net string, wk graph.WeightKind, kinds []core.MethodKind) *Table {
+func (h *Harness) poiTable(id, net string, wk graph.WeightKind, ms []method) *Table {
 	g := h.Network(net).View(wk)
 	e := h.Engine(net, wk)
 	queries := h.Queries(net)
@@ -493,11 +479,11 @@ func (h *Harness) poiTable(id, net string, wk graph.WeightKind, kinds []core.Met
 	for _, c := range cats {
 		t.Header = append(t.Header, c.Name)
 	}
-	for _, kind := range kinds {
-		row := []string{kind.String()}
+	for _, me := range ms {
+		row := []string{me.name}
 		for _, c := range cats {
 			objs := knn.NewObjectSet(g, c.Vertices)
-			m := h.mustMethod(e, kind, objs)
+			m := h.mustMethod(e, me, objs)
 			row = append(row, fmtUS(Measure(m, queries, DefaultK)))
 		}
 		t.Rows = append(t.Rows, row)
@@ -516,17 +502,17 @@ func (h *Harness) poiKTable(id, net string, wk graph.WeightKind, category string
 			objs = knn.NewObjectSet(g, c.Vertices)
 		}
 	}
-	kinds := h.DistMethods(net)
+	ms := h.DistMethods(net)
 	if wk == graph.TravelTime {
-		kinds = h.TimeMethods()
+		ms = h.TimeMethods()
 	}
 	t := &Table{ID: id, Title: category + " on " + net + " (" + wk.String() + ")", Header: []string{"method"}}
 	for _, k := range Ks {
 		t.Header = append(t.Header, fmt.Sprintf("k=%d", k))
 	}
-	for _, kind := range kinds {
-		m := h.mustMethod(e, kind, objs)
-		row := []string{kind.String()}
+	for _, me := range ms {
+		m := h.mustMethod(e, me, objs)
+		row := []string{me.name}
 		for _, k := range Ks {
 			row = append(row, fmtUS(Measure(m, queries, k)))
 		}
@@ -536,7 +522,7 @@ func (h *Harness) poiKTable(id, net string, wk graph.WeightKind, category string
 }
 
 // minDistTable measures every method over the R_i minimum-distance sets.
-func (h *Harness) minDistTable(id, net string, wk graph.WeightKind, kinds []core.MethodKind, m int) *Table {
+func (h *Harness) minDistTable(id, net string, wk graph.WeightKind, ms []method, m int) *Table {
 	g := h.Network(net).View(wk)
 	e := h.Engine(net, wk)
 	res := gen.MinObjDist(g, DefaultDensity, m, h.cfg.Queries, h.cfg.Seed+11)
@@ -544,11 +530,11 @@ func (h *Harness) minDistTable(id, net string, wk graph.WeightKind, kinds []core
 	for i := 1; i <= m; i++ {
 		t.Header = append(t.Header, fmt.Sprintf("R%d", i))
 	}
-	for _, kind := range kinds {
-		row := []string{kind.String()}
+	for _, me := range ms {
+		row := []string{me.name}
 		for _, set := range res.Sets {
 			objs := knn.NewObjectSet(g, set)
-			meth := h.mustMethod(e, kind, objs)
+			meth := h.mustMethod(e, me, objs)
 			row = append(row, fmtUS(Measure(meth, res.Queries, DefaultK)))
 		}
 		t.Rows = append(t.Rows, row)
@@ -563,17 +549,16 @@ func (h *Harness) sizeSweepAtDensity(id, title string, wk graph.WeightKind, dens
 	for _, net := range nets {
 		t.Header = append(t.Header, fmt.Sprintf("%s(%d)", net, h.Network(net).NumVertices()))
 	}
-	kindSet := h.DistMethods(nets[0])
-	for _, kind := range kindSet {
-		row := []string{kind.String()}
+	for _, me := range h.DistMethods(nets[0]) {
+		row := []string{me.name}
 		for _, net := range nets {
-			if kind == core.DisBrw && !h.DisBrwAllowed(net) {
+			if me.browse != nil && !h.DisBrwAllowed(net) {
 				row = append(row, "-")
 				continue
 			}
 			e := h.Engine(net, wk)
 			objs := h.UniformObjects(net, density)
-			m := h.mustMethod(e, kind, objs)
+			m := h.mustMethod(e, me, objs)
 			row = append(row, fmtUS(Measure(m, h.Queries(net), DefaultK)))
 		}
 		t.Rows = append(t.Rows, row)

@@ -1,6 +1,7 @@
 package exp_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,6 +57,51 @@ func TestTitlesCoverIDs(t *testing.T) {
 	for _, id := range exp.IDs() {
 		if titles[id] == "" {
 			t.Fatalf("missing title for %s", id)
+		}
+	}
+}
+
+// TestDistanceBrowsingRows: the serving build does not carry Distance
+// Browsing, so the harness builds it itself; every figure that compares it
+// still prints its rows (table5 ranks it in a column), and every one of
+// them holds a measurement.
+func TestDistanceBrowsingRows(t *testing.T) {
+	for id, want := range map[string][]string{
+		"table5": {"DisBrw"},
+		"fig10":  {"DisBrw"},
+		"fig11":  {"DisBrw"},
+		"fig19":  {"DisBrw-OH", "DisBrw"},
+		"fig20":  {"DisBrw", "OptDisBrw"},
+	} {
+		tables, err := exp.Run(id, smallCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range tables {
+			if id == "table5" {
+				col := slices.Index(tab.Header, "DisBrw")
+				if col < 0 {
+					t.Fatalf("%s: no DisBrw column in %v", tab.ID, tab.Header)
+				}
+				for _, row := range tab.Rows {
+					if row[col] == "N/A" {
+						t.Errorf("%s/%s: DisBrw not ranked", tab.ID, row[0])
+					}
+				}
+				continue
+			}
+			var labels []string
+			for _, row := range tab.Rows {
+				labels = append(labels, row[0])
+				if slices.Contains(want, row[0]) && slices.Contains(row[1:], "-") {
+					t.Errorf("%s: %s row has a missing cell: %v", tab.ID, row[0], row)
+				}
+			}
+			for _, w := range want {
+				if !slices.Contains(labels, w) {
+					t.Errorf("%s: no %s row in %v", tab.ID, w, labels)
+				}
+			}
 		}
 	}
 }

@@ -16,19 +16,19 @@ func init() {
 			h.kSweep("fig17a", "travel time: varying k on "+Large, Large, graph.TravelTime, kinds, DefaultDensity, Ks),
 			h.densitySweep("fig17b", "travel time: varying density on "+Large, Large, graph.TravelTime, kinds, DefaultK, Densities),
 			h.sizeSweep("fig17c", "travel time: varying |V|", graph.TravelTime, h.ladder(),
-				func(string) []core.MethodKind { return kinds }),
+				func(string) []method { return kinds }),
 			h.minDistTable("fig17d", Large, graph.TravelTime, kinds, 8),
 		}
 		return out
 	})
 
 	register("fig23", "IER oracle variants on travel time ("+Medium+")", func(h *Harness) []*Table {
-		kinds := []core.MethodKind{core.IERDijk, core.IERGt, core.IERPHL, core.IERTNR, core.IERCH}
+		kinds := served(core.IERDijk, core.IERGt, core.IERPHL, core.IERTNR, core.IERCH)
 		return []*Table{
 			h.kSweep("fig23a", "travel time IER variants: varying k", Medium, graph.TravelTime, kinds, DefaultDensity, Ks),
 			h.densitySweep("fig23b", "travel time IER variants: varying density", Medium, graph.TravelTime, kinds, DefaultK, Densities),
 			h.sizeSweep("fig23c", "travel time IER variants: varying |V|", graph.TravelTime, h.ladder(),
-				func(string) []core.MethodKind { return kinds }),
+				func(string) []method { return kinds }),
 		}
 	})
 
@@ -43,19 +43,13 @@ func init() {
 		for _, c := range counts {
 			tc.Header = append(tc.Header, fmt.Sprintf("|C|=%d", c))
 		}
-		rows := map[core.MethodKind][]string{}
-		for _, kind := range kinds {
-			rows[kind] = []string{kind.String()}
-		}
+		tc.Rows = labelRows(kinds)
 		for _, c := range counts {
 			objs := knn.NewObjectSet(g, gen.Clustered(g, c, 5, h.cfg.Seed+int64(c)))
-			for _, kind := range kinds {
-				m := h.mustMethod(e, kind, objs)
-				rows[kind] = append(rows[kind], fmtUS(Measure(m, queries, DefaultK)))
+			for i, me := range kinds {
+				m := h.mustMethod(e, me, objs)
+				tc.Rows[i] = append(tc.Rows[i], fmtUS(Measure(m, queries, DefaultK)))
 			}
-		}
-		for _, kind := range kinds {
-			tc.Rows = append(tc.Rows, rows[kind])
 		}
 
 		return []*Table{

@@ -99,22 +99,6 @@ type Streamer interface {
 	KNNStream(q int32, k int, yield func(Result) bool)
 }
 
-// StreamKNN streams the kNN answer of any method: natively when m
-// implements Streamer, otherwise by running the buffered KNN and replaying
-// its slice (the fallback for methods, like the SILC pair, whose search
-// has no incremental hook).
-func StreamKNN(m Method, q int32, k int, yield func(Result) bool) {
-	if s, ok := m.(Streamer); ok {
-		s.KNNStream(q, k, yield)
-		return
-	}
-	for _, r := range m.KNN(q, k) {
-		if !yield(r) {
-			return
-		}
-	}
-}
-
 // GroupQuery is one member of a shared-expansion group: a kNN query that
 // executes together with spatially-clustered companions.
 type GroupQuery struct {

@@ -9,20 +9,20 @@ import (
 // methodCost is one method's row of the cost table: expected query
 // nanoseconds as
 //
-//	base + perK·k + perKLogV·k·log2|V| + perSettle·settled + perVertex·|V|
+//	base + perK·k + perKLogV·k·log2|V| + perSettle·settled
 //
 // where settled ≈ 1.2·k/density, capped at |V|, is how many vertices an
 // INE-style expansion settles before it has found k objects under uniform
 // density (Section 7.3 — exactly why INE degrades as density falls).
 type methodCost struct {
-	base, perK, perKLogV, perSettle, perVertex float64
+	base, perK, perKLogV, perSettle float64
 }
 
 // Model is the planner's cost surface as a function of (k, density, |V|):
 // one row per method, and the shared-expansion batch surface. There is one
 // Model value, model below.
 type Model struct {
-	perMethod [core.DisBrwOH + 1]methodCost
+	perMethod [core.NumKinds]methodCost
 
 	// Shared-expansion batch surface (see ChooseBatch). A shared group
 	// costs roughly
@@ -47,7 +47,7 @@ type Model struct {
 // log2|V| ≈ 14.4; the method probes run k = 10 at density 0.1 "dense" and
 // 0.001 "sparse" in one cold pass, and read up to 1.5× the warm medians of
 // the same cells). The other rows carry the paper's orderings (Table 5,
-// Figures 4, 10, 11, 19), unmeasured in this repository. What the table
+// Figures 4, 10, 11), unmeasured in this repository. What the table
 // must get right is the crossovers, not the microseconds: planner.regret
 // above 1.10 on a traced lib-auto run is the signal to re-read the probes
 // named below.
@@ -94,10 +94,6 @@ var model = Model{
 		// (855-1,042 against 416-490 µs on one host) since ROAD's queue holds
 		// each vertex once; it read three times before (1,254 against 419).
 		core.ROAD: {base: 2 * 120000, perKLogV: 2 * 400},
-		// Quadratic index restricted to small networks; quickly dominated
-		// elsewhere (Figure 19).
-		core.DisBrw:   {base: 20000, perK: 5000, perVertex: 10},
-		core.DisBrwOH: {base: 20000, perK: 5000, perVertex: 10},
 	},
 
 	// batch.fanout_us/64 is one member on its own (≈0.8 ms: k = 10 INE on
@@ -115,14 +111,14 @@ var model = Model{
 
 // terms are one query's features as the quantities the methodCost
 // coefficients multiply, computed once per decision.
-type terms struct{ k, kLogV, settled, n float64 }
+type terms struct{ k, kLogV, settled float64 }
 
 func (f Features) terms() terms {
 	k, n := float64(f.K), float64(f.NumVertices)
-	return terms{k: k, kLogV: k * math.Log2(math.Max(n, 2)), settled: math.Min(1.2*k/f.Density(), n), n: n}
+	return terms{k: k, kLogV: k * math.Log2(math.Max(n, 2)), settled: math.Min(1.2*k/f.Density(), n)}
 }
 
 // nanos is the row's estimate for one query.
 func (c *methodCost) nanos(x terms) float64 {
-	return c.base + c.perK*x.k + c.perKLogV*x.kLogV + c.perSettle*x.settled + c.perVertex*x.n
+	return c.base + c.perK*x.k + c.perKLogV*x.kLogV + c.perSettle*x.settled
 }

@@ -75,6 +75,15 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	// validation errors (bad k, bad vertex, unknown category) still answer
 	// with their proper HTTP status instead of a 200 stream.
 	streaming := false
+	// Once the stream is under way a panic cannot become a 500: count it
+	// and end the stream. Before that, admitted's contain answers it.
+	defer func() {
+		if streaming {
+			if p := recover(); p != nil {
+				s.panicked(p)
+			}
+		}
+	}()
 	summary := MonitorSummaryJSON{K: int(k), Category: category}
 	for u, err := range s.st.db.Monitor(r.Context(), route, int(k), rnknn.WithMethod(method), rnknn.WithCategory(category)) {
 		if err != nil {

@@ -36,6 +36,11 @@
 // (MethodAuto), and the grouping planner runs same-leaf clusters of
 // INE-resolved members through shared expansions (see rnknn.Batch).
 //
+// A panic in a query or mutation handler is a bug; it is contained to its
+// request, which answers 500, and counted (ServerStats.Panics). Batch.Run
+// contains panics on its own worker goroutines, which no handler's recover
+// reaches.
+//
 // Queries and mutations take separate paths on purpose (the HTAP lesson:
 // co-designed, not shared): /objects/insert and /objects/remove bypass
 // admission and the cache entirely — churn must keep landing even when the
@@ -48,7 +53,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -93,6 +100,7 @@ type stack struct {
 	batchQueries   atomic.Uint64
 	batchCacheHits atomic.Uint64
 	batchShared    atomic.Uint64
+	panics         atomic.Uint64
 }
 
 // Server serves one rnknn.DB over HTTP. Create with New, mount Handler. A
@@ -155,6 +163,7 @@ func (s *Server) Stats() ServerStats {
 		BatchQueries:   st.batchQueries.Load(),
 		BatchCacheHits: st.batchCacheHits.Load(),
 		BatchShared:    st.batchShared.Load(),
+		Panics:         st.panics.Load(),
 	}
 }
 
@@ -168,9 +177,27 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		defer st.adm.release()
+		defer s.contain(w)
 		st.requests.Add(1)
 		h(w, r)
 	}
+}
+
+// contain, deferred by a handler, turns a panic of its request into a 500,
+// logged with its stack and counted in ServerStats.Panics, so the server
+// goes on serving. (net/http would recover the goroutine too, but it
+// answers nothing and counts nothing: the client sees its connection drop.)
+func (s *Server) contain(w http.ResponseWriter) {
+	if p := recover(); p != nil {
+		s.panicked(p)
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "internal error"})
+	}
+}
+
+// panicked counts and logs a recovered panic p.
+func (s *Server) panicked(p any) {
+	s.st.panics.Add(1)
+	log.Printf("serve: handler panicked: %v\n%s", p, debug.Stack())
 }
 
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -484,6 +511,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool
 // comment: the epoch advances, retiring exactly the category's cache entries.
 func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		defer s.contain(w)
 		var req ObjectsRequest
 		if !decodeBody(w, r, "objects", &req) {
 			return

@@ -459,3 +459,61 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 5s")
 }
+
+// TestHandlerPanicContained: a query whose handler panics answers 500 and
+// counts one panic, its admission slot is released, and the server serves
+// the next request.
+func TestHandlerPanicContained(t *testing.T) {
+	db := newTestDB(t)
+	s := New(db, Config{})
+	var once sync.Once
+	s.gate = func() { once.Do(func() { panic("query panicked") }) }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if code := getJSON(t, ts.URL+"/knn?q=5&k=3", nil); code != http.StatusInternalServerError {
+		t.Fatalf("panicking request: status %d, want 500", code)
+	}
+	if st := s.Stats(); st.Panics != 1 || st.InFlight != 0 {
+		t.Fatalf("after the panic: panics=%d in_flight=%d, want 1 and 0", st.Panics, st.InFlight)
+	}
+	var next KNNResponse
+	if code := getJSON(t, ts.URL+"/knn?q=5&k=3", &next); code != http.StatusOK || len(next.Results) != 3 {
+		t.Fatalf("next request: status %d, %d results", code, len(next.Results))
+	}
+	if p := s.Stats().Panics; p != 1 {
+		t.Fatalf("panics=%d after a clean request, want 1", p)
+	}
+}
+
+// panickyStream is a response writer whose second Flush panics: a /monitor
+// stream that fails after its headers are out.
+type panickyStream struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (w *panickyStream) Flush() {
+	if w.flushes++; w.flushes == 2 {
+		panic("stream failed")
+	}
+	w.ResponseRecorder.Flush()
+}
+
+// TestMonitorPanicEndsStream: a panic once a /monitor stream is under way
+// cannot become a 500; it is counted and the stream ends, with the one 200
+// status already sent and no error body appended.
+func TestMonitorPanicEndsStream(t *testing.T) {
+	s := New(newTestDB(t), Config{})
+	w := &panickyStream{ResponseRecorder: httptest.NewRecorder()}
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/monitor?route=5,6,7,8&k=3", nil))
+	if w.Code != http.StatusOK || strings.Contains(w.Body.String(), "internal error") {
+		t.Fatalf("status %d, body %q: want the 200 stream, ended", w.Code, w.Body.String())
+	}
+	if n := strings.Count(w.Body.String(), "event: step"); n != 2 {
+		t.Fatalf("%d step events, want 2 (the second flush panicked)", n)
+	}
+	if st := s.Stats(); st.Panics != 1 || st.InFlight != 0 {
+		t.Fatalf("panics=%d in_flight=%d, want 1 and 0", st.Panics, st.InFlight)
+	}
+}

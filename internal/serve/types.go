@@ -232,4 +232,7 @@ type ServerStats struct {
 	BatchQueries   uint64 `json:"batch_queries"`
 	BatchCacheHits uint64 `json:"batch_cache_hits"`
 	BatchShared    uint64 `json:"batch_shared"`
+	// Panics counts requests whose handler panicked (a bug): each was
+	// answered 500, or, for a /monitor stream already under way, ended.
+	Panics uint64 `json:"panics"`
 }

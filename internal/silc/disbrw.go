@@ -215,26 +215,13 @@ func NewDBENN(x *Index, objs *knn.ObjectSet) *DBENN {
 	for i, v := range verts {
 		pts[i] = geo.Point{X: x.G.X[v], Y: x.G.Y[v]}
 	}
-	return NewDBENNWithTree(x, objs, rtree.New(verts, pts, 0))
-}
-
-// NewDBENNWithTree builds the method over a prebuilt object R-tree (shared
-// read-only across query sessions; see Rebind — object churn swaps in a
-// cloned-and-updated tree rather than mutating this one).
-func NewDBENNWithTree(x *Index, objs *knn.ObjectSet, rt *rtree.Tree) *DBENN {
-	m := &DBENN{x: x, objs: objs, rt: rt}
+	m := &DBENN{x: x, objs: objs, rt: rtree.New(verts, pts, 0)}
 	m.c.init(x)
 	return m
 }
 
 // Name implements knn.Method.
 func (m *DBENN) Name() string { return "DisBrw" }
-
-// Rebind swaps the object set and its prebuilt R-tree between queries.
-func (m *DBENN) Rebind(objs *knn.ObjectSet, rt *rtree.Tree) {
-	m.objs = objs
-	m.rt = rt
-}
 
 // SetInterrupt implements knn.Interruptible.
 func (m *DBENN) SetInterrupt(check func() bool) { m.c.interrupt = check }
@@ -334,9 +321,6 @@ func NewDisBrw(x *Index, oh *ObjectHierarchy) *DisBrw {
 
 // Name implements knn.Method.
 func (m *DisBrw) Name() string { return "DisBrw-OH" }
-
-// SetObjects swaps the Object Hierarchy (the decoupled object index).
-func (m *DisBrw) SetObjects(oh *ObjectHierarchy) { m.oh = oh }
 
 // SetInterrupt implements knn.Interruptible.
 func (m *DisBrw) SetInterrupt(check func() bool) { m.c.interrupt = check }

@@ -27,7 +27,7 @@ func TestDBKNNAppendZeroAllocs(t *testing.T) {
 	}
 	g := gen.Network(gen.NetworkSpec{Name: "alloc", Rows: 24, Cols: 24, Seed: 606})
 	db, err := Open(g,
-		WithMethods(INE, IERPHL, IERCH, Gtree, ROAD, DisBrw),
+		WithMethods(INE, IERPHL, IERCH, Gtree, ROAD),
 		WithObjects(DefaultCategory, gen.Uniform(g, 0.05, 13)))
 	if err != nil {
 		t.Fatal(err)

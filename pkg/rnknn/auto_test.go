@@ -143,7 +143,7 @@ func TestExplain(t *testing.T) {
 	if _, err := db.Explain(0, 5, WithMethod(Method(42))); !errors.Is(err, ErrUnknownMethod) {
 		t.Fatalf("unknown method: %v", err)
 	}
-	if _, err := db.Explain(0, 5, WithMethod(DisBrw)); !errors.Is(err, ErrMethodNotEnabled) {
+	if _, err := batchDB(t).Explain(0, 5, WithMethod(ROAD)); !errors.Is(err, ErrMethodNotEnabled) {
 		t.Fatalf("disabled method: %v", err)
 	}
 	if _, err := db.Explain(-5, 5); !errors.Is(err, ErrBadVertex) {

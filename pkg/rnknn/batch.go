@@ -312,7 +312,8 @@ func (b *Batch) Run(ctx context.Context) ([]BatchResult, error) {
 // at most once per (worker, method) and returned when the worker's share is
 // drained — the batch amortization this API exists for. After cancellation
 // the worker keeps draining, marking each remaining query with ctx's error,
-// so every result slot is filled.
+// so every result slot is filled; the same holds after a unit panics (see
+// runBatchUnit).
 func (db *DB) batchWorker(ctx context.Context, ops []query, plans []opPlan, out []BatchResult, shared []planUnit, singles []int, next *atomic.Int64) {
 	var sess [numMethods]*pooledSession
 	defer func() {
@@ -327,12 +328,38 @@ func (db *DB) batchWorker(ctx context.Context, ops []query, plans []opPlan, out 
 		if i >= len(shared)+len(singles) {
 			return
 		}
-		if i < len(shared) {
-			db.runBatchGroup(ctx, ops, &shared[i], out, &sess)
-		} else {
-			j := singles[i-len(shared)]
-			out[j] = db.runBatchOp(ctx, &ops[j], &plans[j], &sess)
+		db.runBatchUnit(ctx, ops, plans, out, shared, singles, i, &sess)
+	}
+}
+
+// runBatchUnit runs work unit i: shared group i, or the fan-out single
+// after the groups. A panic in its search is a bug, and on a worker
+// goroutine no caller's recover can reach it, so it is contained here:
+// each member of the unit gets ErrInternal, the worker drops its session
+// of the unit's method instead of putting it back (the search left that
+// session's state mid-query), and the worker goes on draining.
+func (db *DB) runBatchUnit(ctx context.Context, ops []query, plans []opPlan, out []BatchResult, shared []planUnit, singles []int, i int, sess *[numMethods]*pooledSession) {
+	m, members := INE, singles[:0]
+	if i < len(shared) {
+		members = shared[i].ops
+	} else {
+		members = singles[i-len(shared) : i-len(shared)+1]
+		m = plans[members[0]].m
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			sess[m] = nil
+			err := fmt.Errorf("%w: %s query panicked: %v", ErrInternal, m, p)
+			for _, j := range members {
+				out[j] = BatchResult{Query: ops[j].v, Method: m, Err: err}
+			}
 		}
+	}()
+	if i < len(shared) {
+		db.runBatchGroup(ctx, ops, &shared[i], out, sess)
+	} else {
+		j := members[0]
+		out[j] = db.runBatchOp(ctx, &ops[j], &plans[j], sess)
 	}
 }
 

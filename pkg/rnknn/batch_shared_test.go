@@ -12,8 +12,7 @@ import (
 
 // sharedEquivDBs opens the three-network fixture the shared-expansion
 // equivalence tests sweep: different shapes and seeds, every method family
-// built (the networks are small enough that even quadratic SILC is cheap),
-// a dense and a sparse category each.
+// built, a dense and a sparse category each.
 func sharedEquivDBs(t *testing.T) []*DB {
 	t.Helper()
 	specs := []gen.NetworkSpec{
@@ -25,7 +24,7 @@ func sharedEquivDBs(t *testing.T) []*DB {
 	for i, spec := range specs {
 		g := gen.Network(spec)
 		db, err := Open(g,
-			WithMethods(INE, IERDijk, IERPHL, IERGt, Gtree, ROAD, DisBrw),
+			WithMethods(INE, IERDijk, IERPHL, IERGt, Gtree, ROAD),
 			WithObjects(DefaultCategory, gen.Uniform(g, 0.04, spec.Seed+1)),
 			WithObjects("sparse", gen.Uniform(g, 0.006, spec.Seed+2)),
 		)

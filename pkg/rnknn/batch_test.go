@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"rnknn/internal/core"
 	"rnknn/internal/gen"
+	"rnknn/internal/knn"
 )
 
 func batchDB(t *testing.T) *DB {
@@ -85,7 +87,7 @@ func TestBatchPerQueryErrors(t *testing.T) {
 		AddKNN(0, 3, WithMethod(ROAD)).       // known but not enabled
 		AddKNN(0, 3, WithCategory("nope")).   // unknown category
 		AddRange(0, -1).                      // bad radius
-		AddRange(0, 100, WithMethod(Gtree)).  // range on a non-INE method
+		AddRange(0, 100, WithMethod(ROAD)).   // no range form, not enabled either
 		AddKNN(5, 4).                         // and one valid query
 		Run(context.Background())
 	if err != nil {
@@ -213,5 +215,52 @@ func TestBatchStats(t *testing.T) {
 	}
 	if s.Methods["INE"].RangeQueries != 1 {
 		t.Fatalf("INE RangeQueries = %d", s.Methods["INE"].RangeQueries)
+	}
+}
+
+// panicSession is a session whose kNN search panics: the bug Batch.Run has
+// to contain, since it runs searches on goroutines of its own.
+type panicSession struct{ core.Session }
+
+func (panicSession) KNNAppend(int32, int, []Result) []Result { panic("search panicked") }
+
+// TestBatchContainsWorkerPanic: a member whose search panics inside
+// Batch.Run gets ErrInternal while the other members answer and the
+// process survives; the worker drops the panicking session instead of
+// putting it back, and the DB answers the next query.
+func TestBatchContainsWorkerPanic(t *testing.T) {
+	db := batchDB(t)
+	ine := db.pools[INE]
+	// The pool is empty until a query returns a session, so every INE
+	// checkout below manufactures a panicking one.
+	ine.pool.New = func() any {
+		s, err := db.eng.NewSession(core.INE, db.eng.NewBinding(knn.NewObjectSet(db.g, nil), nil))
+		if err != nil {
+			t.Error(err)
+		}
+		return newPooledSession(panicSession{s})
+	}
+	got, err := db.Batch().Workers(1).SharedExpansion(SharedOff).
+		AddKNN(5, 4, WithMethod(INE)).
+		AddKNN(5, 4, WithMethod(Gtree)).
+		AddKNN(6, 4, WithMethod(INE)).
+		Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if !errors.Is(got[i].Err, ErrInternal) || got[i].Results != nil {
+			t.Errorf("op %d: err=%v results=%d, want ErrInternal and no results", i, got[i].Err, len(got[i].Results))
+		}
+	}
+	if got[1].Err != nil || len(got[1].Results) != 4 {
+		t.Errorf("op 1: err=%v results=%d, want 4 clean results", got[1].Err, len(got[1].Results))
+	}
+	if gets, puts := ine.gets.Load(), ine.puts.Load(); gets != 2 || puts != 0 {
+		t.Errorf("INE pool: %d checkouts, %d returns; want 2 and 0 (panicked sessions dropped)", gets, puts)
+	}
+	ine.pool.New = nil
+	if res, err := db.KNN(context.Background(), 5, 4, WithMethod(INE)); err != nil || len(res) != 4 {
+		t.Fatalf("KNN after the panics: %d results, %v", len(res), err)
 	}
 }

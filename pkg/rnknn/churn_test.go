@@ -13,8 +13,7 @@ import (
 )
 
 // churnGraphs are the three networks the churn-equivalence property is
-// checked on; the smallest also builds SILC so the DisBrw pair's
-// maintainers (dynamic R-tree, rebuilt object hierarchy) are exercised.
+// checked on.
 var churnGraphs = []gen.NetworkSpec{
 	{Name: "c-small", Rows: 8, Cols: 10, Seed: 31},
 	{Name: "c-mid", Rows: 14, Cols: 18, Seed: 37},
@@ -24,11 +23,7 @@ var churnGraphs = []gen.NetworkSpec{
 func churnDB(t *testing.T, spec gen.NetworkSpec) *DB {
 	t.Helper()
 	g := gen.Network(spec)
-	methods := []Method{INE, IERDijk, IERCH, IERTNR, IERPHL, IERGt, Gtree, ROAD}
-	if g.NumVertices() <= 200 {
-		methods = append(methods, DisBrw, DisBrwOH)
-	}
-	db, err := Open(g, WithMethods(methods...))
+	db, err := Open(g, WithMethods(Methods()...))
 	if err != nil {
 		t.Fatal(err)
 	}

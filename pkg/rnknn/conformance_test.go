@@ -42,7 +42,7 @@ func newConfEnv(t *testing.T, topology string) *confEnv {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "conf", Rows: 12, Cols: 14, Seed: 21})
 	objs := gen.Uniform(g, 0.06, 5)
-	db, err := Open(g, WithMethods(INE, IERPHL, Gtree, ROAD, DisBrw, DisBrwOH), WithObjects(confCat, objs))
+	db, err := Open(g, WithMethods(INE, IERPHL, Gtree, ROAD), WithObjects(confCat, objs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,6 @@ func confFaults(numVertices int) []confFault {
 			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(Gtree)) }},
 		{name: "ROAD on a range", level: 1, appliesOnlyToRange: true, wantRange: ErrRangeMethod,
 			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(ROAD)) }},
-		{name: "DisBrw, not enabled, on a range", level: 1, appliesOnlyToRange: true, wantRange: ErrRangeMethod,
-			apply: func(in *confInput, _ bool) { in.opts = append(in.opts, WithMethod(DisBrw)) }},
 		{name: "cancelled ctx", level: 2, representsItsLevel: true, skipWithoutContext: true, wantKNN: context.Canceled, wantRange: context.Canceled,
 			apply: func(in *confInput, _ bool) { in.cancelled = true }},
 		{name: "negative vertex", level: 3, representsItsLevel: true, wantKNN: ErrBadVertex, wantRange: ErrBadVertex,
@@ -450,9 +448,9 @@ func conformance(t *testing.T, a confAdapter, topology string) {
 	// Cancel the query at every point where it consults ctx, until it
 	// gets through: each cancelled attempt must surface ctx's error with
 	// no results, record nothing and return its session. Once per method
-	// whose search polls ctx: the two expansions, G-tree and the SILC pair
-	// for kNN, the two range forms for a range.
-	pollers := []Method{INE, ROAD, Gtree, DisBrw, DisBrwOH}
+	// whose search polls ctx: the two expansions and G-tree for kNN, the
+	// two range forms for a range.
+	pollers := []Method{INE, ROAD, Gtree}
 	if a.isRange {
 		pollers = []Method{INE, IERPHL}
 	}

@@ -30,4 +30,8 @@ var (
 	ErrRangeMethod = errors.New("rnknn: range queries run on INE or the IER family")
 	// ErrBadRoute reports a Monitor call with an empty route.
 	ErrBadRoute = errors.New("rnknn: route must have at least one vertex")
+	// ErrInternal reports a query whose search panicked (a bug). Batch.Run
+	// contains such a panic to the members of the work unit it hit; the
+	// other entry points run on the caller's goroutine and let it propagate.
+	ErrInternal = errors.New("rnknn: internal error")
 )

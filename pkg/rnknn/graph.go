@@ -23,7 +23,7 @@ const (
 
 // NewGraphBuilder creates a builder for n vertices with the given
 // coordinates (one x,y pair per vertex, used for the Euclidean lower
-// bounds of IER and DisBrw).
+// bounds of the IER family).
 func NewGraphBuilder(n int, x, y []float64) *GraphBuilder {
 	return graph.NewBuilder(n, x, y)
 }

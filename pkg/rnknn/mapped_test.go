@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rnknn/internal/gen"
 	"rnknn/internal/partition"
@@ -535,21 +534,15 @@ func TestOpenSnapshotFileHostilePartitionRanges(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotFileHostileSILCArrays: Distance Browsing subscripts by
-// Morton rank and by each block's first move, and binary-searches a
-// source's Morton list from a first block at rank 0. A SILC section with a
-// rank or a first move outside [0, |V|), or a first block that starts past
-// rank 0, re-framed so its checksum holds, must be refused with
-// ErrBadSnapshot on the verified and the mapped path alike: accepted, the
-// first hangs DisBrw and the other two index out of range. First moves in
-// range that cycle cannot be told from good ones without walking every
-// path, so that file loads; both methods must still answer every query.
-// Queries run under a timer, so a hang fails the test instead of stalling
-// it.
-func TestOpenSnapshotFileHostileSILCArrays(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 12, Cols: 12, Seed: 8})
-	objs := gen.Uniform(g, 0.1, 3)
-	opts := []rnknn.Option{rnknn.WithMethods(rnknn.DisBrw, rnknn.DisBrwOH), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+// TestOpenSnapshotRetiredSILCSection: SILC, Distance Browsing's index, is
+// a retired section. A snapshot that carries one, at the place older
+// builds wrote it (after ROAD), is refused with ErrBadSnapshot naming the
+// section, on the verified and the mapped path alike, instead of opening
+// without it. The same file without the section opens.
+func TestOpenSnapshotRetiredSILCSection(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "retired", Rows: 8, Cols: 8, Seed: 8})
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.Gtree, rnknn.ROAD, rnknn.IERPHL),
+		rnknn.WithObjects(rnknn.DefaultCategory, gen.Uniform(g, 0.1, 3))}
 	built, err := rnknn.Open(g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -558,92 +551,59 @@ func TestOpenSnapshotFileHostileSILCArrays(t *testing.T) {
 	if err := built.SaveIndexes(&buf); err != nil {
 		t.Fatal(err)
 	}
-	put := func(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
-	// everyFirst sets each 16-byte block's first move (start, first, λ-, λ+).
-	everyFirst := func(v uint32) func(_, _, blocks []byte) {
-		return func(_, _, blocks []byte) {
-			for i := 0; i < len(blocks); i += 16 {
-				put(blocks[i+4:], v)
-			}
-		}
+	fp, payloads, err := snapshot.Parse(buf.Bytes(), true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	for _, c := range []struct {
-		name   string
-		tamper func(rank, off, blocks []byte)
-		refuse bool
-	}{
-		{"rank of object = 1<<28", func(rank, _, _ []byte) { put(rank[4*objs[0]:], 1<<28) }, true},
-		{"every first = 1<<28", everyFirst(1 << 28), true},
-		{"first blocks start at 1<<28", func(_, off, blocks []byte) {
-			for s := 0; s < g.NumVertices(); s++ {
-				put(blocks[16*binary.LittleEndian.Uint32(off[4*s:]):], 1<<28)
-			}
-		}, true},
-		{"every first = 5", everyFirst(5), false},
-	} {
-		data := bytes.Clone(buf.Bytes())
-		_, payloads, err := snapshot.Parse(data, false)
-		if err != nil {
-			t.Fatal(err)
+	// The section's bytes are never decoded; a layout-version-2 prefix
+	// stands in for the payload older builds wrote.
+	silc := []byte{2, 0, 1, 0, 0, 0, 0, 0}
+	write := func(withSILC bool) []byte {
+		var secs []snapshot.Section
+		add := func(name string, mappable bool, data []byte) {
+			secs = append(secs, snapshot.Section{Name: name, Mappable: mappable, Encode: func(w io.Writer) error {
+				_, err := w.Write(data)
+				return err
+			}})
 		}
 		for _, p := range payloads {
-			if p.Name != "SILC" {
-				continue
+			add(p.Name, p.Mappable, p.Data)
+			if p.Name == "ROAD" && withSILC {
+				add("SILC", true, silc)
 			}
-			sr := snapio.NewSource(p.Data, false)
-			sr.U16()  // version
-			sr.Bool() // chain optimisation
-			_, rank, _ := sr.AlignedRaw(4, 4)
-			sr.AlignedRaw(4, 4) // byRank
-			_, off, _ := sr.AlignedRaw(4, 4)
-			_, blocks, _ := sr.AlignedRaw(16, 4)
-			if sr.Err() != nil {
-				t.Fatal(sr.Err())
-			}
-			c.tamper(rank, off, blocks)
 		}
-		data = reframe(t, data)
-		path := filepath.Join(dir, "hostile.rnks")
+		var out bytes.Buffer
+		if err := snapshot.Write(&out, fp, secs); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	dir := t.TempDir()
+	for _, withSILC := range []bool{true, false} {
+		data := write(withSILC)
+		path := filepath.Join(dir, fmt.Sprintf("retired-%v.rnks", withSILC))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		open := map[string]func() (*rnknn.DB, error){
+		for how, open := range map[string]func() (*rnknn.DB, error){
 			"verified": func() (*rnknn.DB, error) { return rnknn.OpenFromSnapshot(g, bytes.NewReader(data), opts...) },
 			"mapped":   func() (*rnknn.DB, error) { return rnknn.OpenSnapshotFile(path, opts...) },
-		}
-		for how, open := range open {
+		} {
 			db, err := open()
-			if c.refuse && errors.Is(err, rnknn.ErrBadSnapshot) {
-				continue
-			}
-			if c.refuse || err != nil {
-				t.Errorf("%s: %s open: want refuse=%v, got %v", c.name, how, c.refuse, err)
-			}
-			if err != nil {
-				continue
-			}
-			done := make(chan error, 1)
-			go func() {
-				for q := int32(0); q < int32(g.NumVertices()); q++ {
-					for _, m := range []rnknn.Method{rnknn.DisBrw, rnknn.DisBrwOH} {
-						if _, err := db.KNN(context.Background(), q, 5, rnknn.WithMethod(m)); err != nil {
-							done <- fmt.Errorf("KNN(%d) by %v: %w", q, m, err)
-							return
-						}
-					}
-				}
-				done <- nil
-			}()
-			select {
-			case err := <-done:
+			if !withSILC {
 				if err != nil {
-					t.Errorf("%s: %s open: %v", c.name, how, err)
+					t.Errorf("%s open without the SILC section: %v", how, err)
+				} else {
+					db.Close()
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%s: %s open: queries still running after 10s", c.name, how)
+				continue
 			}
-			db.Close()
+			if err == nil {
+				db.Close()
+			}
+			if !errors.Is(err, rnknn.ErrBadSnapshot) || !strings.Contains(err.Error(), "SILC") {
+				t.Errorf("%s open with a SILC section: want ErrBadSnapshot naming SILC, got %v", how, err)
+			}
 		}
 	}
 }

@@ -17,8 +17,10 @@ type Method int
 // batch queries; Explain reports what it resolves to and why.
 const MethodAuto Method = -1
 
-// The methods mirror internal/core's kinds: the paper's five algorithms,
-// with IER composable over each distance oracle (Section 5).
+// The methods mirror internal/core's kinds: INE, IER composable over each
+// distance oracle (Section 5), G-tree and ROAD. The paper's fifth
+// algorithm, Distance Browsing, is not served: cmd/knnexp still runs it
+// for the figures.
 const (
 	// INE is Incremental Network Expansion (Section 3.1).
 	INE Method = iota
@@ -37,10 +39,6 @@ const (
 	Gtree
 	// ROAD is Route Overlay and Association Directory (Section 3.4).
 	ROAD
-	// DisBrw is Distance Browsing in its DB-ENN form (Appendix A.1.1).
-	DisBrw
-	// DisBrwOH is Distance Browsing with the original Object Hierarchy.
-	DisBrwOH
 	numMethods
 )
 

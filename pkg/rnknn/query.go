@@ -19,9 +19,6 @@ import (
 // paths (KNN, Batch).
 type pooledSession struct {
 	sess core.Session
-	// in is the session's interrupt hook, nil when the method's scans are
-	// not interruptible.
-	in knn.Interruptible
 	// within is the session's bounded kNN, nil when the method has no
 	// distance-bounded form (see searchWithin).
 	within knn.BoundedMethod
@@ -39,27 +36,20 @@ type pooledSession struct {
 
 func newPooledSession(s core.Session) *pooledSession {
 	ps := &pooledSession{sess: s}
-	ps.in, _ = s.(knn.Interruptible)
 	ps.within, _ = s.(knn.BoundedMethod)
 	ps.check = func() bool { return ps.ctx != nil && ps.ctx.Err() != nil }
 	return ps
 }
 
 // arm installs the context-cancellation interrupt for one query; disarm
-// removes it. Both are no-ops for non-interruptible methods.
+// removes it.
 func (ps *pooledSession) arm(ctx context.Context) {
-	if ps.in == nil {
-		return
-	}
 	ps.ctx = ctx
-	ps.in.SetInterrupt(ps.check)
+	ps.sess.SetInterrupt(ps.check)
 }
 
 func (ps *pooledSession) disarm() {
-	if ps.in == nil {
-		return
-	}
-	ps.in.SetInterrupt(nil)
+	ps.sess.SetInterrupt(nil)
 	ps.ctx = nil
 }
 
@@ -192,7 +182,7 @@ func (db *DB) mergeOpts(opts []QueryOption) QueryOption {
 // (ErrMethodNotEnabled) — never a silent fallback. Range queries run on the
 // methods with a range form: MethodAuto, INE (enabled or not: its pool always
 // exists) and an enabled IER method are accepted, a known method without one
-// (G-tree, ROAD, DisBrw) is ErrRangeMethod.
+// (G-tree, ROAD) is ErrRangeMethod.
 func (db *DB) check(ctx context.Context, qr *query) error {
 	m := qr.opt.method
 	switch {
@@ -359,8 +349,8 @@ func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 // nondecreasing distance order. It is safe for unbounded concurrent
 // callers. Cancellation or expiry of ctx is checked between the search
 // steps of every method (expansion steps for INE, ROAD and G-tree, candidates
-// for the IER family, browse-loop iterations for the SILC pair), so long
-// graph-wide scans return promptly with ctx's error.
+// for the IER family), so long graph-wide scans return promptly with ctx's
+// error.
 func (db *DB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, error) {
 	res, _, err := db.exec(ctx, db.knnQuery(q, k, opts), nil)
 	return res, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rnknn/internal/core"
-	"rnknn/internal/knn"
 )
 
 // KNNSeq answers the same query as KNN but streams each neighbor as it is
@@ -29,10 +28,9 @@ import (
 // the rest of the search immediately and returns the pooled session; the
 // sequence is single-use but cheap to recreate.
 //
-// INE, the IER family, G-tree and ROAD stream natively (each confirmed
-// neighbor is yielded mid-search); the SILC pair computes its full answer
-// first and replays it. Safe for unbounded concurrent callers; only fully
-// consumed streams are recorded in Stats.
+// Every method streams natively: each confirmed neighbor is yielded
+// mid-search. Safe for unbounded concurrent callers; only fully consumed
+// streams are recorded in Stats.
 func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		qr := db.knnQuery(q, k, opts)
@@ -50,9 +48,8 @@ func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) i
 		emit := func(r Result) bool {
 			elapsed += time.Since(segment)
 			defer func() { segment = time.Now() }()
-			// The interrupt hook stops the scan between results; checking
-			// again here keeps cancellation ahead of result delivery for
-			// the buffered fallback methods too.
+			// The interrupt hook polls only every so many search steps;
+			// checking here keeps cancellation ahead of result delivery.
 			if ctx.Err() != nil {
 				return false
 			}
@@ -100,6 +97,6 @@ func (db *DB) streamPart(ctx context.Context, qr *query, b *core.Binding, m Meth
 		ps.disarm()
 		db.pools[m].put(ps)
 	}()
-	knn.StreamKNN(ps.sess, qr.v, qr.k, emit)
+	ps.sess.KNNStream(qr.v, qr.k, emit)
 	return nil
 }

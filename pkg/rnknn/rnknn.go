@@ -51,8 +51,8 @@
 // # Index persistence
 //
 // Index construction is the expensive part of Open — G-tree and ROAD are
-// linearithmic, CH/PHL/TNR somewhat above, SILC quadratic — and all of it
-// can be paid once per graph instead of once per process. Three entry
+// linearithmic, CH/PHL/TNR somewhat above — and all of it can be paid once
+// per graph instead of once per process. Three entry
 // points, from most to least automatic:
 //
 //   - WithIndexCache(dir): Open loads dir/<name>-<fingerprint>.rnks if it
@@ -208,9 +208,7 @@ func (db *DB) batchPartition() *partition.Tree {
 // Open builds a DB over g. The road-network index of every selected method
 // is constructed here (so queries never pay index construction), which
 // makes Open the expensive call: on the paper's parameters, expect G-tree
-// and ROAD builds linearithmic in |V|, CH/PHL/TNR somewhat above that, and
-// SILC quadratic — the paper restricts SILC (DisBrw) to small networks and
-// so should callers.
+// and ROAD builds linearithmic in |V| and CH/PHL/TNR somewhat above that.
 //
 // The construction cost can be paid once per graph instead of once per
 // process: WithIndexCache(dir) saves built indexes to disk and loads them on

@@ -9,8 +9,7 @@ import (
 	"rnknn/internal/knn"
 )
 
-// testDB opens a small network with every non-SILC method and one default
-// category.
+// testDB opens a small network with every method and one default category.
 func testDB(t *testing.T) *DB {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 16, Cols: 20, Seed: 7})
@@ -105,7 +104,7 @@ func TestTypedQueryErrors(t *testing.T) {
 		{"bad vertex", errOf(db.KNN(ctx, -1, 3)), ErrBadVertex},
 		{"vertex past end", errOf(db.KNN(ctx, int32(db.Graph().NumVertices()), 3)), ErrBadVertex},
 		{"unknown method", errOf(db.KNN(ctx, 0, 3, WithMethod(Method(42)))), ErrUnknownMethod},
-		{"not enabled", errOf(db.KNN(ctx, 0, 3, WithMethod(DisBrw))), ErrMethodNotEnabled},
+		{"not enabled", errOf(batchDB(t).KNN(ctx, 0, 3, WithMethod(ROAD))), ErrMethodNotEnabled},
 		{"unknown category", errOf(db.KNN(ctx, 0, 3, WithCategory("nope"))), ErrUnknownCategory},
 		{"bad radius", errOf(db.Range(ctx, 0, -1)), ErrBadRadius},
 		{"range method", errOf(db.Range(ctx, 0, 10, WithMethod(Gtree))), ErrRangeMethod},

@@ -13,8 +13,7 @@ import (
 )
 
 // streamGraphs are the three networks the streaming contract is checked
-// on; the smallest also builds SILC so the buffered-replay fallback of the
-// DisBrw pair is exercised alongside the native streamers.
+// on.
 var streamGraphs = []gen.NetworkSpec{
 	{Name: "s-small", Rows: 8, Cols: 10, Seed: 3},
 	{Name: "s-mid", Rows: 16, Cols: 20, Seed: 7},
@@ -24,12 +23,8 @@ var streamGraphs = []gen.NetworkSpec{
 func streamDB(t *testing.T, spec gen.NetworkSpec, density float64) *DB {
 	t.Helper()
 	g := gen.Network(spec)
-	methods := []Method{INE, IERDijk, IERCH, IERTNR, IERPHL, IERGt, Gtree, ROAD}
-	if g.NumVertices() <= 200 {
-		methods = append(methods, DisBrw, DisBrwOH)
-	}
 	db, err := Open(g,
-		WithMethods(methods...),
+		WithMethods(Methods()...),
 		WithObjects(DefaultCategory, gen.Uniform(g, density, 5)),
 	)
 	if err != nil {
@@ -272,7 +267,7 @@ func TestShardedKNNSeqReleasesSessions(t *testing.T) {
 // empty) pool a method kind the engine does not know.
 func TestShardedKNNSeqCellErrorAborts(t *testing.T) {
 	e := newConfEnv(t, confSharded)
-	e.db.pools[INE].kind = core.DisBrwOH + 1
+	e.db.pools[INE].kind = core.NumKinds
 	var last error
 	n := 0
 	for _, err := range e.db.KNNSeq(context.Background(), 0, 8, WithCategory(confCat), WithMethod(INE)) {
