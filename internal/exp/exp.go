@@ -253,7 +253,10 @@ func (h *Harness) UniformObjects(name string, density float64) *knn.ObjectSet {
 	return knn.NewObjectSet(g, gen.Uniform(g, density, h.cfg.Seed+int64(density*1e7)))
 }
 
-// Measure runs the workload and returns mean microseconds per query.
+// Measure runs the workload and returns mean microseconds per query. It
+// divides the elapsed nanoseconds, so a cell keeps its resolution however
+// short the loop is: whole microseconds divided by 20 queries would read
+// only in steps of 0.05 µs.
 func Measure(m knn.Method, queries []int32, k int) float64 {
 	// Warm up caches and lazily allocated state.
 	for i := 0; i < 2 && i < len(queries); i++ {
@@ -263,7 +266,7 @@ func Measure(m knn.Method, queries []int32, k int) float64 {
 	for _, q := range queries {
 		m.KNN(q, k)
 	}
-	return float64(time.Since(start).Microseconds()) / float64(len(queries))
+	return float64(time.Since(start).Nanoseconds()) / 1e3 / float64(len(queries))
 }
 
 // DefaultK and DefaultDensity are the paper's defaults (Table 4).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rnknn/internal/exp"
+	"rnknn/internal/knn"
 )
 
 // smallCfg shrinks every harness network so the full experiment set runs in
@@ -103,5 +104,22 @@ func TestDistanceBrowsingRows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// noopMethod answers every query with nothing, at once.
+type noopMethod struct{}
+
+func (noopMethod) Name() string                                            { return "noop" }
+func (noopMethod) KNN(int32, int) []knn.Result                             { return nil }
+func (noopMethod) KNNAppend(_ int32, _ int, dst []knn.Result) []knn.Result { return dst }
+
+// TestMeasureResolvesSubMicrosecond checks Measure keeps the resolution of
+// the clock: 20 queries that each take a few nanoseconds still measure a
+// positive time, where whole microseconds would round the loop to 0.
+func TestMeasureResolvesSubMicrosecond(t *testing.T) {
+	queries := make([]int32, 20)
+	if us := exp.Measure(noopMethod{}, queries, 10); !(us > 0) {
+		t.Fatalf("Measure of a no-op method over 20 queries = %v µs, want > 0", us)
 	}
 }

@@ -7,7 +7,7 @@ package knn
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rnknn/internal/bitset"
 	"rnknn/internal/dijkstra"
@@ -166,7 +166,7 @@ func NewObjectSet(g *graph.Graph, vertices []int32) *ObjectSet {
 			verts = append(verts, v)
 		}
 	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+	slices.Sort(verts)
 	return &ObjectSet{verts: verts, member: member}
 }
 
@@ -174,13 +174,15 @@ func NewObjectSet(g *graph.Graph, vertices []int32) *ObjectSet {
 // leaving o untouched — the persistent-update form behind epoch-versioned
 // object churn: any reader holding o keeps a consistent view while the next
 // epoch is derived. Removals are applied before insertions. The returned
-// added/removed slices are the effective delta: vertices actually inserted
-// (absent before, deduplicated) and actually deleted (present before) —
-// exactly the per-element work the derived object indexes must replay.
+// added/removed slices are the effective delta, each sorted: vertices
+// actually inserted (absent before, deduplicated) and actually deleted
+// (present before) — exactly the per-element work the derived object
+// indexes must replay.
 //
-// Cost is one memcpy of the membership words and one pass over the vertex
-// slice plus O(|delta| log |delta|); no index is rebuilt and nothing the
-// original set references is mutated.
+// Cost is one memcpy of the membership words, one copy of the vertex slice
+// in the runs between consecutive delta positions, and O(|delta| log |set|)
+// to find those positions; no index is rebuilt and nothing the original set
+// references is mutated.
 func (o *ObjectSet) WithDelta(add, remove []int32) (next *ObjectSet, added, removed []int32) {
 	member := o.member.Clone()
 	for _, v := range remove {
@@ -195,25 +197,31 @@ func (o *ObjectSet) WithDelta(add, remove []int32) (next *ObjectSet, added, remo
 			added = append(added, v)
 		}
 	}
-	// Rebuild the sorted vertex slice: survivors of the old slice merged
-	// with the sorted effective additions.
-	sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
+	slices.Sort(removed)
+	slices.Sort(added)
+	// Walk the delta in vertex order, copying each run of survivors up to
+	// the next delta position: a removal skips its vertex, an addition is
+	// emitted at its place. A vertex removed and re-added is skipped by its
+	// removal, which comes first, and emitted once by its addition.
 	verts := make([]int32, 0, len(o.verts)-len(removed)+len(added))
-	ai := 0
-	for _, v := range o.verts {
-		for ai < len(added) && added[ai] < v {
-			verts = append(verts, added[ai])
-			ai++
-		}
-		if ai < len(added) && added[ai] == v {
-			// v was removed and re-added in this same delta; emit it once.
-			ai++
-		}
-		if member.Get(v) {
-			verts = append(verts, v)
-		}
+	from := 0 // o.verts[from:] is not yet copied
+	copyTo := func(v int32) int {
+		at, _ := slices.BinarySearch(o.verts[from:], v)
+		verts = append(verts, o.verts[from:from+at]...)
+		return from + at
 	}
-	verts = append(verts, added[ai:]...)
+	ri := 0
+	for _, v := range added {
+		for ; ri < len(removed) && removed[ri] <= v; ri++ {
+			from = copyTo(removed[ri]) + 1
+		}
+		from = copyTo(v)
+		verts = append(verts, v)
+	}
+	for _, v := range removed[ri:] {
+		from = copyTo(v) + 1
+	}
+	verts = append(verts, o.verts[from:]...)
 	return &ObjectSet{verts: verts, member: member}, added, removed
 }
 

@@ -1,6 +1,8 @@
 package knn_test
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,6 +155,89 @@ func TestObjectSetWithDelta(t *testing.T) {
 	}
 	if !int32sEqual(same.Vertices(), base.Vertices()) {
 		t.Fatal("no-op delta changed the set")
+	}
+}
+
+// TestObjectSetWithDeltaRandom checks WithDelta against a from-scratch
+// build over seeded random deltas: removals of present and absent vertices,
+// additions of present and absent ones with duplicates, vertices removed and
+// re-added in one delta, and runs of removals and additions at both ends of
+// the sorted set.
+func TestObjectSetWithDeltaRandom(t *testing.T) {
+	g := testGraph(t)
+	n := int32(g.NumVertices())
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 500; trial++ {
+		var base []int32
+		for v := int32(0); v < n; v++ {
+			if rng.Intn(4) == 0 {
+				base = append(base, v)
+			}
+		}
+		o := knn.NewObjectSet(g, base)
+		verts := slices.Clone(o.Vertices())
+		var add, remove []int32
+		for i := rng.Intn(8); i > 0; i-- {
+			remove = append(remove, int32(rng.Intn(int(n))))
+		}
+		for i := rng.Intn(8); i > 0; i-- {
+			add = append(add, int32(rng.Intn(int(n))))
+		}
+		switch rng.Intn(4) {
+		case 0: // runs at both ends
+			if len(verts) > 3 {
+				remove = append(remove, verts[:3]...)
+				remove = append(remove, verts[len(verts)-3:]...)
+			}
+			add = append(add, 0, 1, n-2, n-1)
+		case 1: // re-adds
+			if len(verts) > 0 {
+				v := verts[rng.Intn(len(verts))]
+				remove, add = append(remove, v), append(add, v, v)
+			}
+		case 2: // everything out
+			remove = append(remove, verts...)
+		}
+
+		next, added, removed := o.WithDelta(add, remove)
+		want := map[int32]bool{}
+		for _, v := range verts {
+			want[v] = true
+		}
+		var wantRemoved, wantAdded []int32
+		for _, v := range remove {
+			if want[v] {
+				delete(want, v)
+				wantRemoved = append(wantRemoved, v)
+			}
+		}
+		for _, v := range add {
+			if !want[v] {
+				want[v] = true
+				wantAdded = append(wantAdded, v)
+			}
+		}
+		slices.Sort(wantRemoved)
+		slices.Sort(wantAdded)
+		wantSet := make([]int32, 0, len(want))
+		for v := range want {
+			wantSet = append(wantSet, v)
+		}
+		fresh := knn.NewObjectSet(g, wantSet)
+		if !slices.Equal(next.Vertices(), fresh.Vertices()) {
+			t.Fatalf("trial %d: add %v remove %v: got %v, want %v", trial, add, remove, next.Vertices(), fresh.Vertices())
+		}
+		for v := int32(0); v < n; v++ {
+			if next.Contains(v) != fresh.Contains(v) {
+				t.Fatalf("trial %d: membership of %d: got %v", trial, v, next.Contains(v))
+			}
+		}
+		if !slices.Equal(added, wantAdded) || !slices.Equal(removed, wantRemoved) {
+			t.Fatalf("trial %d: effective delta added %v removed %v, want %v and %v", trial, added, removed, wantAdded, wantRemoved)
+		}
+		if !slices.Equal(o.Vertices(), verts) || len(verts) != len(base) {
+			t.Fatalf("trial %d: the original set changed", trial)
+		}
 	}
 }
 

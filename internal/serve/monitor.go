@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -35,18 +36,19 @@ const maxMonitorIntervalMS = 60000
 // whole session — a monitor is sustained work, so it must count against
 // MaxInFlight for its duration, not just its setup.
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
-	k, err := int32Param(r, "k", 10)
+	params := r.URL.Query()
+	k, err := int32Param(params, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	method, err := parseMethod(r.URL.Query().Get("method"))
+	method, err := parseMethod(params.Get("method"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	category := categoryParam(r)
-	interval, err := intParam(r, "interval_ms", 0)
+	category := categoryParam(params)
+	interval, err := intParam(params, "interval_ms", 0)
 	if err == nil && (interval < 0 || interval > maxMonitorIntervalMS) {
 		err = fmt.Errorf("parameter \"interval_ms\" must be in [0, %d], got %d", maxMonitorIntervalMS, interval)
 	}
@@ -54,7 +56,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	route, err := s.monitorRoute(r)
+	route, err := s.monitorRoute(params)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -124,11 +126,11 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 }
 
-// monitorRoute builds the session's route: an explicit vertex list from
-// route=, or a random walk over the adjacency from q= (steps= long, seeded
-// by seed= for reproducibility).
-func (s *Server) monitorRoute(r *http.Request) ([]int32, error) {
-	if rv := r.URL.Query().Get("route"); rv != "" {
+// monitorRoute builds the session's route from the request's parameters:
+// an explicit vertex list from route=, or a random walk over the adjacency
+// from q= (steps= long, seeded by seed= for reproducibility).
+func (s *Server) monitorRoute(params url.Values) ([]int32, error) {
+	if rv := params.Get("route"); rv != "" {
 		parts := strings.Split(rv, ",")
 		if len(parts) > maxMonitorSteps {
 			return nil, fmt.Errorf("route of %d vertices exceeds limit %d", len(parts), maxMonitorSteps)
@@ -143,18 +145,18 @@ func (s *Server) monitorRoute(r *http.Request) ([]int32, error) {
 		}
 		return route, nil
 	}
-	q, err := intParam(r, "q", -1)
+	q, err := intParam(params, "q", -1)
 	if err != nil {
 		return nil, fmt.Errorf("%v (or pass an explicit route=)", err)
 	}
-	steps, err := intParam(r, "steps", 50)
+	steps, err := intParam(params, "steps", 50)
 	if err != nil {
 		return nil, err
 	}
 	if steps < 1 || steps > maxMonitorSteps {
 		return nil, fmt.Errorf("parameter \"steps\" must be in [1, %d], got %d", maxMonitorSteps, steps)
 	}
-	seed, err := intParam(r, "seed", 1)
+	seed, err := intParam(params, "seed", 1)
 	if err != nil {
 		return nil, err
 	}

@@ -41,6 +41,11 @@
 // contains panics on its own worker goroutines, which no handler's recover
 // reaches.
 //
+// A handler parses its query string once, and the /knn, /range and /batch
+// bodies are appended straight from the library's results, with no
+// reflection (encode.go), byte-identical to encoding/json's encoding of the
+// wire types.
+//
 // Queries and mutations take separate paths on purpose (the HTAP lesson:
 // co-designed, not shared): /objects/insert and /objects/remove bypass
 // admission and the cache entirely — churn must keep landing even when the
@@ -55,6 +60,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"sync/atomic"
@@ -276,37 +282,23 @@ func (st *stack) query(ctx context.Context, cq cachedQuery, gate func()) ([]rnkn
 // computed from.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := int32Param(r, "q", -1)
+	params := r.URL.Query()
+	qv, err := int32Param(params, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	k, err := int32Param(r, "k", 10)
+	k, err := int32Param(params, "k", 10)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	method, err := parseMethod(r.URL.Query().Get("method"))
+	method, err := parseMethod(params.Get("method"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	cq := cachedQuery{vertex: qv, k: k, radius: -1, method: method, category: categoryParam(r)}
-	res, epoch, cached, err := s.st.query(r.Context(), cq, s.gate)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, KNNResponse{
-		Query:         cq.vertex,
-		K:             int(cq.k),
-		Method:        method.String(),
-		Category:      cq.category,
-		Epoch:         epoch,
-		Cached:        cached,
-		LatencyMicros: time.Since(start).Microseconds(),
-		Results:       Results(res),
-	})
+	s.answer(w, r, start, cachedQuery{vertex: qv, k: k, radius: -1, method: method, category: categoryParam(params)})
 }
 
 // handleRange is the cached range path, the same two layers as /knn.
@@ -315,31 +307,31 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 // retires range answers by the same epoch mechanism.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	qv, err := int32Param(r, "q", -1)
+	params := r.URL.Query()
+	qv, err := int32Param(params, "q", -1)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	radius, err := intParam(r, "radius", -1)
+	radius, err := intParam(params, "radius", -1)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	cq := cachedQuery{isRange: true, vertex: qv, radius: int64(radius), category: categoryParam(r)}
+	s.answer(w, r, start, cachedQuery{isRange: true, vertex: qv, radius: int64(radius), category: categoryParam(params)})
+}
+
+// answer runs cq through the cache path and writes its KNNResponse or
+// RangeResponse body; start is when the request's handling began.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time, cq cachedQuery) {
 	res, epoch, cached, err := s.st.query(r.Context(), cq, s.gate)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RangeResponse{
-		Query:         cq.vertex,
-		Radius:        cq.radius,
-		Category:      cq.category,
-		Epoch:         epoch,
-		Cached:        cached,
-		LatencyMicros: time.Since(start).Microseconds(),
-		Results:       Results(res),
-	})
+	b := bodyPool.Get().(*[]byte)
+	*b = appendAnswer((*b)[:0], cq, epoch, cached, time.Since(start).Microseconds(), res)
+	writeBody(w, b)
 }
 
 // handleBatch decodes a mixed kNN/range batch and runs it through the same
@@ -394,8 +386,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Epoch-keyed cache lookups per member. An epoch lookup that fails
 	// (unknown category) leaves the member unkeyed; the inner batch reports
-	// the library's error for it.
-	out := make([]BatchResultJSON, n)
+	// the library's error for it. cached marks the members that ran no
+	// search.
+	out := make([]rnknn.BatchResult, n)
+	cached := make([]bool, n)
 	keys := make([]cacheKey, n)
 	keyed := make([]bool, n)
 	epochs := map[string]uint64{}
@@ -423,7 +417,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		keyed[i] = true
 		if res, ok := st.cache.get(keys[i]); ok {
 			st.batchCacheHits.Add(1)
-			out[i] = BatchResultJSON{Query: q.Query, Method: methods[i].String(), Epoch: epoch, Cached: true, Results: Results(res)}
+			out[i] = rnknn.BatchResult{Query: q.Query, Method: methods[i], Epoch: epoch, Results: res}
+			cached[i] = true
 			continue
 		}
 		if _, ok := first[keys[i]]; ok {
@@ -466,27 +461,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				k.epoch = br.Epoch // possibly newer than the lookup epoch; never older
 				st.cache.put(k, br.Results)
 			}
-			out[i] = batchResultJSON(br)
+			out[i] = br
 		}
 		for _, i := range dups {
 			out[i] = out[first[keys[i]]]
-			out[i].Cached = true
+			cached[i] = true
 		}
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
-}
-
-// batchResultJSON converts one library batch result to its wire form.
-func batchResultJSON(br rnknn.BatchResult) BatchResultJSON {
-	out := BatchResultJSON{Query: br.Query, LatencyMicros: br.Latency.Microseconds(), Shared: br.Shared}
-	if br.Err != nil {
-		out.Error = br.Err.Error()
-	} else {
-		out.Method = br.Method.String()
-		out.Epoch = br.Epoch
-		out.Results = Results(br.Results)
-	}
-	return out
+	b := bodyPool.Get().(*[]byte)
+	*b = appendBatch((*b)[:0], out, cached)
+	writeBody(w, b)
 }
 
 // decodeBody decodes a POST body of at most maxBodyBytes into v and reports
@@ -534,16 +518,16 @@ func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerF
 }
 
 // categoryParam reads the optional category parameter.
-func categoryParam(r *http.Request) string {
-	if c := r.URL.Query().Get("category"); c != "" {
+func categoryParam(params url.Values) string {
+	if c := params.Get("category"); c != "" {
 		return c
 	}
 	return rnknn.DefaultCategory
 }
 
 // intParam parses an integer query parameter; def < 0 makes it required.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(params url.Values, name string, def int) (int, error) {
+	v := params.Get(name)
 	if v == "" {
 		if def < 0 {
 			return 0, fmt.Errorf("missing required parameter %q", name)
@@ -560,8 +544,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 // int32Param is intParam for the parameters that name a vertex or a k: both
 // are 32-bit downstream (vertex ids, the cache key's k), and a value that
 // does not fit is refused here rather than narrowed into some other value.
-func int32Param(r *http.Request, name string, def int) (int32, error) {
-	n, err := intParam(r, name, def)
+func int32Param(params url.Values, name string, def int) (int32, error) {
+	n, err := intParam(params, name, def)
 	if err == nil && !fits32(n) {
 		err = fmt.Errorf("parameter %q: %d does not fit 32 bits", name, n)
 	}

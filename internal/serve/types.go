@@ -5,9 +5,14 @@ import (
 )
 
 // The wire types are the one JSON vocabulary for query answers: the
-// rnknnd endpoints encode them, the benchmark harness (bench/) decodes
-// them, and cmd/knnquery's -json mode prints them — scripting against any
-// of the three sees the same shape.
+// benchmark harness (bench/) and the tests decode into them, and
+// cmd/knnquery's -json mode prints them, so scripting against any of those
+// sees the same shape. rnknnd writes the /knn, /range and /batch bodies
+// with the append encoder (encode.go), not from these types; they are its
+// parity reference: each body must equal encoding/json's encoding of the
+// wire type holding the same values, byte for byte. The other bodies
+// (errors, /stats, /objects/*, the /monitor events) are these types,
+// encoded by encoding/json.
 
 // ResultJSON is one query answer on the wire.
 type ResultJSON struct {
