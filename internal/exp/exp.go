@@ -98,6 +98,118 @@ func (t *Table) String() string {
 	return b.String()
 }
 
+// grid builds every table of the harness: a row per label in rows, a column
+// per label in cols under the corner label, and cell (r, c) from cell,
+// filled row by row. What a row or a column builds once (a session, an
+// object set, an index) the caller keeps: measure rebuilds a row's method
+// only when its object set changes, and memo keeps a value per index.
+func grid(id, title, corner string, rows, cols []string, cell func(r, c int) string) *Table {
+	t := &Table{ID: id, Title: title, Header: append([]string{corner}, cols...)}
+	for r, label := range rows {
+		row := []string{label}
+		for c := range cols {
+			row = append(row, cell(r, c))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
+}
+
+// memo returns f with each result kept after its first call.
+func memo[T any](f func(i int) T) func(i int) T {
+	done := map[int]T{}
+	return func(i int) T {
+		v, ok := done[i]
+		if !ok {
+			v = f(i)
+			done[i] = v
+		}
+		return v
+	}
+}
+
+// byRow is the cell function of a table whose row r is computed whole, once.
+func byRow(row func(r int) []string) func(r, c int) string {
+	rows := memo(row)
+	return func(r, c int) string { return rows(r)[c] }
+}
+
+// labels formats each value as a row or column label.
+func labels[T any](format string, vals []T) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = fmt.Sprintf(format, v)
+	}
+	return out
+}
+
+// col is one column of a query figure: its label, and the k and object set
+// its cells query with.
+type col struct {
+	label string
+	k     int
+	objs  *knn.ObjectSet
+}
+
+func (c col) String() string { return c.label }
+
+// kCols sweeps the paper's k values over one object set.
+func kCols(objs *knn.ObjectSet) []col {
+	out := make([]col, len(Ks))
+	for i, k := range Ks {
+		out[i] = col{fmt.Sprintf("k=%d", k), k, objs}
+	}
+	return out
+}
+
+// densityCols sweeps the paper's densities on net at the default k, one
+// object set per density.
+func (h *Harness) densityCols(net string) []col {
+	out := make([]col, len(Densities))
+	for i, d := range Densities {
+		out[i] = col{fmt.Sprintf("d=%g", d), DefaultK, h.UniformObjects(net, d)}
+	}
+	return out
+}
+
+// clusterCols sweeps 1 to 1000 clusters of at most 5 objects on g at the
+// default k (Figures 12a and 24d).
+func (h *Harness) clusterCols(g *graph.Graph) []col {
+	var out []col
+	for _, c := range []int{1, 10, 100, 1000} {
+		out = append(out, col{fmt.Sprintf("|C|=%d", c), DefaultK, knn.NewObjectSet(g, gen.Clustered(g, c, 5, h.cfg.Seed+int64(c)))})
+	}
+	return out
+}
+
+// measure is grid for a query figure: cell (r, c) is the mean µs per query
+// of build(r, objs) over queries at column c's k and object set.
+func measure(id, title, corner string, rows []string, cols []col, queries []int32, build func(r int, objs *knn.ObjectSet) knn.Method) *Table {
+	return grid(id, title, corner, rows, labels("%v", cols), byRow(func(r int) []string {
+		return measureRow(cols, queries, func(objs *knn.ObjectSet) knn.Method { return build(r, objs) })
+	}))
+}
+
+// measureRow is one row of measure. Its method is built once per object
+// set: once in a k sweep, once per cell in a sweep over object sets.
+func measureRow(cols []col, queries []int32, build func(objs *knn.ObjectSet) knn.Method) []string {
+	out := make([]string, len(cols))
+	var m knn.Method
+	for c, col := range cols {
+		if c == 0 || col.objs != cols[c-1].objs {
+			m = build(col.objs)
+		}
+		out[c] = fmtUS(Measure(m, queries, col.k))
+	}
+	return out
+}
+
+// compare measures the methods ms on net's wk engine with net's query
+// workload: the "method" rows of most figures.
+func (h *Harness) compare(id, title, net string, wk graph.WeightKind, ms []method, cols []col) *Table {
+	return measure(id, title, "method", labels("%v", ms), cols, h.Queries(net), h.sessions(h.Engine(net, wk), ms))
+}
+
 // experiment is a registered experiment function.
 type experiment struct {
 	id    string
@@ -150,9 +262,21 @@ func NewHarness(cfg Config) *Harness { return &Harness{cfg: cfg.withDefaults()} 
 
 var (
 	cacheMu sync.Mutex
-	netsC   = map[string]*graph.Graph{}
-	engC    = map[string]*core.Engine{}
+	cache   = map[string]any{}
 )
+
+// cached returns the process-wide value stored under key, building it on
+// first use. build runs under the cache's lock, so it must not call cached.
+func cached[T any](key string, build func() T) T {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if v, ok := cache[key]; ok {
+		return v.(T)
+	}
+	v := build()
+	cache[key] = v
+	return v
+}
 
 // Network returns the harness network with the given ladder name, scaled by
 // the configuration.
@@ -166,67 +290,33 @@ func (h *Harness) Network(name string) *graph.Graph {
 
 // HighwayNetwork returns the ~95% degree-2 network of Figure 20.
 func (h *Harness) HighwayNetwork() *graph.Graph {
-	key := fmt.Sprintf("HWY/%v", h.cfg.Scale)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if g, ok := netsC[key]; ok {
-		return g
-	}
-	rows, cols := h.scaled(7), h.scaled(7)
-	g := gen.HighwayNetwork("HWY", rows, cols, 99)
-	netsC[key] = g
-	return g
+	return cached(fmt.Sprintf("HWY/%v", h.cfg.Scale), func() *graph.Graph {
+		return gen.HighwayNetwork("HWY", h.scaled(7), h.scaled(7), 99)
+	})
 }
 
 func (h *Harness) scaled(dim int) int {
-	out := int(float64(dim) * math.Sqrt(h.cfg.Scale))
-	if out < 5 {
-		out = 5
-	}
-	return out
+	return max(int(float64(dim)*math.Sqrt(h.cfg.Scale)), 5)
 }
 
 func (h *Harness) network(spec gen.NetworkSpec) *graph.Graph {
-	key := fmt.Sprintf("%s/%v", spec.Name, h.cfg.Scale)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if g, ok := netsC[key]; ok {
-		return g
-	}
-	spec.Rows = h.scaled(spec.Rows)
-	spec.Cols = h.scaled(spec.Cols)
-	g := gen.Network(spec)
-	netsC[key] = g
-	return g
+	return cached(fmt.Sprintf("%s/%v", spec.Name, h.cfg.Scale), func() *graph.Graph {
+		spec.Rows, spec.Cols = h.scaled(spec.Rows), h.scaled(spec.Cols)
+		return gen.Network(spec)
+	})
 }
 
 // Engine returns the cached engine for the named network under the given
 // weight kind.
 func (h *Harness) Engine(name string, kind graph.WeightKind) *core.Engine {
-	g := h.Network(name).View(kind)
-	key := fmt.Sprintf("%s/%v/%v", name, kind, h.cfg.Scale)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if e, ok := engC[key]; ok {
-		return e
-	}
-	e := core.New(g)
-	engC[key] = e
-	return e
+	return h.EngineFor(h.Network(name).View(kind))
 }
 
-// EngineFor returns an engine for an arbitrary (non-ladder) graph, cached
-// by the graph's name.
+// EngineFor returns the engine over g, cached by g's name and weight kind.
 func (h *Harness) EngineFor(g *graph.Graph) *core.Engine {
-	key := fmt.Sprintf("custom/%s/%v/%v", g.Name, g.Kind, h.cfg.Scale)
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if e, ok := engC[key]; ok {
-		return e
-	}
-	e := core.New(g)
-	engC[key] = e
-	return e
+	return cached(fmt.Sprintf("engine/%s/%v/%v", g.Name, g.Kind, h.cfg.Scale), func() *core.Engine {
+		return core.New(g)
+	})
 }
 
 // Medium and Large are the default networks (the paper's NW and US roles);

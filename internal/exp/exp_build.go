@@ -8,7 +8,6 @@ import (
 	"rnknn/internal/gen"
 	"rnknn/internal/geo"
 	"rnknn/internal/graph"
-	"rnknn/internal/knn"
 	"rnknn/internal/rtree"
 )
 
@@ -29,36 +28,33 @@ func (h *Harness) buildAll(net string, wk graph.WeightKind, withSILC bool) *core
 
 func init() {
 	register("table1", "road network datasets (Table 1 analogue)", func(h *Harness) []*Table {
-		t := &Table{ID: "table1", Title: "synthetic dataset ladder",
-			Header: []string{"name", "|V|", "|E|", "deg<=2 frac", "connected"}}
-		for _, spec := range gen.Ladder() {
-			g := h.network(spec)
-			t.Rows = append(t.Rows, []string{
-				spec.Name,
-				fmt.Sprint(g.NumVertices()),
-				fmt.Sprint(g.NumEdges() / 2),
-				fmt.Sprintf("%.2f", g.ChainFraction()),
-				fmt.Sprint(g.Connected()),
-			})
+		specs := gen.Ladder()
+		names := make([]string, len(specs))
+		for i, spec := range specs {
+			names[i] = spec.Name
 		}
-		return []*Table{t}
+		return []*Table{grid("table1", "synthetic dataset ladder", "name", names,
+			[]string{"|V|", "|E|", "deg<=2 frac", "connected"}, byRow(func(r int) []string {
+				g := h.network(specs[r])
+				return []string{fmt.Sprint(g.NumVertices()), fmt.Sprint(g.NumEdges() / 2),
+					fmt.Sprintf("%.2f", g.ChainFraction()), fmt.Sprint(g.Connected())}
+			}))}
 	})
 
 	register("table2", "real-world object sets (Table 2 analogue)", func(h *Harness) []*Table {
 		var out []*Table
 		for _, net := range []string{Medium, Large} {
 			g := h.Network(net)
-			t := &Table{ID: "table2-" + net, Title: "POI categories on " + net,
-				Header: []string{"category", "size", "density", "clustered"}}
-			for _, c := range gen.POICategories(g, h.cfg.Seed+5) {
-				t.Rows = append(t.Rows, []string{
-					c.Name,
-					fmt.Sprint(len(c.Vertices)),
-					fmt.Sprintf("%.5f", float64(len(c.Vertices))/float64(g.NumVertices())),
-					fmt.Sprint(c.Clustered),
-				})
+			cats := gen.POICategories(g, h.cfg.Seed+5)
+			names := make([]string, len(cats))
+			for i, c := range cats {
+				names[i] = c.Name
 			}
-			out = append(out, t)
+			out = append(out, grid("table2-"+net, "POI categories on "+net, "category", names,
+				[]string{"size", "density", "clustered"}, byRow(func(r int) []string {
+					n := len(cats[r].Vertices)
+					return []string{fmt.Sprint(n), fmt.Sprintf("%.5f", float64(n)/float64(g.NumVertices())), fmt.Sprint(cats[r].Clustered)}
+				})))
 		}
 		return out
 	})
@@ -72,47 +68,40 @@ func init() {
 	})
 
 	register("fig18", "object index size and build time vs density ("+Large+")", func(h *Harness) []*Table {
-		net := Large
-		g := h.Network(net)
-		e := h.Engine(net, graph.TravelDistance)
-		gt := e.GtreeIndex()
-		rd := e.ROADIndex()
-
-		ts := &Table{ID: "fig18a", Title: "object index size vs density", Header: []string{"index"}}
-		tt := &Table{ID: "fig18b", Title: "object index build time vs density", Header: []string{"index"}}
-		for _, d := range Densities {
-			ts.Header = append(ts.Header, fmt.Sprintf("d=%g", d))
-			tt.Header = append(tt.Header, fmt.Sprintf("d=%g", d))
-		}
-		sizeRows := [][]string{{"INE (object set)"}, {"G-tree occ. list"}, {"ROAD assoc. dir"}, {"IER/DB R-tree"}}
-		timeRows := [][]string{{"G-tree occ. list"}, {"ROAD assoc. dir"}, {"IER/DB R-tree"}}
-		for _, d := range Densities {
-			verts := gen.Uniform(g, d, h.cfg.Seed+int64(d*1e7))
-			objs := knn.NewObjectSet(g, verts)
-			sizeRows[0] = append(sizeRows[0], fmtBytes(objs.SizeBytes()))
-
-			start := time.Now()
-			ol := gt.NewOccurrenceList(objs)
-			timeRows[0] = append(timeRows[0], fmtDur(time.Since(start)))
-			sizeRows[1] = append(sizeRows[1], fmtBytes(ol.SizeBytes()))
-
-			start = time.Now()
-			ad := rd.NewAssociationDirectory(objs)
-			timeRows[1] = append(timeRows[1], fmtDur(time.Since(start)))
-			sizeRows[2] = append(sizeRows[2], fmtBytes(ad.SizeBytes()))
-
-			start = time.Now()
-			pts := make([]geo.Point, len(verts))
-			for i, v := range verts {
-				pts[i] = geo.Point{X: g.X[v], Y: g.Y[v]}
+		g := h.Network(Large)
+		e := h.Engine(Large, graph.TravelDistance)
+		// The road-network indexes are built before the timed loop, so no
+		// column's build time counts them.
+		gt, rd := e.GtreeIndex(), e.ROADIndex()
+		cols := h.densityCols(Large)
+		type built struct{ size, took []string }
+		// Each density's object indexes are built once; both tables read them.
+		at := memo(func(c int) built {
+			objs := cols[c].objs
+			b := built{size: []string{fmtBytes(objs.SizeBytes())}}
+			timed := func(build func() interface{ SizeBytes() int }) {
+				start := time.Now()
+				x := build()
+				b.took = append(b.took, fmtDur(time.Since(start)))
+				b.size = append(b.size, fmtBytes(x.SizeBytes()))
 			}
-			rt := rtree.New(verts, pts, 0)
-			timeRows[2] = append(timeRows[2], fmtDur(time.Since(start)))
-			sizeRows[3] = append(sizeRows[3], fmtBytes(rt.SizeBytes()))
+			timed(func() interface{ SizeBytes() int } { return gt.NewOccurrenceList(objs) })
+			timed(func() interface{ SizeBytes() int } { return rd.NewAssociationDirectory(objs) })
+			timed(func() interface{ SizeBytes() int } {
+				verts := objs.Vertices()
+				pts := make([]geo.Point, len(verts))
+				for i, v := range verts {
+					pts[i] = geo.Point{X: g.X[v], Y: g.Y[v]}
+				}
+				return rtree.New(verts, pts, 0)
+			})
+			return b
+		})
+		indexes := []string{"INE (object set)", "G-tree occ. list", "ROAD assoc. dir", "IER/DB R-tree"}
+		return []*Table{
+			grid("fig18a", "object index size vs density", "index", indexes, labels("%v", cols), func(r, c int) string { return at(c).size[r] }),
+			grid("fig18b", "object index build time vs density", "index", indexes[1:], labels("%v", cols), func(r, c int) string { return at(c).took[r] }),
 		}
-		ts.Rows = sizeRows
-		tt.Rows = timeRows
-		return []*Table{ts, tt}
 	})
 }
 
@@ -120,55 +109,43 @@ func init() {
 // construction times over the ladder.
 func (h *Harness) buildTables(id string, wk graph.WeightKind, withSILC bool) []*Table {
 	nets := h.ladder()
-	names := []string{"Graph(INE)", "Gtree", "ROAD", "CH", "PHL", "TNR"}
+	type index struct {
+		name  string
+		kind  core.MethodKind
+		build string // the BuiltIndexes entry; "" for the graph itself
+	}
+	indexes := []index{{"Graph(INE)", core.INE, ""}, {"Gtree", core.Gtree, "Gtree"}, {"ROAD", core.ROAD, "ROAD"},
+		{"CH", core.IERCH, "CH"}, {"PHL", core.IERPHL, "PHL"}, {"TNR", core.IERTNR, "TNR"}}
 	if withSILC {
-		names = append(names, "DisBrw(SILC)")
+		indexes = append(indexes, index{name: "DisBrw(SILC)"})
 	}
-	ts := &Table{ID: id + "-size", Title: "index size (" + wk.String() + " weights)", Header: []string{"index"}}
-	tt := &Table{ID: id + "-time", Title: "construction time (" + wk.String() + " weights)", Header: []string{"index"}}
-	for _, net := range nets {
-		label := fmt.Sprintf("%s(%d)", net, h.Network(net).NumVertices())
-		ts.Header = append(ts.Header, label)
-		tt.Header = append(tt.Header, label)
+	names := make([]string, len(indexes))
+	for i, x := range indexes {
+		names[i] = x.name
 	}
-	sizes := map[string][]string{}
-	times := map[string][]string{}
-	for _, n := range names {
-		sizes[n] = []string{n}
-		times[n] = []string{n}
-	}
-	for _, net := range nets {
-		e := h.buildAll(net, wk, withSILC)
-		built := e.BuiltIndexes()
-		cell := func(name string, kind core.MethodKind, buildName string) {
-			sizes[name] = append(sizes[name], fmtBytes(e.IndexSize(kind)))
-			if buildName == "" {
-				times[name] = append(times[name], "-")
-				return
+	engine := memo(func(c int) *core.Engine { return h.buildAll(nets[c], wk, withSILC) })
+	cell := func(took bool) func(r, c int) string {
+		return func(r, c int) string {
+			e, x := engine(c), indexes[r]
+			switch {
+			case x.name == "DisBrw(SILC)" && !h.DisBrwAllowed(nets[c]):
+				return "-"
+			case x.name == "DisBrw(SILC)" && took:
+				return fmtDur(silcIndex(e).took)
+			case x.name == "DisBrw(SILC)":
+				return fmtBytes(silcIndex(e).x.SizeBytes())
+			case !took:
+				return fmtBytes(e.IndexSize(x.kind))
+			case x.build == "":
+				return "-"
 			}
-			times[name] = append(times[name], fmtDur(built[buildName].BuildTime))
-		}
-		cell("Graph(INE)", core.INE, "")
-		cell("Gtree", core.Gtree, "Gtree")
-		cell("ROAD", core.ROAD, "ROAD")
-		cell("CH", core.IERCH, "CH")
-		cell("PHL", core.IERPHL, "PHL")
-		cell("TNR", core.IERTNR, "TNR")
-		if withSILC {
-			size, took := "-", "-"
-			if h.DisBrwAllowed(net) {
-				s := silcIndex(e)
-				size, took = fmtBytes(s.x.SizeBytes()), fmtDur(s.took)
-			}
-			sizes["DisBrw(SILC)"] = append(sizes["DisBrw(SILC)"], size)
-			times["DisBrw(SILC)"] = append(times["DisBrw(SILC)"], took)
+			return fmtDur(e.BuiltIndexes()[x.build].BuildTime)
 		}
 	}
-	for _, n := range names {
-		ts.Rows = append(ts.Rows, sizes[n])
-		tt.Rows = append(tt.Rows, times[n])
+	return []*Table{
+		grid(id+"-size", "index size ("+wk.String()+" weights)", "index", names, h.netLabels(nets), cell(false)),
+		grid(id+"-time", "construction time ("+wk.String()+" weights)", "index", names, h.netLabels(nets), cell(true)),
 	}
-	return []*Table{ts, tt}
 }
 
 func fmtDur(d time.Duration) string {

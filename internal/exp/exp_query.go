@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"rnknn/internal/core"
 	"rnknn/internal/gen"
@@ -13,98 +14,79 @@ import (
 	"rnknn/internal/road"
 )
 
-// kSweep measures each method across k values at fixed density.
-func (h *Harness) kSweep(id, title, net string, wk graph.WeightKind, ms []method, density float64, ks []int) *Table {
-	e := h.Engine(net, wk)
-	objs := h.UniformObjects(net, density)
-	queries := h.Queries(net)
-	t := &Table{ID: id, Title: title, Header: []string{"method"}}
-	for _, k := range ks {
-		t.Header = append(t.Header, fmt.Sprintf("k=%d", k))
+// netLabels labels each ladder network with its |V|.
+func (h *Harness) netLabels(nets []string) []string {
+	out := make([]string, len(nets))
+	for i, net := range nets {
+		out[i] = fmt.Sprintf("%s(%d)", net, h.Network(net).NumVertices())
 	}
-	for _, me := range ms {
-		row := []string{me.name}
-		m := h.mustMethod(e, me, objs)
-		for _, k := range ks {
-			row = append(row, fmtUS(Measure(m, queries, k)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return out
 }
 
-// densitySweep measures each method across densities at fixed k.
-func (h *Harness) densitySweep(id, title, net string, wk graph.WeightKind, ms []method, k int, densities []float64) *Table {
-	e := h.Engine(net, wk)
-	queries := h.Queries(net)
-	t := &Table{ID: id, Title: title, Header: []string{"method"}}
-	for _, d := range densities {
-		t.Header = append(t.Header, fmt.Sprintf("d=%g", d))
+// sizeSweep measures each method across the ladder at density and the
+// default k; "-" marks Distance Browsing where SILC is not built.
+func (h *Harness) sizeSweep(id, title string, wk graph.WeightKind, ms []method, density float64) *Table {
+	nets := h.ladder()
+	type workload struct {
+		objs    *knn.ObjectSet
+		queries []int32
 	}
-	t.Rows = labelRows(ms)
-	for _, d := range densities {
-		objs := h.UniformObjects(net, d)
-		for i, me := range ms {
-			m := h.mustMethod(e, me, objs)
-			t.Rows[i] = append(t.Rows[i], fmtUS(Measure(m, queries, k)))
+	at := memo(func(c int) workload { return workload{h.UniformObjects(nets[c], density), h.Queries(nets[c])} })
+	return grid(id, title, "method", labels("%v", ms), h.netLabels(nets), func(r, c int) string {
+		if ms[r].browse != nil && !h.DisBrwAllowed(nets[c]) {
+			return "-"
 		}
-	}
-	return t
-}
-
-// labelRows starts one table row per method, labelled with its name.
-func labelRows(ms []method) [][]string {
-	rows := make([][]string, len(ms))
-	for i, m := range ms {
-		rows[i] = []string{m.name}
-	}
-	return rows
-}
-
-// sizeSweep measures each method across the ladder at the defaults.
-func (h *Harness) sizeSweep(id, title string, wk graph.WeightKind, nets []string, ms func(net string) []method) *Table {
-	t := &Table{ID: id, Title: title, Header: []string{"method"}}
-	for _, net := range nets {
-		t.Header = append(t.Header, fmt.Sprintf("%s(%d)", net, h.Network(net).NumVertices()))
-	}
-	rows := map[string][]string{}
-	var order []string
-	for ni, net := range nets {
-		e := h.Engine(net, wk)
-		objs := h.UniformObjects(net, DefaultDensity)
-		queries := h.Queries(net)
-		for _, me := range ms(net) {
-			name := me.name
-			if _, ok := rows[name]; !ok {
-				rows[name] = []string{name}
-				order = append(order, name)
-			}
-			for len(rows[name]) < 1+ni {
-				rows[name] = append(rows[name], "-")
-			}
-			m := h.mustMethod(e, me, objs)
-			rows[name] = append(rows[name], fmtUS(Measure(m, queries, DefaultK)))
-		}
-	}
-	for _, name := range order {
-		r := rows[name]
-		for len(r) < len(t.Header) {
-			r = append(r, "-")
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	return t
+		return fmtUS(Measure(h.mustMethod(h.Engine(nets[c], wk), ms[r], at(c).objs), at(c).queries, DefaultK))
+	})
 }
 
 // ladder returns the harness ladder for build/size/scalability experiments.
 func (h *Harness) ladder() []string { return []string{"DE", "VT", "ME", "CO", "NW", "CA"} }
 
+// pois measures ms over net's POI categories (Figures 13 and 25).
+func (h *Harness) pois(id, net string, wk graph.WeightKind, ms []method) *Table {
+	return h.compare(id, "POI categories on "+net+" ("+wk.String()+")", net, wk, ms, h.poiCols(net, wk))
+}
+
+// poiCols sweeps net's POI categories (wk view) at the default k.
+func (h *Harness) poiCols(net string, wk graph.WeightKind) []col {
+	g := h.Network(net).View(wk)
+	var out []col
+	for _, c := range gen.POICategories(g, h.cfg.Seed+5) {
+		out = append(out, col{c.Name, DefaultK, knn.NewObjectSet(g, c.Vertices)})
+	}
+	return out
+}
+
+// poiK sweeps k for one POI category of net (Figures 15 and 27).
+func (h *Harness) poiK(id, net string, wk graph.WeightKind, category string) *Table {
+	ms := h.DistMethods(net)
+	if wk == graph.TravelTime {
+		ms = h.TimeMethods()
+	}
+	cols := h.poiCols(net, wk)
+	objs := cols[slices.IndexFunc(cols, func(c col) bool { return c.label == category })].objs
+	return h.compare(id, category+" on "+net+" ("+wk.String()+")", net, wk, ms, kCols(objs))
+}
+
+// minDist measures ms over the m minimum-object-distance sets R_i of net.
+func (h *Harness) minDist(id, net string, wk graph.WeightKind, ms []method, m int) *Table {
+	g := h.Network(net).View(wk)
+	res := gen.MinObjDist(g, DefaultDensity, m, h.cfg.Queries, h.cfg.Seed+11)
+	cols := make([]col, len(res.Sets))
+	for i, set := range res.Sets {
+		cols[i] = col{fmt.Sprintf("R%d", i+1), DefaultK, knn.NewObjectSet(g, set)}
+	}
+	return measure(id, fmt.Sprintf("min object distance on %s (%s, m=%d)", net, wk, m), "method",
+		labels("%v", ms), cols, res.Queries, h.sessions(h.Engine(net, wk), ms))
+}
+
 func init() {
 	register("fig4", "IER oracle variants (distance weights, "+Medium+", uniform objects)", func(h *Harness) []*Table {
 		kinds := served(core.IERDijk, core.IERGt, core.IERPHL, core.IERTNR, core.IERCH)
 		return []*Table{
-			h.kSweep("fig4a", "IER variants: varying k (d=0.001)", Medium, graph.TravelDistance, kinds, DefaultDensity, Ks),
-			h.densitySweep("fig4b", "IER variants: varying density (k=10)", Medium, graph.TravelDistance, kinds, DefaultK, Densities),
+			h.compare("fig4a", "IER variants: varying k (d=0.001)", Medium, graph.TravelDistance, kinds, kCols(h.UniformObjects(Medium, DefaultDensity))),
+			h.compare("fig4b", "IER variants: varying density (k=10)", Medium, graph.TravelDistance, kinds, h.densityCols(Medium)),
 		}
 	})
 
@@ -113,237 +95,148 @@ func init() {
 		idx := e.GtreeIndex()
 		queries := h.Queries(Medium)
 		objs := h.UniformObjects(Medium, DefaultDensity)
-
-		ta := &Table{ID: "fig6a", Title: "IER-Gt matrix layouts: varying k (d=0.001)", Header: []string{"layout"}}
-		for _, k := range Ks {
-			ta.Header = append(ta.Header, fmt.Sprintf("k=%d", k))
-		}
-		tb := &Table{ID: "fig6b", Title: "IER-Gt matrix layouts: varying density (k=10)", Header: []string{"layout"}}
-		for _, d := range Densities {
-			tb.Header = append(tb.Header, fmt.Sprintf("d=%g", d))
-		}
-		// Table 3 substitute: Go cannot read CPU cache counters in-process;
-		// report time and allocation counters for the same workload.
-		tc := &Table{ID: "table3", Title: "layout profile substitute (time and allocs; Go reads no cache counters)",
-			Header: []string{"layout", "us/query", "allocs/query", "alloc B/query"}}
-		for _, l := range []matrixLayout{builtinMapLayout, openAddrLayout, arrayLayout} {
-			src := newLayoutSource(idx, newCells(idx, l))
-			m := ier.New("IER-Gt", e.G, objs, src)
-			row := []string{l.String()}
-			for _, k := range Ks {
-				row = append(row, fmtUS(Measure(m, queries, k)))
+		layouts := []matrixLayout{builtinMapLayout, openAddrLayout, arrayLayout}
+		cols := [][]col{kCols(objs), h.densityCols(Medium)}
+		// One layout at a time fills its row of Figure 6a, 6b and Table 3,
+		// so each matrix copy is dropped before the next is built. Table 3
+		// profiles Figure 6a's warm session; Go cannot read CPU cache
+		// counters in-process, so it reports time and allocation counters.
+		rows := memo(func(r int) [][]string {
+			src := newLayoutSource(idx, newCells(idx, layouts[r]))
+			warm := ier.New("IER-Gt", e.G, objs, src)
+			mgtree := func(on *knn.ObjectSet) knn.Method {
+				if on == objs {
+					return warm
+				}
+				return ier.New("IER-Gt", e.G, on, src)
 			}
-			ta.Rows = append(ta.Rows, row)
-
-			row = []string{l.String()}
-			for _, d := range Densities {
-				row = append(row, fmtUS(Measure(ier.New("IER-Gt", e.G, h.UniformObjects(Medium, d), src), queries, DefaultK)))
-			}
-			tb.Rows = append(tb.Rows, row)
-
+			a, b := measureRow(cols[0], queries, mgtree), measureRow(cols[1], queries, mgtree)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			us := Measure(m, queries, DefaultK)
+			us := Measure(warm, queries, DefaultK)
 			runtime.ReadMemStats(&after)
 			n := float64(len(queries) + 2)
-			tc.Rows = append(tc.Rows, []string{
-				l.String(), fmtUS(us),
+			return [][]string{a, b, {fmtUS(us),
 				fmt.Sprintf("%.0f", float64(after.Mallocs-before.Mallocs)/n),
-				fmt.Sprintf("%.0f", float64(after.TotalAlloc-before.TotalAlloc)/n),
-			})
+				fmt.Sprintf("%.0f", float64(after.TotalAlloc-before.TotalAlloc)/n)}}
+		})
+		cell := func(t int) func(r, c int) string { return func(r, c int) string { return rows(r)[t][c] } }
+		names := labels("%v", layouts)
+		return []*Table{
+			grid("fig6a", "IER-Gt matrix layouts: varying k (d=0.001)", "layout", names, labels("%v", cols[0]), cell(0)),
+			grid("fig6b", "IER-Gt matrix layouts: varying density (k=10)", "layout", names, labels("%v", cols[1]), cell(1)),
+			grid("table3", "layout profile substitute (time and allocs; Go reads no cache counters)", "layout", names,
+				[]string{"us/query", "allocs/query", "alloc B/query"}, cell(2)),
 		}
-		return []*Table{ta, tb, tc}
 	})
 
 	register("fig7", "INE implementation ladder ("+Medium+")", func(h *Harness) []*Table {
 		g := h.Network(Medium)
 		queries := h.Queries(Medium)
 		variants := []ineVariant{ineFirstCut, inePQueue, ineSettled, ineCSRGraph}
-
-		ta := &Table{ID: "fig7a", Title: "INE ladder: varying k (d=0.001)", Header: []string{"variant"}}
-		for _, k := range Ks {
-			ta.Header = append(ta.Header, fmt.Sprintf("k=%d", k))
+		rung := func(r int, objs *knn.ObjectSet) knn.Method { return newINEAblation(g, objs, variants[r]) }
+		names := labels("%v", variants)
+		return []*Table{
+			measure("fig7a", "INE ladder: varying k (d=0.001)", "variant", names, kCols(h.UniformObjects(Medium, DefaultDensity)), queries, rung),
+			measure("fig7b", "INE ladder: varying density (k=10)", "variant", names, h.densityCols(Medium), queries, rung),
 		}
-		objs := h.UniformObjects(Medium, DefaultDensity)
-		for _, v := range variants {
-			m := newINEAblation(g, objs, v)
-			row := []string{v.String()}
-			for _, k := range Ks {
-				row = append(row, fmtUS(Measure(m, queries, k)))
-			}
-			ta.Rows = append(ta.Rows, row)
-		}
-
-		tb := &Table{ID: "fig7b", Title: "INE ladder: varying density (k=10)", Header: []string{"variant"}}
-		for _, d := range Densities {
-			tb.Header = append(tb.Header, fmt.Sprintf("d=%g", d))
-		}
-		for _, v := range variants {
-			row := []string{v.String()}
-			for _, d := range Densities {
-				m := newINEAblation(g, h.UniformObjects(Medium, d), v)
-				row = append(row, fmtUS(Measure(m, queries, DefaultK)))
-			}
-			tb.Rows = append(tb.Rows, row)
-		}
-		return []*Table{ta, tb}
 	})
 
 	register("fig9", "query time and method statistics vs network size (d=0.001, k=10)", func(h *Harness) []*Table {
-		ta := h.sizeSweep("fig9a", "query time vs |V| (distance weights)", graph.TravelDistance, h.ladder(), h.DistMethods)
-
-		tb := &Table{ID: "fig9b", Title: "G-tree path cost, IER-Gt path cost, ROAD vertices bypassed",
-			Header: []string{"network", "|V|", "Gtree path cost", "IER-Gt path cost", "ROAD bypassed"}}
-		for _, net := range h.ladder() {
-			e := h.Engine(net, graph.TravelDistance)
-			objs := h.UniformObjects(net, DefaultDensity)
-			queries := h.Queries(net)
+		nets := h.ladder()
+		stats := func(r int) []string {
+			e := h.Engine(nets[r], graph.TravelDistance)
+			objs := h.UniformObjects(nets[r], DefaultDensity)
+			queries := h.Queries(nets[r])
 
 			gm := gtree.NewKNN(e.GtreeIndex(), e.GtreeIndex().NewOccurrenceList(objs))
-			gtCost := 0
+			ig := &pathCounter{Factory: gtree.Factory{Idx: e.GtreeIndex()}}
+			ierM := ier.New("IER-Gt", e.G, objs, ig)
+			rm := road.NewKNN(e.ROADIndex(), e.ROADIndex().NewAssociationDirectory(objs))
+			gtCost, byp := 0, 0
 			for _, q := range queries {
 				gm.KNN(q, DefaultK)
 				gtCost += gm.PathCost
 			}
-
-			ig := &pathCounter{Factory: gtree.Factory{Idx: e.GtreeIndex()}}
-			ierM := ier.New("IER-Gt", e.G, objs, ig)
 			for _, q := range queries {
 				ierM.KNN(q, DefaultK)
 			}
-
-			rm := road.NewKNN(e.ROADIndex(), e.ROADIndex().NewAssociationDirectory(objs))
-			byp := 0
 			for _, q := range queries {
 				rm.KNN(q, DefaultK)
 				byp += rm.VerticesBypassed
 			}
-
 			n := len(queries)
-			tb.Rows = append(tb.Rows, []string{
-				net, fmt.Sprint(e.G.NumVertices()),
-				fmt.Sprint(gtCost / n), fmt.Sprint(ig.Total() / n), fmt.Sprint(byp / n),
-			})
+			return []string{fmt.Sprint(e.G.NumVertices()), fmt.Sprint(gtCost / n), fmt.Sprint(ig.Total() / n), fmt.Sprint(byp / n)}
 		}
-		return []*Table{ta, tb}
+		return []*Table{
+			h.sizeSweep("fig9a", "query time vs |V| (distance weights)", graph.TravelDistance, h.DistMethods(nets[0]), DefaultDensity),
+			grid("fig9b", "G-tree path cost, IER-Gt path cost, ROAD vertices bypassed", "network", nets,
+				[]string{"|V|", "Gtree path cost", "IER-Gt path cost", "ROAD bypassed"}, byRow(stats)),
+		}
 	})
 
 	register("fig10", "varying k (d=0.001, uniform objects)", func(h *Harness) []*Table {
 		return []*Table{
-			h.kSweep("fig10a", "varying k on "+Medium, Medium, graph.TravelDistance, h.DistMethods(Medium), DefaultDensity, Ks),
-			h.kSweep("fig10b", "varying k on "+Large, Large, graph.TravelDistance, h.DistMethods(Large), DefaultDensity, Ks),
+			h.compare("fig10a", "varying k on "+Medium, Medium, graph.TravelDistance, h.DistMethods(Medium), kCols(h.UniformObjects(Medium, DefaultDensity))),
+			h.compare("fig10b", "varying k on "+Large, Large, graph.TravelDistance, h.DistMethods(Large), kCols(h.UniformObjects(Large, DefaultDensity))),
 		}
 	})
 
 	register("fig11", "varying density (k=10, uniform objects)", func(h *Harness) []*Table {
 		return []*Table{
-			h.densitySweep("fig11a", "varying density on "+Medium, Medium, graph.TravelDistance, h.DistMethods(Medium), DefaultK, Densities),
-			h.densitySweep("fig11b", "varying density on "+Large, Large, graph.TravelDistance, h.DistMethods(Large), DefaultK, Densities),
+			h.compare("fig11a", "varying density on "+Medium, Medium, graph.TravelDistance, h.DistMethods(Medium), h.densityCols(Medium)),
+			h.compare("fig11b", "varying density on "+Large, Large, graph.TravelDistance, h.DistMethods(Large), h.densityCols(Large)),
 		}
 	})
 
 	register("fig12", "clustered objects ("+Medium+")", func(h *Harness) []*Table {
 		g := h.Network(Medium)
-		e := h.Engine(Medium, graph.TravelDistance)
-		queries := h.Queries(Medium)
 		ms := h.DistMethods(Medium)
-
-		counts := []int{1, 10, 100, 1000}
-		ta := &Table{ID: "fig12a", Title: "varying number of clusters (cluster size <= 5, k=10)", Header: []string{"method"}}
-		for _, c := range counts {
-			ta.Header = append(ta.Header, fmt.Sprintf("|C|=%d", c))
-		}
-		ta.Rows = labelRows(ms)
-		for _, c := range counts {
-			objs := knn.NewObjectSet(g, gen.Clustered(g, c, 5, h.cfg.Seed+int64(c)))
-			for i, me := range ms {
-				m := h.mustMethod(e, me, objs)
-				ta.Rows[i] = append(ta.Rows[i], fmtUS(Measure(m, queries, DefaultK)))
-			}
-		}
-
 		// Varying k at |C| = 0.001*|V| clusters.
-		nc := g.NumVertices() / 1000
-		if nc < 1 {
-			nc = 1
-		}
+		nc := max(g.NumVertices()/1000, 1)
 		objs := knn.NewObjectSet(g, gen.Clustered(g, nc, 5, h.cfg.Seed+7))
-		tb := &Table{ID: "fig12b", Title: fmt.Sprintf("varying k (|C|=%d clusters)", nc), Header: []string{"method"}}
-		for _, k := range Ks {
-			tb.Header = append(tb.Header, fmt.Sprintf("k=%d", k))
+		return []*Table{
+			h.compare("fig12a", "varying number of clusters (cluster size <= 5, k=10)", Medium, graph.TravelDistance, ms, h.clusterCols(g)),
+			h.compare("fig12b", fmt.Sprintf("varying k (|C|=%d clusters)", nc), Medium, graph.TravelDistance, ms, kCols(objs)),
 		}
-		for _, me := range ms {
-			m := h.mustMethod(e, me, objs)
-			row := []string{me.name}
-			for _, k := range Ks {
-				row = append(row, fmtUS(Measure(m, queries, k)))
-			}
-			tb.Rows = append(tb.Rows, row)
-		}
-		return []*Table{ta, tb}
 	})
 
 	register("fig13", "real-world POI categories (k=10)", func(h *Harness) []*Table {
 		return []*Table{
-			h.poiTable("fig13a", Medium, graph.TravelDistance, h.DistMethods(Medium)),
-			h.poiTable("fig13b", Large, graph.TravelDistance, h.DistMethods(Large)),
+			h.pois("fig13a", Medium, graph.TravelDistance, h.DistMethods(Medium)),
+			h.pois("fig13b", Large, graph.TravelDistance, h.DistMethods(Large)),
 		}
 	})
 
 	register("fig14", "minimum object distance sets (d=0.001, k=10, distance weights)", func(h *Harness) []*Table {
 		return []*Table{
-			h.minDistTable("fig14a", Medium, graph.TravelDistance, h.DistMethods(Medium), 6),
-			h.minDistTable("fig14b", Large, graph.TravelDistance, h.DistMethods(Large), 8),
+			h.minDist("fig14a", Medium, graph.TravelDistance, h.DistMethods(Medium), 6),
+			h.minDist("fig14b", Large, graph.TravelDistance, h.DistMethods(Large), 8),
 		}
 	})
 
 	register("fig15", "varying k for real POIs ("+Medium+", distance weights)", func(h *Harness) []*Table {
 		return []*Table{
-			h.poiKTable("fig15a", Medium, graph.TravelDistance, "Hospital"),
-			h.poiKTable("fig15b", Medium, graph.TravelDistance, "FastFood"),
+			h.poiK("fig15a", Medium, graph.TravelDistance, "Hospital"),
+			h.poiK("fig15b", Medium, graph.TravelDistance, "FastFood"),
 		}
 	})
 
 	register("fig16", "original settings d=0.01 (CO-scale network)", func(h *Harness) []*Table {
 		return []*Table{
-			h.kSweep("fig16a", "varying k on CO (d=0.01)", "CO", graph.TravelDistance, h.DistMethods("CO"), 0.01, Ks),
-			h.sizeSweepAtDensity("fig16b", "varying |V| (d=0.01, k=10)", graph.TravelDistance, 0.01),
+			h.compare("fig16a", "varying k on CO (d=0.01)", "CO", graph.TravelDistance, h.DistMethods("CO"), kCols(h.UniformObjects("CO", 0.01))),
+			h.sizeSweep("fig16b", "varying |V| (d=0.01, k=10)", graph.TravelDistance, h.DistMethods(h.ladder()[0]), 0.01),
 		}
 	})
 
 	register("fig19", "DisBrw Object Hierarchy vs DB-ENN (ME-scale network)", func(h *Harness) []*Table {
 		net := "ME"
-		e := h.Engine(net, graph.TravelDistance)
-		queries := h.Queries(net)
-		build := func(objs *knn.ObjectSet) []knn.Method {
-			return []knn.Method{
-				h.mustMethod(e, disBrwOH, objs),
-				h.mustMethod(e, disBrw, objs),
-			}
+		variants := []method{disBrwOH, disBrw}
+		build := h.sessions(h.Engine(net, graph.TravelDistance), variants)
+		return []*Table{
+			measure("fig19a", "varying k (d=0.001)", "variant", labels("%v", variants), kCols(h.UniformObjects(net, DefaultDensity)), h.Queries(net), build),
+			measure("fig19b", "varying density (k=10)", "variant", labels("%v", variants), h.densityCols(net), h.Queries(net), build),
 		}
-		ta := &Table{ID: "fig19a", Title: "varying k (d=0.001)", Header: []string{"variant"}}
-		for _, k := range Ks {
-			ta.Header = append(ta.Header, fmt.Sprintf("k=%d", k))
-		}
-		for _, m := range build(h.UniformObjects(net, DefaultDensity)) {
-			row := []string{m.Name()}
-			for _, k := range Ks {
-				row = append(row, fmtUS(Measure(m, queries, k)))
-			}
-			ta.Rows = append(ta.Rows, row)
-		}
-		tb := &Table{ID: "fig19b", Title: "varying density (k=10)", Header: []string{"variant"}}
-		for _, d := range Densities {
-			tb.Header = append(tb.Header, fmt.Sprintf("d=%g", d))
-		}
-		rows := [][]string{{"DisBrw-OH"}, {"DisBrw"}}
-		for _, d := range Densities {
-			for i, m := range build(h.UniformObjects(net, d)) {
-				rows[i] = append(rows[i], fmtUS(Measure(m, queries, DefaultK)))
-			}
-		}
-		tb.Rows = rows
-		return []*Table{ta, tb}
 	})
 
 	register("fig20", "degree-2 chain optimisation (DB-ENN on HWY and ME networks)", func(h *Harness) []*Table {
@@ -355,34 +248,18 @@ func init() {
 			{"fig20", h.HighwayNetwork()},
 			{"fig21", h.Network("ME")},
 		} {
-			e := h.EngineFor(tc.g)
+			g := tc.g
+			e := h.EngineFor(g)
 			idx := silcIndex(e).x
-			objs := knn.NewObjectSet(tc.g, gen.Uniform(tc.g, DefaultDensity, h.cfg.Seed))
-			queries := gen.QueryVertices(tc.g, h.cfg.Queries, h.cfg.Seed+3)
-			m := h.mustMethod(e, disBrw, objs)
-			t := &Table{
-				ID: tc.id,
-				Title: fmt.Sprintf("chain optimisation on %s (%.0f%% deg<=2): varying k",
-					tc.g.Name, tc.g.ChainFraction()*100),
-				Header: []string{"variant"},
-			}
-			for _, k := range Ks {
-				t.Header = append(t.Header, fmt.Sprintf("k=%d", k))
-			}
-			for _, on := range []bool{false, true} {
-				idx.ChainOptimization = on
-				name := "DisBrw"
-				if on {
-					name = "OptDisBrw"
-				}
-				row := []string{name}
-				for _, k := range Ks {
-					row = append(row, fmtUS(Measure(m, queries, k)))
-				}
-				t.Rows = append(t.Rows, row)
-			}
+			m := h.mustMethod(e, disBrw, knn.NewObjectSet(g, gen.Uniform(g, DefaultDensity, h.cfg.Seed)))
+			queries := gen.QueryVertices(g, h.cfg.Queries, h.cfg.Seed+3)
+			out = append(out, grid(tc.id,
+				fmt.Sprintf("chain optimisation on %s (%.0f%% deg<=2): varying k", g.Name, g.ChainFraction()*100),
+				"variant", []string{"DisBrw", "OptDisBrw"}, labels("%v", kCols(nil)), func(r, c int) string {
+					idx.ChainOptimization = r == 1
+					return fmtUS(Measure(m, queries, Ks[c]))
+				}))
 			idx.ChainOptimization = true
-			out = append(out, t)
 		}
 		return out
 	})
@@ -390,42 +267,21 @@ func init() {
 	register("fig22", "improved G-tree leaf search (varying density, k=1 and k=10)", func(h *Harness) []*Table {
 		var out []*Table
 		for _, net := range []string{Medium, Large} {
-			e := h.Engine(net, graph.TravelDistance)
-			idx := e.GtreeIndex()
+			idx := h.Engine(net, graph.TravelDistance).GtreeIndex()
 			queries := h.Queries(net)
-			t := &Table{ID: "fig22-" + net, Title: "leaf search before/after on " + net, Header: []string{"variant"}}
-			for _, d := range Densities {
-				t.Header = append(t.Header, fmt.Sprintf("d=%g", d))
-			}
-			for _, k := range []int{1, 10} {
-				for _, improved := range []bool{false, true} {
-					label := fmt.Sprintf("k=%d ", k)
-					if improved {
-						label += "(Aft)"
-					} else {
-						label += "(Bef)"
-					}
-					row := []string{label}
-					for _, d := range Densities {
-						m := gtree.NewKNN(idx, idx.NewOccurrenceList(h.UniformObjects(net, d)))
-						m.ImprovedLeaf = improved
-						row = append(row, fmtUS(Measure(m, queries, k)))
-					}
-					t.Rows = append(t.Rows, row)
-				}
-			}
-			out = append(out, t)
+			cols := h.densityCols(net)
+			out = append(out, grid("fig22-"+net, "leaf search before/after on "+net, "variant",
+				[]string{"k=1 (Bef)", "k=1 (Aft)", "k=10 (Bef)", "k=10 (Aft)"}, labels("%v", cols), func(r, c int) string {
+					m := gtree.NewKNN(idx, idx.NewOccurrenceList(cols[c].objs))
+					m.ImprovedLeaf = r%2 == 1
+					return fmtUS(Measure(m, queries, []int{1, 10}[r/2]))
+				}))
 		}
 		return out
 	})
 
 	register("table5", "ranking of algorithms under different criteria", func(h *Harness) []*Table {
 		ms := append(served(core.INE, core.Gtree, core.ROAD, core.IERPHL), disBrw)
-		t := &Table{ID: "table5", Title: "dense ranks, 1 = best (DisBrw only where SILC fits)",
-			Header: []string{"criteria"}}
-		for _, m := range ms {
-			t.Header = append(t.Header, m.name)
-		}
 		criteria := []struct {
 			name string
 			net  string
@@ -440,130 +296,33 @@ func init() {
 			{"Small network", "ME", DefaultK, DefaultDensity},
 			{"Large network", Large, DefaultK, DefaultDensity},
 		}
-		for _, c := range criteria {
+		names := make([]string, len(criteria))
+		for i, c := range criteria {
+			names[i] = c.name
+		}
+		ranks := func(r int) []string {
+			c := criteria[r]
 			e := h.Engine(c.net, graph.TravelDistance)
 			objs := h.UniformObjects(c.net, c.d)
 			queries := h.Queries(c.net)
 			var vals []float64
 			var present []int
+			row := make([]string, len(ms))
 			for i, me := range ms {
+				row[i] = "N/A"
 				if me.browse != nil && !h.DisBrwAllowed(c.net) {
 					continue
 				}
-				m := h.mustMethod(e, me, objs)
-				vals = append(vals, Measure(m, queries, c.k))
+				vals = append(vals, Measure(h.mustMethod(e, me, objs), queries, c.k))
 				present = append(present, i)
 			}
-			ranks := rankRow(vals)
-			row := make([]string, len(ms)+1)
-			row[0] = c.name
-			for i := range row[1:] {
-				row[i+1] = "N/A"
+			for j, rank := range rankRow(vals) {
+				row[present[j]] = fmt.Sprint(rank)
 			}
-			for j, i := range present {
-				row[i+1] = fmt.Sprint(ranks[j])
-			}
-			t.Rows = append(t.Rows, row)
+			return row
 		}
-		return []*Table{t}
+		return []*Table{grid("table5", "dense ranks, 1 = best (DisBrw only where SILC fits)", "criteria", names, labels("%v", ms), byRow(ranks))}
 	})
-}
-
-// poiTable measures every method over the eight POI categories.
-func (h *Harness) poiTable(id, net string, wk graph.WeightKind, ms []method) *Table {
-	g := h.Network(net).View(wk)
-	e := h.Engine(net, wk)
-	queries := h.Queries(net)
-	cats := gen.POICategories(g, h.cfg.Seed+5)
-	t := &Table{ID: id, Title: "POI categories on " + net + " (" + wk.String() + ")", Header: []string{"method"}}
-	for _, c := range cats {
-		t.Header = append(t.Header, c.Name)
-	}
-	for _, me := range ms {
-		row := []string{me.name}
-		for _, c := range cats {
-			objs := knn.NewObjectSet(g, c.Vertices)
-			m := h.mustMethod(e, me, objs)
-			row = append(row, fmtUS(Measure(m, queries, DefaultK)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// poiKTable measures every method over k for one POI category.
-func (h *Harness) poiKTable(id, net string, wk graph.WeightKind, category string) *Table {
-	g := h.Network(net).View(wk)
-	e := h.Engine(net, wk)
-	queries := h.Queries(net)
-	var objs *knn.ObjectSet
-	for _, c := range gen.POICategories(g, h.cfg.Seed+5) {
-		if c.Name == category {
-			objs = knn.NewObjectSet(g, c.Vertices)
-		}
-	}
-	ms := h.DistMethods(net)
-	if wk == graph.TravelTime {
-		ms = h.TimeMethods()
-	}
-	t := &Table{ID: id, Title: category + " on " + net + " (" + wk.String() + ")", Header: []string{"method"}}
-	for _, k := range Ks {
-		t.Header = append(t.Header, fmt.Sprintf("k=%d", k))
-	}
-	for _, me := range ms {
-		m := h.mustMethod(e, me, objs)
-		row := []string{me.name}
-		for _, k := range Ks {
-			row = append(row, fmtUS(Measure(m, queries, k)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// minDistTable measures every method over the R_i minimum-distance sets.
-func (h *Harness) minDistTable(id, net string, wk graph.WeightKind, ms []method, m int) *Table {
-	g := h.Network(net).View(wk)
-	e := h.Engine(net, wk)
-	res := gen.MinObjDist(g, DefaultDensity, m, h.cfg.Queries, h.cfg.Seed+11)
-	t := &Table{ID: id, Title: fmt.Sprintf("min object distance on %s (%s, m=%d)", net, wk, m), Header: []string{"method"}}
-	for i := 1; i <= m; i++ {
-		t.Header = append(t.Header, fmt.Sprintf("R%d", i))
-	}
-	for _, me := range ms {
-		row := []string{me.name}
-		for _, set := range res.Sets {
-			objs := knn.NewObjectSet(g, set)
-			meth := h.mustMethod(e, me, objs)
-			row = append(row, fmtUS(Measure(meth, res.Queries, DefaultK)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// sizeSweepAtDensity is sizeSweep at a non-default density (Figure 16b).
-func (h *Harness) sizeSweepAtDensity(id, title string, wk graph.WeightKind, density float64) *Table {
-	t := &Table{ID: id, Title: title, Header: []string{"method"}}
-	nets := h.ladder()
-	for _, net := range nets {
-		t.Header = append(t.Header, fmt.Sprintf("%s(%d)", net, h.Network(net).NumVertices()))
-	}
-	for _, me := range h.DistMethods(nets[0]) {
-		row := []string{me.name}
-		for _, net := range nets {
-			if me.browse != nil && !h.DisBrwAllowed(net) {
-				row = append(row, "-")
-				continue
-			}
-			e := h.Engine(net, wk)
-			objs := h.UniformObjects(net, density)
-			m := h.mustMethod(e, me, objs)
-			row = append(row, fmtUS(Measure(m, h.Queries(net), DefaultK)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
 }
 
 // pathCounter is gtree.Factory summing the path cost (border-to-border

@@ -1,6 +1,10 @@
 package exp_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -14,13 +18,43 @@ import (
 // produces well-formed tables, not the measurements themselves.
 var smallCfg = exp.Config{Queries: 4, Scale: 0.012, Seed: 7}
 
+// shapeCfg is smallCfg with SILC built on the ladder up to NW only, so the
+// golden shapes also pin where Distance Browsing is left out: its "-"
+// cells on the larger rungs, and its "N/A" in Table 5's E row.
+var shapeCfg = exp.Config{Queries: 4, Scale: 0.012, Seed: 7, MaxDisBrwVertices: 250}
+
+var update = flag.Bool("update", false, "rewrite testdata/shapes.golden from this run")
+
+// shape renders what a table promises beyond its measurements: id, title,
+// header and row labels verbatim, and each cell as "#" unless it is a
+// placeholder ("-", "N/A"), which stays where it sits.
+func shape(tab *exp.Table) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n%s\n", tab.ID, tab.Title, strings.Join(tab.Header, "\t"))
+	for _, row := range tab.Rows {
+		cells := slices.Clone(row)
+		for i, c := range cells[1:] {
+			if c != "-" && c != "N/A" {
+				cells[i+1] = "#"
+			}
+		}
+		b.WriteString(strings.Join(cells, "\t") + "\n")
+	}
+	return b.String()
+}
+
+// TestEveryExperimentRuns runs every experiment at shapeCfg, checks each
+// table is well formed, and compares the tables' shapes with
+// testdata/shapes.golden (go test -run TestEveryExperimentRuns -update
+// rewrites it after an intended change).
 func TestEveryExperimentRuns(t *testing.T) {
+	var shapes strings.Builder
 	ids := exp.IDs()
 	if len(ids) < 20 {
 		t.Fatalf("only %d experiments registered", len(ids))
 	}
 	for _, id := range ids {
-		tables, err := exp.Run(id, smallCfg)
+		tables, err := exp.Run(id, shapeCfg)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -43,6 +77,30 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if !strings.Contains(s, tab.ID) {
 				t.Fatalf("%s: rendering lost the id", id)
 			}
+			shapes.WriteString(shape(tab))
+		}
+	}
+	golden := filepath.Join("testdata", "shapes.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(shapes.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(shapes.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		g, w := "<end>", "<end>"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d:\n got %q\nwant %q", golden, i+1, g, w)
 		}
 	}
 }
@@ -64,13 +122,18 @@ func TestTitlesCoverIDs(t *testing.T) {
 
 // TestDistanceBrowsingRows: the serving build does not carry Distance
 // Browsing, so the harness builds it itself; every figure that compares it
-// still prints its rows (table5 ranks it in a column), and every one of
-// them holds a measurement.
+// still prints its rows (table5 ranks it in a column), and at smallCfg,
+// where SILC fits on every network, each of them holds a measurement.
 func TestDistanceBrowsingRows(t *testing.T) {
 	for id, want := range map[string][]string{
 		"table5": {"DisBrw"},
+		"fig8":   {"DisBrw(SILC)"},
+		"fig9":   {"DisBrw"},
 		"fig10":  {"DisBrw"},
 		"fig11":  {"DisBrw"},
+		"fig13":  {"DisBrw"},
+		"fig14":  {"DisBrw"},
+		"fig16":  {"DisBrw"},
 		"fig19":  {"DisBrw-OH", "DisBrw"},
 		"fig20":  {"DisBrw", "OptDisBrw"},
 	} {
@@ -79,6 +142,9 @@ func TestDistanceBrowsingRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tab := range tables {
+			if tab.ID == "fig9b" { // method statistics: no Distance Browsing row
+				continue
+			}
 			if id == "table5" {
 				col := slices.Index(tab.Header, "DisBrw")
 				if col < 0 {

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"sync"
+	"fmt"
 	"time"
 
 	"rnknn/internal/core"
@@ -18,6 +18,8 @@ type method struct {
 	// browse builds a Distance Browsing form; nil for a served kind.
 	browse func(x *silc.Index, objs *knn.ObjectSet) knn.Method
 }
+
+func (m method) String() string { return m.name }
 
 // served lists served kinds as figure rows.
 func served(kinds ...core.MethodKind) []method {
@@ -53,30 +55,25 @@ func (h *Harness) mustMethod(e *core.Engine, m method, objs *knn.ObjectSet) knn.
 	return s
 }
 
+// sessions builds row r of a figure over ms as mustMethod does.
+func (h *Harness) sessions(e *core.Engine, ms []method) func(r int, objs *knn.ObjectSet) knn.Method {
+	return func(r int, objs *knn.ObjectSet) knn.Method { return h.mustMethod(e, ms[r], objs) }
+}
+
 // builtSILC is a SILC index with its construction time (Figure 8).
 type builtSILC struct {
 	x    *silc.Index
 	took time.Duration
 }
 
-var (
-	silcMu sync.Mutex
-	silcC  = map[*core.Engine]builtSILC{}
-)
-
 // silcIndex returns the SILC index over e's graph, building it on first
 // use. It is cached next to e, which the harness caches per network and
 // weight view. Beware the O(|V|^2 log |V|) build: the paper limits SILC to
 // the smaller networks, and so does DisBrwAllowed.
 func silcIndex(e *core.Engine) builtSILC {
-	silcMu.Lock()
-	defer silcMu.Unlock()
-	b, ok := silcC[e]
-	if !ok {
+	return cached(fmt.Sprintf("silc/%p", e), func() builtSILC {
 		start := time.Now()
 		x := silc.Build(e.G)
-		b = builtSILC{x, time.Since(start)}
-		silcC[e] = b
-	}
-	return b
+		return builtSILC{x, time.Since(start)}
+	})
 }

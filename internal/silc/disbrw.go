@@ -39,11 +39,6 @@ type candidates struct {
 	refiners []Refiner
 	ref      *scratch.Map32
 	inL      *scratch.Set
-
-	// interrupt, when non-nil, is polled once per iteration of the browse
-	// loop; a true return stops it, and the query returns the candidates
-	// in L (see knn.Interruptible).
-	interrupt func() bool
 }
 
 // init sizes the stamped tables for x's graph; call once per owner.
@@ -67,8 +62,6 @@ func (c *candidates) reset(q int32, k int) {
 	c.ref.Reset()
 	c.inL.Reset()
 }
-
-func (c *candidates) interrupted() bool { return c.interrupt != nil && c.interrupt() }
 
 // refinerOf returns o's refiner, or nil when o has not been encountered
 // this query.
@@ -223,9 +216,6 @@ func NewDBENN(x *Index, objs *knn.ObjectSet) *DBENN {
 // Name implements knn.Method.
 func (m *DBENN) Name() string { return "DisBrw" }
 
-// SetInterrupt implements knn.Interruptible.
-func (m *DBENN) SetInterrupt(check func() bool) { m.c.interrupt = check }
-
 // KNN implements knn.Method.
 func (m *DBENN) KNN(qv int32, k int) []knn.Result {
 	return m.KNNAppend(qv, k, make([]knn.Result, 0, k))
@@ -252,7 +242,7 @@ func (m *DBENN) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 		c.processCandidate(nb.ID)
 	}
 	scanOpen := true
-	for !c.interrupted() {
+	for {
 		peek := graph.Inf
 		if scanOpen {
 			p := scan.PeekDist()
@@ -322,9 +312,6 @@ func NewDisBrw(x *Index, oh *ObjectHierarchy) *DisBrw {
 // Name implements knn.Method.
 func (m *DisBrw) Name() string { return "DisBrw-OH" }
 
-// SetInterrupt implements knn.Interruptible.
-func (m *DisBrw) SetInterrupt(check func() bool) { m.c.interrupt = check }
-
 // KNN implements knn.Method.
 func (m *DisBrw) KNN(qv int32, k int) []knn.Result {
 	return m.KNNAppend(qv, k, make([]knn.Result, 0, k))
@@ -344,7 +331,7 @@ func (m *DisBrw) KNNAppend(qv int32, k int, dst []knn.Result) []knn.Result {
 	qpt := geo.Point{X: m.x.G.X[qv], Y: m.x.G.Y[qv]}
 	c.queue.Push(encodeOH(0), 0)
 
-	for !c.queue.Empty() && !c.interrupted() {
+	for !c.queue.Empty() {
 		it := c.queue.Pop()
 		lb := graph.Dist(it.Key)
 		if lb >= c.dk && c.l.Len() >= k {

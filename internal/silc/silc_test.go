@@ -245,45 +245,3 @@ func TestFirstMoveAgreesWithDistances(t *testing.T) {
 		}
 	}
 }
-
-// TestKNNInterrupt checks both Distance Browsing forms poll the interrupt
-// once per browse-loop iteration: a check that never fires leaves the
-// answer alone, one that fires stops the loop at that poll (what L holds by
-// then is returned, which for DBENN's Euclidean seeding can already be
-// every object), and clearing it restores the full answer.
-func TestKNNInterrupt(t *testing.T) {
-	g, x := testIndex(t, 79, 14, 14)
-	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.2, 67))
-	k := objs.Len() // every object: the browse runs to the last one
-	for _, m := range []interface {
-		knn.Method
-		knn.Interruptible
-	}{silc.NewDBENN(x, objs), silc.NewDisBrw(x, x.NewObjectHierarchy(objs, 4))} {
-		t.Run(m.Name(), func(t *testing.T) {
-			full := m.KNN(0, k)
-			if len(full) != objs.Len() {
-				t.Fatalf("full browse found %d of %d objects", len(full), objs.Len())
-			}
-			polls := 0
-			m.SetInterrupt(func() bool { polls++; return false })
-			if got := m.KNN(0, k); !knn.SameResults(got, full) {
-				t.Fatal("a check that never fires changed the answer")
-			}
-			if polls < 3 {
-				t.Fatalf("uninterrupted browse polled %d times, want at least 3", polls)
-			}
-
-			polls = 0
-			m.SetInterrupt(func() bool { polls++; return polls == 2 })
-			m.KNN(0, k)
-			if polls != 2 {
-				t.Fatalf("browse went on for %d polls after the check fired on the 2nd", polls)
-			}
-
-			m.SetInterrupt(nil)
-			if again := m.KNN(0, k); !knn.SameResults(again, full) {
-				t.Fatal("browse after clearing the interrupt differs from the first")
-			}
-		})
-	}
-}
