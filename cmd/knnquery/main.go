@@ -78,17 +78,14 @@ func main() {
 		g = g.View(graph.TravelTime)
 	}
 
-	// MethodAuto needs a spread of methods to plan across; a fixed method
-	// builds only its own index.
-	methods := []rnknn.Method{m}
-	if m == rnknn.MethodAuto {
-		methods = []rnknn.Method{rnknn.INE, rnknn.IERDijk, rnknn.Gtree}
+	// A fixed method builds only its own index; auto plans across the
+	// library's default set, INE and G-tree.
+	opts := []rnknn.Option{rnknn.WithObjects(rnknn.DefaultCategory, gen.Uniform(g, *density, 42))}
+	if m != rnknn.MethodAuto {
+		opts = append(opts, rnknn.WithMethods(m))
 	}
 	start := time.Now()
-	db, err := rnknn.Open(g,
-		rnknn.WithMethods(methods...),
-		rnknn.WithObjects(rnknn.DefaultCategory, gen.Uniform(g, *density, 42)),
-	)
+	db, err := rnknn.Open(g, opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)

@@ -2,7 +2,8 @@
 // Open a DB with every method over one network and object set, verify each
 // agrees with brute force, and print per-method timings from DB.Stats — a
 // sanity harness for adopters choosing a method for their workload.
-// Distance Browsing is not served; cmd/knnexp runs it for the figures.
+// Distance Browsing and IER over the Dijkstra and G-tree oracles are not
+// served; cmd/knnexp runs them for the figures.
 package main
 
 import (
@@ -33,8 +34,7 @@ func main() {
 
 	ctx := context.Background()
 	indexFor := map[rnknn.Method]string{
-		rnknn.IERCH: "CH", rnknn.IERTNR: "TNR", rnknn.IERPHL: "PHL",
-		rnknn.IERGt: "Gtree", rnknn.Gtree: "Gtree", rnknn.ROAD: "ROAD",
+		rnknn.IERCH: "CH", rnknn.IERTNR: "TNR", rnknn.IERPHL: "PHL", rnknn.Gtree: "Gtree", rnknn.ROAD: "ROAD",
 	}
 	stats := db.Stats()
 	for _, m := range db.Methods() {

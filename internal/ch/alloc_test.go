@@ -7,6 +7,7 @@ package ch
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -17,7 +18,10 @@ import (
 // TestMappedReadAllocs: opening a hierarchy over mapped bytes allocates no
 // per-vertex heap. Every array is a view of the snapshot and the index keeps
 // no query scratch (each ch.Searcher owns its own), so the open costs a few
-// small objects whatever the network size.
+// small objects whatever the network size. TotalAlloc is process-wide, so a
+// goroutine of another test can land an allocation inside one open's
+// window (5,360 B was read once); the gate takes the least of several
+// opens, which a per-vertex allocation would still exceed every time.
 func TestMappedReadAllocs(t *testing.T) {
 	spec, _ := gen.LadderSpec("NW")
 	g := gen.Network(spec)
@@ -28,15 +32,20 @@ func TestMappedReadAllocs(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	x, err := Read(snapio.NewSource(data, true), g)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	var x *Index
+	alloc := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		x, err = Read(snapio.NewSource(data, true), g)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
 	}
 	const limit = 4 << 10
-	alloc := after.TotalAlloc - before.TotalAlloc
 	if alloc > limit {
 		t.Fatalf("mapped Read of %d vertices allocated %d B, want <= %d", g.NumVertices(), alloc, limit)
 	}

@@ -15,8 +15,8 @@ import (
 // search state (heaps, stamped distance arrays, evicted sets, oracle
 // sources) all lives on the session and is reset in O(1) per query.
 //
-// Every kind is measured, including the IER oracles beyond the required
-// set (INE, IER-PHL, IER-CH, Gtree, ROAD). Distance Browsing's gate is
+// Every kind is measured, and so are the IER forms only the figure harness
+// builds (IER-Dijk, IER-Gt; see sessionForms). Distance Browsing's gate is
 // internal/silc's TestWarmKNNZeroAllocs.
 func TestWarmSessionKNNZeroAllocs(t *testing.T) {
 	if testing.Short() {
@@ -33,11 +33,9 @@ func TestWarmSessionKNNZeroAllocs(t *testing.T) {
 	}
 	const k = 8
 
-	for _, kind := range core.Kinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			b := e.NewBinding(objs, []core.MethodKind{kind})
-			sess, err := e.NewSession(kind, b)
+	for _, form := range sessionForms(e, objs) {
+		t.Run(form.name, func(t *testing.T) {
+			sess, err := form.new()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,29 +50,32 @@ func TestWarmSessionKNNZeroAllocs(t *testing.T) {
 				buf = sess.KNNAppend(q, k, buf[:0])
 			})
 			if allocs != 0 {
-				t.Errorf("%s: warm KNNAppend allocates %v allocs/op, want 0", kind, allocs)
+				t.Errorf("%s: warm KNNAppend allocates %v allocs/op, want 0", form.name, allocs)
 			}
 			if len(buf) != k {
-				t.Fatalf("%s: got %d results, want %d", kind, len(buf), k)
+				t.Fatalf("%s: got %d results, want %d", form.name, len(buf), k)
 			}
 		})
 	}
 }
 
 // TestWarmSessionRangeZeroAllocs pins the same property for the range query:
-// INE's bounded expansion, and Euclidean restriction over the pinned PHL
-// source and the suspended Dijkstra.
+// INE's bounded expansion, and Euclidean restriction over every oracle (the
+// CH searcher, the TNR querier, the pinned PHL source, and the harness's
+// suspended Dijkstra and G-tree assembly).
 func TestWarmSessionRangeZeroAllocs(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "alloc-r", Rows: 20, Cols: 20, Seed: 405})
 	e := core.New(g)
 	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.05, 12))
-	for _, kind := range []core.MethodKind{core.INE, core.IERPHL, core.IERDijk} {
-		b := e.NewBinding(objs, []core.MethodKind{kind})
-		sess, err := e.NewSession(kind, b)
+	for _, form := range sessionForms(e, objs) {
+		sess, err := form.new()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm := sess.(knn.RangeMethod)
+		rm, ok := sess.(knn.RangeMethod)
+		if !ok {
+			continue // G-tree and ROAD have no range form
+		}
 		var buf []knn.Result
 		for i := 0; i < 8; i++ {
 			buf = rm.RangeAppend(int32(i*17), 5000, buf[:0])
@@ -83,7 +84,7 @@ func TestWarmSessionRangeZeroAllocs(t *testing.T) {
 			buf = rm.RangeAppend(137, 5000, buf[:0])
 		})
 		if allocs != 0 || len(buf) == 0 {
-			t.Errorf("%s: warm RangeAppend allocates %v allocs/op for %d results, want 0 for some", kind, allocs, len(buf))
+			t.Errorf("%s: warm RangeAppend allocates %v allocs/op for %d results, want 0 for some", form.name, allocs, len(buf))
 		}
 	}
 }

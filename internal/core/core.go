@@ -1,10 +1,11 @@
 // Package core is the library's engine room: an Engine that owns a road
 // network, lazily builds each road-network index exactly once (recording
-// build time and size), and manufactures query sessions — INE, IER
-// composable over any distance oracle, G-tree and ROAD — bound to
-// interchangeable object sets (the decoupled-index design of Section 2.2).
-// The paper's fifth algorithm, Distance Browsing, is built by the
-// experiment harness alone (internal/exp), which reproduces its figures.
+// build time and size), and manufactures query sessions — INE, IER over
+// the CH, TNR and PHL oracles, G-tree and ROAD — bound to interchangeable
+// object sets (the decoupled-index design of Section 2.2). The paper's
+// fifth algorithm, Distance Browsing, and IER over the Dijkstra and G-tree
+// oracles are built by the experiment harness alone (internal/exp), which
+// reproduces their figures.
 //
 // The public, concurrency-safe entry point to the library is pkg/rnknn: its
 // DB facade pools the query sessions manufactured here (NewSession) and
@@ -53,16 +54,12 @@ type MethodKind int
 const (
 	// INE is Incremental Network Expansion (Section 3.1).
 	INE MethodKind = iota
-	// IERDijk is IER with a resumable Dijkstra oracle (the original IER).
-	IERDijk
 	// IERCH is IER with a Contraction Hierarchies oracle.
 	IERCH
 	// IERTNR is IER with a Transit Node Routing oracle.
 	IERTNR
 	// IERPHL is IER with the hub-labeling (PHL) oracle.
 	IERPHL
-	// IERGt is IER with the materialized G-tree oracle (MGtree).
-	IERGt
 	// Gtree is the G-tree kNN algorithm (Section 3.5, Algorithm 3).
 	Gtree
 	// ROAD is Route Overlay and Association Directory (Section 3.4).
@@ -74,7 +71,7 @@ const (
 
 // Kinds lists every method kind in display order.
 func Kinds() []MethodKind {
-	return []MethodKind{INE, IERDijk, IERCH, IERTNR, IERPHL, IERGt, Gtree, ROAD}
+	return []MethodKind{INE, IERCH, IERTNR, IERPHL, Gtree, ROAD}
 }
 
 func (k MethodKind) String() string {
@@ -90,14 +87,12 @@ var kinds = [NumKinds]struct {
 	name string
 	on   indexID
 }{
-	INE:     {"INE", noIndex},
-	IERDijk: {"IER-Dijk", noIndex},
-	IERCH:   {"IER-CH", idxCH},
-	IERTNR:  {"IER-TNR", idxTNR},
-	IERPHL:  {"IER-PHL", idxPHL},
-	IERGt:   {"IER-Gt", idxGtree},
-	Gtree:   {"Gtree", idxGtree},
-	ROAD:    {"ROAD", idxROAD},
+	INE:    {"INE", noIndex},
+	IERCH:  {"IER-CH", idxCH},
+	IERTNR: {"IER-TNR", idxTNR},
+	IERPHL: {"IER-PHL", idxPHL},
+	Gtree:  {"Gtree", idxGtree},
+	ROAD:   {"ROAD", idxROAD},
 }
 
 // index is what the engine itself needs of a built road-network index: its
@@ -267,7 +262,7 @@ func (e *Engine) BuiltIndexes() map[string]IndexInfo {
 }
 
 // IndexSize returns the built size in bytes of the road-network index a
-// method kind depends on (the graph itself for INE and IER-Dijk, mirroring
+// method kind depends on (the graph itself for INE, mirroring
 // the paper's "INE uses only the original graph" baseline in Figure 8).
 func (e *Engine) IndexSize(kind MethodKind) int {
 	if on := kinds[kind].on; on != noIndex {

@@ -16,7 +16,7 @@ import (
 func TestNextBindingMatchesBulkRebuild(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 12, Cols: 12, Seed: 91})
 	e := New(g)
-	kinds := []MethodKind{INE, IERDijk, Gtree, ROAD}
+	kinds := []MethodKind{INE, IERPHL, Gtree, ROAD}
 	rng := rand.New(rand.NewSource(92))
 
 	current := map[int32]bool{}
@@ -80,7 +80,7 @@ func TestNextBindingMatchesBulkRebuild(t *testing.T) {
 func TestNextBindingPinnedEpochUnchanged(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 10, Cols: 10, Seed: 93})
 	e := New(g)
-	kinds := []MethodKind{INE, IERDijk, Gtree, ROAD}
+	kinds := []MethodKind{INE, IERPHL, Gtree, ROAD}
 	initial := gen.Uniform(g, 0.1, 8)
 	objs0 := knn.NewObjectSet(g, initial)
 	b0 := e.NewBinding(objs0, kinds)

@@ -8,6 +8,8 @@ import (
 	"rnknn/internal/core"
 	"rnknn/internal/gen"
 	"rnknn/internal/graph"
+	"rnknn/internal/gtree"
+	"rnknn/internal/ier"
 	"rnknn/internal/knn"
 )
 
@@ -37,17 +39,15 @@ func TestDirtyScratchReuse(t *testing.T) {
 			g := gen.Network(spec)
 			e := core.New(g)
 			objs := knn.NewObjectSet(g, gen.Uniform(g, 0.06, int64(spec.Seed)+1))
-			for _, kind := range core.Kinds() {
-				kind := kind
-				t.Run(kind.String(), func(t *testing.T) {
-					b := e.NewBinding(objs, []core.MethodKind{kind})
-					warm, err := e.NewSession(kind, b)
+			for _, form := range sessionForms(e, objs) {
+				t.Run(form.name, func(t *testing.T) {
+					warm, err := form.new()
 					if err != nil {
 						t.Fatal(err)
 					}
 					rng := rand.New(rand.NewSource(int64(spec.Seed)))
 					for i := 0; i < 200; i++ {
-						fresh, err := e.NewSession(kind, b)
+						fresh, err := form.new()
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -94,9 +94,48 @@ func TestDirtyScratchReuse(t *testing.T) {
 	}
 }
 
+// querySession is what the session tests drive: a served core.Session, or
+// an IER form only the figure harness builds (internal/exp), which reuses
+// ier's scratch the same way and is held to the same properties.
+type querySession interface {
+	knn.Method
+	knn.Streamer
+}
+
+// sessionForm manufactures fresh sessions of one form, all over one binding
+// of the test's objects.
+type sessionForm struct {
+	name string
+	new  func() (querySession, error)
+}
+
+// sessionForms lists every served kind, then the harness's IER-Dijk and
+// IER-Gt: IER over the resumable Dijkstra and over G-tree's assembly, as
+// internal/exp builds them.
+func sessionForms(e *core.Engine, objs *knn.ObjectSet) []sessionForm {
+	var forms []sessionForm
+	for _, kind := range core.Kinds() {
+		b := e.NewBinding(objs, []core.MethodKind{kind})
+		forms = append(forms, sessionForm{kind.String(), func() (querySession, error) { return e.NewSession(kind, b) }})
+	}
+	rt := ier.NewObjectTree(e.G, objs)
+	for _, f := range []struct {
+		name    string
+		factory func() knn.SourceFactory
+	}{
+		{"IER-Dijk", func() knn.SourceFactory { return &ier.DijkstraFactory{G: e.G} }},
+		{"IER-Gt", func() knn.SourceFactory { return &gtree.Factory{Idx: e.GtreeIndex()} }},
+	} {
+		forms = append(forms, sessionForm{f.name, func() (querySession, error) {
+			return ier.NewWithTree(f.name, e.G, objs, rt, f.factory()), nil
+		}})
+	}
+	return forms
+}
+
 // collectStream gathers at most stop results from a streamed kNN query,
 // returning false from yield (an early consumer break) once reached.
-func collectStream(s core.Session, q int32, k, stop int) []knn.Result {
+func collectStream(s querySession, q int32, k, stop int) []knn.Result {
 	var out []knn.Result
 	s.KNNStream(q, k, func(r knn.Result) bool {
 		out = append(out, r)

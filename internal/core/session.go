@@ -40,7 +40,7 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 	b := &Binding{Objs: objs}
 	for _, k := range kinds {
 		switch k {
-		case IERDijk, IERCH, IERTNR, IERPHL, IERGt:
+		case IERCH, IERTNR, IERPHL:
 			if b.rt == nil {
 				b.rt = ier.NewObjectTree(e.G, objs)
 			}
@@ -120,8 +120,6 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 	switch kind {
 	case INE:
 		return ineSession{ine.NewWithHops(e.INEHops(), b.Objs)}, nil
-	case IERDijk:
-		return &ierSession{ier.NewWithTree("IER-Dijk", e.G, b.Objs, b.rt, &ier.DijkstraFactory{G: e.G})}, nil
 	case IERCH:
 		// Each session owns a CH searcher: the bidirectional Dijkstra state
 		// is per-session, the hierarchy itself is shared.
@@ -132,8 +130,6 @@ func (e *Engine) NewSession(kind MethodKind, b *Binding) (Session, error) {
 		// Each session owns a phl.Source, the labeling's pinned-source
 		// scratch (4-8 B/vertex); the labeling itself is shared.
 		return &ierSession{ier.NewWithTree("IER-PHL", e.G, b.Objs, b.rt, e.PHLIndex().NewSource())}, nil
-	case IERGt:
-		return &ierSession{ier.NewWithTree("IER-Gt", e.G, b.Objs, b.rt, &gtree.Factory{Idx: e.GtreeIndex()})}, nil
 	case Gtree:
 		return gtreeSession{gtree.NewKNN(e.GtreeIndex(), b.ol)}, nil
 	case ROAD:

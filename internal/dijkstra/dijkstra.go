@@ -1,6 +1,6 @@
 // Package dijkstra implements the Dijkstra searches used both as the
-// baseline distance oracle (IER-Dijk, Figure 4) and as the construction
-// workhorse for the SILC, G-tree and ROAD indexes.
+// baseline distance oracle (the experiment harness's IER-Dijk, Figure 4)
+// and as the construction workhorse for the SILC, G-tree and ROAD indexes.
 //
 // A Solver owns reusable per-search state (a stamped label array and a
 // duplicate-tolerant 4-ary heap) so repeated searches over the same graph

@@ -6,8 +6,10 @@
 //
 // It also holds what the serving packages do not carry: the Section 6
 // implementation case studies — Figure 6's hashed matrix layouts
-// (exp_layouts.go) and Figure 7's INE ladder (exp_ineladder.go) — and
-// Distance Browsing, whose SILC index the harness builds itself (silc.go).
+// (exp_layouts.go) and Figure 7's INE ladder (exp_ineladder.go) — and the
+// methods the serving build does not carry (method.go): IER over the
+// Dijkstra and G-tree oracles, and Distance Browsing, whose SILC index the
+// harness builds itself.
 //
 // Networks, engines and indexes are cached process-wide so a full run
 // builds each index once, as the paper's scripts do.
@@ -16,6 +18,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -384,7 +387,7 @@ func (h *Harness) DistMethods(name string) []method {
 // TimeMethods returns the methods compared on travel-time networks (no
 // DisBrw, Section B).
 func (h *Harness) TimeMethods() []method {
-	return served(core.INE, core.ROAD, core.Gtree, core.IERGt, core.IERPHL)
+	return slices.Insert(served(core.INE, core.ROAD, core.Gtree, core.IERPHL), 3, ierGt)
 }
 
 // fmtUS formats a microsecond measurement.

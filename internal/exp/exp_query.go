@@ -83,10 +83,9 @@ func (h *Harness) minDist(id, net string, wk graph.WeightKind, ms []method, m in
 
 func init() {
 	register("fig4", "IER oracle variants (distance weights, "+Medium+", uniform objects)", func(h *Harness) []*Table {
-		kinds := served(core.IERDijk, core.IERGt, core.IERPHL, core.IERTNR, core.IERCH)
 		return []*Table{
-			h.compare("fig4a", "IER variants: varying k (d=0.001)", Medium, graph.TravelDistance, kinds, kCols(h.UniformObjects(Medium, DefaultDensity))),
-			h.compare("fig4b", "IER variants: varying density (k=10)", Medium, graph.TravelDistance, kinds, h.densityCols(Medium)),
+			h.compare("fig4a", "IER variants: varying k (d=0.001)", Medium, graph.TravelDistance, ierVariants, kCols(h.UniformObjects(Medium, DefaultDensity))),
+			h.compare("fig4b", "IER variants: varying density (k=10)", Medium, graph.TravelDistance, ierVariants, h.densityCols(Medium)),
 		}
 	})
 

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"rnknn/internal/core"
-	"rnknn/internal/graph"
-)
+import "rnknn/internal/graph"
 
 func init() {
 	register("fig17", "travel-time query performance on "+Large+" (k, density, |V|, min obj dist)", func(h *Harness) []*Table {
@@ -17,11 +14,10 @@ func init() {
 	})
 
 	register("fig23", "IER oracle variants on travel time ("+Medium+")", func(h *Harness) []*Table {
-		kinds := served(core.IERDijk, core.IERGt, core.IERPHL, core.IERTNR, core.IERCH)
 		return []*Table{
-			h.compare("fig23a", "travel time IER variants: varying k", Medium, graph.TravelTime, kinds, kCols(h.UniformObjects(Medium, DefaultDensity))),
-			h.compare("fig23b", "travel time IER variants: varying density", Medium, graph.TravelTime, kinds, h.densityCols(Medium)),
-			h.sizeSweep("fig23c", "travel time IER variants: varying |V|", graph.TravelTime, kinds, DefaultDensity),
+			h.compare("fig23a", "travel time IER variants: varying k", Medium, graph.TravelTime, ierVariants, kCols(h.UniformObjects(Medium, DefaultDensity))),
+			h.compare("fig23b", "travel time IER variants: varying density", Medium, graph.TravelTime, ierVariants, h.densityCols(Medium)),
+			h.sizeSweep("fig23c", "travel time IER variants: varying |V|", graph.TravelTime, ierVariants, DefaultDensity),
 		}
 	})
 

@@ -5,17 +5,22 @@ import (
 	"time"
 
 	"rnknn/internal/core"
+	"rnknn/internal/gtree"
+	"rnknn/internal/ier"
 	"rnknn/internal/knn"
 	"rnknn/internal/silc"
 )
 
 // method is one row of a query figure: a kind the engine serves, or one of
-// the two forms of Distance Browsing, which the serving build does not
-// carry: the harness builds them over its own SILC index (silcIndex).
+// the forms the serving build does not carry, which the harness builds
+// itself: IER over the Dijkstra and G-tree oracles, and the two forms of
+// Distance Browsing over the harness's own SILC index (silcIndex).
 type method struct {
 	name string
 	kind core.MethodKind
-	// browse builds a Distance Browsing form; nil for a served kind.
+	// oracle builds the distance oracle of an IER form; nil otherwise.
+	oracle func(e *core.Engine) knn.SourceFactory
+	// browse builds a Distance Browsing form; nil otherwise.
 	browse func(x *silc.Index, objs *knn.ObjectSet) knn.Method
 }
 
@@ -30,9 +35,19 @@ func served(kinds ...core.MethodKind) []method {
 	return out
 }
 
-// The two forms of Distance Browsing: DB-ENN (Appendix A.1.1), and the
-// original Object Hierarchy (Algorithm 1).
 var (
+	// IER-Dijk is the original IER: a resumable Dijkstra search from the
+	// query vertex (Figure 4). IER-Gt verifies candidates on the
+	// materialized G-tree (MGtree), over the engine's own G-tree.
+	ierDijk = method{name: "IER-Dijk", oracle: func(e *core.Engine) knn.SourceFactory {
+		return &ier.DijkstraFactory{G: e.G}
+	}}
+	ierGt = method{name: "IER-Gt", oracle: func(e *core.Engine) knn.SourceFactory {
+		return &gtree.Factory{Idx: e.GtreeIndex()}
+	}}
+
+	// The two forms of Distance Browsing: DB-ENN (Appendix A.1.1), and the
+	// original Object Hierarchy (Algorithm 1).
 	disBrw = method{name: "DisBrw", browse: func(x *silc.Index, objs *knn.ObjectSet) knn.Method {
 		return silc.NewDBENN(x, objs)
 	}}
@@ -41,11 +56,17 @@ var (
 	}}
 )
 
+// ierVariants are the rows of the IER oracle figures (Figures 4 and 23).
+var ierVariants = append([]method{ierDijk, ierGt}, served(core.IERPHL, core.IERTNR, core.IERCH)...)
+
 // mustMethod builds a query session of m over objs: a served kind as
-// pkg/rnknn's session pools do, a Distance Browsing form over e's SILC
-// index.
+// pkg/rnknn's session pools do, an IER form over its oracle, a Distance
+// Browsing form over e's SILC index.
 func (h *Harness) mustMethod(e *core.Engine, m method, objs *knn.ObjectSet) knn.Method {
-	if m.browse != nil {
+	switch {
+	case m.oracle != nil:
+		return ier.New(m.name, e.G, objs, m.oracle(e))
+	case m.browse != nil:
 		return m.browse(silcIndex(e).x, objs)
 	}
 	s, err := e.NewSession(m.kind, e.NewBinding(objs, []core.MethodKind{m.kind}))

@@ -46,11 +46,11 @@ type Model struct {
 // (`bash bench/run.sh --workload lib-auto --trace 1`: |V| = 21,825, so
 // log2|V| ≈ 14.4; the method probes run k = 10 at density 0.1 "dense" and
 // 0.001 "sparse" in one cold pass, and read up to 1.5× the warm medians of
-// the same cells). The other rows carry the paper's orderings (Table 5,
-// Figures 4, 10, 11), unmeasured in this repository. What the table
-// must get right is the crossovers, not the microseconds: planner.regret
-// above 1.10 on a traced lib-auto run is the signal to re-read the probes
-// named below.
+// the same cells). The other two rows, IER-CH and IER-TNR, carry the
+// paper's orderings (Table 5, Figures 4, 10, 11), unmeasured in this
+// repository. What the table must get right is the crossovers, not the
+// microseconds: planner.regret above 1.10 on a traced lib-auto run is the
+// signal to re-read the probes named below.
 var model = Model{
 	perMethod: [...]methodCost{
 		// ine.dense_us·1000/120 — the probe settles ~1.2·10/0.1 vertices.
@@ -66,12 +66,9 @@ var model = Model{
 		// while ine.sparse_us fell 1,418 → 959-1,062 µs. The row stays;
 		// a lower one would move no pick on the grid.
 		core.INE: {perSettle: 50},
-		// The same expansion plus an R-tree scan that rarely pays off for
-		// Dijkstra (Figure 4).
-		core.IERDijk: {perSettle: 1.3 * 50},
 		// The IER family verifies ~2.5 Euclidean candidates per result
 		// (Section 3.2) at one oracle distance each (Section 5: PHL nearly
-		// flat in |V|, TNR close behind, CH and MGtree growing with |V|).
+		// flat in |V|, TNR close behind, CH growing with |V|).
 		// PHL's 350 ns is ier.phl.dense_us·1000/(2.5·10) on the warm reading
 		// (9.5 µs, so 380; the probe's cold pass reads 12-17 µs), rounded —
 		// the dense probe, because the one decision this number moves is the
@@ -81,7 +78,6 @@ var model = Model{
 		core.IERPHL: {perK: 2.5 * 350},
 		core.IERTNR: {perK: 2.5 * 2500},
 		core.IERCH:  {perKLogV: 2.5 * 600},
-		core.IERGt:  {perKLogV: 2.5 * 350},
 		// Leaf Dijkstra plus ~k border-matrix assemblies up the partition
 		// tree (Algorithm 3/4). gtree.dense_us (60-95) and gtree.sparse_us
 		// (270-430) bracket the row's 178 µs at k = 10. It decides only where

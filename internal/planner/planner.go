@@ -66,7 +66,8 @@ func Choose(enabled []core.MethodKind, f Features) Choice {
 	x := f.terms()
 	best := Choice{Kind: enabled[0], f: f}
 	for i, kind := range enabled {
-		// Strict < keeps the earlier (caller-preferred) method on ties.
+		// Strict < keeps the earlier method on ties: the order the DB was
+		// opened with breaks them.
 		if c := time.Duration(model.perMethod[kind].nanos(x)); i == 0 || c < best.Cost {
 			best.Kind, best.Cost = kind, c
 		}

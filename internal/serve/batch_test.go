@@ -153,8 +153,7 @@ func TestBatchSharedOnServer(t *testing.T) {
 // method is planned like /knn without one: on an {INE, IER-PHL} DB over a
 // sparse category the planner sends both to IER-PHL, the member's answer
 // says so, and the library counts both searches there — not under INE,
-// the DB's first method and Batch.AddKNN's default. A member that names a
-// method still gets it.
+// the DB's first method. A member that names a method still gets it.
 func TestBatchMemberWithoutMethodIsAuto(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "srv-auto", Rows: 40, Cols: 40, Seed: 3})
 	db, err := rnknn.Open(g, rnknn.WithMethods(rnknn.INE, rnknn.IERPHL),

@@ -81,7 +81,7 @@ func TestRangeMethodRegimes(t *testing.T) {
 		want    [4]Method // per density
 	}{
 		{[]Method{INE, IERPHL}, [4]Method{IERPHL, IERPHL, IERPHL, INE}},
-		{[]Method{INE, IERDijk, Gtree}, [4]Method{INE, INE, INE, INE}},
+		{[]Method{INE, Gtree}, [4]Method{INE, INE, INE, INE}},
 		// INE answers the dense regime even where it is not an enabled kNN
 		// method.
 		{[]Method{IERPHL, Gtree}, [4]Method{IERPHL, IERPHL, IERPHL, INE}},

@@ -31,7 +31,7 @@ import (
 //
 //	results, err := db.Batch().
 //		AddKNN(q1, 10).
-//		AddKNN(q2, 5, rnknn.WithMethod(rnknn.MethodAuto)).
+//		AddKNN(q2, 5, rnknn.WithMethod(rnknn.Gtree)).
 //		AddRange(q3, 5000, rnknn.WithCategory("fuel")).
 //		Run(ctx)
 //
@@ -65,7 +65,7 @@ type BatchResult struct {
 	// Query echoes the query vertex.
 	Query int32
 	// Method is the concrete method that answered: the named one, or the
-	// planner's pick for MethodAuto and for a range query naming none (INE
+	// planner's pick for a query naming none or MethodAuto (for a range, INE
 	// or the IER family). Meaningless when Err is non-nil.
 	Method Method
 	// Results is the query's answer, in nondecreasing distance order.
@@ -107,14 +107,14 @@ func (b *Batch) SharedExpansion(m SharedMode) *Batch {
 // AddKNN appends a kNN query with the same options KNN accepts, returning
 // b for chaining.
 func (b *Batch) AddKNN(q int32, k int, opts ...QueryOption) *Batch {
-	b.ops = append(b.ops, b.db.knnQuery(q, k, opts))
+	b.ops = append(b.ops, knnQuery(q, k, opts))
 	return b
 }
 
 // AddRange appends a range query with the same options Range accepts,
 // returning b for chaining.
 func (b *Batch) AddRange(q int32, radius Dist, opts ...QueryOption) *Batch {
-	b.ops = append(b.ops, b.db.rangeQuery(q, radius, opts))
+	b.ops = append(b.ops, rangeQuery(q, radius, opts))
 	return b
 }
 

@@ -24,7 +24,7 @@ func sharedEquivDBs(t *testing.T) []*DB {
 	for i, spec := range specs {
 		g := gen.Network(spec)
 		db, err := Open(g,
-			WithMethods(INE, IERDijk, IERPHL, IERGt, Gtree, ROAD),
+			WithMethods(INE, IERPHL, Gtree, ROAD),
 			WithObjects(DefaultCategory, gen.Uniform(g, 0.04, spec.Seed+1)),
 			WithObjects("sparse", gen.Uniform(g, 0.006, spec.Seed+2)),
 		)

@@ -49,13 +49,13 @@ func ExampleOpen() {
 func ExampleDB_KNN() {
 	g := exampleGraph()
 	db, err := rnknn.Open(g,
-		rnknn.WithMethods(rnknn.INE, rnknn.IERDijk),
+		rnknn.WithMethods(rnknn.INE, rnknn.IERCH),
 		rnknn.WithObjects("cafes", []int32{2, 4}))
 	if err != nil {
 		panic(err)
 	}
 	ctx := context.Background()
-	nearest, err := db.KNN(ctx, 3, 1, rnknn.WithMethod(rnknn.IERDijk), rnknn.WithCategory("cafes"))
+	nearest, err := db.KNN(ctx, 3, 1, rnknn.WithMethod(rnknn.IERCH), rnknn.WithCategory("cafes"))
 	if err != nil {
 		panic(err)
 	}

@@ -307,11 +307,11 @@ func TestOpenSnapshotFileHostileCHHierarchy(t *testing.T) {
 // the elements of its position, border, layout and leaf-graph arrays. A
 // snapshot whose element is out of range, re-framed so its checksum holds,
 // must be refused with ErrBadSnapshot on the verified and the mapped path
-// alike: accepted, the first row makes IER-Gt's leaf scan index out of range.
+// alike: accepted, the first row makes a leaf scan index out of range.
 func TestOpenSnapshotFileHostileGtreeArrays(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "hostile", Rows: 10, Cols: 12, Seed: 8})
 	objs := gen.Uniform(g, 0.1, 3)
-	opts := []rnknn.Option{rnknn.WithMethods(rnknn.IERGt, rnknn.Gtree), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
+	opts := []rnknn.Option{rnknn.WithMethods(rnknn.Gtree), rnknn.WithObjects(rnknn.DefaultCategory, objs)}
 	built, err := rnknn.Open(g, opts...)
 	if err != nil {
 		t.Fatal(err)

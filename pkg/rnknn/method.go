@@ -13,19 +13,18 @@ type Method int
 // MethodAuto asks the planner to pick the method per query from the DB's
 // enabled methods, using the paper's regime findings (no single method
 // dominates; crossovers are governed by k, object density, and network
-// size — Section 7, Table 5). Usable with WithMethod on KNN, KNNSeq, and
-// batch queries; Explain reports what it resolves to and why.
+// size — Section 7, Table 5). It is what every query that names no method
+// gets, on every entry point; Explain reports what it resolves to and why.
 const MethodAuto Method = -1
 
-// The methods mirror internal/core's kinds: INE, IER composable over each
-// distance oracle (Section 5), G-tree and ROAD. The paper's fifth
-// algorithm, Distance Browsing, is not served: cmd/knnexp still runs it
-// for the figures.
+// The methods mirror internal/core's kinds: INE, IER over the CH, TNR and
+// PHL distance oracles (Section 5), G-tree and ROAD. The paper's fifth
+// algorithm, Distance Browsing, and IER over the Dijkstra and G-tree
+// oracles are not served: in every column of the paper's figures a served
+// method beats them, and cmd/knnexp still runs them for the figures.
 const (
 	// INE is Incremental Network Expansion (Section 3.1).
 	INE Method = iota
-	// IERDijk is IER with a resumable Dijkstra oracle (the original IER).
-	IERDijk
 	// IERCH is IER with a Contraction Hierarchies oracle.
 	IERCH
 	// IERTNR is IER with a Transit Node Routing oracle.
@@ -33,8 +32,6 @@ const (
 	// IERPHL is IER with the hub-labeling (PHL) oracle — the paper's
 	// overall winner (Table 5).
 	IERPHL
-	// IERGt is IER with the materialized G-tree oracle (MGtree).
-	IERGt
 	// Gtree is the G-tree kNN algorithm (Section 3.5, Algorithm 3).
 	Gtree
 	// ROAD is Route Overlay and Association Directory (Section 3.4).
@@ -48,7 +45,7 @@ func (m Method) kind() core.MethodKind { return core.MethodKind(m) }
 
 // ranges reports whether the method has a range form: INE's bounded
 // expansion, or the IER family's Euclidean restriction over any oracle.
-func (m Method) ranges() bool { return m == INE || m >= IERDijk && m <= IERGt }
+func (m Method) ranges() bool { return m >= INE && m <= IERPHL }
 
 // String returns the method's display name (e.g. "IER-PHL"), the same name
 // ParseMethod accepts. MethodAuto prints as "Auto".

@@ -157,7 +157,7 @@ func (db *DB) Monitor(ctx context.Context, route []int32, k int, opts ...QueryOp
 		// precedence every entry point shares — and then the first is
 		// prepared for k+1: the refresh expansion's k-th neighbor is the
 		// answer's edge and its (k+1)-th prices the safe gap.
-		qr := db.knnQuery(r[0], k, opts)
+		qr := knnQuery(r[0], k, opts)
 		for _, v := range r {
 			qr.v = v
 			if err := db.check(ctx, &qr); err != nil {

@@ -125,8 +125,8 @@ type QueryOption struct {
 	categorySet bool
 }
 
-// WithMethod selects the method answering this query (default: the DB's
-// first enabled method).
+// WithMethod selects the method answering this query (default: MethodAuto,
+// the planner's pick among the DB's enabled methods).
 func WithMethod(m Method) QueryOption {
 	return QueryOption{method: m, methodSet: true}
 }
@@ -139,7 +139,7 @@ func WithCategory(name string) QueryOption {
 
 // query is one request as every entry point hands it to prepare: the query
 // vertex, the neighbor count (kNN) or radius (range), and the call's options
-// merged over the DB defaults.
+// merged over the defaults.
 type query struct {
 	v       int32
 	k       int
@@ -148,25 +148,21 @@ type query struct {
 	opt     QueryOption
 }
 
-func (db *DB) knnQuery(q int32, k int, opts []QueryOption) query {
-	return query{v: q, k: k, opt: db.mergeOpts(opts)}
+func knnQuery(q int32, k int, opts []QueryOption) query {
+	return query{v: q, k: k, opt: mergeOpts(opts)}
 }
 
-// rangeQuery leaves the method to the planner unless the call names one: a
-// range has no default method.
-func (db *DB) rangeQuery(q int32, radius Dist, opts []QueryOption) query {
-	qr := query{v: q, radius: radius, isRange: true, opt: db.mergeOpts(opts)}
-	if !qr.opt.methodSet {
-		qr.opt.method = MethodAuto
-	}
-	return qr
+func rangeQuery(q int32, radius Dist, opts []QueryOption) query {
+	return query{v: q, radius: radius, isRange: true, opt: mergeOpts(opts)}
 }
 
-func (db *DB) mergeOpts(opts []QueryOption) QueryOption {
-	qo := QueryOption{method: db.methods[0], category: DefaultCategory}
+// mergeOpts merges a call's options over the defaults every entry point
+// shares: MethodAuto and DefaultCategory.
+func mergeOpts(opts []QueryOption) QueryOption {
+	qo := QueryOption{method: MethodAuto, category: DefaultCategory}
 	for _, o := range opts {
 		if o.methodSet {
-			qo.method, qo.methodSet = o.method, true
+			qo.method = o.method
 		}
 		if o.categorySet {
 			qo.category = o.category
@@ -333,7 +329,7 @@ type Plan struct {
 // size alone: it changes when objects are inserted or removed, never with
 // the queries that ran before.
 func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
-	qr := db.knnQuery(q, k, opts)
+	qr := knnQuery(q, k, opts)
 	ep, m, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return Plan{}, err
@@ -352,7 +348,7 @@ func (db *DB) Explain(q int32, k int, opts ...QueryOption) (Plan, error) {
 // for the IER family), so long graph-wide scans return promptly with ctx's
 // error.
 func (db *DB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, error) {
-	res, _, err := db.exec(ctx, db.knnQuery(q, k, opts), nil)
+	res, _, err := db.exec(ctx, knnQuery(q, k, opts), nil)
 	return res, err
 }
 
@@ -365,7 +361,7 @@ func (db *DB) KNN(ctx context.Context, q int32, k int, opts ...QueryOption) ([]R
 // cancellation, and Stats/planner recording; on error, dst is returned
 // unextended.
 func (db *DB) KNNAppend(ctx context.Context, q int32, k int, dst []Result, opts ...QueryOption) ([]Result, error) {
-	dst, _, err := db.exec(ctx, db.knnQuery(q, k, opts), dst)
+	dst, _, err := db.exec(ctx, knnQuery(q, k, opts), dst)
 	return dst, err
 }
 
@@ -380,7 +376,7 @@ func (db *DB) KNNAppend(ctx context.Context, q int32, k int, dst []Result, opts 
 // about validation, method resolution, cancellation, and Stats/planner
 // recording is identical to KNN.
 func (db *DB) KNNPinned(ctx context.Context, q int32, k int, opts ...QueryOption) ([]Result, uint64, error) {
-	return db.exec(ctx, db.knnQuery(q, k, opts), nil)
+	return db.exec(ctx, knnQuery(q, k, opts), nil)
 }
 
 // Range returns every object of the query's category within network
@@ -395,7 +391,7 @@ func (db *DB) KNNPinned(ctx context.Context, q int32, k int, opts ...QueryOption
 // (an unknown one, ErrUnknownMethod). Safe for unbounded concurrent callers,
 // with the same context semantics as KNN.
 func (db *DB) Range(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
-	res, _, err := db.exec(ctx, db.rangeQuery(q, radius, opts), nil)
+	res, _, err := db.exec(ctx, rangeQuery(q, radius, opts), nil)
 	return res, err
 }
 
@@ -403,7 +399,7 @@ func (db *DB) Range(ctx context.Context, q int32, radius Dist, opts ...QueryOpti
 // dst and returns the extended slice — the zero-allocation form, mirroring
 // KNNAppend. On error, dst is returned unextended.
 func (db *DB) RangeAppend(ctx context.Context, q int32, radius Dist, dst []Result, opts ...QueryOption) ([]Result, error) {
-	dst, _, err := db.exec(ctx, db.rangeQuery(q, radius, opts), dst)
+	dst, _, err := db.exec(ctx, rangeQuery(q, radius, opts), dst)
 	return dst, err
 }
 
@@ -416,7 +412,7 @@ func (db *DB) RangeAppend(ctx context.Context, q int32, radius Dist, dst []Resul
 // to a reader observing another. Validation, method rules, cancellation, and
 // Stats recording are identical to Range.
 func (db *DB) RangePinned(ctx context.Context, q int32, radius Dist, opts ...QueryOption) ([]Result, uint64, error) {
-	return db.exec(ctx, db.rangeQuery(q, radius, opts), nil)
+	return db.exec(ctx, rangeQuery(q, radius, opts), nil)
 }
 
 // BruteForceKNN answers the query by a plain Dijkstra expansion over the
@@ -425,7 +421,7 @@ func (db *DB) RangePinned(ctx context.Context, q int32, radius Dist, opts ...Que
 // disabled methods are typed errors, not silently ignored) but the
 // expansion always runs the reference scan; not recorded in Stats.
 func (db *DB) BruteForceKNN(q int32, k int, opts ...QueryOption) ([]Result, error) {
-	qr := db.knnQuery(q, k, opts)
+	qr := knnQuery(q, k, opts)
 	ep, _, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return nil, err
@@ -436,7 +432,7 @@ func (db *DB) BruteForceKNN(q int32, k int, opts ...QueryOption) ([]Result, erro
 // BruteForceRange is the range-query correctness reference, mirroring
 // BruteForceKNN.
 func (db *DB) BruteForceRange(q int32, radius Dist, opts ...QueryOption) ([]Result, error) {
-	qr := db.rangeQuery(q, radius, opts)
+	qr := rangeQuery(q, radius, opts)
 	ep, _, err := db.prepare(context.Background(), &qr)
 	if err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ import (
 // streams are recorded in Stats.
 func (db *DB) KNNSeq(ctx context.Context, q int32, k int, opts ...QueryOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
-		qr := db.knnQuery(q, k, opts)
+		qr := knnQuery(q, k, opts)
 		ep, m, err := db.prepare(ctx, &qr)
 		if err != nil {
 			yield(Result{}, err)

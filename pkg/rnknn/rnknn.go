@@ -39,14 +39,14 @@
 //     pool, checking sessions out once per worker — the unit of work for
 //     a server front end.
 //
-// WithMethod(MethodAuto) resolves the method per query through the
-// planner: the paper's regime findings (no single method dominates;
-// crossovers governed by k, object density, and network size — Section 7,
-// Table 5) as one static cost model, a function of k, the category's live
-// object count and the network size and of nothing else. Explain reports the
-// planner's decision without running the query. A range query runs on INE or
+// A query that names no method (or names MethodAuto) is resolved per query
+// through the planner: the paper's regime findings (no single method
+// dominates; crossovers governed by k, object density, and network size —
+// Section 7, Table 5) as one static cost model, a function of k, the
+// category's live object count and the network size and of nothing else.
+// Explain reports the planner's decision without running the query. A range query runs on INE or
 // the IER family (range by Euclidean restriction), the planner's pick from
-// the same table when no method is named.
+// the same table.
 //
 // # Index persistence
 //
@@ -132,11 +132,13 @@ type initialObjects struct {
 // Option configures Open.
 type Option func(*config)
 
-// WithMethods selects the query methods the DB supports, in preference
-// order: the first is the default for KNN. Each method's road-network index
-// is built during Open. The default is {INE, IERDijk, Gtree} — the methods
-// whose index cost is no more than a G-tree build; add IERPHL (the paper's
-// overall winner) when the hub-labeling build cost is acceptable.
+// WithMethods selects the query methods the DB supports. Each method's
+// road-network index is built during Open. A query that names no method is
+// planned among them (MethodAuto); their order only breaks the planner's
+// ties and orders Methods. The default is {INE, Gtree}: INE where objects
+// are dense, G-tree where they are sparse, at the cost of one G-tree build.
+// Add IERPHL (the paper's overall winner) when the hub-labeling build cost
+// is acceptable.
 func WithMethods(ms ...Method) Option {
 	return func(c *config) { c.methods = append([]Method(nil), ms...) }
 }
@@ -218,7 +220,7 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, fmt.Errorf("%w: nil or empty graph", ErrBadGraph)
 	}
-	cfg := config{methods: []Method{INE, IERDijk, Gtree}}
+	cfg := config{methods: []Method{INE, Gtree}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -322,12 +324,8 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 // Graph returns the road network the DB serves.
 func (db *DB) Graph() *Graph { return db.g }
 
-// Methods returns the enabled methods in preference order; the first is
-// the default for KNN.
+// Methods returns the enabled methods in the order WithMethods gave them.
 func (db *DB) Methods() []Method { return append([]Method(nil), db.methods...) }
-
-// DefaultMethod returns the method KNN uses when WithMethod is not given.
-func (db *DB) DefaultMethod() Method { return db.methods[0] }
 
 // Categories returns the registered object category names, sorted. A
 // category being created by a concurrent first mutation is listed only once

@@ -14,7 +14,7 @@ func testDB(t *testing.T) *DB {
 	t.Helper()
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 16, Cols: 20, Seed: 7})
 	db, err := Open(g,
-		WithMethods(INE, IERDijk, IERCH, IERTNR, IERPHL, IERGt, Gtree, ROAD),
+		WithMethods(Methods()...),
 		WithObjects(DefaultCategory, gen.Uniform(g, 0.02, 3)),
 	)
 	if err != nil {
@@ -48,6 +48,12 @@ func TestMethodParsing(t *testing.T) {
 	}
 	if _, err := ParseMethod("nope"); !errors.Is(err, ErrUnknownMethod) {
 		t.Fatalf("unknown name: got %v, want ErrUnknownMethod", err)
+	}
+	// The methods only the figure harness builds are not served.
+	for _, name := range []string{"IER-Dijk", "IER-Gt", "DisBrw"} {
+		if _, err := ParseMethod(name); !errors.Is(err, ErrUnknownMethod) {
+			t.Errorf("ParseMethod(%q): got %v, want ErrUnknownMethod", name, err)
+		}
 	}
 }
 
@@ -214,19 +220,5 @@ func TestStats(t *testing.T) {
 	}
 	if n := s.Categories[DefaultCategory]; n <= 0 {
 		t.Fatalf("default category size = %d", n)
-	}
-}
-
-func TestDefaultMethodOrder(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 8, Cols: 8, Seed: 2})
-	db, err := Open(g, WithMethods(Gtree, INE), WithObjects(DefaultCategory, gen.Uniform(g, 0.05, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.DefaultMethod() != Gtree {
-		t.Fatalf("default = %v, want Gtree", db.DefaultMethod())
-	}
-	if got := db.Methods(); len(got) != 2 || got[0] != Gtree || got[1] != INE {
-		t.Fatalf("methods = %v", got)
 	}
 }
