@@ -3,10 +3,12 @@
 // per road-network vertex, allocated per query, occupying 32x less space
 // than an int array and far less than a hash set.
 //
-// In this repository it holds object membership and Rnet/node occupancy,
-// and the settled set of the experiment harness's Figure 7 INE ladder; the
-// production scans derive "settled" from their label array instead (see
-// scratch.Dists).
+// In this repository Set holds ROAD's Rnet occupancy and the settled set
+// of the experiment harness's Figure 7 INE ladder (the production scans
+// derive "settled" from their label array instead, see scratch.Dists), and
+// Paged, its persistent form, holds object membership: one version per
+// epoch of an object category, each sharing the pages its delta left
+// alone.
 package bitset
 
 import "math/bits"
@@ -36,10 +38,10 @@ func (s *Set) Clear(i int32) {
 	s.words[uint32(i)>>6] &^= 1 << (uint32(i) & 63)
 }
 
-// Clone returns an independent copy of the set. The copy is one memcpy of
-// the word array, which is what makes copy-on-write epoch derivation cheap
-// for the object-membership and Rnet-occupancy bitsets: mutating the clone
-// never touches memory a reader of the original can observe.
+// Clone returns an independent copy of the set: one memcpy of the word
+// array, which is how ROAD derives the next epoch's Rnet occupancy —
+// mutating the clone never touches memory a reader of the original can
+// observe.
 func (s *Set) Clone() *Set {
 	return &Set{words: append([]uint64(nil), s.words...)}
 }

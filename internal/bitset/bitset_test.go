@@ -1,6 +1,8 @@
 package bitset
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -79,5 +81,62 @@ func TestClone(t *testing.T) {
 	}
 	if s.Count() != 2 || c.Count() != 2 {
 		t.Fatalf("counts: original %d clone %d", s.Count(), c.Count())
+	}
+}
+
+// TestPagedEditSharesUntouchedPages derives a chain of Paged versions and
+// checks each against a plain Set model: every version keeps its own bits,
+// and a version shares every page its delta did not touch.
+func TestPagedEditSharesUntouchedPages(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewSource(1))
+	p := NewPaged(n)
+	model := New(n)
+	type version struct {
+		p     Paged
+		model *Set
+	}
+	var versions []version
+	for step := 0; step < 200; step++ {
+		var set, clear []int32
+		for range 1 + rng.Intn(6) {
+			b := int32(rng.Intn(n))
+			if model.Get(b) {
+				clear = append(clear, b)
+			} else {
+				set = append(set, b)
+			}
+		}
+		next := p.Edit(set, clear)
+		model = model.Clone()
+		for _, b := range clear {
+			next.Clear(b)
+			model.Clear(b)
+		}
+		for _, b := range set {
+			next.Set(b)
+			model.Set(b)
+		}
+		touched := map[int]bool{}
+		for _, b := range slices.Concat(set, clear) {
+			touched[int(b>>10)] = true
+		}
+		for pg := range p.dir {
+			if shared := next.dir[pg] == p.dir[pg]; shared == touched[pg] {
+				t.Fatalf("step %d: page %d shared=%v, touched by the delta=%v", step, pg, shared, touched[pg])
+			}
+		}
+		p = next
+		versions = append(versions, version{p, model})
+	}
+	for i, v := range versions {
+		for b := int32(0); b < n; b++ {
+			if v.p.Get(b) != v.model.Get(b) {
+				t.Fatalf("version %d: bit %d = %v, model %v", i, b, v.p.Get(b), v.model.Get(b))
+			}
+		}
+	}
+	if zeroPage != (page{}) {
+		t.Fatal("the shared zero page was written")
 	}
 }

@@ -18,9 +18,10 @@ import (
 // association directory. A Binding is one immutable epoch of an object
 // category: safe for concurrent use by any number of query sessions, never
 // mutated after publication. Mutating the object set means deriving the
-// next epoch with NextBinding (incremental, O(delta)) or building a fresh
-// epoch 0 with NewBinding (bulk), then rebinding sessions to it; queries in
-// flight keep the Binding they snapshotted and stay consistent.
+// next epoch with NextBinding (incremental: it copies what the delta
+// touches) or building a fresh epoch 0 with NewBinding (bulk), then
+// rebinding sessions to it; queries in flight keep the Binding they
+// snapshotted and stay consistent.
 type Binding struct {
 	Objs *knn.ObjectSet
 	// Epoch is the binding's version within its category: 0 for a bulk
@@ -59,12 +60,14 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 
 // NextBinding derives the next epoch of cur: cur's object set minus remove
 // plus add, with every derived object index updated incrementally from
-// cur's by the per-method maintainers — a copy-on-write R-tree clone with
-// Insert/Delete, the occurrence list's and association directory's Next over
-// the new object set (the one membership bitset every index of the epoch
-// reads) — in O(delta) element work, never an O(set) reconstruction, though
-// the occurrence list copies its flat leaf lists into fresh arrays (a memcpy
-// of the set).
+// cur's by the per-method maintainers — an R-tree Clone whose Insert/Delete
+// path-copy the nodes they touch, and the occurrence list's and association
+// directory's Next over the new object set (whose paged membership bits
+// every index of the epoch reads). What is copied is what the delta
+// touches: the membership directory and touched pages, the R-tree's
+// touched root-to-leaf paths, the occurrence list (one array sized by the
+// objects, merged with the delta) and the vertex slice — nothing sized by
+// |V| or by G-tree's node count — plus ROAD's occupancy bits, one per Rnet.
 //
 // cur is never mutated: queries pinned to it keep answering from their
 // epoch. Vertices already present in add and absent in remove are ignored.

@@ -102,7 +102,7 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	stopped := false
 
 	leafQ := pt.LeafOf[qv]
-	if x.ol.Count(leafQ) > 0 {
+	if x.ol.HasObjects(leafQ) {
 		if x.ImprovedLeaf {
 			found, stopped = x.leafSearchScan(src, k, q, yield)
 		} else {
@@ -146,7 +146,7 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 			x.enqueueLeafObjects(src, ni, q)
 		} else {
 			for _, c := range pt.Nodes[ni].Children {
-				if x.ol.count[c] > 0 {
+				if x.ol.HasObjects(c) {
 					q.Push(encodeNode(c), int64(src.MinBorderDist(c)))
 				}
 			}
@@ -168,7 +168,7 @@ func (x *KNN) advanceT(src *Source, q *pqueue.Queue, tn int32) (int32, graph.Dis
 		tmin = src.MinBorderDist(tn)
 	}
 	for _, c := range pt.Nodes[tn].Children {
-		if c != prev && x.ol.count[c] > 0 {
+		if c != prev && x.ol.HasObjects(c) {
 			q.Push(encodeNode(c), int64(src.MinBorderDist(c)))
 		}
 	}

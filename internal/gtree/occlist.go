@@ -1,10 +1,10 @@
 package gtree
 
 import (
-	"math"
 	"slices"
 
 	"rnknn/internal/knn"
+	"rnknn/internal/partition"
 )
 
 // OccurrenceList is G-tree's decoupled object index (Section 3.5): for every
@@ -14,166 +14,163 @@ import (
 // algorithm, mirroring how the paper separates object index construction
 // from querying (Section 7.4, Appendix A.2).
 //
-// A list is immutable: Next derives the list of the next object set into
-// fresh arrays, so the original keeps answering from its own set — the
-// per-method maintainer contract of the epoch-versioned object store. The
-// list holds three flat arrays and no per-node slices, so an almost empty
-// category costs two int32 per node.
+// The list is sized by the objects, not the tree: one array of the objects
+// in (leaf sequence, vertex) order, where a leaf's sequence number is its
+// position in the partition's DFS leaf order (partition.Tree.LeafSeq). A
+// node's subtree covers one range of sequence numbers, [LeafLo, LeafHi), so
+// its objects are one run of the array, found by binary search; a leaf's
+// run is its objects in ascending order.
+//
+// A list is immutable: Next derives the list of the next object set into a
+// fresh array, so the original keeps answering from its own set — the
+// per-method maintainer contract of the epoch-versioned object store.
 type OccurrenceList struct {
-	// count[n] is the number of objects in node n's subgraph.
-	count []int32
-	// leafObj[leafOff[n]:leafOff[n+1]] are the object vertices of leaf n in
-	// ascending order (empty for inner nodes): the leaf lists in CSR form.
-	leafOff, leafObj []int32
+	// obj[i] is the i-th object in (leaf sequence, vertex) order and
+	// seq[i] = pt.LeafSeq[obj[i]], the key the runs are searched by.
+	seq, obj []int32
+	pt       *partition.Tree
 	// objs is the object set the list was built over: the O(1) membership
 	// test the Algorithm 4 leaf search uses in place of a per-query hash set.
 	objs *knn.ObjectSet
 }
 
 // NewOccurrenceList builds the occurrence list for objs over the index in
-// O(objects × tree height + nodes): the counts up every object's ancestor
-// chain, then the leaf lists by a counting sort — leafOff[n] starts at the
-// end of leaf n's range and steps back once per object, visited in
-// descending order, so it ends at the range's start with the leaf's objects
-// ascending.
+// O(objects + leaves): a counting sort of the objects by leaf sequence —
+// start[s] is where leaf s's run begins — over the set's ascending
+// vertices, so each run comes out ascending.
 func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
-	nodes := x.PT.Nodes
-	ol := &OccurrenceList{
-		count:   make([]int32, len(nodes)),
-		leafOff: make([]int32, len(nodes)+1),
-		leafObj: make([]int32, objs.Len()),
-		objs:    objs,
-	}
 	vs := objs.Vertices()
+	ol := newList(x.PT, objs, len(vs))
+	start := make([]int32, x.PT.Nodes[0].LeafHi+1)
 	for _, v := range vs {
-		ol.shift(x, v, 1)
+		start[x.PT.LeafSeq[v]+1]++
 	}
-	var end int32
-	for n := range nodes {
-		if nodes[n].IsLeaf() {
-			end += ol.count[n]
-		}
-		ol.leafOff[n] = end
+	for s := 1; s < len(start); s++ {
+		start[s] += start[s-1]
 	}
-	ol.leafOff[len(nodes)] = end
-	for i := len(vs) - 1; i >= 0; i-- {
-		leaf := x.PT.LeafOf[vs[i]]
-		ol.leafOff[leaf]--
-		ol.leafObj[ol.leafOff[leaf]] = vs[i]
+	for _, v := range vs {
+		s := x.PT.LeafSeq[v]
+		ol.seq[start[s]], ol.obj[start[s]] = s, v
+		start[s]++
 	}
 	return ol
+}
+
+// newList returns a list over objs with room for n objects in one slab.
+func newList(pt *partition.Tree, objs *knn.ObjectSet, n int) *OccurrenceList {
+	slab := make([]int32, 2*n)
+	return &OccurrenceList{seq: slab[:n:n], obj: slab[n:], pt: pt, objs: objs}
 }
 
 // Next returns the list of objs, the successor of ol's object set whose
 // effective delta is added and removed (knn.ObjectSet.WithDelta: each vertex
 // at most once per slice, removed ones present in ol, added ones absent
 // after the removals, so a vertex removed and re-added is in both). The
-// counts are copied and moved along the delta's ancestor chains. The leaf
-// lists keep their node order, so every run of nodes between two touched
-// leaves moves as one block, by the size change of the touched leaves
-// before it; a touched leaf's list is its old list minus the removed
-// vertices merged with the added ones. Cost: O(tree height + touched-leaf
-// objects) per changed object, plus one O(objects + nodes) memcpy.
+// delta is keyed and sorted like the list, and the list is merged with it:
+// every run of untouched objects between two delta positions is one copy, a
+// removal skips its object and an addition is written at its place. Cost:
+// O(objects) copied plus O(delta log objects) to find the positions —
+// nothing per tree node.
 func (ol *OccurrenceList) Next(x *Index, objs *knn.ObjectSet, added, removed []int32) *OccurrenceList {
-	nodes := x.PT.Nodes
-	next := &OccurrenceList{
-		count:   slices.Clone(ol.count),
-		leafOff: make([]int32, len(nodes)+1),
-		leafObj: make([]int32, objs.Len()),
-		objs:    objs,
+	var buf [32]int64 // a small delta's keys stay off the heap
+	keys := buf[:0]
+	for _, v := range removed {
+		keys = append(keys, key(x.PT.LeafSeq[v], v))
 	}
-	// Each changed vertex as one key, leaf then vertex, so sorting groups
-	// the delta by leaf in node order and each leaf's part ascending.
-	keys := make([]int64, len(removed)+len(added))
+	for _, v := range added {
+		keys = append(keys, key(x.PT.LeafSeq[v], v))
+	}
 	rm, ad := keys[:len(removed)], keys[len(removed):]
-	for i, v := range removed {
-		next.shift(x, v, -1)
-		rm[i] = key(x.PT.LeafOf[v], v)
-	}
-	for i, v := range added {
-		next.shift(x, v, 1)
-		ad[i] = key(x.PT.LeafOf[v], v)
-	}
 	slices.Sort(rm)
 	slices.Sort(ad)
-	var from, d int32 // first node not yet placed; its range's move
-	for len(rm) > 0 || len(ad) > 0 {
-		leaf := int32(min(head(rm), head(ad)) >> 32)
-		next.copyRun(ol, from, leaf, d)
-		out := next.leafObj[next.leafOff[leaf] : next.leafOff[leaf]+next.count[leaf]]
-		i := 0
-		for _, u := range ol.LeafObjects(leaf) {
-			if len(rm) > 0 && rm[0] == key(leaf, u) {
-				rm = rm[1:]
-				continue
-			}
-			for ; len(ad) > 0 && ad[0] < key(leaf, u); ad = ad[1:] {
-				out[i] = int32(ad[0])
-				i++
-			}
-			out[i] = u
-			i++
-		}
-		for ; len(ad) > 0 && ad[0]>>32 == int64(leaf); ad = ad[1:] {
-			out[i] = int32(ad[0])
-			i++
-		}
-		d += next.count[leaf] - ol.count[leaf]
-		from = leaf + 1
+	next := newList(x.PT, objs, len(ol.obj)-len(rm)+len(ad))
+	from, out := 0, 0 // ol's objects before from are placed, next's before out are written
+	copyTo := func(k int64) {
+		at := ol.search(from, k)
+		copy(next.seq[out:], ol.seq[from:at])
+		copy(next.obj[out:], ol.obj[from:at])
+		out += at - from
+		from = at
 	}
-	next.copyRun(ol, from, int32(len(nodes)), d)
+	// A removal sorts before an addition of the same key, so a vertex
+	// removed and re-added skips its old place and is written once.
+	for len(rm) > 0 || len(ad) > 0 {
+		if len(rm) > 0 && (len(ad) == 0 || rm[0] <= ad[0]) {
+			copyTo(rm[0])
+			from++
+			rm = rm[1:]
+			continue
+		}
+		copyTo(ad[0])
+		next.seq[out], next.obj[out] = int32(ad[0]>>32), int32(ad[0])
+		out++
+		ad = ad[1:]
+	}
+	copy(next.seq[out:], ol.seq[from:])
+	copy(next.obj[out:], ol.obj[from:])
 	return next
 }
 
-// copyRun places the untouched nodes from..to-1 of ol into next with every
-// range moved by d. It also sets next.leafOff[to]: the start of the touched
-// leaf that ends the run, or the end sentinel.
-func (next *OccurrenceList) copyRun(ol *OccurrenceList, from, to, d int32) {
-	off := next.leafOff[from : to+1]
-	copy(off, ol.leafOff[from:to+1])
-	if d != 0 {
-		for i := range off {
-			off[i] += d
+// search returns the position of ol's first object, from position from
+// on, whose key is at least k.
+func (ol *OccurrenceList) search(from int, k int64) int {
+	lo, hi := from, len(ol.seq)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if key(ol.seq[m], ol.obj[m]) < k {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	copy(next.leafObj[off[0]:], ol.leafObj[ol.leafOff[from]:ol.leafOff[to]])
+	return lo
 }
 
-// key is the sort key of object v in leaf n.
-func key(n, v int32) int64 { return int64(n)<<32 | int64(v) }
+// key is the sort key of object v in the leaf with sequence number seq.
+func key(seq, v int32) int64 { return int64(seq)<<32 | int64(v) }
 
-// head is the first key of a sorted delta part, past every key when empty.
-func head(keys []int64) int64 {
-	if len(keys) == 0 {
-		return math.MaxInt64
-	}
-	return keys[0]
+// lowerBound returns the position of ol's first object whose leaf sequence
+// number is at least s.
+func (ol *OccurrenceList) lowerBound(s int32) int {
+	i, _ := slices.BinarySearch(ol.seq, s)
+	return i
 }
 
-// shift adds d to the count of every node on v's ancestor chain.
-func (ol *OccurrenceList) shift(x *Index, v, d int32) {
-	for n := x.PT.LeafOf[v]; n != -1; n = x.PT.Nodes[n].Parent {
-		ol.count[n] += d
-	}
+// HasObjects reports whether node ni's subgraph contains any object: one
+// binary search for the node's first leaf.
+func (ol *OccurrenceList) HasObjects(ni int32) bool {
+	n := &ol.pt.Nodes[ni]
+	i := ol.lowerBound(n.LeafLo)
+	return i < len(ol.seq) && ol.seq[i] < n.LeafHi
 }
-
-// HasObjects reports whether node ni's subgraph contains any object.
-func (ol *OccurrenceList) HasObjects(ni int32) bool { return ol.count[ni] > 0 }
 
 // Count returns the number of objects under node ni.
-func (ol *OccurrenceList) Count(ni int32) int32 { return ol.count[ni] }
+func (ol *OccurrenceList) Count(ni int32) int32 {
+	n := &ol.pt.Nodes[ni]
+	return int32(ol.lowerBound(n.LeafHi) - ol.lowerBound(n.LeafLo))
+}
 
-// LeafObjects returns the objects in leaf ni.
+// LeafObjects returns the objects in leaf ni in ascending order (none for
+// an inner node).
 func (ol *OccurrenceList) LeafObjects(ni int32) []int32 {
-	return ol.leafObj[ol.leafOff[ni]:ol.leafOff[ni+1]]
+	n := &ol.pt.Nodes[ni]
+	if !n.IsLeaf() {
+		return nil
+	}
+	lo := ol.lowerBound(n.LeafLo)
+	hi := lo
+	for hi < len(ol.seq) && ol.seq[hi] == n.LeafLo {
+		hi++
+	}
+	return ol.obj[lo:hi]
 }
 
 // IsObject reports whether v is an object vertex.
 func (ol *OccurrenceList) IsObject(v int32) bool { return ol.objs.Contains(v) }
 
 // SizeBytes estimates the occurrence list's memory footprint (the object
-// index cost of Figure 18): the counts, the leaf lists and the object set
-// whose membership bits IsObject reads.
+// index cost of Figure 18): the ordered objects with their leaf sequence
+// numbers, and the object set whose membership bits IsObject reads.
 func (ol *OccurrenceList) SizeBytes() int {
-	return (len(ol.count)+len(ol.leafOff)+len(ol.leafObj))*4 + ol.objs.SizeBytes()
+	return (len(ol.seq)+len(ol.obj))*4 + ol.objs.SizeBytes()
 }

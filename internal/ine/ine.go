@@ -123,8 +123,13 @@ func (x *INE) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 
 // stream is INE's one search loop, behind KNNStream, KNNWithinAppend and
 // RangeAppend: it settles vertices in nondecreasing distance order up to
-// bound and yields each object settled, until k are found.
+// bound and yields each object settled, until k are found or the set is
+// exhausted.
 func (x *INE) stream(qv int32, k int, bound graph.Dist, yield func(knn.Result) bool) {
+	// Once every object is settled nothing is left to find: a k above the
+	// set's size (a Range's unlimited one included) stops there rather
+	// than expanding the rest of the network.
+	k = min(k, x.objs.Len())
 	x.begin(qv)
 	found := 0
 	for !x.q.Empty() && found < k {

@@ -159,3 +159,38 @@ func TestHopsSizeLinear(t *testing.T) {
 		checkAgainstBruteForce(t, g, objs, q, 2, 5*n, n)
 	}
 }
+
+// TestStopsWhenSetExhausted puts three objects next to the query and asks
+// for ten: kNN, bounded kNN and Range must give the brute-force answer and
+// stop once the third object is settled, visiting exactly what k = 3 visits
+// and not the whole network.
+func TestStopsWhenSetExhausted(t *testing.T) {
+	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 30, Cols: 30, Seed: 23})
+	q := int32(g.NumVertices() / 2)
+	all := make([]int32, g.NumVertices())
+	for v := range all {
+		all[v] = int32(v)
+	}
+	var near []int32
+	for _, r := range knn.BruteForce(g, knn.NewObjectSet(g, all), q, 4)[1:] {
+		near = append(near, r.Vertex)
+	}
+	objs := knn.NewObjectSet(g, near)
+	x := ine.New(g, objs)
+	x.KNN(q, 3)
+	exact := x.VisitedVertices
+	want := knn.BruteForce(g, objs, q, 10)
+	for name, run := range map[string]func() []knn.Result{
+		"KNN":             func() []knn.Result { return x.KNN(q, 10) },
+		"KNNWithinAppend": func() []knn.Result { return x.KNNWithinAppend(q, 10, graph.Inf-1, nil) },
+		"Range":           func() []knn.Result { return x.Range(q, graph.Inf-1) },
+	} {
+		got := run()
+		if !knn.SameResults(got, want) {
+			t.Fatalf("%s: got %s want %s", name, knn.FormatResults(got), knn.FormatResults(want))
+		}
+		if x.VisitedVertices != exact || x.VisitedVertices >= g.NumVertices() {
+			t.Fatalf("%s: visited %d vertices of %d, k = 3 visits %d", name, x.VisitedVertices, g.NumVertices(), exact)
+		}
+	}
+}

@@ -150,15 +150,17 @@ type SourceFactory interface {
 }
 
 // ObjectSet is an immutable set of object vertices with O(1) membership.
+// The membership bits are paged (bitset.Paged), so sets derived from one
+// another with WithDelta share every page their deltas did not touch.
 type ObjectSet struct {
 	verts  []int32
-	member *bitset.Set
+	member bitset.Paged
 }
 
 // NewObjectSet builds an ObjectSet over vertices of g. The input need not be
 // sorted; duplicates are dropped.
 func NewObjectSet(g *graph.Graph, vertices []int32) *ObjectSet {
-	member := bitset.New(g.NumVertices())
+	member := bitset.NewPaged(g.NumVertices()).Edit(vertices)
 	verts := make([]int32, 0, len(vertices))
 	for _, v := range vertices {
 		if !member.Get(v) {
@@ -179,12 +181,15 @@ func NewObjectSet(g *graph.Graph, vertices []int32) *ObjectSet {
 // (present before) — exactly the per-element work the derived object
 // indexes must replay.
 //
-// Cost is one memcpy of the membership words, one copy of the vertex slice
-// in the runs between consecutive delta positions, and O(|delta| log |set|)
-// to find those positions; no index is rebuilt and nothing the original set
-// references is mutated.
+// Cost: a copy of the membership directory (one pointer per 1,024
+// vertices) and of the membership pages the delta touches, one copy of the
+// vertex slice in the runs between consecutive delta positions, and
+// O(|delta| log |set|) to find those positions; no index is rebuilt and
+// nothing the original set references is mutated.
 func (o *ObjectSet) WithDelta(add, remove []int32) (next *ObjectSet, added, removed []int32) {
-	member := o.member.Clone()
+	member := o.member.Edit(remove, add)
+	delta := make([]int32, len(remove)+len(add))
+	removed, added = delta[:0:len(remove)], delta[len(remove):len(remove)]
 	for _, v := range remove {
 		if member.Get(v) {
 			member.Clear(v)
@@ -236,8 +241,9 @@ func (o *ObjectSet) Len() int { return len(o.verts) }
 func (o *ObjectSet) Vertices() []int32 { return o.verts }
 
 // SizeBytes estimates the in-memory footprint of the set (the lower-bound
-// object storage cost INE pays, Figure 18).
-func (o *ObjectSet) SizeBytes() int { return len(o.verts)*4 + o.member.Capacity()/8 }
+// object storage cost INE pays, Figure 18): the sorted vertices and the
+// membership pages that are not the shared empty page.
+func (o *ObjectSet) SizeBytes() int { return len(o.verts)*4 + o.member.SizeBytes() }
 
 // BruteForce computes the exact kNN answer by a full Dijkstra expansion that
 // stops after k objects are settled. It is the correctness reference for all

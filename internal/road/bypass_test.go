@@ -76,9 +76,11 @@ func unitGrid(rows, cols int) *graph.Graph {
 // refKNN carries the reference expansion, whose methods shadow the current
 // ones of the same names: the loop as it was before closed shortcut rows
 // were skipped, kept verbatim apart from rows, which counts the shortcut
-// rows it relaxed, and the queue, which is the method's decrease-key
+// rows it relaxed, the queue, which is the method's decrease-key
 // IndexedQueue (on the old duplicate-tolerant Queue, ties pop in another
-// order and settled counts drift by one).
+// order and settled counts drift by one), and the stop once every object
+// is settled, which the method took on later and which has nothing to do
+// with shortcut rows.
 type refKNN struct {
 	*KNN
 	rows int
@@ -97,6 +99,7 @@ func (x *refKNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	for n := leafQ; n != -1; n = pt.Nodes[n].Parent {
 		x.qAnc[pt.Nodes[n].Level] = n
 	}
+	k = min(k, x.ad.objs.Len())
 	found := 0
 	x.push(qv, 0)
 	for !x.q.Empty() && found < k {

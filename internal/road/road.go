@@ -159,12 +159,12 @@ func (x *Index) SizeBytes() int {
 // when no vertex (leaf) or child (inner) under it is still occupied.
 type AssociationDirectory struct {
 	objs *knn.ObjectSet // object vertices (shared with the binding)
-	has  *bitset.Set    // Rnet occupancy, the Algorithm 5 test
+	has  bitset.Set     // Rnet occupancy, the Algorithm 5 test
 }
 
 // NewAssociationDirectory builds the directory for objs.
 func (x *Index) NewAssociationDirectory(objs *knn.ObjectSet) *AssociationDirectory {
-	ad := &AssociationDirectory{objs: objs, has: bitset.New(len(x.PT.Nodes))}
+	ad := &AssociationDirectory{objs: objs, has: *bitset.New(len(x.PT.Nodes))}
 	for _, v := range objs.Vertices() {
 		ad.add(x, v)
 	}
@@ -175,7 +175,7 @@ func (x *Index) NewAssociationDirectory(objs *knn.ObjectSet) *AssociationDirecto
 // effective delta is added and removed (knn.ObjectSet.WithDelta). ad is left
 // untouched: a reader of it keeps answering from its own set.
 func (ad *AssociationDirectory) Next(x *Index, objs *knn.ObjectSet, added, removed []int32) *AssociationDirectory {
-	next := &AssociationDirectory{objs: objs, has: ad.has.Clone()}
+	next := &AssociationDirectory{objs: objs, has: *ad.has.Clone()}
 	for _, v := range removed {
 		next.remove(x, v)
 	}
@@ -317,6 +317,8 @@ func (x *KNN) KNNStream(qv int32, k int, yield func(knn.Result) bool) {
 	for n := leafQ; n != -1; n = pt.Nodes[n].Parent {
 		x.qAnc[pt.Nodes[n].Level] = n
 	}
+	// Once every object is settled nothing is left to find.
+	k = min(k, x.ad.objs.Len())
 	found := 0
 	x.push(qv, 0, 0)
 	for !x.q.Empty() && found < k {

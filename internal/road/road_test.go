@@ -189,3 +189,31 @@ func TestKNNInterrupt(t *testing.T) {
 		t.Fatal("scan after clearing the interrupt differs from the first")
 	}
 }
+
+// TestStopsWhenSetExhausted puts three objects next to the query and asks
+// for ten: the answer is brute force's, and the search stops once the
+// third object is settled, visiting exactly what k = 3 visits.
+func TestStopsWhenSetExhausted(t *testing.T) {
+	g := testGraph(t, 67, 30, 30)
+	q := int32(g.NumVertices() / 2)
+	all := make([]int32, g.NumVertices())
+	for v := range all {
+		all[v] = int32(v)
+	}
+	var near []int32
+	for _, r := range knn.BruteForce(g, knn.NewObjectSet(g, all), q, 4)[1:] {
+		near = append(near, r.Vertex)
+	}
+	objs := knn.NewObjectSet(g, near)
+	idx := buildLevels(g, 3)
+	x := road.NewKNN(idx, idx.NewAssociationDirectory(objs))
+	x.KNN(q, 3)
+	exact := x.VisitedVertices
+	got := x.KNN(q, 10)
+	if want := knn.BruteForce(g, objs, q, 10); !knn.SameResults(got, want) {
+		t.Fatalf("got %s want %s", knn.FormatResults(got), knn.FormatResults(want))
+	}
+	if x.VisitedVertices != exact || x.VisitedVertices >= g.NumVertices() {
+		t.Fatalf("k = 10 visited %d vertices of %d, k = 3 visits %d", x.VisitedVertices, g.NumVertices(), exact)
+	}
+}

@@ -6,20 +6,26 @@
 //
 // The tree is dynamic: Insert adds an entry with the classic choose-subtree
 // plus node-split descent, Delete removes one lazily (no re-insertion, no
-// MBR shrinking), and once enough updates have accumulated relative to the
-// live entry count the tree repacks itself with STR — so query quality
-// returns to bulk-loaded form no matter how long the churn ran. Clone
-// derives an independent copy in one memcpy of the node array; every
-// structural mutation copies the bounded per-node slices before writing
-// (copy-on-write), which is what lets an epoch-versioned object store share
-// all untouched nodes between the old and new epoch.
+// MBR shrinking), and once the entries inserted since the last STR pack and
+// still present, plus the packed entries since deleted, pass a share of the
+// live count, the tree repacks itself with STR — so query quality returns
+// to bulk-loaded form no matter how long the churn ran, while churn that
+// puts the set back the way it was packed costs no repack.
+//
+// Versions are persistent: Clone derives the next version in O(1), sharing
+// every node with its source, and a mutation of the clone path-copies — it
+// copies each node on the root-to-leaf paths it touches once per Clone and
+// shares the rest. Nodes live in one index arena that the newest version
+// appends its copies to, so the copies a version no longer reaches (orphans)
+// are bounded: once they outnumber its live nodes, the next Clone compacts
+// the live ones into a fresh arena.
 package rtree
 
 import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
+	"sync/atomic"
 
 	"rnknn/internal/geo"
 )
@@ -28,15 +34,22 @@ import (
 // capacity for best Euclidean kNN performance (Section 7.4).
 const DefaultNodeCap = 16
 
-// Rebuild trigger: once the updates applied since the last STR pack reach
-// both rebuildMinOps and half the live entry count, the next update repacks
-// the whole tree. Half the set is far beyond any realistic degradation
-// point, but the precise constant matters little: what matters is that the
-// amortized repack cost per update stays O(log n) while quality is bounded.
+// Rebuild trigger: once the net degradation since the last STR pack —
+// entries inserted since and still present, plus packed entries since
+// deleted — reaches both rebuildMinOps and half the live entry count, the
+// next update repacks the whole tree. Half the set is far beyond any
+// realistic degradation point, but the precise constant matters little:
+// what matters is that the amortized repack cost per update stays O(log n)
+// while quality is bounded.
 const (
 	rebuildMinOps  = 64
 	rebuildDivisor = 2
 )
+
+// compactSlack is how many more orphaned nodes than live ones an arena may
+// hold before Clone compacts: a tree of a few nodes orphans a few per
+// Clone, and without the slack it would compact every other Clone.
+const compactSlack = 64
 
 // Tree is an R-tree over a set of points, each carrying a user identifier
 // (the road-network vertex of an object). New bulk-loads with STR; Insert
@@ -46,22 +59,46 @@ const (
 type Tree struct {
 	nodeCap int
 	root    int32 // -1 when the tree is empty
-	nodes   []node
-	count   int // live entries
-	dirty   int // updates since the last STR pack
+	// nodes is the index arena: every node this version reaches, and the
+	// orphans it no longer does. nodes[own:] were written by this version
+	// and may be changed in place; any other node is shared with the
+	// version it was cloned from and is copied before a write.
+	nodes []node
+	own   int32
+	arena *arena
+	count int // live entries
+	// orphans counts the nodes of the arena this version does not reach.
+	orphans int
+	// fresh counts entries inserted since the last STR pack and still
+	// present, gone the packed entries since deleted: the net degradation
+	// the repack trigger reads.
+	fresh, gone int
 	// rebuilds counts degradation-triggered STR repacks (observability).
 	rebuilds int
 }
 
-// node is one R-tree node. Leaves carry entries (ids/pts), internal nodes
-// carry child node indexes; both slices are bounded by nodeCap+1 and are
-// replaced wholesale on mutation (copy-on-write), never appended in place.
+// arena records which version may append to a node array's backing store
+// in place: the newest one. Any other version reads its prefix of the
+// array and moves to a copy on its first append.
+type arena struct {
+	tip atomic.Pointer[Tree]
+}
+
+// node is one R-tree node. Leaves carry entries, internal nodes carry child
+// node indexes. A node's slices are private to the version that wrote it.
 type node struct {
 	rect     geo.Rect
 	leaf     bool
 	children []int32
-	ids      []int32
-	pts      []geo.Point
+	ents     []entry
+}
+
+// entry is one indexed point.
+type entry struct {
+	pt geo.Point
+	id int32
+	// fresh marks an entry inserted since the last STR pack.
+	fresh bool
 }
 
 // New bulk-loads an R-tree from parallel id/point slices using STR packing
@@ -73,78 +110,62 @@ func New(ids []int32, pts []geo.Point, nodeCap int) *Tree {
 	if nodeCap <= 1 {
 		nodeCap = DefaultNodeCap
 	}
-	t := &Tree{nodeCap: nodeCap, root: -1}
-	t.bulkLoad(append([]int32(nil), ids...), append([]geo.Point(nil), pts...))
+	ents := make([]entry, len(ids))
+	for i := range ents {
+		ents[i] = entry{pt: pts[i], id: ids[i]}
+	}
+	t := &Tree{nodeCap: nodeCap}
+	t.bulkLoad(ents)
 	return t
 }
 
-// bulkLoad STR-packs the given entries into t, replacing any existing
-// structure. It takes ownership of ids and pts.
-func (t *Tree) bulkLoad(ids []int32, pts []geo.Point) {
-	t.nodes = nil
-	t.root = -1
-	t.count = len(ids)
-	t.dirty = 0
-	if len(ids) == 0 {
+// bulkLoad STR-packs the given entries into a fresh arena owned by t,
+// replacing any existing structure. It takes ownership of ents.
+func (t *Tree) bulkLoad(ents []entry) {
+	t.nodes, t.own, t.root = nil, 0, -1
+	t.newArena()
+	t.count, t.orphans, t.fresh, t.gone = len(ents), 0, 0, 0
+	if len(ents) == 0 {
 		return
 	}
-	items := make([]strItem, len(ids))
-	for i := range items {
-		items[i] = strItem{pts[i], int32(i)}
+	strOrder(ents, t.nodeCap)
+	for i := range ents {
+		ents[i].fresh = false
 	}
-	strOrder(items, t.nodeCap)
-	sorted := make([]int32, len(ids))
-	for i, it := range items {
-		pts[i], sorted[i] = it.pt, ids[it.i]
-	}
-	ids = sorted
 
 	// Build leaf level. Sub-slicing with a capacity clamp keeps the packed
-	// backing arrays shared until a mutation copies a node's slice out.
+	// backing array shared until an insert copies a node's entries out.
 	var level []int32 // node indexes of the current level
-	for start := 0; start < len(ids); start += t.nodeCap {
-		end := start + t.nodeCap
-		if end > len(ids) {
-			end = len(ids)
-		}
+	for start := 0; start < len(ents); start += t.nodeCap {
+		end := min(start+t.nodeCap, len(ents))
 		r := geo.EmptyRect()
-		for _, p := range pts[start:end] {
-			r = r.Expand(p)
+		for _, e := range ents[start:end] {
+			r = r.Expand(e.pt)
 		}
-		t.nodes = append(t.nodes, node{
-			rect: r,
-			leaf: true,
-			ids:  ids[start:end:end],
-			pts:  pts[start:end:end],
-		})
+		t.nodes = append(t.nodes, node{rect: r, leaf: true, ents: ents[start:end:end]})
 		level = append(level, int32(len(t.nodes)-1))
 	}
 	// Build internal levels until a single root remains, each STR-ordered
-	// by node centre before grouping.
+	// by node centre (an entry whose id is the node) before grouping.
+	items := make([]entry, len(level))
 	for len(level) > 1 {
 		items = items[:len(level)]
 		for i, ni := range level {
 			r := t.nodes[ni].rect
-			items[i] = strItem{geo.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}, ni}
+			items[i] = entry{pt: geo.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}, id: ni}
 		}
 		strOrder(items, t.nodeCap)
 		for i, it := range items {
-			level[i] = it.i
+			level[i] = it.id
 		}
 		var next []int32
 		for start := 0; start < len(level); start += t.nodeCap {
-			end := start + t.nodeCap
-			if end > len(level) {
-				end = len(level)
-			}
+			end := min(start+t.nodeCap, len(level))
 			r := geo.EmptyRect()
 			for _, ni := range level[start:end] {
 				r = r.Union(t.nodes[ni].rect)
 			}
-			t.nodes = append(t.nodes, node{
-				rect:     r,
-				children: level[start:end:end],
-			})
+			t.nodes = append(t.nodes, node{rect: r, children: level[start:end:end]})
 			next = append(next, int32(len(t.nodes)-1))
 		}
 		level = next
@@ -155,84 +176,174 @@ func (t *Tree) bulkLoad(ids []int32, pts []geo.Point) {
 // Len returns the number of live (non-deleted) entries.
 func (t *Tree) Len() int { return t.count }
 
+// Nodes returns the number of nodes the tree reaches from its root.
+func (t *Tree) Nodes() int { return len(t.nodes) - t.orphans }
+
 // Rebuilds reports how many degradation-triggered STR repacks the tree has
 // performed.
 func (t *Tree) Rebuilds() int { return t.rebuilds }
 
-// Clone returns an independent copy of the tree: one memcpy of the node
-// array, with every per-node entry and child slice shared until a mutation
-// copies it out. Mutating the clone never changes what a reader of the
-// original observes, which is the property the epoch-versioned object store
-// relies on (each epoch's tree is a Clone of the previous epoch's).
+// Clone derives the next version of the tree in O(1): it shares every node
+// with t, and its mutations copy each node they write once, so mutating the
+// clone never changes what a reader of t observes — the property the
+// epoch-versioned object store relies on (each epoch's tree is a Clone of
+// the previous epoch's). Cloning t again, or mutating t afterwards, is
+// allowed too: whichever version is no longer the newest moves to its own
+// copy of the arena on its first write. When the arena's orphans outnumber
+// t's live nodes, the clone gets a compacted arena instead (O(live nodes),
+// amortized over the copies that orphaned them).
 func (t *Tree) Clone() *Tree {
 	c := *t
-	c.nodes = append([]node(nil), t.nodes...)
+	c.own = int32(len(t.nodes))
+	// If t was the arena's newest version, c is now; a version that is not
+	// (t, or c when t was not) moves to an arena of its own on its next
+	// write (claim).
+	t.arena.tip.CompareAndSwap(t, &c)
+	if t.orphans > t.Nodes()+compactSlack {
+		c.compact()
+	}
 	return &c
 }
 
-// SizeBytes estimates the in-memory footprint of the tree.
+// unshare moves t to an arena of its own: the node array is clipped, so its
+// next append copies it, and every node it holds is treated as shared.
+func (t *Tree) unshare() {
+	t.nodes = slices.Clip(t.nodes)
+	t.own = int32(len(t.nodes))
+	t.newArena()
+}
+
+// newArena makes t the newest version of a new arena, first giving up the
+// old one if t was its newest: no version of the old arena may append to
+// it any more, and it no longer keeps t reachable.
+func (t *Tree) newArena() {
+	if t.arena != nil {
+		t.arena.tip.CompareAndSwap(t, nil)
+	}
+	t.arena = &arena{}
+	t.arena.tip.Store(t)
+}
+
+// claim readies t for a write: a version that is no longer its arena's
+// newest — a Clone may have appended past its nodes — moves to its own.
+func (t *Tree) claim() {
+	if t.arena.tip.Load() != t {
+		t.unshare()
+	}
+}
+
+// compact replaces t's arena with a fresh one holding only the nodes t
+// reaches, in depth-first order. Leaves keep their entry slices, which
+// other versions may share, so every node stays copy-on-write. The arena
+// has room for the copies that trigger the next compaction, so it does
+// not regrow before then.
+func (t *Tree) compact() {
+	old := t.nodes
+	t.nodes = make([]node, 0, 2*(t.Nodes()+compactSlack))
+	var walk func(ni int32) int32
+	walk = func(ni int32) int32 {
+		at := int32(len(t.nodes))
+		t.nodes = append(t.nodes, old[ni])
+		if !old[ni].leaf {
+			children := make([]int32, len(old[ni].children))
+			for i, c := range old[ni].children {
+				children[i] = walk(c)
+			}
+			t.nodes[at].children = children
+		}
+		return at
+	}
+	if t.root >= 0 {
+		t.root = walk(t.root)
+	}
+	t.orphans = 0
+	t.own = int32(len(t.nodes))
+	t.newArena()
+}
+
+// writable returns the index of a node t may change in place holding what
+// node ni holds: ni itself when this version wrote it, otherwise a copy
+// appended to the arena (ni is then an orphan of t). The caller points
+// ni's parent (or the root) at the returned index.
+func (t *Tree) writable(ni int32) int32 {
+	if ni >= t.own {
+		return ni
+	}
+	n := t.nodes[ni]
+	if n.leaf {
+		n.ents = append(make([]entry, 0, len(n.ents)+1), n.ents...)
+	} else {
+		n.children = append(make([]int32, 0, len(n.children)+1), n.children...)
+	}
+	t.nodes = append(t.nodes, n)
+	t.orphans++
+	return int32(len(t.nodes) - 1)
+}
+
+// SizeBytes estimates the in-memory footprint of the tree, orphaned nodes
+// included.
 func (t *Tree) SizeBytes() int {
 	total := len(t.nodes) * nodeBytes
 	for i := range t.nodes {
 		n := &t.nodes[i]
-		total += len(n.children)*4 + len(n.ids)*4 + len(n.pts)*16
+		total += len(n.children)*4 + len(n.ents)*entryBytes
 	}
 	return total
 }
 
-// nodeBytes is the fixed per-node overhead: rect + leaf flag + three slice
-// headers.
-const nodeBytes = 4*8 + 8 + 3*24
+// nodeBytes is the fixed per-node overhead: rect + leaf flag + two slice
+// headers; entryBytes one entry: point, id and flag, padded.
+const (
+	nodeBytes  = 4*8 + 8 + 2*24
+	entryBytes = 24
+)
 
 // Insert adds one entry. Entry ids need not be unique for the tree itself,
 // but Delete matches by id, so callers (object indexes keyed by vertex)
 // keep them unique. Amortized cost is O(log n) choose-subtree work plus
-// O(nodeCap) copying; occasionally an STR repack runs when accumulated
-// updates degrade the packing (see Rebuilds).
+// O(nodeCap) copying per node on the path; occasionally an STR repack runs
+// when accumulated updates degrade the packing (see Rebuilds).
 func (t *Tree) Insert(id int32, pt geo.Point) {
+	t.claim()
+	e := entry{pt: pt, id: id, fresh: true}
+	t.count++
+	t.fresh++
 	if t.root < 0 {
-		t.nodes = append(t.nodes, node{
-			rect: geo.EmptyRect().Expand(pt),
-			leaf: true,
-			ids:  []int32{id},
-			pts:  []geo.Point{pt},
-		})
+		t.nodes = append(t.nodes, node{rect: geo.EmptyRect().Expand(pt), leaf: true, ents: []entry{e}})
 		t.root = int32(len(t.nodes) - 1)
-		t.count++
 		return
 	}
-	sib := t.insert(t.root, id, pt)
-	if sib >= 0 {
+	t.root = t.writable(t.root)
+	if sib := t.insert(t.root, e); sib >= 0 {
 		// Root split: a new root adopts the old root and its sibling.
 		r := t.nodes[t.root].rect.Union(t.nodes[sib].rect)
 		t.nodes = append(t.nodes, node{rect: r, children: []int32{t.root, sib}})
 		t.root = int32(len(t.nodes) - 1)
 	}
-	t.count++
-	t.dirty++
 	t.maybeRebuild()
 }
 
-// insert descends to the best leaf, growing rects on the way down, and
-// returns the index of a split-off sibling (-1 if no split propagates).
-func (t *Tree) insert(ni, id int32, pt geo.Point) int32 {
-	t.nodes[ni].rect = t.nodes[ni].rect.Expand(pt)
-	if t.nodes[ni].leaf {
-		n := &t.nodes[ni]
-		n.ids = cowAppend32(n.ids, id)
-		n.pts = cowAppendPt(n.pts, pt)
-		if len(n.ids) > t.nodeCap {
+// insert descends from ni, a node t may write, to the best leaf, growing
+// rects on the way down, and returns the index of a split-off sibling (-1
+// if no split propagates).
+func (t *Tree) insert(ni int32, e entry) int32 {
+	n := &t.nodes[ni]
+	n.rect = n.rect.Expand(e.pt)
+	if n.leaf {
+		n.ents = append(n.ents, e)
+		if len(n.ents) > t.nodeCap {
 			return t.splitLeaf(ni)
 		}
 		return -1
 	}
-	ci := chooseChild(t.nodes, t.nodes[ni].children, pt)
-	sib := t.insert(t.nodes[ni].children[ci], id, pt)
-	if sib >= 0 {
-		// Re-take the node after the recursive call: splits append to
-		// t.nodes, which may have moved the backing array.
+	ci := chooseChild(t.nodes, n.children, e.pt)
+	c := t.writable(n.children[ci])
+	// Re-take the node after each call that may append to t.nodes, which
+	// may have moved the backing array.
+	t.nodes[ni].children[ci] = c
+	if sib := t.insert(c, e); sib >= 0 {
 		n := &t.nodes[ni]
-		n.children = cowAppend32(n.children, sib)
+		n.children = append(n.children, sib)
 		if len(n.children) > t.nodeCap {
 			return t.splitInternal(ni)
 		}
@@ -257,71 +368,55 @@ func chooseChild(nodes []node, children []int32, pt geo.Point) int {
 
 func area(r geo.Rect) float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
 
-// splitLeaf splits an overflowing leaf along its longer axis at the entry
-// median, keeps the lower half in place and returns the new sibling's index.
+// splitLeaf splits an overflowing leaf, which t wrote, along its longer
+// axis at the entry median: the lower half stays in place and the upper
+// half moves to a new sibling, whose index it returns.
 func (t *Tree) splitLeaf(ni int32) int32 {
 	n := &t.nodes[ni]
-	ids := append([]int32(nil), n.ids...)
-	pts := append([]geo.Point(nil), n.pts...)
 	byY := n.rect.MaxY-n.rect.MinY > n.rect.MaxX-n.rect.MinX
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
+	slices.SortFunc(n.ents, func(a, b entry) int {
 		if byY {
-			return pts[order[a]].Y < pts[order[b]].Y
+			return cmp.Compare(a.pt.Y, b.pt.Y)
 		}
-		return pts[order[a]].X < pts[order[b]].X
+		return cmp.Compare(a.pt.X, b.pt.X)
 	})
-	mid := len(order) / 2
-	lowIDs, lowPts, lowRect := pickEntries(ids, pts, order[:mid])
-	highIDs, highPts, highRect := pickEntries(ids, pts, order[mid:])
-
-	t.nodes = append(t.nodes, node{rect: highRect, leaf: true, ids: highIDs, pts: highPts})
-	n = &t.nodes[ni] // the append above may have moved the array
-	n.ids, n.pts, n.rect = lowIDs, lowPts, lowRect
-	return int32(len(t.nodes) - 1)
-}
-
-func pickEntries(ids []int32, pts []geo.Point, order []int) ([]int32, []geo.Point, geo.Rect) {
-	outIDs := make([]int32, len(order))
-	outPts := make([]geo.Point, len(order))
-	r := geo.EmptyRect()
-	for i, j := range order {
-		outIDs[i] = ids[j]
-		outPts[i] = pts[j]
-		r = r.Expand(pts[j])
+	mid := len(n.ents) / 2
+	high := node{leaf: true, ents: slices.Clone(n.ents[mid:])}
+	n.ents = n.ents[:mid]
+	n.rect, high.rect = geo.EmptyRect(), geo.EmptyRect()
+	for _, e := range n.ents {
+		n.rect = n.rect.Expand(e.pt)
 	}
-	return outIDs, outPts, r
+	for _, e := range high.ents {
+		high.rect = high.rect.Expand(e.pt)
+	}
+	t.nodes = append(t.nodes, high)
+	return int32(len(t.nodes) - 1)
 }
 
 // splitInternal splits an overflowing internal node by child-rect centers
 // along the node's longer axis, mirroring splitLeaf.
 func (t *Tree) splitInternal(ni int32) int32 {
 	n := &t.nodes[ni]
-	children := append([]int32(nil), n.children...)
 	byY := n.rect.MaxY-n.rect.MinY > n.rect.MaxX-n.rect.MinX
-	sort.Slice(children, func(a, b int) bool {
-		ra, rb := t.nodes[children[a]].rect, t.nodes[children[b]].rect
+	slices.SortFunc(n.children, func(a, b int32) int {
+		ra, rb := t.nodes[a].rect, t.nodes[b].rect
 		if byY {
-			return ra.MinY+ra.MaxY < rb.MinY+rb.MaxY
+			return cmp.Compare(ra.MinY+ra.MaxY, rb.MinY+rb.MaxY)
 		}
-		return ra.MinX+ra.MaxX < rb.MinX+rb.MaxX
+		return cmp.Compare(ra.MinX+ra.MaxX, rb.MinX+rb.MaxX)
 	})
-	mid := len(children) / 2
-	low := children[:mid:mid]
-	high := children[mid:]
-	lowRect, highRect := geo.EmptyRect(), geo.EmptyRect()
-	for _, c := range low {
-		lowRect = lowRect.Union(t.nodes[c].rect)
+	mid := len(n.children) / 2
+	high := node{children: slices.Clone(n.children[mid:])}
+	n.children = n.children[:mid]
+	n.rect, high.rect = geo.EmptyRect(), geo.EmptyRect()
+	for _, c := range n.children {
+		n.rect = n.rect.Union(t.nodes[c].rect)
 	}
-	for _, c := range high {
-		highRect = highRect.Union(t.nodes[c].rect)
+	for _, c := range high.children {
+		high.rect = high.rect.Union(t.nodes[c].rect)
 	}
-	t.nodes = append(t.nodes, node{rect: highRect, children: high})
-	n = &t.nodes[ni]
-	n.children, n.rect = low, lowRect
+	t.nodes = append(t.nodes, high)
 	return int32(len(t.nodes) - 1)
 }
 
@@ -331,105 +426,86 @@ func (t *Tree) splitInternal(ni int32) int32 {
 // shrinking, underfull nodes stay — degradation is bounded by the periodic
 // STR repack instead. Reports whether the entry was present.
 func (t *Tree) Delete(id int32, pt geo.Point) bool {
-	if t.root < 0 || !t.delete(t.root, id, pt) {
+	if t.root < 0 {
 		return false
 	}
+	t.claim()
+	root := t.delete(t.root, id, pt)
+	if root < 0 {
+		return false
+	}
+	t.root = root
 	t.count--
-	t.dirty++
 	t.maybeRebuild()
 	return true
 }
 
-func (t *Tree) delete(ni, id int32, pt geo.Point) bool {
+// delete removes id from the subtree at ni and returns the index ni has
+// afterwards (a copy when t shared it), or -1 when the subtree does not
+// hold id. Only the nodes on the path to the entry are copied.
+func (t *Tree) delete(ni, id int32, pt geo.Point) int32 {
 	n := &t.nodes[ni]
 	if !n.rect.Contains(pt) {
-		return false
+		return -1
 	}
 	if n.leaf {
-		for i, eid := range n.ids {
-			if eid == id {
-				n.ids = cowRemove32(n.ids, i)
-				n.pts = cowRemovePt(n.pts, i)
-				return true
-			}
+		i := slices.IndexFunc(n.ents, func(e entry) bool { return e.id == id })
+		if i < 0 {
+			return -1
 		}
-		return false
+		w := t.writable(ni)
+		n = &t.nodes[w]
+		if n.ents[i].fresh {
+			t.fresh--
+		} else {
+			t.gone++
+		}
+		n.ents = slices.Delete(n.ents, i, i+1)
+		return w
 	}
-	for _, c := range n.children {
-		if t.delete(c, id, pt) {
-			return true
+	for i, c := range n.children {
+		if w := t.delete(c, id, pt); w >= 0 {
+			p := t.writable(ni)
+			t.nodes[p].children[i] = w
+			return p
 		}
 	}
-	return false
+	return -1
 }
 
-// maybeRebuild repacks the tree with STR once accumulated updates pass the
-// degradation threshold, restoring bulk-loaded query quality.
+// maybeRebuild repacks the tree with STR once the net degradation passes
+// the threshold, restoring bulk-loaded query quality.
 func (t *Tree) maybeRebuild() {
-	if t.dirty < rebuildMinOps || t.dirty*rebuildDivisor < t.count {
+	if d := t.fresh + t.gone; d < rebuildMinOps || d*rebuildDivisor < t.count {
 		return
 	}
-	ids := make([]int32, 0, t.count)
-	pts := make([]geo.Point, 0, t.count)
-	for i := range t.nodes {
-		if t.nodes[i].leaf {
-			ids = append(ids, t.nodes[i].ids...)
-			pts = append(pts, t.nodes[i].pts...)
-		}
-	}
-	t.bulkLoad(ids, pts)
+	t.bulkLoad(t.collect(t.root, make([]entry, 0, t.count)))
 	t.rebuilds++
 }
 
-// cowAppend32 and friends implement the copy-before-write discipline every
-// node mutation follows: the source slice (possibly shared with a cloned
-// epoch) is never written, a fresh bounded slice replaces it. Nodes hold at
-// most nodeCap+1 entries, so each copy is O(nodeCap).
-func cowAppend32(s []int32, v int32) []int32 {
-	out := make([]int32, len(s)+1)
-	copy(out, s)
-	out[len(s)] = v
-	return out
-}
-
-func cowAppendPt(s []geo.Point, v geo.Point) []geo.Point {
-	out := make([]geo.Point, len(s)+1)
-	copy(out, s)
-	out[len(s)] = v
-	return out
-}
-
-func cowRemove32(s []int32, i int) []int32 {
-	out := make([]int32, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
-}
-
-func cowRemovePt(s []geo.Point, i int) []geo.Point {
-	out := make([]geo.Point, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
-}
-
-// strItem is one entry STR orders: a point and what it stands for (an
-// entry's index, or a node by its centre).
-type strItem struct {
-	pt geo.Point
-	i  int32
+// collect appends the entries under node ni to dst.
+func (t *Tree) collect(ni int32, dst []entry) []entry {
+	if t.nodes[ni].leaf {
+		return append(dst, t.nodes[ni].ents...)
+	}
+	for _, c := range t.nodes[ni].children {
+		dst = t.collect(c, dst)
+	}
+	return dst
 }
 
 // strOrder sorts items into Sort-Tile-Recursive order: by x, then cut into
 // ceil(sqrt(groups)) vertical slabs, each a whole number of groups of cap
 // items, and each slab sorted by y. Grouping the ordered items cap at a
 // time then tiles every slab and no group straddles two.
-func strOrder(items []strItem, cap int) {
+func strOrder(items []entry, cap int) {
 	n := len(items)
 	groups := (n + cap - 1) / cap
 	slabs := int(math.Ceil(math.Sqrt(float64(groups))))
 	slabSize := (groups + slabs - 1) / slabs * cap
-	slices.SortFunc(items, func(a, b strItem) int { return cmp.Compare(a.pt.X, b.pt.X) })
+	slices.SortFunc(items, func(a, b entry) int { return cmp.Compare(a.pt.X, b.pt.X) })
 	for s := 0; s < n; s += slabSize {
-		slices.SortFunc(items[s:min(s+slabSize, n)], func(a, b strItem) int { return cmp.Compare(a.pt.Y, b.pt.Y) })
+		slices.SortFunc(items[s:min(s+slabSize, n)], func(a, b entry) int { return cmp.Compare(a.pt.Y, b.pt.Y) })
 	}
 }
 
@@ -498,8 +574,8 @@ func (s *Scanner) Next() (Neighbor, bool) {
 		}
 		n := &t.nodes[it.node]
 		if n.leaf {
-			for i, p := range n.pts {
-				s.push(scanItem{key: s.from.Dist(p), node: -1, id: n.ids[i]})
+			for _, e := range n.ents {
+				s.push(scanItem{key: s.from.Dist(e.pt), node: -1, id: e.id})
 			}
 		} else {
 			for _, c := range n.children {

@@ -1,9 +1,12 @@
 package rtree
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -346,4 +349,202 @@ func TestSTRPacking(t *testing.T) {
 		}
 		level = below
 	}
+}
+
+// checkExact compares a full scan of tr with the live set.
+func checkExact(t *testing.T, tr *Tree, live map[int32]geo.Point, q geo.Point, when string) {
+	t.Helper()
+	got := tr.KNearest(q, len(live)+1)
+	if len(got) != len(live) || tr.Len() != len(live) {
+		t.Fatalf("%s: scan found %d entries, Len %d, want %d", when, len(got), tr.Len(), len(live))
+	}
+	prev := -1.0
+	for _, n := range got {
+		p, ok := live[n.ID]
+		if !ok || n.Dist != q.Dist(p) || n.Dist < prev {
+			t.Fatalf("%s: scan returned %+v, not a live entry in distance order", when, n)
+		}
+		prev = n.Dist
+	}
+}
+
+// TestRepackCountsNetDegradation inserts fresh points into a bulk-loaded
+// tree and removes each again, 10,000 times: the set keeps returning to
+// its packed contents, so no STR repack may run, and the tree stays exact.
+func TestRepackCountsNetDegradation(t *testing.T) {
+	ids, pts := randomPoints(256, 15)
+	tr := New(ids, pts, 8)
+	live := map[int32]geo.Point{}
+	for i, id := range ids {
+		live[id] = pts[i]
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 10000; i++ {
+		id, p := int32(1000+i), geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		tr.Insert(id, p)
+		if !tr.Delete(id, p) {
+			t.Fatalf("op %d: Delete of the entry just inserted reported absent", i)
+		}
+	}
+	if tr.Rebuilds() != 0 {
+		t.Fatalf("%d STR repacks after churn that left the packed set unchanged, want 0", tr.Rebuilds())
+	}
+	checkExact(t, tr, live, geo.Point{X: 250, Y: 750}, "after churn")
+}
+
+// TestClonePathCopies derives a chain of clones, each mutated by a small
+// delta, and keeps every version. A derivation may add at most its
+// touched paths to the arena (each node copied once per Clone), the arena
+// stays within twice the live nodes plus slack, and every version —
+// including ones cloned more than once — answers from its own set.
+func TestClonePathCopies(t *testing.T) {
+	ids, pts := randomPoints(600, 17)
+	tr := New(ids[:300], pts[:300], 8)
+	live := map[int32]geo.Point{}
+	for i := 0; i < 300; i++ {
+		live[ids[i]] = pts[i]
+	}
+	type version struct {
+		tr   *Tree
+		live map[int32]geo.Point
+	}
+	versions := []version{{tr, live}}
+	rng := rand.New(rand.NewSource(18))
+	height := func(tr *Tree) int {
+		h := 1
+		for ni := tr.root; !tr.nodes[ni].leaf; ni = tr.nodes[ni].children[0] {
+			h++
+		}
+		return h
+	}
+	for step := 0; step < 300; step++ {
+		parent := versions[len(versions)-1]
+		if step%50 == 49 {
+			parent = versions[rng.Intn(len(versions))] // a branch off an older version
+		}
+		c := parent.tr.Clone()
+		live := maps.Clone(parent.live)
+		orphans, h := c.orphans, height(c)
+		ops := 1 + rng.Intn(4)
+		for range ops {
+			i := rng.Intn(len(ids))
+			if p, ok := live[ids[i]]; ok {
+				c.Delete(ids[i], p)
+				delete(live, ids[i])
+			} else {
+				c.Insert(ids[i], pts[i])
+				live[ids[i]] = pts[i]
+			}
+		}
+		if c.Rebuilds() == parent.tr.Rebuilds() && c.orphans-orphans > ops*(h+1) {
+			t.Fatalf("step %d: %d ops over height %d copied %d nodes", step, ops, h, c.orphans-orphans)
+		}
+		if len(c.nodes) > 2*c.Nodes()+compactSlack+ops*(h+2) {
+			t.Fatalf("step %d: arena of %d nodes for %d live", step, len(c.nodes), c.Nodes())
+		}
+		versions = append(versions, version{c, live})
+	}
+	for i, v := range versions {
+		checkExact(t, v.tr, v.live, geo.Point{X: float64(i), Y: 500}, fmt.Sprintf("version %d", i))
+	}
+}
+
+// TestCloneCopiesEachNodeOnce deletes two entries of one leaf from a clone:
+// the first copies the root-to-leaf path, the second writes that copy in
+// place.
+func TestCloneCopiesEachNodeOnce(t *testing.T) {
+	ids, pts := randomPoints(500, 19)
+	tr := New(ids, pts, 8)
+	c := tr.Clone()
+	leaf := tr.root
+	depth := 1
+	for ; !tr.nodes[leaf].leaf; leaf = tr.nodes[leaf].children[0] {
+		depth++
+	}
+	a, b := tr.nodes[leaf].ents[0], tr.nodes[leaf].ents[1]
+	c.Delete(a.id, a.pt)
+	if c.orphans != depth || len(c.nodes) != len(tr.nodes)+depth {
+		t.Fatalf("first delete: %d copies, %d nodes appended, want the %d-node path", c.orphans, len(c.nodes)-len(tr.nodes), depth)
+	}
+	c.Delete(b.id, b.pt)
+	if c.orphans != depth || len(c.nodes) != len(tr.nodes)+depth {
+		t.Fatalf("second delete in the same leaf copied again: %d copies", c.orphans)
+	}
+	if tr.Len() != 500 || len(tr.KNearest(a.pt, 500)) != 500 {
+		t.Fatal("the source tree lost entries")
+	}
+}
+
+// TestMutateAfterClone clones one tree twice and then writes to all three,
+// in every order: each keeps its own entries. The source owns every node
+// of its bulk load, and the first clone appends its copies to the same
+// arena, so no version may write another's nodes, and the second clone,
+// no longer the arena's newest, may not append where the first did.
+func TestMutateAfterClone(t *testing.T) {
+	ids, pts := randomPoints(350, 20)
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, order := range orders {
+		tr := New(ids[:200], pts[:200], 8)
+		trees := []*Tree{tr, tr.Clone(), tr.Clone()}
+		lives := make([]map[int32]geo.Point, 3)
+		for v := range lives {
+			lives[v] = map[int32]geo.Point{}
+			for i := 0; i < 200; i++ {
+				lives[v][ids[i]] = pts[i]
+			}
+		}
+		for _, v := range order {
+			from := 200 + 50*v
+			for i := from; i < from+50; i++ {
+				trees[v].Insert(ids[i], pts[i])
+				lives[v][ids[i]] = pts[i]
+				trees[v].Delete(ids[i-from], pts[i-from])
+				delete(lives[v], ids[i-from])
+			}
+		}
+		for v, tr := range trees {
+			checkExact(t, tr, lives[v], geo.Point{X: 300, Y: 300}, fmt.Sprintf("order %v, version %d", order, v))
+		}
+	}
+}
+
+// TestScanWhileDeriving scans pinned versions on other goroutines while
+// the next versions are cloned and mutated, appending to the arena the
+// pinned ones read from: run under -race, it fails if a derivation writes
+// memory a pinned version reads.
+func TestScanWhileDeriving(t *testing.T) {
+	ids, pts := randomPoints(400, 22)
+	tr := New(ids[:200], pts[:200], 8)
+	live := map[int32]geo.Point{}
+	for i := 0; i < 200; i++ {
+		live[ids[i]] = pts[i]
+	}
+	rng := rand.New(rand.NewSource(23))
+	var wg sync.WaitGroup
+	for step := 0; step < 60; step++ {
+		pinned, want := tr, len(live)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				if got := len(pinned.KNearest(geo.Point{X: 500, Y: 500}, want+1)); got != want {
+					t.Errorf("pinned version scanned %d entries, want %d", got, want)
+					return
+				}
+			}
+		}()
+		tr = tr.Clone()
+		for range 4 {
+			i := rng.Intn(len(ids))
+			if p, ok := live[ids[i]]; ok {
+				tr.Delete(ids[i], p)
+				delete(live, ids[i])
+			} else {
+				tr.Insert(ids[i], pts[i])
+				live[ids[i]] = pts[i]
+			}
+		}
+	}
+	wg.Wait()
+	checkExact(t, tr, live, geo.Point{X: 100, Y: 900}, "newest")
 }

@@ -127,3 +127,55 @@ func TestBindingFixedCost(t *testing.T) {
 	}
 	runtime.KeepAlive(db)
 }
+
+// TestSparseMutationCost gates how a small object mutation scales with the
+// network: the same 4-vertex insert and remove run on an 8-object category
+// of DE (1,389 vertices) and of NW (21,825), with INE,
+// IER-PHL and G-tree enabled. Deriving an epoch copies what its delta
+// touches — the membership pages, the occurrence list sized by the
+// objects, the R-tree's touched paths — so NW may cost at most 1.5x DE's
+// bytes per mutation plus 1 KiB, the directory of membership pages. A
+// whole-bitset or per-node copy (2.7 KB and 2.7 KB on NW) fails here.
+func TestSparseMutationCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds PHL and G-tree on DE and NW")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the mutation's")
+	}
+	objs := []int32{11, 103, 207, 309, 401, 503, 707, 1001}
+	delta := []int32{97, 599, 899, 1299}
+	perMutation := func(network string) float64 {
+		spec, _ := gen.LadderSpec(network)
+		g := gen.Network(spec)
+		db, err := Open(g, WithMethods(INE, IERPHL, Gtree), WithObjects(DefaultCategory, objs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate := func() {
+			if err := db.InsertObjects(DefaultCategory, delta); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.RemoveObjects(DefaultCategory, delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 64 {
+			mutate()
+		}
+		const ops = 512
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range ops {
+			mutate()
+		}
+		runtime.ReadMemStats(&after)
+		b := float64(after.TotalAlloc-before.TotalAlloc) / (2 * ops)
+		t.Logf("%s (|V| = %d): %.0f B per mutation", network, g.NumVertices(), b)
+		return b
+	}
+	de, nw := perMutation("DE"), perMutation("NW")
+	if limit := 1.5*de + 1024; nw > limit {
+		t.Errorf("NW costs %.0f B per mutation, DE %.0f: want <= %.0f", nw, de, limit)
+	}
+}

@@ -62,13 +62,13 @@ func (db *DB) RegisterObjects(name string, vertices []int32) error {
 }
 
 // InsertObjects adds vertices to the named category without rebuilding its
-// derived object indexes: the next epoch is derived from the live one in
-// O(delta) per enabled method (R-tree insert, occurrence-list counts and
-// association-directory Add, a copy-on-write membership update for the
-// expansion methods), plus a memcpy of G-tree's leaf lists in which only
-// the leaves the delta touches are merged. A category that does not exist
-// yet is created, so
-// InsertObjects into a fresh name is equivalent to RegisterObjects.
+// derived object indexes: the next epoch is derived from the live one by
+// copying what the delta touches (core.Engine.NextBinding) — the
+// membership pages holding its vertices, the R-tree paths it inserts
+// into, ROAD's occupancy bits — plus the sorted object arrays of the set
+// and of G-tree's occurrence list, each merged with the delta. A category
+// that does not exist yet is created, so InsertObjects into a fresh name is
+// equivalent to RegisterObjects.
 // Vertices already present are ignored.
 //
 // Mutations on one category serialize with each other; queries never block
