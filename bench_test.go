@@ -672,10 +672,10 @@ var mutateDB = struct {
 // so the set is the same after every op. ns/mutation is half of ns/op, the
 // probes' unit. Since an epoch copies only what its delta touches (paged
 // membership, an occurrence list sized by the objects, a path-copied
-// R-tree), an op costs ~6.9 KB and 37 allocs at density 0.001 (17.4 KB
+// R-tree), an op costs ~6.1 KB and 44 allocs at density 0.001 (17.4 KB
 // and 60 when the membership bitset, G-tree's per-node arrays and every
-// R-tree node were copied) and ~66 KB and 52 allocs at 0.1 (118 KB and
-// 67).
+// R-tree node were copied) and ~47 KB and 71 allocs at 0.1 (118 KB and
+// 67: each R-tree node a path copy writes is its own allocation).
 func BenchmarkObjectMutate(b *testing.B) {
 	mutateDB.once.Do(func() {
 		spec, _ := gen.LadderSpec("NW")

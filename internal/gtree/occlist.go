@@ -18,17 +18,16 @@ import (
 // in (leaf sequence, vertex) order, where a leaf's sequence number is its
 // position in the partition's DFS leaf order (partition.Tree.LeafSeq). A
 // node's subtree covers one range of sequence numbers, [LeafLo, LeafHi), so
-// its objects are one run of the array, found by binary search; a leaf's
-// run is its objects in ascending order.
+// its objects are one run of the array, found by binary search over the
+// objects' LeafSeq keys; a leaf's run is its objects in ascending order.
 //
 // A list is immutable: Next derives the list of the next object set into a
 // fresh array, so the original keeps answering from its own set — the
 // per-method maintainer contract of the epoch-versioned object store.
 type OccurrenceList struct {
-	// obj[i] is the i-th object in (leaf sequence, vertex) order and
-	// seq[i] = pt.LeafSeq[obj[i]], the key the runs are searched by.
-	seq, obj []int32
-	pt       *partition.Tree
+	// obj[i] is the i-th object in (leaf sequence, vertex) order.
+	obj []int32
+	pt  *partition.Tree
 	// objs is the object set the list was built over: the O(1) membership
 	// test the Algorithm 4 leaf search uses in place of a per-query hash set.
 	objs *knn.ObjectSet
@@ -40,7 +39,7 @@ type OccurrenceList struct {
 // vertices, so each run comes out ascending.
 func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
 	vs := objs.Vertices()
-	ol := newList(x.PT, objs, len(vs))
+	ol := &OccurrenceList{obj: make([]int32, len(vs)), pt: x.PT, objs: objs}
 	start := make([]int32, x.PT.Nodes[0].LeafHi+1)
 	for _, v := range vs {
 		start[x.PT.LeafSeq[v]+1]++
@@ -50,16 +49,10 @@ func (x *Index) NewOccurrenceList(objs *knn.ObjectSet) *OccurrenceList {
 	}
 	for _, v := range vs {
 		s := x.PT.LeafSeq[v]
-		ol.seq[start[s]], ol.obj[start[s]] = s, v
+		ol.obj[start[s]] = v
 		start[s]++
 	}
 	return ol
-}
-
-// newList returns a list over objs with room for n objects in one slab.
-func newList(pt *partition.Tree, objs *knn.ObjectSet, n int) *OccurrenceList {
-	slab := make([]int32, 2*n)
-	return &OccurrenceList{seq: slab[:n:n], obj: slab[n:], pt: pt, objs: objs}
 }
 
 // Next returns the list of objs, the successor of ol's object set whose
@@ -83,11 +76,10 @@ func (ol *OccurrenceList) Next(x *Index, objs *knn.ObjectSet, added, removed []i
 	rm, ad := keys[:len(removed)], keys[len(removed):]
 	slices.Sort(rm)
 	slices.Sort(ad)
-	next := newList(x.PT, objs, len(ol.obj)-len(rm)+len(ad))
+	next := &OccurrenceList{obj: make([]int32, len(ol.obj)-len(rm)+len(ad)), pt: x.PT, objs: objs}
 	from, out := 0, 0 // ol's objects before from are placed, next's before out are written
 	copyTo := func(k int64) {
 		at := ol.search(from, k)
-		copy(next.seq[out:], ol.seq[from:at])
 		copy(next.obj[out:], ol.obj[from:at])
 		out += at - from
 		from = at
@@ -102,11 +94,10 @@ func (ol *OccurrenceList) Next(x *Index, objs *knn.ObjectSet, added, removed []i
 			continue
 		}
 		copyTo(ad[0])
-		next.seq[out], next.obj[out] = int32(ad[0]>>32), int32(ad[0])
+		next.obj[out] = int32(ad[0])
 		out++
 		ad = ad[1:]
 	}
-	copy(next.seq[out:], ol.seq[from:])
 	copy(next.obj[out:], ol.obj[from:])
 	return next
 }
@@ -114,10 +105,10 @@ func (ol *OccurrenceList) Next(x *Index, objs *knn.ObjectSet, added, removed []i
 // search returns the position of ol's first object, from position from
 // on, whose key is at least k.
 func (ol *OccurrenceList) search(from int, k int64) int {
-	lo, hi := from, len(ol.seq)
+	lo, hi := from, len(ol.obj)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if key(ol.seq[m], ol.obj[m]) < k {
+		if v := ol.obj[m]; key(ol.pt.LeafSeq[v], v) < k {
 			lo = m + 1
 		} else {
 			hi = m
@@ -130,18 +121,16 @@ func (ol *OccurrenceList) search(from int, k int64) int {
 func key(seq, v int32) int64 { return int64(seq)<<32 | int64(v) }
 
 // lowerBound returns the position of ol's first object whose leaf sequence
-// number is at least s.
-func (ol *OccurrenceList) lowerBound(s int32) int {
-	i, _ := slices.BinarySearch(ol.seq, s)
-	return i
-}
+// number is at least s (vertices are non-negative, so key(s, 0) is the
+// least key in leaf s).
+func (ol *OccurrenceList) lowerBound(s int32) int { return ol.search(0, key(s, 0)) }
 
 // HasObjects reports whether node ni's subgraph contains any object: one
 // binary search for the node's first leaf.
 func (ol *OccurrenceList) HasObjects(ni int32) bool {
 	n := &ol.pt.Nodes[ni]
 	i := ol.lowerBound(n.LeafLo)
-	return i < len(ol.seq) && ol.seq[i] < n.LeafHi
+	return i < len(ol.obj) && ol.pt.LeafSeq[ol.obj[i]] < n.LeafHi
 }
 
 // Count returns the number of objects under node ni.
@@ -159,7 +148,7 @@ func (ol *OccurrenceList) LeafObjects(ni int32) []int32 {
 	}
 	lo := ol.lowerBound(n.LeafLo)
 	hi := lo
-	for hi < len(ol.seq) && ol.seq[hi] == n.LeafLo {
+	for hi < len(ol.obj) && ol.pt.LeafSeq[ol.obj[hi]] == n.LeafLo {
 		hi++
 	}
 	return ol.obj[lo:hi]
@@ -169,8 +158,8 @@ func (ol *OccurrenceList) LeafObjects(ni int32) []int32 {
 func (ol *OccurrenceList) IsObject(v int32) bool { return ol.objs.Contains(v) }
 
 // SizeBytes estimates the occurrence list's memory footprint (the object
-// index cost of Figure 18): the ordered objects with their leaf sequence
-// numbers, and the object set whose membership bits IsObject reads.
+// index cost of Figure 18): the ordered objects and the object set whose
+// membership bits IsObject reads.
 func (ol *OccurrenceList) SizeBytes() int {
-	return (len(ol.seq)+len(ol.obj))*4 + ol.objs.SizeBytes()
+	return len(ol.obj)*4 + ol.objs.SizeBytes()
 }

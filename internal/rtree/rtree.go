@@ -15,10 +15,8 @@
 // Versions are persistent: Clone derives the next version in O(1), sharing
 // every node with its source, and a mutation of the clone path-copies — it
 // copies each node on the root-to-leaf paths it touches once per Clone and
-// shares the rest. Nodes live in one index arena that the newest version
-// appends its copies to, so the copies a version no longer reaches (orphans)
-// are bounded: once they outnumber its live nodes, the next Clone compacts
-// the live ones into a fresh arena.
+// shares the rest. Nodes are plain pointers, so a copy no version reaches
+// any more is garbage: nothing counts or compacts orphans.
 package rtree
 
 import (
@@ -46,11 +44,6 @@ const (
 	rebuildDivisor = 2
 )
 
-// compactSlack is how many more orphaned nodes than live ones an arena may
-// hold before Clone compacts: a tree of a few nodes orphans a few per
-// Clone, and without the slack it would compact every other Clone.
-const compactSlack = 64
-
 // Tree is an R-tree over a set of points, each carrying a user identifier
 // (the road-network vertex of an object). New bulk-loads with STR; Insert
 // and Delete update it in place. Readers (scans) and writers must not run
@@ -58,17 +51,13 @@ const compactSlack = 64
 // Clones.
 type Tree struct {
 	nodeCap int
-	root    int32 // -1 when the tree is empty
-	// nodes is the index arena: every node this version reaches, and the
-	// orphans it no longer does. nodes[own:] were written by this version
-	// and may be changed in place; any other node is shared with the
-	// version it was cloned from and is copied before a write.
-	nodes []node
-	own   int32
-	arena *arena
+	root    *node // nil when the tree is empty
+	// gen is the generation this version writes its nodes with: a node
+	// whose gen equals it was written by this version since its last
+	// Clone and may be changed in place; any other node may be shared and
+	// is copied before a write. 0 means this version owns no node yet.
+	gen   uint64
 	count int // live entries
-	// orphans counts the nodes of the arena this version does not reach.
-	orphans int
 	// fresh counts entries inserted since the last STR pack and still
 	// present, gone the packed entries since deleted: the net degradation
 	// the repack trigger reads.
@@ -77,19 +66,19 @@ type Tree struct {
 	rebuilds int
 }
 
-// arena records which version may append to a node array's backing store
-// in place: the newest one. Any other version reads its prefix of the
-// array and moves to a copy on its first append.
-type arena struct {
-	tip atomic.Pointer[Tree]
-}
+// generations issues the versions' write generations. It is shared by
+// every tree, and trees of different object sets are derived on different
+// goroutines, so it is atomic.
+var generations atomic.Uint64
 
-// node is one R-tree node. Leaves carry entries, internal nodes carry child
-// node indexes. A node's slices are private to the version that wrote it.
+// node is one R-tree node. Leaves carry entries, internal nodes carry
+// their children. A node's slices are private to the version that wrote
+// it.
 type node struct {
 	rect     geo.Rect
+	gen      uint64
 	leaf     bool
-	children []int32
+	children []*node
 	ents     []entry
 }
 
@@ -119,12 +108,15 @@ func New(ids []int32, pts []geo.Point, nodeCap int) *Tree {
 	return t
 }
 
-// bulkLoad STR-packs the given entries into a fresh arena owned by t,
-// replacing any existing structure. It takes ownership of ents.
+// bulkLoad STR-packs the given entries into nodes owned by t, replacing
+// any existing structure. It takes ownership of ents. The packed nodes
+// share one array and the leaves sub-slice ents, so a packed node a
+// version no longer reaches is freed with the last one it still does —
+// never more than one pack's worth.
 func (t *Tree) bulkLoad(ents []entry) {
-	t.nodes, t.own, t.root = nil, 0, -1
-	t.newArena()
-	t.count, t.orphans, t.fresh, t.gone = len(ents), 0, 0, 0
+	t.root = nil
+	t.gen = generations.Add(1)
+	t.count, t.fresh, t.gone = len(ents), 0, 0
 	if len(ents) == 0 {
 		return
 	}
@@ -132,43 +124,58 @@ func (t *Tree) bulkLoad(ents []entry) {
 	for i := range ents {
 		ents[i].fresh = false
 	}
+	// The pack makes ceil(n/cap) leaves, then ceil(width/cap) nodes per
+	// level up to the root: all of them fit in one array.
+	total := 0
+	for width := len(ents); ; {
+		width = (width + t.nodeCap - 1) / t.nodeCap
+		total += width
+		if width == 1 {
+			break
+		}
+	}
+	packed := make([]node, 0, total)
+	pack := func(n node) *node {
+		n.gen = t.gen
+		packed = append(packed, n)
+		return &packed[len(packed)-1]
+	}
 
 	// Build leaf level. Sub-slicing with a capacity clamp keeps the packed
 	// backing array shared until an insert copies a node's entries out.
-	var level []int32 // node indexes of the current level
+	var level []*node
 	for start := 0; start < len(ents); start += t.nodeCap {
 		end := min(start+t.nodeCap, len(ents))
 		r := geo.EmptyRect()
 		for _, e := range ents[start:end] {
 			r = r.Expand(e.pt)
 		}
-		t.nodes = append(t.nodes, node{rect: r, leaf: true, ents: ents[start:end:end]})
-		level = append(level, int32(len(t.nodes)-1))
+		level = append(level, pack(node{rect: r, leaf: true, ents: ents[start:end:end]}))
 	}
 	// Build internal levels until a single root remains, each STR-ordered
-	// by node centre (an entry whose id is the node) before grouping.
+	// by node centre (an entry whose id is the node's position in the
+	// level) before grouping.
 	items := make([]entry, len(level))
 	for len(level) > 1 {
 		items = items[:len(level)]
-		for i, ni := range level {
-			r := t.nodes[ni].rect
-			items[i] = entry{pt: geo.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}, id: ni}
+		for i, n := range level {
+			r := n.rect
+			items[i] = entry{pt: geo.Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}, id: int32(i)}
 		}
 		strOrder(items, t.nodeCap)
+		ordered := make([]*node, len(level))
 		for i, it := range items {
-			level[i] = it.id
+			ordered[i] = level[it.id]
 		}
-		var next []int32
-		for start := 0; start < len(level); start += t.nodeCap {
-			end := min(start+t.nodeCap, len(level))
+		level = level[:0]
+		for start := 0; start < len(ordered); start += t.nodeCap {
+			end := min(start+t.nodeCap, len(ordered))
 			r := geo.EmptyRect()
-			for _, ni := range level[start:end] {
-				r = r.Union(t.nodes[ni].rect)
+			for _, c := range ordered[start:end] {
+				r = r.Union(c.rect)
 			}
-			t.nodes = append(t.nodes, node{rect: r, children: level[start:end:end]})
-			next = append(next, int32(len(t.nodes)-1))
+			level = append(level, pack(node{rect: r, children: ordered[start:end:end]}))
 		}
-		level = next
 	}
 	t.root = level[0]
 }
@@ -177,7 +184,25 @@ func (t *Tree) bulkLoad(ents []entry) {
 func (t *Tree) Len() int { return t.count }
 
 // Nodes returns the number of nodes the tree reaches from its root.
-func (t *Tree) Nodes() int { return len(t.nodes) - t.orphans }
+func (t *Tree) Nodes() int {
+	n := 0
+	t.walk(func(*node) { n++ })
+	return n
+}
+
+// walk calls visit on every node t reaches, parents before children.
+func (t *Tree) walk(visit func(*node)) {
+	var rec func(n *node)
+	rec = func(n *node) {
+		visit(n)
+		for _, c := range n.children {
+			rec(c)
+		}
+	}
+	if t.root != nil {
+		rec(t.root)
+	}
+}
 
 // Rebuilds reports how many degradation-triggered STR repacks the tree has
 // performed.
@@ -188,113 +213,53 @@ func (t *Tree) Rebuilds() int { return t.rebuilds }
 // clone never changes what a reader of t observes — the property the
 // epoch-versioned object store relies on (each epoch's tree is a Clone of
 // the previous epoch's). Cloning t again, or mutating t afterwards, is
-// allowed too: whichever version is no longer the newest moves to its own
-// copy of the arena on its first write. When the arena's orphans outnumber
-// t's live nodes, the clone gets a compacted arena instead (O(live nodes),
-// amortized over the copies that orphaned them).
+// allowed too: t gives up its nodes to the clone, so its own next write
+// copies as well. Giving them up writes t's generation, which no scan
+// reads, so t may be scanned meanwhile but not cloned or mutated.
 func (t *Tree) Clone() *Tree {
 	c := *t
-	c.own = int32(len(t.nodes))
-	// If t was the arena's newest version, c is now; a version that is not
-	// (t, or c when t was not) moves to an arena of its own on its next
-	// write (claim).
-	t.arena.tip.CompareAndSwap(t, &c)
-	if t.orphans > t.Nodes()+compactSlack {
-		c.compact()
+	c.gen, t.gen = 0, 0
+	return &c
+}
+
+// writable returns a node t may change in place holding what n holds: n
+// itself when this version wrote it, otherwise a copy. The caller points
+// n's parent (or the root) at the returned node.
+func (t *Tree) writable(n *node) *node {
+	if t.gen != 0 && n.gen == t.gen {
+		return n
+	}
+	c := *n
+	c.gen = t.writeGen()
+	if c.leaf {
+		c.ents = append(make([]entry, 0, len(n.ents)+1), n.ents...)
+	} else {
+		c.children = append(make([]*node, 0, len(n.children)+1), n.children...)
 	}
 	return &c
 }
 
-// unshare moves t to an arena of its own: the node array is clipped, so its
-// next append copies it, and every node it holds is treated as shared.
-func (t *Tree) unshare() {
-	t.nodes = slices.Clip(t.nodes)
-	t.own = int32(len(t.nodes))
-	t.newArena()
+// writeGen returns t's write generation, drawing a new one on t's first
+// write since it was cloned or gave its nodes to a clone.
+func (t *Tree) writeGen() uint64 {
+	if t.gen == 0 {
+		t.gen = generations.Add(1)
+	}
+	return t.gen
 }
 
-// newArena makes t the newest version of a new arena, first giving up the
-// old one if t was its newest: no version of the old arena may append to
-// it any more, and it no longer keeps t reachable.
-func (t *Tree) newArena() {
-	if t.arena != nil {
-		t.arena.tip.CompareAndSwap(t, nil)
-	}
-	t.arena = &arena{}
-	t.arena.tip.Store(t)
-}
-
-// claim readies t for a write: a version that is no longer its arena's
-// newest — a Clone may have appended past its nodes — moves to its own.
-func (t *Tree) claim() {
-	if t.arena.tip.Load() != t {
-		t.unshare()
-	}
-}
-
-// compact replaces t's arena with a fresh one holding only the nodes t
-// reaches, in depth-first order. Leaves keep their entry slices, which
-// other versions may share, so every node stays copy-on-write. The arena
-// has room for the copies that trigger the next compaction, so it does
-// not regrow before then.
-func (t *Tree) compact() {
-	old := t.nodes
-	t.nodes = make([]node, 0, 2*(t.Nodes()+compactSlack))
-	var walk func(ni int32) int32
-	walk = func(ni int32) int32 {
-		at := int32(len(t.nodes))
-		t.nodes = append(t.nodes, old[ni])
-		if !old[ni].leaf {
-			children := make([]int32, len(old[ni].children))
-			for i, c := range old[ni].children {
-				children[i] = walk(c)
-			}
-			t.nodes[at].children = children
-		}
-		return at
-	}
-	if t.root >= 0 {
-		t.root = walk(t.root)
-	}
-	t.orphans = 0
-	t.own = int32(len(t.nodes))
-	t.newArena()
-}
-
-// writable returns the index of a node t may change in place holding what
-// node ni holds: ni itself when this version wrote it, otherwise a copy
-// appended to the arena (ni is then an orphan of t). The caller points
-// ni's parent (or the root) at the returned index.
-func (t *Tree) writable(ni int32) int32 {
-	if ni >= t.own {
-		return ni
-	}
-	n := t.nodes[ni]
-	if n.leaf {
-		n.ents = append(make([]entry, 0, len(n.ents)+1), n.ents...)
-	} else {
-		n.children = append(make([]int32, 0, len(n.children)+1), n.children...)
-	}
-	t.nodes = append(t.nodes, n)
-	t.orphans++
-	return int32(len(t.nodes) - 1)
-}
-
-// SizeBytes estimates the in-memory footprint of the tree, orphaned nodes
-// included.
+// SizeBytes estimates the in-memory footprint of the nodes the tree
+// reaches.
 func (t *Tree) SizeBytes() int {
-	total := len(t.nodes) * nodeBytes
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		total += len(n.children)*4 + len(n.ents)*entryBytes
-	}
+	total := 0
+	t.walk(func(n *node) { total += nodeBytes + len(n.children)*8 + len(n.ents)*entryBytes })
 	return total
 }
 
-// nodeBytes is the fixed per-node overhead: rect + leaf flag + two slice
-// headers; entryBytes one entry: point, id and flag, padded.
+// nodeBytes is the fixed per-node overhead: rect, generation, leaf flag
+// and two slice headers; entryBytes one entry: point, id and flag, padded.
 const (
-	nodeBytes  = 4*8 + 8 + 2*24
+	nodeBytes  = 4*8 + 8 + 8 + 2*24
 	entryBytes = 24
 )
 
@@ -304,59 +269,52 @@ const (
 // O(nodeCap) copying per node on the path; occasionally an STR repack runs
 // when accumulated updates degrade the packing (see Rebuilds).
 func (t *Tree) Insert(id int32, pt geo.Point) {
-	t.claim()
 	e := entry{pt: pt, id: id, fresh: true}
 	t.count++
 	t.fresh++
-	if t.root < 0 {
-		t.nodes = append(t.nodes, node{rect: geo.EmptyRect().Expand(pt), leaf: true, ents: []entry{e}})
-		t.root = int32(len(t.nodes) - 1)
+	if t.root == nil {
+		t.root = &node{rect: geo.EmptyRect().Expand(pt), gen: t.writeGen(), leaf: true, ents: []entry{e}}
 		return
 	}
 	t.root = t.writable(t.root)
-	if sib := t.insert(t.root, e); sib >= 0 {
+	if sib := t.insert(t.root, e); sib != nil {
 		// Root split: a new root adopts the old root and its sibling.
-		r := t.nodes[t.root].rect.Union(t.nodes[sib].rect)
-		t.nodes = append(t.nodes, node{rect: r, children: []int32{t.root, sib}})
-		t.root = int32(len(t.nodes) - 1)
+		r := t.root.rect.Union(sib.rect)
+		t.root = &node{rect: r, gen: t.gen, children: []*node{t.root, sib}}
 	}
 	t.maybeRebuild()
 }
 
-// insert descends from ni, a node t may write, to the best leaf, growing
-// rects on the way down, and returns the index of a split-off sibling (-1
-// if no split propagates).
-func (t *Tree) insert(ni int32, e entry) int32 {
-	n := &t.nodes[ni]
+// insert descends from n, a node t may write, to the best leaf, growing
+// rects on the way down, and returns a split-off sibling (nil if no split
+// propagates).
+func (t *Tree) insert(n *node, e entry) *node {
 	n.rect = n.rect.Expand(e.pt)
 	if n.leaf {
 		n.ents = append(n.ents, e)
 		if len(n.ents) > t.nodeCap {
-			return t.splitLeaf(ni)
+			return t.splitLeaf(n)
 		}
-		return -1
+		return nil
 	}
-	ci := chooseChild(t.nodes, n.children, e.pt)
+	ci := chooseChild(n.children, e.pt)
 	c := t.writable(n.children[ci])
-	// Re-take the node after each call that may append to t.nodes, which
-	// may have moved the backing array.
-	t.nodes[ni].children[ci] = c
-	if sib := t.insert(c, e); sib >= 0 {
-		n := &t.nodes[ni]
+	n.children[ci] = c
+	if sib := t.insert(c, e); sib != nil {
 		n.children = append(n.children, sib)
 		if len(n.children) > t.nodeCap {
-			return t.splitInternal(ni)
+			return t.splitInternal(n)
 		}
 	}
-	return -1
+	return nil
 }
 
 // chooseChild picks the child whose rect needs the least area enlargement
 // to cover pt, breaking ties by smaller area (Guttman's criterion).
-func chooseChild(nodes []node, children []int32, pt geo.Point) int {
+func chooseChild(children []*node, pt geo.Point) int {
 	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
 	for i, c := range children {
-		r := nodes[c].rect
+		r := c.rect
 		a := area(r)
 		enl := area(r.Expand(pt)) - a
 		if enl < bestEnl || (enl == bestEnl && a < bestArea) {
@@ -370,9 +328,8 @@ func area(r geo.Rect) float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
 
 // splitLeaf splits an overflowing leaf, which t wrote, along its longer
 // axis at the entry median: the lower half stays in place and the upper
-// half moves to a new sibling, whose index it returns.
-func (t *Tree) splitLeaf(ni int32) int32 {
-	n := &t.nodes[ni]
+// half moves to a new sibling, which it returns.
+func (t *Tree) splitLeaf(n *node) *node {
 	byY := n.rect.MaxY-n.rect.MinY > n.rect.MaxX-n.rect.MinX
 	slices.SortFunc(n.ents, func(a, b entry) int {
 		if byY {
@@ -381,7 +338,7 @@ func (t *Tree) splitLeaf(ni int32) int32 {
 		return cmp.Compare(a.pt.X, b.pt.X)
 	})
 	mid := len(n.ents) / 2
-	high := node{leaf: true, ents: slices.Clone(n.ents[mid:])}
+	high := &node{gen: t.gen, leaf: true, ents: slices.Clone(n.ents[mid:])}
 	n.ents = n.ents[:mid]
 	n.rect, high.rect = geo.EmptyRect(), geo.EmptyRect()
 	for _, e := range n.ents {
@@ -390,34 +347,30 @@ func (t *Tree) splitLeaf(ni int32) int32 {
 	for _, e := range high.ents {
 		high.rect = high.rect.Expand(e.pt)
 	}
-	t.nodes = append(t.nodes, high)
-	return int32(len(t.nodes) - 1)
+	return high
 }
 
 // splitInternal splits an overflowing internal node by child-rect centers
 // along the node's longer axis, mirroring splitLeaf.
-func (t *Tree) splitInternal(ni int32) int32 {
-	n := &t.nodes[ni]
+func (t *Tree) splitInternal(n *node) *node {
 	byY := n.rect.MaxY-n.rect.MinY > n.rect.MaxX-n.rect.MinX
-	slices.SortFunc(n.children, func(a, b int32) int {
-		ra, rb := t.nodes[a].rect, t.nodes[b].rect
+	slices.SortFunc(n.children, func(a, b *node) int {
 		if byY {
-			return cmp.Compare(ra.MinY+ra.MaxY, rb.MinY+rb.MaxY)
+			return cmp.Compare(a.rect.MinY+a.rect.MaxY, b.rect.MinY+b.rect.MaxY)
 		}
-		return cmp.Compare(ra.MinX+ra.MaxX, rb.MinX+rb.MaxX)
+		return cmp.Compare(a.rect.MinX+a.rect.MaxX, b.rect.MinX+b.rect.MaxX)
 	})
 	mid := len(n.children) / 2
-	high := node{children: slices.Clone(n.children[mid:])}
+	high := &node{gen: t.gen, children: slices.Clone(n.children[mid:])}
 	n.children = n.children[:mid]
 	n.rect, high.rect = geo.EmptyRect(), geo.EmptyRect()
 	for _, c := range n.children {
-		n.rect = n.rect.Union(t.nodes[c].rect)
+		n.rect = n.rect.Union(c.rect)
 	}
 	for _, c := range high.children {
-		high.rect = high.rect.Union(t.nodes[c].rect)
+		high.rect = high.rect.Union(c.rect)
 	}
-	t.nodes = append(t.nodes, high)
-	return int32(len(t.nodes) - 1)
+	return high
 }
 
 // Delete removes the entry with the given id, where pt is the point the id
@@ -426,12 +379,11 @@ func (t *Tree) splitInternal(ni int32) int32 {
 // shrinking, underfull nodes stay — degradation is bounded by the periodic
 // STR repack instead. Reports whether the entry was present.
 func (t *Tree) Delete(id int32, pt geo.Point) bool {
-	if t.root < 0 {
+	if t.root == nil {
 		return false
 	}
-	t.claim()
 	root := t.delete(t.root, id, pt)
-	if root < 0 {
+	if root == nil {
 		return false
 	}
 	t.root = root
@@ -440,37 +392,35 @@ func (t *Tree) Delete(id int32, pt geo.Point) bool {
 	return true
 }
 
-// delete removes id from the subtree at ni and returns the index ni has
-// afterwards (a copy when t shared it), or -1 when the subtree does not
+// delete removes id from the subtree at n and returns the node n is
+// afterwards (a copy when t shared it), or nil when the subtree does not
 // hold id. Only the nodes on the path to the entry are copied.
-func (t *Tree) delete(ni, id int32, pt geo.Point) int32 {
-	n := &t.nodes[ni]
+func (t *Tree) delete(n *node, id int32, pt geo.Point) *node {
 	if !n.rect.Contains(pt) {
-		return -1
+		return nil
 	}
 	if n.leaf {
 		i := slices.IndexFunc(n.ents, func(e entry) bool { return e.id == id })
 		if i < 0 {
-			return -1
+			return nil
 		}
-		w := t.writable(ni)
-		n = &t.nodes[w]
-		if n.ents[i].fresh {
+		w := t.writable(n)
+		if w.ents[i].fresh {
 			t.fresh--
 		} else {
 			t.gone++
 		}
-		n.ents = slices.Delete(n.ents, i, i+1)
+		w.ents = slices.Delete(w.ents, i, i+1)
 		return w
 	}
 	for i, c := range n.children {
-		if w := t.delete(c, id, pt); w >= 0 {
-			p := t.writable(ni)
-			t.nodes[p].children[i] = w
+		if w := t.delete(c, id, pt); w != nil {
+			p := t.writable(n)
+			p.children[i] = w
 			return p
 		}
 	}
-	return -1
+	return nil
 }
 
 // maybeRebuild repacks the tree with STR once the net degradation passes
@@ -479,19 +429,10 @@ func (t *Tree) maybeRebuild() {
 	if d := t.fresh + t.gone; d < rebuildMinOps || d*rebuildDivisor < t.count {
 		return
 	}
-	t.bulkLoad(t.collect(t.root, make([]entry, 0, t.count)))
+	ents := make([]entry, 0, t.count)
+	t.walk(func(n *node) { ents = append(ents, n.ents...) })
+	t.bulkLoad(ents)
 	t.rebuilds++
-}
-
-// collect appends the entries under node ni to dst.
-func (t *Tree) collect(ni int32, dst []entry) []entry {
-	if t.nodes[ni].leaf {
-		return append(dst, t.nodes[ni].ents...)
-	}
-	for _, c := range t.nodes[ni].children {
-		dst = t.collect(c, dst)
-	}
-	return dst
 }
 
 // strOrder sorts items into Sort-Tile-Recursive order: by x, then cut into
@@ -516,10 +457,10 @@ type Neighbor struct {
 }
 
 // scanItem is an entry of the scan's priority queue, holding either an
-// R-tree node (node >= 0) or a point entry (node == -1, id set): 16 bytes.
+// R-tree node or a point entry (node == nil, id set).
 type scanItem struct {
 	key  float64
-	node int32 // -1 for a point entry
+	node *node // nil for a point entry
 	id   int32
 }
 
@@ -530,7 +471,6 @@ type scanItem struct {
 // created from and must not outlive concurrent mutations of that same Tree
 // value; epoch-sharing callers scan a pinned Clone that is never mutated.
 type Scanner struct {
-	t     *Tree
 	from  geo.Point
 	items []scanItem
 }
@@ -546,11 +486,10 @@ func (t *Tree) NewScan(p geo.Point) *Scanner {
 // backing array — the reuse hook that lets a query session keep one
 // Scanner for its lifetime instead of allocating one per query.
 func (s *Scanner) Start(t *Tree, p geo.Point) {
-	s.t = t
 	s.from = p
 	s.items = s.items[:0]
-	if t.root >= 0 {
-		s.push(scanItem{key: t.nodes[t.root].rect.MinDist(p), node: t.root})
+	if t.root != nil {
+		s.push(scanItem{key: t.root.rect.MinDist(p), node: t.root})
 	}
 }
 
@@ -566,20 +505,19 @@ func (s *Scanner) PeekDist() float64 {
 
 // Next returns the next nearest neighbor, or ok=false when exhausted.
 func (s *Scanner) Next() (Neighbor, bool) {
-	t := s.t
 	for len(s.items) > 0 {
 		it := s.pop()
-		if it.node < 0 {
+		if it.node == nil {
 			return Neighbor{ID: it.id, Dist: it.key}, true
 		}
-		n := &t.nodes[it.node]
+		n := it.node
 		if n.leaf {
 			for _, e := range n.ents {
-				s.push(scanItem{key: s.from.Dist(e.pt), node: -1, id: e.id})
+				s.push(scanItem{key: s.from.Dist(e.pt), id: e.id})
 			}
 		} else {
 			for _, c := range n.children {
-				s.push(scanItem{key: t.nodes[c].rect.MinDist(s.from), node: c})
+				s.push(scanItem{key: c.rect.MinDist(s.from), node: c})
 			}
 		}
 	}

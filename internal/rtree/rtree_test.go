@@ -328,18 +328,18 @@ func TestSTRPacking(t *testing.T) {
 		width = (width + nodeCap - 1) / nodeCap
 		wantNodes += width
 	}
-	if len(tr.nodes) != wantNodes {
-		t.Fatalf("%d nodes, want %d", len(tr.nodes), wantNodes)
+	if tr.Nodes() != wantNodes {
+		t.Fatalf("%d nodes, want %d", tr.Nodes(), wantNodes)
 	}
-	for depth, level := 0, []int32{tr.root}; len(level) > 0; depth++ {
+	for depth, level := 0, []*node{tr.root}; len(level) > 0; depth++ {
 		var sum float64
-		var below []int32
-		for _, ni := range level {
-			sum += area(tr.nodes[ni].rect)
-			below = append(below, tr.nodes[ni].children...)
+		var below []*node
+		for _, n := range level {
+			sum += area(n.rect)
+			below = append(below, n.children...)
 		}
 		bound := 1.25
-		if tr.nodes[level[0]].leaf {
+		if level[0].leaf {
 			bound = 1
 		}
 		ratio := sum / area(box)
@@ -392,11 +392,28 @@ func TestRepackCountsNetDegradation(t *testing.T) {
 	checkExact(t, tr, live, geo.Point{X: 250, Y: 750}, "after churn")
 }
 
+// copied returns how many nodes tr reaches that it wrote since its last
+// Clone, and how many of the nodes it reaches src reaches too.
+func copied(tr, src *Tree) (written, shared int) {
+	in := map[*node]bool{}
+	src.walk(func(n *node) { in[n] = true })
+	tr.walk(func(n *node) {
+		if tr.gen != 0 && n.gen == tr.gen {
+			written++
+		}
+		if in[n] {
+			shared++
+		}
+	})
+	return written, shared
+}
+
 // TestClonePathCopies derives a chain of clones, each mutated by a small
-// delta, and keeps every version. A derivation may add at most its
-// touched paths to the arena (each node copied once per Clone), the arena
-// stays within twice the live nodes plus slack, and every version —
-// including ones cloned more than once — answers from its own set.
+// delta, and keeps every version. A derivation writes at most its touched
+// paths (each node copied once per Clone) plus the nodes their splits add,
+// and shares every other node with the version it was cloned from, and
+// every version — including ones cloned more than once — answers from its
+// own set.
 func TestClonePathCopies(t *testing.T) {
 	ids, pts := randomPoints(600, 17)
 	tr := New(ids[:300], pts[:300], 8)
@@ -412,7 +429,7 @@ func TestClonePathCopies(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	height := func(tr *Tree) int {
 		h := 1
-		for ni := tr.root; !tr.nodes[ni].leaf; ni = tr.nodes[ni].children[0] {
+		for n := tr.root; !n.leaf; n = n.children[0] {
 			h++
 		}
 		return h
@@ -424,7 +441,7 @@ func TestClonePathCopies(t *testing.T) {
 		}
 		c := parent.tr.Clone()
 		live := maps.Clone(parent.live)
-		orphans, h := c.orphans, height(c)
+		h := height(c)
 		ops := 1 + rng.Intn(4)
 		for range ops {
 			i := rng.Intn(len(ids))
@@ -436,11 +453,16 @@ func TestClonePathCopies(t *testing.T) {
 				live[ids[i]] = pts[i]
 			}
 		}
-		if c.Rebuilds() == parent.tr.Rebuilds() && c.orphans-orphans > ops*(h+1) {
-			t.Fatalf("step %d: %d ops over height %d copied %d nodes", step, ops, h, c.orphans-orphans)
-		}
-		if len(c.nodes) > 2*c.Nodes()+compactSlack+ops*(h+2) {
-			t.Fatalf("step %d: arena of %d nodes for %d live", step, len(c.nodes), c.Nodes())
+		if c.Rebuilds() == parent.tr.Rebuilds() {
+			written, shared := copied(c, parent.tr)
+			// An op copies at most h+1 nodes (its path, one level
+			// more after a root split) and splits add as many again.
+			if written > ops*2*(h+1) {
+				t.Fatalf("step %d: %d ops over height %d copied %d nodes", step, ops, h, written)
+			}
+			if written+shared != c.Nodes() {
+				t.Fatalf("step %d: %d nodes written and %d shared of %d", step, written, shared, c.Nodes())
+			}
 		}
 		versions = append(versions, version{c, live})
 	}
@@ -451,24 +473,28 @@ func TestClonePathCopies(t *testing.T) {
 
 // TestCloneCopiesEachNodeOnce deletes two entries of one leaf from a clone:
 // the first copies the root-to-leaf path, the second writes that copy in
-// place.
+// place, and every other node stays the source's.
 func TestCloneCopiesEachNodeOnce(t *testing.T) {
 	ids, pts := randomPoints(500, 19)
 	tr := New(ids, pts, 8)
 	c := tr.Clone()
 	leaf := tr.root
 	depth := 1
-	for ; !tr.nodes[leaf].leaf; leaf = tr.nodes[leaf].children[0] {
+	for ; !leaf.leaf; leaf = leaf.children[0] {
 		depth++
 	}
-	a, b := tr.nodes[leaf].ents[0], tr.nodes[leaf].ents[1]
-	c.Delete(a.id, a.pt)
-	if c.orphans != depth || len(c.nodes) != len(tr.nodes)+depth {
-		t.Fatalf("first delete: %d copies, %d nodes appended, want the %d-node path", c.orphans, len(c.nodes)-len(tr.nodes), depth)
-	}
-	c.Delete(b.id, b.pt)
-	if c.orphans != depth || len(c.nodes) != len(tr.nodes)+depth {
-		t.Fatalf("second delete in the same leaf copied again: %d copies", c.orphans)
+	a, b := leaf.ents[0], leaf.ents[1]
+	var first Tree
+	for i, e := range []entry{a, b} {
+		c.Delete(e.id, e.pt)
+		if written, shared := copied(c, tr); written != depth || shared != tr.Nodes()-depth {
+			t.Fatalf("delete %d: %d nodes copied, %d shared, want the %d-node path and %d", i+1, written, shared, depth, tr.Nodes()-depth)
+		}
+		if i == 0 {
+			first = *c
+		} else if _, same := copied(c, &first); same != c.Nodes() {
+			t.Fatalf("second delete copied %d nodes again", c.Nodes()-same)
+		}
 	}
 	if tr.Len() != 500 || len(tr.KNearest(a.pt, 500)) != 500 {
 		t.Fatal("the source tree lost entries")
@@ -476,10 +502,9 @@ func TestCloneCopiesEachNodeOnce(t *testing.T) {
 }
 
 // TestMutateAfterClone clones one tree twice and then writes to all three,
-// in every order: each keeps its own entries. The source owns every node
-// of its bulk load, and the first clone appends its copies to the same
-// arena, so no version may write another's nodes, and the second clone,
-// no longer the arena's newest, may not append where the first did.
+// in every order: each keeps its own entries. The source owned every node
+// of its bulk load before the clones shared them, so no version may write
+// another's nodes in place.
 func TestMutateAfterClone(t *testing.T) {
 	ids, pts := randomPoints(350, 20)
 	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
@@ -509,9 +534,8 @@ func TestMutateAfterClone(t *testing.T) {
 }
 
 // TestScanWhileDeriving scans pinned versions on other goroutines while
-// the next versions are cloned and mutated, appending to the arena the
-// pinned ones read from: run under -race, it fails if a derivation writes
-// memory a pinned version reads.
+// the next versions are cloned and mutated from them: run under -race, it
+// fails if a derivation writes memory a pinned version reads.
 func TestScanWhileDeriving(t *testing.T) {
 	ids, pts := randomPoints(400, 22)
 	tr := New(ids[:200], pts[:200], 8)
