@@ -1,39 +1,12 @@
 package core_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"rnknn/internal/core"
 	"rnknn/internal/gen"
-	"rnknn/internal/graph"
 	"rnknn/internal/knn"
 )
-
-func TestAllMethodsAgreeWithBruteForce(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 16, Cols: 16, Seed: 121})
-	e := core.New(g)
-	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.02, 9))
-	rng := rand.New(rand.NewSource(1))
-	queries := make([]int32, 8)
-	for i := range queries {
-		queries[i] = int32(rng.Intn(g.NumVertices()))
-	}
-	for _, kind := range core.Kinds() {
-		m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		for _, q := range queries {
-			got := m.KNN(q, 5)
-			want := knn.BruteForce(g, objs, q, 5)
-			if !knn.SameResults(got, want) {
-				t.Fatalf("%v q=%d: got %s want %s", kind, q,
-					knn.FormatResults(got), knn.FormatResults(want))
-			}
-		}
-	}
-}
 
 func TestIndexesBuiltOnceAndTimed(t *testing.T) {
 	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 12, Cols: 12, Seed: 122})
@@ -65,29 +38,6 @@ func TestIndexSizesPositive(t *testing.T) {
 		}
 		if s := e.IndexSize(kind); s <= 0 {
 			t.Fatalf("%v size %d", kind, s)
-		}
-	}
-}
-
-func TestTravelTimeEngine(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "t", Rows: 14, Cols: 14, Seed: 124}).View(graph.TravelTime)
-	e := core.New(g)
-	objs := knn.NewObjectSet(g, gen.Uniform(g, 0.01, 2))
-	kinds := core.Kinds()
-	rng := rand.New(rand.NewSource(2))
-	for _, kind := range kinds {
-		m, err := e.NewSession(kind, e.NewBinding(objs, []core.MethodKind{kind}))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		for trial := 0; trial < 5; trial++ {
-			q := int32(rng.Intn(g.NumVertices()))
-			got := m.KNN(q, 10)
-			want := knn.BruteForce(g, objs, q, 10)
-			if !knn.SameResults(got, want) {
-				t.Fatalf("%v q=%d: got %s want %s", kind, q,
-					knn.FormatResults(got), knn.FormatResults(want))
-			}
 		}
 	}
 }

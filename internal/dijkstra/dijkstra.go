@@ -80,43 +80,6 @@ func (s *Solver) Distance(src, dst int32) graph.Dist {
 	}
 }
 
-// DistancesTo returns d(src, t) for each target, terminating once every
-// target is settled. Unreachable targets get graph.Inf.
-func (s *Solver) DistancesTo(src int32, targets []int32) []graph.Dist {
-	out := make([]graph.Dist, len(targets))
-	for i := range out {
-		out[i] = graph.Inf
-	}
-	remaining := 0
-	want := make(map[int32][]int, len(targets))
-	for i, t := range targets {
-		if t == src {
-			out[i] = 0
-			continue
-		}
-		want[t] = append(want[t], i)
-		remaining++
-	}
-	if remaining == 0 {
-		return out
-	}
-	s.begin(src)
-	for remaining > 0 {
-		v, d, ok := s.settle()
-		if !ok {
-			break
-		}
-		if idxs, ok := want[v]; ok {
-			for _, i := range idxs {
-				out[i] = d
-			}
-			remaining -= len(idxs)
-		}
-		s.relax(v, d)
-	}
-	return out
-}
-
 // All computes the full single-source shortest-path distances from src into
 // out, which must have length |V|. Unreachable vertices get graph.Inf.
 func (s *Solver) All(src int32, out []graph.Dist) {

@@ -78,19 +78,6 @@ func TestDistancePointToPoint(t *testing.T) {
 	}
 }
 
-func TestDistancesTo(t *testing.T) {
-	g := testGraph(t)
-	s := dijkstra.NewSolver(g)
-	want := bellmanFord(g, 11)
-	targets := []int32{0, 11, 50, 99, 120}
-	got := s.DistancesTo(11, targets)
-	for i, tg := range targets {
-		if got[i] != want[tg] {
-			t.Fatalf("DistancesTo[%d] = %d, want %d", tg, got[i], want[tg])
-		}
-	}
-}
-
 func TestSolverReuseAcrossSearches(t *testing.T) {
 	g := testGraph(t)
 	s := dijkstra.NewSolver(g)

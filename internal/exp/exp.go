@@ -346,20 +346,32 @@ func (h *Harness) UniformObjects(name string, density float64) *knn.ObjectSet {
 	return knn.NewObjectSet(g, gen.Uniform(g, density, h.cfg.Seed+int64(density*1e7)))
 }
 
-// Measure runs the workload and returns mean microseconds per query. It
-// divides the elapsed nanoseconds, so a cell keeps its resolution however
-// short the loop is: whole microseconds divided by 20 queries would read
-// only in steps of 0.05 µs.
+// minWindow is the least time Measure's timed window spans: the query
+// list is repeated until it is reached, so one interrupt or timer tick
+// cannot decide a sub-microsecond cell.
+const minWindow = 100 * time.Microsecond
+
+// Measure runs the workload and returns mean microseconds per query: the
+// query list, repeated until the window spans at least minWindow, divided
+// by the number of queries run. It divides the elapsed nanoseconds, so a
+// cell keeps its resolution however short the queries are.
 func Measure(m knn.Method, queries []int32, k int) float64 {
 	// Warm up caches and lazily allocated state.
 	for i := 0; i < 2 && i < len(queries); i++ {
 		m.KNN(queries[i], k)
 	}
+	ran := 0
 	start := time.Now()
-	for _, q := range queries {
-		m.KNN(q, k)
+	for {
+		for _, q := range queries {
+			m.KNN(q, k)
+		}
+		ran += len(queries)
+		if ran == 0 || time.Since(start) >= minWindow {
+			break
+		}
 	}
-	return float64(time.Since(start).Nanoseconds()) / 1e3 / float64(len(queries))
+	return float64(time.Since(start).Nanoseconds()) / 1e3 / float64(ran)
 }
 
 // DefaultK and DefaultDensity are the paper's defaults (Table 4).

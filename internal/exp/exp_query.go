@@ -110,11 +110,14 @@ func init() {
 				return ier.New("IER-Gt", e.G, on, src)
 			}
 			a, b := measureRow(cols[0], queries, mgtree), measureRow(cols[1], queries, mgtree)
+			us := Measure(warm, queries, DefaultK)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			us := Measure(warm, queries, DefaultK)
+			for _, q := range queries {
+				warm.KNN(q, DefaultK)
+			}
 			runtime.ReadMemStats(&after)
-			n := float64(len(queries) + 2)
+			n := float64(len(queries))
 			return [][]string{a, b, {fmtUS(us),
 				fmt.Sprintf("%.0f", float64(after.Mallocs-before.Mallocs)/n),
 				fmt.Sprintf("%.0f", float64(after.TotalAlloc-before.TotalAlloc)/n)}}

@@ -180,12 +180,25 @@ func (noopMethod) Name() string                                            { ret
 func (noopMethod) KNN(int32, int) []knn.Result                             { return nil }
 func (noopMethod) KNNAppend(_ int32, _ int, dst []knn.Result) []knn.Result { return dst }
 
+// countingMethod is noopMethod counting its KNN calls.
+type countingMethod struct {
+	noopMethod
+	calls *int
+}
+
+func (c countingMethod) KNN(int32, int) []knn.Result { *c.calls++; return nil }
+
 // TestMeasureResolvesSubMicrosecond checks Measure keeps the resolution of
 // the clock: 20 queries that each take a few nanoseconds still measure a
-// positive time, where whole microseconds would round the loop to 0.
+// positive time, where whole microseconds would round the loop to 0. And
+// it repeats them until the timed window is long enough to resolve.
 func TestMeasureResolvesSubMicrosecond(t *testing.T) {
 	queries := make([]int32, 20)
-	if us := exp.Measure(noopMethod{}, queries, 10); !(us > 0) {
+	calls := 0
+	if us := exp.Measure(countingMethod{calls: &calls}, queries, 10); !(us > 0) {
 		t.Fatalf("Measure of a no-op method over 20 queries = %v µs, want > 0", us)
+	}
+	if calls <= 2+len(queries) {
+		t.Fatalf("Measure ran %d no-op queries, want the list repeated past its 2 warm-ups and one pass", calls)
 	}
 }

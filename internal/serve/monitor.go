@@ -87,7 +87,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	summary := MonitorSummaryJSON{K: int(k), Category: category}
-	for u, err := range s.st.db.Monitor(r.Context(), route, int(k), rnknn.WithMethod(method), rnknn.WithCategory(category)) {
+	for u, err := range s.db.Monitor(r.Context(), route, int(k), rnknn.WithMethod(method), rnknn.WithCategory(category)) {
 		if err != nil {
 			if !streaming {
 				writeError(w, err)
@@ -160,7 +160,7 @@ func (s *Server) monitorRoute(params url.Values) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := s.st.db.Graph()
+	g := s.db.Graph()
 	if q < 0 || q >= g.NumVertices() {
 		return nil, fmt.Errorf("parameter \"q\": vertex %d out of range (network has %d vertices)", q, g.NumVertices())
 	}

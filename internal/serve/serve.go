@@ -1,7 +1,7 @@
 // Package serve is the network serving layer over rnknn.DB: the HTTP/JSON
 // front end cmd/rnknnd mounts, turning the in-process query library into a
 // service that survives heavy traffic by shedding load in two layers,
-// cheapest first — one such stack per Server, whether the database is an
+// cheapest first — the same two layers whether the database is an
 // ordinary DB or a shard set (which is a DB too; see rnknn.OpenSharded):
 //
 //	request ──► admission ──► result cache ──► session pools
@@ -93,9 +93,12 @@ const (
 // errSaturated reports a full admission semaphore; writeError maps it to 429.
 var errSaturated = errors.New("server saturated: max in-flight queries reached")
 
-// stack is the serving state in front of the rnknn.DB: its admission
-// semaphore, its epoch-keyed result cache and its counters.
-type stack struct {
+// Server serves one rnknn.DB over HTTP: its admission semaphore, its
+// epoch-keyed result cache and its counters. Create with New, mount
+// Handler. A shard set is served like any other DB: its queries fan over the
+// cells inside the library, under the one admission slot and cache entry of
+// the request.
+type Server struct {
 	db       *rnknn.DB
 	adm      *admission
 	cache    *resultCache
@@ -107,15 +110,7 @@ type stack struct {
 	batchCacheHits atomic.Uint64
 	batchShared    atomic.Uint64
 	panics         atomic.Uint64
-}
-
-// Server serves one rnknn.DB over HTTP. Create with New, mount Handler. A
-// shard set is served like any other DB: its queries fan over the cells
-// inside the library, under the one admission slot and cache entry of the
-// request.
-type Server struct {
-	st  *stack
-	mux *http.ServeMux
+	mux            *http.ServeMux
 	// gate, when non-nil, runs on the cache-miss path immediately before
 	// the underlying query — a test hook that lets tests hold queries in
 	// flight deterministically.
@@ -130,11 +125,12 @@ func New(db *rnknn.DB, cfg Config) *Server {
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = defaultCacheEntries
 	}
-	s := &Server{mux: http.NewServeMux(), st: &stack{
+	s := &Server{
 		db:    db,
 		adm:   newAdmission(cfg.MaxInFlight),
 		cache: newResultCache(cfg.CacheEntries),
-	}}
+		mux:   http.NewServeMux(),
+	}
 	s.mux.HandleFunc("GET /healthz", handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /knn", s.admitted(s.handleKNN))
@@ -155,36 +151,34 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Stats snapshots the serving layer's counters (the GET /stats "server"
 // section).
 func (s *Server) Stats() ServerStats {
-	st := s.st
 	return ServerStats{
-		InFlight:       st.adm.inFlight(),
-		MaxInFlight:    st.adm.max(),
-		Requests:       st.requests.Load(),
-		Shed:           st.adm.shed.Load(),
-		CacheHits:      st.cache.hits.Load(),
-		CacheMisses:    st.cache.misses.Load(),
-		CacheEvictions: st.cache.evictions.Load(),
-		CacheEntries:   st.cache.len(),
-		Batches:        st.batches.Load(),
-		BatchQueries:   st.batchQueries.Load(),
-		BatchCacheHits: st.batchCacheHits.Load(),
-		BatchShared:    st.batchShared.Load(),
-		Panics:         st.panics.Load(),
+		InFlight:       s.adm.inFlight(),
+		MaxInFlight:    s.adm.max(),
+		Requests:       s.requests.Load(),
+		Shed:           s.adm.shed.Load(),
+		CacheHits:      s.cache.hits.Load(),
+		CacheMisses:    s.cache.misses.Load(),
+		CacheEvictions: s.cache.evictions.Load(),
+		CacheEntries:   s.cache.len(),
+		Batches:        s.batches.Load(),
+		BatchQueries:   s.batchQueries.Load(),
+		BatchCacheHits: s.batchCacheHits.Load(),
+		BatchShared:    s.batchShared.Load(),
+		Panics:         s.panics.Load(),
 	}
 }
 
 // admitted wraps a query handler in the admission semaphore: acquire or
 // answer 429 now, never queue.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
-	st := s.st
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !st.adm.tryAcquire() {
+		if !s.adm.tryAcquire() {
 			writeError(w, errSaturated)
 			return
 		}
-		defer st.adm.release()
+		defer s.adm.release()
 		defer s.contain(w)
-		st.requests.Add(1)
+		s.requests.Add(1)
 		h(w, r)
 	}
 }
@@ -202,7 +196,7 @@ func (s *Server) contain(w http.ResponseWriter) {
 
 // panicked counts and logs a recovered panic p.
 func (s *Server) panicked(p any) {
-	s.st.panics.Add(1)
+	s.panics.Add(1)
 	log.Printf("serve: handler panicked: %v\n%s", p, debug.Stack())
 }
 
@@ -214,11 +208,11 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // library's Stats; over a shard set also, per partition cell, how many
 // queries opened it and the default-category objects it owns.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	g := s.st.db.Graph()
+	g := s.db.Graph()
 	out := StatsResponse{
 		Server: s.Stats(),
 		Graph:  GraphJSON{NumVertices: g.NumVertices(), NumEdges: g.NumEdges() / 2, Weights: g.Kind.String()},
-		DB:     s.st.db.Stats(),
+		DB:     s.db.Stats(),
 	}
 	out.NumShards = len(out.DB.Shards)
 	for _, sh := range out.DB.Shards {
@@ -246,34 +240,34 @@ func (cq cachedQuery) key(epoch uint64) cacheKey {
 	return cacheKey{vertex: cq.vertex, k: cq.k, radius: cq.radius, epoch: epoch, category: cq.category}
 }
 
-// query answers cq through the stack's cache (the caller holds an
+// query answers cq through the cache (the caller holds an
 // admission slot): the lookup key pins the epoch the reader observed, so a
 // hit is an answer computed from exactly that object set; a miss runs the
 // search and stores its answer. It returns the epoch stamped on the answer
 // and whether it was a cache hit.
-func (st *stack) query(ctx context.Context, cq cachedQuery, gate func()) ([]rnknn.Result, uint64, bool, error) {
-	epoch, err := st.db.Epoch(cq.category)
+func (s *Server) query(ctx context.Context, cq cachedQuery) ([]rnknn.Result, uint64, bool, error) {
+	epoch, err := s.db.Epoch(cq.category)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if res, ok := st.cache.get(cq.key(epoch)); ok {
+	if res, ok := s.cache.get(cq.key(epoch)); ok {
 		return res, epoch, true, nil
 	}
-	if gate != nil {
-		gate()
+	if s.gate != nil {
+		s.gate()
 	}
 	var res []rnknn.Result
 	if cq.isRange {
-		res, epoch, err = st.db.RangePinned(ctx, cq.vertex, rnknn.Dist(cq.radius), rnknn.WithCategory(cq.category))
+		res, epoch, err = s.db.RangePinned(ctx, cq.vertex, rnknn.Dist(cq.radius), rnknn.WithCategory(cq.category))
 	} else {
-		res, epoch, err = st.db.KNNPinned(ctx, cq.vertex, int(cq.k), rnknn.WithMethod(cq.method), rnknn.WithCategory(cq.category))
+		res, epoch, err = s.db.KNNPinned(ctx, cq.vertex, int(cq.k), rnknn.WithMethod(cq.method), rnknn.WithCategory(cq.category))
 	}
 	if err != nil {
 		return nil, 0, false, err
 	}
 	// Store under the epoch the search pinned — possibly newer than the
 	// lookup epoch when churn raced this request; never older.
-	st.cache.put(cq.key(epoch), res)
+	s.cache.put(cq.key(epoch), res)
 	return res, epoch, false, nil
 }
 
@@ -324,7 +318,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 // answer runs cq through the cache path and writes its KNNResponse or
 // RangeResponse body; start is when the request's handling began.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time, cq cachedQuery) {
-	res, epoch, cached, err := s.st.query(r.Context(), cq, s.gate)
+	res, epoch, cached, err := s.query(r.Context(), cq)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -348,7 +342,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, start time.Time,
 //     resolve to INE ride the shared-expansion path; each answer is stored
 //     under the epoch the search pinned and copied to its duplicates.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	st := s.st
 	var req BatchRequest
 	if !decodeBody(w, r, "batch", &req) {
 		return
@@ -381,8 +374,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	st.batches.Add(1)
-	st.batchQueries.Add(uint64(n))
+	s.batches.Add(1)
+	s.batchQueries.Add(uint64(n))
 
 	// Epoch-keyed cache lookups per member. An epoch lookup that fails
 	// (unknown category) leaves the member unkeyed; the inner batch reports
@@ -403,7 +396,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		epoch, ok := epochs[category]
 		if !ok {
 			var err error
-			if epoch, err = st.db.Epoch(category); err != nil {
+			if epoch, err = s.db.Epoch(category); err != nil {
 				run = append(run, i)
 				continue
 			}
@@ -415,8 +408,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			keys[i] = cacheKey{vertex: q.Query, k: int32(q.K), radius: -1, epoch: epoch, category: category}
 		}
 		keyed[i] = true
-		if res, ok := st.cache.get(keys[i]); ok {
-			st.batchCacheHits.Add(1)
+		if res, ok := s.cache.get(keys[i]); ok {
+			s.batchCacheHits.Add(1)
 			out[i] = rnknn.BatchResult{Query: q.Query, Method: methods[i], Epoch: epoch, Results: res}
 			cached[i] = true
 			continue
@@ -432,7 +425,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One db.Batch over the distinct misses — same-leaf clusters among them
 	// share expansions — then store each answer under the epoch it pinned.
 	if len(run) > 0 {
-		b := st.db.Batch()
+		b := s.db.Batch()
 		for _, i := range run {
 			q := req.Queries[i]
 			opts := []rnknn.QueryOption{rnknn.WithMethod(methods[i])}
@@ -454,12 +447,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for j, i := range run {
 			br := results[j]
 			if br.Shared {
-				st.batchShared.Add(1)
+				s.batchShared.Add(1)
 			}
 			if keyed[i] && br.Err == nil {
 				k := keys[i]
 				k.epoch = br.Epoch // possibly newer than the lookup epoch; never older
-				st.cache.put(k, br.Results)
+				s.cache.put(k, br.Results)
 			}
 			out[i] = br
 		}
@@ -507,12 +500,12 @@ func (s *Server) handleObjects(mutate func(string, []int32) error) http.HandlerF
 			writeError(w, err)
 			return
 		}
-		epoch, err := s.st.db.Epoch(req.Category)
+		epoch, err := s.db.Epoch(req.Category)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		n, _ := s.st.db.NumObjects(req.Category)
+		n, _ := s.db.NumObjects(req.Category)
 		writeJSON(w, http.StatusOK, ObjectsResponse{Category: req.Category, Epoch: epoch, NumObjects: n})
 	}
 }

@@ -378,7 +378,7 @@ func TestAdmissionSheds(t *testing.T) {
 			}
 		}(q)
 	}
-	waitFor(t, func() bool { return s.st.adm.inFlight() == 2 })
+	waitFor(t, func() bool { return s.adm.inFlight() == 2 })
 
 	// Every further request — including for already-cached-nothing and even
 	// /range and /batch — is shed fast.

@@ -2,7 +2,6 @@ package rnknn
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 
@@ -10,30 +9,20 @@ import (
 	"rnknn/internal/knn"
 )
 
-// sharedEquivDBs opens the three-network fixture the shared-expansion
-// equivalence tests sweep: different shapes and seeds, every method family
-// built, a dense and a sparse category each.
-func sharedEquivDBs(t *testing.T) []*DB {
+// sharedDB opens one of the two networks the shared-expansion tests run
+// on, with every method family built and one category.
+func sharedDB(t *testing.T, i int) *DB {
 	t.Helper()
-	specs := []gen.NetworkSpec{
+	spec := []gen.NetworkSpec{
 		{Name: "shared-a", Rows: 16, Cols: 20, Seed: 9},
 		{Name: "shared-b", Rows: 24, Cols: 24, Seed: 11},
-		{Name: "shared-c", Rows: 30, Cols: 18, Seed: 13},
+	}[i]
+	g := gen.Network(spec)
+	db, err := Open(g, WithMethods(INE, IERPHL, Gtree, ROAD), WithObjects(DefaultCategory, gen.Uniform(g, 0.04, spec.Seed+1)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	dbs := make([]*DB, len(specs))
-	for i, spec := range specs {
-		g := gen.Network(spec)
-		db, err := Open(g,
-			WithMethods(INE, IERPHL, Gtree, ROAD),
-			WithObjects(DefaultCategory, gen.Uniform(g, 0.04, spec.Seed+1)),
-			WithObjects("sparse", gen.Uniform(g, 0.006, spec.Seed+2)),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dbs[i] = db
-	}
-	return dbs
+	return db
 }
 
 // clusteredQueries picks queries packed into partition leaves — the
@@ -55,55 +44,11 @@ func clusteredQueries(db *DB, n int) []int32 {
 	return out
 }
 
-// TestBatchSharedEquivalence is the tentpole's exactness gate: for every
-// network, every built method, and every sharing mode (forced on, forced
-// off, planner-decided), a batch of leaf-clustered queries must return
-// exactly what the one-at-a-time API returns for each member.
-func TestBatchSharedEquivalence(t *testing.T) {
-	ctx := context.Background()
-	for gi, db := range sharedEquivDBs(t) {
-		queries := clusteredQueries(db, 24)
-		for _, m := range db.Methods() {
-			for _, mode := range []SharedMode{SharedOn, SharedOff, SharedAuto} {
-				b := db.Batch().SharedExpansion(mode)
-				for i, q := range queries {
-					cat := DefaultCategory
-					if i%2 == 1 {
-						cat = "sparse"
-					}
-					b.AddKNN(q, 1+i%8, WithMethod(m), WithCategory(cat))
-				}
-				got, err := b.Run(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, r := range got {
-					if r.Err != nil {
-						t.Fatalf("graph %d %s mode %d op %d: %v", gi, m, mode, i, r.Err)
-					}
-					cat := DefaultCategory
-					if i%2 == 1 {
-						cat = "sparse"
-					}
-					want, err := db.KNN(ctx, queries[i], 1+i%8, WithMethod(m), WithCategory(cat))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !SameResults(r.Results, want) {
-						t.Fatalf("graph %d %s mode %d op %d (q=%d k=%d): batch %s != individual %s",
-							gi, m, mode, i, queries[i], 1+i%8, FormatResults(r.Results), FormatResults(want))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestBatchSharedOnActuallyShares pins that SharedOn drives INE through the
 // shared path (Shared flag and counters), that G-tree members — G-tree has no
 // shared expansion — fan out even then, and that SharedOff never shares.
 func TestBatchSharedOnActuallyShares(t *testing.T) {
-	db := sharedEquivDBs(t)[0]
+	db := sharedDB(t, 0)
 	ctx := context.Background()
 	queries := clusteredQueries(db, 16)
 	run := func(m Method) (got []BatchResult, sharedN int, before, after BatchStats) {
@@ -172,43 +117,10 @@ func TestBatchSharedOnActuallyShares(t *testing.T) {
 	}
 }
 
-// TestBatchSharedHugeK pins that INE members with a k far beyond the object
-// count still share one expansion and answer every object: the group clamps
-// k before sizing its arenas, where math.MaxInt32 once ran the process out
-// of memory.
-func TestBatchSharedHugeK(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "huge-k", Rows: 24, Cols: 24, Seed: 19})
-	db, err := Open(g, WithMethods(INE), WithObjects(DefaultCategory, gen.Uniform(g, 0.01, 20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	queries := clusteredQueries(db, 2)
-	b := db.Batch().SharedExpansion(SharedOn)
-	for _, q := range queries {
-		b.AddKNN(q, math.MaxInt32, WithMethod(INE))
-	}
-	got, err := b.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _ := db.NumObjects(DefaultCategory)
-	for i, r := range got {
-		want, err := db.KNN(ctx, queries[i], n, WithMethod(INE))
-		if err != nil || r.Err != nil {
-			t.Fatal(err, r.Err)
-		}
-		if !r.Shared || len(r.Results) != n || !SameResults(r.Results, want) {
-			t.Fatalf("member %d: shared=%v, %d results %s; want shared, all %d objects %s",
-				i, r.Shared, len(r.Results), FormatResults(r.Results), n, FormatResults(want))
-		}
-	}
-}
-
 // TestBatchExplainGroups drives the batch planner's report: group sizes,
 // leaves, decisions and reasons, consistent with what Run then does.
 func TestBatchExplainGroups(t *testing.T) {
-	db := sharedEquivDBs(t)[0]
+	db := sharedDB(t, 0)
 	pt := db.batchPartition()
 	var verts []int32
 	for ni := range pt.Nodes {
@@ -343,51 +255,10 @@ func TestBatchSharedUnderConcurrentChurn(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchSharedAcrossCategories guards the group key: same-leaf queries
-// on different categories must not share a frontier.
-func TestBatchSharedAcrossCategories(t *testing.T) {
-	db := sharedEquivDBs(t)[0]
-	queries := clusteredQueries(db, 8)
-	b := db.Batch().SharedExpansion(SharedOn)
-	for i, q := range queries {
-		cat := DefaultCategory
-		if i%2 == 1 {
-			cat = "sparse"
-		}
-		b.AddKNN(q, 4, WithMethod(INE), WithCategory(cat))
-	}
-	plan := b.Explain()
-	for _, g := range plan.Groups {
-		if g.Category != DefaultCategory && g.Category != "sparse" {
-			t.Fatalf("unexpected group category %q", g.Category)
-		}
-	}
-	got, err := b.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		cat := DefaultCategory
-		if i%2 == 1 {
-			cat = "sparse"
-		}
-		want, err := db.KNN(context.Background(), queries[i], 4, WithMethod(INE), WithCategory(cat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SameResults(r.Results, want) {
-			t.Fatalf("op %d (%s): %s != %s", i, cat, FormatResults(r.Results), FormatResults(want))
-		}
-	}
-}
-
 // TestBatchGroupWidthCap: a batch wider than the shared frontier's width
 // must split groups rather than panic, and stay exact.
 func TestBatchGroupWidthCap(t *testing.T) {
-	db := sharedEquivDBs(t)[1]
+	db := sharedDB(t, 1)
 	pt := db.batchPartition()
 	// Gather enough same-leaf queries to overflow one group (repeats are
 	// fine — duplicate members are legal).

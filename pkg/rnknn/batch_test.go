@@ -24,58 +24,6 @@ func batchDB(t *testing.T) *DB {
 	return db
 }
 
-// TestBatchMatchesIndividualQueries: a mixed batch across methods,
-// categories, kNN and range must return exactly what the one-at-a-time
-// API returns, in Add* order, for every worker count.
-func TestBatchMatchesIndividualQueries(t *testing.T) {
-	db := batchDB(t)
-	ctx := context.Background()
-	queries := gen.QueryVertices(db.Graph(), 16, 31)
-	for _, workers := range []int{1, 3, 8} {
-		b := db.Batch().Workers(workers)
-		type expect func() ([]Result, error)
-		var wants []expect
-		for i, q := range queries {
-			switch i % 4 {
-			case 0:
-				b.AddKNN(q, 5)
-				wants = append(wants, func() ([]Result, error) { return db.KNN(ctx, q, 5) })
-			case 1:
-				b.AddKNN(q, 3, WithMethod(Gtree), WithCategory("sparse"))
-				wants = append(wants, func() ([]Result, error) {
-					return db.KNN(ctx, q, 3, WithMethod(Gtree), WithCategory("sparse"))
-				})
-			case 2:
-				b.AddKNN(q, 8, WithMethod(MethodAuto))
-				wants = append(wants, func() ([]Result, error) { return db.BruteForceKNN(q, 8) })
-			case 3:
-				b.AddRange(q, 9000)
-				wants = append(wants, func() ([]Result, error) { return db.Range(ctx, q, 9000) })
-			}
-		}
-		got, err := b.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(wants) {
-			t.Fatalf("workers=%d: %d results for %d queries", workers, len(got), len(wants))
-		}
-		for i, r := range got {
-			if r.Err != nil {
-				t.Fatalf("workers=%d op %d: %v", workers, i, r.Err)
-			}
-			want, err := wants[i]()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !SameResults(r.Results, want) {
-				t.Fatalf("workers=%d op %d (q=%d): batch %s != individual %s",
-					workers, i, r.Query, FormatResults(r.Results), FormatResults(want))
-			}
-		}
-	}
-}
-
 // TestBatchPerQueryErrors: invalid queries carry their own typed error and
 // leave the rest of the batch untouched.
 func TestBatchPerQueryErrors(t *testing.T) {

@@ -19,61 +19,6 @@ import (
 	"rnknn/pkg/rnknn"
 )
 
-// TestOpenSnapshotFileIdenticalAnswers is the zero-copy acceptance test:
-// a DB opened from a self-contained snapshot file — graph included, no
-// other input — loads every index (nothing rebuilt) and answers every
-// method identically to the DB that built them.
-func TestOpenSnapshotFileIdenticalAnswers(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "mmapsnap", Rows: 10, Cols: 11, Seed: 6})
-	objs := gen.Uniform(g, 0.04, 9)
-	methods := rnknn.Methods()
-
-	built, err := rnknn.Open(g,
-		rnknn.WithMethods(methods...),
-		rnknn.WithObjects(rnknn.DefaultCategory, objs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snap.rnks")
-	if err := built.SaveIndexesFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := rnknn.OpenSnapshotFile(path,
-		rnknn.WithMethods(methods...),
-		rnknn.WithObjects(rnknn.DefaultCategory, objs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for name, ix := range db.Stats().Indexes {
-		if !ix.Loaded {
-			t.Fatalf("index %s rebuilt instead of loaded", name)
-		}
-	}
-	if db.Graph().NumVertices() != g.NumVertices() || db.Graph().NumEdges() != g.NumEdges() {
-		t.Fatalf("snapshot graph %d/%d, want %d/%d",
-			db.Graph().NumVertices(), db.Graph().NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-
-	ctx := context.Background()
-	for _, m := range methods {
-		for _, q := range []int32{0, int32(g.NumVertices() / 2), int32(g.NumVertices() - 1)} {
-			want, err := built.KNN(ctx, q, 6, rnknn.WithMethod(m))
-			if err != nil {
-				t.Fatalf("%v built: %v", m, err)
-			}
-			got, err := db.KNN(ctx, q, 6, rnknn.WithMethod(m))
-			if err != nil {
-				t.Fatalf("%v mapped: %v", m, err)
-			}
-			if !rnknn.SameResults(got, want) {
-				t.Fatalf("%v q=%d: got %v want %v", m, q, got, want)
-			}
-		}
-	}
-}
-
 // TestOpenSnapshotFileNoGraphSection: a container without a Graph section
 // (an index-only snapshot hand-built the old way) cannot self-open; the
 // error says why.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rnknn/internal/gen"
-	"rnknn/internal/knn"
 )
 
 // testDB opens a small network with every method and one default category.
@@ -53,47 +52,6 @@ func TestMethodParsing(t *testing.T) {
 	for _, name := range []string{"IER-Dijk", "IER-Gt", "DisBrw"} {
 		if _, err := ParseMethod(name); !errors.Is(err, ErrUnknownMethod) {
 			t.Errorf("ParseMethod(%q): got %v, want ErrUnknownMethod", name, err)
-		}
-	}
-}
-
-func TestEveryMethodMatchesBruteForce(t *testing.T) {
-	db := testDB(t)
-	ctx := context.Background()
-	queries := gen.QueryVertices(db.Graph(), 12, 5)
-	for _, m := range db.Methods() {
-		for _, q := range queries {
-			got, err := db.KNN(ctx, q, 8, WithMethod(m))
-			if err != nil {
-				t.Fatalf("%s: %v", m, err)
-			}
-			want, err := db.BruteForceKNN(q, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !SameResults(got, want) {
-				t.Fatalf("%s q=%d: got %s want %s", m, q, FormatResults(got), FormatResults(want))
-			}
-		}
-	}
-}
-
-func TestRangeMatchesBruteForce(t *testing.T) {
-	db := testDB(t)
-	ctx := context.Background()
-	for _, q := range gen.QueryVertices(db.Graph(), 8, 6) {
-		for _, radius := range []Dist{0, 2500, 20000} {
-			got, err := db.Range(ctx, q, radius)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := db.BruteForceRange(q, radius)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !SameResults(got, want) {
-				t.Fatalf("q=%d r=%d: got %s want %s", q, radius, FormatResults(got), FormatResults(want))
-			}
 		}
 	}
 }
@@ -150,40 +108,6 @@ func TestContextCancellation(t *testing.T) {
 	cancel2()
 	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-scan cancel: got %v", err)
-	}
-}
-
-func TestCategorySwapVisibility(t *testing.T) {
-	db := testDB(t)
-	ctx := context.Background()
-	g := db.Graph()
-	setA := gen.Uniform(g, 0.05, 11)
-	setB := gen.Uniform(g, 0.05, 22)
-	if err := db.RegisterObjects("poi", setA); err != nil {
-		t.Fatal(err)
-	}
-	objsA := knn.NewObjectSet(g, setA)
-	objsB := knn.NewObjectSet(g, setB)
-	q := int32(g.NumVertices() / 2)
-	got, err := db.KNN(ctx, q, 4, WithCategory("poi"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := knn.BruteForce(g, objsA, q, 4); !SameResults(got, want) {
-		t.Fatalf("before swap: got %s want %s", FormatResults(got), FormatResults(want))
-	}
-	if err := db.RegisterObjects("poi", setB); err != nil {
-		t.Fatal(err)
-	}
-	got, err = db.KNN(ctx, q, 4, WithCategory("poi"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := knn.BruteForce(g, objsB, q, 4); !SameResults(got, want) {
-		t.Fatalf("after swap: got %s want %s", FormatResults(got), FormatResults(want))
-	}
-	if n, err := db.NumObjects("poi"); err != nil || n != objsB.Len() {
-		t.Fatalf("NumObjects = %d, %v; want %d", n, err, objsB.Len())
 	}
 }
 

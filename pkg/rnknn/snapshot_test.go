@@ -12,60 +12,6 @@ import (
 	"rnknn/pkg/rnknn"
 )
 
-// TestOpenFromSnapshotIdenticalAnswers is the public-API round-trip
-// guarantee: a DB opened from a snapshot returns results identical to the DB
-// that built its indexes live, for every method.
-func TestOpenFromSnapshotIdenticalAnswers(t *testing.T) {
-	g := gen.Network(gen.NetworkSpec{Name: "dbsnap", Rows: 10, Cols: 12, Seed: 21})
-	objs := gen.Uniform(g, 0.03, 13)
-	methods := rnknn.Methods()
-
-	built, err := rnknn.Open(g,
-		rnknn.WithMethods(methods...),
-		rnknn.WithObjects(rnknn.DefaultCategory, objs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := built.SaveIndexes(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := rnknn.OpenFromSnapshot(g, bytes.NewReader(buf.Bytes()),
-		rnknn.WithMethods(methods...),
-		rnknn.WithObjects(rnknn.DefaultCategory, objs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, ix := range loaded.Stats().Indexes {
-		if !ix.Loaded {
-			t.Fatalf("index %s rebuilt instead of loaded", name)
-		}
-	}
-
-	ctx := context.Background()
-	for _, m := range methods {
-		for _, q := range []int32{0, int32(g.NumVertices() / 2), int32(g.NumVertices() - 1)} {
-			want, err := built.KNN(ctx, q, 7, rnknn.WithMethod(m))
-			if err != nil {
-				t.Fatalf("%v built: %v", m, err)
-			}
-			got, err := loaded.KNN(ctx, q, 7, rnknn.WithMethod(m))
-			if err != nil {
-				t.Fatalf("%v loaded: %v", m, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v q=%d: %d vs %d results", m, q, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v q=%d: result %d: got %+v want %+v", m, q, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestWithIndexCacheSkipsRebuild is the acceptance check for the transparent
 // cache: the second Open of the same graph must load every index (asserted
 // via Stats) and still answer queries identically.

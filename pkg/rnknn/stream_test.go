@@ -45,74 +45,6 @@ func collectSeq(t *testing.T, db *DB, q int32, k int, opts ...QueryOption) []Res
 	return out
 }
 
-// TestKNNSeqMatchesKNN is the streaming equivalence contract: collecting a
-// KNNSeq stream equals the buffered KNN answer, for every built method,
-// across the three test graphs, at a k that forces multi-leaf searches.
-func TestKNNSeqMatchesKNN(t *testing.T) {
-	for _, spec := range streamGraphs {
-		db := streamDB(t, spec, 0.03)
-		ctx := context.Background()
-		for _, q := range gen.QueryVertices(db.Graph(), 8, 21) {
-			for _, m := range db.Methods() {
-				for _, k := range []int{1, 7, 25} {
-					want, err := db.KNN(ctx, q, k, WithMethod(m))
-					if err != nil {
-						t.Fatalf("%s/%s: %v", spec.Name, m, err)
-					}
-					got := collectSeq(t, db, q, k, WithMethod(m))
-					if !SameResults(got, want) {
-						t.Fatalf("%s/%s q=%d k=%d: stream %s != knn %s",
-							spec.Name, m, q, k, FormatResults(got), FormatResults(want))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestKNNSeqOrdering checks the stream's documented nondecreasing distance
-// order on its own (SameResults would tolerate some reorders).
-func TestKNNSeqOrdering(t *testing.T) {
-	db := streamDB(t, streamGraphs[1], 0.03)
-	for _, m := range db.Methods() {
-		prev := Dist(-1)
-		for r, err := range db.KNNSeq(context.Background(), 17, 12, WithMethod(m)) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Dist < prev {
-				t.Fatalf("%s: stream went backwards: %d after %d", m, r.Dist, prev)
-			}
-			prev = r.Dist
-		}
-	}
-}
-
-// TestKNNSeqEarlyBreakReleasesSession proves an early break returns the
-// pooled session: repeated broken streams from one goroutine must reuse
-// the one manufactured session rather than minting one per call.
-func TestKNNSeqEarlyBreakReleasesSession(t *testing.T) {
-	db := streamDB(t, streamGraphs[1], 0.05)
-	for i := 0; i < 100; i++ {
-		for _, err := range db.KNNSeq(context.Background(), int32(i%db.Graph().NumVertices()), 10, WithMethod(Gtree)) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			break // abandon after the first neighbor
-		}
-	}
-	// Every checkout must have been returned — an early break that leaks
-	// its session leaves gets ahead of puts.
-	gets, puts := db.pools[Gtree].gets.Load(), db.pools[Gtree].puts.Load()
-	if gets != 100 || puts != gets {
-		t.Fatalf("session pool gets=%d puts=%d after 100 early-broken streams; want 100/100", gets, puts)
-	}
-	// And the pool still serves complete queries.
-	if got := collectSeq(t, db, 17, 5, WithMethod(Gtree)); len(got) != 5 {
-		t.Fatalf("post-break query returned %d results", len(got))
-	}
-}
-
 // TestSessionPoolCountsOnlyCheckouts: a session that cannot be manufactured
 // is not a checkout, so a failed get leaves gets equal to puts.
 func TestSessionPoolCountsOnlyCheckouts(t *testing.T) {
@@ -208,19 +140,6 @@ func TestKNNSeqErrorYield(t *testing.T) {
 		if pairs != 1 || !errors.Is(lastErr, c.want) {
 			t.Errorf("%s: %d pairs, err %v; want 1 pair of %v", c.name, pairs, lastErr, c.want)
 		}
-	}
-}
-
-// TestKNNSeqAuto streams through the planner path.
-func TestKNNSeqAuto(t *testing.T) {
-	db := streamDB(t, streamGraphs[1], 0.03)
-	want, err := db.BruteForceKNN(33, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectSeq(t, db, 33, 6, WithMethod(MethodAuto))
-	if !SameResults(got, want) {
-		t.Fatalf("auto stream %s != brute force %s", FormatResults(got), FormatResults(want))
 	}
 }
 
