@@ -141,16 +141,18 @@ func (g *Graph) MaxSpeed() float64 {
 	return s
 }
 
-// EdgeWeightBetween returns the weight of the edge {u,v} under the active
-// weights and whether such an edge exists.
+// EdgeWeightBetween returns the weight of the arc from u to v under the
+// active weights, the least one over parallel arcs, and whether such an arc
+// exists: the length of the step from u to v on a shortest path.
 func (g *Graph) EdgeWeightBetween(u, v int32) (int32, bool) {
 	ts, ws := g.Neighbors(u)
+	best, ok := int32(0), false
 	for i, t := range ts {
-		if t == v {
-			return ws[i], true
+		if t == v && (!ok || ws[i] < best) {
+			best, ok = ws[i], true
 		}
 	}
-	return 0, false
+	return best, ok
 }
 
 // Validate checks structural invariants: sorted offsets, targets in range,

@@ -50,6 +50,32 @@ func TestNeighborsSymmetric(t *testing.T) {
 	}
 }
 
+// TestEdgeWeightBetweenParallelArcs pins that parallel arcs, which the
+// Builder merges but a CSR from elsewhere (a DIMACS file, a mapped
+// snapshot) may hold, report their least weight in either view, whichever
+// arc comes first.
+func TestEdgeWeightBetweenParallelArcs(t *testing.T) {
+	g := &Graph{
+		Name:    "parallel",
+		Offsets: []int32{0, 2, 4},
+		Targets: []int32{1, 1, 0, 0},
+		DistW:   []int32{9, 4, 4, 9},
+		TimeW:   []int32{2, 7, 7, 2},
+		X:       []float64{0, 1},
+		Y:       []float64{0, 0},
+	}
+	g = g.View(TravelDistance)
+	for _, c := range []struct {
+		g    *Graph
+		u, v int32
+		want int32
+	}{{g, 0, 1, 4}, {g, 1, 0, 4}, {g.View(TravelTime), 0, 1, 2}, {g.View(TravelTime), 1, 0, 2}} {
+		if w, ok := c.g.EdgeWeightBetween(c.u, c.v); !ok || w != c.want {
+			t.Fatalf("%v EdgeWeightBetween(%d,%d) = %d,%v, want %d", c.g.Kind, c.u, c.v, w, ok, c.want)
+		}
+	}
+}
+
 func TestViewSwitchesWeights(t *testing.T) {
 	g := buildTriangle(t)
 	tv := g.View(TravelTime)

@@ -89,7 +89,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			for _, k := range []int{1, 5, 10} {
 				got := m.KNN(q, k)
 				want := knn.BruteForce(g, objs, q, k)
-				if !knn.SameResults(got, want) {
+				if knn.CheckAnswer(g, objs, q, got, want) != nil {
 					t.Fatalf("d=%v q=%d k=%d: got %s want %s", density, q, k,
 						knn.FormatResults(got), knn.FormatResults(want))
 				}
@@ -110,7 +110,7 @@ func TestKNNOriginalLeafAlsoCorrect(t *testing.T) {
 		q := int32(rng.Intn(g.NumVertices()))
 		got := m.KNN(q, 5)
 		want := knn.BruteForce(g, objs, q, 5)
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(g, objs, q, got, want) != nil {
 			t.Fatalf("q=%d: got %s want %s", q, knn.FormatResults(got), knn.FormatResults(want))
 		}
 	}
@@ -127,7 +127,7 @@ func TestKNNTravelTime(t *testing.T) {
 		q := int32(rng.Intn(g.NumVertices()))
 		got := m.KNN(q, 10)
 		want := knn.BruteForce(g, objs, q, 10)
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(g, objs, q, got, want) != nil {
 			t.Fatalf("q=%d: got %s want %s", q, knn.FormatResults(got), knn.FormatResults(want))
 		}
 	}
@@ -209,7 +209,7 @@ func TestTinyGraphSingleLeaf(t *testing.T) {
 	m := gtree.NewKNN(idx, idx.NewOccurrenceList(objs))
 	got := m.KNN(0, 2)
 	want := knn.BruteForce(g, objs, 0, 2)
-	if !knn.SameResults(got, want) {
+	if knn.CheckAnswer(g, objs, 0, got, want) != nil {
 		t.Fatalf("single leaf: got %s want %s", knn.FormatResults(got), knn.FormatResults(want))
 	}
 }

@@ -66,7 +66,7 @@ func checkList(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *k
 func checkKNN(t *testing.T, idx *gtree.Index, ol *gtree.OccurrenceList, objs *knn.ObjectSet, q int32, when string) {
 	t.Helper()
 	got := gtree.NewKNN(idx, ol).KNN(q, 5)
-	if want := knn.BruteForce(idx.G, objs, q, 5); !knn.SameResults(got, want) {
+	if want := knn.BruteForce(idx.G, objs, q, 5); knn.CheckAnswer(idx.G, objs, q, got, want) != nil {
 		t.Fatalf("%s q=%d: got %s want %s", when, q, knn.FormatResults(got), knn.FormatResults(want))
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"rnknn/internal/geo"
 	"rnknn/internal/graph"
 	"rnknn/internal/knn"
+	"rnknn/internal/pqueue"
 	"rnknn/internal/rtree"
 	"rnknn/internal/scratch"
 )
@@ -39,12 +40,13 @@ type IER struct {
 	// aborts the scan early.
 	interrupt func() bool
 
-	// Per-query scratch, reused across queries. cand is the top-k max-heap,
-	// pending the min-heap of verified-but-unemitted results, evicted the
-	// stamped set of lazily invalidated candidates (previously a per-
-	// displacement map allocation), scan the suspendable R-tree search.
-	cand    []knn.Result
-	pending []knn.Result
+	// Per-query scratch, reused across queries. cand is the top k verified
+	// so far, keyed by distance (the k-th at the top), pending the
+	// verified-but-unemitted results, evicted the stamped set of candidates
+	// displaced from cand (pending drops them lazily), scan the suspendable
+	// R-tree search.
+	cand    pqueue.MaxQueue
+	pending pqueue.Queue
 	evicted *scratch.Set
 	scan    rtree.Scanner
 	out     []knn.Result
@@ -167,8 +169,8 @@ func (x *IER) stream(qv int32, k int, bound graph.Dist, yield func(knn.Result) b
 	}
 	src := x.factory.NewSource(qv)
 	x.scan.Start(x.rt, geo.Point{X: x.g.X[qv], Y: x.g.Y[qv]})
-	x.cand = x.cand[:0]
-	x.pending = x.pending[:0]
+	x.cand.Reset()
+	x.pending.Reset()
 	x.evicted.Reset()
 	dk := graph.Inf
 	for {
@@ -183,31 +185,27 @@ func (x *IER) stream(qv int32, k int, bound graph.Dist, yield func(knn.Result) b
 		if !x.emitPending(lb, yield) {
 			return
 		}
-		if len(x.cand) == k && lb >= dk || lb > bound {
+		if x.cand.Len() == k && lb >= dk || lb > bound {
 			break
 		}
 		d := src.DistanceTo(nb.ID)
 		x.OracleCalls++
-		if d > bound {
+		if d > bound || x.cand.Len() == k && d >= dk {
 			x.FalseHits++
-		} else if len(x.cand) < k {
-			candPush(&x.cand, knn.Result{Vertex: nb.ID, Dist: d})
-			minPush(&x.pending, knn.Result{Vertex: nb.ID, Dist: d})
-			if len(x.cand) == k {
-				dk = x.cand[0].Dist
-			}
-		} else if d < dk {
-			// The popped max (the old dk) was never emitted: emission
-			// requires dist <= lb, and lb < dk while the scan runs.
-			old := x.cand[0]
-			candReplaceTop(x.cand, knn.Result{Vertex: nb.ID, Dist: d})
-			dk = x.cand[0].Dist
-			x.evicted.Add(old.Vertex)
-			x.Evictions++
-			minPush(&x.pending, knn.Result{Vertex: nb.ID, Dist: d})
-		} else {
-			x.FalseHits++
+			continue
 		}
+		if x.cand.Len() < k {
+			x.cand.Push(nb.ID, d)
+		} else {
+			// The replaced max (the old dk) was never emitted: emission
+			// requires dist <= lb, and lb < dk while the scan runs.
+			x.evicted.Add(x.cand.ReplaceTop(nb.ID, d).ID)
+			x.Evictions++
+		}
+		if x.cand.Len() == k {
+			dk = x.cand.MaxKey()
+		}
+		x.pending.Push(nb.ID, d)
 	}
 	// Scan terminated (or was interrupted): every surviving candidate is
 	// final; drain in distance order.
@@ -255,12 +253,12 @@ func (x *IER) RangeAppend(qv int32, radius graph.Dist, dst []knn.Result) []knn.R
 // lazily invalidated (evicted) entries; false means the consumer stopped
 // the stream.
 func (x *IER) emitPending(limit graph.Dist, yield func(knn.Result) bool) bool {
-	for len(x.pending) > 0 && x.pending[0].Dist <= limit {
-		r := minPop(&x.pending)
-		if x.evicted.Contains(r.Vertex) {
+	for x.pending.MinKey() <= limit {
+		it := x.pending.Pop()
+		if x.evicted.Contains(it.ID) {
 			continue
 		}
-		if !yield(r) {
+		if !yield(knn.Result{Vertex: it.ID, Dist: it.Key}) {
 			return false
 		}
 	}
@@ -274,80 +272,3 @@ var (
 	_ knn.Streamer      = (*IER)(nil)
 	_ knn.BoundedMethod = (*IER)(nil)
 )
-
-// minPush and minPop maintain a min-heap of results keyed by distance (the
-// pending-emission buffer of KNNStream).
-func minPush(h *[]knn.Result, r knn.Result) {
-	*h = append(*h, r)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].Dist <= a[i].Dist {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-func minPop(h *[]knn.Result) knn.Result {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	*h = a
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && a[r].Dist < a[l].Dist {
-			c = r
-		}
-		if a[c].Dist >= a[i].Dist {
-			break
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-	return top
-}
-
-func candPush(h *[]knn.Result, r knn.Result) {
-	*h = append(*h, r)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].Dist >= a[i].Dist {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-func candReplaceTop(a []knn.Result, r knn.Result) {
-	a[0] = r
-	i := 0
-	n := len(a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if rr := l + 1; rr < n && a[rr].Dist > a[l].Dist {
-			c = rr
-		}
-		if a[c].Dist <= a[i].Dist {
-			break
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-}

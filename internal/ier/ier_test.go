@@ -24,7 +24,7 @@ func TestIERDijkMatchesBruteForce(t *testing.T) {
 		for _, k := range []int{1, 5, 10} {
 			got := x.KNN(q, k)
 			want := knn.BruteForce(g, objs, q, k)
-			if !knn.SameResults(got, want) {
+			if knn.CheckAnswer(g, objs, q, got, want) != nil {
 				t.Fatalf("q=%d k=%d: got %s want %s", q, k,
 					knn.FormatResults(got), knn.FormatResults(want))
 			}
@@ -39,7 +39,7 @@ func TestIERTravelTimeLowerBound(t *testing.T) {
 	for _, q := range queries {
 		got := x.KNN(q, 10)
 		want := knn.BruteForce(tg, objs, q, 10)
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(tg, objs, q, got, want) != nil {
 			t.Fatalf("time q=%d: got %s want %s", q, knn.FormatResults(got), knn.FormatResults(want))
 		}
 	}
@@ -79,7 +79,7 @@ func TestOracleFactoryAdapter(t *testing.T) {
 	for _, q := range queries[:5] {
 		got := x.KNN(q, 5)
 		want := knn.BruteForce(g, objs, q, 5)
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(g, objs, q, got, want) != nil {
 			t.Fatalf("q=%d: got %s want %s", q, knn.FormatResults(got), knn.FormatResults(want))
 		}
 	}
@@ -111,7 +111,7 @@ func TestIERClusteredEvictions(t *testing.T) {
 			got := x.KNN(q, k)
 			evictions += x.Evictions
 			want := knn.BruteForce(tg, objs, q, k)
-			if !knn.SameResults(got, want) {
+			if knn.CheckAnswer(tg, objs, q, got, want) != nil {
 				t.Fatalf("q=%d k=%d: got %s want %s", q, k,
 					knn.FormatResults(got), knn.FormatResults(want))
 			}

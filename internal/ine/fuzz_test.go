@@ -1,7 +1,6 @@
 package ine_test
 
 import (
-	"cmp"
 	"slices"
 	"testing"
 
@@ -131,24 +130,23 @@ func chainGraph(data []byte) (*graph.Graph, *knn.ObjectSet, int32, int, graph.Di
 }
 
 // checkAgainstBruteForce fails t unless INE's KNN, bounded KNN and Range
-// from q agree with the brute-force scans: KNN under knn.SameResults, the
-// bounded form against the first k of the brute-force range within bound,
-// Range exactly up to the order of ties.
+// from q agree with the brute-force scans: KNN with BruteForce and the
+// bounded form with the first k of the brute-force range within bound,
+// both under knn.CheckAnswer, and Range exactly up to the order of ties.
 func checkAgainstBruteForce(t *testing.T, g *graph.Graph, objs *knn.ObjectSet, q int32, k int, radius, bound graph.Dist) {
 	t.Helper()
 	x := ine.New(g, objs)
-	if got, want := x.KNN(q, k), knn.BruteForce(g, objs, q, k); !knn.SameResults(got, want) {
+	if got, want := x.KNN(q, k), knn.BruteForce(g, objs, q, k); knn.CheckAnswer(g, objs, q, got, want) != nil {
 		t.Fatalf("KNN(%d, %d) = %s, brute force %s", q, k, knn.FormatResults(got), knn.FormatResults(want))
 	}
-	byDist := func(a, b knn.Result) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Vertex, b.Vertex)) }
 	within := knn.BruteForceRange(g, objs, q, bound)
-	slices.SortFunc(within, byDist)
-	if got, want := x.KNNWithinAppend(q, k, bound, nil), within[:min(k, len(within))]; !knn.SameResults(got, want) {
+	slices.SortFunc(within, knn.ByDistVertex)
+	if got, want := x.KNNWithinAppend(q, k, bound, nil), within[:min(k, len(within))]; knn.CheckAnswer(g, objs, q, got, want) != nil {
 		t.Fatalf("KNNWithinAppend(%d, %d, %d) = %s, brute force %s", q, k, bound, knn.FormatResults(got), knn.FormatResults(want))
 	}
 	got, want := x.Range(q, radius), knn.BruteForceRange(g, objs, q, radius)
-	slices.SortFunc(got, byDist)
-	slices.SortFunc(want, byDist)
+	slices.SortFunc(got, knn.ByDistVertex)
+	slices.SortFunc(want, knn.ByDistVertex)
 	if !slices.Equal(got, want) {
 		t.Fatalf("Range(%d, %d) = %s, brute force %s", q, radius, knn.FormatResults(got), knn.FormatResults(want))
 	}

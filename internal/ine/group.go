@@ -1,9 +1,12 @@
 package ine
 
 import (
+	"slices"
+
 	"rnknn/internal/dijkstra"
 	"rnknn/internal/graph"
 	"rnknn/internal/knn"
+	"rnknn/internal/pqueue"
 )
 
 // Shared-expansion batch execution: a group of spatially-clustered kNN
@@ -14,8 +17,8 @@ import (
 // once the queue minimum exceeds every member's bound, which preserves
 // per-member exactness (see the MultiSource exactness argument).
 //
-// All group state below is arena-backed and reused across calls, so a warm
-// shared batch allocates nothing.
+// All group state below is reused across calls, so a warm shared batch
+// allocates nothing.
 
 // groupState is the per-session scratch of the shared expansion.
 type groupState struct {
@@ -24,17 +27,16 @@ type groupState struct {
 	qs  []knn.GroupQuery
 	src []int32
 
-	// Per-member k-bounded max-heaps. off[u] is member u's arena base; both
-	// the bound heap (distances only, maintained during expansion) and the
-	// final selection heap (vertex+distance pairs) use the same layout.
-	off  []int32
-	size []int32
-	bnd  []graph.Dist
-	res  []knn.Result
+	// top[u] holds member u's k nearest tentative object distances so far,
+	// the k-th at the top. It grows to the most members any call had, and
+	// each call resets the ones it uses.
+	top []pqueue.MaxQueue
 
 	// objs lists settled object vertices (final labels are read back from
-	// the frontier after the expansion terminates).
+	// the frontier after the expansion terminates); sel is the scratch a
+	// member's answer is sorted in.
 	objs []int32
+	sel  []knn.Result
 
 	// mb holds each member's live pruning bound (its k-th tentative object
 	// distance, Inf until k candidates exist), exported to the frontier as
@@ -69,40 +71,20 @@ func (x *INE) KNNGroupAppend(qs []knn.GroupQuery, dst [][]knn.Result) {
 		}
 		x.grp = g
 	}
-	m := len(qs)
 	g.qs = append(g.qs[:0], qs...)
 	g.src = g.src[:0]
-	total := 0
+	g.mb = g.mb[:0]
+	for len(g.top) < len(qs) {
+		g.top = append(g.top, pqueue.MaxQueue{})
+	}
 	for u := range g.qs {
-		// No member can find more objects than exist, and the arenas below
-		// are sized by the sum of the k: clamp first (a huge k would OOM).
-		g.qs[u].K = min(g.qs[u].K, x.objs.Len())
+		// No member can find more objects than exist: clamp first, so a
+		// member's bound closes once it holds every object, and its answer
+		// slice below stays in range.
+		g.qs[u].K = min(max(g.qs[u].K, 0), x.objs.Len())
 		g.src = append(g.src, g.qs[u].Q)
-		total += g.qs[u].K
-	}
-	if cap(g.off) < m+1 {
-		g.off = make([]int32, m+1)
-		g.size = make([]int32, m)
-	}
-	g.off = g.off[:m+1]
-	g.size = g.size[:m]
-	g.off[0] = 0
-	for u, q := range g.qs {
-		g.off[u+1] = g.off[u] + int32(q.K)
-		g.size[u] = 0
-	}
-	if cap(g.bnd) < total {
-		g.bnd = make([]graph.Dist, total)
-		g.res = make([]knn.Result, total)
-	}
-	g.bnd = g.bnd[:total]
-	g.res = g.res[:total]
-	if cap(g.mb) < m {
-		g.mb = make([]graph.Dist, m)
-	}
-	g.mb = g.mb[:m]
-	for u := range g.mb {
-		g.mb[u] = graph.Inf
+		g.mb = append(g.mb, graph.Inf)
+		g.top[u].Reset()
 	}
 	g.objs = g.objs[:0]
 	g.bound = graph.Inf
@@ -131,165 +113,48 @@ func (x *INE) groupSettle(v int32, labels []graph.Dist) graph.Dist {
 	g.objs = append(g.objs, v)
 	changed := false
 	for u := range g.qs {
-		d := labels[u]
-		if d >= graph.Inf || g.qs[u].K <= 0 {
+		d, top := labels[u], &g.top[u]
+		switch {
+		case d >= graph.Inf:
+			continue
+		case top.Len() < g.qs[u].K:
+			top.Push(v, d)
+		case d < top.MaxKey():
+			top.ReplaceTop(v, d)
+		default:
 			continue
 		}
-		k := int32(g.qs[u].K)
-		h := g.bnd[g.off[u]:g.off[u+1]]
-		n := g.size[u]
-		switch {
-		case n < k:
-			heapPushDist(h, int(n), d)
-			g.size[u] = n + 1
-			if n+1 == k {
-				g.mb[u] = h[0]
-			}
-			changed = true
-		case d < h[0]:
-			heapReplaceDist(h, int(n), d)
-			g.mb[u] = h[0]
-			changed = true
+		if top.Len() == g.qs[u].K {
+			g.mb[u] = top.MaxKey()
 		}
+		changed = true
 	}
 	if changed {
 		// Recompute the stop bound: Inf while any member is short of k
 		// candidates, else the worst member's k-th tentative distance.
 		b := graph.Dist(0)
 		for u := range g.qs {
-			if g.size[u] < int32(g.qs[u].K) {
+			if g.top[u].Len() < g.qs[u].K {
 				return graph.Inf
 			}
-			if top := g.bnd[g.off[u]]; top > b {
-				b = top
-			}
+			b = max(b, g.mb[u])
 		}
 		g.bound = b
 	}
 	return g.bound
 }
 
-// selectMember picks member u's k smallest final object distances,
-// tie-broken by vertex id, and appends them in ascending order.
+// selectMember appends member u's k smallest final object distances,
+// tie-broken by vertex id, in ascending order.
 func (g *groupState) selectMember(u int, dst []knn.Result) []knn.Result {
-	k := g.qs[u].K
-	if k <= 0 {
-		return dst
-	}
-	h := g.res[g.off[u]:g.off[u+1]]
-	n := 0
+	g.sel = g.sel[:0]
 	for _, v := range g.objs {
-		d := g.ms.Label(v, u)
-		if d >= graph.Inf {
-			continue
-		}
-		r := knn.Result{Vertex: v, Dist: d}
-		switch {
-		case n < k:
-			heapPushRes(h, n, r)
-			n++
-		case resultLess(r, h[0]):
-			heapReplaceRes(h, n, r)
+		if d := g.ms.Label(v, u); d < graph.Inf {
+			g.sel = append(g.sel, knn.Result{Vertex: v, Dist: d})
 		}
 	}
-	base := len(dst)
-	dst = append(dst, h[:n]...)
-	for i := n - 1; i >= 0; i-- {
-		dst[base+i] = h[0]
-		heapPopRes(h, i+1)
-	}
-	return dst
-}
-
-// resultLess orders results by (distance, vertex): the deterministic total
-// order the shared path reports ties in.
-func resultLess(a, b knn.Result) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.Vertex < b.Vertex
-}
-
-// Max-heap over distances (member bound heaps). h[0] is the largest of the
-// first n entries.
-
-func heapPushDist(h []graph.Dist, n int, d graph.Dist) {
-	h[n] = d
-	for i := n; i > 0; {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func heapReplaceDist(h []graph.Dist, n int, d graph.Dist) {
-	h[0] = d
-	siftDownDist(h, 0, n)
-}
-
-func siftDownDist(h []graph.Dist, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && h[r] > h[l] {
-			big = r
-		}
-		if h[i] >= h[big] {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
-
-// Max-heap over results ordered by resultLess (final selection heaps).
-
-func heapPushRes(h []knn.Result, n int, r knn.Result) {
-	h[n] = r
-	for i := n; i > 0; {
-		p := (i - 1) / 2
-		if !resultLess(h[p], h[i]) {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func heapReplaceRes(h []knn.Result, n int, r knn.Result) {
-	h[0] = r
-	siftDownRes(h, 0, n)
-}
-
-// heapPopRes removes the maximum of h[:n] (moving the last entry to the
-// root and sifting down over n-1 entries).
-func heapPopRes(h []knn.Result, n int) {
-	h[0] = h[n-1]
-	siftDownRes(h, 0, n-1)
-}
-
-func siftDownRes(h []knn.Result, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && resultLess(h[l], h[r]) {
-			big = r
-		}
-		if !resultLess(h[i], h[big]) {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
+	slices.SortFunc(g.sel, knn.ByDistVertex)
+	return append(dst, g.sel[:min(g.qs[u].K, len(g.sel))]...)
 }
 
 var _ knn.BatchMethod = (*INE)(nil)

@@ -25,7 +25,7 @@ func TestINEMatchesBruteForce(t *testing.T) {
 		for _, k := range []int{1, 5, 10} {
 			got := x.KNN(q, k)
 			want := knn.BruteForce(g, objs, q, k)
-			if !knn.SameResults(got, want) {
+			if knn.CheckAnswer(g, objs, q, got, want) != nil {
 				t.Fatalf("q=%d k=%d: got %s want %s", q, k,
 					knn.FormatResults(got), knn.FormatResults(want))
 			}
@@ -40,7 +40,7 @@ func TestINEOnTravelTime(t *testing.T) {
 	for _, q := range queries[:10] {
 		got := x.KNN(q, 5)
 		want := knn.BruteForce(tg, objs, q, 5)
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(tg, objs, q, got, want) != nil {
 			t.Fatalf("time q=%d: got %s want %s", q, knn.FormatResults(got), knn.FormatResults(want))
 		}
 	}
@@ -74,7 +74,7 @@ func TestINESetObjectsSwaps(t *testing.T) {
 	x.SetObjects(objs2)
 	got := x.KNN(queries[0], 5)
 	want := knn.BruteForce(g, objs2, queries[0], 5)
-	if !knn.SameResults(got, want) {
+	if knn.CheckAnswer(g, objs2, queries[0], got, want) != nil {
 		t.Fatal("SetObjects did not take effect")
 	}
 }
@@ -186,7 +186,7 @@ func TestStopsWhenSetExhausted(t *testing.T) {
 		"Range":           func() []knn.Result { return x.Range(q, graph.Inf-1) },
 	} {
 		got := run()
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(g, objs, q, got, want) != nil {
 			t.Fatalf("%s: got %s want %s", name, knn.FormatResults(got), knn.FormatResults(want))
 		}
 		if x.VisitedVertices != exact || x.VisitedVertices >= g.NumVertices() {

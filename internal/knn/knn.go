@@ -263,9 +263,13 @@ func BruteForce(g *graph.Graph, objs *ObjectSet, q int32, k int) []Result {
 	return out
 }
 
-// SameResults reports whether two result lists agree: identical distance
-// sequences, and identical vertices wherever distances are unique. It
-// tolerates tie reordering among equal distances.
+// SameResults reports whether two result lists agree as kNN answers: the
+// same distance sequence, the same vertices in every group of equal
+// distances but the last, and no vertex twice in the last group. The last
+// group's vertices are not compared, because when more objects tie at the
+// k-th distance than the answer holds, any choice among them is correct.
+// Without the graph it cannot tell such a choice from a vertex that is no
+// object at that distance: CheckAnswer can.
 func SameResults(a, b []Result) bool {
 	if len(a) != len(b) {
 		return false
@@ -275,9 +279,6 @@ func SameResults(a, b []Result) bool {
 			return false
 		}
 	}
-	// Group by distance and compare vertex sets per group. The group at the
-	// k-th (last) distance is exempt: when several objects tie at the cutoff
-	// distance, any choice among them is a correct kNN answer.
 	i := 0
 	for i < len(a) {
 		j := i + 1
@@ -285,6 +286,9 @@ func SameResults(a, b []Result) bool {
 			j++
 		}
 		if j < len(a) && !sameVertexSet(a[i:j], b[i:j]) {
+			return false
+		}
+		if j == len(a) && (repeatsVertex(a[i:]) || repeatsVertex(b[i:])) {
 			return false
 		}
 		i = j
@@ -309,6 +313,54 @@ func sameVertexSet(a, b []Result) bool {
 		}
 	}
 	return true
+}
+
+func repeatsVertex(rs []Result) bool {
+	seen := make(map[int32]bool, len(rs))
+	for _, r := range rs {
+		if seen[r.Vertex] {
+			return true
+		}
+		seen[r.Vertex] = true
+	}
+	return false
+}
+
+// CheckAnswer returns nil if got is a correct answer from q over objs whose
+// brute-force answer is want (BruteForce's, or BruteForceRange's): the
+// same length and distance sequence, the same vertices in every group of
+// equal distances but the last, and in the last group distinct objects at
+// that distance from q, which BruteForceRange to that distance tells.
+// Otherwise the error names both answers, and the vertex at fault when it
+// is one of the last group's.
+func CheckAnswer(g *graph.Graph, objs *ObjectSet, q int32, got, want []Result) error {
+	if !SameResults(got, want) {
+		return fmt.Errorf("got %s, brute force %s", FormatResults(got), FormatResults(want))
+	}
+	wantLast := lastGroup(want)
+	var within []Result // read only when got names a vertex want does not
+	for _, r := range lastGroup(got) {
+		if slices.Contains(wantLast, r) {
+			continue
+		}
+		if within == nil {
+			within = BruteForceRange(g, objs, q, r.Dist)
+		}
+		if !slices.Contains(within, r) {
+			return fmt.Errorf("got %s, brute force %s: vertex %d is no object at distance %d",
+				FormatResults(got), FormatResults(want), r.Vertex, r.Dist)
+		}
+	}
+	return nil
+}
+
+// lastGroup returns the trailing results at rs's last distance.
+func lastGroup(rs []Result) []Result {
+	i := len(rs)
+	for i > 0 && rs[i-1].Dist == rs[len(rs)-1].Dist {
+		i--
+	}
+	return rs[i:]
 }
 
 // FormatResults renders results compactly for logs and examples.

@@ -86,6 +86,58 @@ func TestSameResultsTieReordering(t *testing.T) {
 	}
 }
 
+// tieGraph has vertices 4 and 8 both at distance 3 from vertex 0, and
+// vertex 1 at distance 1.
+func tieGraph() *graph.Graph {
+	b := graph.NewBuilder(9, make([]float64, 9), make([]float64, 9))
+	b.AddEdge(0, 4, 3, 3)
+	b.AddEdge(0, 8, 3, 3)
+	for v := int32(0); v < 7; v++ {
+		if v != 3 {
+			b.AddEdge(v, v+1, 1, 1)
+		}
+	}
+	return b.Build("ties")
+}
+
+// TestLastGroupRepeatsFail pins that an answer naming one vertex twice at
+// the k-th distance is wrong, whichever side holds the repeat.
+func TestLastGroupRepeatsFail(t *testing.T) {
+	g := tieGraph()
+	objs := knn.NewObjectSet(g, []int32{1, 4, 8})
+	want := []knn.Result{{1, 1}, {4, 3}, {8, 3}}
+	dup := []knn.Result{{1, 1}, {4, 3}, {4, 3}}
+	if knn.SameResults(dup, want) || knn.SameResults(want, dup) {
+		t.Fatal("SameResults accepts a repeated vertex in the last group")
+	}
+	if knn.CheckAnswer(g, objs, 0, dup, want) == nil {
+		t.Fatal("CheckAnswer accepts a repeated vertex in the last group")
+	}
+	if err := knn.CheckAnswer(g, objs, 0, want, knn.BruteForce(g, objs, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckAnswerReadsTies pins what only the graph tells: a last-group
+// vertex the reference does not name is right when it is an object at that
+// distance, and wrong otherwise, though SameResults accepts both.
+func TestCheckAnswerReadsTies(t *testing.T) {
+	g := tieGraph()
+	got, want := []knn.Result{{8, 3}}, []knn.Result{{4, 3}}
+	if !knn.SameResults(got, want) {
+		t.Fatal("SameResults must not compare the last group's vertices")
+	}
+	if err := knn.CheckAnswer(g, knn.NewObjectSet(g, []int32{4, 8}), 0, got, want); err != nil {
+		t.Fatalf("object 8 ties with 4 at distance 3: %v", err)
+	}
+	if knn.CheckAnswer(g, knn.NewObjectSet(g, []int32{4}), 0, got, want) == nil {
+		t.Fatal("CheckAnswer accepts vertex 8, which is no object")
+	}
+	if knn.CheckAnswer(g, knn.NewObjectSet(g, []int32{4, 7}), 0, []knn.Result{{7, 3}}, want) == nil {
+		t.Fatal("CheckAnswer accepts object 7, which is at distance 6")
+	}
+}
+
 func TestSameResultsReflexiveProperty(t *testing.T) {
 	f := func(dists []uint16) bool {
 		rs := make([]knn.Result, len(dists))

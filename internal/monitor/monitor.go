@@ -180,11 +180,11 @@ func (t *Tracker) Step(from, to int32, epoch uint64) RefreshReason {
 		return RefreshEpoch
 	}
 	if from != to {
-		w, ok := edgeWeight(t.g, from, to)
+		w, ok := t.g.EdgeWeightBetween(from, to)
 		if !ok {
 			return RefreshJump
 		}
-		t.drift += w
+		t.drift += graph.Dist(w)
 	}
 	if t.gap != graph.Inf && 2*t.drift > t.gap {
 		return RefreshDrift
@@ -229,20 +229,6 @@ func (t *Tracker) Drift() graph.Dist { return t.drift }
 // Gap returns the anchor's safe gap (graph.Inf when unbeatable): the pinned
 // set stays provably exact while 2*Drift() <= Gap().
 func (t *Tracker) Gap() graph.Dist { return t.gap }
-
-// edgeWeight returns the weight of the edge from u to v under the graph's
-// active weight view — the per-step displacement of a route move. Parallel
-// edges report the minimum weight. ok is false when no such edge exists.
-func edgeWeight(g *graph.Graph, u, v int32) (graph.Dist, bool) {
-	targets, weights := g.Neighbors(u)
-	best, ok := graph.Inf, false
-	for i, t := range targets {
-		if t == v && graph.Dist(weights[i]) < best {
-			best, ok = graph.Dist(weights[i]), true
-		}
-	}
-	return best, ok
-}
 
 // Diff appends the Enter/Exit/DistChange events that turn result set old
 // into result set new, and returns the extended slice. Exits come first (in

@@ -2,6 +2,7 @@ package pqueue
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"testing"
 
@@ -229,6 +230,123 @@ func FuzzIndexedQueueMatchesModel(f *testing.F) {
 			}
 			if q.Len() != len(model) || q.Empty() != (len(model) == 0) {
 				t.Fatalf("Len = %d, Empty = %v; model holds %d", q.Len(), q.Empty(), len(model))
+			}
+		}
+	})
+}
+
+// Opcodes of FuzzMaxQueueMatchesModel: pushes and ReplaceTop read their key
+// from the next byte, Remove its id.
+const (
+	opMaxPushSmall = iota // key = next byte
+	opMaxPushWide         // key = next byte << 40
+	opMaxPushNeg          // key = -(next byte) - 1
+	opMaxPushInf          // key = graph.Inf
+	opMaxPop
+	opMaxReplaceTop // key = next byte
+	opMaxRemove     // id = next byte
+	opMaxReset
+)
+
+// FuzzMaxQueueMatchesModel drives MaxQueue and a sorted-slice model with the
+// same Push, Pop, ReplaceTop, Remove and Reset stream: Pop and ReplaceTop
+// must take an entry with the model's maximum key that was pushed and not
+// yet taken, Remove must report whether the id was live, and Len and
+// MaxKey must agree throughout. Ties may pop in any order.
+func FuzzMaxQueueMatchesModel(f *testing.F) {
+	// Bounded top-k traffic, as IER and the shared INE group run it: fill to
+	// k, then replace the top with each smaller key; heap sizes around the
+	// binary levels (7 = 1+2+4, 15).
+	for _, k := range []int{1, 2, 3, 6, 7, 8, 15, 16} {
+		var ops []byte
+		for i := range k {
+			ops = append(ops, opMaxPushSmall, byte(200-i*7))
+		}
+		for i := range 2 * k {
+			ops = append(ops, opMaxReplaceTop, byte(150-i*3))
+		}
+		for range k {
+			ops = append(ops, opMaxPop)
+		}
+		f.Add(ops)
+	}
+	f.Add([]byte{opMaxPushSmall, 5, opMaxPushSmall, 5, opMaxPushInf, opMaxPushNeg, 0, opMaxRemove, 1, opMaxRemove, 1, opMaxPop, opMaxReplaceTop, 5, opMaxPop, opMaxPop})
+	f.Add(bytes.Repeat([]byte{opMaxPushWide, 3, opMaxPushSmall, 9, opMaxRemove, 0, opMaxReplaceTop, 1, opMaxPushNeg, 4, opMaxPop}, 30))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q MaxQueue
+		var model []Item // sorted by Key
+		nextID := int32(0)
+		add := func(it Item) {
+			i := sort.Search(len(model), func(i int) bool { return model[i].Key > it.Key })
+			model = slices.Insert(model, i, it)
+		}
+		// take removes got from the model, failing unless it is a live
+		// entry with the maximum key.
+		take := func(op string, got Item) {
+			if top := model[len(model)-1].Key; got.Key != top {
+				t.Fatalf("%s = %+v, model maximum key %d", op, got, top)
+			}
+			i := slices.Index(model, got)
+			if i < 0 {
+				t.Fatalf("%s = %+v: no such live entry", op, got)
+			}
+			model = slices.Delete(model, i, i+1)
+		}
+		arg := func() int64 {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int64(b)
+		}
+		push := func(key int64) {
+			q.Push(nextID, key)
+			add(Item{nextID, key})
+			nextID++
+		}
+		for len(ops) > 0 {
+			op := ops[0] & 7
+			ops = ops[1:]
+			switch op {
+			case opMaxPushSmall:
+				push(arg())
+			case opMaxPushWide:
+				push(arg() << 40)
+			case opMaxPushNeg:
+				push(-arg() - 1)
+			case opMaxPushInf:
+				push(int64(graph.Inf))
+			case opMaxPop:
+				if len(model) > 0 { // Pop on an empty queue panics by contract
+					take("Pop", q.Pop())
+				}
+			case opMaxReplaceTop:
+				key := arg()
+				if len(model) > 0 { // as Pop
+					take("ReplaceTop", q.ReplaceTop(nextID, key))
+					add(Item{nextID, key})
+					nextID++
+				}
+			case opMaxRemove:
+				id := int32(arg())
+				i := slices.IndexFunc(model, func(it Item) bool { return it.ID == id })
+				if got := q.Remove(id); got != (i >= 0) {
+					t.Fatalf("Remove(%d) = %v; model holds it: %v", id, got, i >= 0)
+				}
+				if i >= 0 {
+					model = slices.Delete(model, i, i+1)
+				}
+			case opMaxReset:
+				q.Reset()
+				model = model[:0]
+			}
+			if q.Len() != len(model) {
+				t.Fatalf("Len = %d; model holds %d", q.Len(), len(model))
+			}
+			if len(model) > 0 && q.MaxKey() != model[len(model)-1].Key {
+				t.Fatalf("MaxKey = %d, model maximum %d", q.MaxKey(), model[len(model)-1].Key)
 			}
 		}
 	})

@@ -1,5 +1,5 @@
 // Package pqueue provides the heap priority queues used by every method in
-// this repository.
+// this repository, one heap per traffic pattern.
 //
 // The primary queue (Queue) follows the paper's main-memory guidance
 // (Section 6.2, choice 1): it does not support decrease-key. Stale duplicate
@@ -9,17 +9,24 @@
 // updates. It is a 4-ary heap whose Pop picks the smallest child by
 // arithmetic on the sign bit of a key difference instead of a data-dependent
 // branch, which is where a binary heap's Pop spends its time (one
-// mispredicted branch per level).
+// mispredicted branch per level). Besides the expansions it carries IER's
+// pending-emission buffer and the R-tree's best-first scan.
 //
 // Key domain: any two keys live in one Queue must differ by less than 2^63,
 // so that a-b is negative exactly when a < b. Every caller satisfies it:
-// distances lie in [0, graph.Inf] (Inf is MaxInt64/4) and CH's signed node
-// priorities are small.
+// distances lie in [0, graph.Inf] (Inf is MaxInt64/4), CH's signed node
+// priorities are small, and the R-tree scan keys a Euclidean distance
+// d >= 0 by math.Float64bits(d), which orders as d does and lies in
+// [0, 2^63). A NaN distance, which a NaN coordinate in a hostile mapped
+// file can produce, may carry the sign bit and so fall outside the domain:
+// such an entry may pop out of order, but every Pop still removes one
+// entry, so a scan still ends.
 //
 // IndexedQueue is the decrease-key form of the same 4-ary heap, for scans
-// that keep re-offering queued vertices lower keys (ROAD's shortcut rows):
-// one heap per traffic pattern. MaxQueue (Distance Browsing's candidate
-// list) is a plain binary heap.
+// that keep re-offering queued vertices lower keys (ROAD's shortcut rows).
+// MaxQueue is a binary max-heap for bounded top-k selection (IER's
+// candidates, the shared INE group's per-member bounds, with ReplaceTop)
+// and for Distance Browsing's candidate list.
 package pqueue
 
 import "rnknn/internal/scratch"
@@ -127,8 +134,10 @@ func (q *Queue) up(i int, item Item) {
 	a[i] = item
 }
 
-// MaxQueue is a binary max-heap of Items, used for the candidate list L in
-// Distance Browsing (largest upper bound at the top). The zero value is
+// MaxQueue is a binary max-heap of Items: the bounded top-k of IER and of
+// the shared INE group (the k-th distance so far at the top, replaced in
+// one sift when a nearer candidate arrives) and Distance Browsing's
+// candidate list L (largest upper bound at the top). The zero value is
 // ready to use.
 type MaxQueue struct {
 	a []Item
@@ -142,47 +151,28 @@ func (q *MaxQueue) Reset() { q.a = q.a[:0] }
 
 // Push inserts id with the given key.
 func (q *MaxQueue) Push(id int32, key int64) {
-	q.a = append(q.a, Item{id, key})
-	i := len(q.a) - 1
-	item := q.a[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q.a[parent].Key >= item.Key {
-			break
-		}
-		q.a[i] = q.a[parent]
-		i = parent
-	}
-	q.a[i] = item
+	q.a = append(q.a, Item{})
+	q.up(len(q.a)-1, Item{id, key})
 }
 
 // Pop removes and returns the maximum-key item. It panics on an empty queue.
 func (q *MaxQueue) Pop() Item {
 	top := q.a[0]
-	last := len(q.a) - 1
-	q.a[0] = q.a[last]
-	q.a = q.a[:last]
-	n := len(q.a)
-	i := 0
+	n := len(q.a) - 1
+	tail := q.a[n]
+	q.a = q.a[:n]
 	if n > 0 {
-		item := q.a[0]
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			c := l
-			if r := l + 1; r < n && q.a[r].Key > q.a[l].Key {
-				c = r
-			}
-			if q.a[c].Key <= item.Key {
-				break
-			}
-			q.a[i] = q.a[c]
-			i = c
-		}
-		q.a[i] = item
+		q.down(0, tail)
 	}
+	return top
+}
+
+// ReplaceTop replaces the maximum-key item with id at key in one sift and
+// returns the replaced item: a Pop and a Push at the cost of one. It
+// panics on an empty queue.
+func (q *MaxQueue) ReplaceTop(id int32, key int64) Item {
+	top := q.a[0]
+	q.down(0, Item{id, key})
 	return top
 }
 
@@ -204,11 +194,15 @@ func (q *MaxQueue) Items() []Item { return q.a }
 func (q *MaxQueue) Remove(id int32) bool {
 	for i := range q.a {
 		if q.a[i].ID == id {
-			last := len(q.a) - 1
-			q.a[i] = q.a[last]
-			q.a = q.a[:last]
-			if i < len(q.a) {
-				q.fix(i)
+			n := len(q.a) - 1
+			tail := q.a[n]
+			q.a = q.a[:n]
+			switch {
+			case i == n: // the tail itself was removed
+			case i > 0 && q.a[(i-1)/2].Key < tail.Key:
+				q.up(i, tail)
+			default:
+				q.down(i, tail)
 			}
 			return true
 		}
@@ -216,38 +210,38 @@ func (q *MaxQueue) Remove(id int32) bool {
 	return false
 }
 
-func (q *MaxQueue) fix(i int) {
-	// Sift up then down to restore heap order at i.
-	item := q.a[i]
-	j := i
-	for j > 0 {
-		parent := (j - 1) / 2
-		if q.a[parent].Key >= item.Key {
+// up places item into the hole at slot i, moving smaller ancestors down.
+func (q *MaxQueue) up(i int, item Item) {
+	a := q.a
+	for i > 0 {
+		parent := (i - 1) / 2
+		if a[parent].Key >= item.Key {
 			break
 		}
-		q.a[j] = q.a[parent]
-		j = parent
+		a[i] = a[parent]
+		i = parent
 	}
-	q.a[j] = item
-	n := len(q.a)
-	i = j
-	item = q.a[i]
+	a[i] = item
+}
+
+// down places item into the hole at slot i, moving larger children up.
+func (q *MaxQueue) down(i int, item Item) {
+	a := q.a
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= len(a) {
 			break
 		}
-		c := l
-		if r := l + 1; r < n && q.a[r].Key > q.a[l].Key {
+		if r := c + 1; r < len(a) && a[r].Key > a[c].Key {
 			c = r
 		}
-		if q.a[c].Key <= item.Key {
+		if a[c].Key <= item.Key {
 			break
 		}
-		q.a[i] = q.a[c]
+		a[i] = a[c]
 		i = c
 	}
-	q.a[i] = item
+	a[i] = item
 }
 
 // IndexedQueue is a 4-ary min-heap with decrease-key over ids in [0, n):

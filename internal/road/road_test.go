@@ -70,7 +70,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			for _, k := range []int{1, 5, 10} {
 				got := m.KNN(q, k)
 				want := knn.BruteForce(g, objs, q, k)
-				if !knn.SameResults(got, want) {
+				if knn.CheckAnswer(g, objs, q, got, want) != nil {
 					t.Fatalf("d=%v q=%d k=%d: got %s want %s", density, q, k,
 						knn.FormatResults(got), knn.FormatResults(want))
 				}
@@ -89,7 +89,7 @@ func TestKNNTravelTime(t *testing.T) {
 		q := int32(rng.Intn(g.NumVertices()))
 		got := m.KNN(q, 10)
 		want := knn.BruteForce(g, objs, q, 10)
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(g, objs, q, got, want) != nil {
 			t.Fatalf("q=%d: got %s want %s", q, knn.FormatResults(got), knn.FormatResults(want))
 		}
 	}
@@ -104,7 +104,7 @@ func TestKNNSparseObjectsFarQuery(t *testing.T) {
 	for _, q := range []int32{0, int32(g.NumVertices() / 2), int32(g.NumVertices() - 1)} {
 		got := m.KNN(q, 3)
 		want := knn.BruteForce(g, objs, q, 3)
-		if !knn.SameResults(got, want) {
+		if knn.CheckAnswer(g, objs, q, got, want) != nil {
 			t.Fatalf("q=%d: got %s want %s", q, knn.FormatResults(got), knn.FormatResults(want))
 		}
 	}
@@ -210,7 +210,7 @@ func TestStopsWhenSetExhausted(t *testing.T) {
 	x.KNN(q, 3)
 	exact := x.VisitedVertices
 	got := x.KNN(q, 10)
-	if want := knn.BruteForce(g, objs, q, 10); !knn.SameResults(got, want) {
+	if want := knn.BruteForce(g, objs, q, 10); knn.CheckAnswer(g, objs, q, got, want) != nil {
 		t.Fatalf("got %s want %s", knn.FormatResults(got), knn.FormatResults(want))
 	}
 	if x.VisitedVertices != exact || x.VisitedVertices >= g.NumVertices() {

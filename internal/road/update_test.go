@@ -37,7 +37,7 @@ func checkDirectory(t *testing.T, idx *road.Index, ad *road.AssociationDirectory
 func checkKNN(t *testing.T, idx *road.Index, ad *road.AssociationDirectory, objs *knn.ObjectSet, q int32, when string) {
 	t.Helper()
 	got := road.NewKNN(idx, ad).KNN(q, 5)
-	if want := knn.BruteForce(idx.G, objs, q, 5); !knn.SameResults(got, want) {
+	if want := knn.BruteForce(idx.G, objs, q, 5); knn.CheckAnswer(idx.G, objs, q, got, want) != nil {
 		t.Fatalf("%s q=%d: got %s want %s", when, q, knn.FormatResults(got), knn.FormatResults(want))
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"rnknn/internal/geo"
+	"rnknn/internal/pqueue"
 )
 
 // DefaultNodeCap is the default R-tree node capacity. The paper tuned node
@@ -44,11 +45,11 @@ const (
 	rebuildDivisor = 2
 )
 
-// Tree is an R-tree over a set of points, each carrying a user identifier
-// (the road-network vertex of an object). New bulk-loads with STR; Insert
-// and Delete update it in place. Readers (scans) and writers must not run
-// concurrently on the same Tree — epoch-sharing callers mutate only fresh
-// Clones.
+// Tree is an R-tree over a set of points, each carrying a non-negative
+// user identifier (the road-network vertex of an object). New bulk-loads
+// with STR; Insert and Delete update it in place. Readers (scans) and
+// writers must not run concurrently on the same Tree — epoch-sharing
+// callers mutate only fresh Clones.
 type Tree struct {
 	nodeCap int
 	root    *node // nil when the tree is empty
@@ -456,24 +457,25 @@ type Neighbor struct {
 	Dist float64
 }
 
-// scanItem is an entry of the scan's priority queue, holding either an
-// R-tree node or a point entry (node == nil, id set).
-type scanItem struct {
-	key  float64
-	node *node // nil for a point entry
-	id   int32
-}
-
 // Scanner is a suspendable best-first incremental nearest-neighbor search
 // (Hjaltason & Samet). Next returns neighbors in nondecreasing Euclidean
 // distance; the scan retains its priority queue between calls, which is the
 // property IER's candidate loop relies on. A Scanner reads the Tree it was
 // created from and must not outlive concurrent mutations of that same Tree
 // value; epoch-sharing callers scan a pinned Clone that is never mutated.
+//
+// The queue is a pqueue.Queue keyed by distKey. A point entry is queued
+// under its own id, which is a vertex and so non-negative; a node under
+// -(i+1), where i is its slot in nodes, the encoding G-tree's search uses.
 type Scanner struct {
 	from  geo.Point
-	items []scanItem
+	q     pqueue.Queue
+	nodes []*node
 }
+
+// distKey is the queue key of a Euclidean distance d >= 0: the bits of
+// non-negative floats order as the floats do (see pqueue's key domain).
+func distKey(d float64) int64 { return int64(math.Float64bits(d)) }
 
 // NewScan starts an incremental Euclidean NN scan from p.
 func (t *Tree) NewScan(p geo.Point) *Scanner {
@@ -483,42 +485,46 @@ func (t *Tree) NewScan(p geo.Point) *Scanner {
 }
 
 // Start (re)initializes s as a scan of t from p, retaining the queue's
-// backing array — the reuse hook that lets a query session keep one
+// backing arrays — the reuse hook that lets a query session keep one
 // Scanner for its lifetime instead of allocating one per query.
 func (s *Scanner) Start(t *Tree, p geo.Point) {
 	s.from = p
-	s.items = s.items[:0]
+	s.q.Reset()
+	s.nodes = s.nodes[:0]
 	if t.root != nil {
-		s.push(scanItem{key: t.root.rect.MinDist(p), node: t.root})
+		s.queueNode(t.root)
 	}
+}
+
+// queueNode queues n at its rect's distance from the scan's origin.
+func (s *Scanner) queueNode(n *node) {
+	s.nodes = append(s.nodes, n)
+	s.q.Push(int32(-len(s.nodes)), distKey(n.rect.MinDist(s.from)))
 }
 
 // PeekDist returns the lower bound on the distance of the next neighbor, or
 // +Inf when the scan is exhausted. The bound is exact when the head of the
 // queue is a point.
 func (s *Scanner) PeekDist() float64 {
-	if len(s.items) == 0 {
+	if s.q.Empty() {
 		return math.Inf(1)
 	}
-	return s.items[0].key
+	return math.Float64frombits(uint64(s.q.MinKey()))
 }
 
 // Next returns the next nearest neighbor, or ok=false when exhausted.
 func (s *Scanner) Next() (Neighbor, bool) {
-	for len(s.items) > 0 {
-		it := s.pop()
-		if it.node == nil {
-			return Neighbor{ID: it.id, Dist: it.key}, true
+	for !s.q.Empty() {
+		it := s.q.Pop()
+		if it.ID >= 0 {
+			return Neighbor{ID: it.ID, Dist: math.Float64frombits(uint64(it.Key))}, true
 		}
-		n := it.node
-		if n.leaf {
-			for _, e := range n.ents {
-				s.push(scanItem{key: s.from.Dist(e.pt), id: e.id})
-			}
-		} else {
-			for _, c := range n.children {
-				s.push(scanItem{key: c.rect.MinDist(s.from), node: c})
-			}
+		n := s.nodes[-it.ID-1]
+		for _, e := range n.ents {
+			s.q.Push(e.id, distKey(s.from.Dist(e.pt)))
+		}
+		for _, c := range n.children {
+			s.queueNode(c)
 		}
 	}
 	return Neighbor{}, false
@@ -537,42 +543,4 @@ func (t *Tree) KNearest(p geo.Point, k int) []Neighbor {
 		out = append(out, n)
 	}
 	return out
-}
-
-func (s *Scanner) push(it scanItem) {
-	s.items = append(s.items, it)
-	i := len(s.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.items[parent].key <= s.items[i].key {
-			break
-		}
-		s.items[i], s.items[parent] = s.items[parent], s.items[i]
-		i = parent
-	}
-}
-
-func (s *Scanner) pop() scanItem {
-	top := s.items[0]
-	last := len(s.items) - 1
-	s.items[0] = s.items[last]
-	s.items = s.items[:last]
-	n := len(s.items)
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && s.items[r].key < s.items[l].key {
-			c = r
-		}
-		if s.items[c].key >= s.items[i].key {
-			break
-		}
-		s.items[i], s.items[c] = s.items[c], s.items[i]
-		i = c
-	}
-	return top
 }

@@ -108,6 +108,46 @@ func TestScannerSuspendResume(t *testing.T) {
 	}
 }
 
+// TestScannerTiesAndZero pins the scan's float-bits keys where they can
+// go wrong: a point at the query (distance +0) comes first with Dist 0,
+// every point at one exact distance is returned at that distance, and the
+// scan stays in nondecreasing order through the ties, at any node size.
+func TestScannerTiesAndZero(t *testing.T) {
+	q := geo.Point{X: 10, Y: 20}
+	offsets := []geo.Point{
+		{X: 0, Y: 0}, {X: 0, Y: 0}, // at the query
+		{X: 5, Y: 0}, {X: -5, Y: 0}, {X: 0, Y: 5}, {X: 0, Y: -5},
+		{X: 3, Y: 4}, {X: -3, Y: 4}, {X: 4, Y: -3}, {X: -4, Y: -3}, // all at 5
+		{X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0.5, Y: 0}, {X: 6, Y: 8}, {X: -8, Y: 6}, {X: 0, Y: 7},
+	}
+	ids := make([]int32, len(offsets))
+	pts := make([]geo.Point, len(offsets))
+	want := make([]float64, len(offsets))
+	for i, o := range offsets {
+		ids[i], pts[i] = int32(i), geo.Point{X: q.X + o.X, Y: q.Y + o.Y}
+		want[i] = q.Dist(pts[i])
+	}
+	sort.Float64s(want)
+	for _, nodeCap := range []int{2, 3, 16} {
+		s := New(ids, pts, nodeCap).NewScan(q)
+		seen := map[int32]bool{}
+		for i, w := range want {
+			peek := s.PeekDist()
+			n, ok := s.Next()
+			if !ok || n.Dist != w || n.Dist != q.Dist(pts[n.ID]) || seen[n.ID] || peek > n.Dist {
+				t.Fatalf("cap %d: neighbor %d = %+v, %v (peek %v); want distance %v", nodeCap, i, n, ok, peek, w)
+			}
+			if n.Dist == 0 && math.Signbit(n.Dist) {
+				t.Fatalf("cap %d: neighbor %d at -0", nodeCap, i)
+			}
+			seen[n.ID] = true
+		}
+		if _, ok := s.Next(); ok || !math.IsInf(s.PeekDist(), 1) {
+			t.Fatalf("cap %d: scan not exhausted after %d points", nodeCap, len(want))
+		}
+	}
+}
+
 func TestEmptyAndSingle(t *testing.T) {
 	tr := New(nil, nil, 0)
 	if tr.Len() != 0 {

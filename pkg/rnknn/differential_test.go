@@ -204,45 +204,29 @@ func (h *diffRun) apply(c string, add, remove []int32, replace bool) {
 	}
 }
 
-// diffRef is brute force's answer to one query over one object set, and
-// the objects tied at its last distance.
+// diffRef is brute force's answer to one query over one object set.
 type diffRef struct {
 	q       int32
 	arg     int
 	isRange bool
 	objs    *knn.ObjectSet
 	want    []Result
-	tied    map[int32]bool
 }
 
-// exact fails unless got is brute force's answer over objs: the same
-// distance sequence, the same vertices wherever a distance is not tied at
-// the end, and in the last tie group distinct objects at that distance.
+// exact fails unless got is a correct answer over objs by knn.CheckAnswer.
 // The reference is computed once for consecutive checks of one query.
 func (h *diffRun) exact(what string, got []Result, q int32, arg int, isRange bool, objs *knn.ObjectSet) {
 	h.t.Helper()
 	if r := &h.ref; r.q != q || r.arg != arg || r.isRange != isRange || r.objs != objs {
-		*r = diffRef{q: q, arg: arg, isRange: isRange, objs: objs, tied: map[int32]bool{}}
+		*r = diffRef{q: q, arg: arg, isRange: isRange, objs: objs}
 		if isRange {
 			r.want = knn.BruteForceRange(h.g, objs, q, Dist(arg))
 		} else {
 			r.want = knn.BruteForce(h.g, objs, q, min(arg, objs.Len()))
 		}
-		if len(r.want) > 0 {
-			last := r.want[len(r.want)-1].Dist
-			for _, x := range knn.BruteForceRange(h.g, objs, q, last) {
-				r.tied[x.Vertex] = x.Dist == last
-			}
-		}
 	}
-	ok := SameResults(got, h.ref.want)
-	seen := map[int32]bool{}
-	for i := len(got) - 1; ok && i >= 0 && got[i].Dist == got[len(got)-1].Dist; i-- {
-		ok = h.ref.tied[got[i].Vertex] && !seen[got[i].Vertex]
-		seen[got[i].Vertex] = true
-	}
-	if !ok {
-		h.fatalf("%s q=%d arg=%d: got %s, brute force %s", what, q, arg, FormatResults(got), FormatResults(h.ref.want))
+	if err := knn.CheckAnswer(h.g, objs, q, got, h.ref.want); err != nil {
+		h.fatalf("%s q=%d arg=%d: %v", what, q, arg, err)
 	}
 }
 

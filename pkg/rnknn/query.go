@@ -451,7 +451,9 @@ func (db *DB) objectSet(ep *epoch) *knn.ObjectSet {
 }
 
 // SameResults reports whether two result lists agree, tolerating reordering
-// among tied distances (and any choice of ties at the k-th distance).
+// among tied distances and any choice of distinct vertices at the k-th
+// distance. Without the graph it cannot tell whether a vertex chosen there
+// is an object at that distance.
 func SameResults(a, b []Result) bool { return knn.SameResults(a, b) }
 
 // FormatResults renders results compactly ("[vertex:dist ...]") for logs.
