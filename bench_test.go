@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -670,12 +671,18 @@ var mutateDB = struct {
 // objects.mutate_{sparse,dense}_us: one op is a 4-vertex InsertObjects of
 // vertices outside the category followed by the matching RemoveObjects,
 // so the set is the same after every op. ns/mutation is half of ns/op, the
-// probes' unit. Since an epoch copies only what its delta touches (paged
-// membership, an occurrence list sized by the objects, a path-copied
-// R-tree), an op costs ~6.1 KB and 44 allocs at density 0.001 (17.4 KB
-// and 60 when the membership bitset, G-tree's per-node arrays and every
-// R-tree node were copied) and ~47 KB and 71 allocs at 0.1 (118 KB and
-// 67: each R-tree node a path copy writes is its own allocation).
+// probes' unit. A mutation derives only the object set (paged membership
+// and the sorted vertices); each method's object index is brought up to
+// date by the first query that reads it, so the form=then-read
+// sub-benchmarks follow each mutation with one k=1 query per enabled
+// method on the mutated category — the mutation plus every derivation it
+// defers, against which the old eager path's mutation plus queries
+// compares. A mutation alone costs ~2.1 KB and 20 allocs per op at density
+// 0.001 and ~21 KB and 20 at 0.1; then-read ~5.5 KB and 42, and ~37 KB and
+// 69 (the occurrence list and association directory of the remove epoch
+// are the insert epoch's bases again). When every mutation derived every
+// index an op cost 6.1 KB and 44 allocs, and 47 KB and 71, for the
+// mutation alone.
 func BenchmarkObjectMutate(b *testing.B) {
 	mutateDB.once.Do(func() {
 		spec, _ := gen.LadderSpec("NW")
@@ -694,38 +701,71 @@ func BenchmarkObjectMutate(b *testing.B) {
 	if db == nil {
 		b.Fatal("shared mutate bench DB failed to open")
 	}
-	for i, d := range mutateDensities {
-		cat := fmt.Sprintf("d%g", d)
-		b.Run("density="+fmt.Sprint(d), func(b *testing.B) {
-			// 128 deltas of four distinct vertices, none in the category.
-			present := map[int32]bool{}
-			for _, v := range gen.Uniform(db.Graph(), d, int64(60+i)) {
-				present[v] = true
+	for _, thenRead := range []bool{false, true} {
+		for i, d := range mutateDensities {
+			name := "density=" + fmt.Sprint(d)
+			if thenRead {
+				name = "form=then-read/" + name
 			}
-			rng := rand.New(rand.NewSource(67))
-			deltas := make([][]int32, 128)
-			for j := range deltas {
-				for len(deltas[j]) < 4 {
-					if v := int32(rng.Intn(db.Graph().NumVertices())); !present[v] {
-						present[v] = true
-						deltas[j] = append(deltas[j], v)
-					}
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vs := deltas[i%len(deltas)]
-				if err := db.InsertObjects(cat, vs); err != nil {
-					b.Fatal(err)
-				}
-				if err := db.RemoveObjects(cat, vs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/mutation")
-		})
+			b.Run(name, func(b *testing.B) { benchMutate(b, db, d, int64(60+i), thenRead) })
+		}
 	}
+}
+
+// benchMutate runs BenchmarkObjectMutate on the category of density d
+// registered from seed, each mutation followed by one k=1 query per method
+// when thenRead is set.
+func benchMutate(b *testing.B, db *api.DB, d float64, seed int64, thenRead bool) {
+	cat := fmt.Sprintf("d%g", d)
+	objs := gen.Uniform(db.Graph(), d, seed)
+	// The query stands on an object no delta touches, so it answers at once
+	// and what a read adds is mostly the derivation it triggers.
+	ctx, q := context.Background(), objs[0]
+	var buf []api.Result
+	read := func() {
+		if !thenRead {
+			return
+		}
+		for _, m := range db.Methods() {
+			var err error
+			if buf, err = db.KNNAppend(ctx, q, 1, buf[:0], api.WithCategory(cat), api.WithMethod(m)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// 128 deltas of four distinct vertices, none in the category.
+	present := map[int32]bool{}
+	for _, v := range objs {
+		present[v] = true
+	}
+	rng := rand.New(rand.NewSource(67))
+	deltas := make([][]int32, 128)
+	for j := range deltas {
+		for len(deltas[j]) < 4 {
+			if v := int32(rng.Intn(db.Graph().NumVertices())); !present[v] {
+				present[v] = true
+				deltas[j] = append(deltas[j], v)
+			}
+		}
+	}
+	read() // the category's every index built before the timed loop
+	// The sub-benchmarks share one DB; start each from a collected heap so
+	// the garbage an earlier form left does not time into this one.
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vs := deltas[i%len(deltas)]
+		if err := db.InsertObjects(cat, vs); err != nil {
+			b.Fatal(err)
+		}
+		read()
+		if err := db.RemoveObjects(cat, vs); err != nil {
+			b.Fatal(err)
+		}
+		read()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/mutation")
 }
 
 // --- Snapshot open paths: verified decode vs zero-copy mmap ---
@@ -734,11 +774,13 @@ func BenchmarkObjectMutate(b *testing.B) {
 // self-contained snapshot of the shared bench DB (graph + G-tree + PHL
 // indexes), opened per op either through the fully verified decode of
 // bytes in memory (mode=decode, rnknn.OpenFromSnapshot) or through the
-// mmap zero-copy path (mode=mmap, rnknn.OpenSnapshotFile). Answers must match the building DB before any
-// timing. Both modes report open-ms and the snapshot size; the mmap mode
-// additionally reports its speedup over decode and hard-fails below 10x,
-// so the "warm start costs page faults, not a decode of every byte" claim
-// is enforced on every PR.
+// mmap zero-copy path (mode=mmap, rnknn.OpenSnapshotFile). Answers must
+// match the building DB before any timing. Both modes report open-ms and
+// the snapshot size; the mmap mode additionally reports its speedup over
+// decode (~24x expected, 5-22x on a loaded 2-vCPU host at one iteration).
+// The speedup is a reading, not a gate: the "warm start costs page faults,
+// not a decode of every byte" claim is gated in bytes by
+// TestMappedOpenCost (pkg/rnknn).
 func BenchmarkOpenFromSnapshot(b *testing.B) {
 	db, qs := sharedBenchDB(b)
 	g := db.Graph()
@@ -825,11 +867,7 @@ func BenchmarkOpenFromSnapshot(b *testing.B) {
 		b.ReportMetric(mmapNs/1e6, "open-ms")
 		b.ReportMetric(snapMB, "snap-MB")
 		if decodeNs > 0 && mmapNs > 0 {
-			speedup := decodeNs / mmapNs
-			b.ReportMetric(speedup, "speedup")
-			if speedup < 10 {
-				b.Fatalf("mmap open only %.1fx faster than decode, want >= 10x", speedup)
-			}
+			b.ReportMetric(decodeNs/mmapNs, "speedup")
 		}
 	})
 }

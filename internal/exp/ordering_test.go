@@ -33,7 +33,9 @@ const margin = 2
 //	    harness builds, are beaten by some method of the serving set {INE,
 //	    IER-PHL, Gtree} in every cell of these figures. fig4 has no INE or
 //	    Gtree row, so its cells are also compared with fig10a's and fig11a's,
-//	    which measure the same queries and objects on NW.
+//	    which measure the same queries and objects on NW;
+//	(f) IER-PHL beats IER-TNR in every fig4 cell: of the two hub-based
+//	    oracles under distance weights, the labeling is the faster one.
 //
 // Left out as near-ties: INE against IER-PHL at d = 0.1 (under distance
 // weights, and on NW under travel time, where it cleared 2x by 3% on one
@@ -95,6 +97,10 @@ func TestPaperOrdering(t *testing.T) {
 		faster("fig17b", "d=0.1", "INE", "IER-PHL")
 		for _, col := range ks {
 			faster("fig10a", col, "Gtree", "ROAD")
+			faster("fig4a", col, "IER-PHL", "IER-TNR") // (f)
+		}
+		for _, col := range []string{"d=0.0001", "d=0.001", "d=0.01", "d=0.1", "d=1"} {
+			faster("fig4b", col, "IER-PHL", "IER-TNR")
 		}
 
 		// (e): the fastest of the serving set in the cell, or in the cell

@@ -215,12 +215,23 @@ func (t *Tree) Rebuilds() int { return t.rebuilds }
 // epoch-versioned object store relies on (each epoch's tree is a Clone of
 // the previous epoch's). Cloning t again, or mutating t afterwards, is
 // allowed too: t gives up its nodes to the clone, so its own next write
-// copies as well. Giving them up writes t's generation, which no scan
-// reads, so t may be scanned meanwhile but not cloned or mutated.
+// copies as well. Giving them up writes t's generation (Freeze), which no
+// scan reads, so t may be scanned meanwhile but not mutated; a frozen tree
+// may also be cloned from several goroutines at once.
 func (t *Tree) Clone() *Tree {
 	c := *t
-	c.gen, t.gen = 0, 0
+	c.gen = 0
+	t.Freeze()
 	return &c
+}
+
+// Freeze makes t give up its nodes as a Clone does, so its next write
+// copies what it touches. A tree not written since it was last frozen is
+// left untouched: Clone writes nothing to it either.
+func (t *Tree) Freeze() {
+	if t.gen != 0 {
+		t.gen = 0
+	}
 }
 
 // writable returns a node t may change in place holding what n holds: n

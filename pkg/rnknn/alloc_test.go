@@ -3,6 +3,8 @@ package rnknn
 import (
 	"context"
 	"fmt"
+	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -130,12 +132,16 @@ func TestBindingFixedCost(t *testing.T) {
 
 // TestSparseMutationCost gates how a small object mutation scales with the
 // network: the same 4-vertex insert and remove run on an 8-object category
-// of DE (1,389 vertices) and of NW (21,825), with INE,
-// IER-PHL and G-tree enabled. Deriving an epoch copies what its delta
-// touches — the membership pages, the occurrence list sized by the
-// objects, the R-tree's touched paths — so NW may cost at most 1.5x DE's
-// bytes per mutation plus 1 KiB, the directory of membership pages. A
-// whole-bitset or per-node copy (2.7 KB and 2.7 KB on NW) fails here.
+// of DE (1,389 vertices) and of NW (21,825), with INE, IER-PHL and G-tree
+// enabled, each mutation followed by one k=1 query per method. A mutation
+// derives only the object set; the first query that reads an index brings
+// it up to date, so what is counted is the mutation plus every derivation
+// its next queries trigger (the queries themselves allocate nothing).
+// Deriving an epoch copies what its delta touches — the membership pages,
+// the occurrence list sized by the objects, the R-tree's touched paths — so
+// NW may cost at most 1.5x DE's bytes per mutation plus 1 KiB, the
+// directory of membership pages. A whole-bitset or per-node copy (2.7 KB
+// and 2.7 KB on NW) fails here.
 func TestSparseMutationCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds PHL and G-tree on DE and NW")
@@ -152,13 +158,24 @@ func TestSparseMutationCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctx := context.Background()
+		var buf []Result
+		read := func() {
+			for _, m := range db.Methods() {
+				if buf, err = db.KNNAppend(ctx, objs[0], 1, buf[:0], WithMethod(m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		mutate := func() {
 			if err := db.InsertObjects(DefaultCategory, delta); err != nil {
 				t.Fatal(err)
 			}
+			read()
 			if err := db.RemoveObjects(DefaultCategory, delta); err != nil {
 				t.Fatal(err)
 			}
+			read()
 		}
 		for range 64 {
 			mutate()
@@ -171,11 +188,60 @@ func TestSparseMutationCost(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		b := float64(after.TotalAlloc-before.TotalAlloc) / (2 * ops)
-		t.Logf("%s (|V| = %d): %.0f B per mutation", network, g.NumVertices(), b)
+		t.Logf("%s (|V| = %d): %.0f B per mutation and the derivations it defers", network, g.NumVertices(), b)
 		return b
 	}
 	de, nw := perMutation("DE"), perMutation("NW")
 	if limit := 1.5*de + 1024; nw > limit {
 		t.Errorf("NW costs %.0f B per mutation, DE %.0f: want <= %.0f", nw, de, limit)
+	}
+}
+
+// TestMappedOpenCost gates what a warm start costs in heap: a mapped open
+// (OpenSnapshotFile) of a {INE, IER-PHL, Gtree} snapshot decodes section
+// headers and aliases the mapped bytes, so its heap does not grow with the
+// network. The least of five opens of CA's snapshot (57 MB) may allocate
+// at most 16 KiB more than NW's (23 MB); both read ~135 KB. An open that
+// copies every section allocates the snapshot's size and fails here. This
+// is the deterministic form of the claim BenchmarkOpenFromSnapshot times:
+// "a warm start costs page faults, not a decode of every byte".
+func TestMappedOpenCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds PHL and G-tree on NW and CA")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the open's")
+	}
+	methods := WithMethods(INE, IERPHL, Gtree)
+	openHeap := func(network string) uint64 {
+		spec, _ := gen.LadderSpec(network)
+		db, err := Open(gen.Network(spec), methods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), network+".rnks")
+		if err := db.SaveIndexesFile(path); err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d, err := OpenSnapshotFile(path, methods)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: %d B of heap per mapped open", network, least)
+		return least
+	}
+	const slack = 16 << 10
+	if nw, ca := openHeap("NW"), openHeap("CA"); ca > nw+slack {
+		t.Errorf("a mapped open of CA allocates %d B, of NW %d B: want at most NW's + %d", ca, nw, slack)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"rnknn/internal/knn"
 )
 
-// epoch is one immutable version of a category: the counter Epoch reports
-// and one binding (object set plus derived per-method object indexes) per
-// partition cell — a single part on an ordinary DB, the manifest's cell count
+// epoch is one version of a category: the counter Epoch reports and one
+// binding (object set plus derived per-method object indexes, each filled
+// in once by its first reader) per partition cell — a single part on an ordinary DB, the manifest's cell count
 // on a shard set (see OpenSharded). Every part derives from the same
 // mutation history, so a query that pins an epoch answers from one
 // object-set version across all cells.
@@ -21,7 +21,7 @@ type epoch struct {
 	objects int // live objects across parts
 }
 
-// category is one named object set: a chain of immutable epochs, of which
+// category is one named object set: a chain of epochs, of which
 // live holds the current one. Queries pin an epoch by loading the pointer
 // once; writers serialize on mu, derive the next epoch from the live one, and
 // publish it with a single store.
@@ -38,7 +38,7 @@ type category struct {
 // occurrence list, association directory, whichever the enabled methods
 // need) are built from scratch over the full set. For a handful of changes
 // to an existing category, InsertObjects and RemoveObjects update those
-// same indexes incrementally instead. Duplicated vertices are dropped.
+// same indexes incrementally instead, each on its first read. Duplicated vertices are dropped.
 //
 // Replacement is safe while queries are in flight: each query pins the
 // category's epoch once at its start, so an in-flight query answers
@@ -62,18 +62,24 @@ func (db *DB) RegisterObjects(name string, vertices []int32) error {
 }
 
 // InsertObjects adds vertices to the named category without rebuilding its
-// derived object indexes: the next epoch is derived from the live one by
-// copying what the delta touches (core.Engine.NextBinding) — the
-// membership pages holding its vertices, the R-tree paths it inserts
-// into, ROAD's occupancy bits — plus the sorted object arrays of the set
-// and of G-tree's occurrence list, each merged with the delta. A category
-// that does not exist yet is created, so InsertObjects into a fresh name is
-// equivalent to RegisterObjects.
+// derived object indexes: the next epoch derives only the object set from
+// the live one (core.Engine.NextBinding), copying the membership pages
+// holding its vertices and the sorted vertex array merged with the delta.
+// Each method's object index (the R-tree, G-tree's occurrence list, ROAD's
+// association directory) is brought up to date by the first query that
+// reads it, from the newest built one by copying what the composed delta
+// touches — or, once the changes since it reach the category's size,
+// rebuilt from the set — so a mutation spends no index work on a method
+// nobody queries. A category that does not exist yet is created, so
+// InsertObjects into a fresh name is equivalent to RegisterObjects.
 // Vertices already present are ignored.
 //
-// Mutations on one category serialize with each other; queries never block
-// and never observe a half-applied delta — a query either runs entirely on
-// the epoch before this call or entirely on an epoch including it.
+// Mutations on one category serialize with each other and never wait for
+// a query. A query never waits for a mutation; the first queries of a
+// method on a new epoch wait for that epoch's one derivation of the index
+// they read. No query observes a half-applied delta — a query either runs
+// entirely on the epoch before this call or entirely on an epoch
+// including it.
 func (db *DB) InsertObjects(name string, vertices []int32) error {
 	if err := db.checkObjects(name, vertices); err != nil {
 		return err
@@ -91,8 +97,9 @@ func (db *DB) InsertObjects(name string, vertices []int32) error {
 }
 
 // RemoveObjects deletes vertices from the named category, deriving the next
-// epoch incrementally exactly like InsertObjects (the R-tree uses a lazy
-// delete with a degradation-triggered repack). Vertices not in the set are
+// epoch exactly like InsertObjects: the object set now, each method's index
+// on its first read (the R-tree uses a lazy delete with a
+// degradation-triggered repack). Vertices not in the set are
 // ignored; an unknown category is ErrUnknownCategory. Removing every object
 // leaves an empty category: queries on it return no results.
 func (db *DB) RemoveObjects(name string, vertices []int32) error {
@@ -133,7 +140,7 @@ func (db *DB) newEpoch(vertices []int32) *epoch {
 
 // advance derives cur's successor and publishes it with one store: the delta
 // is split by owning cell, only the touched cells get a next binding
-// (Engine.NextBinding, O(delta)) and the rest are carried by pointer, so
+// (Engine.NextBinding: the object set only) and the rest are carried by pointer, so
 // readers see every cell move together or not at all. An empty effective
 // delta publishes nothing — no new epoch. Called with cat.mu held.
 func (db *DB) advance(cat *category, cur *epoch, add, remove []int32) {

@@ -10,9 +10,11 @@
 // (RegisterObjects) or mutated incrementally (InsertObjects,
 // RemoveObjects) while queries are in flight — the paper's decoupled
 // index/object design (Section 2.2) as a live API. Each mutation derives a
-// new immutable epoch of the category from the live one in O(delta); a
-// query pins one epoch at its start and answers consistently from it no
-// matter how much churn lands mid-query (see Epoch).
+// new epoch of the category from the live one in O(delta) — its object
+// set, with each method's object index brought up to date by the first
+// query that reads it; a query pins one epoch at its start and answers
+// consistently from it no matter how much churn lands mid-query (see
+// Epoch).
 //
 //	g := gen.Network(gen.NetworkSpec{Name: "city", Rows: 96, Cols: 120, Seed: 1})
 //	db, err := rnknn.Open(g, rnknn.WithMethods(rnknn.IERPHL, rnknn.Gtree))
