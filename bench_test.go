@@ -620,11 +620,13 @@ func BenchmarkMonitorRoute(b *testing.B) {
 
 // BenchmarkObjectChurn measures what one object change costs at 1k/10k/100k
 // objects: mode=incremental alternates a single-vertex InsertObjects /
-// RemoveObjects (the epoch-versioned delta path — copy-on-write clones plus
-// O(delta) maintainer work), mode=reregister pays the pre-epoch cost model,
+// RemoveObjects (the epoch-versioned delta path: the object set's touched
+// pages now, each index's maintainer on its first read, which this
+// benchmark never makes), mode=reregister pays the pre-epoch cost model,
 // a full RegisterObjects rebuild of every derived object index. The
 // incremental path must stay >= 10x faster than re-registration from 10k
-// objects up.
+// objects up; it is ~0.7 µs, 1,275 B and 6 allocs per op at every size
+// (one pinned CPU), 400x to 70,000x under re-registration.
 func BenchmarkObjectChurn(b *testing.B) {
 	db, sets := sharedChurnDB(b)
 	const spare int32 = 0 // never part of the registered sets
@@ -671,15 +673,16 @@ var mutateDB = struct {
 // objects.mutate_{sparse,dense}_us: one op is a 4-vertex InsertObjects of
 // vertices outside the category followed by the matching RemoveObjects,
 // so the set is the same after every op. ns/mutation is half of ns/op, the
-// probes' unit. A mutation derives only the object set (paged membership
-// and the sorted vertices); each method's object index is brought up to
+// probes' unit. A mutation derives only the object set (its paged
+// membership and count); each method's object index is brought up to
 // date by the first query that reads it, so the form=then-read
 // sub-benchmarks follow each mutation with one k=1 query per enabled
 // method on the mutated category — the mutation plus every derivation it
 // defers, against which the old eager path's mutation plus queries
-// compares. A mutation alone costs ~2.1 KB and 20 allocs per op at density
-// 0.001 and ~21 KB and 20 at 0.1; then-read ~5.5 KB and 42, and ~37 KB and
-// 69 (the occurrence list and association directory of the remove epoch
+// compares. A mutation alone costs ~1.8 KB and 12 allocs per op at both
+// densities, since the object set keeps no vertex list (2.1 KB and 21 KB
+// in 20 allocs when it did); then-read ~5.1 KB and 34, and ~17.5 KB and
+// 61 (the occurrence list and association directory of the remove epoch
 // are the insert epoch's bases again). When every mutation derived every
 // index an op cost 6.1 KB and 44 allocs, and 47 KB and 71, for the
 // mutation alone.

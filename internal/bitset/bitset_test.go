@@ -140,3 +140,77 @@ func TestPagedEditSharesUntouchedPages(t *testing.T) {
 		t.Fatal("the shared zero page was written")
 	}
 }
+
+// TestPagedAppendOnesMatchesModel checks the ascending walk against a
+// sorted model across a chain of random versions of a set whose size is
+// not a multiple of a page: the edge bits 0, 1023, 1024 and n-1 come and
+// go, one step clears every bit of a page (a private page left empty,
+// which the walk must read as such), and pages never written stay the
+// shared zero page, which the walk skips.
+func TestPagedAppendOnesMatchesModel(t *testing.T) {
+	const n = 5000 // five pages, the last one partial
+	edges := []int32{0, 1023, 1024, n - 1}
+	rng := rand.New(rand.NewSource(7))
+	p, model := NewPaged(n), map[int32]bool{}
+	emptied := false
+	for step := 0; step < 300; step++ {
+		var set, clear []int32
+		flip := func(b int32) {
+			if model[b] {
+				clear = append(clear, b)
+			} else {
+				set = append(set, b)
+			}
+		}
+		switch {
+		case step%50 == 49:
+			// Empty page 1 (bits 1024..2047) whole.
+			for b := range model {
+				if b>>10 == 1 {
+					clear = append(clear, b)
+				}
+			}
+			emptied = emptied || len(clear) > 0
+		case step%3 == 0:
+			flip(edges[rng.Intn(len(edges))])
+		default:
+			// Pages 0..2 only, so pages 3 and 4 stay the zero page except
+			// for the edge bit n-1.
+			for range 1 + rng.Intn(6) {
+				if b := int32(rng.Intn(3 << 10)); !slices.Contains(set, b) && !slices.Contains(clear, b) {
+					flip(b)
+				}
+			}
+		}
+		next := p.Edit(set, clear)
+		for _, b := range clear {
+			next.Clear(b)
+			delete(model, b)
+		}
+		for _, b := range set {
+			next.Set(b)
+			model[b] = true
+		}
+		want := make([]int32, 0, len(model))
+		for b := range model {
+			want = append(want, b)
+		}
+		slices.Sort(want)
+		if got := next.AppendOnes(nil); !slices.Equal(got, want) {
+			t.Fatalf("step %d: AppendOnes = %v, model %v", step, got, want)
+		}
+		if got := next.AppendOnes([]int32{-1}); got[0] != -1 || !slices.Equal(got[1:], want) {
+			t.Fatalf("step %d: AppendOnes did not append to dst: %v", step, got)
+		}
+		p = next
+	}
+	if !emptied {
+		t.Fatal("no step emptied a page")
+	}
+	if p.dir[3] != &zeroPage {
+		t.Fatal("page 3 is not the shared zero page: the walk's skip went untested")
+	}
+	if got := NewPaged(n).AppendOnes(nil); len(got) != 0 {
+		t.Fatalf("an empty set walks to %v", got)
+	}
+}

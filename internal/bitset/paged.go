@@ -1,5 +1,7 @@
 package bitset
 
+import "math/bits"
+
 // pageWords is the size of one Paged page in words: 1,024 bits, 128 bytes.
 const pageWords = 16
 
@@ -75,6 +77,26 @@ func (p Paged) Set(i int32) {
 // Clear clears bit i, which must lie on a page this version's Edit copied.
 func (p Paged) Clear(i int32) {
 	p.dir[uint32(i)>>10][uint32(i)>>6&(pageWords-1)] &^= 1 << (uint32(i) & 63)
+}
+
+// AppendOnes appends every set bit to dst in ascending order and returns
+// the extended slice. It walks the directory and skips each zero-page
+// entry with one pointer compare, so its cost is one step per 1,024 bits
+// plus one per word of a page that is not the zero page, plus one per set
+// bit.
+func (p Paged) AppendOnes(dst []int32) []int32 {
+	for i, pg := range p.dir {
+		if pg == &zeroPage {
+			continue
+		}
+		for j, w := range pg {
+			base := int32(i*pageWords+j) << 6
+			for ; w != 0; w &= w - 1 {
+				dst = append(dst, base+int32(bits.TrailingZeros64(w)))
+			}
+		}
+	}
+	return dst
 }
 
 // SizeBytes is what the set holds that an empty one does not share: the

@@ -28,6 +28,9 @@ import (
 // to it; queries in flight keep the Binding they snapshotted and stay
 // consistent.
 type Binding struct {
+	// Objs points at objs, the epoch's object set, which the binding holds
+	// by value (NewBinding copies the caller's set; the copy shares its
+	// pages).
 	Objs *knn.ObjectSet
 	// Epoch is the binding's version within its category: 0 for a bulk
 	// build, predecessor+1 for each NextBinding derivation.
@@ -45,6 +48,7 @@ type Binding struct {
 	rt          derived[rtree.Tree]
 	ol          derived[gtree.OccurrenceList]
 	ad          derived[road.AssociationDirectory]
+	objs        knn.ObjectSet
 }
 
 // delta is an effective change of an object set, in the form
@@ -191,7 +195,8 @@ func compose(d, step *delta, objs *knn.ObjectSet) *delta {
 // road-network index has not been built yet trigger the build (serialized
 // by the engine mutex).
 func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
-	b := &Binding{Objs: objs, e: e}
+	b := &Binding{objs: *objs, e: e}
+	b.Objs = &b.objs
 	for _, k := range kinds {
 		switch k {
 		case IERCH, IERTNR, IERPHL:
@@ -212,9 +217,10 @@ func (e *Engine) NewBinding(objs *knn.ObjectSet, kinds []MethodKind) *Binding {
 }
 
 // NextBinding derives the next epoch of cur: cur's object set minus remove
-// plus add (knn.ObjectSet.WithDelta: the membership directory and touched
-// pages, and the vertex slice merged with the delta). It does no index
-// work. Each derived index cur carries becomes pending in the new epoch,
+// plus add (knn.ObjectSet.WithDelta: the membership directory, the touched
+// pages and the effective delta), which the new binding holds by value:
+// four allocations with the binding, whatever the set's size. It does no
+// index work. Each derived index cur carries becomes pending in the new epoch,
 // and the first query that reads it brings it up to date from the newest
 // built index of its kind by the per-method maintainers: an R-tree Clone
 // whose Insert/Delete path-copy the nodes they touch, and the occurrence
@@ -230,7 +236,8 @@ func (e *Engine) NextBinding(cur *Binding, add, remove []int32) *Binding {
 	if len(added) == 0 && len(removed) == 0 {
 		return cur
 	}
-	b := &Binding{Objs: objs, Epoch: cur.Epoch + 1, e: e, step: delta{added, removed}}
+	b := &Binding{objs: objs, Epoch: cur.Epoch + 1, e: e, step: delta{added, removed}}
+	b.Objs = &b.objs
 	var memo composed
 	b.rt.follow(&cur.rt, b, &memo, false)
 	b.ol.follow(&cur.ol, b, &memo, true)

@@ -15,7 +15,7 @@ import (
 // delta.
 func derive(idx *gtree.Index, objs *knn.ObjectSet, ol *gtree.OccurrenceList, add, remove []int32) (*knn.ObjectSet, *gtree.OccurrenceList) {
 	next, added, removed := objs.WithDelta(add, remove)
-	return next, ol.Next(idx, next, added, removed)
+	return &next, ol.Next(idx, &next, added, removed)
 }
 
 // checkList compares ol with a from-scratch build over objs: every node's
@@ -130,8 +130,8 @@ func TestOccurrenceListUpdates(t *testing.T) {
 			}
 		}
 		prevObjs, prevOL := objs, ol
-		var added, removed []int32
-		objs, added, removed = prevObjs.WithDelta(add, remove)
+		next, added, removed := prevObjs.WithDelta(add, remove)
+		objs = &next
 		ol = prevOL.Next(idx, objs, added, removed)
 
 		touched := map[int32]bool{}

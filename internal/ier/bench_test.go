@@ -1,6 +1,7 @@
 package ier_test
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"rnknn/internal/ier"
 	"rnknn/internal/knn"
 	"rnknn/internal/phl"
+	"rnknn/internal/rtree"
 )
 
 var benchNW = sync.OnceValues(func() (*graph.Graph, *phl.Index) {
@@ -39,6 +41,53 @@ func benchIERPHL(b *testing.B, density float64) {
 
 func BenchmarkIERPHLSparse(b *testing.B) { benchIERPHL(b, 0.001) }
 func BenchmarkIERPHLDense(b *testing.B)  { benchIERPHL(b, 0.1) }
+
+// BenchmarkIERPHLRotating reads what lib-auto's category rotation costs
+// IER-PHL in PHL label misses: k = 50 on NW at density 0.01, each query's
+// object set drawn at random from one set (sets=1) or from sixteen
+// (sets=16), the session rebound to it before the query, as pkg/rnknn's
+// pooled sessions are. Sixteen sets mean sixteen candidate populations,
+// so the label lines of their candidates stop fitting in cache; the
+// control (sets=16/same-vertices) rotates sixteen R-trees over one vertex
+// set, which moves the trees but not the candidates. It has no gate: on
+// one pinned CPU (20,000 queries, median of three) it read 26.8 µs at
+// sets=1, 45.9 µs at sets=16 (+71 %) and 28.4 µs for the control, so the
+// cost is the candidates' label lines, not R-tree nodes.
+func BenchmarkIERPHLRotating(b *testing.B) {
+	g, labels := benchNW()
+	queries := gen.QueryVertices(g, 96, 2)
+	for _, c := range []struct {
+		name string
+		sets int
+		same bool
+	}{{"sets=1", 1, false}, {"sets=16", 16, false}, {"sets=16/same-vertices", 16, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			objs := make([]*knn.ObjectSet, c.sets)
+			trees := make([]*rtree.Tree, c.sets)
+			for i := range objs {
+				seed := int64(1 + i)
+				if c.same {
+					seed = 1
+				}
+				objs[i] = knn.NewObjectSet(g, gen.Uniform(g, 0.01, seed))
+				trees[i] = ier.NewObjectTree(g, objs[i])
+			}
+			x := ier.NewWithTree("IER-PHL", g, objs[0], trees[0], labels.NewSource())
+			draw := rand.New(rand.NewSource(3))
+			order := make([]int, 1024)
+			for i := range order {
+				order[i] = draw.Intn(c.sets)
+			}
+			dst := make([]knn.Result, 0, 50)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := order[i%len(order)]
+				x.Rebind(objs[s], trees[s])
+				dst = x.KNNAppend(queries[i%len(queries)], 50, dst[:0])
+			}
+		})
+	}
+}
 
 // BenchmarkIERPHLRangeSparse is the range twin of BenchmarkIERPHLSparse and
 // the other side of internal/ine's BenchmarkINERangeSparse — what rnbench's

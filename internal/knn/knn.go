@@ -149,27 +149,28 @@ type SourceFactory interface {
 	NewSource(s int32) SourceOracle
 }
 
-// ObjectSet is an immutable set of object vertices with O(1) membership.
-// The membership bits are paged (bitset.Paged), so sets derived from one
-// another with WithDelta share every page their deltas did not touch.
+// ObjectSet is an immutable set of object vertices with O(1) membership:
+// paged membership bits (bitset.Paged) and a count, nothing per object.
+// Sets derived from one another with WithDelta share every page their
+// deltas did not touch. An ObjectSet is a small value (a directory slice
+// and a count) that its owner may hold by value; copies read the same
+// pages.
 type ObjectSet struct {
-	verts  []int32
 	member bitset.Paged
+	n      int
 }
 
 // NewObjectSet builds an ObjectSet over vertices of g. The input need not be
 // sorted; duplicates are dropped.
 func NewObjectSet(g *graph.Graph, vertices []int32) *ObjectSet {
-	member := bitset.NewPaged(g.NumVertices()).Edit(vertices)
-	verts := make([]int32, 0, len(vertices))
+	o := &ObjectSet{member: bitset.NewPaged(g.NumVertices()).Edit(vertices)}
 	for _, v := range vertices {
-		if !member.Get(v) {
-			member.Set(v)
-			verts = append(verts, v)
+		if !o.member.Get(v) {
+			o.member.Set(v)
+			o.n++
 		}
 	}
-	slices.Sort(verts)
-	return &ObjectSet{verts: verts, member: member}
+	return o
 }
 
 // WithDelta returns a new ObjectSet equal to o minus removes plus adds,
@@ -179,71 +180,52 @@ func NewObjectSet(g *graph.Graph, vertices []int32) *ObjectSet {
 // added/removed slices are the effective delta, each sorted: vertices
 // actually inserted (absent before, deduplicated) and actually deleted
 // (present before) — exactly the per-element work the derived object
-// indexes must replay.
+// indexes must replay. They share one slab.
 //
-// Cost: a copy of the membership directory (one pointer per 1,024
-// vertices) and of the membership pages the delta touches, one copy of the
-// vertex slice in the runs between consecutive delta positions, and
-// O(|delta| log |set|) to find those positions; no index is rebuilt and
-// nothing the original set references is mutated.
-func (o *ObjectSet) WithDelta(add, remove []int32) (next *ObjectSet, added, removed []int32) {
-	member := o.member.Edit(remove, add)
+// Cost: three allocations — a copy of the membership directory (one
+// pointer per 1,024 vertices), one slab of the membership pages the delta
+// touches, and the delta's slab — and O(|delta| log |delta|) to sort the
+// delta, whatever the size of the set; no index is rebuilt and nothing the
+// original set references is mutated.
+func (o *ObjectSet) WithDelta(add, remove []int32) (next ObjectSet, added, removed []int32) {
+	next.member = o.member.Edit(remove, add)
 	delta := make([]int32, len(remove)+len(add))
 	removed, added = delta[:0:len(remove)], delta[len(remove):len(remove)]
 	for _, v := range remove {
-		if member.Get(v) {
-			member.Clear(v)
+		if next.member.Get(v) {
+			next.member.Clear(v)
 			removed = append(removed, v)
 		}
 	}
 	for _, v := range add {
-		if !member.Get(v) {
-			member.Set(v)
+		if !next.member.Get(v) {
+			next.member.Set(v)
 			added = append(added, v)
 		}
 	}
 	slices.Sort(removed)
 	slices.Sort(added)
-	// Walk the delta in vertex order, copying each run of survivors up to
-	// the next delta position: a removal skips its vertex, an addition is
-	// emitted at its place. A vertex removed and re-added is skipped by its
-	// removal, which comes first, and emitted once by its addition.
-	verts := make([]int32, 0, len(o.verts)-len(removed)+len(added))
-	from := 0 // o.verts[from:] is not yet copied
-	copyTo := func(v int32) int {
-		at, _ := slices.BinarySearch(o.verts[from:], v)
-		verts = append(verts, o.verts[from:from+at]...)
-		return from + at
-	}
-	ri := 0
-	for _, v := range added {
-		for ; ri < len(removed) && removed[ri] <= v; ri++ {
-			from = copyTo(removed[ri]) + 1
-		}
-		from = copyTo(v)
-		verts = append(verts, v)
-	}
-	for _, v := range removed[ri:] {
-		from = copyTo(v) + 1
-	}
-	verts = append(verts, o.verts[from:]...)
-	return &ObjectSet{verts: verts, member: member}, added, removed
+	next.n = o.n - len(removed) + len(added)
+	return next, added, removed
 }
 
 // Contains reports whether v is an object.
 func (o *ObjectSet) Contains(v int32) bool { return o.member.Get(v) }
 
 // Len returns the number of objects.
-func (o *ObjectSet) Len() int { return len(o.verts) }
+func (o *ObjectSet) Len() int { return o.n }
 
-// Vertices returns the sorted object vertices; the slice must not be
-// modified.
-func (o *ObjectSet) Vertices() []int32 { return o.verts }
+// Vertices returns the object vertices in ascending order, in a new slice
+// the caller owns. It walks the membership pages (bitset.Paged.AppendOnes):
+// one step per 1,024 vertices of the network plus one per word of an
+// occupied page, so it is for bulk index builds and references, not for a
+// query or a mutation.
+func (o *ObjectSet) Vertices() []int32 { return o.member.AppendOnes(make([]int32, 0, o.n)) }
 
 // SizeBytes estimates the in-memory footprint of the set (the lower-bound
-// object storage cost INE pays, Figure 18): the sorted vertices and the
-// membership pages that are not the shared empty page.
-func (o *ObjectSet) SizeBytes() int { return len(o.verts)*4 + o.member.SizeBytes() }
+// object storage cost INE pays, Figure 18): the membership directory and
+// the pages that are not the shared empty page.
+func (o *ObjectSet) SizeBytes() int { return o.member.SizeBytes() }
 
 // BruteForce computes the exact kNN answer by a full Dijkstra expansion that
 // stops after k objects are settled. It is the correctness reference for all

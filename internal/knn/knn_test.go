@@ -208,6 +208,33 @@ func TestObjectSetWithDelta(t *testing.T) {
 	if !int32sEqual(same.Vertices(), base.Vertices()) {
 		t.Fatal("no-op delta changed the set")
 	}
+
+	// Len and Vertices follow the effective delta, not the requested one.
+	for _, c := range []struct {
+		name        string
+		add, remove []int32
+		want        []int32
+	}{
+		{"remove absent", nil, []int32{1, 7, 63}, []int32{2, 5, 9, 30}},
+		{"add present", []int32{2, 30, 30}, nil, []int32{2, 5, 9, 30}},
+		{"remove and re-add", []int32{9}, []int32{9, 9}, []int32{2, 5, 9, 30}},
+		{"remove and re-add with a change", []int32{9, 0, 63}, []int32{9, 2}, []int32{0, 5, 9, 30, 63}},
+		{"empty", []int32{}, []int32{30, 9, 5, 2, 2}, []int32{}},
+	} {
+		next, _, _ := base.WithDelta(c.add, c.remove)
+		if next.Len() != len(c.want) || !int32sEqual(next.Vertices(), c.want) {
+			t.Errorf("%s: Len %d, Vertices %v, want %v", c.name, next.Len(), next.Vertices(), c.want)
+		}
+	}
+	if base.Len() != 4 || !int32sEqual(base.Vertices(), []int32{2, 5, 9, 30}) {
+		t.Fatalf("base mutated: Len %d, %v", base.Len(), base.Vertices())
+	}
+	// The emptied set derives again like any other.
+	empty, _, _ := base.WithDelta(nil, base.Vertices())
+	refill, _, _ := empty.WithDelta([]int32{4, 4}, []int32{4})
+	if empty.Len() != 0 || len(empty.Vertices()) != 0 || refill.Len() != 1 || !int32sEqual(refill.Vertices(), []int32{4}) {
+		t.Fatalf("emptied then refilled: %d %v, %d %v", empty.Len(), empty.Vertices(), refill.Len(), refill.Vertices())
+	}
 }
 
 // TestObjectSetWithDeltaRandom checks WithDelta against a from-scratch

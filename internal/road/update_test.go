@@ -14,7 +14,7 @@ import (
 // effective delta.
 func derive(idx *road.Index, objs *knn.ObjectSet, ad *road.AssociationDirectory, add, remove []int32) (*knn.ObjectSet, *road.AssociationDirectory) {
 	next, added, removed := objs.WithDelta(add, remove)
-	return next, ad.Next(idx, next, added, removed)
+	return &next, ad.Next(idx, &next, added, removed)
 }
 
 // checkDirectory compares ad bit for bit — every Rnet's occupancy, every

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rnknn/internal/gen"
@@ -194,6 +195,72 @@ func TestSparseMutationCost(t *testing.T) {
 	de, nw := perMutation("DE"), perMutation("NW")
 	if limit := 1.5*de + 1024; nw > limit {
 		t.Errorf("NW costs %.0f B per mutation, DE %.0f: want <= %.0f", nw, de, limit)
+	}
+}
+
+// TestMutationCostIndependentOfSetSize gates that a mutation costs its
+// delta, not its category: the same 4-vertex insert and remove, with no
+// reads between them, run on an 8-object category and on a density-0.1
+// one (~2,180 objects) of NW with INE, IER-PHL and G-tree enabled. A
+// mutation derives only the object set — the membership directory, the
+// pages its delta touches and the effective delta — so the dense
+// category's bytes per mutation may exceed the sparse one's by at most
+// 512 B (both read ~0.9 KB). An object set that copies its sorted vertex
+// list per mutation (≈8.7 KB on the dense category) fails here.
+func TestMutationCostIndependentOfSetSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds PHL and G-tree on NW")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the mutation's")
+	}
+	spec, _ := gen.LadderSpec("NW")
+	g := gen.Network(spec)
+	sparse, dense := []int32{11, 103, 207, 309, 401, 503, 707, 1001}, gen.Uniform(g, 0.1, 61)
+	db, err := Open(g, WithMethods(INE, IERPHL, Gtree), WithObjects("sparse", sparse), WithObjects("dense", dense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The delta: four vertices on four membership pages, in neither
+	// category.
+	in := map[int32]bool{}
+	for _, v := range slices.Concat(sparse, dense) {
+		in[v] = true
+	}
+	var delta []int32
+	for v := int32(97); len(delta) < 4; v += 4099 {
+		for in[v] {
+			v++
+		}
+		delta = append(delta, v)
+	}
+	perMutation := func(cat string) float64 {
+		mutate := func() {
+			if err := db.InsertObjects(cat, delta); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.RemoveObjects(cat, delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 64 {
+			mutate()
+		}
+		const ops = 512
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range ops {
+			mutate()
+		}
+		runtime.ReadMemStats(&after)
+		b := float64(after.TotalAlloc-before.TotalAlloc) / (2 * ops)
+		n, _ := db.NumObjects(cat)
+		t.Logf("%s (%d objects): %.0f B per mutation", cat, n, b)
+		return b
+	}
+	s, d := perMutation("sparse"), perMutation("dense")
+	if d > s+512 {
+		t.Errorf("a mutation of the dense category costs %.0f B, of the sparse one %.0f: want <= %.0f", d, s, s+512)
 	}
 }
 

@@ -354,3 +354,48 @@ func TestMonitorRouteAliasing(t *testing.T) {
 		t.Fatalf("streamed %d/%d steps", i, len(want))
 	}
 }
+
+// TestMonitorRouteAvoided is BenchmarkMonitorRoute's avoided gate as a
+// count test: the benchmark's network (230 x 230, seed 29: 100,838
+// vertices), objects (density 0.0005, seed 43: 50), route (a 512-step
+// walk from the middle vertex that takes neighbour i mod degree at step
+// i), k = 10 on G-tree, and bound, at least 60 % of the steps answered by
+// the safe-region check alone. Opened with G-tree only it takes ~5 s and
+// ~110 MB, where the benchmark's four-method churn DB takes ~12 s and
+// ~200 MB. It reads 498 of 512 (0.9727), as the benchmark does; a tracker
+// that never answers RefreshNone reads 0 and fails.
+func TestMonitorRouteAvoided(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds G-tree on a 100k-vertex network")
+	}
+	if raceEnabled {
+		t.Skip("a count, not a concurrency check: ~5 s, and ~50 s under the race detector")
+	}
+	g := gen.Network(gen.NetworkSpec{Name: "churnbench", Rows: 230, Cols: 230, Seed: 29})
+	db, err := Open(g, WithMethods(Gtree), WithObjects(DefaultCategory, gen.Uniform(g, 0.0005, 43)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := make([]int32, 512)
+	route[0] = int32(g.NumVertices() / 2)
+	for i := 1; i < len(route); i++ {
+		targets, _ := g.Neighbors(route[i-1])
+		route[i] = targets[i%len(targets)]
+	}
+	steps, avoided := 0, 0
+	for u, err := range db.Monitor(context.Background(), route, 10) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps++
+		if u.Refresh == MonitorRefreshNone {
+			avoided++
+		}
+	}
+	n, _ := db.NumObjects(DefaultCategory)
+	ratio := float64(avoided) / float64(steps)
+	t.Logf("%d objects on %d vertices: %d of %d steps avoided (%.4f)", n, g.NumVertices(), avoided, steps, ratio)
+	if steps != len(route) || ratio < 0.6 {
+		t.Errorf("the safe-region check avoided %d of %d steps (route %d), want >= 60%%", avoided, steps, len(route))
+	}
+}

@@ -31,6 +31,10 @@ type category struct {
 	// epoch numbers advance monotonically. Readers never take it.
 	mu   sync.Mutex
 	live atomic.Pointer[epoch]
+	// adds and removes are advance's per-cell split of a delta, reused
+	// under mu, so a mutation's split allocates nothing once they have
+	// grown to its size.
+	adds, removes [][]int32
 }
 
 // RegisterObjects installs (or atomically replaces) the named object
@@ -63,8 +67,9 @@ func (db *DB) RegisterObjects(name string, vertices []int32) error {
 
 // InsertObjects adds vertices to the named category without rebuilding its
 // derived object indexes: the next epoch derives only the object set from
-// the live one (core.Engine.NextBinding), copying the membership pages
-// holding its vertices and the sorted vertex array merged with the delta.
+// the live one (core.Engine.NextBinding), copying the page directory and
+// the membership pages holding its vertices — nothing that grows with the
+// category.
 // Each method's object index (the R-tree, G-tree's occurrence list, ROAD's
 // association directory) is brought up to date by the first query that
 // reads it, from the newest built one by copying what the composed delta
@@ -130,7 +135,7 @@ func (db *DB) RemoveObjects(name string, vertices []int32) error {
 // all of them, on an ordinary DB). Counter 0; a replacing caller bumps it.
 func (db *DB) newEpoch(vertices []int32) *epoch {
 	ep := &epoch{}
-	for _, part := range db.splitByOwner(vertices) {
+	for _, part := range db.splitByOwner(nil, vertices) {
 		b := db.eng.NewBinding(knn.NewObjectSet(db.g, part), db.bindKinds)
 		ep.parts = append(ep.parts, b)
 		ep.objects += b.Objs.Len()
@@ -139,12 +144,16 @@ func (db *DB) newEpoch(vertices []int32) *epoch {
 }
 
 // advance derives cur's successor and publishes it with one store: the delta
-// is split by owning cell, only the touched cells get a next binding
-// (Engine.NextBinding: the object set only) and the rest are carried by pointer, so
-// readers see every cell move together or not at all. An empty effective
-// delta publishes nothing — no new epoch. Called with cat.mu held.
+// is split by owning cell into cat's scratch, only the touched cells get a
+// next binding (Engine.NextBinding: the object set only) and the rest are
+// carried by pointer, so readers see every cell move together or not at
+// all. An empty effective delta publishes nothing — no new epoch. Called
+// with cat.mu held. A one-cell mutation allocates six times: the epoch,
+// its parts, and the binding with its set's directory, touched pages and
+// effective delta.
 func (db *DB) advance(cat *category, cur *epoch, add, remove []int32) {
-	adds, removes := db.splitByOwner(add), db.splitByOwner(remove)
+	cat.adds, cat.removes = db.splitByOwner(cat.adds, add), db.splitByOwner(cat.removes, remove)
+	adds, removes := cat.adds, cat.removes
 	next := &epoch{n: cur.n + 1, parts: make([]*core.Binding, len(cur.parts))}
 	changed := false
 	for i, p := range cur.parts {

@@ -284,18 +284,27 @@ func (db *DB) ShardBound(i int, q int32) Dist {
 }
 
 // splitByOwner partitions vertices (already validated) into per-cell
-// subsets, every cell present, possibly empty. An ordinary DB's one cell
-// takes the caller's slice as it is: its mutations copy nothing.
-func (db *DB) splitByOwner(vertices []int32) [][]int32 {
-	if db.shards == nil {
-		return [][]int32{vertices}
+// subsets, every cell present, possibly empty (an ordinary DB has one
+// cell), written over dst's slices and returned. A full cell grows to hold
+// every vertex still to come, so an ordinary DB's split allocates at most
+// once. Nothing retains a split: the object set copies what it keeps.
+func (db *DB) splitByOwner(dst [][]int32, vertices []int32) [][]int32 {
+	cells := 1
+	if db.shards != nil {
+		cells = len(db.shards.cells)
 	}
-	out := make([][]int32, len(db.shards.cells))
-	for _, v := range vertices {
+	dst = slices.Grow(dst[:0], cells)[:cells]
+	for i := range dst {
+		dst[i] = dst[i][:0]
+	}
+	for i, v := range vertices {
 		o := db.OwnerShard(v)
-		out[o] = append(out[o], v)
+		if len(dst[o]) == cap(dst[o]) {
+			dst[o] = slices.Grow(dst[o], len(vertices)-i)
+		}
+		dst[o] = append(dst[o], v)
 	}
-	return out
+	return dst
 }
 
 // cellBound is one cell in a fan's visiting order.
